@@ -462,7 +462,7 @@ def cosusp_precover(M, T_list, certify=True):
     """Precover triangle V -> M -> U with V in cosusp(T), U right-orthogonal.
 
     Mirror of susp_envelope with all arrows reversed; the certificate checks
-    Hom(T_i[k], U) = 0 for all k >= 0 over the window.
+    Hom(T_i, U[k]) = 0 for all k >= 0 over the window.
     """
     f, V, trace = _cosusp_precover_stage(M, indecomposable_refinement(T_list), None)
     tri = cone(f)  # V -> M -> U

@@ -239,10 +239,7 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        import random
-
         from .complexes import ProjComplex
-        from .homs import is_nonpositive  # noqa: F401  (witnesses surface via GlueError)
 
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
         if shortcut:

@@ -38,10 +38,11 @@ class PathMatrix:
                 raise ComplexError("column count mismatch")
         for i, row in enumerate(entries):
             for j, x in enumerate(row):
-                if not isinstance(x, AlgebraElement) or x.algebra != algebra:
+                if not isinstance(x, AlgebraElement) or (x.algebra is not algebra and x.algebra != algebra):
                     raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
-                if not x.is_zero():
-                    if x.source != row_vertices[i] or x.target != col_vertices[j]:
+                if x.terms:
+                    p = next(iter(x.terms))  # all terms share source and target
+                    if p.source != row_vertices[i] or p.target != col_vertices[j]:
                         raise ComplexError(
                             f"entry ({i},{j}) lies outside "
                             f"e_{row_vertices[i]} A e_{col_vertices[j]}"
@@ -88,15 +89,27 @@ class PathMatrix:
         if self.col_vertices != other.row_vertices:
             raise ComplexError("composition shape mismatch")
         alg = self.algebra
+        fld = alg.field
+        add, mul, prod = fld.add, fld.mul, alg.compose_paths
+        right = [[x.terms for x in row] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in self.entries:
+            left = [(k, x.terms) for k, x in enumerate(row) if x.terms]
+            out_row = []
             for j in range(other.cols):
-                acc = alg.zero_element()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+                # one coefficient dict per entry; AlgebraElement drops the zeros
+                acc = {}
+                for k, a in left:
+                    b = right[k][j]
+                    for p, cp in a.items():
+                        for q, cq in b.items():
+                            pq = prod(p, q)
+                            if pq is not None:
+                                c = mul(cp, cq)
+                                old = acc.get(pq)
+                                acc[pq] = c if old is None else add(old, c)
+                out_row.append(AlgebraElement(alg, acc))
+            out.append(out_row)
         return PathMatrix(alg, self.row_vertices, other.col_vertices, out)
 
     def __add__(self, other):

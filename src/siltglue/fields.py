@@ -63,11 +63,44 @@ class RationalField:
         return "QQ"
 
 
+# Strong-probable-prime tests to the prime bases up to 41 are exact below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015); the bases up to 37 alone first fail at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test; raises ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is not below the primality bound {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.tag = f"Fp:{p}"

@@ -83,33 +83,27 @@ class HomSpace:
         self.fvars = _VarSpace(X, Z, 0)
         self.hvars = _VarSpace(X, Z, -1)
 
-        # chain condition d_Z f - f d_X = 0, one equation per target coordinate
-        eqs = []
+        # chain condition d_Z f - f d_X = 0, one equation per target coordinate;
+        # columns of the equation matrix are the f-variables
         eq_space = _VarSpace(X, Z, 1)  # target of the defect map
         nvars = self.fvars.dim
-        for col in range(nvars):
-            n, i, j, p = self.fvars.slots[col]
-            unit = X.algebra.path_element(p)
-            m = PathMatrix.zero(X.algebra, Z.component(n), X.component(n))
-            m.entries[i][j] = unit
-            defect = self._defect({n: m})
-            vec = eq_space.to_vector(defect)
-            eqs.append(vec)
         if nvars == 0:
             self.cycle_basis = []
         else:
-            # columns of the equation matrix are the f-variables
-            mat = Matrix(fld, [[eqs[c][r] for c in range(nvars)] for r in range(eq_space.dim)], cols=nvars)
-            self.cycle_basis = kernel_basis(mat)
+            eqs = [[fld.zero] * nvars for _ in range(eq_space.dim)]
+            for col, slot in enumerate(self.fvars.slots):
+                for row, c in self._unit_image(eq_space, slot, 0, True).items():
+                    eqs[row][col] = c
+            self.cycle_basis = kernel_basis(Matrix(fld, eqs, cols=nvars))
 
-        # boundaries: image of h |-> d_Z h + h d_X
+        # boundaries: image of h |-> d_Z h + h d_X, kept sparse for homotopy_witness
+        self._bimages = [self._unit_image(self.fvars, slot, -1, False) for slot in self.hvars.slots]
         bvecs = []
-        for col in range(self.hvars.dim):
-            n, i, j, p = self.hvars.slots[col]
-            unit = X.algebra.path_element(p)
-            m = PathMatrix.zero(X.algebra, Z.component(n - 1), X.component(n))
-            m.entries[i][j] = unit
-            bvecs.append(self.fvars.to_vector(self._boundary({n: m})))
+        for img in self._bimages:
+            vec = [fld.zero] * self.fvars.dim
+            for idx, c in img.items():
+                vec[idx] = c
+            bvecs.append(vec)
         self._brows, self._bpivs = row_space_rref(fld, bvecs)
 
         # canonical representatives: cycle-kernel vectors that grow the span
@@ -123,24 +117,31 @@ class HomSpace:
         self._reps = reps
         self._full_rows, self._full_pivs = rows, pivs
 
-    def _defect(self, comps):
-        """d_Z o f - f o d_X for degreewise (not necessarily chain) maps."""
-        X, Z = self.X, self.Z
+    def _unit_image(self, target, slot, shift, negate):
+        """Coordinates in `target` of d_Z u +/- u d_X for the unit map u at `slot`.
+
+        u has the single entry p at (i, j) of degree n, mapping X^n to
+        Z^{n+shift}.  Only column i of d_Z^{n+shift} and row j of d_X^{n-1}
+        meet it: d_Z u has entries d_Z[r][i] p at (n, r, j), and u d_X has
+        entries p d_X[j][c] at (n-1, i, c), negated when `negate` is set.
+        Returns {coordinate index: coefficient}.
+        """
+        n, i, j, p = slot
+        alg = self.X.algebra
+        fld, prod, index = alg.field, alg.compose_paths, target.index
         out = {}
-        for n in set(X.components):
-            fn = comps.get(n)
-            fn1 = comps.get(n + 1)
-            lhs = Z.differential(n).compose(fn) if fn is not None else None
-            rhs = fn1.compose(X.differential(n)) if fn1 is not None else None
-            if lhs is None and rhs is None:
-                continue
-            if lhs is None:
-                lhs = PathMatrix.zero(X.algebra, rhs.row_vertices, rhs.col_vertices)
-            if rhs is None:
-                rhs = PathMatrix.zero(X.algebra, lhs.row_vertices, lhs.col_vertices)
-            d = lhs - rhs
-            if not d.is_zero():
-                out[n] = d
+        left = self.Z.differentials.get(n + shift)
+        if left is not None:
+            for r, row in enumerate(left.entries):
+                for s, c in row[i].terms.items():
+                    idx = index[n, r, j, prod(s, p)]
+                    out[idx] = fld.add(out.get(idx, fld.zero), c)
+        right = self.X.differentials.get(n - 1)
+        if right is not None:
+            for col, x in enumerate(right.entries[j]):
+                for t, c in x.terms.items():
+                    idx = index[n - 1, i, col, prod(p, t)]
+                    out[idx] = fld.add(out.get(idx, fld.zero), fld.neg(c) if negate else c)
         return out
 
     def _boundary(self, hcomps):
@@ -202,20 +203,16 @@ class HomSpace:
         """For a null-homotopic f, a degree -1 map h with f = d h + h d."""
         fld = self.X.algebra.field
         vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
-        bcols = []
-        for col in range(self.hvars.dim):
-            n, i, j, p = self.hvars.slots[col]
-            m = PathMatrix.zero(self.X.algebra, self.Z.component(n - 1), self.X.component(n))
-            m.entries[i][j] = self.X.algebra.path_element(p)
-            bcols.append(self.fvars.to_vector(self._boundary({n: m})))
-        mat = Matrix(fld, [[bcols[c][r] for c in range(len(bcols))] for r in range(self.fvars.dim)], cols=len(bcols))
+        imgs = self._bimages
+        mat = Matrix(
+            fld,
+            [[img.get(r, fld.zero) for img in imgs] for r in range(self.fvars.dim)],
+            cols=len(imgs),
+        )
         x = solve(mat, vec)
         if x is None:
             return None
-        acc = [fld.zero] * self.hvars.dim
-        for c, coef in enumerate(x):
-            acc[c] = coef
-        return self.hvars.from_vector(acc)
+        return self.hvars.from_vector(x)
 
 
 def hom_basis(X, Y, k=0):

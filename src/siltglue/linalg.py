@@ -148,6 +148,8 @@ def in_row_space(field, rref_rows, pivots, vec):
     for row, col in zip(rref_rows, pivots):
         f = v[col]
         if not fld.is_zero(f):
-            for c in range(len(v)):
-                v[c] = fld.sub(v[c], fld.mul(f, row[c]))
+            # an RREF row is zero left of its pivot; zero entries change nothing
+            for c in range(col, len(v)):
+                if not fld.is_zero(row[c]):
+                    v[c] = fld.sub(v[c], fld.mul(f, row[c]))
     return all(fld.is_zero(x) for x in v)

@@ -97,6 +97,8 @@ class Quiver:
         return Quiver(self.vertices, [(a.name, a.target, a.source) for a in self.arrows])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Quiver)
             and self.vertices == other.vertices
@@ -145,6 +147,9 @@ class PathAlgebra:
         self._between = {}
         for p in self.basis:
             self._between.setdefault((p.source, p.target), []).append(p)
+        self._trivial = {p.source: p for p in self.basis if p.is_trivial()}
+        # path-product table (p, q) -> pq, filled as composable pairs are met
+        self._products = {}
 
     def _enumerate_paths(self):
         q = self.quiver
@@ -166,9 +171,9 @@ class PathAlgebra:
         return len(self.basis)
 
     def trivial_path(self, v):
-        if v not in self.quiver.vertex_index:
+        if v not in self._trivial:
             raise QuiverError(f"unknown vertex {v!r}")
-        return Path(v, v, ())
+        return self._trivial[v]
 
     def path_of_arrows(self, arrow_names):
         """Compose a nonempty arrow-name sequence into a Path."""
@@ -176,13 +181,21 @@ class PathAlgebra:
         for x, y in zip(arrs, arrs[1:]):
             if x.target != y.source:
                 raise QuiverError(f"arrows {x.name}, {y.name} do not compose")
-        return Path(arrs[0].source, arrs[-1].target, tuple(a.name for a in arrs))
+        return self._interned(Path(arrs[0].source, arrs[-1].target, tuple(a.name for a in arrs)))
 
     def compose_paths(self, p, q):
         """p*q = first p then q; None when not composable."""
         if p.target != q.source:
             return None
-        return Path(p.source, q.target, p.arrows + q.arrows)
+        pq = self._products.get((p, q))
+        if pq is None:
+            pq = self._products[p, q] = self._interned(Path(p.source, q.target, p.arrows + q.arrows))
+        return pq
+
+    def _interned(self, path):
+        """The basis object equal to `path`, so that dict lookups match by identity."""
+        i = self.basis_index.get(path)
+        return path if i is None else self.basis[i]
 
     def paths_between(self, src, tgt):
         """All paths src -> tgt, in basis order."""
@@ -210,6 +223,8 @@ class PathAlgebra:
         return self.paths_between(w, v)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PathAlgebra)
             and self.quiver == other.quiver

@@ -169,3 +169,20 @@ def test_fixtures_subcommand(tmp_path):
     res = run("fixtures", "--out", out)
     assert res.exit_code == 0
     assert os.path.exists(os.path.join(out, "ka3_algebra.json"))
+
+
+def test_algebra_over_huge_prime_exits_2(tmp_path):
+    bad = tmp_path / "huge_prime.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "v": 1,
+                "field": "Fp:3317044064679887385961983",
+                "vertices": ["1", "2"],
+                "arrows": [{"name": "a", "from": "1", "to": "2"}],
+            }
+        )
+    )
+    res = run("algebra-check", str(bad))
+    assert res.exit_code == 2
+    assert "primality bound" in res.stderr

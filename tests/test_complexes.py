@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
-from siltglue.fields import QQ
+from siltglue.fields import QQ, PrimeField
+from siltglue.fixtures import ka3_algebra
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -159,3 +160,66 @@ def test_shift_map_chain_condition(ka3):
     g = shift_map(f, 3)
     g.check_chain_condition()
     assert g.source == shift(I2, 3)
+
+
+def _naive_compose(a, b):
+    """Reference product: sum of AlgebraElement products, entry by entry."""
+    alg = a.algebra
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = alg.zero_element()
+            for k in range(a.cols):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return PathMatrix(alg, a.row_vertices, b.col_vertices, out)
+
+
+def _random_path_matrix(alg, rng, rows, cols):
+    """Entries are random combinations of the allowed paths, often zero."""
+    fld = alg.field
+    ents = []
+    for w in rows:
+        row = []
+        for v in cols:
+            terms = {}
+            for p in alg.paths_between(w, v):
+                if rng.random() < 0.6:
+                    terms[p] = fld.of(rng.randint(-2, 2))
+            row.append(alg.element(terms))
+        ents.append(row)
+    return PathMatrix(alg, rows, cols, ents)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_compose_matches_naive_product(field):
+    rng = seeded_rng(23)
+    checked = zeros = 0
+    for _ in range(12):
+        alg = build_algebra(random_quiver(rng, max_vertices=5, arrow_prob=0.6), field)
+        vs = alg.quiver.vertices
+        shapes = [[rng.choice(vs) for _ in range(rng.randint(0, 4))] for _ in range(3)]
+        a = _random_path_matrix(alg, rng, shapes[0], shapes[1])
+        b = _random_path_matrix(alg, rng, shapes[1], shapes[2])
+        expect = _naive_compose(a, b)
+        assert a.compose(b) == expect
+        checked += 1
+        zeros += sum(x.is_zero() for row in expect.entries for x in row)
+    assert checked == 12 and zeros > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_compose_cancels_to_zero(field):
+    # (a  a) . (b; -b) = ab - ab: every term cancels
+    A = ka3_algebra(field)
+    a = A.path_element(A.path_of_arrows(["a"]))
+    b = A.path_element(A.path_of_arrows(["b"]))
+    z = A.zero_element()
+    left = PathMatrix(A, ("1",), ("2", "2"), [[a, a]])
+    right = PathMatrix(A, ("2", "2"), ("3", "1"), [[b, z], [-b, z]])
+    prod = left.compose(right)
+    assert prod == _naive_compose(left, right)
+    assert prod.is_zero()
+    assert prod.entries[0][0].terms == {}

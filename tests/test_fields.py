@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from siltglue.fields import QQ, PrimeField, field_from_tag
+from siltglue.fields import PRIME_BOUND, QQ, PrimeField, field_from_tag, is_prime
 
 
 def test_rational_basics():
@@ -43,3 +44,30 @@ def test_equality_and_hash():
     assert PrimeField(5) != PrimeField(7)
     assert QQ != PrimeField(5)
     assert len({QQ, PrimeField(5), PrimeField(5)}) == 2
+
+
+@pytest.mark.parametrize("p", [10**18 + 3, 2**31 - 1])
+def test_large_primes_accepted_fast(p):
+    start = time.perf_counter()
+    F = field_from_tag(f"Fp:{p}")
+    assert time.perf_counter() - start < 0.1
+    assert F.p == p
+
+
+# Carmichael numbers, then strong pseudoprimes to every prime base up to 23
+# and up to 37
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_pseudoprimes_rejected(n):
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_primality_matches_trial_division():
+    small = [n for n in range(2000) if n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(2000) if is_prime(n)] == small
+
+
+def test_prime_beyond_bound_rejected():
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        field_from_tag(f"Fp:{PRIME_BOUND + 2}")

@@ -4,7 +4,7 @@ from conftest import random_complex, random_quiver, seeded_rng
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, ProjComplex, cone, direct_sum, shift
+from siltglue.complexes import ChainMap, PathMatrix, ProjComplex, cone, direct_sum, shift
 from siltglue.homs import (
     HomSpace,
     hom_dim,
@@ -109,3 +109,80 @@ def test_hom_oracle_random(field):
                 assert hom_dim(X, Y, k) == oracle_hom_dim(X, Y, k)
                 checked += 1
     assert checked > 20
+
+
+def _adjacent_differentials(X):
+    """True when two consecutive differentials of X are both non-zero."""
+    live = {n for n, d in X.differentials.items() if not d.is_zero()}
+    return any(n + 1 in live for n in live)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_hom_oracle_adjacent_differentials(field):
+    rng = seeded_rng(202)
+    complexes = []
+    while len(complexes) < 4:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=4, max_width=5, shift_range=1)
+        if _adjacent_differentials(X):
+            complexes.append(X)
+    checked = 0
+    for X in complexes:
+        others = [Y for Y in complexes if Y.algebra == X.algebra] + [ProjComplex.stalk(X.algebra, v) for v in X.algebra.quiver.vertices]
+        for Y in others:
+            for A, B in ((X, Y), (Y, X)):
+                lo, hi = hom_window(A, B)
+                for k in range(lo, hi + 1):
+                    assert HomSpace(A, B, k).dim == oracle_hom_dim(A, B, k)
+                    checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_homotopy_witness_round_trip(field):
+    rng = seeded_rng(303)
+    tried = 0
+    while tried < 3:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=3, shift_range=1)
+        hs = HomSpace(X, Y, 0)
+        if hs.hvars.dim == 0:
+            continue
+        h = hs.hvars.from_vector([field.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
+        f = ChainMap(X, Y, hs._boundary(h))
+        assert hs.is_null_homotopic(f)
+        w = hs.homotopy_witness(f)
+        assert w is not None
+        assert (ChainMap(X, Y, hs._boundary(w)) - f).is_zero()
+        tried += 1
+
+
+def _unknowns(X, Y):
+    hs = HomSpace(X, Y, 0)
+    return hs.fvars.dim + hs.hvars.dim
+
+
+def test_homspace_compose_calls_independent_of_size(monkeypatch):
+    """Assembling the Hom equations costs no path-matrix product per unknown."""
+    rng = seeded_rng(404)
+    alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.9), QQ)
+    small = random_complex(alg, rng, steps=2, shift_range=1)
+    big = small
+    while _unknowns(big, big) < 4 * _unknowns(small, small):
+        big = direct_sum(big, random_complex(alg, rng, steps=3, shift_range=1))
+
+    calls = []
+    orig = PathMatrix.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return orig(self, other)
+
+    monkeypatch.setattr(PathMatrix, "compose", counting)
+    counts = []
+    for X in (small, big):
+        calls.clear()
+        HomSpace(X, X, 0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
