@@ -230,7 +230,7 @@ class EnvelopeResult:
         return Triangle(self.V, self.M, self.U, self.v_map, self.f)
 
 
-def indecomposable_refinement(T_list):
+def indecomposable_refinement(T_list, seed=0):
     """Replace each member by its indecomposable summands.
 
     The additive hull add(T) is unchanged, but greedy copy-deletion in
@@ -245,7 +245,7 @@ def indecomposable_refinement(T_list):
         if T.is_zero():
             continue
         try:
-            parts = decompose(T)
+            parts = decompose(T, seed=seed)
         except DecomposeError:
             out.append(T)
             continue
@@ -289,16 +289,17 @@ def _susp_envelope_stage(M, T_list, bound):
     return Xm.to_min.compose(fX), Xm.complex, [layer] + sub_trace
 
 
-def susp_envelope(M, T_list, certify=True):
+def susp_envelope(M, T_list, certify=True, seed=0):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
     The statistic s = s_sup(M, T) strictly decreases through the recursion;
     the construction follows the iterated homotopy-pushout scheme.  When
     `certify` is set the orthogonality Hom(V, T_i[k]) = 0 for all k >= 0 is
-    checked exactly over the support window.
+    checked exactly over the support window.  `seed` drives the splitting
+    of T into indecomposable summands.
     """
     s = s_sup(M, T_list)
-    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list), None)
+    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None)
     tri = cocone(f)
     Vm = minimize(tri.X)
     V = Vm.complex
@@ -458,13 +459,13 @@ def _cosusp_precover_stage(M, T_list, bound):
     return fX.compose(Xm.from_min), Xm.complex, [layer] + sub_trace
 
 
-def cosusp_precover(M, T_list, certify=True):
+def cosusp_precover(M, T_list, certify=True, seed=0):
     """Precover triangle V -> M -> U with V in cosusp(T), U right-orthogonal.
 
     Mirror of susp_envelope with all arrows reversed; the certificate checks
     Hom(T_i, U[k]) = 0 for all k >= 0 over the window.
     """
-    f, V, trace = _cosusp_precover_stage(M, indecomposable_refinement(T_list), None)
+    f, V, trace = _cosusp_precover_stage(M, indecomposable_refinement(T_list, seed), None)
     tri = cone(f)  # V -> M -> U
     Um = minimize(tri.Z)
     U = Um.complex

@@ -17,7 +17,7 @@ from .complexes import ComplexError, direct_sum_many, minimize, shift
 from .homs import hom_dim_table, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement
-from .gluing import GlueError, check_co_aisle_agreement, glue, glue_shortcut
+from .gluing import GlueError, certify_set, glue, glue_shortcut
 from .decompose import DecomposeError, decompose
 from . import serialize, fixtures
 
@@ -180,7 +180,7 @@ def envelope(m_file, t_files, seed):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        env = susp_envelope(M, T)
+        env = susp_envelope(M, T, seed=seed)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -243,9 +243,9 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
 
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
         if shortcut:
-            cert = glue_shortcut(rec, T_B, depth=depth, probes=probes)
+            cert = glue_shortcut(rec, T_B, depth=depth, probes=probes, seed=seed)
         else:
-            cert = glue(rec, T_C, T_B, depth=depth, probes=probes)
+            cert = glue(rec, T_C, T_B, depth=depth, probes=probes, seed=seed)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -296,8 +296,6 @@ def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
 @click.option("--seed", type=int, default=0)
 def check_silting(t_files, depth, seed):
     """Presilting + generation + K0 certificates for a set of complexes."""
-    from .gluing import check_generation, check_presilting, k0_report
-
     try:
         T = _load_complexes(t_files)
         for t in T[1:]:
@@ -305,9 +303,8 @@ def check_silting(t_files, depth, seed):
                 raise serialize.SerializeError("complexes over different algebras")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
-    pres = check_presilting(T)
-    gen = check_generation(T, depth)
-    k0 = k0_report(T, T[0].algebra)
+    reports = certify_set(T, T[0].algebra, depth, seed)
+    pres, gen, k0 = reports["presilting"], reports["generation"], reports["k0"]
     report = {
         "v": 1,
         "presilting": pres,

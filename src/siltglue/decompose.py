@@ -5,12 +5,15 @@ whose trivial-path-coefficient block is invertible in every degree (such a
 map is an isomorphism of complexes since the arrow radical is nilpotent).
 
 Decomposition splits primitive idempotents of the endomorphism algebra
-modulo homotopy: the radical is the kernel of the trace form (characteristic
-zero), idempotents are found in the semisimple quotient by minimal-polynomial
-factorization — basis elements, random small combinations, then central
-elements, whose minimal polynomials split the distinct simple blocks — and
-lifted to an exact chain-level idempotent by Newton iteration through the
-two nilpotent ideals.
+modulo homotopy.  The algebra is held by its structure constants in the
+representative basis; the coordinates of each product come from the Hom
+space's one cached factorization.  The radical is the kernel of the trace
+form (characteristic zero), whose Gram matrix is read off the structure
+constants.  Idempotents are found in the semisimple quotient by
+minimal-polynomial factorization — basis elements, random small
+combinations, then central elements, whose minimal polynomials split the
+distinct simple blocks — and lifted to an exact chain-level idempotent by
+Newton iteration through the two nilpotent ideals.
 """
 
 import random
@@ -129,7 +132,11 @@ def is_isomorphic(X, Y, seed=0, trials=64):
 
 
 class EndAlgebra:
-    """End_{K^b}(X) in the canonical representative basis, with products."""
+    """End_{K^b}(X) in the canonical representative basis, with products.
+
+    `table[i][j]` holds the structure constants of b_i b_j = sum_k c_ij^k b_k
+    as a sparse list of the (k, c_ij^k) with c_ij^k != 0.
+    """
 
     def __init__(self, X):
         self.X = X
@@ -138,7 +145,8 @@ class EndAlgebra:
         self.dim = len(self.reps)
         self.id_coords = self.hs.coordinates(ChainMap.identity(X))
         self.table = [
-            [self.hs.coordinates(a.compose(b)) for b in self.reps] for a in self.reps
+            [[(k, c) for k, c in enumerate(self.hs.coordinates(a.compose(b))) if c] for b in self.reps]
+            for a in self.reps
         ]
 
     def mul(self, x, y):
@@ -146,12 +154,13 @@ class EndAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
+            row = self.table[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                row = self.table[i][j]
-                for k in range(self.dim):
-                    out[k] += xi * yj * row[k]
+                xy = xi * yj
+                for k, c in row[j]:
+                    out[k] += xy * c
         return out
 
     def to_chain_map(self, coords):
@@ -161,22 +170,26 @@ class EndAlgebra:
                 g = g + r.scale(c)
         return g
 
+    def trace_form(self):
+        """Gram matrix of the trace form (x, y) -> tr(L_xy) in the basis b_i.
+
+        Read off the structure constants: L_{b_k} has trace
+        tau_k = sum_l c_kl^l, so the entry of (b_i, b_j) is
+        sum_k c_ij^k tau_k.  That is O(d^3) work and forms no product.
+        """
+        tau = [
+            sum((c for l, consts in enumerate(row) for k, c in consts if k == l), Fraction(0))
+            for row in self.table
+        ]
+        return [[sum((c * tau[k] for k, c in consts), Fraction(0)) for consts in row] for row in self.table]
+
     def radical(self):
-        """Kernel of the trace form of the regular representation."""
-        fld = QQ
-        gram = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                z = self.table[i][j]
-                # tr(L_z) = sum_l coordinate l of z * b_l
-                t = Fraction(0)
-                for l in range(self.dim):
-                    zl = self.mul(z, [Fraction(int(m == l)) for m in range(self.dim)])
-                    t += zl[l]
-                row.append(t)
-            gram.append(row)
-        return kernel_basis(Matrix(fld, gram, cols=self.dim))
+        """Kernel of the trace form of the regular representation.
+
+        The Gram matrix comes from `trace_form`, read off the structure
+        constants; in characteristic zero its kernel is the radical.
+        """
+        return kernel_basis(Matrix(QQ, self.trace_form(), cols=self.dim))
 
 
 class SemisimpleQuotient:

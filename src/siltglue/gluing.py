@@ -7,7 +7,7 @@ Every certificate is re-derivable from raw Hom computations.
 """
 
 from .fields import QQ
-from .complexes import ProjComplex, direct_sum, direct_sum_many, minimize, shift
+from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
 from .homs import HomSpace, hom_dim, hom_window, is_nonpositive
 from .approx import susp_envelope
 from .recollement import RecollementError, i_star, j_lower_shriek
@@ -66,23 +66,43 @@ def check_presilting(T_list):
     return rep
 
 
-def k0_report(T_list, algebra):
+def summand_classes(T_list, seed=0):
+    """Distinct indecomposable summands of a set, each with its first input index.
+
+    Returns [(summand, index of the first T_i containing it)] in order of
+    first appearance.  Over F_p, where `decompose` is unavailable, each
+    non-zero minimized input stands for itself.
+    """
+    classes = []
+    for ti, T in enumerate(T_list):
+        if T.algebra.field == QQ:
+            parts = [c for c, _m, _cert in decompose(T, seed=seed)]
+        else:
+            parts = [minimize(T).complex]
+        for c in parts:
+            if c.is_zero():
+                continue
+            if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in classes):
+                classes.append((c, ti))
+    return classes
+
+
+def k0_report(T_list, algebra, classes=None, seed=0):
     """Classes [T_i] in the basis [P_v], with a unimodularity verdict.
 
-    Rows are the distinct indecomposable summand classes of the set (over Q)
+    Rows are the distinct indecomposable summand classes of the set (over Q;
+    `classes` as `summand_classes` returns them, computed when not given)
     or the given complexes themselves (positive characteristic).
     """
     verts = list(algebra.quiver.vertices)
     if algebra.field == QQ:
-        classes = []
-        for T in T_list:
-            for c, _m, _cert in decompose(T):
-                if not any(is_isomorphic(c, d).isomorphic for d in classes):
-                    classes.append(c)
+        if classes is None:
+            classes = summand_classes(T_list, seed)
+        rows = [c for c, _ti in classes]
     else:
-        classes = [minimize(T).complex for T in T_list]
+        rows = [minimize(T).complex for T in T_list]
     mat = []
-    for c in classes:
+    for c in rows:
         row = [0] * len(verts)
         for n, vs in c.components.items():
             sgn = 1 if n % 2 == 0 else -1
@@ -105,7 +125,7 @@ def k0_report(T_list, algebra):
         "det": det,
         "unimodular": uni,
         "ok": uni,
-        "classes": [c.describe() for c in classes],
+        "classes": [c.describe() for c in rows],
     }
 
 
@@ -133,36 +153,48 @@ def _int_det(mat):
     return int(det) if det.denominator == 1 else det
 
 
-def check_generation(T_list, depth=3):
+GENERATION_BUDGET = 64  # objects check_generation may hold before it gives up
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def check_generation(T_list, depth=3, classes=None, seed=0):
     """Depth-bounded thick-closure saturation: do all P_v get generated?
 
-    Starts from the (indecomposable summands of the) given complexes and
-    repeatedly adjoins minimized cones of Hom-basis maps between shifts.
-    Returns a report with status "generated" (plus witnesses) or
-    "inconclusive", together with the K_0 screen.
+    Starts from the indecomposable summands of the given complexes
+    (`classes` as `summand_classes` returns them, computed when not given)
+    and repeatedly adjoins minimized cones of Hom-basis maps between
+    shifts.  Returns a report with status "generated" (plus witnesses) or
+    "inconclusive".  At most GENERATION_BUDGET objects are held; when
+    another is needed the search stops as "inconclusive" with
+    "budget_exhausted": true.  Over F_p cones are not split into summands,
+    so the object set can grow without end and the budget ends the search.
     """
     if not T_list:
         return {"status": "inconclusive", "ok": False, "witnesses": []}
     algebra = T_list[0].algebra
     verts = list(algebra.quiver.vertices)
+    if classes is None:
+        classes = summand_classes(T_list, seed)
 
     def summands(X):
         if algebra.field == QQ:
-            return [c for c, _m, _cert in decompose(X)]
+            return [c for c, _m, _cert in decompose(X, seed=seed)]
         return [minimize(X).complex]
 
-    objs = []
+    objs = [(c, f"input[{ti}]") for c, ti in classes]
     witnesses = {}
 
     def note(X, how):
         for c in summands(X):
             if c.is_zero():
                 continue
-            if not any(is_isomorphic(c, o).isomorphic for o, _ in objs):
+            if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in objs):
+                if len(objs) >= GENERATION_BUDGET:
+                    raise _BudgetExhausted
                 objs.append((c, how))
-
-    for ti, T in enumerate(T_list):
-        note(T, f"input[{ti}]")
 
     def found_all():
         missing = []
@@ -182,40 +214,60 @@ def check_generation(T_list, depth=3):
 
     missing = found_all()
     level = 0
-    while missing and level < depth:
-        level += 1
-        snapshot = list(objs)
-        for xi, (X, howx) in enumerate(snapshot):
-            for yi, (Y, howy) in enumerate(snapshot):
-                wlo, whi = hom_window(X, Y)
-                for k in range(wlo, whi + 1):
-                    hs = HomSpace(X, Y, k)
-                    for ri, f in enumerate(hs.basis_maps()):
-                        from .complexes import cone
-
-                        note(
-                            minimize(cone(f).Z).complex,
-                            f"cone({howx} -> {howy}[{k}], rep {ri}) @depth {level}",
-                        )
-            missing = found_all()
+    exhausted = False
+    try:
+        while missing and level < depth:
+            level += 1
+            snapshot = list(objs)
+            for xi, (X, howx) in enumerate(snapshot):
+                for yi, (Y, howy) in enumerate(snapshot):
+                    wlo, whi = hom_window(X, Y)
+                    for k in range(wlo, whi + 1):
+                        hs = HomSpace(X, Y, k)
+                        for ri, f in enumerate(hs.basis_maps()):
+                            note(
+                                minimize(cone(f).Z).complex,
+                                f"cone({howx} -> {howy}[{k}], rep {ri}) @depth {level}",
+                            )
+                missing = found_all()
+                if not missing:
+                    break
             if not missing:
                 break
-        if not missing:
-            break
+    except _BudgetExhausted:
+        missing = found_all()
+        exhausted = bool(missing)
     if missing:
-        return {
+        report = {
             "status": "inconclusive",
             "ok": False,
             "missing": missing,
             "objects": len(objs),
             "witnesses": witnesses,
         }
+        if exhausted:
+            report["budget_exhausted"] = True
+        return report
     return {
         "status": "generated",
         "ok": True,
         "depth": level,
         "witnesses": witnesses,
         "objects": len(objs),
+    }
+
+
+def certify_set(T_list, algebra, depth=3, seed=0):
+    """Presilting, generation and K_0 reports of a set, splitting it once.
+
+    The distinct summand classes are computed once and shared by the
+    generation check and the K_0 screen.
+    """
+    classes = summand_classes(T_list, seed)
+    return {
+        "presilting": check_presilting(T_list),
+        "generation": check_generation(T_list, depth, classes, seed),
+        "k0": k0_report(T_list, algebra, classes, seed),
     }
 
 
@@ -269,12 +321,14 @@ def check_co_aisle_agreement(cert, probes):
     return {"ok": ok, "probes": results}
 
 
-def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
+def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
     quotient algebra.  Raises GlueError with a witness when an input set is
-    not non-positive.
+    not non-positive.  `seed` drives every randomized search: the splitting
+    and isomorphism tests of the envelope, the reports and the final
+    decomposition.
     """
     okc, wc = is_nonpositive(T_C)
     if not okc:
@@ -290,7 +344,7 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
     for T_Y in T_B:
         M = i_star(rec, T_Y)
         iT.append(M)
-        env = susp_envelope(M, env_targets)
+        env = susp_envelope(M, env_targets, seed=seed)
         tildes.append(env.V)
         triangles.append(
             {
@@ -305,16 +359,18 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
         )
     T = jT + tildes
     cert = GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T, {}, None)
+    _certify(cert, depth, probes, seed)
+    if decompose_result and rec.A.field == QQ:
+        cert.decomposition = decompose(direct_sum_many(rec.A, T), seed=seed)
+    return cert
+
+
+def _certify(cert, depth, probes, seed):
+    """Fill the reports of a glued set: condition (*), then `certify_set`."""
     cert.reports["star_condition"] = check_star_condition(cert)
-    cert.reports["presilting"] = check_presilting(T)
-    cert.reports["generation"] = check_generation(T, depth)
-    cert.reports["k0"] = k0_report(T, rec.A)
+    cert.reports.update(certify_set(cert.T, cert.rec.A, depth, seed))
     if probes is not None:
         cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
-    if decompose_result and rec.A.field == QQ:
-        total = direct_sum_many(rec.A, T)
-        cert.decomposition = decompose(total)
-    return cert
 
 
 def canonical_corner_silting(rec):
@@ -324,7 +380,7 @@ def canonical_corner_silting(rec):
     )
 
 
-def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
+def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True, seed=0):
     """Shortcut for canonical T_C = {C}: split minimize(i_*(+)T_B) directly.
 
     Requires every T_B component in degrees <= 0 after minimization; the
@@ -347,8 +403,6 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
     else:
         P = ProjComplex.zero(rec.A)
     sset = set(rec.S)
-    from .complexes import subcomplex_on_indices
-
     idx_comp = {n: [i for i, v in enumerate(vs) if v not in sset] for n, vs in P.components.items()}
     idx_s = {n: [i for i, v in enumerate(vs) if v in sset] for n, vs in P.components.items()}
     tilde = subcomplex_on_indices(P, idx_comp)
@@ -362,13 +416,7 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
     )
     T = jT + [t for t in tildes if not t.is_zero()]
     cert = GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T, {}, None)
-    cert.reports["star_condition"] = check_star_condition(cert)
-    cert.reports["presilting"] = check_presilting(T)
-    cert.reports["generation"] = check_generation(T, depth)
-    cert.reports["k0"] = k0_report(T, rec.A)
-    if probes is not None:
-        cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
+    _certify(cert, depth, probes, seed)
     if decompose_result and rec.A.field == QQ:
-        total = direct_sum_many(rec.A, T)
-        cert.decomposition = decompose(total)
+        cert.decomposition = decompose(direct_sum_many(rec.A, T), seed=seed)
     return cert

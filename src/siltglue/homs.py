@@ -7,7 +7,7 @@ kernel, and homotopies span a subspace of it.
 """
 
 from .complexes import ChainMap, PathMatrix, shift
-from .linalg import Matrix, kernel_basis, row_space_rref, in_row_space, solve
+from .linalg import Matrix, extend_rref, kernel_basis, row_space_rref, in_row_space, solve
 
 
 class _VarSpace:
@@ -106,16 +106,12 @@ class HomSpace:
             bvecs.append(vec)
         self._brows, self._bpivs = row_space_rref(fld, bvecs)
 
-        # canonical representatives: cycle-kernel vectors that grow the span
+        # canonical representatives: cycle-kernel vectors that grow the span,
+        # added one by one to a running RREF of the boundaries
         rows = [list(r) for r in self._brows]
         pivs = list(self._bpivs)
-        reps = []
-        for v in self.cycle_basis:
-            if not in_row_space(fld, rows, pivs, v):
-                reps.append(v)
-                rows, pivs = row_space_rref(fld, rows + [v])
-        self._reps = reps
-        self._full_rows, self._full_pivs = rows, pivs
+        self._reps = [v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)]
+        self._solver = None  # factored by the first `coordinates` call
 
     def _unit_image(self, target, slot, shift, negate):
         """Coordinates in `target` of d_Z u +/- u d_X for the unit map u at `slot`.
@@ -184,20 +180,46 @@ class HomSpace:
     def coordinates(self, f):
         """Coefficients of [f] in the representative basis, exact.
 
+        The first call factors the cycle space once: the RREF of
+        [reps ; boundary rows | I] has all its pivots left of the identity
+        block, because those rows are independent, so each reduced row comes
+        with its expression in reps and boundaries.  Every call reduces f
+        against the reduced rows and sums the rep parts of their expressions.
         Raises ValueError if f is not a cycle of this Hom space.
         """
         fld = self.X.algebra.field
+        if self._solver is None:
+            self._solver = self._factor_cycles()
         vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
-        cols = self._reps + [list(r) for r in self._brows]
-        if not cols:
-            if all(fld.is_zero(x) for x in vec):
-                return []
+        x = [fld.zero] * len(self._reps)
+        for col, row, expr in self._solver:
+            c = vec[col]
+            if fld.is_zero(c):
+                continue
+            for k, a in row:
+                vec[k] = fld.sub(vec[k], fld.mul(c, a))
+            for k, a in expr:
+                x[k] = fld.add(x[k], fld.mul(c, a))
+        if not all(fld.is_zero(a) for a in vec):
             raise ValueError("map outside the homotopy Hom space")
-        mat = Matrix(fld, [[cols[c][r] for c in range(len(cols))] for r in range(self.fvars.dim)], cols=len(cols))
-        x = solve(mat, vec)
-        if x is None:
-            raise ValueError("map outside the homotopy Hom space")
-        return x[: len(self._reps)]
+        return x
+
+    def _factor_cycles(self):
+        """[(pivot, sparse reduced row, sparse rep coefficients)] of the cycle space."""
+        fld = self.X.algebra.field
+        n, r = self.fvars.dim, len(self._reps)
+        basis = self._reps + self._brows
+        unit = [fld.zero] * len(basis)
+        aug = [list(v) + unit[:i] + [fld.one] + unit[i + 1 :] for i, v in enumerate(basis)]
+        red, piv = row_space_rref(fld, aug)
+        return [
+            (
+                col,
+                [(k, row[k]) for k in range(col, n) if not fld.is_zero(row[k])],
+                [(k, row[n + k]) for k in range(r) if not fld.is_zero(row[n + k])],
+            )
+            for row, col in zip(red, piv)
+        ]
 
     def homotopy_witness(self, f):
         """For a null-homotopic f, a degree -1 map h with f = d h + h d."""

@@ -2,8 +2,11 @@
 
 Everything is deterministic: the pivot is the first nonzero entry in a
 row-major scan, and the reduced row echelon form is canonical.  Matrices are
-immutable after construction and all operations are pure.
+immutable after construction and all operations are pure, except
+`extend_rref`, which grows the row lists it is given.
 """
+
+import bisect
 
 from .fields import QQ, PrimeField
 from . import _kernel
@@ -141,8 +144,8 @@ def row_space_rref(field, vectors):
     return _rref_rows(field, vectors)
 
 
-def in_row_space(field, rref_rows, pivots, vec):
-    """Membership test against an RREF row space; pure reduction."""
+def _reduce(field, rref_rows, pivots, vec):
+    """The residue of `vec` modulo an RREF row space (a new list)."""
     fld = field
     v = list(vec)
     for row, col in zip(rref_rows, pivots):
@@ -152,4 +155,36 @@ def in_row_space(field, rref_rows, pivots, vec):
             for c in range(col, len(v)):
                 if not fld.is_zero(row[c]):
                     v[c] = fld.sub(v[c], fld.mul(f, row[c]))
-    return all(fld.is_zero(x) for x in v)
+    return v
+
+
+def in_row_space(field, rref_rows, pivots, vec):
+    """Membership test against an RREF row space; pure reduction."""
+    return all(field.is_zero(x) for x in _reduce(field, rref_rows, pivots, vec))
+
+
+def extend_rref(field, rref_rows, pivots, vec):
+    """Add `vec` to an RREF row space in place; False if it already lies in it.
+
+    The rows and pivots become the canonical RREF of the enlarged span, the
+    same as `row_space_rref` of the old rows plus `vec`, without reducing the
+    old rows again: the residue of `vec` is normalized and its pivot column
+    cleared from the rows that meet it.
+    """
+    fld = field
+    v = _reduce(fld, rref_rows, pivots, vec)
+    col = next((c for c, x in enumerate(v) if not fld.is_zero(x)), None)
+    if col is None:
+        return False
+    inv = fld.inv(v[col])
+    v = [fld.zero] * col + [fld.mul(x, inv) for x in v[col:]]
+    for row in rref_rows:
+        f = row[col]
+        if not fld.is_zero(f):
+            for c in range(col, len(v)):
+                if not fld.is_zero(v[c]):
+                    row[c] = fld.sub(row[c], fld.mul(f, v[c]))
+    at = bisect.bisect(pivots, col)
+    rref_rows.insert(at, v)
+    pivots.insert(at, col)
+    return True

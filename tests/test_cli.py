@@ -4,6 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from siltglue import decompose as decompose_mod, gluing
 from siltglue.cli import main
 from siltglue.fixtures import write_fixture_files
 
@@ -186,3 +187,40 @@ def test_algebra_over_huge_prime_exits_2(tmp_path):
     res = run("algebra-check", str(bad))
     assert res.exit_code == 2
     assert "primality bound" in res.stderr
+
+
+def _seeded_invocations(fx):
+    return {
+        "glue": ["glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"]],
+        "envelope": ["envelope", fx["i2"], fx["p3"]],
+        "check-silting": ["check-silting", fx["i2"], fx["s2"], fx["p3"]],
+    }
+
+
+@pytest.mark.parametrize("verb", ["glue", "envelope", "check-silting"])
+def test_seed_zero_is_the_default(fx, verb):
+    args = _seeded_invocations(fx)[verb]
+    plain, seeded = run(*args), run(*args, "--seed", "0")
+    assert plain.stdout_bytes == seeded.stdout_bytes
+    assert plain.stderr_bytes == seeded.stderr_bytes
+
+
+@pytest.mark.parametrize("verb", ["glue", "envelope", "check-silting"])
+def test_seed_reaches_decompose(fx, monkeypatch, verb):
+    seen = {"decompose": [], "is_isomorphic": []}
+
+    def spy(name, real):
+        def wrapper(*args, seed=0, **kwargs):
+            seen[name].append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        return wrapper
+
+    for name in seen:
+        wrapped = spy(name, getattr(decompose_mod, name))
+        # gluing binds both at import; approx imports decompose when called
+        monkeypatch.setattr(decompose_mod, name, wrapped)
+        monkeypatch.setattr(gluing, name, wrapped)
+    run(*_seeded_invocations(fx)[verb], "--seed", "7")
+    assert seen["decompose"] and set(seen["decompose"]) == {7}
+    assert set(seen["is_isomorphic"]) <= {7}

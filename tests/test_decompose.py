@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
+from siltglue.fixtures import glue_fixtures
+from siltglue.gluing import canonical_corner_silting, glue
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -12,6 +15,7 @@ from siltglue.complexes import (
     ProjComplex,
     cone,
     direct_sum,
+    direct_sum_many,
     make_complex,
     minimize,
     shift,
@@ -153,3 +157,54 @@ def test_center_split_two_blocks(ka3):
     assert e is not None
     assert S.equal(S.mul(e, e), e)
     assert not S.is_zero(e) and not S.equal(e, S.one)
+
+
+def _direct_trace_form(end):
+    """tr(L_{b_i b_j}) by multiplying b_i b_j into every basis vector."""
+    units = [[Fraction(int(m == l)) for m in range(end.dim)] for l in range(end.dim)]
+    return [
+        [sum((end.mul(end.mul(ei, ej), el)[l] for l, el in enumerate(units)), Fraction(0)) for ej in units]
+        for ei in units
+    ]
+
+
+@pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
+def test_trace_form_matches_definition(name, rec, T_B):
+    cert = glue(rec, [canonical_corner_silting(rec)], T_B, decompose_result=False)
+    ends = [EndAlgebra(minimize(X).complex) for X in (direct_sum_many(rec.A, cert.T), cert.iT[0])]
+    assert ends[0].dim >= len(cert.T)
+    for end in ends:
+        # the sparse structure constants are the coordinates of the products
+        for i, a in enumerate(end.reps):
+            for j, b in enumerate(end.reps):
+                e_i = [Fraction(int(m == i)) for m in range(end.dim)]
+                e_j = [Fraction(int(m == j)) for m in range(end.dim)]
+                assert end.mul(e_i, e_j) == end.hs.coordinates(a.compose(b))
+        rng = random.Random(name)
+        x, y = ([Fraction(rng.randint(-3, 3)) for _ in range(end.dim)] for _ in range(2))
+        assert end.mul(x, y) == end.hs.coordinates(end.to_chain_map(x).compose(end.to_chain_map(y)))
+        assert end.trace_form() == _direct_trace_form(end)
+
+
+def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
+    """Building End(X) row-reduces a fixed number of times, however large End(X) is."""
+    I2, S2, P = ka3["I2"], ka3["S2"], ka3["P"]
+    small = direct_sum(S2, shift(S2, 1))
+    big = small
+    for part in (I2, S2, shift(P["2"], -1), I2, shift(S2, 1)):
+        big = direct_sum(big, part)
+    calls = []
+    orig = _kernel.rref_qq
+
+    def counting(rows):
+        calls.append(len(rows))
+        return orig(rows)
+
+    monkeypatch.setattr(_kernel, "rref_qq", counting)
+    counts, dims = [], []
+    for X in (small, big):
+        calls.clear()
+        dims.append(EndAlgebra(X).dim)
+        counts.append(len(calls))
+    assert dims[1] >= 5 * dims[0]
+    assert counts[0] == counts[1]

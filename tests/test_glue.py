@@ -1,7 +1,10 @@
+import signal
+
 import pytest
 
 from conftest import random_complex, seeded_rng
-from siltglue.fields import QQ
+from siltglue import gluing
+from siltglue.fields import QQ, PrimeField
 from siltglue.complexes import ProjComplex, direct_sum_many, minimize, shift
 from siltglue.decompose import is_isomorphic
 from siltglue.fixtures import (
@@ -10,8 +13,10 @@ from siltglue.fixtures import (
     ka3_algebra,
 )
 from siltglue.gluing import (
+    GENERATION_BUDGET,
     GlueError,
     canonical_corner_silting,
+    check_generation,
     check_co_aisle_agreement,
     check_star_condition,
     glue,
@@ -77,6 +82,7 @@ def test_glue_empty_quotient_part():
     # generate the whole category
     assert cert.reports["presilting"]["ok"]
     assert cert.reports["generation"]["status"] == "inconclusive"
+    assert "budget_exhausted" not in cert.reports["generation"]
     assert not cert.passed
 
 
@@ -136,3 +142,39 @@ def test_co_aisle_agreement_random_probes():
     rep = check_co_aisle_agreement(cert, probes)
     assert rep["ok"]
     assert len(rep["probes"]) == 4
+
+
+def test_glue_over_fp_ends_within_budget():
+    # over F_p cones are not split, so the generation closure keeps growing;
+    # the object budget ends it instead of a hang
+    rec = idempotent_recollement(ka3_algebra(PrimeField(5)), ["3"])
+
+    def too_slow(_signum, _frame):
+        raise TimeoutError("glue over F_5 ran for more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        cert = glue(rec, [canonical_corner_silting(rec)], [canonical_quotient_silting(rec, shifted=("1",))])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    gen = cert.reports["generation"]
+    assert gen["status"] == "inconclusive"
+    assert gen["budget_exhausted"] is True
+    assert gen["objects"] == GENERATION_BUDGET
+    assert not cert.passed
+
+
+def test_generation_budget_is_reported(monkeypatch, ka3):
+    P = ka3["P"]
+    full = check_generation([P["1"], P["2"]])
+    assert full["status"] == "inconclusive" and "budget_exhausted" not in full
+    assert full["objects"] > 4
+    monkeypatch.setattr(gluing, "GENERATION_BUDGET", 4)
+    cut = check_generation([P["1"], P["2"]])
+    assert cut["status"] == "inconclusive" and cut["budget_exhausted"] is True
+    assert cut["objects"] == 4
+    # a set that generates within the budget is unaffected
+    ok = check_generation([P["1"], P["2"], P["3"]])
+    assert ok["status"] == "generated" and "budget_exhausted" not in ok

@@ -5,6 +5,7 @@ from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import ChainMap, PathMatrix, ProjComplex, cone, direct_sum, shift
+from siltglue.linalg import Matrix, solve
 from siltglue.homs import (
     HomSpace,
     hom_dim,
@@ -186,3 +187,48 @@ def test_homspace_compose_calls_independent_of_size(monkeypatch):
         HomSpace(X, X, 0)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _solve_coordinates(hs, f):
+    """The reference: solve [reps | boundary rows] x = f afresh, as one system."""
+    fld = hs.X.algebra.field
+    vec = hs.fvars.to_vector({n: f.component(n) for n in f.components})
+    cols = hs._reps + hs._brows
+    if not cols:
+        return [] if all(fld.is_zero(x) for x in vec) else None
+    mat = Matrix(fld, [[c[r] for c in cols] for r in range(hs.fvars.dim)], cols=len(cols))
+    x = solve(mat, vec)
+    return None if x is None else x[: hs.dim]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_cached_coordinates_match_solve(field):
+    rng = seeded_rng(505)
+    checked = raised = 0
+    while checked < 40 or raised < 3:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=3, shift_range=1)
+        hs = HomSpace(X, Y, 0)
+        if hs.hvars.dim:
+            # cycles: random combinations of representatives plus a boundary
+            h = hs.hvars.from_vector([field.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
+            bd = ChainMap(X, Y, hs._boundary(h), check=False)
+        else:
+            bd = ChainMap.zero(X, Y)
+        for _ in range(3):
+            f = bd
+            for g in hs.basis_maps():
+                f = f + g.scale(field.of(rng.randint(-3, 3)))
+            assert hs.coordinates(f) == _solve_coordinates(hs, f)
+            checked += 1
+        # a degreewise map that breaks the chain condition is refused
+        for idx in range(hs.fvars.dim):
+            vec = [field.zero] * hs.fvars.dim
+            vec[idx] = field.one
+            f = ChainMap(X, Y, hs.fvars.from_vector(vec), check=False)
+            if _solve_coordinates(hs, f) is None:
+                with pytest.raises(ValueError, match="outside the homotopy Hom space"):
+                    hs.coordinates(f)
+                raised += 1
+                break

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from siltglue.fields import QQ, PrimeField
 from siltglue.linalg import (
     Matrix,
+    extend_rref,
     in_row_space,
     kernel_basis,
     rank,
@@ -86,3 +87,27 @@ def test_kernel_impls_agree_fp(seed):
     ref = _rref_py.rref_fp([list(r) for r in m], p)
     if _rref_cy is not None:
         assert _rref_cy.rref_fp([list(r) for r in m], p) == ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_extend_rref_matches_full_reduction(seed):
+    """Growing an RREF row by row gives the canonical RREF of the whole span."""
+    rng = random.Random(seed)
+    for field in (QQ, PrimeField(rng.choice([2, 3, 5]))):
+        cols = rng.randint(1, 6)
+        vectors = []
+        for _ in range(rng.randint(1, 7)):
+            if vectors and rng.random() < 0.3:  # a combination of earlier rows
+                v = [field.zero] * cols
+                for w in vectors:
+                    c = field.of(rng.randint(-2, 2))
+                    v = [field.add(a, field.mul(c, b)) for a, b in zip(v, w)]
+            else:
+                v = [field.of(rng.randint(-3, 3) * rng.randint(0, 1)) for _ in range(cols)]
+            vectors.append(v)
+        rows, pivs = [], []
+        for i, v in enumerate(vectors):
+            before = row_space_rref(field, vectors[:i])
+            assert extend_rref(field, rows, pivs, v) == (not in_row_space(field, *before, v))
+            assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
