@@ -2,6 +2,4 @@
 
 __version__ = "0.1.0"
 
-from ._kernel import IMPL as KERNEL_IMPL
-
-__all__ = ["KERNEL_IMPL", "__version__"]
+__all__ = ["__version__"]

@@ -1,24 +1,84 @@
-"""Row-reduction kernel selection.
+"""Reduced row echelon kernels: Gauss-Jordan elimination over Q and F_p.
 
-Imports the compiled Cython kernel when available, otherwise falls back to
-the pure-Python implementation.  Set ``SILTGLUE_PURE=1`` to force the
-fallback (the benchmark uses this to compare the two).
+The two hot loops of the linear algebra, kept apart from `siltglue.linalg`
+so that they can be timed on their own.  The reduced row echelon form is
+canonical: zero rows dropped, pivots equal to 1, pivot columns cleared.
 """
 
-import os
+__all__ = ["rref_qq", "rref_fp"]
 
-from . import _rref_py
 
-if os.environ.get("SILTGLUE_PURE"):
-    _impl = _rref_py
-else:
-    try:
-        from . import _rref_cy as _impl
-    except ImportError:
-        _impl = _rref_py
+def rref_qq(rows):
+    """RREF over Q.
 
-IMPL = _impl.IMPL
-rref_qq = _impl.rref_qq
-rref_fp = _impl.rref_fp
+    Takes a list of rows of Fractions; returns ``(reduced_rows, pivot_cols)``
+    with zero rows dropped, pivots equal to 1 and pivot columns cleared.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    piv_r = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(piv_r, len(m)):
+            if m[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        m[piv_r], m[sel] = m[sel], m[piv_r]
+        row = m[piv_r]
+        inv = 1 / row[col]
+        for c in range(col, ncols):
+            row[c] *= inv
+        for r in range(len(m)):
+            if r == piv_r:
+                continue
+            f = m[r][col]
+            if f != 0:
+                other = m[r]
+                for c in range(col, ncols):
+                    other[c] -= f * row[c]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(m):
+            break
+    return m[:piv_r], pivots
 
-__all__ = ["IMPL", "rref_qq", "rref_fp"]
+
+def rref_fp(rows, p):
+    """RREF over F_p; rows are lists of ints in [0, p)."""
+    m = [[x % p for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    piv_r = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(piv_r, len(m)):
+            if m[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        m[piv_r], m[sel] = m[sel], m[piv_r]
+        row = m[piv_r]
+        inv = pow(row[col], -1, p)
+        for c in range(col, ncols):
+            row[c] = row[c] * inv % p
+        for r in range(len(m)):
+            if r == piv_r:
+                continue
+            f = m[r][col]
+            if f:
+                other = m[r]
+                for c in range(col, ncols):
+                    other[c] = (other[c] - f * row[c]) % p
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(m):
+            break
+    return m[:piv_r], pivots

@@ -3,7 +3,8 @@
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
 from Hom-basis representatives, minimizes them by greedy deletion, and runs
 the inductive construction of the susp(T)-envelope triangle V -> M -> U via
-homotopy pushouts.  All certificates are exact.
+homotopy pushouts.  The cosusp(T)-precover is the same construction over the
+opposite algebra, transported back.  All certificates are exact.
 """
 
 from .complexes import (
@@ -15,8 +16,9 @@ from .complexes import (
     cone,
     direct_sum,
     minimize,
+    opposite_complex,
+    opposite_map,
     shift,
-    shift_map,
 )
 from .homs import HomSpace, hom_dim, hom_window, s_sup
 from .linalg import row_space_rref, in_row_space
@@ -82,21 +84,17 @@ def _restrict_target(pre, keep):
     """Preenvelope obtained by dropping target copies not in `keep`."""
     alg = pre.source.algebra
     T_list, s = pre.T_list, pre.s
-    F = ProjComplex.zero(alg)
-    blocks = []  # per kept copy: (start per degree) -- rebuild instead
     kept_copies = [pre.copies[i] for i in keep]
     # summand index ranges per copy, per degree
     offsets = {}
     pos = {}
     for ci, (ti, _) in enumerate(pre.copies):
-        Ts = shift(T_list[ti], s)
-        for n, vs in Ts.components.items():
+        for n, vs in shift(T_list[ti], s).components.items():
             start = pos.get(n, 0)
             offsets[(ci, n)] = (start, start + len(vs))
             pos[n] = start + len(vs)
-        F = direct_sum(F, Ts)
     index_map = {}
-    for n in F.components:
+    for n in pos:
         idx = []
         for ci in keep:
             rng = offsets.get((ci, n))
@@ -104,8 +102,8 @@ def _restrict_target(pre, keep):
                 idx.extend(range(rng[0], rng[1]))
         index_map[n] = idx
     newF = ProjComplex.zero(alg)
-    for ci in keep:
-        newF = direct_sum(newF, shift(T_list[pre.copies[ci][0]], s))
+    for ti, _ in kept_copies:
+        newF = direct_sum(newF, shift(T_list[ti], s))
     comps = {}
     for n in pre.f.components:
         m = pre.f.component(n)
@@ -234,9 +232,8 @@ def indecomposable_refinement(T_list, seed=0):
     """Replace each member by its indecomposable summands.
 
     The additive hull add(T) is unchanged, but greedy copy-deletion in
-    left_minimize / right_minimize then reaches a genuinely minimal
-    approximation.  Falls back to the input over fields where splitting
-    is unavailable.
+    left_minimize then reaches a genuinely minimal approximation.  Falls
+    back to the input over fields where splitting is unavailable.
     """
     from .decompose import DecomposeError, decompose
 
@@ -321,155 +318,26 @@ def susp_envelope(M, T_list, certify=True, seed=0):
     return EnvelopeResult(M, U, V, f, v_map, s, trace, certs)
 
 
-def _t_sup_dual(M, T_list):
-    """sup{k >= 0 : Hom(T_i, M[k]) != 0 for some i}, or None."""
-    best = None
-    for T in T_list:
-        _, whi = hom_window(T, M)
-        for k in range(0, whi + 1):
-            if (best is None or k > best) and hom_dim(T, M, k) > 0:
-                best = k
-    return best
-
-
-def _add_shift_precover(M, T_list, s):
-    """Precover h: F -> M with F in add(T)[-s], one copy per representative."""
-    alg = M.algebra
-    F = ProjComplex.zero(alg)
-    comps = {}
-    copies = []
-    for ti, T in enumerate(T_list):
-        reps = HomSpace(T, M, s).basis_maps()  # T -> M[s]
-        for ri, r in enumerate(reps):
-            rm = shift_map(r, -s)  # T[-s] -> M
-            Ts = rm.source
-            newF = direct_sum(F, Ts)
-            new_comps = {}
-            for n in set(comps) | set(rm.components):
-                left = comps.get(n)
-                if left is None:
-                    left = PathMatrix.zero(alg, M.component(n), F.component(n))
-                new_comps[n] = PathMatrix.hstack(left, rm.component(n))
-            F, comps = newF, new_comps
-            copies.append((ti, ri))
-    h = ChainMap(F, M, comps)
-    return h, copies
-
-
-def _restrict_source(h, T_list, s, copies, keep):
-    alg = h.target.algebra
-    offsets = {}
-    pos = {}
-    for ci, (ti, _) in enumerate(copies):
-        Ts = shift(T_list[ti], -s)
-        for n, vs in Ts.components.items():
-            start = pos.get(n, 0)
-            offsets[(ci, n)] = (start, start + len(vs))
-            pos[n] = start + len(vs)
-    newF = ProjComplex.zero(alg)
-    for ci in keep:
-        newF = direct_sum(newF, shift(T_list[copies[ci][0]], -s))
-    index_map = {}
-    for n in h.source.components:
-        idx = []
-        for ci in keep:
-            rng = offsets.get((ci, n))
-            if rng:
-                idx.extend(range(rng[0], rng[1]))
-        index_map[n] = idx
-    comps = {}
-    for n in h.components:
-        m = h.component(n)
-        cols = index_map.get(n, [])
-        if cols:
-            comps[n] = m.submatrix(range(m.rows), cols)
-    f = ChainMap(newF, h.target, comps, check=False)
-    f.check_chain_condition()
-    return f, [copies[i] for i in keep]
-
-
-def _is_precover(h, T_list, s):
-    """Does every map T_i[-s] -> M factor through h up to homotopy?"""
-    F, M = h.source, h.target
-    for T in T_list:
-        Ts = shift(T, -s)
-        hsTM = HomSpace(Ts, M, 0)
-        if hsTM.dim == 0:
-            continue
-        span = []
-        for g in HomSpace(Ts, F, 0).basis_maps():
-            span.append(hsTM.coordinates(h.compose(g)))
-        fld = M.algebra.field
-        rows, pivs = row_space_rref(fld, span)
-        for i in range(hsTM.dim):
-            e = [fld.one if j == i else fld.zero for j in range(hsTM.dim)]
-            if not in_row_space(fld, rows, pivs, e):
-                return False
-    return True
-
-
-def right_minimize(h, T_list, s, copies):
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(copies)):
-            keep = [j for j in range(len(copies)) if j != i]
-            cand, cand_copies = _restrict_source(h, T_list, s, copies, keep)
-            if _is_precover(cand, T_list, s):
-                h, copies = cand, cand_copies
-                changed = True
-                break
-    return h, copies
-
-
-def _cosusp_precover_stage(M, T_list, bound):
-    """Returns (f: V -> M, V, trace) with V in the cosuspended hull of T."""
-    s = _t_sup_dual(M, T_list)
-    if s is None:
-        Z = ProjComplex.zero(M.algebra)
-        return ChainMap.zero(Z, M), Z, []
-    if bound is not None and s >= bound:
-        raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
-    h, copies = _add_shift_precover(M, T_list, s)
-    h, copies = right_minimize(h, T_list, s, copies)
-    layer = (-s, tuple(sorted(ti for ti, _ in copies)))
-    tri = cone(h)  # F -> M -> C
-    C, v = tri.Z, tri.v
-    Cm = minimize(C)
-    v2 = Cm.to_min.compose(v)
-    g, E, sub_trace = _cosusp_precover_stage(Cm.complex, T_list, s)
-    # homotopy pullback: X = cocone of (g, -v): E (+) M -> C
-    EM = direct_sum(E, M)
-    comps = {}
-    for n in set(g.components) | set(v2.components):
-        comps[n] = PathMatrix.hstack(g.component(n), -v2.component(n))
-    gv = ChainMap(EM, Cm.complex, comps)
-    ctri = cocone(gv)
-    X = ctri.X
-    # f: X -> M through the M slot of E (+) M
-    proj = {}
-    alg = M.algebra
-    for n in X.components:
-        pe = PathMatrix.zero(alg, M.component(n), E.component(n))
-        pm = PathMatrix.identity(alg, M.component(n))
-        pc = PathMatrix.zero(alg, M.component(n), Cm.complex.component(n - 1))
-        proj[n] = PathMatrix.hstack(PathMatrix.hstack(pe, pm), pc)
-    fX = ChainMap(X, M, proj)
-    Xm = minimize(X)
-    return fX.compose(Xm.from_min), Xm.complex, [layer] + sub_trace
-
-
 def cosusp_precover(M, T_list, certify=True, seed=0):
     """Precover triangle V -> M -> U with V in cosusp(T), U right-orthogonal.
 
-    Mirror of susp_envelope with all arrows reversed; the certificate checks
-    Hom(T_i, U[k]) = 0 for all k >= 0 over the window.
+    The susp envelope of op(M) by op(T) over the opposite algebra, read
+    back over A: the duality reverses the triangle, so its V is op of the
+    envelope's U and its U is op of the envelope's V, and each layer
+    shift s becomes -s.  `s` is sup{k >= 0 : Hom(T_i, M[k]) != 0}.  When
+    `certify` is set, Hom(T_i, U[k]) = 0 for all k >= 0 is checked exactly
+    over A itself, over the support window.
     """
-    f, V, trace = _cosusp_precover_stage(M, indecomposable_refinement(T_list, seed), None)
-    tri = cone(f)  # V -> M -> U
-    Um = minimize(tri.Z)
-    U = Um.complex
-    u_map = Um.to_min.compose(tri.v)
+    A = M.algebra
+    Aop = A.opposite()
+    env = susp_envelope(
+        opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list], certify=False, seed=seed
+    )
+    V = opposite_complex(env.U, A)
+    U = opposite_complex(env.V, A)
+    v_map = opposite_map(env.f, M, V, A)
+    u_map = opposite_map(env.v_map, U, M, A)
+    trace = [(-s, tags) for s, tags in env.trace]
     certs = {}
     if certify:
         bad = []
@@ -484,7 +352,7 @@ def cosusp_precover(M, T_list, certify=True, seed=0):
         certs["layers"] = trace
         if bad:
             raise ApproxError(f"precover cone not orthogonal: {bad}")
-    return EnvelopeResult(M, U, V, u_map, f, _t_sup_dual(M, T_list), trace, certs)
+    return EnvelopeResult(M, U, V, u_map, v_map, env.s, trace, certs)
 
 
 def weakly_preenveloping_check(T_list, probes):

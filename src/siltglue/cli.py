@@ -325,13 +325,5 @@ def check_silting(t_files, depth, seed):
         sys.exit(1)
 
 
-@main.command("fixtures")
-@click.option("--out", "out_dir", default="fixtures", show_default=True)
-def fixtures_cmd(out_dir):
-    """Write the worked-example JSON fixture files."""
-    paths = fixtures.write_fixture_files(out_dir)
-    _emit({"v": 1, "written": paths}, [f"wrote {len(paths)} fixture files to {out_dir}"])
-
-
 if __name__ == "__main__":
     main()

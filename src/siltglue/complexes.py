@@ -11,7 +11,7 @@ f: X -> Y has components X^{n+1} (+) Y^n with differential
 [[-d_X, 0], [f, d_Y]].
 """
 
-from .quiver import AlgebraElement, QuiverError
+from .quiver import AlgebraElement, Path, QuiverError
 
 
 class ComplexError(ValueError):
@@ -779,6 +779,22 @@ def subcomplex_on_indices(X, index_map):
     return ProjComplex(alg, comps, diffs)
 
 
+def _op_matrix(m, op_algebra):
+    """Transpose a path matrix and reverse every path, over the opposite algebra.
+
+    Reversed paths are the opposite algebra's own basis objects, so dict
+    lookups on them match by identity.
+    """
+
+    def op_elem(x):
+        return op_algebra.element(
+            {op_algebra._interned(Path(p.target, p.source, p.arrows[::-1])): c for p, c in x.terms.items()}
+        )
+
+    ents = [[op_elem(m.entries[i][j]) for i in range(m.rows)] for j in range(m.cols)]
+    return PathMatrix(op_algebra, m.col_vertices, m.row_vertices, ents)
+
+
 def opposite_complex(X, op_algebra):
     """Transport to the opposite algebra: reverse arrows, negate degrees.
 
@@ -787,37 +803,13 @@ def opposite_complex(X, op_algebra):
     result is again a cohomological complex; Hom spaces match up as
     Hom_A(X, Y) = Hom_{A^op}(op(Y), op(X)).
     """
-    from .quiver import Path
-
-    alg = X.algebra
     comps = {-n: tuple(X.component(n)) for n in X.components}
-
-    def op_elem(x):
-        terms = {}
-        for p, cval in x.terms.items():
-            terms[Path(p.target, p.source, tuple(reversed(p.arrows)))] = cval
-        return op_algebra.element(terms)
-
-    diffs = {}
-    for n, d in X.differentials.items():
-        # d^n: X^n -> X^{n+1} becomes op(X)^{-n-1} -> op(X)^{-n}
-        ents = [[op_elem(d.entries[i][j]) for i in range(d.rows)] for j in range(d.cols)]
-        diffs[-n - 1] = PathMatrix(op_algebra, d.col_vertices, d.row_vertices, ents)
+    # d^n: X^n -> X^{n+1} becomes op(X)^{-n-1} -> op(X)^{-n}
+    diffs = {-n - 1: _op_matrix(d, op_algebra) for n, d in X.differentials.items()}
     return ProjComplex(op_algebra, comps, diffs)
 
 
 def opposite_map(f, op_source, op_target, op_algebra):
     """Transport a chain map to the opposite algebra (direction reverses)."""
-    from .quiver import Path
-
-    def op_elem(x):
-        terms = {}
-        for p, cval in x.terms.items():
-            terms[Path(p.target, p.source, tuple(reversed(p.arrows)))] = cval
-        return op_algebra.element(terms)
-
-    comps = {}
-    for n, m in f.components.items():
-        ents = [[op_elem(m.entries[i][j]) for i in range(m.rows)] for j in range(m.cols)]
-        comps[-n] = PathMatrix(op_algebra, m.col_vertices, m.row_vertices, ents)
+    comps = {-n: _op_matrix(m, op_algebra) for n, m in f.components.items()}
     return ChainMap(op_target, op_source, comps, check=False)

@@ -92,7 +92,12 @@ def k0_report(T_list, algebra, classes=None, seed=0):
 
     Rows are the distinct indecomposable summand classes of the set (over Q;
     `classes` as `summand_classes` returns them, computed when not given)
-    or the given complexes themselves (positive characteristic).
+    or the given complexes themselves (positive characteristic).  Unsplit
+    rows can still certify: when they form a unimodular square matrix the
+    summand classes span K_0, and a presilting set has at most as many
+    summand classes as vertices (Aihara-Iyama), so they are a basis.  Any
+    other matrix of unsplit rows proves nothing either way, and the report
+    then says "status": "inconclusive".
     """
     verts = list(algebra.quiver.vertices)
     if algebra.field == QQ:
@@ -111,14 +116,16 @@ def k0_report(T_list, algebra, classes=None, seed=0):
         mat.append(row)
     from fractions import Fraction
 
+    import sympy
+
     qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in mat], cols=len(verts))
     r = rank(qmat) if mat else 0
     uni = False
     det = None
     if len(mat) == len(verts) and r == len(verts):
-        det = _int_det(mat)
+        det = int(sympy.Matrix(mat).det(method="bareiss"))
         uni = det in (1, -1)
-    return {
+    report = {
         "matrix": mat,
         "rank": r,
         "square": len(mat) == len(verts),
@@ -127,30 +134,9 @@ def k0_report(T_list, algebra, classes=None, seed=0):
         "ok": uni,
         "classes": [c.describe() for c in rows],
     }
-
-
-def _int_det(mat):
-    import copy
-
-    from fractions import Fraction
-
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in copy.deepcopy(mat)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return int(det) if det.denominator == 1 else det
+    if algebra.field != QQ and not uni:
+        report["status"] = "inconclusive"
+    return report
 
 
 GENERATION_BUDGET = 64  # objects check_generation may hold before it gives up

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
-from siltglue.fields import QQ
+from oracle import oracle_hom_dim
+from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -13,7 +14,6 @@ from siltglue.complexes import (
     cone,
     direct_sum,
     minimize,
-    opposite_complex,
     shift,
 )
 from siltglue.homs import HomSpace, hom_dim, hom_window, is_nonpositive, s_sup
@@ -191,23 +191,58 @@ def test_cosusp_precover_orthogonal_certificate(ka3):
             assert hom_dim(Tc, res.U, k) == 0
 
 
-@pytest.mark.parametrize("which", ["trivial", "nontrivial"])
-def test_cosusp_matches_opposite_envelope(ka3, which):
-    """Dual-route oracle: precover over A == envelope over the opposite algebra.
+def _k0(X):
+    cls = {}
+    for n, vs in X.components.items():
+        for v in vs:
+            cls[v] = cls.get(v, 0) + (1 if n % 2 == 0 else -1)
+    return {v: c for v, c in cls.items() if c}
 
-    The contravariant duality swaps the two outer terms of the triangle, so
-    the precover's V matches the opposite envelope's U and vice versa.
-    """
-    A = ka3["A"]
-    Aop = build_algebra(A.quiver.opposite(), A.field)
+
+def _check_precover_by_oracle(M, T):
+    """The precover triangle V -> M -> U against independent computations."""
+    res = cosusp_precover(M, T)
+    s = None
+    for t in T:
+        for k in range(0, M.hi - t.lo + 1):
+            if (s is None or k > s) and oracle_hom_dim(t, M, k):
+                s = k
+    assert res.s == s
+    assert [-layer[0] for layer in res.trace[:1]] == ([] if s is None else [s])
+    for t in T:
+        for k in range(0, res.U.hi - t.lo + 1):
+            assert oracle_hom_dim(t, res.U, k) == 0
+    km, kv, ku = _k0(M), _k0(res.V), _k0(res.U)
+    assert all(km.get(v, 0) == kv.get(v, 0) + ku.get(v, 0) for v in set(km) | set(kv) | set(ku))
+    res.v_map.check_chain_condition()
+    res.f.check_chain_condition()
+    assert HomSpace(res.V, res.U, 0).is_null_homotopic(res.f.compose(res.v_map))
+    assert is_isomorphic(minimize(cone(res.v_map).Z).complex, res.U).isomorphic
+    assert is_isomorphic(minimize(cone(res.f).Z).complex, shift(res.V, 1)).isomorphic
+    return res
+
+
+@pytest.mark.parametrize("which", ["trivial", "nontrivial"])
+def test_cosusp_precover_oracle_ka3(ka3, which):
     if which == "trivial":
         M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
     else:
         M = direct_sum(ka3["P"]["1"], shift(ka3["P"]["2"], -1))
-    T = [shift(ka3["P"]["3"], 1)]
-    res = cosusp_precover(M, T)
-    env_op = susp_envelope(opposite_complex(M, Aop), [opposite_complex(t, Aop) for t in T])
-    assert minimize(opposite_complex(env_op.U, A)).complex.graded_multiset() == \
-        minimize(res.V).complex.graded_multiset()
-    assert minimize(opposite_complex(env_op.V, A)).complex.graded_multiset() == \
-        minimize(res.U).complex.graded_multiset()
+    res = _check_precover_by_oracle(M, [shift(ka3["P"]["3"], 1)])
+    assert res.V.is_zero() == (which == "trivial")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_cosusp_precover_oracle_random(field):
+    hits = 0
+    for seed in range(8):
+        rng = seeded_rng(700 + seed)
+        alg = build_algebra(random_quiver(rng, max_vertices=4), field)
+        M = random_complex(alg, rng, steps=2, max_width=4)
+        while True:
+            T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 2))]
+            if is_nonpositive(T)[0]:
+                break
+        res = _check_precover_by_oracle(M, T)
+        hits += not res.V.is_zero() and not res.U.is_zero()
+    assert hits >= 3

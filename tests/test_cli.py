@@ -165,13 +165,6 @@ def test_fixtures_flag(tmp_path):
     assert os.path.exists(data["written"]["algebra"])
 
 
-def test_fixtures_subcommand(tmp_path):
-    out = str(tmp_path / "sub")
-    res = run("fixtures", "--out", out)
-    assert res.exit_code == 0
-    assert os.path.exists(os.path.join(out, "ka3_algebra.json"))
-
-
 def test_algebra_over_huge_prime_exits_2(tmp_path):
     bad = tmp_path / "huge_prime.json"
     bad.write_text(

@@ -21,6 +21,7 @@ from siltglue.gluing import (
     check_star_condition,
     glue,
     glue_shortcut,
+    k0_report,
 )
 from siltglue.recollement import idempotent_recollement
 
@@ -164,6 +165,25 @@ def test_glue_over_fp_ends_within_budget():
     assert gen["budget_exhausted"] is True
     assert gen["objects"] == GENERATION_BUDGET
     assert not cert.passed
+
+
+def test_k0_report_over_fp_unsplit_input_is_inconclusive():
+    # over F_p the rows are the unsplit inputs: P1 (+) P2 (+) P3 is silting
+    # but gives one row, which proves nothing either way
+    A = ka3_algebra(PrimeField(5))
+    P = [ProjComplex.stalk(A, v) for v in A.quiver.vertices]
+    rep = k0_report([direct_sum_many(A, P)], A)
+    assert rep["matrix"] == [[1, 1, 1]]
+    assert rep["status"] == "inconclusive"
+    assert not rep["ok"]
+    # a unimodular square of inputs certifies without splitting
+    rep = k0_report(P, A)
+    assert rep["ok"] and rep["det"] == 1
+    assert "status" not in rep
+    # over Q the same single input is split, and no status is reported
+    AQ = ka3_algebra()
+    rep = k0_report([direct_sum_many(AQ, [ProjComplex.stalk(AQ, v) for v in AQ.quiver.vertices])], AQ)
+    assert rep["ok"] and "status" not in rep
 
 
 def test_generation_budget_is_reported(monkeypatch, ka3):

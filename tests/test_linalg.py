@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from siltglue.fields import QQ, PrimeField
 from siltglue.linalg import (
@@ -13,12 +15,7 @@ from siltglue.linalg import (
     row_space_rref,
     solve,
 )
-from siltglue._kernel import _rref_py
-
-try:
-    from siltglue._kernel import _rref_cy
-except ImportError:
-    _rref_cy = None
+from siltglue._kernel import rref_fp, rref_qq
 
 
 def frac_matrix(rows):
@@ -66,27 +63,41 @@ def test_fp_solve():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kernel_impls_agree_qq(seed):
+    """The Q kernel gives sympy's RREF with the zero rows dropped."""
     rng = random.Random(seed)
     rows = rng.randint(0, 5)
     cols = rng.randint(1, 5)
     m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)]
-    ref = _rref_py.rref_qq([list(r) for r in m])
-    assert _rref_py.rref_qq_bareiss([list(r) for r in m]) == ref
-    if _rref_cy is not None:
-        assert _rref_cy.rref_qq([list(r) for r in m]) == ref
+    red, piv = rref_qq([list(r) for r in m])
+    ref, ref_piv = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator) for r in m for x in r]).rref()
+    assert piv == list(ref_piv)
+    assert red == [[Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(ref_piv))]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kernel_impls_agree_fp(seed):
+    """The F_p kernel gives a reduced echelon basis of the row space, as sympy's GF(p) RREF."""
     rng = random.Random(seed)
     p = rng.choice([2, 3, 5, 7])
     rows = rng.randint(0, 5)
     cols = rng.randint(1, 5)
     m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-    ref = _rref_py.rref_fp([list(r) for r in m], p)
-    if _rref_cy is not None:
-        assert _rref_cy.rref_fp([list(r) for r in m], p) == ref
+    red, piv = rref_fp([list(r) for r in m], p)
+    assert len(red) == len(piv)
+    assert piv == sorted(set(piv))
+    for i, (row, col) in enumerate(zip(red, piv)):
+        assert all(0 <= x < p for x in row)
+        assert row[col] == 1 and not any(row[:col])
+        assert all(red[j][col] == 0 for j in range(len(red)) if j != i)
+    for r in m:  # every input row is the combination its pivot entries dictate
+        comb = [sum(r[col] * row[c] for row, col in zip(red, piv)) % p for c in range(cols)]
+        assert comb == r
+    K = sympy.GF(p)
+    ref, ref_piv = DomainMatrix([[K(x) for x in r] for r in m], (rows, cols), K).rref()
+    assert len(piv) == ref.rank()
+    assert piv == list(ref_piv)
+    assert red == [[int(x) % p for x in r] for r in ref.to_list()[: len(ref_piv)]]
 
 
 @settings(max_examples=25, deadline=None)
