@@ -22,6 +22,7 @@ from .complexes import (
 )
 from .homs import HomSpace, hom_dim, hom_window, s_sup
 from .linalg import row_space_rref, in_row_space
+from .quiver import build_algebra
 
 
 class ApproxError(RuntimeError):
@@ -329,7 +330,7 @@ def cosusp_precover(M, T_list, certify=True, seed=0):
     over A itself, over the support window.
     """
     A = M.algebra
-    Aop = A.opposite()
+    Aop = build_algebra(A.quiver.opposite(), A.field)
     env = susp_envelope(
         opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list], certify=False, seed=seed
     )

@@ -6,6 +6,8 @@ T~_Y replaces it, and T = j_!(T_C) together with the T~_Y is the glued set.
 Every certificate is re-derivable from raw Hom computations.
 """
 
+from fractions import Fraction
+
 from .fields import QQ
 from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
 from .homs import HomSpace, hom_dim, hom_window, is_nonpositive
@@ -13,6 +15,8 @@ from .approx import susp_envelope
 from .recollement import RecollementError, i_star, j_lower_shriek
 from .decompose import decompose, is_isomorphic
 from .linalg import Matrix, rank
+
+import sympy
 
 
 class GlueError(RuntimeError):
@@ -114,10 +118,6 @@ def k0_report(T_list, algebra, classes=None, seed=0):
             for v in vs:
                 row[verts.index(v)] += sgn
         mat.append(row)
-    from fractions import Fraction
-
-    import sympy
-
     qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in mat], cols=len(verts))
     r = rank(qmat) if mat else 0
     uni = False

@@ -150,18 +150,6 @@ class PathAlgebra:
         self._trivial = {p.source: p for p in self.basis if p.is_trivial()}
         # path-product table (p, q) -> pq, filled as composable pairs are met
         self._products = {}
-        self._opposite = None
-
-    def opposite(self):
-        """The path algebra of the opposite quiver, built once.
-
-        The opposite of the opposite is this algebra itself.
-        """
-        if self._opposite is None:
-            op = PathAlgebra(self.quiver.opposite(), self.field)
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
 
     def _enumerate_paths(self):
         q = self.quiver

@@ -148,9 +148,7 @@ def test_subcomplex_on_indices(ka3):
 
 def test_opposite_round_trip(ka3):
     A = ka3["A"]
-    Aop = A.opposite()
-    assert Aop == build_algebra(A.quiver.opposite(), A.field)
-    assert A.opposite() is Aop and Aop.opposite() is A
+    Aop = build_algebra(A.quiver.opposite(), A.field)
     for X in (ka3["I2"], ka3["S2"], shift(ka3["I2"], 2)):
         op = opposite_complex(X, Aop)
         assert opposite_complex(op, A) == X
