@@ -1,11 +1,14 @@
-"""Byte-for-byte regression of the gluing CLI against recorded outputs.
+"""Byte-for-byte regression of the CLI against recorded outputs.
 
 For the ka3 anchor files and every `glue_fixtures()` entry, `glue`,
 `glue --shortcut` and `check-silting` on the glued set must print exactly
 what `tests/golden/<case>.json` recorded: the same exit code, standard
 output and standard error.  The ka3 case also checks two sets of anchor
-complexes whose generation check has to take cones.  Regenerate the
-records (only when an output change is intended) with
+complexes whose generation check has to take cones, `minimize` on anchor
+files and on raw cones that need cancelling, and `envelope` on anchor
+files, whose report prints the maps `f` and `v_map` built from the
+minimization maps.  Regenerate the records (only when an output change is
+intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,11 +22,23 @@ from click.testing import CliRunner
 
 from siltglue import serialize
 from siltglue.cli import main
+from siltglue.complexes import ChainMap, cone, direct_sum, shift
 from siltglue.fixtures import glue_fixtures, write_fixture_files
 from siltglue.gluing import canonical_corner_silting
+from siltglue.homs import HomSpace
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = ["ka3"] + [name for name, _rec, _tb in glue_fixtures()]
+# (M, T) anchor-file pairs for `envelope`: one or two stages, one or more cones
+ENVELOPES = [
+    ("i2", ("p1", "p2")),
+    ("i2", ("p2", "s2")),
+    ("i2", ("p1", "p2", "s2")),
+    ("p2", ("p1", "i2", "s2")),
+    ("s2", ("p1", "p3", "i2")),
+]
+# (X, Y, k): raw cones of the sum of the Hom(X, Y[k]) basis maps, for `minimize`
+CONES = [("s2", "i2", 0), ("i2", "i2", 0), ("p2", "s2", 0), ("i2", "p2", 1)]
 
 
 def _case_files(case, directory):
@@ -50,6 +65,27 @@ def _invoke(args):
     return {"exit_code": res.exit_code, "stdout": res.stdout, "stderr": res.stderr}
 
 
+def _cone_files(anchor, directory):
+    """Write the unminimized cones of CONES, and their direct sum, next to the anchor files."""
+    objs = {n: serialize.load_complex(anchor[n]) for n in {n for x, y, _k in CONES for n in (x, y)}}
+    cones = {}
+    for x, y, k in CONES:
+        X, Y = objs[x], shift(objs[y], k)
+        f = ChainMap.zero(X, Y)
+        for g in HomSpace(objs[x], objs[y], k).basis_maps():
+            f = f + g
+        cones[f"cone_{x}_{y}_{k}"] = cone(f).Z
+    total = None
+    for Z in cones.values():
+        total = Z if total is None else direct_sum(total, Z)
+    cones["cone_sum"] = total
+    paths = {}
+    for name, Z in cones.items():
+        paths[name] = os.path.join(directory, f"{name}.json")
+        serialize.save_complex(Z, paths[name], algebra_ref=os.path.basename(anchor["algebra"]))
+    return paths
+
+
 def run_case(case, directory):
     """The CLI runs of a case, keyed by verb and arguments."""
     alg, tc, tb, e, anchor = _case_files(case, directory)
@@ -67,6 +103,10 @@ def run_case(case, directory):
     if anchor is not None:
         for names in (("p1", "p2"), ("i2", "s2", "p3")):
             out[f"check-silting {' '.join(names)}"] = _invoke(["check-silting", *(anchor[n] for n in names)])
+        for name, path in [(n, anchor[n]) for n in ("i2", "tb")] + sorted(_cone_files(anchor, directory).items()):
+            out[f"minimize {name}"] = _invoke(["minimize", path])
+        for m, ts in ENVELOPES:
+            out[f"envelope {m} {' '.join(ts)}"] = _invoke(["envelope", anchor[m], *(anchor[t] for t in ts)])
     return out
 
 
