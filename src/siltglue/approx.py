@@ -53,9 +53,6 @@ class Preenvelope:
     def target(self):
         return self.f.target
 
-    def cocone_triangle(self):
-        return cocone(self.f)
-
 
 def add_shift_preenvelope(M, T_list, s):
     """Preenvelope of M in add(T)[s]: one target copy per Hom representative."""

@@ -11,9 +11,8 @@ import sys
 
 import click
 
-from .fields import QQ, field_from_tag
 from .quiver import QuiverError
-from .complexes import ComplexError, direct_sum_many, minimize, shift
+from .complexes import ComplexError, minimize
 from .homs import hom_dim_table, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement

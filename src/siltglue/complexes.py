@@ -11,6 +11,7 @@ f: X -> Y has components X^{n+1} (+) Y^n with differential
 [[-d_X, 0], [f, d_Y]].
 """
 
+from .linalg import Matrix
 from .quiver import AlgebraElement, Path, QuiverError
 
 
@@ -204,23 +205,17 @@ class PathMatrix:
 
         Works because the radical part is nilpotent: with V = S + R, the
         inverse is a finite Neumann series of -S^{-1} R applied to S^{-1}.
+        S^{-1} comes from one row reduction of [S | 1].
         """
-        from .linalg import Matrix, solve
-
         if self.rows != self.cols:
             raise ComplexError("not square")
         alg = self.algebra
         fld = alg.field
-        s = Matrix(fld, self.scalar_part(), cols=self.cols)
         n = self.rows
-        # invert the scalar part column by column
-        cols = []
-        for j in range(n):
-            e = [fld.one if i == j else fld.zero for i in range(n)]
-            x = solve(s, e)
-            if x is None:
-                raise ComplexError("scalar part is singular")
-            cols.append(x)
+        aug = [s + e for s, e in zip(self.scalar_part(), Matrix.identity(fld, n).data)]
+        red, piv = Matrix(fld, aug, cols=2 * n).rref()
+        if piv != list(range(n)):
+            raise ComplexError("scalar part is singular")
         z = alg.zero_element()
         s_inv = PathMatrix(
             alg,
@@ -228,8 +223,8 @@ class PathMatrix:
             self.row_vertices,
             [
                 [
-                    alg.unit_at(self.col_vertices[i], cols[j][i])
-                    if self.col_vertices[i] == self.row_vertices[j] and not fld.is_zero(cols[j][i])
+                    alg.unit_at(self.col_vertices[i], red[i, n + j])
+                    if self.col_vertices[i] == self.row_vertices[j] and not fld.is_zero(red[i, n + j])
                     else z
                     for j in range(n)
                 ]
@@ -508,18 +503,6 @@ def direct_sum_many(algebra, complexes):
     return out
 
 
-def summand_inclusion(X, Y):
-    """Inclusion X -> direct_sum(X, Y)."""
-    S = direct_sum(X, Y)
-    alg = X.algebra
-    comps = {}
-    for n, vs in X.components.items():
-        idm = PathMatrix.identity(alg, vs)
-        zero = PathMatrix.zero(alg, Y.component(n), vs)
-        comps[n] = PathMatrix.vstack(idm, zero)
-    return ChainMap(X, S, comps, check=False)
-
-
 def cone(f):
     """Mapping cone: triangle X -> Y -> C(f)."""
     X, Y = f.source, f.target
@@ -598,143 +581,101 @@ def minimize(X):
 
     Returns a MinimizeResult whose complex has all differential entries in
     the radical (no trivial-path coefficients) and mutually inverse-up-to-
-    homotopy chain maps in both directions.
+    homotopy chain maps in both directions.  Degrees are taken in increasing
+    order, with one block step per degree (`_cancel`): cancelling at degree
+    n only deletes rows of d^{n-1} and columns of d^{n+1}, so no lower
+    degree regains a unit entry.
     """
-    alg = X.algebra
-    fld = alg.field
     cur = X
     p_total = ChainMap.identity(X)
     i_total = ChainMap.identity(X)
+    for n in sorted(X.differentials):
+        rows, cols = _pivots(cur.differential(n))
+        if rows:
+            cur, step_p, step_i = _cancel(cur, n, rows, cols)
+            p_total = step_p.compose(p_total)
+            i_total = i_total.compose(step_i)
+    return MinimizeResult(cur, p_total, i_total)
+
+
+def _pivots(d):
+    """Rows and columns of a maximal invertible block of unit entries of d.
+
+    The block is the one that cancelling the first unit entry in row-major
+    order, again and again, would use up.  That elimination runs on the
+    field matrix of trivial-path coefficients alone: taking the scalar part
+    commutes with sums and products, so it is the scalar part of each
+    intermediate differential.
+    """
+    fld = d.algebra.field
+    s = d.scalar_part()
+    rows, cols = list(range(d.rows)), list(range(d.cols))
+    piv_rows, piv_cols = [], []
     while True:
-        found = None
-        for n in sorted(cur.differentials):
-            d = cur.differentials[n]
-            for i in range(d.rows):
-                for j in range(d.cols):
-                    c = d.entries[i][j].trivial_coefficient()
-                    if not fld.is_zero(c):
-                        found = (n, i, j, c)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return MinimizeResult(cur, p_total, i_total)
-        n, i, j, c = found
-        cur, step_p, step_i = _cancel(cur, n, i, j, c)
-        p_total = step_p.compose(p_total)
-        i_total = i_total.compose(step_i)
+        hit = next(
+            ((a, b) for a, row in enumerate(s) for b, x in enumerate(row) if not fld.is_zero(x)), None
+        )
+        if hit is None:
+            return piv_rows, piv_cols
+        a, b = hit
+        piv_rows.append(rows.pop(a))
+        piv_cols.append(cols.pop(b))
+        top = s.pop(a)
+        inv = fld.inv(top.pop(b))
+        for row in s:
+            f = row.pop(b)
+            if not fld.is_zero(f):
+                f = fld.mul(f, inv)
+                for c, x in enumerate(top):
+                    if not fld.is_zero(x):
+                        row[c] = fld.sub(row[c], fld.mul(f, x))
 
 
-def _cancel(X, n, i, j, c):
-    """Cancel the unit entry d^n[i][j] = c*e_v + radical; one Gauss step."""
+def _cancel(X, n, rows, cols):
+    """Cancel the invertible block Phi = d^n[rows, cols] in one Gauss step.
+
+    In block form d^n = [[Phi, B], [Gamma, Delta]], with the pivot rows and
+    columns first.  The result Y drops X^n[cols] and X^{n+1}[rows], and its
+    d^n is Delta - Gamma Phi^{-1} B.  The chain maps p: X -> Y and i: Y -> X
+    are selections except p^{n+1} = [-Gamma Phi^{-1} | 1] and
+    i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id and
+    i o p is homotopic to the identity.
+    """
     alg = X.algebra
-    fld = alg.field
     d = X.differential(n)
-    v = d.col_vertices[j]
-    rows_keep = [r for r in range(d.rows) if r != i]
-    cols_keep = [s for s in range(d.cols) if s != j]
-    phi = d.entries[i][j]
-    # phi = c*e_v + radical; invert it inside e_v A e_v (radical is nilpotent,
-    # and for an acyclic quiver e_v A e_v = K e_v, so phi = c*e_v exactly)
-    phi_inv = alg.unit_at(v, fld.inv(c))
-    beta = [d.entries[i][s] for s in cols_keep]  # row i without col j
-    gamma = [d.entries[r][j] for r in rows_keep]  # col j without row i
-    delta = d.submatrix(rows_keep, cols_keep)
-    corr = [
-        [gamma[a] * (phi_inv * beta[b]) for b in range(len(cols_keep))]
-        for a in range(len(rows_keep))
-    ]
-    new_d = delta - PathMatrix(alg, delta.row_vertices, delta.col_vertices, corr)
+    src, tgt = X.component(n), X.component(n + 1)
+    keep_src = [c for c in range(d.cols) if c not in cols]
+    keep_tgt = [r for r in range(d.rows) if r not in rows]
+    beta = d.submatrix(rows, keep_src)
+    phi_inv = d.submatrix(rows, cols).invert()
+    gamma_phi_inv = d.submatrix(keep_tgt, cols).compose(phi_inv)
+    phi_inv_beta = phi_inv.compose(beta)
+    new_d = d.submatrix(keep_tgt, keep_src) - gamma_phi_inv.compose(beta)
 
     comps = dict(X.components)
-    src_vs = tuple(x for k, x in enumerate(comps[n]) if k != j)
-    tgt_vs = tuple(x for k, x in enumerate(comps[n + 1]) if k != i)
-    if src_vs:
-        comps[n] = src_vs
-    else:
-        del comps[n]
-    if tgt_vs:
-        comps[n + 1] = tgt_vs
-    else:
-        del comps[n + 1]
+    comps[n] = tuple(src[c] for c in keep_src)
+    comps[n + 1] = tuple(tgt[r] for r in keep_tgt)
+    diffs = dict(X.differentials)
+    diffs[n] = new_d
+    if n - 1 in diffs:
+        diffs[n - 1] = diffs[n - 1].submatrix(keep_src, range(diffs[n - 1].cols))
+    if n + 1 in diffs:
+        diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
+    Y = ProjComplex(alg, comps, diffs, check=False)
 
-    diffs = {}
-    for m, dm in X.differentials.items():
-        if m == n:
-            continue
-        if m == n - 1:
-            diffs[m] = dm.submatrix([r for r in range(dm.rows) if r != j], range(dm.cols))
-        elif m == n + 1:
-            diffs[m] = dm.submatrix(range(dm.rows), [s for s in range(dm.cols) if s != i])
-        else:
-            diffs[m] = dm
-    if src_vs and tgt_vs:
-        diffs[n] = new_d
-    Y = ProjComplex(alg, comps, {m: dmat for m, dmat in diffs.items()}, check=False)
-
-    # projection p: X -> Y and inclusion i: Y -> X, chain maps with p o i = id
-    p_comps = {}
-    i_comps = {}
-    for m, vs in X.components.items():
-        if m == n:
-            idm = PathMatrix.identity(alg, src_vs) if src_vs else PathMatrix.zero(alg, (), ())
-            # p at degree n: drop coordinate j
-            sel = [r for r in range(len(vs)) if r != j]
-            pm = PathMatrix(
-                alg,
-                src_vs,
-                vs,
-                [
-                    [alg.unit_at(vs[col]) if col == sel[r] else alg.zero_element() for col in range(len(vs))]
-                    for r in range(len(sel))
-                ],
-            )
-            p_comps[m] = pm
-            # i at degree n: identity on kept coordinates, row j = -phi^{-1} beta
-            ents = []
-            for row in range(len(vs)):
-                if row == j:
-                    ents.append([-(phi_inv * b) for b in beta])
-                else:
-                    r_new = sel.index(row)
-                    ents.append(
-                        [alg.unit_at(vs[row]) if cidx == r_new else alg.zero_element() for cidx in range(len(sel))]
-                    )
-            i_comps[m] = PathMatrix(alg, vs, src_vs, ents)
-        elif m == n + 1:
-            sel = [r for r in range(len(vs)) if r != i]
-            # p at degree n+1: drop coordinate i with correction -gamma phi^{-1}
-            ents = []
-            for r_new, row in enumerate(sel):
-                ent_row = []
-                for col in range(len(vs)):
-                    if col == row:
-                        ent_row.append(alg.unit_at(vs[col]))
-                    elif col == i:
-                        ent_row.append(-(gamma[r_new] * phi_inv))
-                    else:
-                        ent_row.append(alg.zero_element())
-                ents.append(ent_row)
-            p_comps[m] = PathMatrix(alg, tgt_vs, vs, ents)
-            # i at degree n+1: inclusion with zero row at i
-            ents = []
-            for row in range(len(vs)):
-                if row == i:
-                    ents.append([alg.zero_element()] * len(sel))
-                else:
-                    r_new = sel.index(row)
-                    ents.append(
-                        [alg.unit_at(vs[row]) if cidx == r_new else alg.zero_element() for cidx in range(len(sel))]
-                    )
-            i_comps[m] = PathMatrix(alg, vs, tgt_vs, ents)
-        else:
-            p_comps[m] = PathMatrix.identity(alg, vs)
-            i_comps[m] = PathMatrix.identity(alg, vs)
-    p = ChainMap(X, Y, p_comps, check=False)
-    imap = ChainMap(Y, X, i_comps, check=False)
-    return Y, p, imap
+    id_src, id_tgt = PathMatrix.identity(alg, src), PathMatrix.identity(alg, tgt)
+    all_src, all_tgt = range(len(src)), range(len(tgt))
+    p_comps = {m: PathMatrix.identity(alg, vs) for m, vs in X.components.items()}
+    i_comps = dict(p_comps)
+    p_comps[n] = id_src.submatrix(keep_src, all_src)
+    p_comps[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gamma_phi_inv.compose(
+        id_tgt.submatrix(rows, all_tgt)
+    )
+    i_comps[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, cols).compose(
+        phi_inv_beta
+    )
+    i_comps[n + 1] = id_tgt.submatrix(all_tgt, keep_tgt)
+    return Y, ChainMap(X, Y, p_comps, check=False), ChainMap(Y, X, i_comps, check=False)
 
 
 def transform(X, change):

@@ -12,7 +12,7 @@ from .fields import QQ
 from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
 from .homs import HomSpace, hom_dim, hom_window, is_nonpositive
 from .approx import susp_envelope
-from .recollement import RecollementError, i_star, j_lower_shriek
+from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, is_isomorphic
 from .linalg import Matrix, rank
 
@@ -70,6 +70,13 @@ def check_presilting(T_list):
     return rep
 
 
+def _summands(X, seed):
+    """Indecomposable summands of X; over F_p, where `decompose` is unavailable, minimize(X)."""
+    if X.algebra.field == QQ:
+        return [c for c, _m, _cert in decompose(X, seed=seed)]
+    return [minimize(X).complex]
+
+
 def summand_classes(T_list, seed=0):
     """Distinct indecomposable summands of a set, each with its first input index.
 
@@ -79,11 +86,7 @@ def summand_classes(T_list, seed=0):
     """
     classes = []
     for ti, T in enumerate(T_list):
-        if T.algebra.field == QQ:
-            parts = [c for c, _m, _cert in decompose(T, seed=seed)]
-        else:
-            parts = [minimize(T).complex]
-        for c in parts:
+        for c in _summands(T, seed):
             if c.is_zero():
                 continue
             if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in classes):
@@ -165,16 +168,11 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     if classes is None:
         classes = summand_classes(T_list, seed)
 
-    def summands(X):
-        if algebra.field == QQ:
-            return [c for c, _m, _cert in decompose(X, seed=seed)]
-        return [minimize(X).complex]
-
     objs = [(c, f"input[{ti}]") for c, ti in classes]
     witnesses = {}
 
     def note(X, how):
-        for c in summands(X):
+        for c in _summands(X, seed):
             if c.is_zero():
                 continue
             if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in objs):
@@ -307,6 +305,13 @@ def check_co_aisle_agreement(cert, probes):
     return {"ok": ok, "probes": results}
 
 
+def _require_nonpositive(name, T_list):
+    """Raise GlueError with a nonzero Hom(T_i, T_j[k]), k > 0, as witness."""
+    ok, w = is_nonpositive(T_list)
+    if not ok:
+        raise GlueError(f"{name} is not non-positive: Hom(T_{w[0]}, T_{w[1]}[{w[2]}]) != 0")
+
+
 def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
     """Glue non-positive sets along the recollement; returns certificates.
 
@@ -316,12 +321,8 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
     and isomorphism tests of the envelope, the reports and the final
     decomposition.
     """
-    okc, wc = is_nonpositive(T_C)
-    if not okc:
-        raise GlueError(f"T_C is not non-positive: Hom(T_{wc[0]}, T_{wc[1]}[{wc[2]}]) != 0")
-    okb, wb = is_nonpositive(T_B)
-    if not okb:
-        raise GlueError(f"T_B is not non-positive: Hom(T_{wb[0]}, T_{wb[1]}[{wb[2]}]) != 0")
+    _require_nonpositive("T_C", T_C)
+    _require_nonpositive("T_B", T_B)
     jT = [j_lower_shriek(rec, t) for t in T_C]
     env_targets = [shift(t, 1) for t in jT]
     iT = []
@@ -374,9 +375,7 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True, seed=0)
     subcomplex T~ (no path leaves S), and the S-vertex summands are the
     quotient U[1].
     """
-    okb, wb = is_nonpositive(T_B)
-    if not okb:
-        raise GlueError(f"T_B is not non-positive: Hom(T_{wb[0]}, T_{wb[1]}[{wb[2]}]) != 0")
+    _require_nonpositive("T_B", T_B)
     for t in T_B:
         tm = minimize(t).complex
         if not tm.is_zero() and tm.hi > 0:

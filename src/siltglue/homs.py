@@ -237,10 +237,6 @@ class HomSpace:
         return self.hvars.from_vector(x)
 
 
-def hom_basis(X, Y, k=0):
-    return HomSpace(X, Y, k)
-
-
 def hom_dim(X, Y, k=0):
     return HomSpace(X, Y, k).dim
 

@@ -56,9 +56,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
-    def transpose(self):
-        return Matrix(self.field, [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)], cols=self.rows)
-
     def matmul(self, other):
         if self.field != other.field or self.cols != other.rows:
             raise ValueError("shape or field mismatch")

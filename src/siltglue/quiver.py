@@ -84,9 +84,6 @@ class Quiver:
                     state[w] = 1
                     stack.append((w, iter(out[w]), [adv.name]))
 
-    def arrows_from(self, v):
-        return [a for a in self.arrows if a.source == v]
-
     def full_subquiver(self, vertex_subset):
         keep = set(vertex_subset)
         verts = [v for v in self.vertices if v in keep]

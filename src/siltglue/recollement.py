@@ -6,8 +6,8 @@ full subquivers), and the derived functors j_!, i_*, i^* act on complexes of
 projectives by explicit relabeling, resolution replacement, and truncation.
 """
 
-from .quiver import Path, QuiverError, build_algebra
-from .complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, minimize
+from .quiver import Path, build_algebra
+from .complexes import ComplexError, PathMatrix, ProjComplex, minimize
 
 
 class RecollementError(ValueError):
@@ -45,34 +45,11 @@ class IdempotentRecollement:
         self.B = build_algebra(A.quiver.full_subquiver(comp), A.field)
         self.resolutions = {}
         for v in comp:
-            firsts = []
-            for p in A.basis:
-                if p.source != v or p.target not in sset or p.is_trivial():
-                    continue
-                interior_ok = True
-                cur = v
-                for name in p.arrows[:-1]:
-                    cur = A.quiver.arrow_by_name[name].target
-                    if cur in sset:
-                        interior_ok = False
-                        break
-                if interior_ok:
-                    firsts.append(p)
+            factors = [(p, _first_entry_factor(self, p)) for p in A.basis if p.source == v]
+            firsts = [p for p, fac in factors if fac is not None and fac[1].is_trivial()]
             # exactness by dimension count: every path from v touching S
             # factors uniquely as (first-entry path) * (tail)
-            touched = 0
-            for p in A.basis:
-                if p.source != v:
-                    continue
-                cur = v
-                hit = False
-                for name in p.arrows:
-                    cur = A.quiver.arrow_by_name[name].target
-                    if cur in sset:
-                        hit = True
-                        break
-                if hit:
-                    touched += 1
+            touched = sum(1 for _p, fac in factors if fac is not None)
             span = sum(
                 sum(1 for q in A.basis if q.source == p.target) for p in firsts
             )

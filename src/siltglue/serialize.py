@@ -10,7 +10,7 @@ import json
 import os
 from fractions import Fraction
 
-from .fields import QQ, PrimeField, field_from_tag
+from .fields import QQ, field_from_tag
 from .quiver import Quiver, build_algebra
 from .complexes import ChainMap, PathMatrix, ProjComplex
 

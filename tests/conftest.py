@@ -3,7 +3,7 @@ import random
 import pytest
 
 from siltglue.fields import QQ
-from siltglue.quiver import Quiver, build_algebra
+from siltglue.quiver import Quiver
 from siltglue.complexes import ProjComplex, cone, direct_sum, minimize, shift
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace

@@ -6,10 +6,6 @@ with its own little Gaussian elimination, and multiplies paths by direct
 tuple concatenation.
 """
 
-from fractions import Fraction
-
-from siltglue.fields import QQ
-
 
 def _rank(field, rows):
     if not rows:

@@ -28,7 +28,6 @@ from siltglue.decompose import is_isomorphic
 from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
-    ka3_algebra,
     ka3_named_complexes,
 )
 from siltglue.gluing import canonical_corner_silting, check_co_aisle_agreement, glue, glue_shortcut

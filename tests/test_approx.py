@@ -1,6 +1,3 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
@@ -8,8 +5,6 @@ from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
-    ChainMap,
-    ProjComplex,
     cocone,
     cone,
     direct_sum,

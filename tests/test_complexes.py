@@ -1,14 +1,14 @@
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from oracle import _rank
 from siltglue.fields import QQ, PrimeField
-from siltglue.fixtures import ka3_algebra
+from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
     ComplexError,
     PathMatrix,
-    ProjComplex,
     cocone,
     cone,
     cone_projection,
@@ -21,6 +21,7 @@ from siltglue.complexes import (
     transform,
     opposite_complex,
 )
+from siltglue.homs import HomSpace
 
 
 def test_d_squared_enforced(ka3):
@@ -86,6 +87,23 @@ def test_minimize_strips_units(ka3):
     assert m.complex.is_zero()
 
 
+def test_minimize_cancels_unit_entries_in_row_major_order(ka3):
+    # d^0 = [e2 e2]: the first unit entry is cancelled, so the second P_2
+    # survives and keeps its entry -b of d^{-1}
+    A = ka3["A"]
+    b = A.path_element(A.path_of_arrows(["b"]))
+    e2 = A.unit_at("2")
+    X = make_complex(
+        A,
+        {-1: ("3",), 0: ("2", "2"), 1: ("2",)},
+        {-1: PathMatrix(A, ("2", "2"), ("3",), [[b], [-b]]), 0: PathMatrix(A, ("2",), ("2", "2"), [[e2, e2]])},
+    )
+    m = minimize(X)
+    assert m.complex == make_complex(A, {-1: ("3",), 0: ("2",)}, {-1: PathMatrix(A, ("2",), ("3",), [[-b]])})
+    assert m.to_min.component(0) == PathMatrix(A, ("2",), ("2", "2"), [[A.zero_element(), e2]])
+    assert m.from_min.component(0) == PathMatrix(A, ("2", "2"), ("2",), [[-e2], [e2]])
+
+
 def test_minimize_equivalence_maps(ka3):
     A = ka3["A"]
     I2 = ka3["I2"]
@@ -101,9 +119,105 @@ def test_minimize_equivalence_maps(ka3):
     # i o p is homotopic to the identity: its cone is contractible
     other = m.from_min.compose(m.to_min)
     diff = other - ChainMap.identity(X)
-    from siltglue.homs import HomSpace
-
     assert HomSpace(X, X, 0).is_null_homotopic(diff)
+
+
+def _unitriangular(alg, rng, vs):
+    """A random invertible change of basis: e_v on the diagonal, random paths above it."""
+    fld = alg.field
+    ents = []
+    for i, w in enumerate(vs):
+        row = []
+        for j, v in enumerate(vs):
+            terms = {}
+            if i == j:
+                terms[alg.trivial_path(v)] = fld.one
+            elif i < j:
+                for p in alg.paths_between(w, v):
+                    terms[p] = fld.of(rng.randint(-2, 2))
+            row.append(alg.element(terms))
+        ents.append(row)
+    return PathMatrix(alg, vs, vs, ents)
+
+
+def _unminimized_inputs(field):
+    """Complexes with unit differential entries for the minimize property test.
+
+    Raw cones of random chain maps between random complexes, the same cones
+    plus a contractible cone(identity), that sum with its bases mixed by a
+    random change of basis, and a unit block with an arrow inside it.
+    """
+    rng = seeded_rng(31)
+    out = []
+    for _ in range(5):
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.8), field)
+        X = random_complex(alg, rng, steps=3)
+        Y = random_complex(alg, rng, steps=3)
+        hs = HomSpace(X, Y, rng.randint(-1, 1))
+        f = ChainMap.zero(X, hs.Z)
+        for g in hs.basis_maps():
+            f = f + g.scale(field.of(rng.randint(-2, 2)))
+        Z = cone(f).Z
+        S = direct_sum(Z, cone(ChainMap.identity(X)).Z)
+        mixed = transform(S, {n: _unitriangular(alg, rng, vs) for n, vs in S.components.items()})
+        out += [Z, S, mixed]
+    # d^0 = [[e1, a, 2ab], [0, e2, b]]: the pivots are the slots of P_1 and
+    # P_2, and the arrow a in the block makes `invert` run its Neumann series
+    A = ka3_algebra(field)
+    a, b = A.path_element(A.path_of_arrows(["a"])), A.path_element(A.path_of_arrows(["b"]))
+    ab = A.path_element(A.path_of_arrows(["a", "b"]))
+    ents = [[A.unit_at("1"), a, ab.scale(field.of(2))], [A.zero_element(), A.unit_at("2"), b]]
+    d = PathMatrix(A, ("1", "2"), ("1", "2", "3"), ents)
+    assert not d.submatrix([0, 1], [0, 1]).radical_part().is_zero()
+    block = make_complex(A, {0: ("1", "2", "3"), 1: ("1", "2")}, {0: d})
+    out += [block, shift(direct_sum(ka3_named_complexes(A)["I2"], block), 1)]
+    return out
+
+
+def _scalar_homology(X):
+    """{(degree, vertex): dim H^n} of the scalar-part complex, by the oracle's own rank."""
+    fld = X.algebra.field
+    out = {}
+    for n, vs in X.components.items():
+        for v in set(vs):
+            ranks = []
+            for m in (n - 1, n):
+                d = X.differential(m)
+                rows = [i for i, w in enumerate(d.row_vertices) if w == v]
+                cols = [j for j, w in enumerate(d.col_vertices) if w == v]
+                s = d.scalar_part()
+                ranks.append(_rank(fld, [[s[i][j] for j in cols] for i in rows]) if cols else 0)
+            h = vs.count(v) - sum(ranks)
+            if h:
+                out[n, v] = h
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
+    for X in _unminimized_inputs(field):
+        m = minimize(X)
+        Y, alg = m.complex, X.algebra
+        for d in Y.differentials.values():
+            assert all(field.is_zero(x.trivial_coefficient()) for row in d.entries for x in row)
+        assert {(n, v): vs.count(v) for n, vs in Y.components.items() for v in vs} == _scalar_homology(X)
+        m.to_min.check_chain_condition()
+        m.from_min.check_chain_condition()
+        back = m.to_min.compose(m.from_min)
+        assert set(back.components) == set(Y.components)
+        for n, vs in Y.components.items():
+            assert back.component(n) == PathMatrix.identity(alg, vs)
+        # from_min o to_min - id = d h + h d for the witness h
+        diff = m.from_min.compose(m.to_min) - ChainMap.identity(X)
+        h = HomSpace(X, X, 0).homotopy_witness(diff)
+        assert h is not None
+
+        def h_at(n):
+            return h.get(n) or PathMatrix.zero(alg, X.component(n - 1), X.component(n))
+
+        for n in X.components:
+            dh = X.differential(n - 1).compose(h_at(n)) + h_at(n + 1).compose(X.differential(n))
+            assert dh == diff.component(n)
 
 
 def test_minimal_model_entries_in_radical():

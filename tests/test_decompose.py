@@ -10,7 +10,6 @@ from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting, glue
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
-    ChainMap,
     PathMatrix,
     ProjComplex,
     cone,

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import random_complex, seeded_rng
 from siltglue import gluing
-from siltglue.fields import QQ, PrimeField
-from siltglue.complexes import ProjComplex, direct_sum_many, minimize, shift
+from siltglue.fields import PrimeField
+from siltglue.complexes import ProjComplex, direct_sum_many, shift
 from siltglue.decompose import is_isomorphic
 from siltglue.fixtures import (
     canonical_quotient_silting,

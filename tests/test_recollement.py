@@ -1,11 +1,9 @@
 import pytest
 
 from conftest import random_complex, seeded_rng
-from siltglue.fields import QQ
-from siltglue.quiver import build_algebra
 from siltglue.fixtures import ka3_algebra, linear_an, star_quiver
 from siltglue.complexes import direct_sum, minimize, shift
-from siltglue.homs import hom_dim_table, hom_window
+from siltglue.homs import hom_dim_table
 from siltglue.recollement import (
     RecollementError,
     i_star,

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_complex, random_quiver, seeded_rng
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, minimize, shift
+from siltglue.complexes import ChainMap, shift
 from siltglue.homs import HomSpace
 from siltglue.serialize import (
     SerializeError,
