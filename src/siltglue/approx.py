@@ -11,7 +11,6 @@ from .complexes import (
     ChainMap,
     PathMatrix,
     ProjComplex,
-    Triangle,
     cocone,
     cone,
     direct_sum,
@@ -20,8 +19,9 @@ from .complexes import (
     opposite_map,
     shift,
 )
+from .decompose import DecomposeError, decompose
 from .homs import HomSpace, hom_dim, hom_window, s_sup
-from .linalg import row_space_rref, in_row_space
+from .linalg import Matrix, in_row_space, kernel_basis, row_space_rref, solve
 from .quiver import build_algebra
 
 
@@ -164,8 +164,6 @@ def check_left_minimality(pre):
     fld = f.source.algebra.field
     target_vec = hsMF.coordinates(f)
     # linear map End(F) -> Hom(M, F), g |-> g o f, in the representative bases
-    from .linalg import Matrix, solve, kernel_basis
-
     cols = []
     basis = endF.basis_maps()
     for g in basis:
@@ -222,9 +220,6 @@ class EnvelopeResult:
         self.trace = trace
         self.certificates = certificates
 
-    def triangle(self):
-        return Triangle(self.V, self.M, self.U, self.v_map, self.f)
-
 
 def indecomposable_refinement(T_list, seed=0):
     """Replace each member by its indecomposable summands.
@@ -233,8 +228,6 @@ def indecomposable_refinement(T_list, seed=0):
     left_minimize then reaches a genuinely minimal approximation.  Falls
     back to the input over fields where splitting is unavailable.
     """
-    from .decompose import DecomposeError, decompose
-
     out = []
     for T in T_list:
         if T.is_zero():

@@ -12,8 +12,8 @@ import sys
 import click
 
 from .quiver import QuiverError
-from .complexes import ComplexError, minimize
-from .homs import hom_dim_table, hom_window
+from .complexes import ComplexError, ProjComplex, minimize
+from .homs import HomSpace, hom_dim_table, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement
 from .gluing import GlueError, certify_set, glue, glue_shortcut
@@ -116,8 +116,6 @@ def hom(x_file, y_file, shift_, reps):
         table = hom_dim_table(X, Y)
     report = {"v": 1, "window": [lo, hi], "dims": {str(k): {"dim": d} for k, d in table.items()}}
     if reps:
-        from .homs import HomSpace
-
         for k in table:
             if table[k]:
                 hs = HomSpace(X, Y, k)
@@ -238,8 +236,6 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        from .complexes import ProjComplex
-
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
         if shortcut:
             cert = glue_shortcut(rec, T_B, depth=depth, probes=probes, seed=seed)
@@ -302,7 +298,7 @@ def check_silting(t_files, depth, seed):
                 raise serialize.SerializeError("complexes over different algebras")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
-    reports = certify_set(T, T[0].algebra, depth, seed)
+    reports, _classes = certify_set(T, T[0].algebra, depth, seed)
     pres, gen, k0 = reports["presilting"], reports["generation"], reports["k0"]
     report = {
         "v": 1,

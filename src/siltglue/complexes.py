@@ -278,13 +278,13 @@ class ProjComplex:
                 raise ComplexError(f"differential at degree {n} has wrong shape")
             if not tgt or not src:
                 del diffs[n]
+        for n in comps:
+            if n + 1 in comps and n not in diffs:
+                diffs[n] = PathMatrix.zero(algebra, comps[n + 1], comps[n])
         if check:
             for v in {v for vs in comps.values() for v in vs}:
                 if v not in algebra.quiver.vertex_index:
                     raise QuiverError(f"unknown vertex {v!r}")
-            for n in comps:
-                if n + 1 in comps and n not in diffs:
-                    diffs[n] = PathMatrix.zero(algebra, comps[n + 1], comps[n])
             for n, d in diffs.items():
                 if n + 1 in diffs:
                     dd = diffs[n + 1].compose(d)
@@ -298,10 +298,6 @@ class ProjComplex:
                         raise ComplexError(
                             f"d^2 != 0 at degree {n}, entry {bad}: {dd.entries[bad[0]][bad[1]]!r}"
                         )
-        else:
-            for n in comps:
-                if n + 1 in comps and n not in diffs:
-                    diffs[n] = PathMatrix.zero(algebra, comps[n + 1], comps[n])
         self.algebra = algebra
         self.components = comps
         self.differentials = diffs

@@ -38,6 +38,11 @@ class DecomposeError(RuntimeError):
     pass
 
 
+ISO_TRIALS = 64  # random candidate maps `is_isomorphic` tries after the basis cycles
+CENTER_TRIES = 20  # random central elements `_try_center_split` tries
+NEWTON_STEPS = 64  # Newton steps an idempotent lift may take before it fails
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -79,7 +84,7 @@ def _chain_map_cycles(X, Y):
     return out
 
 
-def is_isomorphic(X, Y, seed=0, trials=64):
+def is_isomorphic(X, Y, seed=0):
     """Decide X ~= Y in the homotopy category, with a verified witness.
 
     A `True` verdict always carries a chain map X -> Y whose cone minimizes
@@ -112,7 +117,7 @@ def is_isomorphic(X, Y, seed=0, trials=64):
         w = try_candidate(g)
         if w is not None:
             return IsoResult(True, witness=w, certified=True)
-    for _ in range(trials):
+    for _ in range(ISO_TRIALS):
         g = ChainMap.zero(mx.complex, my.complex)
         for c in cycles:
             if fld == QQ:
@@ -310,7 +315,7 @@ def _center_basis(S):
     return kernel_basis(Matrix(QQ, rows, cols=S.dim))
 
 
-def _try_center_split(S, rng, tries=20):
+def _try_center_split(S, rng):
     """Idempotent from the center: splits distinct simple blocks rationally.
 
     A generic central element has minimal polynomial equal to the product of
@@ -325,7 +330,7 @@ def _try_center_split(S, rng, tries=20):
         e = _try_minpoly_split(S, z)
         if e is not None:
             return e
-    for _ in range(tries):
+    for _ in range(CENTER_TRIES):
         z = [Fraction(0)] * S.dim
         for b in zb:
             c = rng.randint(-3, 3)
@@ -366,10 +371,10 @@ def _find_idempotent(S, seed=0):
 # lifting and strict splitting
 
 
-def _newton_idempotent_coords(end, coords, max_iter=64):
+def _newton_idempotent_coords(end, coords):
     """Iterate e <- 3e^2 - 2e^3 in E until exactly idempotent."""
     e = list(coords)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         e2 = end.mul(e, e)
         if all(a == b for a, b in zip(e2, e)):
             return e
@@ -378,9 +383,9 @@ def _newton_idempotent_coords(end, coords, max_iter=64):
     raise DecomposeError("idempotent lift did not converge in E")
 
 
-def _newton_idempotent_chain(g, max_iter=64):
+def _newton_idempotent_chain(g):
     """Iterate at the chain level until g o g == g on the nose."""
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         g2 = g.compose(g)
         if all((g2.component(n) - g.component(n)).is_zero() for n in set(g.components) | set(g2.components)):
             return g
@@ -478,34 +483,21 @@ def _split_by_idempotent(X, g):
     return A, Bc
 
 
-class Indecomposable:
-    """A summand with its certificate: no nontrivial idempotent was found.
-
-    `certified` is True when End modulo radical is one-dimensional (local
-    ring), False when only the randomized search was exhausted.
-    """
-
-    __slots__ = ("complex", "certified")
-
-    def __init__(self, complex, certified):
-        self.complex = complex
-        self.certified = certified
-
-
 def _decompose_minimal(X, seed=0):
+    """(summand, 1, certified) per indecomposable summand of a minimal X, unsorted."""
     if X.is_zero():
         return []
     if X.summand_count() == 1:
-        return [Indecomposable(X, True)]
+        return [(X, 1, True)]
     end = EndAlgebra(X)
     if end.dim == 1:
-        return [Indecomposable(X, True)]
+        return [(X, 1, True)]
     S = SemisimpleQuotient(end)
     if S.dim == 1:
-        return [Indecomposable(X, True)]
+        return [(X, 1, True)]
     e = _find_idempotent(S, seed)
     if e is None:
-        return [Indecomposable(X, False)]
+        return [(X, 1, False)]
     coords = S.lift(e)
     coords = _newton_idempotent_coords(end, coords)
     g = end.to_chain_map(coords)
@@ -518,27 +510,50 @@ def _decompose_minimal(X, seed=0):
     )
 
 
+def isomorphism_class(X, classes, seed=0):
+    """Index of the first of `classes` whose entry 0 is isomorphic to X, or None.
+
+    The representative is passed to `is_isomorphic` first, because its
+    randomized search is not symmetric in its two arguments.
+    """
+    for i, c in enumerate(classes):
+        if is_isomorphic(c[0], X, seed=seed).isomorphic:
+            return i
+    return None
+
+
+def group_isomorphic(parts, seed=0):
+    """Merge (summand, multiplicity, certified, *tags) records by isomorphism.
+
+    Returns one [summand, multiplicity, certified, *tags] list per class, in
+    order of first appearance: the summand and tags of its first record, the
+    sum of the multiplicities, and the conjunction of the `certified` flags.
+    """
+    classes = []
+    for X, m, certified, *tags in parts:
+        i = isomorphism_class(X, classes, seed)
+        if i is None:
+            classes.append([X, m, certified, *tags])
+        else:
+            classes[i][1] += m
+            classes[i][2] = classes[i][2] and certified
+    return classes
+
+
+def summand_order(part):
+    """Sort key of a (summand, multiplicity, certified) triple: lowest degree, then graded multiset."""
+    return (part[0].lo, sorted(part[0].graded_multiset().items()))
+
+
 def decompose(X, seed=0):
     """Indecomposable summands of X with multiplicities, over Q only.
 
-    Returns a list of (ProjComplex, multiplicity, certified) triples; the
-    `certified` flag is False only when indecomposability rests on the
+    Returns a list of (ProjComplex, multiplicity, certified) triples sorted
+    by `summand_order`.  `certified` is True when each summand has a local
+    endomorphism ring, and False when indecomposability rests on the
     exhausted randomized idempotent search.
     """
     if X.algebra.field != QQ:
         raise DecomposeError("decomposition is implemented over Q only")
-    Xm = minimize(X).complex
-    parts = _decompose_minimal(Xm, seed)
-    groups = []
-    for part in parts:
-        placed = False
-        for grp in groups:
-            if is_isomorphic(grp[0], part.complex, seed=seed).isomorphic:
-                grp[1] += 1
-                grp[2] = grp[2] and part.certified
-                placed = True
-                break
-        if not placed:
-            groups.append([part.complex, 1, part.certified])
-    groups.sort(key=lambda g: (g[0].lo, sorted(g[0].graded_multiset().items())))
-    return [(g[0], g[1], g[2]) for g in groups]
+    groups = group_isomorphic(_decompose_minimal(minimize(X).complex, seed), seed)
+    return sorted((tuple(g) for g in groups), key=summand_order)

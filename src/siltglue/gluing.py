@@ -13,7 +13,7 @@ from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subc
 from .homs import HomSpace, hom_dim, hom_window, is_nonpositive
 from .approx import susp_envelope
 from .recollement import i_star, j_lower_shriek
-from .decompose import decompose, is_isomorphic
+from .decompose import decompose, group_isomorphic, isomorphism_class, summand_order
 from .linalg import Matrix, rank
 
 import sympy
@@ -28,7 +28,8 @@ class GlueCertificate:
 
     `T` is the list of glued complexes over A (j_! images first, then the
     modified T~_Y); `triangles` records, per T_Y, the envelope triangle
-    T~_Y -> i_*T_Y -> U (the shifted third term U[1]).
+    T~_Y -> i_*T_Y -> U (the shifted third term U[1]).  `reports` and
+    `decomposition` are filled in by `_certify`.
     """
 
     __slots__ = (
@@ -44,7 +45,7 @@ class GlueCertificate:
         "decomposition",
     )
 
-    def __init__(self, rec, T_C, T_B, jT, iT, tildes, triangles, T, reports, decomposition):
+    def __init__(self, rec, T_C, T_B, jT, iT, tildes, triangles, T):
         self.rec = rec
         self.T_C = T_C
         self.T_B = T_B
@@ -53,8 +54,8 @@ class GlueCertificate:
         self.tildes = tildes
         self.triangles = triangles
         self.T = T
-        self.reports = reports
-        self.decomposition = decomposition
+        self.reports = {}
+        self.decomposition = None
 
     @property
     def passed(self):
@@ -71,27 +72,24 @@ def check_presilting(T_list):
 
 
 def _summands(X, seed):
-    """Indecomposable summands of X; over F_p, where `decompose` is unavailable, minimize(X)."""
+    """`decompose(X)`; over F_p, where it is unavailable, a non-zero minimize(X) as one uncertified summand."""
     if X.algebra.field == QQ:
-        return [c for c, _m, _cert in decompose(X, seed=seed)]
-    return [minimize(X).complex]
+        return decompose(X, seed=seed)
+    Xm = minimize(X).complex
+    return [] if Xm.is_zero() else [(Xm, 1, False)]
 
 
 def summand_classes(T_list, seed=0):
-    """Distinct indecomposable summands of a set, each with its first input index.
+    """Distinct indecomposable summands of a set, with multiplicities.
 
-    Returns [(summand, index of the first T_i containing it)] in order of
-    first appearance.  Over F_p, where `decompose` is unavailable, each
-    non-zero minimized input stands for itself.
+    Returns [summand, multiplicity, certified, index of the first T_i
+    containing it] per class, in order of first appearance; the
+    multiplicity is summed over all members.  Over F_p, where `decompose`
+    is unavailable, each non-zero minimized input stands for itself.
     """
-    classes = []
-    for ti, T in enumerate(T_list):
-        for c in _summands(T, seed):
-            if c.is_zero():
-                continue
-            if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in classes):
-                classes.append((c, ti))
-    return classes
+    return group_isomorphic(
+        ((c, m, certified, ti) for ti, T in enumerate(T_list) for c, m, certified in _summands(T, seed)), seed
+    )
 
 
 def k0_report(T_list, algebra, classes=None, seed=0):
@@ -110,7 +108,7 @@ def k0_report(T_list, algebra, classes=None, seed=0):
     if algebra.field == QQ:
         if classes is None:
             classes = summand_classes(T_list, seed)
-        rows = [c for c, _ti in classes]
+        rows = [c[0] for c in classes]
     else:
         rows = [minimize(T).complex for T in T_list]
     mat = []
@@ -168,14 +166,12 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     if classes is None:
         classes = summand_classes(T_list, seed)
 
-    objs = [(c, f"input[{ti}]") for c, ti in classes]
+    objs = [(c, f"input[{ti}]") for c, _m, _certified, ti in classes]
     witnesses = {}
 
     def note(X, how):
-        for c in _summands(X, seed):
-            if c.is_zero():
-                continue
-            if not any(is_isomorphic(c, o, seed=seed).isomorphic for o, _ in objs):
+        for c, _m, _certified in _summands(X, seed):
+            if isomorphism_class(c, objs, seed) is None:
                 if len(objs) >= GENERATION_BUDGET:
                     raise _BudgetExhausted
                 objs.append((c, how))
@@ -244,15 +240,16 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
 def certify_set(T_list, algebra, depth=3, seed=0):
     """Presilting, generation and K_0 reports of a set, splitting it once.
 
-    The distinct summand classes are computed once and shared by the
-    generation check and the K_0 screen.
+    Returns the reports and the distinct summand classes (`summand_classes`),
+    which the generation check and the K_0 screen share.
     """
     classes = summand_classes(T_list, seed)
-    return {
+    reports = {
         "presilting": check_presilting(T_list),
         "generation": check_generation(T_list, depth, classes, seed),
         "k0": k0_report(T_list, algebra, classes, seed),
     }
+    return reports, classes
 
 
 def check_star_condition(cert):
@@ -345,19 +342,23 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
             }
         )
     T = jT + tildes
-    cert = GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T, {}, None)
-    _certify(cert, depth, probes, seed)
-    if decompose_result and rec.A.field == QQ:
-        cert.decomposition = decompose(direct_sum_many(rec.A, T), seed=seed)
-    return cert
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result, seed)
 
 
-def _certify(cert, depth, probes, seed):
-    """Fill the reports of a glued set: condition (*), then `certify_set`."""
+def _certify(cert, depth, probes, decompose_result, seed):
+    """Fill the reports of a glued set (condition (*), then `certify_set`) and its decomposition.
+
+    By Krull-Schmidt the decomposition of (+)T is the union of the members'
+    summand classes, so it is read off those, sorted as `decompose` sorts.
+    """
     cert.reports["star_condition"] = check_star_condition(cert)
-    cert.reports.update(certify_set(cert.T, cert.rec.A, depth, seed))
+    reports, classes = certify_set(cert.T, cert.rec.A, depth, seed)
+    cert.reports.update(reports)
     if probes is not None:
         cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
+    if decompose_result and cert.rec.A.field == QQ:
+        cert.decomposition = sorted(((c, m, certified) for c, m, certified, _ti in classes), key=summand_order)
+    return cert
 
 
 def canonical_corner_silting(rec):
@@ -400,8 +401,4 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True, seed=0)
         else [{"V": tilde, "M": P, "U": U1, "f": None, "v_map": None, "s": None, "trace": [(0, ())]}]
     )
     T = jT + [t for t in tildes if not t.is_zero()]
-    cert = GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T, {}, None)
-    _certify(cert, depth, probes, seed)
-    if decompose_result and rec.A.field == QQ:
-        cert.decomposition = decompose(direct_sum_many(rec.A, T), seed=seed)
-    return cert
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result, seed)

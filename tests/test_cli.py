@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from siltglue import decompose as decompose_mod, gluing
+from siltglue import approx, decompose as decompose_mod, gluing
 from siltglue.cli import main
 from siltglue.fixtures import write_fixture_files
 
@@ -211,9 +211,10 @@ def test_seed_reaches_decompose(fx, monkeypatch, verb):
 
     for name in seen:
         wrapped = spy(name, getattr(decompose_mod, name))
-        # gluing binds both at import; approx imports decompose when called
-        monkeypatch.setattr(decompose_mod, name, wrapped)
-        monkeypatch.setattr(gluing, name, wrapped)
+        # gluing and approx bind `decompose` at import; `is_isomorphic` is called only inside decompose
+        for mod in (decompose_mod, gluing, approx):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
     run(*_seeded_invocations(fx)[verb], "--seed", "7")
     assert seen["decompose"] and set(seen["decompose"]) == {7}
     assert set(seen["is_isomorphic"]) <= {7}

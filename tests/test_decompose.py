@@ -7,7 +7,7 @@ from conftest import random_complex, random_quiver, seeded_rng
 from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
-from siltglue.gluing import canonical_corner_silting, glue
+from siltglue.gluing import canonical_corner_silting, glue, summand_classes
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     PathMatrix,
@@ -26,6 +26,7 @@ from siltglue.decompose import (
     _center_basis,
     _try_center_split,
     decompose,
+    group_isomorphic,
     is_isomorphic,
 )
 
@@ -110,6 +111,19 @@ def test_decompose_indecomposable_two_term(ka3):
     # P3 -> P1 with the length-2 path is indecomposable (local endo ring)
     parts = decompose(ka3["I2"])
     assert len(parts) == 1 and parts[0][1] == 1
+
+
+def test_classes_sum_multiplicities_across_members(ka3):
+    # the set [X (+) X, X, Y] has the classes X with multiplicity 3 and Y with 1
+    X, Y = ka3["I2"], ka3["S2"]
+    members = [direct_sum(X, X), X, Y]
+    parts = [(c, m, ok, ti) for ti, T in enumerate(members) for c, m, ok in decompose(T)]
+    classes = group_isomorphic(parts)
+    assert [c[1:] for c in classes] == [[3, True, 0], [1, True, 2]]
+    assert classes[0][0] is parts[0][0]
+    assert [c[1:] for c in summand_classes(members)] == [[3, True, 0], [1, True, 2]]
+    # one uncertified record leaves its class uncertified
+    assert [c[1:] for c in group_isomorphic([(X, 1, True), (X, 1, False)])] == [[2, False]]
 
 
 def test_decompose_requires_rationals():

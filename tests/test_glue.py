@@ -1,12 +1,13 @@
+import json
 import signal
 
 import pytest
 
 from conftest import random_complex, seeded_rng
-from siltglue import gluing
+from siltglue import gluing, serialize
 from siltglue.fields import PrimeField
 from siltglue.complexes import ProjComplex, direct_sum_many, shift
-from siltglue.decompose import is_isomorphic
+from siltglue.decompose import decompose, is_isomorphic
 from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
@@ -109,6 +110,21 @@ def test_shortcut_agrees_with_glue(name, rec, T_B):
     assert full == quick
     for x, _, _ in cert.decomposition:
         assert any(is_isomorphic(x, y).isomorphic for y, _, _ in short.decomposition)
+
+
+def _serialized(decomposition):
+    return json.dumps([[serialize.complex_to_json(c), m, ok] for c, m, ok in decomposition], sort_keys=True)
+
+
+@pytest.mark.parametrize("copies", [1, 2], ids=["T_B", "T_B+T_B"])
+@pytest.mark.parametrize("shortcut", [False, True], ids=["glue", "shortcut"])
+@pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
+def test_decomposition_equals_decompose_of_the_sum(name, rec, T_B, shortcut, copies):
+    # read off the members' summand classes, byte for byte what splitting (+)T from scratch gives
+    T_B = T_B * copies
+    cert = glue_shortcut(rec, T_B) if shortcut else glue(rec, [canonical_corner_silting(rec)], T_B)
+    assert _serialized(cert.decomposition) == _serialized(decompose(direct_sum_many(rec.A, cert.T)))
+    assert max(m for _, m, _ in cert.decomposition) == copies
 
 
 def test_shortcut_rejects_positive_degrees():

@@ -1,8 +1,8 @@
-"""Static checks on the library source: no import goes unused.
+"""Static checks on the library source: every import is used and at module level.
 
-Neither pyflakes nor ruff ships with the project, so this `ast` scan is the
-lint: a name bound by an import must be read somewhere in the module, or be
-listed in `__all__`.
+Neither pyflakes nor ruff ships with the project, so these `ast` scans are
+the lint: a name bound by an import must be read somewhere in the module, or
+be listed in `__all__`, and no import statement sits inside a function body.
 """
 
 import ast
@@ -35,6 +35,17 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def function_imports(source):
+    """(line, function name) of each import statement inside a function body in `source`."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add((node.lineno, fn.name))
+    return sorted(found)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [(1, "os"), (2, "b")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
@@ -44,3 +55,15 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_scan_finds_a_function_level_import():
+    src = "import os\n\ndef f():\n    import sys\n    def g():\n        from a import b\n\nclass C:\n    def m(self):\n        import re\n"
+    assert function_imports(src) == [(4, "f"), (6, "f"), (6, "g"), (10, "m")]
+    assert function_imports("import os\nfrom a import b\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_level_imports(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert function_imports(fh.read()) == []
