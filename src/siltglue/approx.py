@@ -255,7 +255,7 @@ def _susp_envelope_stage(M, T_list, bound):
     tri = cocone(h)  # C -> M -> F
     C, u = tri.X, tri.u
     Cm = minimize(C)
-    u2 = u.compose(Cm.from_min)
+    u2 = Cm.pull(u)
     g, E, sub_trace = _susp_envelope_stage(Cm.complex, T_list, s)
     # homotopy pushout: X = cone of (g, -u): C -> E (+) M
     EM = direct_sum(E, M)
@@ -274,7 +274,7 @@ def _susp_envelope_stage(M, T_list, bound):
         incl[n] = PathMatrix.vstack(PathMatrix.vstack(zc, ze), PathMatrix.identity(alg, vs))
     fX = ChainMap(M, X, incl)
     Xm = minimize(X)
-    return Xm.to_min.compose(fX), Xm.complex, [layer] + sub_trace
+    return Xm.push(fX), Xm.complex, [layer] + sub_trace
 
 
 def susp_envelope(M, T_list, certify=True, seed=0):
@@ -291,7 +291,7 @@ def susp_envelope(M, T_list, certify=True, seed=0):
     tri = cocone(f)
     Vm = minimize(tri.X)
     V = Vm.complex
-    v_map = tri.u.compose(Vm.from_min)
+    v_map = Vm.pull(tri.u)
     certs = {}
     if certify:
         bad = []

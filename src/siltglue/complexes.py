@@ -205,17 +205,25 @@ class PathMatrix:
 
         Works because the radical part is nilpotent: with V = S + R, the
         inverse is a finite Neumann series of -S^{-1} R applied to S^{-1}.
-        S^{-1} comes from one row reduction of [S | 1].
+        S^{-1} is one field inverse for a 1x1 block, and otherwise comes
+        from one row reduction of [S | 1].
         """
         if self.rows != self.cols:
             raise ComplexError("not square")
         alg = self.algebra
         fld = alg.field
         n = self.rows
-        aug = [s + e for s, e in zip(self.scalar_part(), Matrix.identity(fld, n).data)]
-        red, piv = Matrix(fld, aug, cols=2 * n).rref()
-        if piv != list(range(n)):
-            raise ComplexError("scalar part is singular")
+        sp = self.scalar_part()
+        if n == 1:
+            if fld.is_zero(sp[0][0]):
+                raise ComplexError("scalar part is singular")
+            s_inv_field = [[fld.inv(sp[0][0])]]
+        else:
+            aug = [s + e for s, e in zip(sp, Matrix.identity(fld, n).data)]
+            red, piv = Matrix(fld, aug, cols=2 * n).rref()
+            if piv != list(range(n)):
+                raise ComplexError("scalar part is singular")
+            s_inv_field = [[red[i, n + j] for j in range(n)] for i in range(n)]
         z = alg.zero_element()
         s_inv = PathMatrix(
             alg,
@@ -223,8 +231,8 @@ class PathMatrix:
             self.row_vertices,
             [
                 [
-                    alg.unit_at(self.col_vertices[i], red[i, n + j])
-                    if self.col_vertices[i] == self.row_vertices[j] and not fld.is_zero(red[i, n + j])
+                    alg.unit_at(self.col_vertices[i], s_inv_field[i][j])
+                    if self.col_vertices[i] == self.row_vertices[j] and not fld.is_zero(s_inv_field[i][j])
                     else z
                     for j in range(n)
                 ]
@@ -562,36 +570,82 @@ def cocone(f):
 
 
 class MinimizeResult:
-    """Minimal model with the homotopy equivalence to and from the original."""
+    """Minimal model of `source`, with the Gauss steps that reached it.
 
-    __slots__ = ("complex", "to_min", "from_min")
+    Each step is `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1},
+    (cols, Phi^{-1} B))` as `_cancel` returns it, Y being the complex after
+    the step.  The homotopy equivalences are never accumulated: `push` and
+    `pull` replay the steps on the two degrees each one touches, so a caller
+    builds only the composite it reads.
+    """
 
-    def __init__(self, complex, to_min, from_min):
+    __slots__ = ("complex", "source", "steps")
+
+    def __init__(self, complex, source, steps):
         self.complex = complex
-        self.to_min = to_min
-        self.from_min = from_min
+        self.source = source
+        self.steps = steps
+
+    def push(self, g):
+        """to_min o g, for a chain map g into `source`."""
+        if g.target is not self.source and g.target != self.source:
+            raise ComplexError("composition endpoint mismatch")
+        comps = dict(g.components)
+        for n, _Y, rows, keep_src, keep_tgt, gamma_phi_inv, _ in self.steps:
+            if n in comps:
+                m = comps[n]
+                comps[n] = m.submatrix(keep_src, range(m.cols))
+            if n + 1 in comps:
+                m = comps[n + 1]
+                every = range(m.cols)
+                comps[n + 1] = m.submatrix(keep_tgt, every) - gamma_phi_inv.compose(m.submatrix(rows, every))
+        return ChainMap(g.source, self.complex, comps, check=False)
+
+    def pull(self, h):
+        """h o from_min, for a chain map h out of `source`."""
+        if h.source is not self.source and h.source != self.source:
+            raise ComplexError("composition endpoint mismatch")
+        comps = dict(h.components)
+        for n, _Y, _rows, keep_src, keep_tgt, _, (cols, phi_inv_beta) in self.steps:
+            if n in comps:
+                m = comps[n]
+                every = range(m.rows)
+                comps[n] = m.submatrix(every, keep_src) - m.submatrix(every, cols).compose(phi_inv_beta)
+            if n + 1 in comps:
+                m = comps[n + 1]
+                comps[n + 1] = m.submatrix(range(m.rows), keep_tgt)
+        return ChainMap(self.complex, h.target, comps, check=False)
+
+    @property
+    def to_min(self):
+        """The projection source -> complex, built on each read."""
+        return self.push(ChainMap.identity(self.source))
+
+    @property
+    def from_min(self):
+        """The inclusion complex -> source, built on each read."""
+        return self.pull(ChainMap.identity(self.source))
 
 
 def minimize(X):
     """Strip unit differential entries by exact Gaussian cancellation.
 
     Returns a MinimizeResult whose complex has all differential entries in
-    the radical (no trivial-path coefficients) and mutually inverse-up-to-
-    homotopy chain maps in both directions.  Degrees are taken in increasing
-    order, with one block step per degree (`_cancel`): cancelling at degree
-    n only deletes rows of d^{n-1} and columns of d^{n+1}, so no lower
-    degree regains a unit entry.
+    the radical (no trivial-path coefficients); its `push` and `pull` apply
+    mutually inverse-up-to-homotopy chain maps in both directions.  Degrees
+    are taken in increasing order, with one block step per degree
+    (`_cancel`): cancelling at degree n only deletes rows of d^{n-1} and
+    columns of d^{n+1}, so no lower degree regains a unit entry.
     """
     cur = X
-    p_total = ChainMap.identity(X)
-    i_total = ChainMap.identity(X)
+    steps = []
     for n in sorted(X.differentials):
         rows, cols = _pivots(cur.differential(n))
         if rows:
-            cur, step_p, step_i = _cancel(cur, n, rows, cols)
-            p_total = step_p.compose(p_total)
-            i_total = i_total.compose(step_i)
-    return MinimizeResult(cur, p_total, i_total)
+            step = _cancel(cur, n, rows, cols)
+            steps.append(step)
+            cur = step[1]
+    return MinimizeResult(cur, X, steps)
 
 
 def _pivots(d):
@@ -635,7 +689,9 @@ def _cancel(X, n, rows, cols):
     d^n is Delta - Gamma Phi^{-1} B.  The chain maps p: X -> Y and i: Y -> X
     are selections except p^{n+1} = [-Gamma Phi^{-1} | 1] and
     i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id and
-    i o p is homotopic to the identity.
+    i o p is homotopic to the identity.  Returns the step
+    `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1} B))`,
+    from which `MinimizeResult` applies p and i.
     """
     alg = X.algebra
     d = X.differential(n)
@@ -658,30 +714,19 @@ def _cancel(X, n, rows, cols):
     if n + 1 in diffs:
         diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
     Y = ProjComplex(alg, comps, diffs, check=False)
-
-    id_src, id_tgt = PathMatrix.identity(alg, src), PathMatrix.identity(alg, tgt)
-    all_src, all_tgt = range(len(src)), range(len(tgt))
-    p_comps = {m: PathMatrix.identity(alg, vs) for m, vs in X.components.items()}
-    i_comps = dict(p_comps)
-    p_comps[n] = id_src.submatrix(keep_src, all_src)
-    p_comps[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gamma_phi_inv.compose(
-        id_tgt.submatrix(rows, all_tgt)
-    )
-    i_comps[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, cols).compose(
-        phi_inv_beta
-    )
-    i_comps[n + 1] = id_tgt.submatrix(all_tgt, keep_tgt)
-    return Y, ChainMap(X, Y, p_comps, check=False), ChainMap(Y, X, i_comps, check=False)
+    return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv_beta))
 
 
-def transform(X, change):
+def transform(X, change, inverse=None):
     """Conjugate a complex by degreewise invertible maps V_n.
 
     `change` maps degree -> invertible PathMatrix on X^n.  The result has the
-    same components and differentials V_{n+1} d V_n^{-1}.
+    same components and differentials V_{n+1} d V_n^{-1}.  `inverse` holds
+    the V_n^{-1} when the caller already has them; they are computed when
+    it is None.
     """
     alg = X.algebra
-    inv = {n: m.invert() for n, m in change.items()}
+    inv = {n: m.invert() for n, m in change.items()} if inverse is None else inverse
 
     def V(n):
         return change.get(n) or PathMatrix.identity(alg, X.component(n))

@@ -104,11 +104,12 @@ def is_isomorphic(X, Y, seed=0):
     cycles = _chain_map_cycles(mx.complex, my.complex)
     fld = X.algebra.field
     rng = random.Random(seed)
+    to_min, from_min = mx.to_min, my.from_min  # each read replays the Gauss steps
 
     def try_candidate(g):
         if not _scalar_invertible_everywhere(g):
             return None
-        witness = my.from_min.compose(g).compose(mx.to_min)
+        witness = from_min.compose(g).compose(to_min)
         if minimize(cone(witness).Z).complex.is_zero():
             return witness
         return None
@@ -399,7 +400,7 @@ def _split_by_idempotent(X, g):
     alg = X.algebra
     fld = alg.field
     # 1: per degree, conjugate each same-vertex scalar block to a 0/1 diagonal
-    change = {}
+    change, inv = {}, {}
     for n, vs in X.components.items():
         m = g.component(n)
         sp = m.scalar_part()
@@ -438,9 +439,9 @@ def _split_by_idempotent(X, g):
             ],
         )
         change[n] = pmU.invert()
-    X1 = transform(X, change)
+        inv[n] = pmU
+    X1 = transform(X, change, inv)
     g1_comps = {}
-    inv = {n: m.invert() for n, m in change.items()}
     for n in X.components:
         g1_comps[n] = change[n].compose(g.component(n)).compose(inv[n])
     g1 = ChainMap(X1, X1, g1_comps)
@@ -464,8 +465,8 @@ def _split_by_idempotent(X, g):
         one = PathMatrix.identity(alg, vs)
         u = D.compose(m) + (one - D).compose(one - m)
         change2[n] = u
-    X2 = transform(X1, change2)
     inv2 = {n: m.invert() for n, m in change2.items()}
+    X2 = transform(X1, change2, inv2)
     idx_one = {}
     idx_zero = {}
     for n, vs in X2.components.items():

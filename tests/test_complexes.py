@@ -3,6 +3,7 @@ import pytest
 from conftest import random_complex, random_quiver, seeded_rng
 from oracle import _rank
 from siltglue.fields import QQ, PrimeField
+from siltglue.linalg import Matrix
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
@@ -220,6 +221,60 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
             assert dh == diff.component(n)
 
 
+def _full_maps(m):
+    """to_min and from_min as products of every Gauss step's own chain maps.
+
+    Each step (n, Y, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1 B))
+    gives p: X -> Y and i: Y -> X as whole chain maps, checked on
+    construction, and they are composed up step by step; this is the
+    reference for `push` and `pull`.
+    """
+    alg = m.source.algebra
+    p_total = i_total = ChainMap.identity(m.source)
+    prev = m.source
+    for n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv_beta) in m.steps:
+        id_src, id_tgt = PathMatrix.identity(alg, prev.component(n)), PathMatrix.identity(alg, prev.component(n + 1))
+        all_src, all_tgt = range(id_src.rows), range(id_tgt.rows)
+        p = {k: PathMatrix.identity(alg, vs) for k, vs in prev.components.items()}
+        i = dict(p)
+        p[n] = id_src.submatrix(keep_src, all_src)
+        p[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gamma_phi_inv.compose(id_tgt.submatrix(rows, all_tgt))
+        i[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, cols).compose(phi_inv_beta)
+        i[n + 1] = id_tgt.submatrix(all_tgt, keep_tgt)
+        p_total = ChainMap(prev, Y, p).compose(p_total)
+        i_total = i_total.compose(ChainMap(Y, prev, i))
+        prev = Y
+    assert prev is m.complex
+    return p_total, i_total
+
+
+def _same_map(f, g):
+    assert (f.source, f.target) == (g.source, g.target)
+    lo = min(f.source.lo, f.target.lo)
+    hi = max(f.source.hi, f.target.hi)
+    return all(f.component(n) == g.component(n) for n in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_minimize_push_pull_match_full_maps(field):
+    inputs = _unminimized_inputs(field)
+    checked = 0
+    for X in inputs:
+        m = minimize(X)
+        to_min, from_min = _full_maps(m)
+        assert _same_map(m.to_min, to_min)
+        assert _same_map(m.from_min, from_min)
+        # W: the first input over the same algebra, so X itself for the first
+        W = next(Z for Z in inputs if Z.algebra is X.algebra)
+        for g in HomSpace(W, X, 0).basis_maps():
+            assert _same_map(m.push(g), to_min.compose(g))
+            checked += 1
+        for h in HomSpace(X, W, 0).basis_maps():
+            assert _same_map(m.pull(h), h.compose(from_min))
+            checked += 1
+    assert checked
+
+
 def test_minimal_model_entries_in_radical():
     rng = seeded_rng(7)
     for _ in range(6):
@@ -251,6 +306,23 @@ def test_pathmatrix_invert(ka3):
     ident = PathMatrix.identity(A, ("1", "2"))
     assert (pm.compose(inv) - ident).is_zero()
     assert (inv.compose(pm) - ident).is_zero()
+
+
+def test_pathmatrix_invert_one_by_one_matches_row_reduction(monkeypatch):
+    F5 = PrimeField(5)
+    A = ka3_algebra(F5)
+    pm = PathMatrix(A, ("2",), ("2",), [[A.unit_at("2", F5.of(3))]])
+    # the same block inside a 2x2 one, inverted by row reduction of [S | 1]
+    by_rref = PathMatrix.block_diag(A, pm, PathMatrix.identity(A, ("1",))).invert().submatrix([0], [0])
+    assert by_rref == PathMatrix(A, ("2",), ("2",), [[A.unit_at("2", F5.of(2))]])
+
+    def no_rref(*_args):
+        raise AssertionError("a 1x1 block needs no row reduction")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    assert pm.invert() == by_rref
+    with pytest.raises(ComplexError, match="singular"):
+        PathMatrix(A, ("2",), ("2",), [[A.zero_element()]]).invert()
 
 
 def test_subcomplex_on_indices(ka3):
