@@ -573,7 +573,7 @@ class MinimizeResult:
     """Minimal model of `source`, with the Gauss steps that reached it.
 
     Each step is `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1},
-    (cols, Phi^{-1} B))` as `_cancel` returns it, Y being the complex after
+    (cols, Phi^{-1}, B))` as `_cancel` returns it, Y being the complex after
     the step.  The homotopy equivalences are never accumulated: `push` and
     `pull` replay the steps on the two degrees each one touches, so a caller
     builds only the composite it reads.
@@ -606,11 +606,11 @@ class MinimizeResult:
         if h.source is not self.source and h.source != self.source:
             raise ComplexError("composition endpoint mismatch")
         comps = dict(h.components)
-        for n, _Y, _rows, keep_src, keep_tgt, _, (cols, phi_inv_beta) in self.steps:
+        for n, _Y, _rows, keep_src, keep_tgt, _, (cols, phi_inv, beta) in self.steps:
             if n in comps:
                 m = comps[n]
                 every = range(m.rows)
-                comps[n] = m.submatrix(every, keep_src) - m.submatrix(every, cols).compose(phi_inv_beta)
+                comps[n] = m.submatrix(every, keep_src) - m.submatrix(every, cols).compose(phi_inv).compose(beta)
             if n + 1 in comps:
                 m = comps[n + 1]
                 comps[n + 1] = m.submatrix(range(m.rows), keep_tgt)
@@ -690,8 +690,9 @@ def _cancel(X, n, rows, cols):
     are selections except p^{n+1} = [-Gamma Phi^{-1} | 1] and
     i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id and
     i o p is homotopic to the identity.  Returns the step
-    `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1} B))`,
-    from which `MinimizeResult` applies p and i.
+    `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1}, B))`,
+    from which `MinimizeResult` applies p and i; Phi^{-1} B is left to
+    `pull`, the only reader of i.
     """
     alg = X.algebra
     d = X.differential(n)
@@ -701,7 +702,6 @@ def _cancel(X, n, rows, cols):
     beta = d.submatrix(rows, keep_src)
     phi_inv = d.submatrix(rows, cols).invert()
     gamma_phi_inv = d.submatrix(keep_tgt, cols).compose(phi_inv)
-    phi_inv_beta = phi_inv.compose(beta)
     new_d = d.submatrix(keep_tgt, keep_src) - gamma_phi_inv.compose(beta)
 
     comps = dict(X.components)
@@ -714,7 +714,7 @@ def _cancel(X, n, rows, cols):
     if n + 1 in diffs:
         diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
     Y = ProjComplex(alg, comps, diffs, check=False)
-    return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv_beta))
+    return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
 
 
 def transform(X, change, inverse=None):

@@ -13,9 +13,12 @@ constants.  Idempotents are found in the semisimple quotient by
 minimal-polynomial factorization — basis elements, random small
 combinations, then central elements, whose minimal polynomials split the
 distinct simple blocks — and lifted to an exact chain-level idempotent by
-Newton iteration through the two nilpotent ideals.
+Newton iteration through the two nilpotent ideals.  Minimal polynomials
+are Fraction coefficient lists, and their Bezout identities and
+evaluations are computed on those lists; sympy only factors them.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -41,6 +44,8 @@ class DecomposeError(RuntimeError):
 ISO_TRIALS = 64  # random candidate maps `is_isomorphic` tries after the basis cycles
 CENTER_TRIES = 20  # random central elements `_try_center_split` tries
 NEWTON_STEPS = 64  # Newton steps an idempotent lift may take before it fails
+
+_T = sympy.Symbol("t")  # the indeterminate of the minimal polynomials sympy factors
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,7 @@ class SemisimpleQuotient:
         piv = set(self.rad_pivots)
         self.free = [i for i in range(end.dim) if i not in piv]
         self.dim = len(self.free)
+        self.one = self.project(end.id_coords)
 
     def project(self, coords):
         v = list(coords)
@@ -227,10 +233,6 @@ class SemisimpleQuotient:
     def mul(self, x, y):
         return self.project(self.end.mul(self.lift(x), self.lift(y)))
 
-    @property
-    def one(self):
-        return self.project(self.end.id_coords)
-
     def is_zero(self, x):
         return all(c == 0 for c in x)
 
@@ -243,8 +245,7 @@ class SemisimpleQuotient:
 
 
 def _min_poly(S, x):
-    """Monic minimal polynomial of x in S, as a sympy Poly over QQ."""
-    t = sympy.Symbol("t")
+    """Monic minimal polynomial of x in S, as Fraction coefficients, highest degree first."""
     powers = [S.one]
     cur = S.one
     while True:
@@ -253,44 +254,96 @@ def _min_poly(S, x):
         mat = Matrix(QQ, [[powers[j][i] for j in range(len(powers))] for i in range(S.dim)], cols=len(powers))
         sol = solve(mat, cur)
         if sol is not None:
-            coeffs = [Fraction(1)] + [-c for c in reversed(sol)]
-            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], t)
+            return [Fraction(1)] + [-c for c in reversed(sol)]
         powers.append(cur)
+
+
+# Polynomials over Q are lists of Fractions, highest degree first, with no
+# leading zero; the zero polynomial is [].
+
+
+def _poly_trim(p):
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return p[i:]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by a non-zero b."""
+    r = list(a)
+    q = []
+    while len(r) >= len(b):
+        c = r.pop(0) / b[0]
+        q.append(c)
+        for i, bi in enumerate(b[1:]):
+            r[i] -= c * bi
+    return q, _poly_trim(r)
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    zeros = [Fraction(0)] * n
+    return _poly_trim([x - y for x, y in zip(zeros[len(a):] + a, zeros[len(b):] + b)])
+
+
+def _poly_gcdex(a, b):
+    """(u, g): g the monic gcd of a and b (not both zero), and u*a = g modulo b."""
+    r0, r1 = a, b
+    u0, u1 = [Fraction(1)], []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
+    lead = r0[0]
+    return [c / lead for c in u0], [c / lead for c in r0]
 
 
 def _idempotent_from_split(S, x, poly, f1, f2):
     """Idempotent u(x)f1(x) from a coprime factorization poly = f1 * f2."""
-    t = poly.gen
-    u, v, g = sympy.gcdex(f1.as_expr(), f2.as_expr(), t)
-    gp = sympy.Poly(g, t)
-    if gp.degree() != 0:
+    u, g = _poly_gcdex(f1, f2)
+    if len(g) != 1:
         return None
-    u = sympy.Poly(sympy.expand(u / g.as_expr()), t)
-    e_poly = sympy.Poly(sympy.expand((u * f1).as_expr()), t)
-    e_poly = sympy.Poly(sympy.rem(e_poly.as_expr(), poly.as_expr(), t), t)
-    return _eval_poly(S, e_poly, x)
+    return _eval_poly(S, _poly_divmod(_poly_mul(u, f1), poly)[1], x)
 
 
-def _eval_poly(S, poly, x):
-    coeffs = poly.all_coeffs()
+def _eval_poly(S, coeffs, x):
+    """coeffs(x) in S by Horner's rule."""
     acc = [Fraction(0)] * S.dim
-    for c in coeffs:
-        acc = S.mul(acc, x)
-        cf = Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-        if cf:
-            one = S.one
-            acc = [a + cf * o for a, o in zip(acc, one)]
+    for i, c in enumerate(coeffs):
+        if i:
+            acc = S.mul(acc, x)
+        if c:
+            acc = [a + c * o for a, o in zip(acc, S.one)]
     return acc
 
 
 def _try_minpoly_split(S, x):
     poly = _min_poly(S, x)
-    factors = sympy.factor_list(poly.as_expr())[1]
+    # Factoring over Q clears denominators and factors over Z; doing the
+    # clearing here lets sympy start from Z, with the same factors in the
+    # same order.
+    den = math.lcm(*(c.denominator for c in poly))
+    factors = sympy.factor_list(sympy.Poly([int(c * den) for c in poly], _T, domain="ZZ"))[1]
     if len(factors) < 2:
         return None
-    t = poly.gen
-    f1 = sympy.Poly(factors[0][0] ** factors[0][1], t)
-    f2 = sympy.Poly(sympy.expand(sympy.quo(poly.as_expr(), f1.as_expr(), t)), t)
+    f, k = factors[0]
+    base = [Fraction(int(c)) for c in f.all_coeffs()]
+    f1 = base
+    for _ in range(k - 1):
+        f1 = _poly_mul(f1, base)
+    f2 = _poly_divmod(poly, f1)[0]
     e = _idempotent_from_split(S, x, poly, f1, f2)
     if e is None:
         return None

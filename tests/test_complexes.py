@@ -224,7 +224,7 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
 def _full_maps(m):
     """to_min and from_min as products of every Gauss step's own chain maps.
 
-    Each step (n, Y, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1 B))
+    Each step (n, Y, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))
     gives p: X -> Y and i: Y -> X as whole chain maps, checked on
     construction, and they are composed up step by step; this is the
     reference for `push` and `pull`.
@@ -232,7 +232,8 @@ def _full_maps(m):
     alg = m.source.algebra
     p_total = i_total = ChainMap.identity(m.source)
     prev = m.source
-    for n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv_beta) in m.steps:
+    for n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta) in m.steps:
+        phi_inv_beta = phi_inv.compose(beta)
         id_src, id_tgt = PathMatrix.identity(alg, prev.component(n)), PathMatrix.identity(alg, prev.component(n + 1))
         all_src, all_tgt = range(id_src.rows), range(id_tgt.rows)
         p = {k: PathMatrix.identity(alg, vs) for k, vs in prev.components.items()}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from conftest import random_complex, random_quiver, seeded_rng
 from siltglue import _kernel
@@ -19,12 +20,17 @@ from siltglue.complexes import (
     minimize,
     shift,
 )
+from siltglue import decompose as decompose_module
 from siltglue.decompose import (
     DecomposeError,
     EndAlgebra,
     SemisimpleQuotient,
     _center_basis,
+    _poly_divmod,
+    _poly_gcdex,
+    _poly_mul,
     _try_center_split,
+    _try_minpoly_split,
     decompose,
     group_isomorphic,
     is_isomorphic,
@@ -221,3 +227,121 @@ def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
         counts.append(len(calls))
     assert dims[1] >= 5 * dims[0]
     assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# the idempotent search's polynomial arithmetic
+
+
+def _random_poly(rng, degree):
+    """A Q polynomial of the given degree, highest coefficient first and non-zero."""
+    lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return [lead] + [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(degree)]
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], sympy.Symbol("t"))
+
+
+def _from_sympy(p):
+    return [Fraction(int(c.p), int(c.q)) for c in p.all_coeffs()] if not p.is_zero else []
+
+
+def test_poly_divmod_matches_sympy_div():
+    rng = seeded_rng(41)
+    for _ in range(60):
+        a = _random_poly(rng, rng.randint(0, 6))
+        b = _random_poly(rng, rng.randint(0, 4))
+        q, r = _poly_divmod(a, b)
+        sq, sr = _sympy_poly(a).div(_sympy_poly(b))
+        assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
+        assert len(r) < len(b)
+
+
+def test_poly_gcdex_bezout_identity():
+    rng = seeded_rng(43)
+    for _ in range(60):
+        common = _random_poly(rng, rng.randint(0, 2))
+        f1 = _poly_mul(common, _random_poly(rng, rng.randint(0, 3)))
+        f2 = _poly_mul(common, _random_poly(rng, rng.randint(1, 3)))
+        u, g = _poly_gcdex(f1, f2)
+        # g is the monic gcd, and u * f1 = g modulo f2
+        assert g == _from_sympy(_sympy_poly(f1).gcd(_sympy_poly(f2)).monic())
+        assert _poly_divmod(_poly_mul(u, f1), f2)[1] == _poly_divmod(g, f2)[1]
+
+
+class _PolyQuotient:
+    """S = Q[t]/(f) in the basis 1, t, ..., t^(d-1): the interface the idempotent search reads."""
+
+    is_zero = SemisimpleQuotient.is_zero
+    equal = SemisimpleQuotient.equal
+
+    def __init__(self, f):
+        self.f = [Fraction(c, f[0]) for c in f]  # monic, highest degree first
+        self.dim = len(f) - 1
+        self.one = [Fraction(int(i == 0)) for i in range(self.dim)]
+
+    def mul(self, x, y):
+        prod = [Fraction(0)] * (2 * self.dim - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for k in range(len(prod) - 1, self.dim - 1, -1):  # t^d = -(f_1 t^(d-1) + ... + f_d)
+            c, prod[k] = prod[k], Fraction(0)
+            for i in range(1, self.dim + 1):
+                prod[k - i] -= c * self.f[i]
+        return prod[: self.dim]
+
+
+def _t(S):
+    return [Fraction(int(i == 1)) for i in range(S.dim)]
+
+
+# f, highest degree first, and the idempotent of t in Q[t]/(f) that the
+# sympy-expression implementation found, in the basis 1, t, t^2, ...
+MINPOLY_SPLITS = [
+    ("t^2-t", [1, -1, 0], [Fraction(1), Fraction(-1)]),
+    ("t(t-1)(t-2)", [1, -3, 2, 0], [Fraction(1), Fraction(1, 2), Fraction(-1, 2)]),
+    ("(t^2-2)(t-1)", [1, -1, -2, 2], [Fraction(-1), Fraction(0), Fraction(1)]),
+    ("(2t-1)(t-3)", [2, -7, 3], [Fraction(6, 5), Fraction(-2, 5)]),
+    ("t^2(t-1)", [1, -1, 0, 0], [Fraction(1), Fraction(0), Fraction(-1)]),
+    ("t^2(t-1)^2", [1, -2, 1, 0, 0], [Fraction(1), Fraction(0), Fraction(-3), Fraction(2)]),
+]
+
+
+@pytest.mark.parametrize("f,expected", [c[1:] for c in MINPOLY_SPLITS], ids=[c[0] for c in MINPOLY_SPLITS])
+def test_minpoly_split_of_a_polynomial_quotient(f, expected):
+    S = _PolyQuotient(f)
+    e = _try_minpoly_split(S, _t(S))
+    assert e is not None
+    assert not S.is_zero(e) and not S.equal(e, S.one)
+    assert S.mul(e, e) == e
+    assert e == expected
+
+
+def test_minpoly_split_declines_an_irreducible_polynomial():
+    S = _PolyQuotient([1, 0, -2])
+    assert _try_minpoly_split(S, _t(S)) is None
+
+
+def test_minpoly_split_calls_sympy_only_to_factor(monkeypatch):
+    """One try makes one sympy.factor_list call, and no sympy call of the polynomial arithmetic."""
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            obj = getattr(sympy, name)
+            if not callable(obj):
+                return obj
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return obj(*args, **kwargs)
+
+            return spy
+
+    monkeypatch.setattr(decompose_module, "sympy", Spy())
+    S = _PolyQuotient([1, -3, 2, 0])
+    assert _try_minpoly_split(S, _t(S)) is not None
+    assert calls.count("factor_list") == 1
+    assert not {"gcdex", "rem", "quo", "expand", "Rational"} & set(calls)
