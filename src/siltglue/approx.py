@@ -3,8 +3,12 @@
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
 from Hom-basis representatives, minimizes them by greedy deletion, and runs
 the inductive construction of the susp(T)-envelope triangle V -> M -> U via
-homotopy pushouts.  The cosusp(T)-precover is the same construction over the
-opposite algebra, transported back.  All certificates are exact.
+homotopy pushouts.  A deletion is decided on Hom coordinates: a set of
+target copies is a preenvelope exactly when every map M -> T_j[s] factors
+through it (Auslander-Smalo), a rank condition on the coordinates of the
+maps each copy lets through, so no candidate map is assembled.  The
+cosusp(T)-precover is the same construction over the opposite algebra,
+transported back.  All certificates are exact.
 """
 
 from .complexes import (
@@ -14,10 +18,10 @@ from .complexes import (
     cocone,
     cone,
     direct_sum,
+    direct_sum_many,
     minimize,
     opposite_complex,
     opposite_map,
-    shift,
 )
 from .decompose import DecomposeError, decompose
 from .homs import HomSpace, hom_dim, hom_window, s_sup
@@ -54,67 +58,36 @@ class Preenvelope:
         return self.f.target
 
 
+def _stack(M, reps):
+    """The map M -> (+) r.target whose block rows are the maps `reps`, in order."""
+    alg = M.algebra
+    F = direct_sum_many(alg, [r.target for r in reps])
+    degrees = set()
+    for r in reps:
+        degrees.update(r.components)
+    comps = {}
+    for n in degrees:
+        rows = [row for r in reps for row in r.component(n).entries]
+        comps[n] = PathMatrix(alg, F.component(n), M.component(n), rows)
+    return ChainMap(M, F, comps)
+
+
 def add_shift_preenvelope(M, T_list, s):
     """Preenvelope of M in add(T)[s]: one target copy per Hom representative."""
-    alg = M.algebra
-    F = ProjComplex.zero(alg)
-    comps = {}
-    copies = []
+    copies, reps = [], []
     for ti, T in enumerate(T_list):
-        reps = HomSpace(M, T, s).basis_maps()
-        for ri, r in enumerate(reps):
-            Ts = r.target  # T[s]
-            newF = direct_sum(F, Ts)
-            new_comps = {}
-            for n in set(comps) | set(r.components):
-                top = comps.get(n)
-                if top is None:
-                    top = PathMatrix.zero(alg, F.component(n), M.component(n))
-                bot = r.component(n)
-                new_comps[n] = PathMatrix.vstack(top, bot)
-            F, comps = newF, new_comps
+        for ri, r in enumerate(HomSpace(M, T, s).basis_maps()):
             copies.append((ti, ri))
-    f = ChainMap(M, F, comps)
-    return Preenvelope(f, list(T_list), s, copies)
+            reps.append(r)
+    return Preenvelope(_stack(M, reps), list(T_list), s, copies)
 
 
-def _restrict_target(pre, keep):
-    """Preenvelope obtained by dropping target copies not in `keep`."""
-    alg = pre.source.algebra
-    T_list, s = pre.T_list, pre.s
-    kept_copies = [pre.copies[i] for i in keep]
-    # summand index ranges per copy, per degree
-    offsets = {}
-    pos = {}
-    for ci, (ti, _) in enumerate(pre.copies):
-        for n, vs in shift(T_list[ti], s).components.items():
-            start = pos.get(n, 0)
-            offsets[(ci, n)] = (start, start + len(vs))
-            pos[n] = start + len(vs)
-    index_map = {}
-    for n in pos:
-        idx = []
-        for ci in keep:
-            rng = offsets.get((ci, n))
-            if rng:
-                idx.extend(range(rng[0], rng[1]))
-        index_map[n] = idx
-    newF = ProjComplex.zero(alg)
-    for ti, _ in kept_copies:
-        newF = direct_sum(newF, shift(T_list[ti], s))
-    comps = {}
-    for n in pre.f.components:
-        m = pre.f.component(n)
-        rows = index_map.get(n, [])
-        if rows:
-            comps[n] = m.submatrix(rows, range(m.cols))
-    f = ChainMap(pre.source, newF, comps, check=False)
-    f.check_chain_condition()
-    return Preenvelope(f, T_list, s, kept_copies, pre.minimal)
+def certify_preenvelope(f, T_list, s):
+    """Does every map M -> T_i[s] factor through f up to homotopy?
 
-
-def _is_preenvelope(f, T_list, s):
-    """Does every map M -> T_i[s] factor through f up to homotopy?"""
+    Checked on the assembled map: Hom(F, T_i[s]) is built for the target F
+    of f and composed with f.
+    """
     M, F = f.source, f.target
     for T in T_list:
         hsM = HomSpace(M, T, s)
@@ -133,20 +106,58 @@ def _is_preenvelope(f, T_list, s):
     return True
 
 
+def _is_preenvelope(fld, dims, copy_rows):
+    """Do the copies with these coordinate rows form a preenvelope?
+
+    `copy_rows[c][j]` holds the coordinates in Hom(M, T_j[s]) of the maps
+    that copy c lets through, `dims[j]` the dimension of that space.
+    """
+    for j, d in enumerate(dims):
+        span = [v for rows in copy_rows for v in rows[j]]
+        if len(row_space_rref(fld, span)[1]) < d:
+            return False
+    return True
+
+
 def left_minimize(pre):
-    """Greedily delete target copies while the preenvelope property holds."""
-    cur = pre
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur.copies)):
-            keep = [j for j in range(len(cur.copies)) if j != i]
-            cand = _restrict_target(cur, keep)
-            if _is_preenvelope(cand.f, cur.T_list, cur.s):
-                cur = cand
-                changed = True
-                break
-    return Preenvelope(cur.f, cur.T_list, cur.s, cur.copies, minimal=True)
+    """Greedily delete target copies while the preenvelope property holds.
+
+    The copies' target F is a direct sum, so Hom(F, T_j[s]) is the direct
+    sum of the Hom(T_ti[s], T_j[s]), and the maps M -> T_j[s] that factor
+    through f are spanned by the h o r_c: h runs over a basis of
+    Hom(T_ti[s], T_j[s]) and r_c is copy c's representative.  Their
+    coordinates in Hom(M, T_j[s]) are computed once per copy, so deciding a
+    deletion is a rank test on rows; the minimized map is built at the end.
+    The first copy whose removal keeps every rank full is dropped, then the
+    scan restarts.
+    """
+    M, T_list, s = pre.source, pre.T_list, pre.s
+    spaces = [HomSpace(M, T, s) for T in T_list]
+    reps = {ti: spaces[ti].basis_maps() for ti in {ti for ti, _ in pre.copies}}
+    between = {}  # (ti, j) -> basis of Hom(T_ti[s], T_j[s])
+    copy_rows = []
+    for ti, ri in pre.copies:
+        r = reps[ti][ri]
+        rows = []
+        for j, hs in enumerate(spaces):
+            if hs.dim:
+                if (ti, j) not in between:
+                    between[ti, j] = HomSpace(r.target, T_list[j], s).basis_maps()
+                rows.append([hs.coordinates(h.compose(r)) for h in between[ti, j]])
+        copy_rows.append(rows)
+    dims = [hs.dim for hs in spaces if hs.dim]
+    fld = M.algebra.field
+    keep = list(range(len(pre.copies)))
+    i = 0
+    while i < len(keep):
+        cand = keep[:i] + keep[i + 1 :]
+        if _is_preenvelope(fld, dims, [copy_rows[c] for c in cand]):
+            keep, i = cand, 0
+        else:
+            i += 1
+    copies = [pre.copies[c] for c in keep]
+    f = _stack(M, [reps[ti][ri] for ti, ri in copies])
+    return Preenvelope(f, T_list, s, copies, minimal=True)
 
 
 def check_left_minimality(pre):
@@ -355,7 +366,7 @@ def weakly_preenveloping_check(T_list, probes):
             report.append({"s": None, "target_summands": 0, "ok": True})
             continue
         pre = left_minimize(add_shift_preenvelope(M, T_list, s))
-        ok = _is_preenvelope(pre.f, T_list, s)
+        ok = certify_preenvelope(pre.f, T_list, s)
         report.append(
             {"s": s, "target_summands": pre.f.target.summand_count(), "ok": ok}
         )

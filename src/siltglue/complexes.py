@@ -204,9 +204,9 @@ class PathMatrix:
         """Inverse of a matrix whose scalar part is invertible.
 
         Works because the radical part is nilpotent: with V = S + R, the
-        inverse is a finite Neumann series of -S^{-1} R applied to S^{-1}.
-        S^{-1} is one field inverse for a 1x1 block, and otherwise comes
-        from one row reduction of [S | 1].
+        inverse is a finite Neumann series of -S^{-1} R applied to S^{-1},
+        and S^{-1} itself when R = 0.  S^{-1} is one field inverse for a 1x1
+        block, and otherwise comes from one row reduction of [S | 1].
         """
         if self.rows != self.cols:
             raise ComplexError("not square")
@@ -240,6 +240,8 @@ class PathMatrix:
             ],
         )
         r = self.radical_part()
+        if r.is_zero():
+            return s_inv
         term = s_inv.compose(r)  # S^-1 R, nilpotent
         # (S + R)^-1 = (1 + S^-1 R)^-1 S^-1, a finite alternating series
         acc = PathMatrix.identity(alg, self.col_vertices)
@@ -717,16 +719,14 @@ def _cancel(X, n, rows, cols):
     return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
 
 
-def transform(X, change, inverse=None):
+def transform(X, change):
     """Conjugate a complex by degreewise invertible maps V_n.
 
     `change` maps degree -> invertible PathMatrix on X^n.  The result has the
-    same components and differentials V_{n+1} d V_n^{-1}.  `inverse` holds
-    the V_n^{-1} when the caller already has them; they are computed when
-    it is None.
+    same components and differentials V_{n+1} d V_n^{-1}.
     """
     alg = X.algebra
-    inv = {n: m.invert() for n, m in change.items()} if inverse is None else inverse
+    inv = {n: m.invert() for n, m in change.items()}
 
     def V(n):
         return change.get(n) or PathMatrix.identity(alg, X.component(n))

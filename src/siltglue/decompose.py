@@ -449,16 +449,24 @@ def _newton_idempotent_chain(g):
 
 
 def _split_by_idempotent(X, g):
-    """Split a minimal complex along an exact chain-level idempotent g."""
+    """Split a minimal complex along an exact chain-level idempotent g.
+
+    Per degree, U has as columns a basis of the image and then one of the
+    kernel of each same-vertex block of g's scalar part, and D is the 0/1
+    diagonal with ones on the image columns, so U^-1 g U has scalar part D.
+    One conjugation, by V = D U^-1 g + (1 - D) U^-1 (1 - g), makes g exactly
+    D: V g = D V because g is idempotent, and V is invertible because its
+    scalar part is U^-1.  The summands are the D = 1 and D = 0 indices.
+    """
     alg = X.algebra
     fld = alg.field
-    # 1: per degree, conjugate each same-vertex scalar block to a 0/1 diagonal
-    change, inv = {}, {}
+    change, ones = {}, {}
     for n, vs in X.components.items():
         m = g.component(n)
         sp = m.scalar_part()
         k = len(vs)
         U = [[fld.zero] * k for _ in range(k)]
+        image = []
         by_vertex = {}
         for i, v in enumerate(vs):
             by_vertex.setdefault(v, []).append(i)
@@ -475,14 +483,12 @@ def _split_by_idempotent(X, g):
             ker = kernel_basis(block)
             cols = img + ker
             assert len(cols) == len(idx)
-            # U^-1 has these columns; we store U = that matrix inverted later
             for ci, col in enumerate(cols):
                 for ri in range(len(idx)):
                     U[idx[ri]][idx[ci]] = col[ri]
-        # U here is the change-of-basis with eigencolumns; conjugation uses U^-1 g U,
-        # realized by transform with V = U^-1
+            image.extend(idx[: len(img)])
         z = alg.zero_element()
-        pmU = PathMatrix(
+        u_inv = PathMatrix(
             alg,
             vs,
             vs,
@@ -490,51 +496,18 @@ def _split_by_idempotent(X, g):
                 [alg.unit_at(vs[i], U[i][j]) if vs[i] == vs[j] and not fld.is_zero(U[i][j]) else z for j in range(k)]
                 for i in range(k)
             ],
-        )
-        change[n] = pmU.invert()
-        inv[n] = pmU
-    X1 = transform(X, change, inv)
-    g1_comps = {}
-    for n in X.components:
-        g1_comps[n] = change[n].compose(g.component(n)).compose(inv[n])
-    g1 = ChainMap(X1, X1, g1_comps)
-
-    # 2: the scalar part is now diagonal 0/1 (image coords first per block);
-    # conjugate by u = D g + (1 - D)(1 - g) to make g exactly diagonal
-    change2 = {}
-    Dmats = {}
-    for n, vs in X1.components.items():
-        m = g1.component(n)
-        sp = m.scalar_part()
+        ).invert()
         D = PathMatrix.zero(alg, vs, vs)
-        for i, v in enumerate(vs):
-            assert sp[i][i] == fld.one or fld.is_zero(sp[i][i])
-            for j in range(len(vs)):
-                if i != j:
-                    assert fld.is_zero(sp[i][j]), "scalar part not diagonalized"
-            if sp[i][i] == fld.one:
-                D.entries[i][i] = alg.unit_at(v)
-        Dmats[n] = D
+        for i in image:
+            D.entries[i][i] = alg.unit_at(vs[i])
         one = PathMatrix.identity(alg, vs)
-        u = D.compose(m) + (one - D).compose(one - m)
-        change2[n] = u
-    inv2 = {n: m.invert() for n, m in change2.items()}
-    X2 = transform(X1, change2, inv2)
-    idx_one = {}
-    idx_zero = {}
-    for n, vs in X2.components.items():
-        gn = change2[n].compose(g1.component(n)).compose(inv2[n])
-        sp = gn.scalar_part()
-        # exact diagonal now; split indices
-        ones = [i for i in range(len(vs)) if sp[i][i] == fld.one]
-        zeros = [i for i in range(len(vs)) if i not in ones]
-        dcheck = gn - Dmats[n]
-        assert dcheck.is_zero(), "idempotent not strictly diagonal after conjugation"
-        idx_one[n] = ones
-        idx_zero[n] = zeros
-    A = subcomplex_on_indices(X2, idx_one)
-    Bc = subcomplex_on_indices(X2, idx_zero)
-    return A, Bc
+        V = D.compose(u_inv).compose(m) + (one - D).compose(u_inv).compose(one - m)
+        assert (V.compose(m) - D.compose(V)).is_zero(), "idempotent not strictly diagonal after conjugation"
+        change[n] = V
+        ones[n] = sorted(image)
+    zeros = {n: [i for i in range(len(vs)) if i not in ones[n]] for n, vs in X.components.items()}
+    X2 = transform(X, change)
+    return subcomplex_on_indices(X2, ones), subcomplex_on_indices(X2, zeros)
 
 
 def _decompose_minimal(X, seed=0):

@@ -82,14 +82,17 @@ def _coeff_out(field, c):
 
 
 def _coeff_in(field, raw):
+    """An exact coefficient from a JSON integer or a "p/q" string.
+
+    Floats and booleans are refused: a float such as 0.1 has no exact
+    reading, and JSON true would otherwise pass as the integer 1.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise SerializeError(f"bad coefficient {raw!r}: give an integer or a \"p/q\" string")
     try:
-        if isinstance(raw, str):
-            return field.of(Fraction(raw))
-        if isinstance(raw, (int, float)):
-            return field.of(Fraction(raw))
+        return field.of(Fraction(raw))
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializeError(f"bad coefficient {raw!r}: {exc}")
-    raise SerializeError(f"bad coefficient {raw!r}")
 
 
 def _element_out(x):

@@ -13,7 +13,9 @@ from siltglue.complexes import (
 )
 from siltglue.homs import HomSpace, hom_dim, hom_window, is_nonpositive, s_sup
 from siltglue.approx import (
+    _stack,
     add_shift_preenvelope,
+    certify_preenvelope,
     check_left_minimality,
     cosusp_precover,
     factors_through,
@@ -56,6 +58,36 @@ def test_left_minimize_drops_redundant_copy(ka3):
     assert pre.f.target.summand_count() == 2
     mini = left_minimize(pre)
     assert mini.f.target.summand_count() == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_left_minimize_against_the_assembled_certificate(field):
+    """The kept copies pass the certificate on the assembled map, and none can go.
+
+    Every other instance repeats a member, so that some copies are redundant.
+    """
+    hits = deleted = 0
+    for seed in range(24):
+        rng = seeded_rng(5100 + seed)
+        alg = build_algebra(random_quiver(rng, max_vertices=4), field)
+        M = random_complex(alg, rng, steps=2, max_width=3)
+        T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 3))]
+        if seed % 2:
+            T.append(T[0])
+        s = s_sup(M, T)
+        if s is None:
+            continue
+        hits += 1
+        pre = add_shift_preenvelope(M, T, s)
+        mini = left_minimize(pre)
+        assert mini.minimal and set(mini.copies) <= set(pre.copies)
+        deleted += len(pre.copies) - len(mini.copies)
+        assert certify_preenvelope(mini.f, T, s)
+        reps = [HomSpace(M, X, s).basis_maps() for X in T]
+        for i in range(len(mini.copies)):
+            rest = mini.copies[:i] + mini.copies[i + 1 :]
+            assert not certify_preenvelope(_stack(M, [reps[ti][ri] for ti, ri in rest]), T, s)
+    assert hits >= 16 and deleted >= 10
 
 
 def test_envelope_triangle_anchor(ka3):

@@ -54,6 +54,30 @@ def test_algebra_check_missing_file_exits_2():
     assert "input error" in res.stderr
 
 
+def _i2_with_coefficient(fx, tmp_path, coeff):
+    """The I2 fixture file with its one differential coefficient replaced."""
+    with open(fx["i2"]) as fh:
+        data = json.load(fh)
+    data["algebra"] = fx["algebra"]
+    data["differentials"]["-1"][0][0][0][1] = coeff
+    path = tmp_path / "i2_edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_hom_float_coefficient_exits_2(fx, tmp_path):
+    # 0.1 has no exact binary reading; it must not pass as 3602879701896397/2^55
+    res = run("hom", _i2_with_coefficient(fx, tmp_path, 0.1), fx["p3"])
+    assert res.exit_code == 2
+    assert "bad coefficient 0.1" in res.stderr
+
+
+def test_hom_boolean_coefficient_exits_2(fx, tmp_path):
+    res = run("hom", _i2_with_coefficient(fx, tmp_path, True), fx["p3"])
+    assert res.exit_code == 2
+    assert "bad coefficient True" in res.stderr
+
+
 def test_hom_anchor(fx):
     res = run("hom", fx["i2"], fx["p3"])
     assert res.exit_code == 0

@@ -9,8 +9,10 @@ from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting, glue, summand_classes
+from siltglue.homs import HomSpace
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
+    ChainMap,
     PathMatrix,
     ProjComplex,
     cone,
@@ -29,6 +31,7 @@ from siltglue.decompose import (
     _poly_divmod,
     _poly_gcdex,
     _poly_mul,
+    _split_by_idempotent,
     _try_center_split,
     _try_minpoly_split,
     decompose,
@@ -154,6 +157,33 @@ def test_decompose_random_roundtrip():
                 rebuilt = direct_sum(rebuilt, Y)
         assert rebuilt.graded_multiset() == X.graded_multiset()
         assert is_isomorphic(rebuilt, X).isomorphic
+
+
+def test_split_by_idempotent_with_a_radical_entry(ka3):
+    """g = [[1, 0], [n, 0]] on S2 (+) I2 for the map n: S2 -> I2.
+
+    g is idempotent, and its degree-0 entry n = a is radical and sits in a
+    row where the scalar part of g is 0, so one conjugation must clear it.
+    In degree -1 the scalar block of vertex 3 is [[1, 0], [1, 0]], which
+    needs a basis change.  The image of g is isomorphic to S2, the kernel
+    to I2.
+    """
+    S2, I2 = ka3["S2"], ka3["I2"]
+    A = ka3["A"]
+    n = HomSpace(S2, I2, 0).basis_maps()[0]
+    X = direct_sum(S2, I2)
+    comps = {}
+    for k in X.components:
+        ys, zs = S2.component(k), I2.component(k)
+        top = PathMatrix.hstack(PathMatrix.identity(A, ys), PathMatrix.zero(A, ys, zs))
+        bot = PathMatrix.hstack(n.component(k), PathMatrix.zero(A, zs, zs))
+        comps[k] = PathMatrix.vstack(top, bot)
+    g = ChainMap(X, X, comps)
+    assert g.compose(g).components == g.components
+    assert not g.component(0).radical_part().is_zero()
+    image, kernel = _split_by_idempotent(X, g)
+    assert is_isomorphic(image, S2).isomorphic
+    assert is_isomorphic(kernel, I2).isomorphic
 
 
 def test_center_of_matrix_block_is_trivial(ka3):

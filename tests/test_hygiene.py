@@ -1,8 +1,10 @@
-"""Static checks on the library source: every import is used and at module level.
+"""Static checks on the library source: imports and private helpers.
 
 Neither pyflakes nor ruff ships with the project, so these `ast` scans are
 the lint: a name bound by an import must be read somewhere in the module, or
-be listed in `__all__`, and no import statement sits inside a function body.
+be listed in `__all__`; no import statement sits inside a function body; and
+every module-level `_private` function or class is referenced somewhere in
+the library outside its own definition.
 """
 
 import ast
@@ -46,6 +48,40 @@ def function_imports(source):
     return sorted(found)
 
 
+def unreferenced_helpers(sources):
+    """(module, line, name) of each module-level `_private` function or class never used.
+
+    `sources` maps module names to source text.  A use is a name read, an
+    attribute or an imported name anywhere in `sources` that does not lie
+    inside the helper's own definition, so a helper that only calls itself
+    counts as unused.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            uses.setdefault(name, []).append(id(node))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(use in own for use in uses.get(node.name, ())):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [(1, "os"), (2, "b")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
@@ -67,3 +103,20 @@ def test_scan_finds_a_function_level_import():
 def test_no_function_level_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert function_imports(fh.read()) == []
+
+
+def test_scan_finds_an_unreferenced_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _unused():\n    pass\n\ndef _self_only(n):\n    return _self_only(n - 1)\n",
+        "b": "from a import _used\n\nclass _Dead:\n    pass\n\ndef public():\n    return a._used\n",
+    }
+    assert unreferenced_helpers(sources) == [("a", 4, "_unused"), ("a", 7, "_self_only"), ("b", 3, "_Dead")]
+    assert unreferenced_helpers({"c": "def _h():\n    pass\n\nx = [_h]\n"}) == []
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unreferenced_helpers(sources) == []
