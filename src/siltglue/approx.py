@@ -9,6 +9,14 @@ through it (Auslander-Smalo), a rank condition on the coordinates of the
 maps each copy lets through, so no candidate map is assembled.  The
 cosusp(T)-precover is the same construction over the opposite algebra,
 transported back.  All certificates are exact.
+
+Each stage builds every Hom(M, T_i[k]) once: the s-search (`s_search`)
+keeps the spaces at s, and the preenvelope carries them and their
+representatives into `left_minimize`.  The chain condition is checked
+once, on the maps a result reports: f and v_map of `susp_envelope`, and
+u_map and v_map of `cosusp_precover` over A (not again over the opposite
+algebra).  The stacked preenvelopes and the pushout maps inside a stage are
+chain maps by construction and are not checked.
 """
 
 from .complexes import (
@@ -24,8 +32,8 @@ from .complexes import (
     opposite_map,
 )
 from .decompose import DecomposeError, decompose
-from .homs import HomSpace, hom_dim, hom_window, s_sup
-from .linalg import Matrix, in_row_space, kernel_basis, row_space_rref, solve
+from .homs import HomSpace, hom_dim, hom_window, s_search
+from .linalg import in_row_space, row_space_rref
 from .quiver import build_algebra
 
 
@@ -38,15 +46,19 @@ class Preenvelope:
 
     `copies` lists, per target summand block, the index into T and the
     representative index it came from (deletion order follows this list).
+    `spaces[i]` is HomSpace(M, T_i, s) and `reps[i]` its `basis_maps()`;
+    `add_shift_preenvelope` builds them once and `left_minimize` reads them.
     """
 
-    __slots__ = ("f", "T_list", "s", "copies", "minimal")
+    __slots__ = ("f", "T_list", "s", "copies", "spaces", "reps", "minimal")
 
-    def __init__(self, f, T_list, s, copies, minimal=False):
+    def __init__(self, f, T_list, s, copies, spaces, reps, minimal=False):
         self.f = f
         self.T_list = T_list
         self.s = s
         self.copies = copies
+        self.spaces = spaces
+        self.reps = reps
         self.minimal = minimal
 
     @property
@@ -59,7 +71,11 @@ class Preenvelope:
 
 
 def _stack(M, reps):
-    """The map M -> (+) r.target whose block rows are the maps `reps`, in order."""
+    """The map M -> (+) r.target whose block rows are the maps `reps`, in order.
+
+    Block rows of chain maps with one source form a chain map, so the
+    result is not checked here.
+    """
     alg = M.algebra
     F = direct_sum_many(alg, [r.target for r in reps])
     degrees = set()
@@ -72,14 +88,18 @@ def _stack(M, reps):
     return ChainMap(M, F, comps)
 
 
-def add_shift_preenvelope(M, T_list, s):
-    """Preenvelope of M in add(T)[s]: one target copy per Hom representative."""
-    copies, reps = [], []
-    for ti, T in enumerate(T_list):
-        for ri, r in enumerate(HomSpace(M, T, s).basis_maps()):
-            copies.append((ti, ri))
-            reps.append(r)
-    return Preenvelope(_stack(M, reps), list(T_list), s, copies)
+def add_shift_preenvelope(M, T_list, s, spaces=None):
+    """Preenvelope of M in add(T)[s]: one target copy per Hom representative.
+
+    `spaces` maps member indices to HomSpace(M, T_i, s) where it is already
+    built, as `s_search` returns it; the other members' spaces are built
+    here.
+    """
+    known = spaces or {}
+    spaces = [known[ti] if ti in known else HomSpace(M, T, s) for ti, T in enumerate(T_list)]
+    reps = [hs.basis_maps() for hs in spaces]
+    copies = [(ti, ri) for ti, rs in enumerate(reps) for ri in range(len(rs))]
+    return Preenvelope(_stack(M, [r for rs in reps for r in rs]), list(T_list), s, copies, spaces, reps)
 
 
 def certify_preenvelope(f, T_list, s):
@@ -129,11 +149,11 @@ def left_minimize(pre):
     coordinates in Hom(M, T_j[s]) are computed once per copy, so deciding a
     deletion is a rank test on rows; the minimized map is built at the end.
     The first copy whose removal keeps every rank full is dropped, then the
-    scan restarts.
+    scan restarts.  The spaces Hom(M, T_j[s]) and their representatives are
+    the ones `pre` carries.
     """
     M, T_list, s = pre.source, pre.T_list, pre.s
-    spaces = [HomSpace(M, T, s) for T in T_list]
-    reps = {ti: spaces[ti].basis_maps() for ti in {ti for ti, _ in pre.copies}}
+    spaces, reps = pre.spaces, pre.reps
     between = {}  # (ti, j) -> basis of Hom(T_ti[s], T_j[s])
     copy_rows = []
     for ti, ri in pre.copies:
@@ -157,58 +177,7 @@ def left_minimize(pre):
             i += 1
     copies = [pre.copies[c] for c in keep]
     f = _stack(M, [reps[ti][ri] for ti, ri in copies])
-    return Preenvelope(f, T_list, s, copies, minimal=True)
-
-
-def check_left_minimality(pre):
-    """Every g in End(target) with g o f ~ f must be an isomorphism.
-
-    The solutions form an affine subspace; a spanning set is the particular
-    solution plus its translates by a kernel basis.
-    """
-    f = pre.f
-    F = f.target
-    if F.is_zero():
-        return f.source.is_zero() or f.is_zero()
-    endF = HomSpace(F, F, 0)
-    hsMF = HomSpace(f.source, F, 0)
-    fld = f.source.algebra.field
-    target_vec = hsMF.coordinates(f)
-    # linear map End(F) -> Hom(M, F), g |-> g o f, in the representative bases
-    cols = []
-    basis = endF.basis_maps()
-    for g in basis:
-        cols.append(hsMF.coordinates(g.compose(f)))
-    mat = Matrix(fld, [[cols[c][r] for c in range(len(cols))] for r in range(hsMF.dim)], cols=len(cols))
-    x0 = solve(mat, target_vec)
-    if x0 is None:
-        return False
-    ker = kernel_basis(mat)
-    candidates = [x0] + [[fld.add(a, b) for a, b in zip(x0, k)] for k in ker]
-    for coeffs in candidates:
-        g = ChainMap.zero(F, F)
-        for c, bmap in zip(coeffs, basis):
-            if not fld.is_zero(c):
-                g = g + bmap.scale(c)
-        if not minimize(cone(g).Z).complex.is_zero():
-            return False
-    return True
-
-
-def factors_through(f, t):
-    """Does t: M -> W factor as w o f up to homotopy, for f: M -> U?"""
-    M, U, W = f.source, f.target, t.target
-    hsMW = HomSpace(M, W, 0)
-    try:
-        tvec = hsMW.coordinates(t)
-    except ValueError:
-        return False
-    fld = M.algebra.field
-    span = []
-    for w in HomSpace(U, W, 0).basis_maps():
-        span.append(hsMW.coordinates(w.compose(f)))
-    rows, pivs = row_space_rref(fld, span)
-    return in_row_space(fld, rows, pivs, tvec)
+    return Preenvelope(f, T_list, s, copies, spaces, reps, minimal=True)
 
 
 class EnvelopeResult:
@@ -253,14 +222,20 @@ def indecomposable_refinement(T_list, seed=0):
 
 
 def _susp_envelope_stage(M, T_list, bound):
-    """Inductive stage: returns (f: M -> U, U, trace). s must drop each call."""
-    s = s_sup(M, T_list)
+    """Inductive stage: returns (f: M -> U, U, trace). s must drop each call.
+
+    The s-search hands the Hom spaces it built at s on to the preenvelope.
+    The pushout maps `gu` and `fX` are chain maps by construction and are
+    not checked; `susp_envelope` and `cosusp_precover` check the maps they
+    report.
+    """
+    s, spaces = s_search(M, T_list)
     if s is None:
         Z = ProjComplex.zero(M.algebra)
         return ChainMap.zero(M, Z), Z, []
     if bound is not None and s >= bound:
         raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
-    pre = left_minimize(add_shift_preenvelope(M, T_list, s))
+    pre = left_minimize(add_shift_preenvelope(M, T_list, s, spaces))
     h = pre.f
     layer = (s, tuple(sorted((ti for ti, _ in pre.copies))))
     tri = cocone(h)  # C -> M -> F
@@ -288,21 +263,28 @@ def _susp_envelope_stage(M, T_list, bound):
     return Xm.push(fX), Xm.complex, [layer] + sub_trace
 
 
+def _envelope(M, T_list, seed):
+    """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace)."""
+    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None)
+    tri = cocone(f)
+    Vm = minimize(tri.X)
+    return f, U, Vm.complex, Vm.pull(tri.u), trace
+
+
 def susp_envelope(M, T_list, certify=True, seed=0):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
     The statistic s = s_sup(M, T) strictly decreases through the recursion;
-    the construction follows the iterated homotopy-pushout scheme.  When
-    `certify` is set the orthogonality Hom(V, T_i[k]) = 0 for all k >= 0 is
-    checked exactly over the support window.  `seed` drives the splitting
-    of T into indecomposable summands.
+    the construction follows the iterated homotopy-pushout scheme.  The
+    reported s is that of the outermost layer: splitting T into its
+    indecomposable summands does not change s_sup.  The maps f and v_map
+    are checked to be chain maps.  When `certify` is set the orthogonality
+    Hom(V, T_i[k]) = 0 for all k >= 0 is checked exactly over the support
+    window.  `seed` drives the splitting of T into indecomposable summands.
     """
-    s = s_sup(M, T_list)
-    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None)
-    tri = cocone(f)
-    Vm = minimize(tri.X)
-    V = Vm.complex
-    v_map = Vm.pull(tri.u)
+    f, U, V, v_map, trace = _envelope(M, T_list, seed)
+    f.check_chain_condition()
+    v_map.check_chain_condition()
     certs = {}
     if certify:
         bad = []
@@ -317,7 +299,7 @@ def susp_envelope(M, T_list, certify=True, seed=0):
         certs["layers"] = trace
         if bad:
             raise ApproxError(f"envelope cocone not orthogonal: {bad}")
-    return EnvelopeResult(M, U, V, f, v_map, s, trace, certs)
+    return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, certs)
 
 
 def cosusp_precover(M, T_list, certify=True, seed=0):
@@ -326,20 +308,23 @@ def cosusp_precover(M, T_list, certify=True, seed=0):
     The susp envelope of op(M) by op(T) over the opposite algebra, read
     back over A: the duality reverses the triangle, so its V is op of the
     envelope's U and its U is op of the envelope's V, and each layer
-    shift s becomes -s.  `s` is sup{k >= 0 : Hom(T_i, M[k]) != 0}.  When
+    shift s becomes -s.  `s` is sup{k >= 0 : Hom(T_i, M[k]) != 0}.  The
+    maps u_map and v_map are checked to be chain maps once, over A.  When
     `certify` is set, Hom(T_i, U[k]) = 0 for all k >= 0 is checked exactly
     over A itself, over the support window.
     """
     A = M.algebra
     Aop = build_algebra(A.quiver.opposite(), A.field)
-    env = susp_envelope(
-        opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list], certify=False, seed=seed
+    f_op, U_op, V_op, v_op, op_trace = _envelope(
+        opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list], seed
     )
-    V = opposite_complex(env.U, A)
-    U = opposite_complex(env.V, A)
-    v_map = opposite_map(env.f, M, V, A)
-    u_map = opposite_map(env.v_map, U, M, A)
-    trace = [(-s, tags) for s, tags in env.trace]
+    V = opposite_complex(U_op, A)
+    U = opposite_complex(V_op, A)
+    v_map = opposite_map(f_op, M, V, A)
+    u_map = opposite_map(v_op, U, M, A)
+    u_map.check_chain_condition()
+    v_map.check_chain_condition()
+    trace = [(-s, tags) for s, tags in op_trace]
     certs = {}
     if certify:
         bad = []
@@ -354,20 +339,4 @@ def cosusp_precover(M, T_list, certify=True, seed=0):
         certs["layers"] = trace
         if bad:
             raise ApproxError(f"precover cone not orthogonal: {bad}")
-    return EnvelopeResult(M, U, V, u_map, v_map, env.s, trace, certs)
-
-
-def weakly_preenveloping_check(T_list, probes):
-    """For each probe M: finite s_sup and a certified add(T)[s]-preenvelope."""
-    report = []
-    for M in probes:
-        s = s_sup(M, T_list)
-        if s is None:
-            report.append({"s": None, "target_summands": 0, "ok": True})
-            continue
-        pre = left_minimize(add_shift_preenvelope(M, T_list, s))
-        ok = certify_preenvelope(pre.f, T_list, s)
-        report.append(
-            {"s": s, "target_summands": pre.f.target.summand_count(), "ok": ok}
-        )
-    return report
+    return EnvelopeResult(M, U, V, u_map, v_map, op_trace[0][0] if op_trace else None, trace, certs)

@@ -13,7 +13,7 @@ import click
 
 from .quiver import QuiverError
 from .complexes import ComplexError, ProjComplex, minimize
-from .homs import HomSpace, hom_dim_table, hom_window
+from .homs import hom_spaces, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement
 from .gluing import GlueError, certify_set, glue, glue_shortcut
@@ -110,17 +110,17 @@ def hom(x_file, y_file, shift_, reps):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     lo, hi = hom_window(X, Y)
-    if shift_ is not None:
-        table = hom_dim_table(X, Y, shift_, shift_)
-    else:
-        table = hom_dim_table(X, Y)
+    spaces = hom_spaces(X, Y, shift_, shift_)  # the whole window when no shift is given
+    table = {k: 0 if hs is None else hs.dim for k, hs in spaces.items()}
     report = {"v": 1, "window": [lo, hi], "dims": {str(k): {"dim": d} for k, d in table.items()}}
     if reps:
-        for k in table:
+        for k, hs in spaces.items():
             if table[k]:
-                hs = HomSpace(X, Y, k)
+                maps = hs.basis_maps()
+                for f in maps:
+                    f.check_chain_condition()
                 report["dims"][str(k)]["representatives"] = [
-                    serialize.chain_map_to_json(f)["components"] for f in hs.basis_maps()
+                    serialize.chain_map_to_json(f)["components"] for f in maps
                 ]
     _emit(report, [f"hom dims over window [{lo},{hi}]: " + ", ".join(f"{k}:{d}" for k, d in sorted(table.items()))])
 

@@ -85,7 +85,7 @@ def _chain_map_cycles(X, Y):
     hs = HomSpace(X, Y, 0)
     out = []
     for v in hs.cycle_basis:
-        out.append(ChainMap(X, Y, hs.fvars.from_vector(v), check=False))
+        out.append(ChainMap(X, Y, hs.fvars.from_vector(v)))
     return out
 
 

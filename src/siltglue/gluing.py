@@ -63,10 +63,16 @@ class GlueCertificate:
 
 
 def check_presilting(T_list):
+    """The presilting report; a failure names a non-zero Hom(T_i, T_j[k]), k > 0.
+
+    The witness is a representative of that Hom space, checked here to be a
+    chain map.
+    """
     ok, witness = is_nonpositive(T_list)
     rep = {"ok": ok}
     if not ok:
         i, j, k, f = witness
+        f.check_chain_condition()
         rep["witness"] = {"from": i, "to": j, "shift": k}
     return rep
 

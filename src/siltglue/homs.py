@@ -165,12 +165,12 @@ class HomSpace:
         return len(self._reps)
 
     def basis_maps(self):
-        """Canonical representing chain maps X -> Y[k]."""
-        out = []
-        for v in self._reps:
-            comps = self.fvars.from_vector(v)
-            out.append(ChainMap(self.X, self.Z, comps))
-        return out
+        """Canonical representing chain maps X -> Y[k].
+
+        They are kernel vectors of the chain-condition system, so they are
+        chain maps by construction and are not checked again here.
+        """
+        return [ChainMap(self.X, self.Z, self.fvars.from_vector(v)) for v in self._reps]
 
     def is_null_homotopic(self, f):
         vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
@@ -248,31 +248,49 @@ def hom_window(X, Y):
     return (Y.lo - X.hi, Y.hi - X.lo)
 
 
-def hom_dim_table(X, Y, lo=None, hi=None):
-    """Dimensions of Hom(X, Y[k]) over a shift window (default: full support)."""
+def hom_spaces(X, Y, lo=None, hi=None):
+    """{k: HomSpace(X, Y, k)} over a shift window (default: full support).
+
+    A shift outside the support maps to None: Hom is zero there, and no
+    space is built.
+    """
     wlo, whi = hom_window(X, Y)
     if lo is None:
         lo = wlo
     if hi is None:
         hi = whi
-    out = {}
-    for k in range(lo, hi + 1):
-        if k < wlo or k > whi:
-            out[k] = 0
-        else:
-            out[k] = hom_dim(X, Y, k)
-    return out
+    return {k: HomSpace(X, Y, k) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
+
+
+def hom_dim_table(X, Y, lo=None, hi=None):
+    """Dimensions of Hom(X, Y[k]) over a shift window (default: full support)."""
+    return {k: 0 if hs is None else hs.dim for k, hs in hom_spaces(X, Y, lo, hi).items()}
+
+
+def s_search(M, T_list):
+    """s = sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, and the spaces at s.
+
+    Returns (s, spaces), with s None when there is no such k.  Each
+    member's window is scanned downwards, from its top to the best k found
+    so far (or to 0), and stops at the first non-zero Hom.  So every member
+    whose window reaches s has HomSpace(M, T_i, s) built on the way:
+    `spaces` maps those indices i to it.  The other members have
+    Hom(M, T_i[s]) = 0.
+    """
+    best, built = None, {}
+    for i, T in enumerate(T_list):
+        _, whi = hom_window(M, T)
+        for k in range(whi, (0 if best is None else best) - 1, -1):
+            hs = built[i, k] = HomSpace(M, T, k)
+            if hs.dim:
+                best = k
+                break
+    return best, {i: hs for (i, k), hs in built.items() if k == best}
 
 
 def s_sup(M, T_list):
     """sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, or None if empty."""
-    best = None
-    for T in T_list:
-        _, whi = hom_window(M, T)
-        for k in range(max(0, best + 1 if best is not None else 0), whi + 1):
-            if hom_dim(M, T, k) > 0:
-                best = k
-    return best
+    return s_search(M, T_list)[0]
 
 
 def is_nonpositive(complexes):

@@ -210,6 +210,7 @@ def chain_map_to_json(f):
 
 
 def chain_map_from_json(data, algebra):
+    """Load a chain map; raises ComplexError unless d f = f d holds."""
     _check_version(data, "chain map")
     src = complex_from_json(data["source"], algebra=algebra)
     tgt = complex_from_json(data["target"], algebra=algebra)
@@ -218,4 +219,6 @@ def chain_map_from_json(data, algebra):
         n = int(key)
         ents = [[_element_in(algebra, x) for x in row] for row in rows]
         comps[n] = PathMatrix(algebra, tgt.component(n), src.component(n), ents)
-    return ChainMap(src, tgt, comps)
+    f = ChainMap(src, tgt, comps)
+    f.check_chain_condition()
+    return f

@@ -18,8 +18,6 @@ from siltglue.complexes import ProjComplex, cocone, direct_sum, minimize, shift
 from siltglue.homs import HomSpace, hom_dim_table, hom_window, is_nonpositive, s_sup
 from siltglue.approx import (
     add_shift_preenvelope,
-    check_left_minimality,
-    factors_through,
     indecomposable_refinement,
     left_minimize,
     susp_envelope,
@@ -33,6 +31,7 @@ from siltglue.fixtures import (
 from siltglue.gluing import canonical_corner_silting, check_co_aisle_agreement, glue, glue_shortcut
 from siltglue.recollement import i_star, idempotent_recollement
 from oracle import oracle_hom_dim
+from verifiers import check_left_minimality, factors_through
 
 
 @pytest.fixture(scope="module")

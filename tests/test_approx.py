@@ -4,7 +4,11 @@ from conftest import random_complex, random_quiver, seeded_rng
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
+from siltglue import approx
 from siltglue.complexes import (
+    ChainMap,
+    ComplexError,
+    PathMatrix,
     cocone,
     cone,
     direct_sum,
@@ -16,15 +20,13 @@ from siltglue.approx import (
     _stack,
     add_shift_preenvelope,
     certify_preenvelope,
-    check_left_minimality,
     cosusp_precover,
-    factors_through,
     indecomposable_refinement,
     left_minimize,
     susp_envelope,
-    weakly_preenveloping_check,
 )
 from siltglue.decompose import is_isomorphic
+from verifiers import check_left_minimality, factors_through, weakly_preenveloping_check
 
 
 def test_preenvelope_anchor_h(ka3):
@@ -88,6 +90,126 @@ def test_left_minimize_against_the_assembled_certificate(field):
             rest = mini.copies[:i] + mini.copies[i + 1 :]
             assert not certify_preenvelope(_stack(M, [reps[ti][ri] for ti, ri in rest]), T, s)
     assert hits >= 16 and deleted >= 10
+
+
+def _recording_homspaces(monkeypatch):
+    """Patch HomSpace to record (X, Y, k) of every space built; returns the record."""
+    built = []
+    init = HomSpace.__init__
+
+    def recording(self, X, Y, k=0):
+        built.append((X, Y, k))
+        init(self, X, Y, k)
+
+    monkeypatch.setattr(HomSpace, "__init__", recording)
+    return built
+
+
+def test_minimized_preenvelope_builds_each_hom_space_once(monkeypatch):
+    built = _recording_homspaces(monkeypatch)
+    hits = 0
+    for seed in range(12):
+        rng = seeded_rng(5200 + seed)
+        alg = build_algebra(random_quiver(rng, max_vertices=4), QQ)
+        M = random_complex(alg, rng, steps=2, max_width=3)
+        T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 3))]
+        s = s_sup(M, T)
+        if s is None:
+            continue
+        built.clear()
+        left_minimize(add_shift_preenvelope(M, T, s))
+        for X in T:
+            assert sum(1 for A, B, k in built if A is M and B is X and k == s) == 1
+        hits += 1
+    assert hits >= 8
+
+
+def test_envelope_builds_no_hom_space_twice(ka3, monkeypatch):
+    """The s-search hands its spaces on: no (source, target, shift) is built twice."""
+    built = _recording_homspaces(monkeypatch)
+    for M, T in (
+        (direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
+        (ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]),
+        (direct_sum(ka3["I2"], ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
+    ):
+        built.clear()
+        env = susp_envelope(M, T)
+        assert env.trace
+        keys = [(id(X), id(Y), k) for X, Y, k in built]  # `built` keeps every X and Y alive
+        assert len(keys) == len(set(keys))
+
+
+def test_reported_maps_are_checked_once(ka3, monkeypatch):
+    checked = []
+    check = ChainMap.check_chain_condition
+
+    def recording(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainMap, "check_chain_condition", recording)
+    M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    T = [shift(ka3["P"]["3"], 1)]
+    env = susp_envelope(M, T)
+    assert checked == [env.f, env.v_map]
+    checked.clear()
+    res = cosusp_precover(direct_sum(ka3["P"]["1"], shift(ka3["P"]["2"], -1)), T)
+    assert checked == [res.f, res.v_map]  # over A, not again over the opposite algebra
+    assert all(f.source.algebra is ka3["A"] for f in checked)
+
+
+def _sign_flipper(n, flipped):
+    """f -> f with entry (0, 0) of its degree-n component negated, where that entry is non-zero.
+
+    Each flipped map goes to `flipped`.
+    """
+
+    def flip(f):
+        m = f.components.get(n)
+        if m is None or m.entries[0][0].is_zero():
+            return f
+        ents = [list(row) for row in m.entries]
+        ents[0][0] = -ents[0][0]
+        comps = dict(f.components)
+        comps[n] = PathMatrix(m.algebra, m.row_vertices, m.col_vertices, ents)
+        flipped.append(ChainMap(f.source, f.target, comps))
+        return flipped[-1]
+
+    return flip
+
+
+def _flip_instance(ka3):
+    """I2 and [P1, P2].
+
+    Most one-entry sign flips in the stacked or pushout maps give a triangle
+    isomorphic to the true one, which is no error.  On this instance the
+    flipped map reaches the reported maps, so the boundary check must refuse
+    them.
+    """
+    return ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]
+
+
+def test_sign_flip_in_the_stacked_preenvelope_is_caught(ka3, monkeypatch):
+    M, T = _flip_instance(ka3)
+    susp_envelope(M, T)
+    flipped = []
+    flip, stack = _sign_flipper(0, flipped), approx._stack
+    monkeypatch.setattr(approx, "_stack", lambda M_, reps: flip(stack(M_, reps)))
+    with pytest.raises(ComplexError, match="not a chain map"):
+        susp_envelope(M, T)
+    with pytest.raises(ComplexError):
+        flipped[0].check_chain_condition()
+
+
+def test_sign_flip_in_the_pushout_map_is_caught(ka3, monkeypatch):
+    M, T = _flip_instance(ka3)
+    flipped = []
+    flip = _sign_flipper(-1, flipped)
+    monkeypatch.setattr(approx, "cone", lambda gu: cone(flip(gu)))
+    with pytest.raises(ComplexError, match="not a chain map"):
+        susp_envelope(M, T)
+    with pytest.raises(ComplexError):
+        flipped[0].check_chain_condition()
 
 
 def test_envelope_triangle_anchor(ka3):

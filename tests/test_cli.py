@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from siltglue import approx, decompose as decompose_mod, gluing
 from siltglue.cli import main
+from siltglue.homs import HomSpace
 from siltglue.fixtures import write_fixture_files
 
 
@@ -90,6 +91,22 @@ def test_hom_reps_are_included(fx):
     res = run("hom", fx["i2"], fx["p3"], "--reps")
     data = json.loads(res.stdout)
     assert "representatives" in data["dims"]["1"]
+
+
+def test_hom_reps_builds_each_space_once(fx, monkeypatch):
+    built = []
+    init = HomSpace.__init__
+
+    def recording(self, X, Y, k=0):
+        built.append(k)
+        init(self, X, Y, k)
+
+    monkeypatch.setattr(HomSpace, "__init__", recording)
+    res = run("hom", fx["i2"], fx["p3"], "--reps")
+    assert res.exit_code == 0
+    data = json.loads(res.stdout)
+    assert any("representatives" in d for d in data["dims"].values())
+    assert sorted(built) == sorted(set(built))
 
 
 def test_minimize(fx):

@@ -12,7 +12,6 @@ from siltglue.complexes import (
     PathMatrix,
     cocone,
     cone,
-    cone_projection,
     direct_sum,
     make_complex,
     minimize,
@@ -23,6 +22,7 @@ from siltglue.complexes import (
     opposite_complex,
 )
 from siltglue.homs import HomSpace
+from verifiers import cone_projection
 
 
 def test_d_squared_enforced(ka3):

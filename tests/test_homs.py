@@ -4,7 +4,7 @@ from conftest import random_complex, random_quiver, seeded_rng
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, PathMatrix, ProjComplex, cone, direct_sum, shift
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, direct_sum, shift
 from siltglue.linalg import Matrix, solve
 from siltglue.homs import (
     HomSpace,
@@ -46,6 +46,76 @@ def test_representatives_are_chain_maps(ka3):
     for f in hs.basis_maps():
         f.check_chain_condition()
     assert hs.dim == len(hs.basis_maps())
+
+
+def _random_hom_spaces(field, seed, count):
+    rng = seeded_rng(seed)
+    out = []
+    while len(out) < count:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=3, shift_range=1)
+        lo, hi = hom_window(X, Y)
+        hs = HomSpace(X, Y, rng.randint(lo, hi)) if lo <= hi else None
+        if hs is not None and hs.dim:
+            out.append(hs)
+    return out
+
+
+def _check_representatives(hs):
+    """Each representative is a chain map whose coordinates are its unit vector."""
+    fld = hs.X.algebra.field
+    for i, f in enumerate(hs.basis_maps()):
+        f.check_chain_condition()
+        assert hs.coordinates(f) == [fld.one if j == i else fld.zero for j in range(hs.dim)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_random_representatives_are_chain_maps(field):
+    for hs in _random_hom_spaces(field, 606, 12):
+        _check_representatives(hs)
+
+
+def test_a_perturbed_kernel_vector_is_caught():
+    """Adding a non-cycle unit vector to a representative fails the chain check."""
+    caught = 0
+    for hs in _random_hom_spaces(QQ, 607, 40):
+        fld = hs.X.algebra.field
+        for idx in range(hs.fvars.dim):
+            unit = [fld.one if j == idx else fld.zero for j in range(hs.fvars.dim)]
+            try:
+                ChainMap(hs.X, hs.Z, hs.fvars.from_vector(unit)).check_chain_condition()
+            except ComplexError:
+                break
+        else:
+            continue
+        hs._reps[0] = [fld.add(a, b) for a, b in zip(hs._reps[0], unit)]
+        with pytest.raises(ComplexError, match="not a chain map"):
+            _check_representatives(hs)
+        caught += 1
+    assert caught >= 3
+
+
+def test_basis_maps_compose_nothing(monkeypatch):
+    """Representatives are kernel vectors of the chain-condition system: no product is formed."""
+    calls = []
+    orig = PathMatrix.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return orig(self, other)
+
+    monkeypatch.setattr(PathMatrix, "compose", counting)
+    rng = seeded_rng(608)
+    built = 0
+    for _ in range(6):
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), QQ)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        hs = HomSpace(X, X)
+        calls.clear()
+        built += len(hs.basis_maps())
+        assert not calls
+    assert built >= 6
 
 
 def test_coordinates_round_trip(ka3):
@@ -213,7 +283,7 @@ def test_cached_coordinates_match_solve(field):
         if hs.hvars.dim:
             # cycles: random combinations of representatives plus a boundary
             h = hs.hvars.from_vector([field.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
-            bd = ChainMap(X, Y, hs._boundary(h), check=False)
+            bd = ChainMap(X, Y, hs._boundary(h))
         else:
             bd = ChainMap.zero(X, Y)
         for _ in range(3):
@@ -226,7 +296,7 @@ def test_cached_coordinates_match_solve(field):
         for idx in range(hs.fvars.dim):
             vec = [field.zero] * hs.fvars.dim
             vec[idx] = field.one
-            f = ChainMap(X, Y, hs.fvars.from_vector(vec), check=False)
+            f = ChainMap(X, Y, hs.fvars.from_vector(vec))
             if _solve_coordinates(hs, f) is None:
                 with pytest.raises(ValueError, match="outside the homotopy Hom space"):
                     hs.coordinates(f)

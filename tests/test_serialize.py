@@ -5,7 +5,7 @@ import pytest
 from conftest import random_complex, random_quiver, seeded_rng
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, shift
+from siltglue.complexes import ChainMap, ComplexError, shift
 from siltglue.homs import HomSpace
 from siltglue.serialize import (
     SerializeError,
@@ -127,6 +127,14 @@ def test_chain_map_round_trip(ka3):
         assert back.source == f.source and back.target == f.target
         for n in set(f.components) | set(back.components):
             assert (back.component(n) - f.component(n)).is_zero()
+
+
+def test_chain_map_from_json_refuses_a_non_chain_map(ka3):
+    # the identity of I2 without its degree-0 component: d o f != f o d at degree -1
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    del data["components"]["0"]
+    with pytest.raises(ComplexError, match="not a chain map at degree -1"):
+        chain_map_from_json(data, ka3["A"])
 
 
 def test_json_output_is_canonical(ka3):
