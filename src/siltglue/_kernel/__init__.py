@@ -3,6 +3,8 @@
 The two hot loops of the linear algebra, kept apart from `siltglue.linalg`
 so that they can be timed on their own.  The reduced row echelon form is
 canonical: zero rows dropped, pivots equal to 1, pivot columns cleared.
+The systems are mostly zero, so each pivot row's non-zero columns are
+collected once, and normalisation and elimination touch only those.
 """
 
 __all__ = ["rref_qq", "rref_fp"]
@@ -31,7 +33,8 @@ def rref_qq(rows):
         m[piv_r], m[sel] = m[sel], m[piv_r]
         row = m[piv_r]
         inv = 1 / row[col]
-        for c in range(col, ncols):
+        nz = [c for c in range(col, ncols) if row[c] != 0]
+        for c in nz:
             row[c] *= inv
         for r in range(len(m)):
             if r == piv_r:
@@ -39,7 +42,7 @@ def rref_qq(rows):
             f = m[r][col]
             if f != 0:
                 other = m[r]
-                for c in range(col, ncols):
+                for c in nz:
                     other[c] -= f * row[c]
         pivots.append(col)
         piv_r += 1
@@ -67,7 +70,8 @@ def rref_fp(rows, p):
         m[piv_r], m[sel] = m[sel], m[piv_r]
         row = m[piv_r]
         inv = pow(row[col], -1, p)
-        for c in range(col, ncols):
+        nz = [c for c in range(col, ncols) if row[c]]
+        for c in nz:
             row[c] = row[c] * inv % p
         for r in range(len(m)):
             if r == piv_r:
@@ -75,7 +79,7 @@ def rref_fp(rows, p):
             f = m[r][col]
             if f:
                 other = m[r]
-                for c in range(col, ncols):
+                for c in nz:
                     other[c] = (other[c] - f * row[c]) % p
         pivots.append(col)
         piv_r += 1

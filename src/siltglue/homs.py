@@ -3,11 +3,18 @@
 Hom(X, Y[k]) is computed as degree-0 chain maps X -> Y[k] modulo null-
 homotopic maps, by exact linear algebra over the base field: unknowns are the
 path coefficients of the matrix entries, the chain condition cuts out a
-kernel, and homotopies span a subspace of it.
+kernel, and homotopies span a subspace of it.  Boundaries are cycles
+(d^2 = 0), so the dimension is the nullity of the chain-condition system
+minus the rank of the boundaries: two row reductions.  The cycle basis and
+the representatives are built on first read, so a caller that only
+measures a space builds neither.
 """
 
+import functools
+import itertools
+
 from .complexes import ChainMap, PathMatrix, shift
-from .linalg import Matrix, extend_rref, kernel_basis, row_space_rref, in_row_space, solve
+from .linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref, in_row_space, solve
 
 
 class _VarSpace:
@@ -87,14 +94,11 @@ class HomSpace:
         # columns of the equation matrix are the f-variables
         eq_space = _VarSpace(X, Z, 1)  # target of the defect map
         nvars = self.fvars.dim
-        if nvars == 0:
-            self.cycle_basis = []
-        else:
-            eqs = [[fld.zero] * nvars for _ in range(eq_space.dim)]
-            for col, slot in enumerate(self.fvars.slots):
-                for row, c in self._unit_image(eq_space, slot, 0, True).items():
-                    eqs[row][col] = c
-            self.cycle_basis = kernel_basis(Matrix(fld, eqs, cols=nvars))
+        eqs = [[fld.zero] * nvars for _ in range(eq_space.dim)] if nvars else []
+        for col, slot in enumerate(self.fvars.slots):
+            for row, c in self._unit_image(eq_space, slot, 0, True).items():
+                eqs[row][col] = c
+        self._eqs = row_space_rref(fld, eqs)
 
         # boundaries: image of h |-> d_Z h + h d_X, kept sparse for homotopy_witness
         self._bimages = [self._unit_image(self.fvars, slot, -1, False) for slot in self.hvars.slots]
@@ -105,13 +109,22 @@ class HomSpace:
                 vec[idx] = c
             bvecs.append(vec)
         self._brows, self._bpivs = row_space_rref(fld, bvecs)
-
-        # canonical representatives: cycle-kernel vectors that grow the span,
-        # added one by one to a running RREF of the boundaries
-        rows = [list(r) for r in self._brows]
-        pivs = list(self._bpivs)
-        self._reps = [v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)]
+        # the boundaries lie in the kernel of the chain-condition system
+        self.dim = nvars - len(self._eqs[1]) - len(self._bpivs)
         self._solver = None  # factored by the first `coordinates` call
+
+    @functools.cached_property
+    def cycle_basis(self):
+        """The chain maps X -> Y[k]: the kernel of the chain-condition system."""
+        return rref_kernel_basis(self.X.algebra.field, *self._eqs, self.fvars.dim)
+
+    @functools.cached_property
+    def _reps(self):
+        """Canonical representatives: cycle-kernel vectors that grow the span,
+        added one by one to a running RREF of the boundaries, until `dim`."""
+        fld = self.X.algebra.field
+        rows, pivs = [list(r) for r in self._brows], list(self._bpivs)
+        return list(itertools.islice((v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)), self.dim))
 
     def _unit_image(self, target, slot, shift, negate):
         """Coordinates in `target` of d_Z u +/- u d_X for the unit map u at `slot`.
@@ -159,10 +172,6 @@ class HomSpace:
             if not s.is_zero():
                 out[n] = s
         return out
-
-    @property
-    def dim(self):
-        return len(self._reps)
 
     def basis_maps(self):
         """Canonical representing chain maps X -> Y[k].

@@ -120,16 +120,18 @@ def solve(mat, b):
 
 def kernel_basis(mat):
     """Basis of the null space, in canonical (free-column) order."""
-    fld = mat.field
-    red, piv = _rref_rows(fld, mat.data)
+    return rref_kernel_basis(mat.field, *_rref_rows(mat.field, mat.data), mat.cols)
+
+
+def rref_kernel_basis(field, red, piv, ncols):
+    """`kernel_basis` of a matrix with `ncols` columns, read off its RREF (red, piv)."""
     piv_set = set(piv)
-    free = [c for c in range(mat.cols) if c not in piv_set]
     basis = []
-    for fc in free:
-        v = [fld.zero] * mat.cols
-        v[fc] = fld.one
+    for fc in (c for c in range(ncols) if c not in piv_set):
+        v = [field.zero] * ncols
+        v[fc] = field.one
         for i, col in enumerate(piv):
-            v[col] = fld.neg(red[i][fc])
+            v[col] = field.neg(red[i][fc])
         basis.append(v)
     return basis
 
@@ -175,12 +177,12 @@ def extend_rref(field, rref_rows, pivots, vec):
         return False
     inv = fld.inv(v[col])
     v = [fld.zero] * col + [fld.mul(x, inv) for x in v[col:]]
+    nz = [c for c in range(col, len(v)) if not fld.is_zero(v[c])]
     for row in rref_rows:
         f = row[col]
         if not fld.is_zero(f):
-            for c in range(col, len(v)):
-                if not fld.is_zero(v[c]):
-                    row[c] = fld.sub(row[c], fld.mul(f, v[c]))
+            for c in nz:
+                row[c] = fld.sub(row[c], fld.mul(f, v[c]))
     at = bisect.bisect(pivots, col)
     rref_rows.insert(at, v)
     pivots.insert(at, col)

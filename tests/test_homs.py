@@ -6,12 +6,15 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, direct_sum, shift
 from siltglue.linalg import Matrix, solve
+from siltglue import homs
+from siltglue.approx import add_shift_preenvelope
 from siltglue.homs import (
     HomSpace,
     hom_dim,
     hom_dim_table,
     hom_window,
     is_nonpositive,
+    s_search,
     s_sup,
 )
 
@@ -302,3 +305,71 @@ def test_cached_coordinates_match_solve(field):
                     hs.coordinates(f)
                 raised += 1
                 break
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_dim_is_the_number_of_representatives(field):
+    """dim, read off two ranks, counts the representatives and matches the oracle."""
+    rng = seeded_rng(709)
+    cases = []
+    for _ in range(3):
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        complexes = [random_complex(alg, rng, steps=3, shift_range=1) for _ in range(3)]
+        stalks = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
+        for X in complexes + stalks[:2]:
+            for Y in complexes + stalks[:2]:
+                lo, hi = hom_window(X, Y)
+                cases += [(X, Y, k) for k in range(lo - 1, hi + 2)]
+    seen = {"no f": 0, "no h": 0, "both": 0}
+    for X, Y, k in cases:
+        hs = HomSpace(X, Y, k)
+        assert hs.dim == len(hs.basis_maps()) == oracle_hom_dim(X, Y, k)
+        if not hs.fvars.dim:
+            seen["no f"] += bool(hs.hvars.dim)  # only homotopies: the boundaries have zero width
+        elif not hs.hvars.dim:
+            seen["no h"] += bool(hs.dim)
+        else:
+            seen["both"] += bool(hs.dim)
+    assert all(seen.values()), seen
+
+
+def test_measuring_builds_no_representatives(ka3, monkeypatch):
+    """hom_dim and hom_dim_table read two ranks; no representative is chosen."""
+    calls = []
+    orig = homs.extend_rref
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(homs, "extend_rref", counting)
+    X = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    Y = direct_sum(ka3["P"]["3"], ka3["I2"])
+    table = hom_dim_table(X, Y)
+    assert any(table.values())
+    assert [hom_dim(X, Y, k) for k in table] == list(table.values())
+    assert not calls
+    assert len(HomSpace(X, Y, max(table, key=table.get)).basis_maps()) == max(table.values())
+    assert calls  # the counter sees the representatives once they are read
+
+
+def test_s_search_builds_representatives_only_where_read(ka3, monkeypatch):
+    """The s-search measures; only the spaces at s handed to the preenvelope build representatives."""
+    built = []
+    orig = HomSpace.__init__
+
+    def recording(self, *args):
+        orig(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(HomSpace, "__init__", recording)
+    P = ka3["P"]
+    M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    T = [shift(P["3"], 1), P["1"], shift(P["2"], 2), ka3["S2"]]
+    s, spaces = s_search(M, T)
+    scanned = list(built)
+    assert s == 1 and len(scanned) > len(spaces)
+    assert not any("_reps" in vars(hs) for hs in scanned)
+    pre = add_shift_preenvelope(M, T, s, spaces)
+    assert [id(hs) for hs in scanned if "_reps" in vars(hs)] == [id(hs) for hs in spaces.values()]
+    assert [hs.dim for hs in pre.spaces] == [len(reps) for reps in pre.reps]

@@ -4,15 +4,18 @@ Neither pyflakes nor ruff ships with the project, so these `ast` scans are
 the lint: a name bound by an import must be read somewhere in the module, or
 be listed in `__all__`; no import statement sits inside a function body; and
 every module-level `_private` function or class is referenced somewhere in
-the library outside its own definition.
+the library outside its own definition.  One more check guards the
+benchmark's traced run: every method its tracer wraps must exist.
 """
 
 import ast
+import importlib.util
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "siltglue")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "siltglue")
 MODULES = sorted(
     os.path.relpath(os.path.join(d, f), SRC)
     for d, _dirs, files in os.walk(SRC)
@@ -120,3 +123,19 @@ def test_no_unreferenced_private_helpers():
         with open(os.path.join(SRC, module)) as fh:
             sources[module] = fh.read()
     assert unreferenced_helpers(sources) == []
+
+
+def test_traced_methods_exist():
+    """Every (class, method) that `siltbench/tracing.py` wraps exists.
+
+    `Tracer.install` looks each one up with `getattr`, so a renamed method
+    would crash only the traced benchmark run.  The module is loaded from
+    its file and nothing is installed.
+    """
+    spec = importlib.util.spec_from_file_location("siltbench_tracing", os.path.join(ROOT, "siltbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{cls.__name__}.{name}" for cls, names in tracing.METHODS for name in names if not callable(getattr(cls, name, None))
+    ]
+    assert tracing.METHODS and not missing

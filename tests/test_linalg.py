@@ -122,3 +122,58 @@ def test_extend_rref_matches_full_reduction(seed):
             before = row_space_rref(field, vectors[:i])
             assert extend_rref(field, rows, pivs, v) == (not in_row_space(field, *before, v))
             assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
+
+
+def sparse_rows(rng, value):
+    """0-8 rows of 1-12 columns; at most 30% of the entries are `value()`, the rest 0."""
+    rows, cols = rng.randint(0, 8), rng.randint(1, 12)
+    cells = rng.sample(range(rows * cols), rng.randint(0, rows * cols * 3 // 10))
+    m = [[0] * cols for _ in range(rows)]
+    for cell in cells:
+        m[cell // cols][cell % cols] = value()
+    return cols, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sparse_kernel_agrees_qq(seed):
+    """On mostly-zero rows the Q kernel still gives sympy's RREF."""
+    rng = random.Random(seed)
+    cols, m = sparse_rows(rng, lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4)))
+    m = [[Fraction(x) for x in r] for r in m]
+    red, piv = rref_qq([list(r) for r in m])
+    ref, ref_piv = sympy.Matrix(len(m), cols, [sympy.Rational(x.numerator, x.denominator) for r in m for x in r]).rref()
+    assert piv == list(ref_piv)
+    assert red == [[Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(ref_piv))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 5, 2147483647]))
+def test_sparse_kernel_agrees_fp(seed, p):
+    """On mostly-zero rows the F_p kernel gives sympy's GF(p) RREF."""
+    rng = random.Random(seed)
+    cols, m = sparse_rows(rng, lambda: rng.randrange(1, p))
+    red, piv = rref_fp([list(r) for r in m], p)
+    K = sympy.GF(p)
+    ref, ref_piv = DomainMatrix([[K(x) for x in r] for r in m], (len(m), cols), K).rref()
+    assert piv == list(ref_piv)
+    assert red == [[int(x) % p for x in r] for r in ref.to_list()[: len(ref_piv)]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sparse_extend_rref_matches_full_reduction(seed):
+    """Growing an RREF by mostly-zero vectors, and testing membership, agree with a full reduction."""
+    rng = random.Random(seed)
+    for field in (QQ, PrimeField(5), PrimeField(2147483647)):
+        cols, m = sparse_rows(rng, lambda: field.of(rng.choice([-3, -2, -1, 1, 2, 3])))
+        vectors = [[field.of(x) for x in r] for r in m]
+        if len(vectors) > 1:  # a sparse combination of two earlier vectors
+            a, b = rng.sample(vectors, 2)
+            vectors.append([field.sub(x, y) for x, y in zip(a, b)])
+        rows, pivs = [], []
+        for i, v in enumerate(vectors):
+            before = row_space_rref(field, vectors[:i])
+            assert extend_rref(field, rows, pivs, v) == (not in_row_space(field, *before, v))
+            assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
+            assert in_row_space(field, rows, pivs, v)
