@@ -32,8 +32,8 @@ from .complexes import (
     opposite_map,
 )
 from .decompose import DecomposeError, decompose
-from .homs import HomSpace, hom_dim, hom_window, s_search
-from .linalg import in_row_space, row_space_rref
+from .homs import HomSpace, nonzero_homs, s_search
+from .linalg import row_space_rref
 from .quiver import build_algebra
 
 
@@ -100,30 +100,6 @@ def add_shift_preenvelope(M, T_list, s, spaces=None):
     reps = [hs.basis_maps() for hs in spaces]
     copies = [(ti, ri) for ti, rs in enumerate(reps) for ri in range(len(rs))]
     return Preenvelope(_stack(M, [r for rs in reps for r in rs]), list(T_list), s, copies, spaces, reps)
-
-
-def certify_preenvelope(f, T_list, s):
-    """Does every map M -> T_i[s] factor through f up to homotopy?
-
-    Checked on the assembled map: Hom(F, T_i[s]) is built for the target F
-    of f and composed with f.
-    """
-    M, F = f.source, f.target
-    for T in T_list:
-        hsM = HomSpace(M, T, s)
-        if hsM.dim == 0:
-            continue
-        hsF = HomSpace(F, T, s)
-        span = []
-        for g in hsF.basis_maps():
-            span.append(hsM.coordinates(g.compose(f)))
-        fld = M.algebra.field
-        rows, pivs = row_space_rref(fld, span)
-        for i in range(hsM.dim):
-            e = [fld.one if j == i else fld.zero for j in range(hsM.dim)]
-            if not in_row_space(fld, rows, pivs, e):
-                return False
-    return True
 
 
 def _is_preenvelope(fld, dims, copy_rows):
@@ -271,47 +247,45 @@ def _envelope(M, T_list, seed):
     return f, U, Vm.complex, Vm.pull(tri.u), trace
 
 
-def susp_envelope(M, T_list, certify=True, seed=0):
+def _check_orthogonal(pairs, what):
+    """Raise ApproxError unless Hom(X_i, Y_i[k]) = 0 for all (X_i, Y_i) in `pairs`, k >= 0.
+
+    Checked exactly over each support window; the error lists the
+    (i, k, dim) of every non-zero Hom.
+    """
+    bad = [(i, k, hs.dim) for i, (X, Y) in enumerate(pairs) for k, hs in nonzero_homs(X, Y, 0)]
+    if bad:
+        raise ApproxError(f"{what} not orthogonal: {bad}")
+
+
+def susp_envelope(M, T_list, seed=0):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
     The statistic s = s_sup(M, T) strictly decreases through the recursion;
     the construction follows the iterated homotopy-pushout scheme.  The
     reported s is that of the outermost layer: splitting T into its
     indecomposable summands does not change s_sup.  The maps f and v_map
-    are checked to be chain maps.  When `certify` is set the orthogonality
-    Hom(V, T_i[k]) = 0 for all k >= 0 is checked exactly over the support
-    window.  `seed` drives the splitting of T into indecomposable summands.
+    are checked to be chain maps, and the orthogonality Hom(V, T_i[k]) = 0
+    for all k >= 0 is certified.  `seed` drives the splitting of T into
+    indecomposable summands.
     """
     f, U, V, v_map, trace = _envelope(M, T_list, seed)
     f.check_chain_condition()
     v_map.check_chain_condition()
-    certs = {}
-    if certify:
-        bad = []
-        for i, T in enumerate(T_list):
-            _, whi = hom_window(V, T)
-            for k in range(0, whi + 1):
-                d = hom_dim(V, T, k)
-                if d:
-                    bad.append((i, k, d))
-        certs["cocone_orthogonal"] = not bad
-        certs["orthogonality_failures"] = bad
-        certs["layers"] = trace
-        if bad:
-            raise ApproxError(f"envelope cocone not orthogonal: {bad}")
+    _check_orthogonal([(V, T) for T in T_list], "envelope cocone")
+    certs = {"cocone_orthogonal": True, "orthogonality_failures": [], "layers": trace}
     return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, certs)
 
 
-def cosusp_precover(M, T_list, certify=True, seed=0):
+def cosusp_precover(M, T_list, seed=0):
     """Precover triangle V -> M -> U with V in cosusp(T), U right-orthogonal.
 
     The susp envelope of op(M) by op(T) over the opposite algebra, read
     back over A: the duality reverses the triangle, so its V is op of the
     envelope's U and its U is op of the envelope's V, and each layer
     shift s becomes -s.  `s` is sup{k >= 0 : Hom(T_i, M[k]) != 0}.  The
-    maps u_map and v_map are checked to be chain maps once, over A.  When
-    `certify` is set, Hom(T_i, U[k]) = 0 for all k >= 0 is checked exactly
-    over A itself, over the support window.
+    maps u_map and v_map are checked to be chain maps once, over A, and
+    Hom(T_i, U[k]) = 0 for all k >= 0 is certified over A itself.
     """
     A = M.algebra
     Aop = build_algebra(A.quiver.opposite(), A.field)
@@ -325,18 +299,6 @@ def cosusp_precover(M, T_list, certify=True, seed=0):
     u_map.check_chain_condition()
     v_map.check_chain_condition()
     trace = [(-s, tags) for s, tags in op_trace]
-    certs = {}
-    if certify:
-        bad = []
-        for i, T in enumerate(T_list):
-            _, whi = hom_window(T, U)
-            for k in range(0, whi + 1):
-                d = hom_dim(T, U, k)
-                if d:
-                    bad.append((i, k, d))
-        certs["cone_orthogonal"] = not bad
-        certs["orthogonality_failures"] = bad
-        certs["layers"] = trace
-        if bad:
-            raise ApproxError(f"precover cone not orthogonal: {bad}")
+    _check_orthogonal([(T, U) for T in T_list], "precover cone")
+    certs = {"cone_orthogonal": True, "orthogonality_failures": [], "layers": trace}
     return EnvelopeResult(M, U, V, u_map, v_map, op_trace[0][0] if op_trace else None, trace, certs)

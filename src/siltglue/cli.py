@@ -190,7 +190,7 @@ def envelope(m_file, t_files, seed):
         "s": env.s,
         "trace": [[s, list(tags)] for s, tags in env.trace],
         "certificates": {
-            "cocone_orthogonal": env.certificates.get("cocone_orthogonal", True)
+            "cocone_orthogonal": env.certificates["cocone_orthogonal"]
         },
     }
     _emit(

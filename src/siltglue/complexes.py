@@ -328,10 +328,6 @@ class ProjComplex:
     def stalk(cls, algebra, vertex, degree=0):
         return cls(algebra, {degree: (vertex,)}, {})
 
-    @classmethod
-    def free(cls, algebra, vertices, degree=0):
-        return cls(algebra, {degree: tuple(vertices)}, {})
-
     def is_zero(self):
         return not self.components
 

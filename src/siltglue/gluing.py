@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
-from .homs import HomSpace, hom_dim, hom_window, is_nonpositive
+from .homs import HomSpace, hom_window, is_nonpositive, nonzero_homs
 from .approx import susp_envelope
 from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, isomorphism_class, summand_order
@@ -272,22 +272,14 @@ def check_star_condition(cert):
     failures = []
     for ti, tilde in enumerate(cert.tildes):
         for ci, jt in enumerate(cert.jT):
-            _, whi = hom_window(tilde, jt)
-            for k in range(1, whi + 1):
-                d = hom_dim(tilde, jt, k)
-                if d:
-                    failures.append({"tilde": ti, "jT": ci, "shift": k, "dim": d})
+            for k, hs in nonzero_homs(tilde, jt, 1):
+                failures.append({"tilde": ti, "jT": ci, "shift": k, "dim": hs.dim})
     return {"ok": layer_ok and not failures, "trace_ok": layer_ok, "failures": failures}
 
 
 def _perp_positive(Z, objs):
     """Is Hom(Z, O[k]) = 0 for all O in objs and all k > 0 (window-checked)?"""
-    for O in objs:
-        _, whi = hom_window(Z, O)
-        for k in range(1, whi + 1):
-            if hom_dim(Z, O, k) > 0:
-                return False
-    return True
+    return not any(next(nonzero_homs(Z, O, 1), None) for O in objs)
 
 
 def check_co_aisle_agreement(cert, probes):

@@ -271,6 +271,19 @@ def hom_spaces(X, Y, lo=None, hi=None):
     return {k: HomSpace(X, Y, k) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
 
 
+def nonzero_homs(X, Y, lo):
+    """Lazily, upwards: (k, HomSpace(X, Y, k)) for each k >= lo with Hom(X, Y[k]) != 0.
+
+    Only the shifts inside the support window are built, so a caller that
+    stops at the first yield builds no space past it.
+    """
+    wlo, whi = hom_window(X, Y)
+    for k in range(max(lo, wlo), whi + 1):
+        hs = HomSpace(X, Y, k)
+        if hs.dim:
+            yield k, hs
+
+
 def hom_dim_table(X, Y, lo=None, hi=None):
     """Dimensions of Hom(X, Y[k]) over a shift window (default: full support)."""
     return {k: 0 if hs is None else hs.dim for k, hs in hom_spaces(X, Y, lo, hi).items()}
@@ -309,9 +322,6 @@ def is_nonpositive(complexes):
     """
     for i, Ti in enumerate(complexes):
         for j, Tj in enumerate(complexes):
-            _, whi = hom_window(Ti, Tj)
-            for k in range(1, whi + 1):
-                hs = HomSpace(Ti, Tj, k)
-                if hs.dim > 0:
-                    return False, (i, j, k, hs.basis_maps()[0])
+            for k, hs in nonzero_homs(Ti, Tj, 1):
+                return False, (i, j, k, hs.basis_maps()[0])
     return True, None

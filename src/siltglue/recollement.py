@@ -2,8 +2,9 @@
 
 For a subset S of vertices with no arrow from S into its complement, the
 quotient B = A/AeA and the corner C = eAe are again path algebras (on the
-full subquivers), and the derived functors j_!, i_*, i^* act on complexes of
-projectives by explicit relabeling, resolution replacement, and truncation.
+full subquivers).  j_! and i^* re-read differential entries in another
+algebra (`_over`); i_* replaces each quotient projective by its two-term
+resolution, read off one first-entry factorization table, `factor`.
 """
 
 from .quiver import Path, build_algebra
@@ -17,9 +18,14 @@ class RecollementError(ValueError):
 class IdempotentRecollement:
     """Validated idempotent recollement data for a vertex subset S.
 
-    `resolutions[v]`, for v outside S, lists the paths from v into S with all
-    interior vertices outside S; left multiplication by them gives the exact
-    two-term resolution 0 -> (+)_p P_{t(p)} -> P_v of the B-projective P_v.
+    `factor[q]`, for each path q from a complement vertex that touches S, is
+    (head, tail): head is the first-entry path of q (every interior vertex
+    outside S, target in S) and q = head * tail.  Both are A's own basis
+    paths.  The table is built once, and it is the only place that factors
+    paths.  `resolutions[v]`, for v outside S, lists in basis order the
+    heads with trivial tail from v; left multiplication by them gives the
+    exact two-term resolution 0 -> (+)_p P_{t(p)} -> P_v of the
+    B-projective P_v.
     """
 
     def __init__(self, A, S):
@@ -43,13 +49,18 @@ class IdempotentRecollement:
         self.complement = tuple(comp)
         self.C = build_algebra(A.quiver.full_subquiver(self.S), A.field)
         self.B = build_algebra(A.quiver.full_subquiver(comp), A.field)
+        self.factor = {}
+        for q in A.basis:
+            if q.source not in sset:
+                fac = _first_entry_factor(A, sset, q)
+                if fac is not None:
+                    self.factor[q] = fac
         self.resolutions = {}
         for v in comp:
-            factors = [(p, _first_entry_factor(self, p)) for p in A.basis if p.source == v]
-            firsts = [p for p, fac in factors if fac is not None and fac[1].is_trivial()]
+            firsts = [q for q, (_head, tail) in self.factor.items() if q.source == v and tail.is_trivial()]
             # exactness by dimension count: every path from v touching S
             # factors uniquely as (first-entry path) * (tail)
-            touched = sum(1 for _p, fac in factors if fac is not None)
+            touched = sum(1 for q in self.factor if q.source == v)
             span = sum(
                 sum(1 for q in A.basis if q.source == p.target) for p in firsts
             )
@@ -67,25 +78,29 @@ def idempotent_recollement(A, S):
     return IdempotentRecollement(A, S)
 
 
-def _transport_element(x, target_algebra):
-    """Move an element to an algebra sharing the arrow names of its paths."""
-    terms = {}
-    for p, c in x.terms.items():
-        if p.is_trivial():
-            q = target_algebra.trivial_path(p.source)
-        else:
-            q = target_algebra.path_of_arrows(p.arrows)
-        terms[q] = c
-    return target_algebra.element(terms)
+def _first_entry_factor(A, sset, path):
+    """Factor an A-path touching the vertex set `sset` as (first-entry path, tail)."""
+    cur = path.source
+    for i, name in enumerate(path.arrows):
+        cur = A.quiver.arrow_by_name[name].target
+        if cur in sset:
+            head = Path(path.source, cur, path.arrows[: i + 1])
+            tail = Path(cur, path.target, path.arrows[i + 1 :])
+            return A._interned(head), A._interned(tail)
+    return None
 
 
-def _transport_complex(X, target_algebra):
-    comps = dict(X.components)
-    diffs = {}
-    for n, d in X.differentials.items():
-        ents = [[_transport_element(x, target_algebra) for x in row] for row in d.entries]
-        diffs[n] = PathMatrix(target_algebra, d.row_vertices, d.col_vertices, ents)
-    return ProjComplex(target_algebra, comps, diffs)
+def _over(m, algebra):
+    """The path matrix `m` read in `algebra`, which contains all its paths.
+
+    Each path becomes the target algebra's own basis object, as in
+    `complexes._op_matrix`, so dict lookups on it match by identity.
+    """
+    ents = [
+        [algebra.element({algebra._interned(p): c for p, c in x.terms.items()}) for x in row]
+        for row in m.entries
+    ]
+    return PathMatrix(algebra, m.row_vertices, m.col_vertices, ents)
 
 
 def j_lower_shriek(rec, X):
@@ -99,121 +114,68 @@ def j_lower_shriek(rec, X):
         for v in vs:
             if v not in rec.S:
                 raise RecollementError(f"vertex {v} outside S")
-    return _transport_complex(X, rec.A)
-
-
-def _first_entry_factor(rec, path):
-    """Factor an A-path touching S as (first-entry path, tail in A)."""
-    A = rec.A
-    sset = set(rec.S)
-    cur = path.source
-    for i, name in enumerate(path.arrows):
-        cur = A.quiver.arrow_by_name[name].target
-        if cur in sset:
-            head = Path(path.source, cur, path.arrows[: i + 1])
-            tail = Path(cur, path.target, path.arrows[i + 1 :])
-            return head, tail
-    return None
+    return ProjComplex(rec.A, X.components, {n: _over(d, rec.A) for n, d in X.differentials.items()})
 
 
 def i_star(rec, Y):
     """Derived restriction i_* on a complex of B-projectives.
 
-    Each P_v is replaced by its two-term resolution; the differentials lift
-    to the syzygy level by the unique first-entry factorization q*p = p'*r,
-    and the total complex is assembled (syzygy-to-syzygy maps carry a minus
-    sign so that d^2 = 0) and minimized.
+    Degree m of the total complex is P(Y^m) followed by the syzygy slots
+    (j, p) of Y^{m+1}, one per summand j and first-entry path p of its
+    resolution.  Each differential is [[d_Y, res], [0, -lift]]: the
+    resolution block holds p at row j, and the syzygy lift has -c * tail
+    at row (i, head) for each term c * q of d_Y^{m+1}[i][j], where
+    (head, tail) = factor[q * p].  The total complex is minimized.
     """
     if Y.algebra != rec.B:
         raise RecollementError("expected a complex over the quotient algebra")
     A = rec.A
+    if Y.is_zero():
+        return ProjComplex.zero(A)
+    fld, factor = A.field, rec.factor
+    dY = {n: _over(d, A) for n, d in Y.differentials.items()}
 
-    def syz_vertices(vs):
-        out = []
-        for v in vs:
-            out.extend(p.target for p in rec.resolutions[v])
-        return tuple(out)
-
-    def syz_slots(vs):
-        out = []
-        for j, v in enumerate(vs):
-            for p in rec.resolutions[v]:
-                out.append((j, p))
-        return out
+    def slots(n):
+        return [(j, p) for j, v in enumerate(Y.component(n)) for p in rec.resolutions[v]]
 
     comps = {}
-    degs = sorted(Y.components)
-    if not degs:
-        return ProjComplex.zero(A)
-    for m in range(min(degs) - 1, max(degs) + 1):
-        vs = tuple(Y.component(m)) + syz_vertices(Y.component(m + 1))
-        # order: degree-0 parts (P_v for v in Y^m) first, then syzygies of Y^{m+1}
+    for m in range(Y.lo - 1, Y.hi + 1):
+        vs = Y.component(m) + tuple(p.target for _j, p in slots(m + 1))
         if vs:
             comps[m] = vs
-
-    def lift_syzygy(dmat, src_vs, tgt_vs):
-        """Syzygy-level lift of a differential matrix of B-paths."""
-        src = syz_slots(src_vs)
-        tgt = syz_slots(tgt_vs)
-        ents = [[A.zero_element() for _ in src] for _ in tgt]
-        for si, (j, p) in enumerate(src):
-            for ti, (i, pp) in enumerate(tgt):
-                q = dmat.entries[i][j]  # B-elem, paths from tgt vertex to src vertex
-                acc = A.zero_element()
-                for qp, c in q.terms.items():
-                    qa = _transport_element(rec.B.path_element(qp), A).terms
-                    (qpa, _coef), = qa.items()
-                    total = A.compose_paths(qpa, p)
-                    fact = _first_entry_factor(rec, total)
-                    assert fact is not None
-                    head, tail = fact
-                    if head == pp:
-                        acc = acc + A.path_element(tail, c)
-                ents[ti][si] = acc
-        return PathMatrix(A, [pp.target for _, pp in tgt], [p.target for _, p in src], ents)
-
+    z = A.zero_element()
     diffs = {}
     for m in comps:
         if m + 1 not in comps:
             continue
-        Ym = tuple(Y.component(m))
-        Ym1 = tuple(Y.component(m + 1))
-        Ym2 = tuple(Y.component(m + 2))
-        dm = Y.differential(m)
-        dm1 = Y.differential(m + 1)
-        dA = PathMatrix(
-            A,
-            Ym1,
-            Ym,
-            [[_transport_element(x, A) for x in row] for row in dm.entries],
-        )
-        # block rows: [P(Y^{m+1}); Syz(Y^{m+2})], cols: [P(Y^m) | Syz(Y^{m+1})]
-        res_block = PathMatrix.zero(A, Ym1, syz_vertices(Ym1))
-        col = 0
-        for j, v in enumerate(Ym1):
-            for p in rec.resolutions[v]:
-                res_block.entries[j][col] = A.path_element(p)
-                col += 1
-        top = PathMatrix.hstack(dA, res_block)
-        syzlift = lift_syzygy(dm1, Ym1, Ym2)
-        bot = PathMatrix.hstack(
-            PathMatrix.zero(A, syz_vertices(Ym2), Ym), -syzlift
-        )
-        diffs[m] = PathMatrix.vstack(top, bot)
-    tot = ProjComplex(A, comps, diffs)
-    return minimize(tot).complex
+        Ym, Ym1 = Y.component(m), Y.component(m + 1)
+        src, tgt = slots(m + 1), slots(m + 2)
+        top = dY[m].entries if m in dY else [[z] * len(Ym) for _ in Ym1]
+        ents = [
+            list(top[i]) + [A.path_element(p) if j == i else z for j, p in src]
+            for i in range(len(Ym1))
+        ]
+        row_of = {slot: r for r, slot in enumerate(tgt)}
+        lift = [[{} for _ in src] for _ in tgt]
+        for col, (j, p) in enumerate(src):
+            for i, row in enumerate(dY[m + 1].entries if m + 1 in dY else ()):
+                for q, c in row[j].terms.items():
+                    head, tail = factor[A.compose_paths(q, p)]
+                    lift[row_of[i, head]][col][tail] = fld.neg(c)
+        ents += [[z] * len(Ym) + [A.element(t) for t in row] for row in lift]
+        diffs[m] = PathMatrix(A, comps[m + 1], comps[m], ents)
+    return minimize(ProjComplex(A, comps, diffs)).complex
 
 
 def i_upper_star(rec, Z):
     """Quotient functor: delete P_v summands with v in S, keep the rest.
 
     Paths between complement vertices never touch S (arrows cannot re-exit),
-    so the surviving differential entries transport to B verbatim.
+    so the surviving differential entries are read in B verbatim.
     """
     if Z.algebra != rec.A:
         raise RecollementError("expected a complex over the ambient algebra")
     sset = set(rec.S)
-    B = rec.B
     comps = {}
     keep = {}
     for n, vs in Z.components.items():
@@ -225,12 +187,9 @@ def i_upper_star(rec, Z):
     for n, d in Z.differentials.items():
         rows = keep.get(n + 1, [])
         cols = keep.get(n, [])
-        if not rows or not cols:
-            continue
-        sub = d.submatrix(rows, cols)
-        ents = [[_transport_element(x, B) for x in row] for row in sub.entries]
-        diffs[n] = PathMatrix(B, sub.row_vertices, sub.col_vertices, ents)
+        if rows and cols:
+            diffs[n] = _over(d.submatrix(rows, cols), rec.B)
     try:
-        return ProjComplex(B, comps, diffs)
+        return ProjComplex(rec.B, comps, diffs)
     except ComplexError as exc:  # pragma: no cover - guarded by condition (a)
         raise RecollementError(f"quotient differential inconsistent: {exc}")

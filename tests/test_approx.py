@@ -19,14 +19,13 @@ from siltglue.homs import HomSpace, hom_dim, hom_window, is_nonpositive, s_sup
 from siltglue.approx import (
     _stack,
     add_shift_preenvelope,
-    certify_preenvelope,
     cosusp_precover,
     indecomposable_refinement,
     left_minimize,
     susp_envelope,
 )
 from siltglue.decompose import is_isomorphic
-from verifiers import check_left_minimality, factors_through, weakly_preenveloping_check
+from verifiers import certify_preenvelope, check_left_minimality, factors_through, weakly_preenveloping_check
 
 
 def test_preenvelope_anchor_h(ka3):

@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import random_complex, seeded_rng
+from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import ka3_algebra, linear_an, star_quiver
-from siltglue.complexes import direct_sum, minimize, shift
-from siltglue.homs import hom_dim_table
+from siltglue.complexes import ProjComplex, cone, direct_sum, minimize, shift
+from siltglue.homs import HomSpace, hom_dim_table
 from siltglue.recollement import (
     RecollementError,
     i_star,
@@ -144,3 +145,99 @@ def test_i_star_random_d_squared_and_minimality():
             for row in d.entries:
                 for x in row:
                     assert A.field.is_zero(x.trivial_coefficient())
+
+
+def _table_cases(field=QQ):
+    star = star_quiver(3, field)
+    return [
+        (ka3_algebra(field), ["3"]),
+        (linear_an(5, field), ["4", "5"]),
+        (linear_an(6, field), ["5", "6"]),
+        (star, [v for v in star.quiver.vertices if v != "c"]),
+    ]
+
+
+def _vertices_after_source(A, p):
+    return [A.quiver.arrow_by_name[a].target for a in p.arrows]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_factor_table_is_the_first_entry_factorization(case):
+    A, S = _table_cases()[case]
+    rec = idempotent_recollement(A, S)
+    sset = set(S)
+    touching = [
+        p for p in A.basis
+        if p.source not in sset and any(w in sset for w in _vertices_after_source(A, p))
+    ]
+    assert list(rec.factor) == touching
+    for p, (head, tail) in rec.factor.items():
+        walk = _vertices_after_source(A, head)
+        assert walk and walk[-1] in sset and not any(w in sset for w in walk[:-1])
+        assert A.compose_paths(head, tail) == p
+        assert A.basis[A.basis_index[head]] is head
+        assert A.basis[A.basis_index[tail]] is tail
+    for v in rec.complement:
+        assert rec.resolutions[v] == [p for p in touching if p.source == v and rec.factor[p][0] == p]
+
+
+def _first_entry_targets(A, sset, v):
+    """Targets of the paths from v that end at their first vertex in S, by search."""
+    out, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        for a in A.quiver.arrows:
+            if a.source == u:
+                (out if a.target in sset else stack).append(a.target)
+    return out
+
+
+def _k0(X):
+    cls = {}
+    for n, vs in X.components.items():
+        for v in vs:
+            cls[v] = cls.get(v, 0) + (-1) ** n
+    return {v: c for v, c in cls.items() if c}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_i_star_k0_class_is_the_resolution_sum(field):
+    rng = seeded_rng(36)
+    for A, S in _table_cases(field):
+        rec = idempotent_recollement(A, S)
+        sset = set(S)
+        for _ in range(6):
+            Y = random_complex(rec.B, rng, steps=2, max_width=4)
+            want = {}
+            for n, vs in Y.components.items():
+                for v in vs:
+                    sign = (-1) ** n
+                    want[v] = want.get(v, 0) + sign
+                    for t in _first_entry_targets(A, sset, v):
+                        want[t] = want.get(t, 0) - sign
+            assert _k0(i_star(rec, Y)) == {v: c for v, c in want.items() if c}
+
+
+def test_i_star_reads_the_factor_table(monkeypatch):
+    import siltglue.recollement as recollement
+
+    calls = []
+    original = recollement._first_entry_factor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(recollement, "_first_entry_factor", counted)
+    A, S = _table_cases()[2]
+    rec = idempotent_recollement(A, S)
+    assert calls  # the table is built from it, once
+    calls.clear()
+    stalks = [ProjComplex.stalk(rec.B, v) for v in rec.complement]
+    for X in stalks:
+        for Z in stalks:
+            for f in HomSpace(X, Z, 0).basis_maps():
+                Y = cone(f).Z  # a non-zero differential, lifted to the syzygies
+                assert not Y.differential(-1).is_zero()
+                i_star(rec, Y)
+    assert not calls

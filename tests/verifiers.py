@@ -4,7 +4,7 @@ They recompute a claim from Hom spaces built afresh and never feed back
 into the library.  The benchmark's oracle lives apart, in `oracle.py`.
 """
 
-from siltglue.approx import add_shift_preenvelope, certify_preenvelope, left_minimize
+from siltglue.approx import add_shift_preenvelope, left_minimize
 from siltglue.complexes import ChainMap, PathMatrix, cone, minimize, shift
 from siltglue.homs import HomSpace, s_sup
 from siltglue.linalg import Matrix, in_row_space, kernel_basis, row_space_rref, solve
@@ -75,6 +75,30 @@ def factors_through(f, t):
         span.append(hsMW.coordinates(w.compose(f)))
     rows, pivs = row_space_rref(fld, span)
     return in_row_space(fld, rows, pivs, tvec)
+
+
+def certify_preenvelope(f, T_list, s):
+    """Does every map M -> T_i[s] factor through f up to homotopy?
+
+    Checked on the assembled map: Hom(F, T_i[s]) is built for the target F
+    of f and composed with f.
+    """
+    M, F = f.source, f.target
+    for T in T_list:
+        hsM = HomSpace(M, T, s)
+        if hsM.dim == 0:
+            continue
+        hsF = HomSpace(F, T, s)
+        span = []
+        for g in hsF.basis_maps():
+            span.append(hsM.coordinates(g.compose(f)))
+        fld = M.algebra.field
+        rows, pivs = row_space_rref(fld, span)
+        for i in range(hsM.dim):
+            e = [fld.one if j == i else fld.zero for j in range(hsM.dim)]
+            if not in_row_space(fld, rows, pivs, e):
+                return False
+    return True
 
 
 def weakly_preenveloping_check(T_list, probes):
