@@ -10,10 +10,11 @@ moves components one degree to the left and flips the sign of d; the cone of
 f: X -> Y has components X^{n+1} (+) Y^n with differential
 [[-d_X, 0], [f, d_Y]].
 
-`ProjComplex` checks d^2 = 0 unless told not to.  `ChainMap` checks only
-shapes: the maps built here and in the rest of the library are chain maps
-by construction, and the chain condition is checked once, where a map is
-claimed.  That is on loading (`serialize.chain_map_from_json`), on the
+Constructors check shapes only.  Entries, vertices and d^2 = 0 are checked
+where a complex enters: `make_complex` (used on loading and by the fixtures)
+and `i_star`, whose d^2 = 0 rests on a table.  The chain condition is
+checked once, where a map is claimed: on loading
+(`serialize.chain_map_from_json`, after `PathMatrix.check_entries`), on the
 reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
 of `glue` and `check-silting`.
@@ -45,21 +46,23 @@ class PathMatrix:
         for row in entries:
             if len(row) != len(col_vertices):
                 raise ComplexError("column count mismatch")
-        for i, row in enumerate(entries):
-            for j, x in enumerate(row):
-                if not isinstance(x, AlgebraElement) or (x.algebra is not algebra and x.algebra != algebra):
-                    raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
-                if x.terms:
-                    p = next(iter(x.terms))  # all terms share source and target
-                    if p.source != row_vertices[i] or p.target != col_vertices[j]:
-                        raise ComplexError(
-                            f"entry ({i},{j}) lies outside "
-                            f"e_{row_vertices[i]} A e_{col_vertices[j]}"
-                        )
         self.algebra = algebra
         self.row_vertices = row_vertices
         self.col_vertices = col_vertices
         self.entries = [list(row) for row in entries]
+
+    def check_entries(self):
+        """Raise ComplexError unless every term of entry (i, j) is a basis path in e_{w_i} A e_{v_j}."""
+        alg = self.algebra
+        for i, (w, row) in enumerate(zip(self.row_vertices, self.entries)):
+            for j, (v, x) in enumerate(zip(self.col_vertices, row)):
+                if not isinstance(x, AlgebraElement) or (x.algebra is not alg and x.algebra != alg):
+                    raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
+                for p in x.terms:
+                    if p not in alg.basis_index:
+                        raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
+                    if p.source != w or p.target != v:
+                        raise ComplexError(f"entry ({i},{j}) lies outside e_{w} A e_{v}")
 
     @classmethod
     def zero(cls, algebra, row_vertices, col_vertices):
@@ -277,11 +280,11 @@ class PathMatrix:
 
 
 class ProjComplex:
-    """Bounded complex of projectives with d of degree +1 and d^2 = 0."""
+    """Bounded complex of projectives with d of degree +1 and d^2 = 0, as `check` verifies."""
 
     __slots__ = ("algebra", "components", "differentials")
 
-    def __init__(self, algebra, components, differentials, check=True):
+    def __init__(self, algebra, components, differentials):
         comps = {int(n): tuple(vs) for n, vs in components.items() if len(tuple(vs)) > 0}
         diffs = {}
         for n, d in differentials.items():
@@ -299,26 +302,25 @@ class ProjComplex:
         for n in comps:
             if n + 1 in comps and n not in diffs:
                 diffs[n] = PathMatrix.zero(algebra, comps[n + 1], comps[n])
-        if check:
-            for v in {v for vs in comps.values() for v in vs}:
-                if v not in algebra.quiver.vertex_index:
-                    raise QuiverError(f"unknown vertex {v!r}")
-            for n, d in diffs.items():
-                if n + 1 in diffs:
-                    dd = diffs[n + 1].compose(d)
-                    if not dd.is_zero():
-                        bad = next(
-                            (i, j)
-                            for i in range(dd.rows)
-                            for j in range(dd.cols)
-                            if not dd.entries[i][j].is_zero()
-                        )
-                        raise ComplexError(
-                            f"d^2 != 0 at degree {n}, entry {bad}: {dd.entries[bad[0]][bad[1]]!r}"
-                        )
         self.algebra = algebra
         self.components = comps
         self.differentials = diffs
+
+    def check(self):
+        """Raise unless every entry lies in its e_w A e_v, every vertex is known and d^2 = 0."""
+        diffs = self.differentials
+        for d in diffs.values():
+            d.check_entries()
+        for n in sorted(self.components):
+            for v in self.components[n]:
+                if v not in self.algebra.quiver.vertex_index:
+                    raise QuiverError(f"unknown vertex {v!r}")
+        for n, d in diffs.items():
+            if n + 1 in diffs:
+                for i, row in enumerate(diffs[n + 1].compose(d).entries):
+                    for j, x in enumerate(row):
+                        if not x.is_zero():
+                            raise ComplexError(f"d^2 != 0 at degree {n}, entry {(i, j)}: {x!r}")
 
     @classmethod
     def zero(cls, algebra):
@@ -481,8 +483,10 @@ class Triangle:
 
 
 def make_complex(algebra, components, differentials):
-    """Validated constructor; reports the first failing degree on d^2 != 0."""
-    return ProjComplex(algebra, components, differentials)
+    """The validated constructor, for complexes whose entries come from outside (`ProjComplex.check`)."""
+    X = ProjComplex(algebra, components, differentials)
+    X.check()
+    return X
 
 
 def shift(X, k):
@@ -494,7 +498,7 @@ def shift(X, k):
     diffs = {}
     for n, d in X.differentials.items():
         diffs[n - k] = d if sign > 0 else -d
-    return ProjComplex(X.algebra, comps, diffs, check=False)
+    return ProjComplex(X.algebra, comps, diffs)
 
 
 def shift_map(f, k):
@@ -515,7 +519,7 @@ def direct_sum(X, Y):
     for n in comps:
         if n + 1 in comps:
             diffs[n] = PathMatrix.block_diag(alg, X.differential(n), Y.differential(n))
-    return ProjComplex(alg, comps, diffs, check=False)
+    return ProjComplex(alg, comps, diffs)
 
 
 def direct_sum_many(algebra, complexes):
@@ -544,7 +548,7 @@ def cone(f):
         )
         bot = PathMatrix.hstack(f.component(n + 1), Y.differential(n))
         diffs[n] = PathMatrix.vstack(top, bot)
-    C = ProjComplex(alg, comps, diffs, check=False)
+    C = ProjComplex(alg, comps, diffs)
     incl = {}
     for n, vs in Y.components.items():
         zero = PathMatrix.zero(alg, X.component(n + 1), vs)
@@ -715,7 +719,7 @@ def _cancel(X, n, rows, cols):
         diffs[n - 1] = diffs[n - 1].submatrix(keep_src, range(diffs[n - 1].cols))
     if n + 1 in diffs:
         diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
-    Y = ProjComplex(alg, comps, diffs, check=False)
+    Y = ProjComplex(alg, comps, diffs)
     return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
 
 
@@ -737,15 +741,20 @@ def transform(X, change):
     diffs = {}
     for n, d in X.differentials.items():
         diffs[n] = V(n + 1).compose(d).compose(Vinv(n))
-    return ProjComplex(alg, dict(X.components), diffs, check=False)
+    return ProjComplex(alg, dict(X.components), diffs)
 
 
 def subcomplex_on_indices(X, index_map):
     """Subquotient on chosen summand indices when d is block-diagonal for them.
 
     `index_map` maps degree -> sorted list of summand indices to keep.  The
-    caller guarantees that the differential does not mix kept and dropped
-    indices; this is validated by the d^2/shape checks on construction.
+    caller guarantees that the kept indices span a summand, a subcomplex or
+    a quotient complex; nothing here checks it.  `decompose` asserts
+    V g = D V in `_split_by_idempotent`, so the conjugated differential is
+    block-diagonal for its indices.  `glue_shortcut` relies on no arrow
+    leaving S: an entry from a complement summand to an S summand would be a
+    path from S to the complement, so the complement summands span a
+    subcomplex and the S summands its quotient.
     """
     alg = X.algebra
     comps = {}

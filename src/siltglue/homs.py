@@ -153,26 +153,6 @@ class HomSpace:
                     out[idx] = fld.add(out.get(idx, fld.zero), fld.neg(c) if negate else c)
         return out
 
-    def _boundary(self, hcomps):
-        """d_Z o h + h o d_X, a chain map for any degreewise h of degree -1."""
-        X, Z = self.X, self.Z
-        out = {}
-        for n in set(X.components) | {m - 1 for m in hcomps}:
-            hn = hcomps.get(n)
-            hn1 = hcomps.get(n + 1)
-            a = Z.differential(n - 1).compose(hn) if hn is not None else None
-            b = hn1.compose(X.differential(n)) if hn1 is not None else None
-            if a is None and b is None:
-                continue
-            if a is None:
-                a = PathMatrix.zero(X.algebra, b.row_vertices, b.col_vertices)
-            if b is None:
-                b = PathMatrix.zero(X.algebra, a.row_vertices, a.col_vertices)
-            s = a + b
-            if not s.is_zero():
-                out[n] = s
-        return out
-
     def basis_maps(self):
         """Canonical representing chain maps X -> Y[k].
 

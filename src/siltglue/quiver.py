@@ -236,25 +236,19 @@ class AlgebraElement:
     """Scalar-linear combination of paths sharing one (source, target) pair.
 
     Zero coefficients are never stored; the zero element has no terms and no
-    source/target constraint.
+    source/target constraint.  The constructor only drops zeros: that every
+    term is a basis path with the expected endpoints is checked where
+    entries come from outside, by `PathMatrix.check_entries`.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
-        fld = algebra.field
+        is_zero = algebra.field.is_zero
         clean = {}
-        st = None
         for p, c in terms.items():
-            if fld.is_zero(c):
-                continue
-            if p not in algebra.basis_index:
-                raise QuiverError(f"{p!r} is not a basis path of the algebra")
-            if st is None:
-                st = (p.source, p.target)
-            elif (p.source, p.target) != st:
-                raise QuiverError("terms do not share source and target")
-            clean[p] = c
+            if not is_zero(c):
+                clean[p] = c
         self.algebra = algebra
         self.terms = clean
 
@@ -279,6 +273,10 @@ class AlgebraElement:
     def __add__(self, other):
         if other.algebra != self.algebra:
             raise QuiverError("different algebras")
+        if self.terms and other.terms:
+            p, q = next(iter(self.terms)), next(iter(other.terms))
+            if p.source != q.source or p.target != q.target:
+                raise QuiverError("terms do not share source and target")
         fld = self.algebra.field
         out = dict(self.terms)
         for p, c in other.terms.items():

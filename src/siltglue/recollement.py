@@ -8,7 +8,7 @@ resolution, read off one first-entry factorization table, `factor`.
 """
 
 from .quiver import Path, build_algebra
-from .complexes import ComplexError, PathMatrix, ProjComplex, minimize
+from .complexes import PathMatrix, ProjComplex, minimize
 
 
 class RecollementError(ValueError):
@@ -125,7 +125,8 @@ def i_star(rec, Y):
     resolution.  Each differential is [[d_Y, res], [0, -lift]]: the
     resolution block holds p at row j, and the syzygy lift has -c * tail
     at row (i, head) for each term c * q of d_Y^{m+1}[i][j], where
-    (head, tail) = factor[q * p].  The total complex is minimized.
+    (head, tail) = factor[q * p].  The total complex is checked, since
+    d^2 = 0 rests on the factor table, and then minimized.
     """
     if Y.algebra != rec.B:
         raise RecollementError("expected a complex over the quotient algebra")
@@ -164,7 +165,9 @@ def i_star(rec, Y):
                     lift[row_of[i, head]][col][tail] = fld.neg(c)
         ents += [[z] * len(Ym) + [A.element(t) for t in row] for row in lift]
         diffs[m] = PathMatrix(A, comps[m + 1], comps[m], ents)
-    return minimize(ProjComplex(A, comps, diffs)).complex
+    total = ProjComplex(A, comps, diffs)
+    total.check()
+    return minimize(total).complex
 
 
 def i_upper_star(rec, Z):
@@ -189,7 +192,4 @@ def i_upper_star(rec, Z):
         cols = keep.get(n, [])
         if rows and cols:
             diffs[n] = _over(d.submatrix(rows, cols), rec.B)
-    try:
-        return ProjComplex(rec.B, comps, diffs)
-    except ComplexError as exc:  # pragma: no cover - guarded by condition (a)
-        raise RecollementError(f"quotient differential inconsistent: {exc}")
+    return ProjComplex(rec.B, comps, diffs)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .fields import QQ, field_from_tag
 from .quiver import Quiver, build_algebra
-from .complexes import ChainMap, PathMatrix, ProjComplex
+from .complexes import ChainMap, PathMatrix, make_complex
 
 
 class SerializeError(ValueError):
@@ -25,6 +25,13 @@ def _check_version(data, what):
     v = data.get("v", 1)
     if v != 1:
         raise SerializeError(f"{what}: unsupported schema version {v!r}")
+
+
+def _degree(key, what):
+    try:
+        return int(key)
+    except ValueError:
+        raise SerializeError(f"{what}: bad degree key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +161,10 @@ def complex_from_json(data, algebra=None, base_dir=None):
             raise SerializeError("complex: no algebra given and no 'algebra' reference")
         path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
         algebra = load_algebra(path)
-    comps = {}
-    for key, vs in data.get("components", {}).items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise SerializeError(f"complex: bad degree key {key!r}")
-        comps[n] = tuple(vs)
+    comps = {_degree(key, "complex"): tuple(vs) for key, vs in data.get("components", {}).items()}
     diffs = {}
     for key, rows in data.get("differentials", {}).items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise SerializeError(f"complex: bad degree key {key!r}")
+        n = _degree(key, "complex")
         tgt = comps.get(n + 1, ())
         src = comps.get(n, ())
         if len(rows) != len(tgt):
@@ -177,7 +175,7 @@ def complex_from_json(data, algebra=None, base_dir=None):
                 raise SerializeError(f"complex: differential {n} row length mismatch")
             ents.append([_element_in(algebra, x) for x in row])
         diffs[n] = PathMatrix(algebra, tgt, src, ents)
-    return ProjComplex(algebra, comps, diffs)
+    return make_complex(algebra, comps, diffs)
 
 
 def save_complex(X, path, algebra_ref=None):
@@ -210,15 +208,19 @@ def chain_map_to_json(f):
 
 
 def chain_map_from_json(data, algebra):
-    """Load a chain map; raises ComplexError unless d f = f d holds."""
+    """Load a chain map; raises ComplexError unless each entry lies in its e_w A e_v and d f = f d."""
     _check_version(data, "chain map")
+    for key in ("source", "target"):
+        if key not in data:
+            raise SerializeError(f"chain map: missing key {key!r}")
     src = complex_from_json(data["source"], algebra=algebra)
     tgt = complex_from_json(data["target"], algebra=algebra)
     comps = {}
     for key, rows in data.get("components", {}).items():
-        n = int(key)
+        n = _degree(key, "chain map")
         ents = [[_element_in(algebra, x) for x in row] for row in rows]
         comps[n] = PathMatrix(algebra, tgt.component(n), src.component(n), ents)
+        comps[n].check_entries()
     f = ChainMap(src, tgt, comps)
     f.check_chain_condition()
     return f

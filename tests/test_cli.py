@@ -79,6 +79,18 @@ def test_hom_boolean_coefficient_exits_2(fx, tmp_path):
     assert "bad coefficient True" in res.stderr
 
 
+def test_hom_entry_outside_its_hom_space_exits_2(fx, tmp_path):
+    with open(fx["i2"]) as fh:
+        data = json.load(fh)
+    data["algebra"] = fx["algebra"]
+    data["differentials"]["-1"][0][0] = [[["b"], 1]]  # b runs 2 -> 3, not 1 -> 3
+    path = tmp_path / "i2_outside.json"
+    path.write_text(json.dumps(data))
+    res = run("hom", str(path), fx["p3"])
+    assert res.exit_code == 2
+    assert "lies outside e_1 A e_3" in res.stderr
+
+
 def test_hom_anchor(fx):
     res = run("hom", fx["i2"], fx["p3"])
     assert res.exit_code == 0

@@ -44,7 +44,7 @@ def test_entry_hom_space_validated(ka3):
     A = ka3["A"]
     a = A.path_element(A.path_of_arrows(["a"]))
     with pytest.raises(ComplexError, match="lies outside"):
-        PathMatrix(A, ("2",), ("3",), [[a]])
+        make_complex(A, {0: ("3",), 1: ("2",)}, {0: PathMatrix(A, ("2",), ("3",), [[a]])})
 
 
 def test_shift_sign_and_involution(ka3):

@@ -3,9 +3,10 @@
 Neither pyflakes nor ruff ships with the project, so these `ast` scans are
 the lint: a name bound by an import must be read somewhere in the module, or
 be listed in `__all__`; no import statement sits inside a function body; and
-every module-level `_private` function or class is referenced somewhere in
-the library outside its own definition.  One more check guards the
-benchmark's traced run: every method its tracer wraps must exist.
+every module-level `_private` function or class, and every `_private` method
+of a module-level class, is referenced somewhere in the library outside its
+own definition.  One more check guards the benchmark's traced run: every
+method its tracer wraps must exist.
 """
 
 import ast
@@ -52,12 +53,14 @@ def function_imports(source):
 
 
 def unreferenced_helpers(sources):
-    """(module, line, name) of each module-level `_private` function or class never used.
+    """(module, line, name) of each `_private` helper never used.
 
-    `sources` maps module names to source text.  A use is a name read, an
-    attribute or an imported name anywhere in `sources` that does not lie
-    inside the helper's own definition, so a helper that only calls itself
-    counts as unused.
+    A helper is a module-level function or class, named as it is, or a
+    method of a module-level class, named `Class._method`.  `sources` maps
+    module names to source text.  A use is a name read, an attribute or an
+    imported name anywhere in `sources` that does not lie inside the
+    helper's own definition, so a helper that only calls itself counts as
+    unused.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     uses = {}
@@ -72,16 +75,23 @@ def unreferenced_helpers(sources):
             else:
                 continue
             uses.setdefault(name, []).append(id(node))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        helpers = [(node, node.name) for node in tree.body if isinstance(node, defs)]
+        helpers += [
+            (meth, f"{cls.name}.{meth.name}")
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for meth in cls.body
+            if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node, label in helpers:
             if not node.name.startswith("_") or node.name.startswith("__"):
                 continue
             own = {id(n) for n in ast.walk(node)}
             if all(use in own for use in uses.get(node.name, ())):
-                found.append((module, node.lineno, node.name))
+                found.append((module, node.lineno, label))
     return sorted(found)
 
 
@@ -112,8 +122,14 @@ def test_scan_finds_an_unreferenced_helper():
     sources = {
         "a": "def _used():\n    pass\n\ndef _unused():\n    pass\n\ndef _self_only(n):\n    return _self_only(n - 1)\n",
         "b": "from a import _used\n\nclass _Dead:\n    pass\n\ndef public():\n    return a._used\n",
+        "c": "class C:\n    def _dead(self):\n        return self._dead()\n\n    def _live(self):\n        pass\n\n    def __init__(self):\n        self._live()\n",
     }
-    assert unreferenced_helpers(sources) == [("a", 4, "_unused"), ("a", 7, "_self_only"), ("b", 3, "_Dead")]
+    assert unreferenced_helpers(sources) == [
+        ("a", 4, "_unused"),
+        ("a", 7, "_self_only"),
+        ("b", 3, "_Dead"),
+        ("c", 2, "C._dead"),
+    ]
     assert unreferenced_helpers({"c": "def _h():\n    pass\n\nx = [_h]\n"}) == []
 
 

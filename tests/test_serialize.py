@@ -4,8 +4,9 @@ import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
 from siltglue.fields import QQ, PrimeField
-from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, ComplexError, shift
+from siltglue.quiver import QuiverError, build_algebra
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, direct_sum, shift
+from siltglue.approx import cosusp_precover, susp_envelope
 from siltglue.homs import HomSpace
 from siltglue.serialize import (
     SerializeError,
@@ -141,3 +142,93 @@ def test_json_output_is_canonical(ka3):
     a = json.dumps(complex_to_json(ka3["I2"]), sort_keys=True)
     b = json.dumps(complex_to_json(ka3["I2"]), sort_keys=True)
     assert a == b
+
+
+# Loaded entries, vertices and d^2 are checked once, when the file is read;
+# the library builds everything else unchecked.
+
+
+def _i2_with_entry(ka3, terms):
+    """The JSON of I2 (P_3 -> P_1, entry a*b) with its one entry replaced by `terms`."""
+    data = complex_to_json(ka3["I2"])
+    data["differentials"]["-1"][0][0] = terms
+    return data
+
+
+def test_loaded_entry_outside_its_hom_space_is_refused(ka3):
+    # b runs 2 -> 3, but the entry must lie in e_1 A e_3
+    with pytest.raises(ComplexError, match="entry \\(0,0\\) lies outside e_1 A e_3"):
+        complex_from_json(_i2_with_entry(ka3, [[["b"], 1]]), algebra=ka3["A"])
+
+
+def test_loaded_entry_with_mixed_endpoints_is_refused(ka3):
+    with pytest.raises(ComplexError, match="lies outside e_1 A e_3"):
+        complex_from_json(_i2_with_entry(ka3, [[["a", "b"], 1], [["b"], 1]]), algebra=ka3["A"])
+
+
+def test_loaded_unknown_vertex_is_refused(ka3):
+    with pytest.raises(QuiverError, match="unknown vertex '9'"):
+        complex_from_json({"v": 1, "components": {"0": ["9"]}}, algebra=ka3["A"])
+
+
+def test_loaded_complex_with_nonzero_d_squared_is_refused(ka3):
+    data = {
+        "v": 1,
+        "components": {"-2": ["3"], "-1": ["2"], "0": ["1"]},
+        "differentials": {"-2": [[[[["b"], 1]]]], "-1": [[[[["a"], 1]]]]},
+    }
+    with pytest.raises(ComplexError, match="d\\^2 != 0 at degree -2"):
+        complex_from_json(data, algebra=ka3["A"])
+
+
+def test_loaded_chain_map_entry_outside_its_hom_space_is_refused(ka3):
+    # P_1 -> P_2 in degree 0: the entry must lie in e_2 A e_1 = 0, and no
+    # differential is there for the chain condition to catch a, which runs 1 -> 2
+    data = chain_map_to_json(ChainMap.zero(ka3["P"]["1"], ka3["P"]["2"]))
+    data["components"]["0"] = [[[[["a"], 1]]]]
+    with pytest.raises(ComplexError, match="entry \\(0,0\\) lies outside e_2 A e_1"):
+        chain_map_from_json(data, ka3["A"])
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_chain_map_missing_complex_is_refused(ka3, key):
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    del data[key]
+    with pytest.raises(SerializeError, match=f"chain map: missing key '{key}'"):
+        chain_map_from_json(data, ka3["A"])
+
+
+def test_chain_map_bad_degree_key_is_refused(ka3):
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    data["components"]["zero"] = data["components"].pop("0")
+    with pytest.raises(SerializeError, match="chain map: bad degree key 'zero'"):
+        chain_map_from_json(data, ka3["A"])
+
+
+def _count_checks(monkeypatch):
+    """Count the calls of ProjComplex.check and PathMatrix.check_entries from now on."""
+    calls = {"check": 0, "check_entries": 0}
+    for cls, name in ((ProjComplex, "check"), (PathMatrix, "check_entries")):
+        orig = getattr(cls, name)
+
+        def counting(self, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_checks_run_on_loading_and_not_inside_approximations(ka3, tmp_path, monkeypatch):
+    M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    T = [shift(ka3["P"]["3"], 1)]
+    N = direct_sum(ka3["P"]["1"], shift(ka3["P"]["2"], -1))
+    calls = _count_checks(monkeypatch)
+    susp_envelope(M, T)
+    susp_envelope(ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]])
+    cosusp_precover(N, T)
+    assert calls == {"check": 0, "check_entries": 0}
+    path = tmp_path / "m.json"
+    save_complex(M, str(path))
+    assert load_complex(str(path), algebra=ka3["A"]) == M
+    assert calls["check"] == 1 and calls["check_entries"] >= 1

@@ -1,4 +1,4 @@
-"""Verifiers that only the tests use: triangle closure, factorization, minimality.
+"""Verifiers that only the tests use: triangle closure, boundaries, factorization, minimality.
 
 They recompute a claim from Hom spaces built afresh and never feed back
 into the library.  The benchmark's oracle lives apart, in `oracle.py`.
@@ -24,6 +24,27 @@ def cone_projection(f):
         )
         comps[n] = proj
     return ChainMap(tri.Z, X1, comps)
+
+
+def boundary(hs, hcomps):
+    """d_Z o h + h o d_X for a degreewise h: X -> Z of degree -1, where Z = Y[k] of `hs`."""
+    X, Z = hs.X, hs.Z
+    out = {}
+    for n in set(X.components) | {m - 1 for m in hcomps}:
+        hn = hcomps.get(n)
+        hn1 = hcomps.get(n + 1)
+        a = Z.differential(n - 1).compose(hn) if hn is not None else None
+        b = hn1.compose(X.differential(n)) if hn1 is not None else None
+        if a is None and b is None:
+            continue
+        if a is None:
+            a = PathMatrix.zero(X.algebra, b.row_vertices, b.col_vertices)
+        if b is None:
+            b = PathMatrix.zero(X.algebra, a.row_vertices, a.col_vertices)
+        s = a + b
+        if not s.is_zero():
+            out[n] = s
+    return out
 
 
 def check_left_minimality(pre):
