@@ -83,8 +83,12 @@ def _stack(M, reps):
         degrees.update(r.components)
     comps = {}
     for n in degrees:
-        rows = [row for r in reps for row in r.component(n).entries]
-        comps[n] = PathMatrix(alg, F.component(n), M.component(n), rows)
+        cells, top = {}, 0
+        for r in reps:
+            m = r.component(n)
+            cells.update(((top + i, j), t) for (i, j), t in m.cells.items())
+            top += m.rows
+        comps[n] = PathMatrix._of(alg, F.component(n), M.component(n), cells)
     return ChainMap(M, F, comps)
 
 

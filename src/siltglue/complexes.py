@@ -10,10 +10,17 @@ moves components one degree to the left and flips the sign of d; the cone of
 f: X -> Y has components X^{n+1} (+) Y^n with differential
 [[-d_X, 0], [f, d_Y]].
 
-Constructors check shapes only.  Entries, vertices and d^2 = 0 are checked
-where a complex enters: `make_complex` (used on loading and by the fixtures)
-and `i_star`, whose d^2 = 0 rests on a table.  The chain condition is
-checked once, where a map is claimed: on loading
+A `PathMatrix` stores only its non-zero entries, as cells
+{(i, j): {path: coefficient}}, and every operation touches only those.  Its
+constructor and `entries` are the dense boundary for data from outside; the
+library builds matrices from cells, and never mutates a cell once built,
+since matrices share them.
+
+Constructors check shapes only (the dense `PathMatrix` constructor also that
+each entry is an element of the algebra).  Entries, vertices and d^2 = 0 are
+checked where a complex enters: `make_complex` (used on loading and by the
+fixtures) and `i_star`, whose d^2 = 0 rests on a table.  The chain condition
+is checked once, where a map is claimed: on loading
 (`serialize.chain_map_from_json`, after `PathMatrix.check_entries`), on the
 reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
@@ -34,54 +41,65 @@ class PathMatrix:
     Rows are indexed by the target summands w_i, columns by the source
     summands v_j; the (i, j) entry lies in e_{w_i} A e_{v_j}, i.e. its paths
     run from w_i to v_j, and it acts by left multiplication.
+
+    Only the non-zero entries are stored: `cells` maps (i, j) to the terms
+    {path: coefficient} of the entry, and no cell is empty or holds a zero
+    coefficient.  Every operation touches the cells alone.  A cell is never
+    mutated once built, since matrices share cells.  The constructor and
+    `entries` are the dense boundary, rows of `AlgebraElement`s, for data
+    from outside; the library builds matrices from cells (`_of`).
     """
 
-    __slots__ = ("algebra", "row_vertices", "col_vertices", "entries")
+    __slots__ = ("algebra", "row_vertices", "col_vertices", "cells")
 
     def __init__(self, algebra, row_vertices, col_vertices, entries):
-        row_vertices = tuple(row_vertices)
-        col_vertices = tuple(col_vertices)
-        if len(entries) != len(row_vertices):
+        self.algebra, self.row_vertices, self.col_vertices = algebra, tuple(row_vertices), tuple(col_vertices)
+        if len(entries) != self.rows:
             raise ComplexError("row count mismatch")
-        for row in entries:
-            if len(row) != len(col_vertices):
+        self.cells = {}
+        for i, row in enumerate(entries):
+            if len(row) != self.cols:
                 raise ComplexError("column count mismatch")
-        self.algebra = algebra
-        self.row_vertices = row_vertices
-        self.col_vertices = col_vertices
-        self.entries = [list(row) for row in entries]
+            for j, x in enumerate(row):
+                if not isinstance(x, AlgebraElement) or (x.algebra is not algebra and x.algebra != algebra):
+                    raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
+                if x.terms:
+                    self.cells[i, j] = x.terms
+
+    @classmethod
+    def _of(cls, algebra, row_vertices, col_vertices, cells):
+        """The matrix with these cells, between these vertex tuples."""
+        m = object.__new__(cls)
+        m.algebra, m.row_vertices, m.col_vertices, m.cells = algebra, row_vertices, col_vertices, cells
+        return m
+
+    def entry(self, i, j):
+        return AlgebraElement(self.algebra, self.cells.get((i, j), {}))
+
+    @property
+    def entries(self):
+        """The dense rows, built on each read."""
+        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def check_entries(self):
         """Raise ComplexError unless every term of entry (i, j) is a basis path in e_{w_i} A e_{v_j}."""
         alg = self.algebra
-        for i, (w, row) in enumerate(zip(self.row_vertices, self.entries)):
-            for j, (v, x) in enumerate(zip(self.col_vertices, row)):
-                if not isinstance(x, AlgebraElement) or (x.algebra is not alg and x.algebra != alg):
+        for (i, j), terms in sorted(self.cells.items()):
+            w, v = self.row_vertices[i], self.col_vertices[j]
+            for p in terms:
+                if p not in alg.basis_index:
                     raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
-                for p in x.terms:
-                    if p not in alg.basis_index:
-                        raise ComplexError(f"entry ({i},{j}) is not an element of the algebra")
-                    if p.source != w or p.target != v:
-                        raise ComplexError(f"entry ({i},{j}) lies outside e_{w} A e_{v}")
+                if p.source != w or p.target != v:
+                    raise ComplexError(f"entry ({i},{j}) lies outside e_{w} A e_{v}")
 
     @classmethod
     def zero(cls, algebra, row_vertices, col_vertices):
-        z = algebra.zero_element()
-        return cls(
-            algebra,
-            row_vertices,
-            col_vertices,
-            [[z for _ in col_vertices] for _ in row_vertices],
-        )
+        return cls._of(algebra, tuple(row_vertices), tuple(col_vertices), {})
 
     @classmethod
     def identity(cls, algebra, vertices):
-        z = algebra.zero_element()
-        ents = [
-            [algebra.unit_at(v) if i == j else z for j, _ in enumerate(vertices)]
-            for i, v in enumerate(vertices)
-        ]
-        return cls(algebra, vertices, vertices, ents)
+        vs, one = tuple(vertices), algebra.field.one
+        return cls._of(algebra, vs, vs, {(i, i): {algebra.trivial_path(v): one} for i, v in enumerate(vs)})
 
     @property
     def rows(self):
@@ -92,7 +110,14 @@ class PathMatrix:
         return len(self.col_vertices)
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not self.cells
+
+    def lines(self, axis):
+        """The cells by row (axis 0) or by column (axis 1): {line: [(other index, terms)]}."""
+        out = {}
+        for ij, terms in self.cells.items():
+            out.setdefault(ij[axis], []).append((ij[1 - axis], terms))
+        return out
 
     def compose(self, other):
         """self o other (apply `other` first): algebra-matrix product."""
@@ -102,114 +127,103 @@ class PathMatrix:
             raise ComplexError("composition shape mismatch")
         alg = self.algebra
         fld = alg.field
-        add, mul, prod = fld.add, fld.mul, alg.compose_paths
-        right = [[x.terms for x in row] for row in other.entries]
-        out = []
-        for row in self.entries:
-            left = [(k, x.terms) for k, x in enumerate(row) if x.terms]
-            out_row = []
-            for j in range(other.cols):
-                # one coefficient dict per entry; AlgebraElement drops the zeros
-                acc = {}
-                for k, a in left:
-                    b = right[k][j]
-                    for p, cp in a.items():
-                        for q, cq in b.items():
-                            pq = prod(p, q)
-                            if pq is not None:
-                                c = mul(cp, cq)
-                                old = acc.get(pq)
-                                acc[pq] = c if old is None else add(old, c)
-                out_row.append(AlgebraElement(alg, acc))
-            out.append(out_row)
-        return PathMatrix(alg, self.row_vertices, other.col_vertices, out)
+        add, mul, prod, is_zero = fld.add, fld.mul, alg.compose_paths, fld.is_zero
+        right = other.lines(0)
+        sums = {}
+        for (i, k), a in self.cells.items():
+            for j, b in right.get(k, ()):
+                acc = sums.setdefault((i, j), {})
+                for p, cp in a.items():
+                    for q, cq in b.items():
+                        pq = prod(p, q)
+                        if pq is not None:
+                            c = mul(cp, cq)
+                            old = acc.get(pq)
+                            acc[pq] = c if old is None else add(old, c)
+        parts = ((ij, {p: c for p, c in acc.items() if not is_zero(c)}) for ij, acc in sums.items())
+        return PathMatrix._of(alg, self.row_vertices, other.col_vertices, {ij: t for ij, t in parts if t})
 
-    def __add__(self, other):
+    def _merge(self, other, negate):
+        """self + other, or self - other when `negate` is set, in one pass over the cells of `other`."""
         if self.row_vertices != other.row_vertices or self.col_vertices != other.col_vertices:
             raise ComplexError("shape mismatch")
-        ents = [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return PathMatrix(self.algebra, self.row_vertices, self.col_vertices, ents)
+        fld = self.algebra.field
+        op, zero, is_zero = fld.sub if negate else fld.add, fld.zero, fld.is_zero
+        cells = dict(self.cells)
+        for ij, b in other.cells.items():
+            terms = dict(cells.pop(ij, ()))
+            for p, c in b.items():
+                terms[p] = op(terms.get(p, zero), c)
+                if is_zero(terms[p]):
+                    del terms[p]
+            if terms:
+                cells[ij] = terms
+        return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, cells)
 
-    def __neg__(self):
-        ents = [[-x for x in row] for row in self.entries]
-        return PathMatrix(self.algebra, self.row_vertices, self.col_vertices, ents)
+    def __add__(self, other):
+        return self._merge(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, True)
+
+    def __neg__(self):
+        neg = self.algebra.field.neg
+        cells = {ij: {p: neg(c) for p, c in t.items()} for ij, t in self.cells.items()}
+        return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, cells)
 
     def scale(self, scalar):
-        ents = [[x.scale(scalar) for x in row] for row in self.entries]
-        return PathMatrix(self.algebra, self.row_vertices, self.col_vertices, ents)
+        fld = self.algebra.field
+        if fld.is_zero(scalar):
+            return PathMatrix.zero(self.algebra, self.row_vertices, self.col_vertices)
+        cells = {ij: {p: fld.mul(scalar, c) for p, c in t.items()} for ij, t in self.cells.items()}
+        return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, cells)
 
     def submatrix(self, row_idx, col_idx):
-        ents = [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        return PathMatrix(
-            self.algebra,
-            [self.row_vertices[i] for i in row_idx],
-            [self.col_vertices[j] for j in col_idx],
-            ents,
-        )
+        """The rows `row_idx` and columns `col_idx`, each a list of distinct indices, in that order."""
+        rpos = {i: a for a, i in enumerate(row_idx)}
+        cpos = {j: b for b, j in enumerate(col_idx)}
+        cells = {(rpos[i], cpos[j]): t for (i, j), t in self.cells.items() if i in rpos and j in cpos}
+        rv, cv = self.row_vertices, self.col_vertices
+        return PathMatrix._of(self.algebra, tuple(rv[i] for i in row_idx), tuple(cv[j] for j in col_idx), cells)
+
+    @classmethod
+    def _glue(cls, a, b, rv, cv, di, dj):
+        """The matrix with the cells of `a`, and those of `b` moved by (di, dj)."""
+        cells = dict(a.cells)
+        cells.update(((i + di, j + dj), t) for (i, j), t in b.cells.items())
+        return cls._of(a.algebra, rv, cv, cells)
 
     @classmethod
     def block_diag(cls, algebra, a, b):
-        rv = a.row_vertices + b.row_vertices
-        cv = a.col_vertices + b.col_vertices
-        z = algebra.zero_element()
-        ents = []
-        for i in range(a.rows):
-            ents.append(list(a.entries[i]) + [z] * b.cols)
-        for i in range(b.rows):
-            ents.append([z] * a.cols + list(b.entries[i]))
-        return cls(algebra, rv, cv, ents)
+        return cls._glue(a, b, a.row_vertices + b.row_vertices, a.col_vertices + b.col_vertices, a.rows, a.cols)
 
     @classmethod
     def vstack(cls, a, b):
         """Stack maps with the same source: rows of a above rows of b."""
         if a.col_vertices != b.col_vertices:
             raise ComplexError("vstack column mismatch")
-        return cls(
-            a.algebra,
-            a.row_vertices + b.row_vertices,
-            a.col_vertices,
-            a.entries + b.entries,
-        )
+        return cls._glue(a, b, a.row_vertices + b.row_vertices, a.col_vertices, a.rows, 0)
 
     @classmethod
     def hstack(cls, a, b):
         """Join maps with the same target: columns of a before columns of b."""
         if a.row_vertices != b.row_vertices:
             raise ComplexError("hstack row mismatch")
-        ents = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-        return cls(a.algebra, a.row_vertices, a.col_vertices + b.col_vertices, ents)
+        return cls._glue(a, b, a.row_vertices, a.col_vertices + b.col_vertices, 0, a.cols)
 
     def scalar_part(self):
         """Field matrix of trivial-path coefficients (zero off same-vertex slots)."""
-        fld = self.algebra.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                if self.row_vertices[i] == self.col_vertices[j]:
-                    row.append(self.entries[i][j].trivial_coefficient())
-                else:
-                    row.append(fld.zero)
-            out.append(row)
+        out = [[self.algebra.field.zero] * self.cols for _ in range(self.rows)]
+        for (i, j), t in self.cells.items():
+            for p, c in t.items():
+                if not p.arrows:
+                    out[i][j] = c
         return out
 
     def radical_part(self):
         """The matrix with all trivial-path coefficients removed."""
-        alg = self.algebra
-        ents = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                x = self.entries[i][j]
-                row.append(alg.element({p: c for p, c in x.terms.items() if not p.is_trivial()}))
-            ents.append(row)
-        return PathMatrix(alg, self.row_vertices, self.col_vertices, ents)
+        parts = ((ij, {p: c for p, c in t.items() if p.arrows}) for ij, t in self.cells.items())
+        return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, {ij: t for ij, t in parts if t})
 
     def invert(self):
         """Inverse of a matrix whose scalar part is invertible.
@@ -235,34 +249,22 @@ class PathMatrix:
             if piv != list(range(n)):
                 raise ComplexError("scalar part is singular")
             s_inv_field = [[red[i, n + j] for j in range(n)] for i in range(n)]
-        z = alg.zero_element()
-        s_inv = PathMatrix(
-            alg,
-            self.col_vertices,
-            self.row_vertices,
-            [
-                [
-                    alg.unit_at(self.col_vertices[i], s_inv_field[i][j])
-                    if self.col_vertices[i] == self.row_vertices[j] and not fld.is_zero(s_inv_field[i][j])
-                    else z
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        cv, rv = self.col_vertices, self.row_vertices
+        units = ((i, j, c) for i, row in enumerate(s_inv_field) for j, c in enumerate(row) if cv[i] == rv[j])
+        cells = {(i, j): {alg.trivial_path(cv[i]): c} for i, j, c in units if not fld.is_zero(c)}
+        s_inv = PathMatrix._of(alg, cv, rv, cells)
         r = self.radical_part()
         if r.is_zero():
             return s_inv
         term = s_inv.compose(r)  # S^-1 R, nilpotent
         # (S + R)^-1 = (1 + S^-1 R)^-1 S^-1, a finite alternating series
-        acc = PathMatrix.identity(alg, self.col_vertices)
-        power = PathMatrix.identity(alg, self.col_vertices)
+        acc = power = PathMatrix.identity(alg, cv)
         sign = -1
         while True:
             power = power.compose(term)
             if power.is_zero():
                 break
-            acc = acc + (power if sign > 0 else -power)
+            acc = acc + power if sign > 0 else acc - power
             sign = -sign
         return acc.compose(s_inv)
 
@@ -272,7 +274,7 @@ class PathMatrix:
             and self.algebra == other.algebra
             and self.row_vertices == other.row_vertices
             and self.col_vertices == other.col_vertices
-            and self.entries == other.entries
+            and self.cells == other.cells
         )
 
     def __repr__(self):
@@ -317,10 +319,10 @@ class ProjComplex:
                     raise QuiverError(f"unknown vertex {v!r}")
         for n, d in diffs.items():
             if n + 1 in diffs:
-                for i, row in enumerate(diffs[n + 1].compose(d).entries):
-                    for j, x in enumerate(row):
-                        if not x.is_zero():
-                            raise ComplexError(f"d^2 != 0 at degree {n}, entry {(i, j)}: {x!r}")
+                dd = diffs[n + 1].compose(d)
+                if dd.cells:
+                    ij = min(dd.cells)
+                    raise ComplexError(f"d^2 != 0 at degree {n}, entry {ij}: {dd.entry(*ij)!r}")
 
     @classmethod
     def zero(cls, algebra):
@@ -564,13 +566,10 @@ def cocone(f):
     CC = shift(tri.Z, -1)
     alg = X.algebra
     proj = {}
-    for n, vs in CC.components.items():
+    for n in CC.components:
         # CC^n = X^n (+) Y^{n-1}; project onto X^n
-        p = PathMatrix.hstack(
-            PathMatrix.identity(alg, X.component(n)),
-            PathMatrix.zero(alg, X.component(n), Y.component(n - 1)),
-        )
-        proj[n] = p
+        Xn = X.component(n)
+        proj[n] = PathMatrix.hstack(PathMatrix.identity(alg, Xn), PathMatrix.zero(alg, Xn, Y.component(n - 1)))
     u = ChainMap(CC, X, proj)
     return Triangle(CC, X, Y, u, f)
 
@@ -771,19 +770,17 @@ def subcomplex_on_indices(X, index_map):
 
 
 def _op_matrix(m, op_algebra):
-    """Transpose a path matrix and reverse every path, over the opposite algebra.
+    """Transpose a path matrix and reverse every path, over the opposite algebra, in one pass.
 
     Reversed paths are the opposite algebra's own basis objects, so dict
     lookups on them match by identity.
     """
-
-    def op_elem(x):
-        return op_algebra.element(
-            {op_algebra._interned(Path(p.target, p.source, p.arrows[::-1])): c for p, c in x.terms.items()}
-        )
-
-    ents = [[op_elem(m.entries[i][j]) for i in range(m.rows)] for j in range(m.cols)]
-    return PathMatrix(op_algebra, m.col_vertices, m.row_vertices, ents)
+    intern = op_algebra._interned
+    cells = {
+        (j, i): {intern(Path(p.target, p.source, p.arrows[::-1])): c for p, c in t.items()}
+        for (i, j), t in m.cells.items()
+    }
+    return PathMatrix._of(op_algebra, m.col_vertices, m.row_vertices, cells)
 
 
 def opposite_complex(X, op_algebra):

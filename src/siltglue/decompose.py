@@ -34,7 +34,7 @@ from .complexes import (
     transform,
 )
 from .homs import HomSpace
-from .linalg import Matrix, kernel_basis, rank, row_space_rref, in_row_space, solve
+from .linalg import Matrix, kernel_basis, rank, rref_kernel_basis, row_space_rref, solve
 
 
 class DecomposeError(RuntimeError):
@@ -464,42 +464,25 @@ def _split_by_idempotent(X, g):
     for n, vs in X.components.items():
         m = g.component(n)
         sp = m.scalar_part()
-        k = len(vs)
-        U = [[fld.zero] * k for _ in range(k)]
-        image = []
         by_vertex = {}
         for i, v in enumerate(vs):
             by_vertex.setdefault(v, []).append(i)
+        U, image = {}, []
         for v, idx in by_vertex.items():
-            block = Matrix(fld, [[sp[i][j] for j in idx] for i in idx], cols=len(idx))
-            # columns: basis of the image then of the kernel (block idempotent)
-            img = []
-            seen_rows, seen_piv = [], []
-            for j in range(block.cols):
-                col = [block.data[i][j] for i in range(block.rows)]
-                if any(not fld.is_zero(c) for c in col) and not in_row_space(fld, seen_rows, seen_piv, col):
-                    img.append(col)
-                    seen_rows, seen_piv = row_space_rref(fld, seen_rows + [col])
-            ker = kernel_basis(block)
-            cols = img + ker
-            assert len(cols) == len(idx)
+            # columns: basis of the image then of the kernel (block idempotent).
+            # The pivot columns of the block's RREF are those outside the span
+            # of the columns before them; the kernel is read off the same RREF.
+            block = [[sp[i][j] for j in idx] for i in idx]
+            red, piv = row_space_rref(fld, block)
+            cols = [[row[j] for row in block] for j in piv] + rref_kernel_basis(fld, red, piv, len(idx))
+            e = alg.trivial_path(v)
             for ci, col in enumerate(cols):
-                for ri in range(len(idx)):
-                    U[idx[ri]][idx[ci]] = col[ri]
-            image.extend(idx[: len(img)])
-        z = alg.zero_element()
-        u_inv = PathMatrix(
-            alg,
-            vs,
-            vs,
-            [
-                [alg.unit_at(vs[i], U[i][j]) if vs[i] == vs[j] and not fld.is_zero(U[i][j]) else z for j in range(k)]
-                for i in range(k)
-            ],
-        ).invert()
-        D = PathMatrix.zero(alg, vs, vs)
-        for i in image:
-            D.entries[i][i] = alg.unit_at(vs[i])
+                for ri, c in enumerate(col):
+                    if not fld.is_zero(c):
+                        U[idx[ri], idx[ci]] = {e: c}
+            image.extend(idx[: len(piv)])
+        u_inv = PathMatrix._of(alg, vs, vs, U).invert()
+        D = PathMatrix._of(alg, vs, vs, {(i, i): {alg.trivial_path(vs[i]): fld.one} for i in image})
         one = PathMatrix.identity(alg, vs)
         V = D.compose(u_inv).compose(m) + (one - D).compose(u_inv).compose(one - m)
         assert (V.compose(m) - D.compose(V)).is_zero(), "idempotent not strictly diagonal after conjugation"

@@ -205,8 +205,8 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
         while missing and level < depth:
             level += 1
             snapshot = list(objs)
-            for xi, (X, howx) in enumerate(snapshot):
-                for yi, (Y, howy) in enumerate(snapshot):
+            for X, howx in snapshot:
+                for Y, howy in snapshot:
                     wlo, whi = hom_window(X, Y)
                     for k in range(wlo, whi + 1):
                         hs = HomSpace(X, Y, k)

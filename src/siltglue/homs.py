@@ -43,35 +43,28 @@ class _VarSpace:
 
     def to_vector(self, comps):
         """Flatten degreewise matrices {n: PathMatrix} into coordinates."""
-        fld = self.X.algebra.field
-        vec = [fld.zero] * self.dim
+        vec = [self.X.algebra.field.zero] * self.dim
+        index = self.index
         for n, m in comps.items():
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    for p, c in m.entries[i][j].terms.items():
-                        vec[self.index[(n, i, j, p)]] = c
+            for (i, j), terms in m.cells.items():
+                for p, c in terms.items():
+                    vec[index[n, i, j, p]] = c
         return vec
 
     def from_vector(self, vec):
         """Inverse of to_vector; returns {n: PathMatrix}."""
         alg = self.X.algebra
         fld = alg.field
-        acc = {}
+        cells = {}
         for idx, c in enumerate(vec):
             if fld.is_zero(c):
                 continue
             n, i, j, p = self.slots[idx]
-            acc.setdefault(n, {}).setdefault((i, j), {})[p] = c
-        out = {}
-        for n, cells in acc.items():
-            src = self.X.component(n)
-            tgt = self.Z.component(n + self.shift)
-            ents = [
-                [alg.element(cells.get((i, j), {})) for j in range(len(src))]
-                for i in range(len(tgt))
-            ]
-            out[n] = PathMatrix(alg, tgt, src, ents)
-        return out
+            cells.setdefault(n, {}).setdefault((i, j), {})[p] = c
+        return {
+            n: PathMatrix._of(alg, self.Z.component(n + self.shift), self.X.component(n), cs)
+            for n, cs in cells.items()
+        }
 
 
 class HomSpace:
@@ -89,6 +82,9 @@ class HomSpace:
         fld = X.algebra.field
         self.fvars = _VarSpace(X, Z, 0)
         self.hvars = _VarSpace(X, Z, -1)
+        # a unit map meets one column of a d_Z and one row of a d_X
+        self._dz_cols = {n: d.lines(1) for n, d in Z.differentials.items()}
+        self._dx_rows = {n: d.lines(0) for n, d in X.differentials.items()}
 
         # chain condition d_Z f - f d_X = 0, one equation per target coordinate;
         # columns of the equation matrix are the f-variables
@@ -139,18 +135,14 @@ class HomSpace:
         alg = self.X.algebra
         fld, prod, index = alg.field, alg.compose_paths, target.index
         out = {}
-        left = self.Z.differentials.get(n + shift)
-        if left is not None:
-            for r, row in enumerate(left.entries):
-                for s, c in row[i].terms.items():
-                    idx = index[n, r, j, prod(s, p)]
-                    out[idx] = fld.add(out.get(idx, fld.zero), c)
-        right = self.X.differentials.get(n - 1)
-        if right is not None:
-            for col, x in enumerate(right.entries[j]):
-                for t, c in x.terms.items():
-                    idx = index[n - 1, i, col, prod(p, t)]
-                    out[idx] = fld.add(out.get(idx, fld.zero), fld.neg(c) if negate else c)
+        for r, terms in self._dz_cols.get(n + shift, {}).get(i, ()):
+            for s, c in terms.items():
+                idx = index[n, r, j, prod(s, p)]
+                out[idx] = fld.add(out.get(idx, fld.zero), c)
+        for col, terms in self._dx_rows.get(n - 1, {}).get(j, ()):
+            for t, c in terms.items():
+                idx = index[n - 1, i, col, prod(p, t)]
+                out[idx] = fld.add(out.get(idx, fld.zero), fld.neg(c) if negate else c)
         return out
 
     def basis_maps(self):

@@ -63,7 +63,7 @@ class Quiver:
             stack = [(start, iter(out[start]), [])]
             state[start] = 1
             while stack:
-                v, it, trail = stack[-1]
+                v, it, _ = stack[-1]
                 adv = next(it, None)
                 if adv is None:
                     state[v] = 2
@@ -174,6 +174,11 @@ class PathAlgebra:
 
     def path_of_arrows(self, arrow_names):
         """Compose a nonempty arrow-name sequence into a Path."""
+        if not arrow_names:
+            raise QuiverError("empty arrow list; a trivial path is written e:<vertex>")
+        for n in arrow_names:
+            if not isinstance(n, str) or n not in self.quiver.arrow_by_name:
+                raise QuiverError(f"unknown arrow {n!r}")
         arrs = [self.quiver.arrow_by_name[n] for n in arrow_names]
         for x, y in zip(arrs, arrs[1:]):
             if x.target != y.source:

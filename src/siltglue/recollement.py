@@ -96,11 +96,9 @@ def _over(m, algebra):
     Each path becomes the target algebra's own basis object, as in
     `complexes._op_matrix`, so dict lookups on it match by identity.
     """
-    ents = [
-        [algebra.element({algebra._interned(p): c for p, c in x.terms.items()}) for x in row]
-        for row in m.entries
-    ]
-    return PathMatrix(algebra, m.row_vertices, m.col_vertices, ents)
+    intern = algebra._interned
+    cells = {ij: {intern(p): c for p, c in t.items()} for ij, t in m.cells.items()}
+    return PathMatrix._of(algebra, m.row_vertices, m.col_vertices, cells)
 
 
 def j_lower_shriek(rec, X):
@@ -144,27 +142,20 @@ def i_star(rec, Y):
         vs = Y.component(m) + tuple(p.target for _j, p in slots(m + 1))
         if vs:
             comps[m] = vs
-    z = A.zero_element()
     diffs = {}
     for m in comps:
         if m + 1 not in comps:
             continue
-        Ym, Ym1 = Y.component(m), Y.component(m + 1)
-        src, tgt = slots(m + 1), slots(m + 2)
-        top = dY[m].entries if m in dY else [[z] * len(Ym) for _ in Ym1]
-        ents = [
-            list(top[i]) + [A.path_element(p) if j == i else z for j, p in src]
-            for i in range(len(Ym1))
-        ]
-        row_of = {slot: r for r, slot in enumerate(tgt)}
-        lift = [[{} for _ in src] for _ in tgt]
-        for col, (j, p) in enumerate(src):
-            for i, row in enumerate(dY[m + 1].entries if m + 1 in dY else ()):
-                for q, c in row[j].terms.items():
+        row_of = {slot: r for r, slot in enumerate(slots(m + 2), len(Y.component(m + 1)))}
+        d_cols = dY[m + 1].lines(1) if m + 1 in dY else {}
+        cells = dict(dY[m].cells) if m in dY else {}
+        for col, (j, p) in enumerate(slots(m + 1), len(Y.component(m))):
+            cells[j, col] = {p: fld.one}
+            for i, terms in d_cols.get(j, ()):
+                for q, c in terms.items():
                     head, tail = factor[A.compose_paths(q, p)]
-                    lift[row_of[i, head]][col][tail] = fld.neg(c)
-        ents += [[z] * len(Ym) + [A.element(t) for t in row] for row in lift]
-        diffs[m] = PathMatrix(A, comps[m + 1], comps[m], ents)
+                    cells.setdefault((row_of[i, head], col), {})[tail] = fld.neg(c)
+        diffs[m] = PathMatrix._of(A, comps[m + 1], comps[m], cells)
     total = ProjComplex(A, comps, diffs)
     total.check()
     return minimize(total).complex

@@ -91,6 +91,31 @@ def test_hom_entry_outside_its_hom_space_exits_2(fx, tmp_path):
     assert "lies outside e_1 A e_3" in res.stderr
 
 
+def _i2_with_pathspec(fx, tmp_path, spec):
+    """The I2 fixture file with the pathspec of its one differential term replaced."""
+    with open(fx["i2"]) as fh:
+        data = json.load(fh)
+    data["algebra"] = fx["algebra"]
+    data["differentials"]["-1"][0][0][0][0] = spec
+    path = tmp_path / "i2_pathspec.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_hom_unknown_arrow_exits_2(fx, tmp_path):
+    res = run("hom", _i2_with_pathspec(fx, tmp_path, ["zz"]), fx["p3"])
+    assert res.exit_code == 2
+    assert "input error: unknown arrow 'zz'" in res.stderr
+    assert isinstance(res.exception, SystemExit)  # no uncaught error
+
+
+def test_hom_empty_arrow_list_exits_2(fx, tmp_path):
+    res = run("hom", _i2_with_pathspec(fx, tmp_path, []), fx["p3"])
+    assert res.exit_code == 2
+    assert "input error: empty arrow list" in res.stderr
+    assert isinstance(res.exception, SystemExit)  # no uncaught error
+
+
 def test_hom_anchor(fx):
     res = run("hom", fx["i2"], fx["p3"])
     assert res.exit_code == 0

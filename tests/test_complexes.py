@@ -5,7 +5,7 @@ from oracle import _rank
 from siltglue.fields import QQ, PrimeField
 from siltglue.linalg import Matrix
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
-from siltglue.quiver import build_algebra
+from siltglue.quiver import Path, build_algebra
 from siltglue.complexes import (
     ChainMap,
     ComplexError,
@@ -45,6 +45,20 @@ def test_entry_hom_space_validated(ka3):
     a = A.path_element(A.path_of_arrows(["a"]))
     with pytest.raises(ComplexError, match="lies outside"):
         make_complex(A, {0: ("3",), 1: ("2",)}, {0: PathMatrix(A, ("2",), ("3",), [[a]])})
+
+
+def test_entry_not_an_algebra_element_is_named(ka3):
+    A = ka3["A"]
+    b = A.path_element(A.path_of_arrows(["b"]))
+    with pytest.raises(ComplexError, match=r"entry \(1,0\) is not an element of the algebra"):
+        PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], ["b"]])
+    F5 = ka3_algebra(PrimeField(5))
+    with pytest.raises(ComplexError, match=r"entry \(1,0\) is not an element of the algebra"):
+        PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], [F5.path_element(F5.path_of_arrows(["b"]))]])
+    stray = A.element({Path("2", "3", ("zz",)): A.field.one})
+    with pytest.raises(ComplexError, match=r"entry \(1,0\) is not an element of the algebra"):
+        PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], [stray]]).check_entries()
+    PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], [b]]).check_entries()
 
 
 def test_shift_sign_and_involution(ka3):
@@ -410,3 +424,52 @@ def test_compose_cancels_to_zero(field):
     assert prod == _naive_compose(left, right)
     assert prod.is_zero()
     assert prod.entries[0][0].terms == {}
+
+
+def _assert_sparse(m):
+    """No empty cell and no zero coefficient; `is_zero` agrees with a dense scan of `entries`."""
+    fld = m.algebra.field
+    for (i, j), terms in m.cells.items():
+        assert 0 <= i < m.rows and 0 <= j < m.cols
+        assert terms and not any(fld.is_zero(c) for c in terms.values())
+    assert m.is_zero() == all(x.is_zero() for row in m.entries for x in row)
+
+
+def _produced_matrices(field):
+    """Matrices from every operation that builds one, over random complexes and maps."""
+    rng = seeded_rng(47)
+    for _ in range(6):
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3)
+        Y = random_complex(alg, rng, steps=3)
+        hs = HomSpace(X, Y, rng.randint(-1, 1))
+        f = ChainMap.zero(X, hs.Z)
+        for g in hs.basis_maps():
+            f = f + g.scale(field.of(rng.randint(-2, 2)))
+        tri = cone(f)
+        m = minimize(tri.Z)
+        maps = [f, tri.v, m.to_min, m.from_min, m.to_min.compose(m.from_min)]
+        complexes = [X, Y, shift(X, 1), shift(Y, -1), tri.Z, m.complex]
+        mats = [d for C in complexes for d in C.differentials.values()]
+        mats += [c for g in maps for c in g.components.values()]
+        for a in mats:
+            b = _random_path_matrix(alg, rng, a.row_vertices, a.col_vertices)
+            c = _random_path_matrix(alg, rng, a.col_vertices, a.col_vertices[::-1])
+            rows = sorted(rng.sample(range(a.rows), rng.randint(0, a.rows)))
+            cols = sorted(rng.sample(range(a.cols), rng.randint(0, a.cols)))
+            yield from (a, -a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), a.radical_part())
+            yield from (a.scale(field.zero), a.scale(field.of(rng.randint(-2, 2))), a.submatrix(rows, cols))
+            yield from (PathMatrix.block_diag(alg, a, b), PathMatrix.vstack(a, b), PathMatrix.hstack(a, b))
+        for n, vs in tri.Z.components.items():
+            u = _unitriangular(alg, rng, vs)
+            yield from (u, u.invert(), u.invert().compose(u))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_operations_store_only_nonzero_cells(field):
+    seen = zeros = 0
+    for m in _produced_matrices(field):
+        _assert_sparse(m)
+        seen += 1
+        zeros += m.is_zero()
+    assert seen > 500 and 0 < zeros < seen

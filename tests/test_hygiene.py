@@ -1,12 +1,13 @@
-"""Static checks on the library source: imports and private helpers.
+"""Static checks on the library source: imports, local names and private helpers.
 
 Neither pyflakes nor ruff ships with the project, so these `ast` scans are
 the lint: a name bound by an import must be read somewhere in the module, or
-be listed in `__all__`; no import statement sits inside a function body; and
-every module-level `_private` function or class, and every `_private` method
-of a module-level class, is referenced somewhere in the library outside its
-own definition.  One more check guards the benchmark's traced run: every
-method its tracer wraps must exist.
+be listed in `__all__`; no import statement sits inside a function body; a
+local name that a function assigns is read in it, unless the name starts
+with `_`; and every module-level `_private` function or class, and every
+`_private` method of a module-level class, is referenced somewhere in the
+library outside its own definition.  One more check guards the benchmark's
+traced run: every method its tracer wraps must exist.
 """
 
 import ast
@@ -49,6 +50,30 @@ def function_imports(source):
             for node in ast.walk(fn):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.add((node.lineno, fn.name))
+    return sorted(found)
+
+
+def unread_locals(source):
+    """(line, function name, name) of each local name a function in `source` assigns and never reads.
+
+    A read anywhere in the function, nested functions included, counts.
+    Names starting with `_` and names declared global or nonlocal are
+    skipped.
+    """
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found.update((line, fn.name, name) for name, line in stored.items() if name not in read and name[0] != "_")
     return sorted(found)
 
 
@@ -116,6 +141,34 @@ def test_scan_finds_a_function_level_import():
 def test_no_function_level_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert function_imports(fh.read()) == []
+
+
+def test_scan_finds_an_unread_local():
+    src = (
+        "def f(xs):\n"
+        "    z = 0\n"
+        "    for i, x in enumerate(xs):\n"
+        "        y = x\n"
+        "    _skip = 1\n"
+        "    return [w for w in xs]\n"
+        "\n"
+        "def g():\n"
+        "    global n\n"
+        "    n = 1\n"
+        "    c = 2\n"
+        "\n"
+        "    def h():\n"
+        "        return c\n"
+        "    return h\n"
+    )
+    assert unread_locals(src) == [(2, "f", "z"), (3, "f", "i"), (4, "f", "y")]
+    assert unread_locals("x = 1\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_locals(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unread_locals(fh.read()) == []
 
 
 def test_scan_finds_an_unreferenced_helper():

@@ -31,6 +31,16 @@ def test_path_basis_a3():
     assert [p.length for p in alg.basis] == [0, 0, 0, 1, 1, 2]
 
 
+def test_path_of_arrows_refuses_unknown_and_empty_arrow_lists():
+    alg = build_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    with pytest.raises(QuiverError, match="unknown arrow 'zz'"):
+        alg.path_of_arrows(["a", "zz"])
+    with pytest.raises(QuiverError, match="empty arrow list"):
+        alg.path_of_arrows([])
+    with pytest.raises(QuiverError, match="do not compose"):
+        alg.path_of_arrows(["b", "a"])
+
+
 def test_left_to_right_composition():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = build_algebra(q)
