@@ -451,11 +451,9 @@ class ChainMap:
             comps[n] = self.component(n) + other.component(n)
         return ChainMap(self.source, self.target, comps)
 
-    def __neg__(self):
-        return ChainMap(self.source, self.target, {n: -m for n, m in self.components.items()})
-
     def __sub__(self, other):
-        return self + (-other)
+        comps = {n: self.component(n) - other.component(n) for n in set(self.components) | set(other.components)}
+        return ChainMap(self.source, self.target, comps)
 
     def scale(self, scalar):
         return ChainMap(

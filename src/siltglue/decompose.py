@@ -4,18 +4,17 @@ Isomorphism of minimal complexes is decided by searching for a chain map
 whose trivial-path-coefficient block is invertible in every degree (such a
 map is an isomorphism of complexes since the arrow radical is nilpotent).
 
-Decomposition splits primitive idempotents of the endomorphism algebra
-modulo homotopy.  The algebra is held by its structure constants in the
-representative basis; the coordinates of each product come from the Hom
-space's one cached factorization.  The radical is the kernel of the trace
-form (characteristic zero), whose Gram matrix is read off the structure
-constants.  Idempotents are found in the semisimple quotient by
-minimal-polynomial factorization — basis elements, random small
-combinations, then central elements, whose minimal polynomials split the
-distinct simple blocks — and lifted to an exact chain-level idempotent by
-Newton iteration through the two nilpotent ideals.  Minimal polynomials
-are Fraction coefficient lists, and their Bezout identities and
-evaluations are computed on those lists; sympy only factors them.
+Decomposition splits primitive idempotents of the endomorphism algebra E
+modulo homotopy.  E/rad E is read through sigma, the trivial-path
+coefficients of the representatives: the radical is the kernel of the trace
+form of those small matrices (characteristic zero), and products in the
+quotient come from traces, with no product of chain maps.  Idempotents are
+found in the quotient by minimal-polynomial factorization — basis elements,
+random small combinations, then central elements, whose minimal
+polynomials split the distinct simple blocks — and lifted to an exact
+chain-level idempotent by Newton iteration.  Minimal polynomials are
+Fraction coefficient lists, and their Bezout identities and evaluations are
+computed on those lists; sympy only factors them.
 """
 
 import math
@@ -139,99 +138,105 @@ def is_isomorphic(X, Y, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# endomorphism algebra with structure constants
+# endomorphism algebra through its trivial-path coefficients
+
+
+def _sigma(g):
+    """sigma(g): the non-zero trivial-path coefficients of g, {(n, i, j): c}."""
+    return {
+        (n, i, j): c
+        for n, m in g.components.items()
+        for (i, j), terms in m.cells.items()
+        for p, c in terms.items()
+        if not p.arrows
+    }
+
+
+def _sigma_mul(x, y):
+    """The product of two sigma values: blockwise matrix products, per degree."""
+    out = {}
+    for (n, i, j), a in x.items():
+        for (m, k, l), b in y.items():
+            if (m, k) == (n, j):
+                out[n, i, l] = out.get((n, i, l), 0) + a * b
+    return {key: c for key, c in out.items() if c}
+
+
+def _trace(x, y):
+    """tr(x y) of two sigma values."""
+    return sum((a * y[n, j, i] for (n, i, j), a in x.items() if (n, j, i) in y), Fraction(0))
 
 
 class EndAlgebra:
-    """End_{K^b}(X) in the canonical representative basis, with products.
+    """End_{K^b}(X) of a minimal X in the canonical representative basis b_i, seen through sigma.
 
-    `table[i][j]` holds the structure constants of b_i b_j = sum_k c_ij^k b_k
-    as a sparse list of the (k, c_ij^k) with c_ij^k != 0.
+    sigma sends a chain map to its trivial-path coefficients.  It is
+    multiplicative, since a trivial coefficient of a product comes only
+    from trivial times trivial; it vanishes on null-homotopic maps, whose
+    entries are radical when X is minimal; and its kernel is nilpotent,
+    since the quiver is acyclic.  So E / rad E = sigma(E) / rad sigma(E).
+    `sigmas[i]` is sigma(b_i) and `gram[i][j]` is tr(sigma(b_i) sigma(b_j)).
     """
 
     def __init__(self, X):
         self.X = X
-        self.hs = HomSpace(X, X, 0)
-        self.reps = self.hs.basis_maps()
+        self.reps = HomSpace(X, X, 0).basis_maps()
         self.dim = len(self.reps)
-        self.id_coords = self.hs.coordinates(ChainMap.identity(X))
-        self.table = [
-            [[(k, c) for k, c in enumerate(self.hs.coordinates(a.compose(b))) if c] for b in self.reps]
-            for a in self.reps
-        ]
-
-    def mul(self, x, y):
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                xy = xi * yj
-                for k, c in row[j]:
-                    out[k] += xy * c
-        return out
-
-    def to_chain_map(self, coords):
-        g = ChainMap.zero(self.X, self.X)
-        for c, r in zip(coords, self.reps):
-            if c:
-                g = g + r.scale(c)
-        return g
-
-    def trace_form(self):
-        """Gram matrix of the trace form (x, y) -> tr(L_xy) in the basis b_i.
-
-        Read off the structure constants: L_{b_k} has trace
-        tau_k = sum_l c_kl^l, so the entry of (b_i, b_j) is
-        sum_k c_ij^k tau_k.  That is O(d^3) work and forms no product.
-        """
-        tau = [
-            sum((c for l, consts in enumerate(row) for k, c in consts if k == l), Fraction(0))
-            for row in self.table
-        ]
-        return [[sum((c * tau[k] for k, c in consts), Fraction(0)) for consts in row] for row in self.table]
+        self.sigmas = [_sigma(b) for b in self.reps]
+        self.gram = [[_trace(a, b) for b in self.sigmas] for a in self.sigmas]
 
     def radical(self):
-        """Kernel of the trace form of the regular representation.
+        """Kernel of the Gram matrix: the preimage of rad sigma(E).
 
-        The Gram matrix comes from `trace_form`, read off the structure
-        constants; in characteristic zero its kernel is the radical.
+        In characteristic zero the radical of a matrix algebra is the kernel
+        of its trace form (Dickson).
         """
-        return kernel_basis(Matrix(QQ, self.trace_form(), cols=self.dim))
+        return kernel_basis(Matrix(QQ, self.gram, cols=self.dim))
 
 
 class SemisimpleQuotient:
-    """E / rad(E) in coordinates: reduce modulo the RREF of the radical."""
+    """E / rad(E) in the coordinates of the representatives off the radical's RREF pivots.
+
+    A class with coordinates c has traces (G_ff c)_f against the free
+    representatives b_f, and G_ff is invertible because they span a
+    complement of the radical.  One row reduction of [G_ff | I] gives the
+    sparse rows of G_ff^-1 (`inverse`), which turn traces into coordinates;
+    `table[a][b]` holds the (k, c) coordinates of the product of units a, b.
+    """
 
     def __init__(self, end):
         self.end = end
-        radv = end.radical()
-        self.rad_rows, self.rad_pivots = row_space_rref(QQ, radv)
-        piv = set(self.rad_pivots)
-        self.free = [i for i in range(end.dim) if i not in piv]
-        self.dim = len(self.free)
-        self.one = self.project(end.id_coords)
+        pivots = set(row_space_rref(QQ, end.radical())[1])
+        self.free = [i for i in range(end.dim) if i not in pivots]
+        self.dim = s = len(self.free)
+        unit = Matrix.identity(QQ, s).data
+        aug = [[end.gram[f][g] for g in self.free] + unit[a] for a, f in enumerate(self.free)]
+        self.inverse = [[(g, a) for g, a in enumerate(row[s:]) if a] for row in row_space_rref(QQ, aug)[0]]
+        sig = [end.sigmas[f] for f in self.free]
+        self.one = self.project([sum((c for (_, i, j), c in x.items() if i == j), Fraction(0)) for x in sig])
+        products = ([self.project([_trace(_sigma_mul(x, y), z) for z in sig]) for y in sig] for x in sig)
+        self.table = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in products]
 
-    def project(self, coords):
-        v = list(coords)
-        for row, col in zip(self.rad_rows, self.rad_pivots):
-            f = v[col]
-            if f:
-                for c in range(len(v)):
-                    v[c] -= f * row[c]
-        return [v[i] for i in self.free]
+    def project(self, traces):
+        """Coordinates of the class whose traces against the free representatives are `traces`."""
+        return [sum((a * traces[g] for g, a in row if traces[g]), Fraction(0)) for row in self.inverse]
 
-    def lift(self, s_coords):
-        v = [Fraction(0)] * self.end.dim
-        for c, i in zip(s_coords, self.free):
-            v[i] = Fraction(c)
-        return v
+    def lift(self, x):
+        """The chain map sum_a x_a b_{free[a]}, in the class of x."""
+        g = ChainMap.zero(self.end.X, self.end.X)
+        for c, i in zip(x, self.free):
+            if c:
+                g = g + self.end.reps[i].scale(c)
+        return g
 
     def mul(self, x, y):
-        return self.project(self.end.mul(self.lift(x), self.lift(y)))
+        out = [Fraction(0)] * self.dim
+        for xa, row in zip(x, self.table):
+            for yb, consts in zip(y, row):
+                if xa and yb:
+                    for k, c in consts:
+                        out[k] += xa * yb * c
+        return out
 
     def is_zero(self, x):
         return all(c == 0 for c in x)
@@ -357,15 +362,9 @@ def _try_minpoly_split(S, x):
 def _center_basis(S):
     """Basis of the center of S, as coordinate vectors."""
     units = [[Fraction(int(k == j)) for k in range(S.dim)] for j in range(S.dim)]
-    cols = []
-    for j in range(S.dim):
-        col = []
-        for i in range(S.dim):
-            comm = S.mul(units[j], units[i])
-            anti = S.mul(units[i], units[j])
-            col.extend(a - b for a, b in zip(comm, anti))
-        cols.append(col)
-    rows = [[cols[j][r] for j in range(S.dim)] for r in range(S.dim * S.dim)]
+    # comms[i][j] = b_j b_i - b_i b_j; a row per (i, coordinate k), a column per j
+    comms = [[[a - b for a, b in zip(S.mul(u, v), S.mul(v, u))] for u in units] for v in units]
+    rows = [[comm[j][k] for j in range(S.dim)] for comm in comms for k in range(S.dim)]
     return kernel_basis(Matrix(QQ, rows, cols=S.dim))
 
 
@@ -425,23 +424,15 @@ def _find_idempotent(S, seed=0):
 # lifting and strict splitting
 
 
-def _newton_idempotent_coords(end, coords):
-    """Iterate e <- 3e^2 - 2e^3 in E until exactly idempotent."""
-    e = list(coords)
-    for _ in range(NEWTON_STEPS):
-        e2 = end.mul(e, e)
-        if all(a == b for a, b in zip(e2, e)):
-            return e
-        e3 = end.mul(e2, e)
-        e = [3 * a - 2 * b for a, b in zip(e2, e3)]
-    raise DecomposeError("idempotent lift did not converge in E")
-
-
 def _newton_idempotent_chain(g):
-    """Iterate at the chain level until g o g == g on the nose."""
+    """Iterate g <- 3g^2 - 2g^3 on chain maps until g o g == g on the nose.
+
+    It converges when g^2 - g is nilpotent as a graded map, as it is when
+    sigma(g^2 - g) is radical: the step squares g^2 - g up to a unit.
+    """
     for _ in range(NEWTON_STEPS):
         g2 = g.compose(g)
-        if all((g2.component(n) - g.component(n)).is_zero() for n in set(g.components) | set(g2.components)):
+        if (g2 - g).is_zero():
             return g
         g3 = g2.compose(g)
         g = g2.scale(Fraction(3)) - g3.scale(Fraction(2))
@@ -508,10 +499,7 @@ def _decompose_minimal(X, seed=0):
     e = _find_idempotent(S, seed)
     if e is None:
         return [(X, 1, False)]
-    coords = S.lift(e)
-    coords = _newton_idempotent_coords(end, coords)
-    g = end.to_chain_map(coords)
-    g = _newton_idempotent_chain(g)
+    g = _newton_idempotent_chain(S.lift(e))
     A, B = _split_by_idempotent(X, g)
     if A.is_zero() or B.is_zero():
         raise DecomposeError("idempotent split produced a trivial summand")

@@ -14,9 +14,7 @@ from .homs import HomSpace, hom_window, is_nonpositive, nonzero_homs
 from .approx import susp_envelope
 from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, isomorphism_class, summand_order
-from .linalg import Matrix, rank
-
-import sympy
+from .linalg import Matrix, det, rank
 
 
 class GlueError(RuntimeError):
@@ -128,15 +126,15 @@ def k0_report(T_list, algebra, classes=None, seed=0):
     qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in mat], cols=len(verts))
     r = rank(qmat) if mat else 0
     uni = False
-    det = None
+    d = None
     if len(mat) == len(verts) and r == len(verts):
-        det = int(sympy.Matrix(mat).det(method="bareiss"))
-        uni = det in (1, -1)
+        d = int(det(qmat))
+        uni = d in (1, -1)
     report = {
         "matrix": mat,
         "rank": r,
         "square": len(mat) == len(verts),
-        "det": det,
+        "det": d,
         "unimodular": uni,
         "ok": uni,
         "classes": [c.describe() for c in rows],

@@ -103,6 +103,23 @@ def rank(mat):
     return len(piv)
 
 
+def det(mat):
+    """Determinant of a square matrix, by elimination with row swaps."""
+    fld, rows, d = mat.field, [list(r) for r in mat.data], mat.field.one
+    for c in range(mat.cols):
+        r = next((i for i in range(c, mat.rows) if not fld.is_zero(rows[i][c])), None)
+        if r is None:
+            return fld.zero
+        if r != c:
+            rows[c], rows[r], d = rows[r], rows[c], fld.neg(d)
+        d, inv = fld.mul(d, rows[c][c]), fld.inv(rows[c][c])
+        for below in rows[c + 1 :]:
+            f = fld.mul(below[c], inv)
+            for k in range(c + 1, mat.cols):
+                below[k] = fld.sub(below[k], fld.mul(f, rows[c][k]))
+    return d
+
+
 def solve(mat, b):
     """Some x with mat.x = b, or None when the system is inconsistent."""
     if len(b) != mat.rows:

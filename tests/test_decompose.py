@@ -10,6 +10,7 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting, glue, summand_classes
 from siltglue.homs import HomSpace
+from siltglue.linalg import Matrix, kernel_basis, row_space_rref
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -208,37 +209,62 @@ def test_center_split_two_blocks(ka3):
     assert not S.is_zero(e) and not S.equal(e, S.one)
 
 
-def _direct_trace_form(end):
-    """tr(L_{b_i b_j}) by multiplying b_i b_j into every basis vector."""
-    units = [[Fraction(int(m == l)) for m in range(end.dim)] for l in range(end.dim)]
-    return [
-        [sum((end.mul(end.mul(ei, ej), el)[l] for l, el in enumerate(units)), Fraction(0)) for ej in units]
-        for ei in units
-    ]
+def _regular_trace_form(hs, reps):
+    """Gram matrix of tr(L_{b_i b_j}) on E, from the coordinates of the chain-map products."""
+    d = len(reps)
+    table = [[hs.coordinates(a.compose(b)) for b in reps] for a in reps]
+    tau = [sum((table[k][l][l] for l in range(d)), Fraction(0)) for k in range(d)]
+    return [[sum((c * t for c, t in zip(table[i][j], tau)), Fraction(0)) for j in range(d)] for i in range(d)]
+
+
+def _reduced_coordinates(hs, radical, free, f):
+    """The coordinates of [f], reduced modulo the RREF of the radical, at the free indices."""
+    v = hs.coordinates(f)
+    for row, col in zip(*radical):
+        v = [x - v[col] * r for x, r in zip(v, row)]
+    return [v[i] for i in free]
 
 
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
-def test_trace_form_matches_definition(name, rec, T_B):
+def test_sigma_gram_matches_regular_trace_form(name, rec, T_B):
+    """E/rad E read through sigma agrees with E/rad E read off the coordinates of chain-map products.
+
+    The oracle is the trace form of the regular representation, and products
+    reduced modulo the radical's RREF, all from `HomSpace.coordinates`.
+    """
     cert = glue(rec, [canonical_corner_silting(rec)], T_B, decompose_result=False)
     ends = [EndAlgebra(minimize(X).complex) for X in (direct_sum_many(rec.A, cert.T), cert.iT[0])]
     assert ends[0].dim >= len(cert.T)
     for end in ends:
-        # the sparse structure constants are the coordinates of the products
-        for i, a in enumerate(end.reps):
-            for j, b in enumerate(end.reps):
-                e_i = [Fraction(int(m == i)) for m in range(end.dim)]
-                e_j = [Fraction(int(m == j)) for m in range(end.dim)]
-                assert end.mul(e_i, e_j) == end.hs.coordinates(a.compose(b))
-        rng = random.Random(name)
-        x, y = ([Fraction(rng.randint(-3, 3)) for _ in range(end.dim)] for _ in range(2))
-        assert end.mul(x, y) == end.hs.coordinates(end.to_chain_map(x).compose(end.to_chain_map(y)))
-        assert end.trace_form() == _direct_trace_form(end)
+        hs = HomSpace(end.X, end.X, 0)
+        assert [b.components for b in hs.basis_maps()] == [b.components for b in end.reps]
+        # sigma is multiplicative on the representatives
+        for a, sa in zip(end.reps, end.sigmas):
+            for b, sb in zip(end.reps, end.sigmas):
+                assert decompose_module._sigma(a.compose(b)) == decompose_module._sigma_mul(sa, sb)
+        # the sigma-Gram radical is the kernel of the regular-representation trace form
+        radical = row_space_rref(QQ, end.radical())
+        assert radical == row_space_rref(QQ, kernel_basis(Matrix(QQ, _regular_trace_form(hs, end.reps), cols=end.dim)))
+        # the quotient's unit and products of unit vectors, against the reduced coordinates
+        S = SemisimpleQuotient(end)
+        assert S.free == [i for i in range(end.dim) if i not in radical[1]]
+        assert S.one == _reduced_coordinates(hs, radical, S.free, ChainMap.identity(end.X))
+        units = [[Fraction(int(k == a)) for k in range(S.dim)] for a in range(S.dim)]
+        for a, ua in zip(S.free, units):
+            for b, ub in zip(S.free, units):
+                product = end.reps[a].compose(end.reps[b])
+                assert S.mul(ua, ub) == _reduced_coordinates(hs, radical, S.free, product)
 
 
 def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
-    """Building End(X) row-reduces a fixed number of times, however large End(X) is."""
+    """Building End(X), and then E/rad E, row-reduces a fixed number of times, however large End(X) is.
+
+    The quotient factors its Gram block once; a solve per projected
+    product would make the count grow with dim E.  Both radicals are
+    non-zero, since the quotient skips reducing a zero radical.
+    """
     I2, S2, P = ka3["I2"], ka3["S2"], ka3["P"]
-    small = direct_sum(S2, shift(S2, 1))
+    small = direct_sum(direct_sum(S2, shift(S2, 1)), I2)
     big = small
     for part in (I2, S2, shift(P["2"], -1), I2, shift(S2, 1)):
         big = direct_sum(big, part)
@@ -250,13 +276,17 @@ def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
         return orig(rows)
 
     monkeypatch.setattr(_kernel, "rref_qq", counting)
-    counts, dims = [], []
+    counts, quotient_counts, dims = [], [], []
     for X in (small, big):
         calls.clear()
-        dims.append(EndAlgebra(X).dim)
+        end = EndAlgebra(X)
+        dims.append(end.dim)
         counts.append(len(calls))
+        SemisimpleQuotient(end)
+        quotient_counts.append(len(calls) - counts[-1])
     assert dims[1] >= 5 * dims[0]
     assert counts[0] == counts[1]
+    assert quotient_counts[0] == quotient_counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ be listed in `__all__`; no import statement sits inside a function body; a
 local name that a function assigns is read in it, unless the name starts
 with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
-library outside its own definition.  One more check guards the benchmark's
-traced run: every method its tracer wraps must exist.
+library outside its own definition.  Two more checks guard the benchmark's
+traced run: every method its tracer wraps must exist, and every
+`decompose` function it times or counts by name must resolve.
 """
 
 import ast
@@ -194,17 +195,41 @@ def test_no_unreferenced_private_helpers():
     assert unreferenced_helpers(sources) == []
 
 
+def load_tracing():
+    """`siltbench/tracing.py`, loaded from its file; nothing is installed."""
+    spec = importlib.util.spec_from_file_location("siltbench_tracing", os.path.join(ROOT, "siltbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_traced_methods_exist():
     """Every (class, method) that `siltbench/tracing.py` wraps exists.
 
     `Tracer.install` looks each one up with `getattr`, so a renamed method
-    would crash only the traced benchmark run.  The module is loaded from
-    its file and nothing is installed.
+    would crash only the traced benchmark run.
     """
-    spec = importlib.util.spec_from_file_location("siltbench_tracing", os.path.join(ROOT, "siltbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [
         f"{cls.__name__}.{name}" for cls, names in tracing.METHODS for name in names if not callable(getattr(cls, name, None))
     ]
     assert tracing.METHODS and not missing
+
+
+def test_traced_decompose_names_resolve():
+    """Every `decompose.*` name that `siltbench/tracing.py` times or counts names a callable of the library.
+
+    `Tracer.install` wraps module functions by walking each module, so a
+    renamed function would silently leave its counter at zero.
+    """
+    tracing = load_tracing()
+    names = {n for table in (tracing.GROUPS, tracing.CALLS) for ns in table.values() for n in ns}
+    names = sorted(n for n in names if n.startswith("decompose."))
+
+    def resolves(name):
+        obj = tracing.decompose
+        for part in name.split(".")[1:]:
+            obj = getattr(obj, part, None)
+        return callable(obj)
+
+    assert names and [n for n in names if not resolves(n)] == []

@@ -8,6 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 from siltglue.fields import QQ, PrimeField
 from siltglue.linalg import (
     Matrix,
+    det,
     extend_rref,
     in_row_space,
     kernel_basis,
@@ -58,6 +59,28 @@ def test_fp_solve():
     m = Matrix(F, [[2, 1], [1, 1]])
     x = solve(m, [1, 2])
     assert m.mul_vector(x) == [1, 2]
+
+
+def test_det_matches_sympy():
+    """Random integer matrices up to 5 x 5, a third made singular, against sympy's determinant."""
+    rng = random.Random(31)
+    singular = 0
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:  # row i a combination of other rows
+            i, j = rng.sample(range(n), 2)
+            k = rng.choice([r for r in range(n) if r != i])
+            rows[i] = [2 * a - b for a, b in zip(rows[j], rows[k])]
+        expected = sympy.Matrix(rows).det()
+        singular += expected == 0
+        assert det(frac_matrix(rows)) == Fraction(int(expected))
+    assert singular >= 40
+    # the same over F_5: the residue of the integer determinant
+    F = PrimeField(5)
+    for _ in range(40):
+        rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        assert det(Matrix(F, [[F.of(x) for x in r] for r in rows])) == int(sympy.Matrix(rows).det()) % 5
 
 
 @settings(max_examples=25, deadline=None)
