@@ -10,13 +10,14 @@ maps each copy lets through, so no candidate map is assembled.  The
 cosusp(T)-precover is the same construction over the opposite algebra,
 transported back.  All certificates are exact.
 
-Each stage builds every Hom(M, T_i[k]) once: the s-search (`s_search`)
-keeps the spaces at s, and the preenvelope carries them and their
-representatives into `left_minimize`.  The chain condition is checked
-once, on the maps a result reports: f and v_map of `susp_envelope`, and
-u_map and v_map of `cosusp_precover` over A (not again over the opposite
-algebra).  The stacked preenvelopes and the pushout maps inside a stage are
-chain maps by construction and are not checked.
+Each stage builds every Hom(M, T_i[k]) once: the s-search (`s_search`) keeps
+the spaces at s, and the preenvelope carries them and their representatives
+into `left_minimize`; each Hom(T_i, T_j) is built once per envelope and
+shifted to each stage's s.  The chain condition is checked once, on the maps
+a result reports: f and v_map of `susp_envelope`, and u_map and v_map of
+`cosusp_precover` over A (not again over the opposite algebra).  The stacked
+preenvelopes and the pushout maps inside a stage are chain maps by
+construction and are not checked.
 """
 
 from .complexes import (
@@ -30,6 +31,7 @@ from .complexes import (
     minimize,
     opposite_complex,
     opposite_map,
+    shift_map,
 )
 from .decompose import DecomposeError, decompose
 from .homs import HomSpace, nonzero_homs, s_search
@@ -119,7 +121,7 @@ def _is_preenvelope(fld, dims, copy_rows):
     return True
 
 
-def left_minimize(pre):
+def left_minimize(pre, between=None):
     """Greedily delete target copies while the preenvelope property holds.
 
     The copies' target F is a direct sum, so Hom(F, T_j[s]) is the direct
@@ -130,20 +132,23 @@ def left_minimize(pre):
     deletion is a rank test on rows; the minimized map is built at the end.
     The first copy whose removal keeps every rank full is dropped, then the
     scan restarts.  The spaces Hom(M, T_j[s]) and their representatives are
-    the ones `pre` carries.
+    the ones `pre` carries.  Hom(T_ti[s], T_j[s]) has the shifted basis of
+    Hom(T_ti, T_j), which `between` keeps by (ti, j) for calls on one T_list.
     """
     M, T_list, s = pre.source, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
-    between = {}  # (ti, j) -> basis of Hom(T_ti[s], T_j[s])
+    between = {} if between is None else between
+    pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs.dim})
+    for ti, j in (p for p in pairs if p not in between):
+        between[ti, j] = HomSpace(T_list[ti], T_list[j], 0).basis_maps()
+    shifted = {p: [shift_map(h, s) for h in between[p]] for p in pairs}  # bases of Hom(T_ti[s], T_j[s])
     copy_rows = []
     for ti, ri in pre.copies:
         r = reps[ti][ri]
         rows = []
         for j, hs in enumerate(spaces):
             if hs.dim:
-                if (ti, j) not in between:
-                    between[ti, j] = HomSpace(r.target, T_list[j], s).basis_maps()
-                rows.append([hs.coordinates(h.compose(r)) for h in between[ti, j]])
+                rows.append([hs.coordinates(h.compose(r)) for h in shifted[ti, j]])
         copy_rows.append(rows)
     dims = [hs.dim for hs in spaces if hs.dim]
     fld = M.algebra.field
@@ -201,10 +206,11 @@ def indecomposable_refinement(T_list, seed=0):
     return out
 
 
-def _susp_envelope_stage(M, T_list, bound):
+def _susp_envelope_stage(M, T_list, bound, between):
     """Inductive stage: returns (f: M -> U, U, trace). s must drop each call.
 
-    The s-search hands the Hom spaces it built at s on to the preenvelope.
+    The s-search hands the Hom spaces it built at s on to the preenvelope,
+    and `between` is the envelope's table for `left_minimize`.
     The pushout maps `gu` and `fX` are chain maps by construction and are
     not checked; `susp_envelope` and `cosusp_precover` check the maps they
     report.
@@ -215,14 +221,14 @@ def _susp_envelope_stage(M, T_list, bound):
         return ChainMap.zero(M, Z), Z, []
     if bound is not None and s >= bound:
         raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
-    pre = left_minimize(add_shift_preenvelope(M, T_list, s, spaces))
+    pre = left_minimize(add_shift_preenvelope(M, T_list, s, spaces), between)
     h = pre.f
     layer = (s, tuple(sorted((ti for ti, _ in pre.copies))))
     tri = cocone(h)  # C -> M -> F
     C, u = tri.X, tri.u
     Cm = minimize(C)
     u2 = Cm.pull(u)
-    g, E, sub_trace = _susp_envelope_stage(Cm.complex, T_list, s)
+    g, E, sub_trace = _susp_envelope_stage(Cm.complex, T_list, s, between)
     # homotopy pushout: X = cone of (g, -u): C -> E (+) M
     EM = direct_sum(E, M)
     comps = {}
@@ -245,7 +251,7 @@ def _susp_envelope_stage(M, T_list, bound):
 
 def _envelope(M, T_list, seed):
     """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace)."""
-    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None)
+    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None, {})
     tri = cocone(f)
     Vm = minimize(tri.X)
     return f, U, Vm.complex, Vm.pull(tri.u), trace

@@ -33,7 +33,7 @@ from .complexes import (
     transform,
 )
 from .homs import HomSpace
-from .linalg import Matrix, kernel_basis, rank, rref_kernel_basis, row_space_rref, solve
+from .linalg import Matrix, extend_rref, kernel_basis, rank, rref_kernel_basis, row_space_rref
 
 
 class DecomposeError(RuntimeError):
@@ -250,17 +250,15 @@ class SemisimpleQuotient:
 
 
 def _min_poly(S, x):
-    """Monic minimal polynomial of x in S, as Fraction coefficients, highest degree first."""
-    powers = [S.one]
-    cur = S.one
+    """Monic minimal polynomial of x in S, as Fractions, highest degree first: rows [x^j | e_j] enter
+    one running RREF, and the first to leave a pivot in the unit block holds the relation."""
+    dim, rows, pivs, cur, j = S.dim, [], [], S.one, 0
     while True:
-        cur = S.mul(cur, x)
-        # is cur in the span of previous powers?
-        mat = Matrix(QQ, [[powers[j][i] for j in range(len(powers))] for i in range(S.dim)], cols=len(powers))
-        sol = solve(mat, cur)
-        if sol is not None:
-            return [Fraction(1)] + [-c for c in reversed(sol)]
-        powers.append(cur)
+        extend_rref(QQ, rows, pivs, cur + [Fraction(int(i == j)) for i in range(dim + 1)])
+        if pivs[-1] >= dim:
+            rel = rows[-1][dim : dim + j + 1]
+            return [c / rel[j] for c in reversed(rel)]
+        cur, j = S.mul(cur, x), j + 1
 
 
 # Polynomials over Q are lists of Fractions, highest degree first, with no

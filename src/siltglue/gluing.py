@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
-from .homs import HomSpace, hom_window, is_nonpositive, nonzero_homs
+from .homs import hom_spaces, is_nonpositive, nonzero_homs
 from .approx import susp_envelope
 from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, isomorphism_class, summand_order
@@ -124,12 +124,9 @@ def k0_report(T_list, algebra, classes=None, seed=0):
                 row[verts.index(v)] += sgn
         mat.append(row)
     qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in mat], cols=len(verts))
-    r = rank(qmat) if mat else 0
-    uni = False
-    d = None
-    if len(mat) == len(verts) and r == len(verts):
-        d = int(det(qmat))
-        uni = d in (1, -1)
+    d = int(det(qmat)) if len(mat) == len(verts) else 0  # square: full rank exactly when d != 0
+    r, d = (len(verts), d) if d else (rank(qmat) if mat else 0, None)
+    uni = d in (1, -1)
     report = {
         "matrix": mat,
         "rank": r,
@@ -205,9 +202,7 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
             snapshot = list(objs)
             for X, howx in snapshot:
                 for Y, howy in snapshot:
-                    wlo, whi = hom_window(X, Y)
-                    for k in range(wlo, whi + 1):
-                        hs = HomSpace(X, Y, k)
+                    for k, hs in hom_spaces(X, Y).items():
                         for ri, f in enumerate(hs.basis_maps()):
                             note(
                                 minimize(cone(f).Z).complex,

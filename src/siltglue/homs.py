@@ -1,13 +1,16 @@
-"""Morphism spaces in the homotopy category.
+"""Morphism spaces in the homotopy category, read off the total Hom complex.
 
-Hom(X, Y[k]) is computed as degree-0 chain maps X -> Y[k] modulo null-
-homotopic maps, by exact linear algebra over the base field: unknowns are the
-path coefficients of the matrix entries, the chain condition cuts out a
-kernel, and homotopies span a subspace of it.  Boundaries are cycles
-(d^2 = 0), so the dimension is the nullity of the chain-condition system
-minus the rank of the boundaries: two row reductions.  The cycle basis and
-the representatives are built on first read, so a caller that only
-measures a space builds neither.
+Hom(X, Y[k]) is H^k of Hom•(X, Y): Hom^m = (+)_n Hom_A(X^n, Y^{n+m}), with
+the path coefficients of the matrix entries as coordinates, and
+delta^m f = d_Y f - (-1)^m f d_X.  `HomComplex` builds each Hom^m and
+assembles each delta^m once, and reduces delta^m at most once as equations
+(kernel: the cycles) and once as a row space (image: the boundaries).  A
+`HomSpace` is a view: dim = nullity delta^k - rank delta^(k-1).  Since
+d_{Y[k]} = (-1)^k d_Y, kernel and row space are those of the chain maps
+X -> Y[k] modulo homotopy, so only a homotopy witness picks up the sign
+(-1)^k; and Hom(X[s], Y[s]) has the representative vectors of Hom(X, Y).
+A window walker shares one complex per pair, so measuring w shifts assembles
+and reduces w + 1 differentials.  Cycles and representatives wait for a read.
 """
 
 import functools
@@ -18,145 +21,148 @@ from .linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref, in_r
 
 
 class _VarSpace:
-    """Coordinates for degreewise path-matrix maps X^n -> Z^{n+shift}."""
+    """Coordinates of Hom^m: degreewise path-matrix maps X^n -> Y^{n+m}."""
 
-    def __init__(self, X, Z, degree_shift=0):
-        self.X = X
-        self.Z = Z
-        self.shift = degree_shift
+    def __init__(self, X, Y, m):
+        self.X, self.Y, self.m = X, Y, m
         self.slots = []  # (degree n, row i, col j, path)
         self.index = {}
         alg = X.algebra
-        degrees = sorted(set(X.components) & {n - degree_shift for n in Z.components})
-        for n in degrees:
-            src = X.component(n)
-            tgt = Z.component(n + degree_shift)
-            for i, w in enumerate(tgt):
-                for j, v in enumerate(src):
+        for n in sorted(set(X.components) & {n - m for n in Y.components}):
+            for i, w in enumerate(Y.component(n + m)):
+                for j, v in enumerate(X.component(n)):
                     for p in alg.hom_proj_basis(v, w):
                         self.index[(n, i, j, p)] = len(self.slots)
                         self.slots.append((n, i, j, p))
-
-    @property
-    def dim(self):
-        return len(self.slots)
+        self.dim = len(self.slots)
 
     def to_vector(self, comps):
         """Flatten degreewise matrices {n: PathMatrix} into coordinates."""
         vec = [self.X.algebra.field.zero] * self.dim
-        index = self.index
         for n, m in comps.items():
             for (i, j), terms in m.cells.items():
                 for p, c in terms.items():
-                    vec[index[n, i, j, p]] = c
+                    vec[self.index[n, i, j, p]] = c
         return vec
 
     def from_vector(self, vec):
         """Inverse of to_vector; returns {n: PathMatrix}."""
-        alg = self.X.algebra
-        fld = alg.field
-        cells = {}
+        X, Y, m = self.X, self.Y, self.m
+        alg, fld, cells = X.algebra, X.algebra.field, {}
         for idx, c in enumerate(vec):
             if fld.is_zero(c):
                 continue
             n, i, j, p = self.slots[idx]
             cells.setdefault(n, {}).setdefault((i, j), {})[p] = c
-        return {
-            n: PathMatrix._of(alg, self.Z.component(n + self.shift), self.X.component(n), cs)
-            for n, cs in cells.items()
-        }
+        return {n: PathMatrix._of(alg, Y.component(n + m), X.component(n), cs) for n, cs in cells.items()}
 
 
-class HomSpace:
-    """Hom_{K^b}(X, Y[k]) with a canonical basis of representatives."""
+class HomComplex:
+    """Hom•(X, Y), built on demand: each Hom^m, delta^m and reduction of delta^m once."""
 
-    def __init__(self, X, Y, k=0):
-        self.X = X
-        self.Y = Y
-        self.k = k
-        self.Z = shift(Y, k)
-        self._compute()
-
-    def _compute(self):
-        X, Z = self.X, self.Z
-        fld = X.algebra.field
-        self.fvars = _VarSpace(X, Z, 0)
-        self.hvars = _VarSpace(X, Z, -1)
-        # a unit map meets one column of a d_Z and one row of a d_X
-        self._dz_cols = {n: d.lines(1) for n, d in Z.differentials.items()}
+    def __init__(self, X, Y):
+        self.X, self.Y, self.field = X, Y, X.algebra.field
+        # a unit map meets one column of a d_Y and one row of a d_X
+        self._dy_cols = {n: d.lines(1) for n, d in Y.differentials.items()}
         self._dx_rows = {n: d.lines(0) for n, d in X.differentials.items()}
+        self._terms, self._deltas, self._equations, self._images = {}, {}, {}, {}
 
-        # chain condition d_Z f - f d_X = 0, one equation per target coordinate;
-        # columns of the equation matrix are the f-variables
-        eq_space = _VarSpace(X, Z, 1)  # target of the defect map
-        nvars = self.fvars.dim
-        eqs = [[fld.zero] * nvars for _ in range(eq_space.dim)] if nvars else []
-        for col, slot in enumerate(self.fvars.slots):
-            for row, c in self._unit_image(eq_space, slot, 0, True).items():
-                eqs[row][col] = c
-        self._eqs = row_space_rref(fld, eqs)
+    def term(self, m):
+        """The coordinates of Hom^m."""
+        if m not in self._terms:
+            self._terms[m] = _VarSpace(self.X, self.Y, m)
+        return self._terms[m]
 
-        # boundaries: image of h |-> d_Z h + h d_X, kept sparse for homotopy_witness
-        self._bimages = [self._unit_image(self.fvars, slot, -1, False) for slot in self.hvars.slots]
-        bvecs = []
-        for img in self._bimages:
-            vec = [fld.zero] * self.fvars.dim
-            for idx, c in img.items():
-                vec[idx] = c
-            bvecs.append(vec)
-        self._brows, self._bpivs = row_space_rref(fld, bvecs)
-        # the boundaries lie in the kernel of the chain-condition system
-        self.dim = nvars - len(self._eqs[1]) - len(self._bpivs)
-        self._solver = None  # factored by the first `coordinates` call
+    def delta(self, m):
+        """delta^m as dense rows: the images in Hom^(m+1) of the unit maps of Hom^m, in slot order."""
+        if m not in self._deltas:
+            zero, width = self.field.zero, self.term(m + 1).dim
+            images = (self._unit_image(slot, m) for slot in self.term(m).slots)
+            self._deltas[m] = [[img.get(c, zero) for c in range(width)] for img in images]
+        return self._deltas[m]
 
-    @functools.cached_property
-    def cycle_basis(self):
-        """The chain maps X -> Y[k]: the kernel of the chain-condition system."""
-        return rref_kernel_basis(self.X.algebra.field, *self._eqs, self.fvars.dim)
+    def _unit_image(self, slot, m):
+        """delta^m u = d_Y u - (-1)^m u d_X, sparse, for the unit map u: X^n -> Y^{n+m} at `slot`.
 
-    @functools.cached_property
-    def _reps(self):
-        """Canonical representatives: cycle-kernel vectors that grow the span,
-        added one by one to a running RREF of the boundaries, until `dim`."""
-        fld = self.X.algebra.field
-        rows, pivs = [list(r) for r in self._brows], list(self._bpivs)
-        return list(itertools.islice((v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)), self.dim))
-
-    def _unit_image(self, target, slot, shift, negate):
-        """Coordinates in `target` of d_Z u +/- u d_X for the unit map u at `slot`.
-
-        u has the single entry p at (i, j) of degree n, mapping X^n to
-        Z^{n+shift}.  Only column i of d_Z^{n+shift} and row j of d_X^{n-1}
-        meet it: d_Z u has entries d_Z[r][i] p at (n, r, j), and u d_X has
-        entries p d_X[j][c] at (n-1, i, c), negated when `negate` is set.
-        Returns {coordinate index: coefficient}.
+        u is the path p at (i, j): d_Y u has entries d_Y[r][i] p at (n, r, j),
+        and u d_X has entries p d_X[j][c] at (n-1, i, c).
         """
         n, i, j, p = slot
-        alg = self.X.algebra
-        fld, prod, index = alg.field, alg.compose_paths, target.index
+        fld, prod, index = self.field, self.X.algebra.compose_paths, self.term(m + 1).index
         out = {}
-        for r, terms in self._dz_cols.get(n + shift, {}).get(i, ()):
+        for r, terms in self._dy_cols.get(n + m, {}).get(i, ()):
             for s, c in terms.items():
                 idx = index[n, r, j, prod(s, p)]
                 out[idx] = fld.add(out.get(idx, fld.zero), c)
         for col, terms in self._dx_rows.get(n - 1, {}).get(j, ()):
             for t, c in terms.items():
                 idx = index[n - 1, i, col, prod(p, t)]
-                out[idx] = fld.add(out.get(idx, fld.zero), fld.neg(c) if negate else c)
+                out[idx] = fld.add(out.get(idx, fld.zero), c if m % 2 else fld.neg(c))
         return out
+
+    def equations(self, m):
+        """RREF (rows, pivots) of delta^m as equations on Hom^m: its kernel is the cycles."""
+        if m not in self._equations:
+            self._equations[m] = row_space_rref(self.field, list(zip(*self.delta(m))))
+        return self._equations[m]
+
+    def image(self, m):
+        """RREF (rows, pivots) of im delta^m in Hom^(m+1): the boundaries there."""
+        if m not in self._images:
+            self._images[m] = row_space_rref(self.field, self.delta(m) if self.term(m + 1).dim else [])
+        return self._images[m]
+
+    def rank(self, m, reduce):
+        """rank delta^m, read off a reduction of delta^m already made, else off `reduce(m)`."""
+        return len((self._equations.get(m) or self._images.get(m) or reduce(m))[1])
+
+
+class HomSpace:
+    """Hom_{K^b}(X, Y[k]) = H^k Hom•(X, Y), with a canonical basis of representatives.
+
+    A view on `hom`, the HomComplex of (X, Y) a walker shares; a space built alone makes its own.
+    """
+
+    def __init__(self, X, Y, k=0, hom=None):
+        self.X, self.Y, self.k = X, Y, k
+        self.hom = HomComplex(X, Y) if hom is None else hom
+        self.fvars, self.hvars = self.hom.term(k), self.hom.term(k - 1)
+        # where nothing is reduced yet: delta^k as equations, delta^(k-1) as an image, the forms the reps read
+        ranks = self.hom.rank(k, self.hom.equations) + self.hom.rank(k - 1, self.hom.image)
+        self.dim = self.fvars.dim - ranks
+
+    @functools.cached_property
+    def Z(self):
+        """Y[k], the target of the chain maps of this space."""
+        return shift(self.Y, self.k)
+
+    @functools.cached_property
+    def cycle_basis(self):
+        """The chain maps X -> Y[k]: the kernel of delta^k."""
+        return rref_kernel_basis(self.X.algebra.field, *self.hom.equations(self.k), self.fvars.dim)
+
+    @functools.cached_property
+    def _reps(self):
+        """Canonical representatives: cycle-kernel vectors that grow the span,
+        added one by one to a running RREF of the boundaries, until `dim`."""
+        if not self.dim:
+            return []
+        fld = self.X.algebra.field
+        brows, bpivs = self.hom.image(self.k - 1)  # the boundaries
+        rows, pivs = [list(r) for r in brows], list(bpivs)
+        return list(itertools.islice((v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)), self.dim))
 
     def basis_maps(self):
         """Canonical representing chain maps X -> Y[k].
 
-        They are kernel vectors of the chain-condition system, so they are
-        chain maps by construction and are not checked again here.
+        They are kernel vectors of delta^k, so they are chain maps by
+        construction and are not checked again here.
         """
         return [ChainMap(self.X, self.Z, self.fvars.from_vector(v)) for v in self._reps]
 
     def is_null_homotopic(self, f):
-        vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
-        fld = self.X.algebra.field
-        return in_row_space(fld, self._brows, self._bpivs, vec)
+        vec = self.fvars.to_vector(f.components)
+        return in_row_space(self.X.algebra.field, *self.hom.image(self.k - 1), vec)
 
     def coordinates(self, f):
         """Coefficients of [f] in the representative basis, exact.
@@ -169,9 +175,7 @@ class HomSpace:
         Raises ValueError if f is not a cycle of this Hom space.
         """
         fld = self.X.algebra.field
-        if self._solver is None:
-            self._solver = self._factor_cycles()
-        vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
+        vec = self.fvars.to_vector(f.components)
         x = [fld.zero] * len(self._reps)
         for col, row, expr in self._solver:
             c = vec[col]
@@ -185,37 +189,34 @@ class HomSpace:
             raise ValueError("map outside the homotopy Hom space")
         return x
 
-    def _factor_cycles(self):
+    @functools.cached_property
+    def _solver(self):
         """[(pivot, sparse reduced row, sparse rep coefficients)] of the cycle space."""
         fld = self.X.algebra.field
         n, r = self.fvars.dim, len(self._reps)
-        basis = self._reps + self._brows
+        basis = self._reps + self.hom.image(self.k - 1)[0]
         unit = [fld.zero] * len(basis)
         aug = [list(v) + unit[:i] + [fld.one] + unit[i + 1 :] for i, v in enumerate(basis)]
         red, piv = row_space_rref(fld, aug)
         return [
-            (
-                col,
-                [(k, row[k]) for k in range(col, n) if not fld.is_zero(row[k])],
-                [(k, row[n + k]) for k in range(r) if not fld.is_zero(row[n + k])],
-            )
+            (col, [(k, row[k]) for k in range(col, n) if not fld.is_zero(row[k])],
+             [(k, row[n + k]) for k in range(r) if not fld.is_zero(row[n + k])])
             for row, col in zip(red, piv)
         ]
 
     def homotopy_witness(self, f):
-        """For a null-homotopic f, a degree -1 map h with f = d h + h d."""
+        """For a null-homotopic f, a degree -1 map h with f = d h + h d.
+
+        With d = d_{Y[k]} = (-1)^k d_Y, d h + h d = (-1)^k delta^(k-1) h, so
+        h is (-1)^k times a solution of delta^(k-1) x = f.
+        """
         fld = self.X.algebra.field
-        vec = self.fvars.to_vector({n: f.component(n) for n in f.components})
-        imgs = self._bimages
-        mat = Matrix(
-            fld,
-            [[img.get(r, fld.zero) for img in imgs] for r in range(self.fvars.dim)],
-            cols=len(imgs),
-        )
-        x = solve(mat, vec)
+        vec = self.fvars.to_vector(f.components)
+        rows = self.hom.delta(self.k - 1)
+        x = solve(Matrix(fld, [[row[r] for row in rows] for r in range(self.fvars.dim)], cols=len(rows)), vec)
         if x is None:
             return None
-        return self.hvars.from_vector(x)
+        return self.hvars.from_vector([fld.neg(c) for c in x] if self.k % 2 else x)
 
 
 def hom_dim(X, Y, k=0):
@@ -230,28 +231,26 @@ def hom_window(X, Y):
 
 
 def hom_spaces(X, Y, lo=None, hi=None):
-    """{k: HomSpace(X, Y, k)} over a shift window (default: full support).
+    """{k: HomSpace(X, Y, k)} over a shift window (default: full support), on one HomComplex.
 
     A shift outside the support maps to None: Hom is zero there, and no
     space is built.
     """
     wlo, whi = hom_window(X, Y)
-    if lo is None:
-        lo = wlo
-    if hi is None:
-        hi = whi
-    return {k: HomSpace(X, Y, k) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
+    lo, hi, hom = wlo if lo is None else lo, whi if hi is None else hi, HomComplex(X, Y)
+    return {k: HomSpace(X, Y, k, hom) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
 
 
 def nonzero_homs(X, Y, lo):
     """Lazily, upwards: (k, HomSpace(X, Y, k)) for each k >= lo with Hom(X, Y[k]) != 0.
 
-    Only the shifts inside the support window are built, so a caller that
-    stops at the first yield builds no space past it.
+    Only the shifts inside the support window are built, on one HomComplex,
+    so a caller that stops at the first yield builds no space past it.
     """
     wlo, whi = hom_window(X, Y)
+    hom = HomComplex(X, Y)
     for k in range(max(lo, wlo), whi + 1):
-        hs = HomSpace(X, Y, k)
+        hs = HomSpace(X, Y, k, hom)
         if hs.dim:
             yield k, hs
 
@@ -265,17 +264,18 @@ def s_search(M, T_list):
     """s = sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, and the spaces at s.
 
     Returns (s, spaces), with s None when there is no such k.  Each
-    member's window is scanned downwards, from its top to the best k found
-    so far (or to 0), and stops at the first non-zero Hom.  So every member
-    whose window reaches s has HomSpace(M, T_i, s) built on the way:
-    `spaces` maps those indices i to it.  The other members have
-    Hom(M, T_i[s]) = 0.
+    member's window is scanned downwards on one HomComplex, from its top
+    to the best k found so far (or to 0), and stops at the first non-zero
+    Hom.  So every member whose window reaches s has HomSpace(M, T_i, s)
+    built on the way: `spaces` maps those indices i to it.  The other
+    members have Hom(M, T_i[s]) = 0.
     """
     best, built = None, {}
     for i, T in enumerate(T_list):
         _, whi = hom_window(M, T)
+        hom = HomComplex(M, T)
         for k in range(whi, (0 if best is None else best) - 1, -1):
-            hs = built[i, k] = HomSpace(M, T, k)
+            hs = built[i, k] = HomSpace(M, T, k, hom)
             if hs.dim:
                 best = k
                 break

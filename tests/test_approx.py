@@ -96,9 +96,9 @@ def _recording_homspaces(monkeypatch):
     built = []
     init = HomSpace.__init__
 
-    def recording(self, X, Y, k=0):
+    def recording(self, X, Y, k=0, hom=None):
         built.append((X, Y, k))
-        init(self, X, Y, k)
+        init(self, X, Y, k, hom)
 
     monkeypatch.setattr(HomSpace, "__init__", recording)
     return built

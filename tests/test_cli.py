@@ -134,9 +134,9 @@ def test_hom_reps_builds_each_space_once(fx, monkeypatch):
     built = []
     init = HomSpace.__init__
 
-    def recording(self, X, Y, k=0):
+    def recording(self, X, Y, k=0, hom=None):
         built.append(k)
-        init(self, X, Y, k)
+        init(self, X, Y, k, hom)
 
     monkeypatch.setattr(HomSpace, "__init__", recording)
     res = run("hom", fx["i2"], fx["p3"], "--reps")

@@ -10,7 +10,7 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting, glue, summand_classes
 from siltglue.homs import HomSpace
-from siltglue.linalg import Matrix, kernel_basis, row_space_rref
+from siltglue.linalg import Matrix, kernel_basis, row_space_rref, solve
 from siltglue.quiver import build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -29,6 +29,7 @@ from siltglue.decompose import (
     EndAlgebra,
     SemisimpleQuotient,
     _center_basis,
+    _min_poly,
     _poly_divmod,
     _poly_gcdex,
     _poly_mul,
@@ -405,3 +406,31 @@ def test_minpoly_split_calls_sympy_only_to_factor(monkeypatch):
     assert _try_minpoly_split(S, _t(S)) is not None
     assert calls.count("factor_list") == 1
     assert not {"gcdex", "rem", "quo", "expand", "Rational"} & set(calls)
+
+
+def _min_poly_by_solve(S, x):
+    """The reference: each new power solved afresh against all the lower ones."""
+    powers, cur = [S.one], S.one
+    while True:
+        cur = S.mul(cur, x)
+        sol = solve(Matrix(QQ, [[p[i] for p in powers] for i in range(S.dim)], cols=len(powers)), cur)
+        if sol is not None:
+            return [Fraction(1)] + [-c for c in reversed(sol)]
+        powers.append(cur)
+
+
+def test_min_poly_matches_the_solve_reference(monkeypatch):
+    """The running RREF finds the same monic polynomial as solving afresh, with no full row reduction."""
+    rng = seeded_rng(917)
+    quotients = [_PolyQuotient(f) for _name, f, _e in MINPOLY_SPLITS] + [_PolyQuotient([1, 0, -2])]
+    cases = [(S, _t(S)) for S in quotients]
+    cases += [(S, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(S.dim)]) for S in quotients]
+    calls = []
+    orig = _kernel.rref_qq
+    monkeypatch.setattr(_kernel, "rref_qq", lambda rows: calls.append(1) or orig(rows))
+    for S, x in cases:
+        expected = _min_poly_by_solve(S, x)
+        calls.clear()
+        assert _min_poly(S, x) == expected
+        assert not calls
+    assert _min_poly(quotients[3], _t(quotients[3])) == [1, Fraction(-7, 2), Fraction(3, 2)]

@@ -202,6 +202,22 @@ def test_k0_report_over_fp_unsplit_input_is_inconclusive():
     assert rep["ok"] and "status" not in rep
 
 
+def test_k0_report_eliminates_once(monkeypatch, ka3):
+    """A non-zero determinant gives the rank; `rank` runs only for a singular or non-square matrix."""
+    ranks = []
+    orig = gluing.rank
+    monkeypatch.setattr(gluing, "rank", lambda mat: ranks.append(mat.rows) or orig(mat))
+    A, P = ka3["A"], ka3["P"]
+    rep = k0_report([P["1"], P["2"], P["3"]], A)
+    assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (3, True, 1, True)
+    assert ranks == []
+    rep = k0_report([P["1"], shift(P["1"], 1), P["2"]], A)  # [P1[1]] = -[P1]
+    assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (2, True, None, False)
+    rep = k0_report([P["1"], P["2"]], A)
+    assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (2, False, None, False)
+    assert ranks == [3, 2]
+
+
 def test_generation_budget_is_reported(monkeypatch, ka3):
     P = ka3["P"]
     full = check_generation([P["1"], P["2"]])

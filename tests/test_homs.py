@@ -10,11 +10,14 @@ from siltglue.linalg import Matrix, solve
 from siltglue import homs
 from siltglue.approx import add_shift_preenvelope
 from siltglue.homs import (
+    HomComplex,
     HomSpace,
     hom_dim,
     hom_dim_table,
+    hom_spaces,
     hom_window,
     is_nonpositive,
+    nonzero_homs,
     s_search,
     s_sup,
 )
@@ -215,22 +218,26 @@ def test_hom_oracle_adjacent_differentials(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_homotopy_witness_round_trip(field):
+    """f = d h + h d for Y[k], at even and odd k: at odd k, d_{Y[k]} = -d_Y and the witness carries that sign."""
     rng = seeded_rng(303)
-    tried = 0
-    while tried < 3:
-        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
-        X = random_complex(alg, rng, steps=3, shift_range=1)
-        Y = random_complex(alg, rng, steps=3, shift_range=1)
-        hs = HomSpace(X, Y, 0)
-        if hs.hvars.dim == 0:
-            continue
-        h = hs.hvars.from_vector([field.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
-        f = ChainMap(X, Y, boundary(hs, h))
-        assert hs.is_null_homotopic(f)
-        w = hs.homotopy_witness(f)
-        assert w is not None
-        assert (ChainMap(X, Y, boundary(hs, w)) - f).is_zero()
-        tried += 1
+    for k in (0, 1, -1):
+        tried = 0
+        while tried < 3:
+            alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+            X = random_complex(alg, rng, steps=3, shift_range=1)
+            Y = random_complex(alg, rng, steps=3, shift_range=1)
+            hs = HomSpace(X, Y, k)
+            if hs.hvars.dim == 0:
+                continue
+            h = hs.hvars.from_vector([field.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
+            f = ChainMap(X, hs.Z, boundary(hs, h))
+            if f.is_zero():
+                continue  # a zero f has every h as a witness, whatever its sign
+            assert hs.is_null_homotopic(f)
+            w = hs.homotopy_witness(f)
+            assert w is not None
+            assert (ChainMap(X, hs.Z, boundary(hs, w)) - f).is_zero()
+            tried += 1
 
 
 def _unknowns(X, Y):
@@ -267,7 +274,7 @@ def _solve_coordinates(hs, f):
     """The reference: solve [reps | boundary rows] x = f afresh, as one system."""
     fld = hs.X.algebra.field
     vec = hs.fvars.to_vector({n: f.component(n) for n in f.components})
-    cols = hs._reps + hs._brows
+    cols = hs._reps + hs.hom.image(hs.k - 1)[0]
     if not cols:
         return [] if all(fld.is_zero(x) for x in vec) else None
     mat = Matrix(fld, [[c[r] for c in cols] for r in range(hs.fvars.dim)], cols=len(cols))
@@ -374,3 +381,99 @@ def test_s_search_builds_representatives_only_where_read(ka3, monkeypatch):
     pre = add_shift_preenvelope(M, T, s, spaces)
     assert [id(hs) for hs in scanned if "_reps" in vars(hs)] == [id(hs) for hs in spaces.values()]
     assert [hs.dim for hs in pre.spaces] == [len(reps) for reps in pre.reps]
+
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "F5", "F2147483647"]
+
+
+def _random_pairs(field, seed, count):
+    """`count` random pairs (X, Y) over random acyclic quivers, each with a non-empty window."""
+    rng = seeded_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=3, shift_range=1)
+        lo, hi = hom_window(X, Y)
+        if lo <= hi:
+            pairs.append((X, Y))
+    return pairs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_views_on_one_complex_match_the_oracle(field):
+    """Every view of a walk over the full window has the oracle's dimension and as many representatives."""
+    checked = 0
+    for X, Y in _random_pairs(field, 811, 8):
+        spaces = hom_spaces(X, Y)
+        assert len({id(hs.hom) for hs in spaces.values()}) == 1
+        for k, hs in spaces.items():
+            assert hs.dim == oracle_hom_dim(X, Y, k) == len(hs.basis_maps())
+            checked += bool(hs.dim)
+        assert [k for k, _ in nonzero_homs(X, Y, min(spaces))] == [k for k, hs in spaces.items() if hs.dim]
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_representatives_are_shift_invariant(field):
+    """Hom(X[s], Y[s]) has the representative vectors and dimension of Hom(X, Y), for every k."""
+    compared = 0
+    for X, Y in _random_pairs(field, 812, 6):
+        lo, hi = hom_window(X, Y)
+        for k in range(lo, hi + 1):
+            base = HomSpace(X, Y, k)
+            for s in (-1, 1, 2):
+                moved = HomSpace(shift(X, s), shift(Y, s), k)
+                assert moved.dim == base.dim and moved._reps == base._reps
+                assert moved.cycle_basis == base.cycle_basis
+                compared += bool(base.dim)
+    assert compared >= 12
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_window_walk_assembles_each_differential_once(field, monkeypatch):
+    """Reading every view of a window (dims, representatives, null-homotopy, coordinates, witnesses)
+    assembles each delta^m once: one unit image per coordinate of Hom^m, for m from lo - 1 to hi."""
+    calls = []
+    orig = HomComplex._unit_image
+
+    def counting(self, slot, m):
+        calls.append(m)
+        return orig(self, slot, m)
+
+    monkeypatch.setattr(HomComplex, "_unit_image", counting)
+    for X, Y in _random_pairs(field, 813, 6):
+        calls.clear()
+        spaces = hom_spaces(X, Y)
+        for hs in spaces.values():
+            for i, f in enumerate(hs.basis_maps()):
+                assert [bool(c) for c in hs.coordinates(f)] == [j == i for j in range(hs.dim)]
+                assert not hs.is_null_homotopic(f)
+            hs.homotopy_witness(ChainMap.zero(X, hs.Z))
+        hom = next(iter(spaces.values())).hom
+        lo, hi = min(spaces), max(spaces)
+        assert sorted(calls) == [m for m in range(lo - 1, hi + 1) for _ in range(hom.term(m).dim)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_measuring_a_window_reduces_each_differential_once(field, monkeypatch):
+    """Dims over w shifts need w + 1 ranks: upwards (the table) and downwards (the s-search)
+    each reduce every delta^m once, reusing whichever form of it is already reduced."""
+    calls = []
+    orig = homs.row_space_rref
+
+    def counting(fld, rows):
+        calls.append(1)
+        return orig(fld, rows)
+
+    monkeypatch.setattr(homs, "row_space_rref", counting)
+    for X, Y in _random_pairs(field, 814, 8):
+        lo, hi = hom_window(X, Y)
+        calls.clear()
+        hom_dim_table(X, Y)
+        assert len(calls) == hi - lo + 2
+        calls.clear()
+        s, _spaces = s_search(X, [Y])
+        scanned = hi - (0 if s is None else s) + 1
+        assert len(calls) == (scanned + 1 if scanned > 0 else 0)

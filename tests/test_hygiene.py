@@ -6,9 +6,10 @@ be listed in `__all__`; no import statement sits inside a function body; a
 local name that a function assigns is read in it, unless the name starts
 with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
-library outside its own definition.  Two more checks guard the benchmark's
-traced run: every method its tracer wraps must exist, and every
-`decompose` function it times or counts by name must resolve.
+library outside its own definition.  Three more checks guard the benchmark's
+traced run: every method its tracer wraps must exist, every `decompose` and
+`homs` function it times or counts by name must resolve, and a `HomSpace`
+carries every attribute its hook reads.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib.util
 import os
 
 import pytest
+
+from siltglue.homs import HomSpace, hom_spaces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "siltglue")
@@ -217,19 +220,38 @@ def test_traced_methods_exist():
 
 
 def test_traced_decompose_names_resolve():
-    """Every `decompose.*` name that `siltbench/tracing.py` times or counts names a callable of the library.
+    """Every `decompose.*` and `homs.*` name that `siltbench/tracing.py` times or counts names a callable of the library.
 
     `Tracer.install` wraps module functions by walking each module, so a
     renamed function would silently leave its counter at zero.
     """
     tracing = load_tracing()
     names = {n for table in (tracing.GROUPS, tracing.CALLS) for ns in table.values() for n in ns}
-    names = sorted(n for n in names if n.startswith("decompose."))
+    names = sorted(n for n in names if n.startswith(("decompose.", "homs.")))
 
     def resolves(name):
-        obj = tracing.decompose
-        for part in name.split(".")[1:]:
+        module, *parts = name.split(".")
+        obj = getattr(tracing, module)
+        for part in parts:
             obj = getattr(obj, part, None)
         return callable(obj)
 
-    assert names and [n for n in names if not resolves(n)] == []
+    assert {n.split(".")[0] for n in names} == {"decompose", "homs"}
+    assert [n for n in names if not resolves(n)] == []
+
+
+def test_homspace_carries_what_the_tracer_reads(ka3):
+    """`Tracer._hook_homspace` runs on a HomSpace built alone and on one a walker built.
+
+    The hook reads the space's X, Y, k, fvars and hvars after each
+    `HomSpace.__init__`; a missing attribute would crash only the traced
+    benchmark run.  The tracer is loaded and called, never installed.
+    """
+    tracing = load_tracing()
+    X, Y = ka3["I2"], ka3["P"]["3"]
+    spaces = [HomSpace(X, Y, 1)] + list(hom_spaces(X, Y).values())
+    tracer = tracing.Tracer()
+    for hs in spaces:
+        tracer._hook_homspace((hs,), None, 0.0, None)
+    assert tracer.counters["homs.unknowns"] == sum(hs.fvars.dim + hs.hvars.dim for hs in spaces)
+    assert tracer.counters["homs.repeats"] == 1 and len(tracer.hom_keys) == len(spaces) - 1
