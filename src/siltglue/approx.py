@@ -1,13 +1,14 @@
 """Envelopes and precovers with respect to shifts of a fixed set of complexes.
 
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
-from Hom-basis representatives, minimizes them by greedy deletion, and runs
-the inductive construction of the susp(T)-envelope triangle V -> M -> U via
-homotopy pushouts.  A deletion is decided on Hom coordinates: a set of
-target copies is a preenvelope exactly when every map M -> T_j[s] factors
-through it (Auslander-Smalo), a rank condition on the coordinates of the
-maps each copy lets through, so no candidate map is assembled.  The
-cosusp(T)-precover is the same construction over the opposite algebra,
+from Hom-basis representatives, minimizes them by one greedy pass that tries
+each copy once, and runs the inductive construction of the susp(T)-envelope
+triangle V -> M -> U via homotopy pushouts, which read the cocone with its
+map to M and the cone as a complex alone.  A deletion is decided on Hom
+coordinates: a set of target copies is a preenvelope exactly when every map
+M -> T_j[s] factors through it (Auslander-Smalo), a rank condition on the
+coordinates of the maps each copy lets through, so no candidate map is
+assembled.  The cosusp(T)-precover is the same construction over the opposite algebra,
 transported back.  All certificates are exact.
 
 Each stage builds every Hom(M, T_i[k]) once: the s-search (`s_search`) keeps
@@ -130,10 +131,12 @@ def left_minimize(pre, between=None):
     Hom(T_ti[s], T_j[s]) and r_c is copy c's representative.  Their
     coordinates in Hom(M, T_j[s]) are computed once per copy, so deciding a
     deletion is a rank test on rows; the minimized map is built at the end.
-    The first copy whose removal keeps every rank full is dropped, then the
-    scan restarts.  The spaces Hom(M, T_j[s]) and their representatives are
-    the ones `pre` carries.  Hom(T_ti[s], T_j[s]) has the shifted basis of
-    Hom(T_ti, T_j), which `between` keeps by (ti, j) for calls on one T_list.
+    Each copy is tried once, in order, and dropped when its removal keeps
+    every rank full.  A copy kept once is never tried again: dropping it
+    from a smaller set would leave smaller spans still.  The spaces
+    Hom(M, T_j[s]) and their representatives are the ones `pre` carries.
+    Hom(T_ti[s], T_j[s]) has the shifted basis of Hom(T_ti, T_j), which
+    `between` keeps by (ti, j) for calls on one T_list.
     """
     M, T_list, s = pre.source, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
@@ -153,13 +156,10 @@ def left_minimize(pre, between=None):
     dims = [hs.dim for hs in spaces if hs.dim]
     fld = M.algebra.field
     keep = list(range(len(pre.copies)))
-    i = 0
-    while i < len(keep):
-        cand = keep[:i] + keep[i + 1 :]
-        if _is_preenvelope(fld, dims, [copy_rows[c] for c in cand]):
-            keep, i = cand, 0
-        else:
-            i += 1
+    for c in range(len(pre.copies)):
+        cand = [k for k in keep if k != c]
+        if _is_preenvelope(fld, dims, [copy_rows[k] for k in cand]):
+            keep = cand
     copies = [pre.copies[c] for c in keep]
     f = _stack(M, [reps[ti][ri] for ti, ri in copies])
     return Preenvelope(f, T_list, s, copies, spaces, reps, minimal=True)
@@ -224,8 +224,7 @@ def _susp_envelope_stage(M, T_list, bound, between):
     pre = left_minimize(add_shift_preenvelope(M, T_list, s, spaces), between)
     h = pre.f
     layer = (s, tuple(sorted((ti for ti, _ in pre.copies))))
-    tri = cocone(h)  # C -> M -> F
-    C, u = tri.X, tri.u
+    C, u = cocone(h)  # C -> M -> F
     Cm = minimize(C)
     u2 = Cm.pull(u)
     g, E, sub_trace = _susp_envelope_stage(Cm.complex, T_list, s, between)
@@ -235,8 +234,7 @@ def _susp_envelope_stage(M, T_list, bound, between):
     for n in set(g.components) | set(u2.components):
         comps[n] = PathMatrix.vstack(g.component(n), -u2.component(n))
     gu = ChainMap(Cm.complex, EM, comps)
-    ctri = cone(gu)
-    X = ctri.Z
+    X = cone(gu)
     # f: M -> X through the M slot of E (+) M
     incl = {}
     alg = M.algebra
@@ -252,9 +250,9 @@ def _susp_envelope_stage(M, T_list, bound, between):
 def _envelope(M, T_list, seed):
     """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace)."""
     f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None, {})
-    tri = cocone(f)
-    Vm = minimize(tri.X)
-    return f, U, Vm.complex, Vm.pull(tri.u), trace
+    V, u = cocone(f)
+    Vm = minimize(V)
+    return f, U, Vm.complex, Vm.pull(u), trace
 
 
 def _check_orthogonal(pairs, what):

@@ -8,7 +8,9 @@ differentials are matrices of path-algebra elements.
 Sign conventions, fixed once: the differential has degree +1; the shift [1]
 moves components one degree to the left and flips the sign of d; the cone of
 f: X -> Y has components X^{n+1} (+) Y^n with differential
-[[-d_X, 0], [f, d_Y]].
+[[-d_X, 0], [f, d_Y]].  Only what a caller reads is built: `cone` returns
+that complex alone, `cocone` the complex C(f)[-1] with its projection to X,
+and `direct_sum_many` a sum of any number of complexes in one pass.
 
 A `PathMatrix` stores only its non-zero entries, as cells
 {(i, j): {path: coefficient}}, and every operation touches only those.  Its
@@ -27,7 +29,7 @@ that `hom --reps` prints, and on the presilting witness in the certificates
 of `glue` and `check-silting`.
 """
 
-from .linalg import Matrix
+from .linalg import Matrix, extend_rref
 from .quiver import AlgebraElement, Path, QuiverError
 
 
@@ -192,10 +194,6 @@ class PathMatrix:
         cells = dict(a.cells)
         cells.update(((i + di, j + dj), t) for (i, j), t in b.cells.items())
         return cls._of(a.algebra, rv, cv, cells)
-
-    @classmethod
-    def block_diag(cls, algebra, a, b):
-        return cls._glue(a, b, a.row_vertices + b.row_vertices, a.col_vertices + b.col_vertices, a.rows, a.cols)
 
     @classmethod
     def vstack(cls, a, b):
@@ -469,19 +467,6 @@ class ChainMap:
         return f"ChainMap({self.source.describe()} -> {self.target.describe()})"
 
 
-class Triangle:
-    """Triangle X -> Y -> Z -> X[1], stored via u: X->Y and v: Y->Z."""
-
-    __slots__ = ("X", "Y", "Z", "u", "v")
-
-    def __init__(self, X, Y, Z, u, v):
-        self.X, self.Y, self.Z = X, Y, Z
-        self.u, self.v = u, v
-
-    def __repr__(self):
-        return f"Triangle({self.X.describe()} -> {self.Y.describe()} -> {self.Z.describe()})"
-
-
 def make_complex(algebra, components, differentials):
     """The validated constructor, for complexes whose entries come from outside (`ProjComplex.check`)."""
     X = ProjComplex(algebra, components, differentials)
@@ -509,28 +494,26 @@ def shift_map(f, k):
 
 def direct_sum(X, Y):
     """Degreewise concatenation with block-diagonal differentials."""
-    if X.algebra != Y.algebra:
-        raise ComplexError("different algebras")
-    alg = X.algebra
-    comps = {}
-    for n in set(X.components) | set(Y.components):
-        comps[n] = X.component(n) + Y.component(n)
-    diffs = {}
-    for n in comps:
-        if n + 1 in comps:
-            diffs[n] = PathMatrix.block_diag(alg, X.differential(n), Y.differential(n))
-    return ProjComplex(alg, comps, diffs)
+    return direct_sum_many(X.algebra, [X, Y])
 
 
 def direct_sum_many(algebra, complexes):
-    out = ProjComplex.zero(algebra)
+    """The direct sum of `complexes`, in one pass: each differential's cells move by the summands before it."""
+    comps, cells = {}, {}
     for X in complexes:
-        out = direct_sum(out, X)
-    return out
+        if X.algebra != algebra:
+            raise ComplexError("different algebras")
+        for n, d in X.differentials.items():
+            di, dj = len(comps.get(n + 1, ())), len(comps.get(n, ()))
+            cells.setdefault(n, {}).update(((i + di, j + dj), t) for (i, j), t in d.cells.items())
+        for n, vs in X.components.items():
+            comps[n] = comps.get(n, ()) + vs
+    diffs = {n: PathMatrix._of(algebra, comps[n + 1], comps[n], c) for n, c in cells.items()}
+    return ProjComplex(algebra, comps, diffs)
 
 
 def cone(f):
-    """Mapping cone: triangle X -> Y -> C(f)."""
+    """The mapping cone C(f) of f: X -> Y, the third object of the triangle X -> Y -> C(f)."""
     X, Y = f.source, f.target
     alg = X.algebra
     comps = {}
@@ -548,28 +531,20 @@ def cone(f):
         )
         bot = PathMatrix.hstack(f.component(n + 1), Y.differential(n))
         diffs[n] = PathMatrix.vstack(top, bot)
-    C = ProjComplex(alg, comps, diffs)
-    incl = {}
-    for n, vs in Y.components.items():
-        zero = PathMatrix.zero(alg, X.component(n + 1), vs)
-        incl[n] = PathMatrix.vstack(zero, PathMatrix.identity(alg, vs))
-    v = ChainMap(Y, C, incl)
-    return Triangle(X, Y, C, f, v)
+    return ProjComplex(alg, comps, diffs)
 
 
 def cocone(f):
-    """Cocone: triangle CC(f) -> X -> Y with CC(f) = C(f)[-1]."""
+    """(CC(f), u) for f: X -> Y: the cocone CC(f) = C(f)[-1] and u: CC(f) -> X of the triangle CC(f) -> X -> Y."""
     X, Y = f.source, f.target
-    tri = cone(f)
-    CC = shift(tri.Z, -1)
+    CC = shift(cone(f), -1)
     alg = X.algebra
     proj = {}
     for n in CC.components:
         # CC^n = X^n (+) Y^{n-1}; project onto X^n
         Xn = X.component(n)
         proj[n] = PathMatrix.hstack(PathMatrix.identity(alg, Xn), PathMatrix.zero(alg, Xn, Y.component(n - 1)))
-    u = ChainMap(CC, X, proj)
-    return Triangle(CC, X, Y, u, f)
+    return CC, ChainMap(CC, X, proj)
 
 
 class MinimizeResult:
@@ -655,33 +630,27 @@ def _pivots(d):
     """Rows and columns of a maximal invertible block of unit entries of d.
 
     The block is the one that cancelling the first unit entry in row-major
-    order, again and again, would use up.  That elimination runs on the
-    field matrix of trivial-path coefficients alone: taking the scalar part
-    commutes with sums and products, so it is the scalar part of each
-    intermediate differential.
+    order, again and again, would use up.  Taking the scalar part commutes
+    with sums and products, so that elimination runs on the trivial-path
+    coefficients, and it takes a row exactly when the row leaves the span of
+    the rows before it, with the first non-zero column of its residue.  A
+    residue modulo a row space does not depend on the echelon form that
+    holds the space, so the rows that hold a unit enter one running RREF
+    (`extend_rref`) in order, and the others, which lie in every span, are
+    never built.
     """
     fld = d.algebra.field
-    s = d.scalar_part()
-    rows, cols = list(range(d.rows)), list(range(d.cols))
-    piv_rows, piv_cols = [], []
-    while True:
-        hit = next(
-            ((a, b) for a, row in enumerate(s) for b, x in enumerate(row) if not fld.is_zero(x)), None
-        )
-        if hit is None:
-            return piv_rows, piv_cols
-        a, b = hit
-        piv_rows.append(rows.pop(a))
-        piv_cols.append(cols.pop(b))
-        top = s.pop(a)
-        inv = fld.inv(top.pop(b))
-        for row in s:
-            f = row.pop(b)
-            if not fld.is_zero(f):
-                f = fld.mul(f, inv)
-                for c, x in enumerate(top):
-                    if not fld.is_zero(x):
-                        row[c] = fld.sub(row[c], fld.mul(f, x))
+    units = {}
+    for (i, j), t in d.cells.items():
+        for p, c in t.items():
+            if not p.arrows:
+                units.setdefault(i, [fld.zero] * d.cols)[j] = c
+    red, pivs, rows, cols = [], [], [], []
+    for i, row in sorted(units.items()):
+        if extend_rref(fld, red, pivs, row):
+            rows.append(i)
+            cols.append(next(c for c in pivs if c not in cols))
+    return rows, cols
 
 
 def _cancel(X, n, rows, cols):

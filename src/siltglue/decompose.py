@@ -7,8 +7,9 @@ map is an isomorphism of complexes since the arrow radical is nilpotent).
 Decomposition splits primitive idempotents of the endomorphism algebra E
 modulo homotopy.  E/rad E is read through sigma, the trivial-path
 coefficients of the representatives: the radical is the kernel of the trace
-form of those small matrices (characteristic zero), and products in the
-quotient come from traces, with no product of chain maps.  Idempotents are
+form of those small matrices (characteristic zero), and a product in the
+quotient is one product of sigma values, formed when it is asked for, whose
+traces give its coordinates, with no product of chain maps.  Idempotents are
 found in the quotient by minimal-polynomial factorization — basis elements,
 random small combinations, then central elements, whose minimal
 polynomials split the distinct simple blocks — and lifted to an exact
@@ -114,7 +115,7 @@ def is_isomorphic(X, Y, seed=0):
         if not _scalar_invertible_everywhere(g):
             return None
         witness = from_min.compose(g).compose(to_min)
-        if minimize(cone(witness).Z).complex.is_zero():
+        if minimize(cone(witness)).complex.is_zero():
             return witness
         return None
 
@@ -200,8 +201,10 @@ class SemisimpleQuotient:
     A class with coordinates c has traces (G_ff c)_f against the free
     representatives b_f, and G_ff is invertible because they span a
     complement of the radical.  One row reduction of [G_ff | I] gives the
-    sparse rows of G_ff^-1 (`inverse`), which turn traces into coordinates;
-    `table[a][b]` holds the (k, c) coordinates of the product of units a, b.
+    sparse rows of G_ff^-1 (`inverse`), which turn traces into coordinates.
+    A product is formed when it is asked for: sigma(x) sigma(y) is one
+    product of sigma values, and its traces against the free
+    representatives give its coordinates.
     """
 
     def __init__(self, end):
@@ -212,10 +215,8 @@ class SemisimpleQuotient:
         unit = Matrix.identity(QQ, s).data
         aug = [[end.gram[f][g] for g in self.free] + unit[a] for a, f in enumerate(self.free)]
         self.inverse = [[(g, a) for g, a in enumerate(row[s:]) if a] for row in row_space_rref(QQ, aug)[0]]
-        sig = [end.sigmas[f] for f in self.free]
+        self.sigmas = sig = [end.sigmas[f] for f in self.free]
         self.one = self.project([sum((c for (_, i, j), c in x.items() if i == j), Fraction(0)) for x in sig])
-        products = ([self.project([_trace(_sigma_mul(x, y), z) for z in sig]) for y in sig] for x in sig)
-        self.table = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in products]
 
     def project(self, traces):
         """Coordinates of the class whose traces against the free representatives are `traces`."""
@@ -229,14 +230,18 @@ class SemisimpleQuotient:
                 g = g + self.end.reps[i].scale(c)
         return g
 
+    def sigma(self, x):
+        """sigma of the class with coordinates x: sum_a x_a sigma(b_{free[a]})."""
+        out = {}
+        for c, sig in zip(x, self.sigmas):
+            if c:
+                for key, a in sig.items():
+                    out[key] = out.get(key, 0) + c * a
+        return {key: a for key, a in out.items() if a}
+
     def mul(self, x, y):
-        out = [Fraction(0)] * self.dim
-        for xa, row in zip(x, self.table):
-            for yb, consts in zip(y, row):
-                if xa and yb:
-                    for k, c in consts:
-                        out[k] += xa * yb * c
-        return out
+        p = _sigma_mul(self.sigma(x), self.sigma(y))
+        return self.project([_trace(p, z) for z in self.sigmas])
 
     def is_zero(self, x):
         return all(c == 0 for c in x)

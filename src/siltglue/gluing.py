@@ -154,11 +154,14 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     Starts from the indecomposable summands of the given complexes
     (`classes` as `summand_classes` returns them, computed when not given)
     and repeatedly adjoins minimized cones of Hom-basis maps between
-    shifts.  Returns a report with status "generated" (plus witnesses) or
-    "inconclusive".  At most GENERATION_BUDGET objects are held; when
-    another is needed the search stops as "inconclusive" with
-    "budget_exhausted": true.  Over F_p cones are not split into summands,
-    so the object set can grow without end and the budget ends the search.
+    shifts.  Each depth walks only the pairs with an object new since the
+    depth before: an older pair was walked to the end at an earlier depth,
+    so the summands of its cones are held already.  Returns a report with
+    status "generated" (plus witnesses) or "inconclusive".  At most
+    GENERATION_BUDGET objects are held; when another is needed the search
+    stops as "inconclusive" with "budget_exhausted": true.  Over F_p cones
+    are not split into summands, so the object set can grow without end and
+    the budget ends the search.
     """
     if not T_list:
         return {"status": "inconclusive", "ok": False, "witnesses": []}
@@ -194,18 +197,18 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
         return missing
 
     missing = found_all()
-    level = 0
+    level = fresh = 0
     exhausted = False
     try:
         while missing and level < depth:
             level += 1
-            snapshot = list(objs)
-            for X, howx in snapshot:
-                for Y, howy in snapshot:
+            snapshot, old, fresh = list(objs), fresh, len(objs)
+            for x, (X, howx) in enumerate(snapshot):
+                for Y, howy in snapshot if x >= old else snapshot[old:]:  # two older objects: walked before
                     for k, hs in hom_spaces(X, Y).items():
                         for ri, f in enumerate(hs.basis_maps()):
                             note(
-                                minimize(cone(f).Z).complex,
+                                minimize(cone(f)).complex,
                                 f"cone({howx} -> {howy}[{k}], rep {ri}) @depth {level}",
                             )
                 missing = found_all()

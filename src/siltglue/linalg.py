@@ -184,17 +184,19 @@ def extend_rref(field, rref_rows, pivots, vec):
 
     The rows and pivots become the canonical RREF of the enlarged span, the
     same as `row_space_rref` of the old rows plus `vec`, without reducing the
-    old rows again: the residue of `vec` is normalized and its pivot column
-    cleared from the rows that meet it.
+    old rows again: the non-zero entries of the residue of `vec` are
+    normalized and its pivot column cleared from the rows that meet it.
     """
     fld = field
     v = _reduce(fld, rref_rows, pivots, vec)
-    col = next((c for c, x in enumerate(v) if not fld.is_zero(x)), None)
-    if col is None:
+    nz = [c for c, x in enumerate(v) if not fld.is_zero(x)]
+    if not nz:
         return False
-    inv = fld.inv(v[col])
-    v = [fld.zero] * col + [fld.mul(x, inv) for x in v[col:]]
-    nz = [c for c in range(col, len(v)) if not fld.is_zero(v[c])]
+    col = nz[0]
+    if v[col] != fld.one:
+        inv = fld.inv(v[col])
+        for c in nz:
+            v[c] = fld.mul(v[c], inv)
     for row in rref_rows:
         f = row[col]
         if not fld.is_zero(f):

@@ -54,7 +54,7 @@ def random_complex(alg, rng, steps=2, max_width=4, shift_range=2):
                     c = rng.randrange(alg.field.p)
                 if not alg.field.is_zero(c):
                     f = f + ChainMap(X, Y, hs.fvars.from_vector(v)).scale(c)
-            X = minimize(cone(f).Z).complex
+            X = minimize(cone(f)).complex
         else:
             X = direct_sum(X, Y)
         if X.is_zero():

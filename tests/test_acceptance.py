@@ -102,10 +102,10 @@ def test_envelope_staged_cocones(ka3):
     M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
     T = [shift(P["3"], 1)]
     pre1 = left_minimize(add_shift_preenvelope(M, T, 1))
-    C1 = minimize(cocone(pre1.f).X).complex
+    C1 = minimize(cocone(pre1.f)[0]).complex
     assert is_isomorphic(C1, direct_sum(shift(P["1"], 1), ka3["S2"])).isomorphic
     pre2 = left_minimize(add_shift_preenvelope(C1, T, 0))
-    C2 = minimize(cocone(pre2.f).X).complex
+    C2 = minimize(cocone(pre2.f)[0]).complex
     assert is_isomorphic(C2, direct_sum(shift(P["1"], 1), P["2"])).isomorphic
 
 
@@ -166,7 +166,7 @@ def test_envelope_property_suite():
         refined = indecomposable_refinement(T)
         pre = left_minimize(add_shift_preenvelope(M, refined, s))
         assert check_left_minimality(pre)
-        C = minimize(cocone(pre.f).X).complex
+        C = minimize(cocone(pre.f)[0]).complex
         sC = s_sup(C, T)
         assert sC is None or sC < s
         # factorization universality against a random suspended-hull object

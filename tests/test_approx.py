@@ -91,6 +91,32 @@ def test_left_minimize_against_the_assembled_certificate(field):
     assert hits >= 16 and deleted >= 10
 
 
+def test_left_minimize_tries_each_copy_once(ka3, monkeypatch):
+    """One rank test per copy: a copy kept once stays needed in every smaller set.
+
+    On I2 (+) S2 against [P3, P2] the third copy goes after the first two
+    were kept, so a scan that restarted after a deletion would test them
+    again.
+    """
+    tests = []
+    orig = approx._is_preenvelope
+    monkeypatch.setattr(approx, "_is_preenvelope", lambda *args: tests.append(1) or orig(*args))
+    P = ka3["P"]
+    pre = add_shift_preenvelope(direct_sum(ka3["I2"], ka3["S2"]), [P["3"], P["2"]], 1)
+    assert left_minimize(pre).copies == [(0, 0), (0, 1)] and len(pre.copies) == len(tests) == 3
+    for seed in range(24):
+        rng = seeded_rng(5100 + seed)
+        alg = build_algebra(random_quiver(rng, max_vertices=4), QQ)
+        M = random_complex(alg, rng, steps=2, max_width=3)
+        T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 3))]
+        s = s_sup(M, T + T[:1])
+        if s is not None:
+            tests.clear()
+            pre = add_shift_preenvelope(M, T + T[:1], s)
+            left_minimize(pre)
+            assert len(tests) == len(pre.copies)
+
+
 def _recording_homspaces(monkeypatch):
     """Patch HomSpace to record (X, Y, k) of every space built; returns the record."""
     built = []
@@ -221,7 +247,7 @@ def test_envelope_triangle_anchor(ka3):
     env.f.check_chain_condition()
     env.v_map.check_chain_condition()
     # the triangle closes: cocone(f) is the stored V
-    vm = minimize(cocone(env.f).X).complex
+    vm = minimize(cocone(env.f)[0]).complex
     assert vm.graded_multiset() == env.V.graded_multiset()
 
 
@@ -270,7 +296,7 @@ def _random_susp_object(rng, alg, T, layers=2):
             W = direct_sum(W, W2)
             continue
         f = hs.basis_maps()[rng.randrange(hs.dim)]
-        W = minimize(cone(f).Z).complex
+        W = minimize(cone(f)).complex
     return W
 
 
@@ -289,7 +315,7 @@ def test_envelope_properties_random_sample():
         # greedy deletion reach a genuinely minimal approximation)
         pre = left_minimize(add_shift_preenvelope(M, indecomposable_refinement(T), s))
         assert check_left_minimality(pre)
-        C = minimize(cocone(pre.f).X).complex
+        C = minimize(cocone(pre.f)[0]).complex
         sC = s_sup(C, T)
         assert sC is None or sC < s
         # factorization universality against random susp(T) objects
@@ -365,8 +391,8 @@ def _check_precover_by_oracle(M, T):
     res.v_map.check_chain_condition()
     res.f.check_chain_condition()
     assert HomSpace(res.V, res.U, 0).is_null_homotopic(res.f.compose(res.v_map))
-    assert is_isomorphic(minimize(cone(res.v_map).Z).complex, res.U).isomorphic
-    assert is_isomorphic(minimize(cone(res.f).Z).complex, shift(res.V, 1)).isomorphic
+    assert is_isomorphic(minimize(cone(res.v_map)).complex, res.U).isomorphic
+    assert is_isomorphic(minimize(cone(res.f)).complex, shift(res.V, 1)).isomorphic
     return res
 
 

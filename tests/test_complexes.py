@@ -20,9 +20,10 @@ from siltglue.complexes import (
     subcomplex_on_indices,
     transform,
     opposite_complex,
+    _pivots,
 )
 from siltglue.homs import HomSpace
-from verifiers import cone_projection
+from verifiers import cone_projection, reference_pivots
 
 
 def test_d_squared_enforced(ka3):
@@ -75,23 +76,21 @@ def test_cone_triangle_shapes(ka3):
     I2, S2 = ka3["I2"], ka3["S2"]
     # any chain map I2 -> S2; use zero
     f = ChainMap.zero(I2, S2)
-    tri = cone(f)
-    assert tri.Z.component(-2) == ("3",)
-    assert tri.Z.component(-1) == ("1", "3")
-    tri.v.check_chain_condition()
+    C = cone(f)
+    assert C.component(-2) == ("3",)
+    assert C.component(-1) == ("1", "3")
     proj = cone_projection(f)
     proj.check_chain_condition()
-    cc = cocone(f)
-    cc.u.check_chain_condition()
+    CC, u = cocone(f)
+    u.check_chain_condition()
     # cocone components are X^n (+) Y^{n-1}
-    assert cc.X.component(0) == ("1", "3")
-    assert cc.X.component(1) == ("2",)
+    assert CC.component(0) == ("1", "3")
+    assert CC.component(1) == ("2",)
 
 
 def test_cone_of_identity_vanishes(ka3):
     I2 = ka3["I2"]
-    tri = cone(ChainMap.identity(I2))
-    assert minimize(tri.Z).complex.is_zero()
+    assert minimize(cone(ChainMap.identity(I2))).complex.is_zero()
 
 
 def test_minimize_strips_units(ka3):
@@ -122,7 +121,7 @@ def test_minimize_cancels_unit_entries_in_row_major_order(ka3):
 def test_minimize_equivalence_maps(ka3):
     A = ka3["A"]
     I2 = ka3["I2"]
-    X = direct_sum(I2, cone(ChainMap.identity(ka3["S2"])).Z)
+    X = direct_sum(I2, cone(ChainMap.identity(ka3["S2"])))
     m = minimize(X)
     assert m.complex.graded_multiset() == I2.graded_multiset()
     m.to_min.check_chain_condition()
@@ -172,8 +171,8 @@ def _unminimized_inputs(field):
         f = ChainMap.zero(X, hs.Z)
         for g in hs.basis_maps():
             f = f + g.scale(field.of(rng.randint(-2, 2)))
-        Z = cone(f).Z
-        S = direct_sum(Z, cone(ChainMap.identity(X)).Z)
+        Z = cone(f)
+        S = direct_sum(Z, cone(ChainMap.identity(X)))
         mixed = transform(S, {n: _unitriangular(alg, rng, vs) for n, vs in S.components.items()})
         out += [Z, S, mixed]
     # d^0 = [[e1, a, 2ab], [0, e2, b]]: the pivots are the slots of P_1 and
@@ -328,7 +327,9 @@ def test_pathmatrix_invert_one_by_one_matches_row_reduction(monkeypatch):
     A = ka3_algebra(F5)
     pm = PathMatrix(A, ("2",), ("2",), [[A.unit_at("2", F5.of(3))]])
     # the same block inside a 2x2 one, inverted by row reduction of [S | 1]
-    by_rref = PathMatrix.block_diag(A, pm, PathMatrix.identity(A, ("1",))).invert().submatrix([0], [0])
+    zero = A.zero_element()
+    block = PathMatrix(A, ("2", "1"), ("2", "1"), [[A.unit_at("2", F5.of(3)), zero], [zero, A.unit_at("1")]])
+    by_rref = block.invert().submatrix([0], [0])
     assert by_rref == PathMatrix(A, ("2",), ("2",), [[A.unit_at("2", F5.of(2))]])
 
     def no_rref(*_args):
@@ -446,10 +447,10 @@ def _produced_matrices(field):
         f = ChainMap.zero(X, hs.Z)
         for g in hs.basis_maps():
             f = f + g.scale(field.of(rng.randint(-2, 2)))
-        tri = cone(f)
-        m = minimize(tri.Z)
-        maps = [f, tri.v, m.to_min, m.from_min, m.to_min.compose(m.from_min)]
-        complexes = [X, Y, shift(X, 1), shift(Y, -1), tri.Z, m.complex]
+        Z = cone(f)
+        m = minimize(Z)
+        maps = [f, m.to_min, m.from_min, m.to_min.compose(m.from_min)]
+        complexes = [X, Y, shift(X, 1), shift(Y, -1), Z, m.complex, direct_sum(Z, X)]
         mats = [d for C in complexes for d in C.differentials.values()]
         mats += [c for g in maps for c in g.components.values()]
         for a in mats:
@@ -459,8 +460,8 @@ def _produced_matrices(field):
             cols = sorted(rng.sample(range(a.cols), rng.randint(0, a.cols)))
             yield from (a, -a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), a.radical_part())
             yield from (a.scale(field.zero), a.scale(field.of(rng.randint(-2, 2))), a.submatrix(rows, cols))
-            yield from (PathMatrix.block_diag(alg, a, b), PathMatrix.vstack(a, b), PathMatrix.hstack(a, b))
-        for n, vs in tri.Z.components.items():
+            yield from (PathMatrix.vstack(a, b), PathMatrix.hstack(a, b))
+        for n, vs in Z.components.items():
             u = _unitriangular(alg, rng, vs)
             yield from (u, u.invert(), u.invert().compose(u))
 
@@ -473,3 +474,54 @@ def test_operations_store_only_nonzero_cells(field):
         seen += 1
         zeros += m.is_zero()
     assert seen > 500 and 0 < zeros < seen
+
+
+def _unit_rows_matrix(alg, rng):
+    """A random path matrix whose scalar part has rows without a unit and rows dependent on earlier ones.
+
+    A unit of row i sits in a column of its vertex, so a dependent row is a
+    combination of earlier rows at the same vertex.  Every entry also gets
+    random radical terms.
+    """
+    fld, verts = alg.field, alg.quiver.vertices
+    rv = [rng.choice(verts) for _ in range(rng.randint(1, 7))]
+    cv = [rng.choice(verts) for _ in range(rng.randint(1, 7))]
+    scalars = []
+    for i, w in enumerate(rv):
+        same = [scalars[k] for k in range(i) if rv[k] == w]
+        kind = rng.random()
+        if kind < 0.2:
+            row = [0] * len(cv)
+        elif kind < 0.5 and same:
+            a, b = rng.choice(same), rng.choice(same)
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [x * p + y * q for p, q in zip(a, b)]
+        else:
+            row = [rng.randint(-2, 2) if v == w and rng.random() < 0.7 else 0 for v in cv]
+        scalars.append(row)
+    ents = []
+    for w, row in zip(rv, scalars):
+        ents.append([])
+        for v, c in zip(cv, row):
+            terms = {p: fld.of(rng.randint(-2, 2)) for p in alg.paths_between(w, v) if p.arrows and rng.random() < 0.5}
+            if c:
+                terms[alg.trivial_path(w)] = fld.of(c)
+            ents[-1].append(alg.element(terms))  # drops zero coefficients
+    return PathMatrix(alg, rv, cv, ents)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_pivots_match_the_gauss_loop(field):
+    """`_pivots` takes the rows and columns the row-major Gauss loop on the scalar part takes."""
+    rng = seeded_rng(1811)
+    no_unit = dependent = 0
+    for trial in range(300):
+        if trial % 30 == 0:
+            alg = build_algebra(random_quiver(rng, max_vertices=3, arrow_prob=0.7), field)
+        d = _unit_rows_matrix(alg, rng)
+        rows, cols = _pivots(d)
+        assert (rows, cols) == reference_pivots(d)
+        unit_rows = {i for (i, j), t in d.cells.items() if any(not p.arrows for p in t)}
+        no_unit += len(unit_rows) < d.rows
+        dependent += len(rows) < len(unit_rows)
+    assert no_unit >= 150 and dependent >= 60

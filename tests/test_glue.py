@@ -230,3 +230,20 @@ def test_generation_budget_is_reported(monkeypatch, ka3):
     # a set that generates within the budget is unaffected
     ok = check_generation([P["1"], P["2"], P["3"]])
     assert ok["status"] == "generated" and "budget_exhausted" not in ok
+
+
+def test_generation_walks_each_pair_at_one_depth(monkeypatch, ka3):
+    """No (X, Y, k) is built at two depths: a depth walks only the pairs with a new object.
+
+    On [P1, P2] the walk runs three depths and stays inconclusive; the
+    report is the one a walk over every pair at every depth gives.
+    """
+    walked = []
+    orig = gluing.hom_spaces
+    monkeypatch.setattr(gluing, "hom_spaces", lambda X, Y: walked.append((X, Y)) or orig(X, Y))
+    P = ka3["P"]
+    rep = check_generation([P["1"], P["2"]])
+    witnesses = {"1": ("input[0]", 0), "2": ("input[1]", 0)}
+    assert rep == {"status": "inconclusive", "ok": False, "missing": ["3"], "objects": 7, "witnesses": witnesses}
+    pairs = [(id(X), id(Y)) for X, Y in walked]  # `walked` keeps every object alive, so ids stay distinct
+    assert len(pairs) == len(set(pairs)) == 5 * 5  # the 5 objects held when the last depth began

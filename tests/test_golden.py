@@ -74,7 +74,7 @@ def _cone_files(anchor, directory):
         f = ChainMap.zero(X, Y)
         for g in HomSpace(objs[x], objs[y], k).basis_maps():
             f = f + g
-        cones[f"cone_{x}_{y}_{k}"] = cone(f).Z
+        cones[f"cone_{x}_{y}_{k}"] = cone(f)
     total = None
     for Z in cones.values():
         total = Z if total is None else direct_sum(total, Z)

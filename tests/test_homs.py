@@ -134,7 +134,7 @@ def test_coordinates_round_trip(ka3):
 
 
 def test_null_homotopic_witness(ka3):
-    Z = cone(ChainMap.identity(ka3["I2"])).Z
+    Z = cone(ChainMap.identity(ka3["I2"]))
     hs = HomSpace(Z, Z, 0)
     ident = ChainMap.identity(Z)
     assert hs.is_null_homotopic(ident)

@@ -220,14 +220,16 @@ def test_traced_methods_exist():
 
 
 def test_traced_decompose_names_resolve():
-    """Every `decompose.*` and `homs.*` name that `siltbench/tracing.py` times or counts names a callable of the library.
+    """Every name of these layers that `siltbench/tracing.py` times or counts names a callable of the library.
 
+    The layers are `decompose`, `homs`, `complexes` and `linalg`.
     `Tracer.install` wraps module functions by walking each module, so a
     renamed function would silently leave its counter at zero.
     """
     tracing = load_tracing()
     names = {n for table in (tracing.GROUPS, tracing.CALLS) for ns in table.values() for n in ns}
-    names = sorted(n for n in names if n.startswith(("decompose.", "homs.")))
+    layers = ("decompose", "homs", "complexes", "linalg")
+    names = sorted(n for n in names if n.startswith(tuple(f"{layer}." for layer in layers)))
 
     def resolves(name):
         module, *parts = name.split(".")
@@ -236,7 +238,7 @@ def test_traced_decompose_names_resolve():
             obj = getattr(obj, part, None)
         return callable(obj)
 
-    assert {n.split(".")[0] for n in names} == {"decompose", "homs"}
+    assert {n.split(".")[0] for n in names} == set(layers)
     assert [n for n in names if not resolves(n)] == []
 
 

@@ -237,7 +237,7 @@ def test_i_star_reads_the_factor_table(monkeypatch):
     for X in stalks:
         for Z in stalks:
             for f in HomSpace(X, Z, 0).basis_maps():
-                Y = cone(f).Z  # a non-zero differential, lifted to the syzygies
+                Y = cone(f)  # a non-zero differential, lifted to the syzygies
                 assert not Y.differential(-1).is_zero()
                 i_star(rec, Y)
     assert not calls

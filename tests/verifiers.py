@@ -12,18 +12,18 @@ from siltglue.linalg import Matrix, in_row_space, kernel_basis, row_space_rref, 
 
 def cone_projection(f):
     """The degreewise projection C(f) -> X[1] closing the triangle."""
-    tri = cone(f)
+    C = cone(f)
     X = f.source
     X1 = shift(X, 1)
     alg = X.algebra
     comps = {}
-    for n in tri.Z.components:
+    for n in C.components:
         proj = PathMatrix.hstack(
             PathMatrix.identity(alg, X.component(n + 1)),
             PathMatrix.zero(alg, X.component(n + 1), f.target.component(n)),
         )
         comps[n] = proj
-    return ChainMap(tri.Z, X1, comps)
+    return ChainMap(C, X1, comps)
 
 
 def boundary(hs, hcomps):
@@ -77,7 +77,7 @@ def check_left_minimality(pre):
         for c, bmap in zip(coeffs, basis):
             if not fld.is_zero(c):
                 g = g + bmap.scale(c)
-        if not minimize(cone(g).Z).complex.is_zero():
+        if not minimize(cone(g)).complex.is_zero():
             return False
     return True
 
@@ -136,3 +136,31 @@ def weakly_preenveloping_check(T_list, probes):
             {"s": s, "target_summands": pre.f.target.summand_count(), "ok": ok}
         )
     return report
+
+
+def reference_pivots(d):
+    """The unit block `minimize` cancels, by the Gauss loop on the scalar part it replaced.
+
+    Again and again the first unit entry in row-major order is taken, and
+    its row and column are cleared from the rest of the scalar part.
+    """
+    fld = d.algebra.field
+    s = d.scalar_part()
+    rows, cols = list(range(d.rows)), list(range(d.cols))
+    piv_rows, piv_cols = [], []
+    while True:
+        hit = next(((a, b) for a, row in enumerate(s) for b, x in enumerate(row) if not fld.is_zero(x)), None)
+        if hit is None:
+            return piv_rows, piv_cols
+        a, b = hit
+        piv_rows.append(rows.pop(a))
+        piv_cols.append(cols.pop(b))
+        top = s.pop(a)
+        inv = fld.inv(top.pop(b))
+        for row in s:
+            f = row.pop(b)
+            if not fld.is_zero(f):
+                f = fld.mul(f, inv)
+                for c, x in enumerate(top):
+                    if not fld.is_zero(x):
+                        row[c] = fld.sub(row[c], fld.mul(f, x))
