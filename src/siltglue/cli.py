@@ -11,6 +11,7 @@ import sys
 
 import click
 
+from .fields import QQ
 from .quiver import QuiverError
 from .complexes import ComplexError, ProjComplex, minimize
 from .homs import hom_spaces, hom_window
@@ -145,6 +146,8 @@ def decompose_cmd(x_file, seed):
     """Indecomposable summands with multiplicities (rationals only)."""
     try:
         X = serialize.load_complex(x_file)
+        if X.algebra.field != QQ:
+            raise ValueError(f"decompose is implemented over Q only, not over {X.algebra.field.tag}")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:

@@ -15,14 +15,17 @@ random small combinations, then central elements, whose minimal
 polynomials split the distinct simple blocks — and lifted to an exact
 chain-level idempotent by Newton iteration.  Minimal polynomials are
 Fraction coefficient lists, and their Bezout identities and evaluations are
-computed on those lists; sympy only factors them.
+computed on those lists.  One of degree at most 2 is split exactly through
+its discriminant; sympy factors only those of degree 3 or more, and is
+imported on the first such factorization, so a run that meets none never
+loads it.
 """
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
-
-import sympy
 
 from .fields import QQ
 from .complexes import (
@@ -45,7 +48,23 @@ ISO_TRIALS = 64  # random candidate maps `is_isomorphic` tries after the basis c
 CENTER_TRIES = 20  # random central elements `_try_center_split` tries
 NEWTON_STEPS = 64  # Newton steps an idempotent lift may take before it fails
 
-_T = sympy.Symbol("t")  # the indeterminate of the minimal polynomials sympy factors
+
+def _lazy_module(name):
+    """The module `name`, executed on its first attribute access (the `importlib.util.LazyLoader` recipe).
+
+    A module already imported is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sympy = _lazy_module("sympy")  # factors the minimal polynomials of degree 3 or more
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +356,53 @@ def _eval_poly(S, coeffs, x):
     return acc
 
 
-def _try_minpoly_split(S, x):
-    poly = _min_poly(S, x)
-    # Factoring over Q clears denominators and factors over Z; doing the
-    # clearing here lets sympy start from Z, with the same factors in the
-    # same order.
+def _quadratic_first_factor(ints):
+    """`_first_factor` of an integer polynomial of degree at most 2, decided exactly.
+
+    A linear polynomial is one factor, and so is a quadratic whose
+    discriminant is not a positive square, a double root included.  One with
+    two distinct rational roots p/q (lowest terms, q > 0) has the factors
+    q t - p; sympy lists the lexicographically least coefficient list first.
+    """
+    if len(ints) < 3:
+        return None
+    a, b, c = ints
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return None
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return None
+    roots = (Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a))
+    return min([r.denominator, -r.numerator] for r in roots), 1
+
+
+def _first_factor(poly):
+    """(coefficients, multiplicity) of sympy's first irreducible factor of poly over Z, or None
+    when poly has fewer than two distinct irreducible factors.
+
+    Factoring over Q clears denominators and factors over Z; doing the
+    clearing here gives the same factors in the same order.  sympy orders
+    them by degree, then multiplicity, then primitive integer coefficients.
+    """
     den = math.lcm(*(c.denominator for c in poly))
-    factors = sympy.factor_list(sympy.Poly([int(c * den) for c in poly], _T, domain="ZZ"))[1]
+    ints = [int(c * den) for c in poly]
+    if len(ints) <= 3:
+        return _quadratic_first_factor(ints)
+    factors = sympy.factor_list(sympy.Poly(ints, sympy.Symbol("t"), domain="ZZ"))[1]
     if len(factors) < 2:
         return None
     f, k = factors[0]
-    base = [Fraction(int(c)) for c in f.all_coeffs()]
+    return [int(c) for c in f.all_coeffs()], k
+
+
+def _try_minpoly_split(S, x):
+    poly = _min_poly(S, x)
+    first = _first_factor(poly)
+    if first is None:
+        return None
+    coeffs, k = first
+    base = [Fraction(c) for c in coeffs]
     f1 = base
     for _ in range(k - 1):
         f1 = _poly_mul(f1, base)

@@ -114,6 +114,19 @@ class Path:
     target: str
     arrows: tuple  # tuple of arrow names, composing left to right
 
+    def __post_init__(self):
+        # Paths key every path-indexed dict; hashing the field tuple once
+        # here spares rebuilding it on each lookup.  The value is the one
+        # the dataclass would compute.
+        object.__setattr__(self, "_hash", hash((self.source, self.target, self.arrows)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: an unpickled path hashes afresh
+        return Path, (self.source, self.target, self.arrows)
+
     @property
     def length(self):
         return len(self.arrows)

@@ -161,6 +161,22 @@ def test_decompose_cmd(fx):
     assert all(s["certified"] for s in data["summands"])
 
 
+def test_decompose_over_fp_exits_2(fx, tmp_path):
+    """decompose refuses a complex over F_p at its input, before any computation."""
+    with open(fx["algebra"]) as fh:
+        alg = json.load(fh)
+    alg["field"] = "Fp:5"
+    (tmp_path / "ka3_f5.json").write_text(json.dumps(alg))
+    with open(fx["i2"]) as fh:
+        data = json.load(fh)
+    data["algebra"] = str(tmp_path / "ka3_f5.json")
+    (tmp_path / "i2_f5.json").write_text(json.dumps(data))
+    res = run("decompose", str(tmp_path / "i2_f5.json"))
+    assert res.exit_code == 2
+    assert "input error: decompose is implemented over Q only, not over Fp:5" in res.stderr
+    assert isinstance(res.exception, SystemExit)  # no uncaught error
+
+
 def test_envelope_cmd(fx, tmp_path):
     # M = i_* of the shifted quotient silting is shipped indirectly; instead
     # check the envelope of I2 by P3: s = 1, U = P3[1]-shaped

@@ -29,6 +29,7 @@ from siltglue.decompose import (
     EndAlgebra,
     SemisimpleQuotient,
     _center_basis,
+    _first_factor,
     _min_poly,
     _poly_divmod,
     _poly_gcdex,
@@ -296,6 +297,24 @@ def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
     assert quotient_counts[0] == quotient_counts[1]
 
 
+def test_quotient_sigma_sums_overlapping_representatives():
+    """sigma of a class adds the sigma values of its free representatives where their keys overlap.
+
+    The quotient is built by hand: on the fixtures the free representatives'
+    sigma values never share a key.
+    """
+    S = SemisimpleQuotient.__new__(SemisimpleQuotient)
+    S.sigmas = [
+        {(0, 0, 0): Fraction(1), (0, 0, 1): Fraction(2)},
+        {(0, 0, 0): Fraction(3), (1, 0, 0): Fraction(-1)},
+    ]
+    assert S.sigma([Fraction(1), Fraction(1)]) == {(0, 0, 0): 4, (0, 0, 1): 2, (1, 0, 0): -1}
+    half = Fraction(1, 2)
+    assert S.sigma([Fraction(2), half]) == {(0, 0, 0): Fraction(7, 2), (0, 0, 1): 4, (1, 0, 0): -half}
+    # a key whose contributions cancel is dropped
+    assert S.sigma([Fraction(3), Fraction(-1)]) == {(0, 0, 1): 6, (1, 0, 0): 1}
+
+
 # ---------------------------------------------------------------------------
 # the idempotent search's polynomial arithmetic
 
@@ -412,6 +431,81 @@ def test_minpoly_split_calls_sympy_only_to_factor(monkeypatch):
     assert _try_minpoly_split(S, _t(S)) is not None
     assert calls.count("factor_list") == 1
     assert not {"gcdex", "rem", "quo", "expand", "Rational"} & set(calls)
+
+
+class _RefuseSympy:
+    """Stands in for `decompose.sympy` and fails any read of it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"sympy.{name} read")
+
+
+def test_quadratic_minpoly_split_makes_no_sympy_call(monkeypatch):
+    """A quadratic minimal polynomial is split without sympy."""
+    monkeypatch.setattr(decompose_module, "sympy", _RefuseSympy())
+    for f, expected in ([1, -1, 0], [Fraction(1), Fraction(-1)]), ([2, -7, 3], [Fraction(6, 5), Fraction(-2, 5)]):
+        S = _PolyQuotient(f)
+        assert _try_minpoly_split(S, _t(S)) == expected
+    S = _PolyQuotient([1, 0, -2])
+    assert _try_minpoly_split(S, _t(S)) is None
+
+
+def _sympy_first_factor(poly):
+    """sympy's first factor of poly, with sympy clearing its denominators, as `_first_factor` reports it."""
+    q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in poly], sympy.Symbol("t"))
+    factors = q.clear_denoms(convert=True)[1].factor_list()[1]
+    if len(factors) < 2:
+        return None
+    f, k = factors[0]
+    return [int(c) for c in f.all_coeffs()], k
+
+
+def _random_quadratics(rng, n):
+    """n seeded quadratics of five kinds, as Fraction lists, highest degree first."""
+
+    def nonzero(bound=12):
+        return rng.choice([-1, 1]) * rng.randint(1, bound)
+
+    def linear(den=1):
+        return [Fraction(nonzero(), rng.randint(1, den)), Fraction(rng.randint(-12, 12), rng.randint(1, den))]
+
+    out = []
+    for i in range(n):
+        kind = i % 5
+        if kind == 0:  # a product of two linear integer factors, primitive or not
+            p = _poly_mul(linear(), linear())
+        elif kind == 1:  # a double root, times a scalar
+            f, m = linear(), nonzero()
+            p = [m * c for c in _poly_mul(f, f)]
+        elif kind == 2:  # random integer coefficients: mostly irreducible
+            p = [Fraction(nonzero()), Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30))]
+        elif kind == 3:  # a product times an integer: never primitive
+            m = rng.randint(2, 9)
+            p = [m * c for c in _poly_mul(linear(), linear())]
+        else:  # Fraction coefficients: a product of rational linear factors or random, some made monic
+            if rng.random() < 0.7:
+                p = _poly_mul(linear(9), linear(9))
+            else:
+                lead, b, c = nonzero(), rng.randint(-30, 30), rng.randint(-30, 30)
+                p = [Fraction(lead, rng.randint(1, 9)), Fraction(b, rng.randint(1, 9)), Fraction(c, rng.randint(1, 9))]
+            if rng.random() < 0.5:
+                p = [c / p[0] for c in p]
+        out.append(p)
+    return out
+
+
+def test_quadratic_first_factor_matches_sympy_factor_list(monkeypatch):
+    """On 2 500 seeded quadratics, and a few linear polynomials, the exact rule reports sympy's first factor."""
+    rng = seeded_rng(1901)
+    polys = _random_quadratics(rng, 2500)
+    polys += [[Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9))] for _ in range(20)]
+    expected = [_sympy_first_factor(p) for p in polys]
+    monkeypatch.setattr(decompose_module, "sympy", _RefuseSympy())
+    got = [_first_factor(p) for p in polys]
+    assert got == expected
+    # both verdicts occur often
+    assert sum(e is not None for e in expected) > 1000
+    assert sum(e is None for e in expected) > 1000
 
 
 def _min_poly_by_solve(S, x):

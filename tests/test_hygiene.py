@@ -9,12 +9,15 @@ with `_`; and every module-level `_private` function or class, and every
 library outside its own definition.  Three more checks guard the benchmark's
 traced run: every method its tracer wraps must exist, every `decompose` and
 `homs` function it times or counts by name must resolve, and a `HomSpace`
-carries every attribute its hook reads.
+carries every attribute its hook reads.  One more runs the CLI's import and
+the gluing fixtures in a fresh interpreter, which must never load sympy.
 """
 
 import ast
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +260,31 @@ def test_homspace_carries_what_the_tracer_reads(ka3):
         tracer._hook_homspace((hs,), None, 0.0, None)
     assert tracer.counters["homs.unknowns"] == sum(hs.fvars.dim + hs.hvars.dim for hs in spaces)
     assert tracer.counters["homs.repeats"] == 1 and len(tracer.hom_keys) == len(spaces) - 1
+
+
+NO_SYMPY_SCRIPT = """
+import sys
+import siltglue.cli
+from siltglue.fixtures import glue_fixtures
+from siltglue.gluing import glue_shortcut
+
+loaded = ["import"] if "sympy.core" in sys.modules else []
+for name, rec, T_B in glue_fixtures():
+    assert glue_shortcut(rec, T_B).passed, name
+    if "sympy.core" in sys.modules:
+        loaded.append(name)
+print(loaded)
+"""
+
+
+def test_cli_and_gluing_fixtures_never_load_sympy():
+    """Every minimal polynomial the gluing fixtures factor is at most quadratic, so sympy stays unloaded.
+
+    `decompose.sympy` is a lazy module that sits in `sys.modules["sympy"]`
+    from the start; `sympy.core` appears only once it has been executed.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_SCRIPT], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert res.stdout.strip() == "[]"

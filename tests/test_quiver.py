@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from siltglue.fields import PrimeField
@@ -94,3 +99,27 @@ def test_full_subquiver_and_opposite():
     op = q.opposite()
     assert op.arrow_by_name["a"].source == "2"
     assert op.arrow_by_name["a"].target == "1"
+
+
+def test_path_hash_is_the_field_tuple_hash():
+    """A path caches the hash the dataclass would compute, so no dict or set order moves."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    for p in build_algebra(q).basis:
+        assert hash(p) == hash((p.source, p.target, p.arrows))
+        assert p == Path(p.source, p.target, p.arrows) and p in {Path(p.source, p.target, p.arrows)}
+
+
+def test_unpickled_path_hashes_afresh():
+    """A path unpickled under another string-hash seed hashes with that seed, not the cached value."""
+    data = pickle.dumps(Path("1", "3", ("a", "b")))
+    script = (
+        "import pickle, sys; p = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(p) == hash((p.source, p.target, p.arrows)))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        res = subprocess.run(
+            [sys.executable, "-c", script], input=data, capture_output=True, env=env, timeout=60, check=True
+        )
+        assert res.stdout.strip() == b"True"
