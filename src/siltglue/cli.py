@@ -279,7 +279,7 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
 @click.option("--tc", "tc_files", multiple=True, help="T_C complex files (over the corner)")
 @click.option("--tb", "tb_files", multiple=True, help="T_B complex files (over the quotient)")
 @click.option("--shortcut", is_flag=True, help="use the canonical-corner shortcut")
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=0), default=3)
 @click.option("--seed", type=int, default=0)
 def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
     """Glue silting sets along the idempotent recollement at --e."""
@@ -290,7 +290,7 @@ def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
 
 @main.command("check-silting")
 @click.argument("t_files", nargs=-1, required=True)
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=0), default=3)
 @click.option("--seed", type=int, default=0)
 def check_silting(t_files, depth, seed):
     """Presilting + generation + K0 certificates for a set of complexes."""

@@ -13,12 +13,11 @@ traces give its coordinates, with no product of chain maps.  Idempotents are
 found in the quotient by minimal-polynomial factorization — basis elements,
 random small combinations, then central elements, whose minimal
 polynomials split the distinct simple blocks — and lifted to an exact
-chain-level idempotent by Newton iteration.  Minimal polynomials are
-Fraction coefficient lists, and their Bezout identities and evaluations are
-computed on those lists.  One of degree at most 2 is split exactly through
-its discriminant; sympy factors only those of degree 3 or more, and is
-imported on the first such factorization, so a run that meets none never
-loads it.
+chain-level idempotent by Newton iteration.  Minimal polynomials are lists
+of Q scalars, and their Bezout identities and evaluations are computed on
+those lists.  One of degree at most 2 is split exactly through its
+discriminant; sympy factors only those of degree 3 or more, and is imported
+on the first such factorization, so a run that meets none never loads it.
 """
 
 import importlib.util
@@ -146,7 +145,7 @@ def is_isomorphic(X, Y, seed=0):
         g = ChainMap.zero(mx.complex, my.complex)
         for c in cycles:
             if fld == QQ:
-                coef = Fraction(rng.randint(-5, 5))
+                coef = rng.randint(-5, 5)
             else:
                 coef = rng.randrange(fld.p)
             if not fld.is_zero(coef):
@@ -184,7 +183,7 @@ def _sigma_mul(x, y):
 
 def _trace(x, y):
     """tr(x y) of two sigma values."""
-    return sum((a * y[n, j, i] for (n, i, j), a in x.items() if (n, j, i) in y), Fraction(0))
+    return sum(a * y[n, j, i] for (n, i, j), a in x.items() if (n, j, i) in y)
 
 
 class EndAlgebra:
@@ -235,11 +234,11 @@ class SemisimpleQuotient:
         aug = [[end.gram[f][g] for g in self.free] + unit[a] for a, f in enumerate(self.free)]
         self.inverse = [[(g, a) for g, a in enumerate(row[s:]) if a] for row in row_space_rref(QQ, aug)[0]]
         self.sigmas = sig = [end.sigmas[f] for f in self.free]
-        self.one = self.project([sum((c for (_, i, j), c in x.items() if i == j), Fraction(0)) for x in sig])
+        self.one = self.project([sum(c for (_, i, j), c in x.items() if i == j) for x in sig])
 
     def project(self, traces):
         """Coordinates of the class whose traces against the free representatives are `traces`."""
-        return [sum((a * traces[g] for g, a in row if traces[g]), Fraction(0)) for row in self.inverse]
+        return [sum(a * traces[g] for g, a in row if traces[g]) for row in self.inverse]
 
     def lift(self, x):
         """The chain map sum_a x_a b_{free[a]}, in the class of x."""
@@ -274,18 +273,18 @@ class SemisimpleQuotient:
 
 
 def _min_poly(S, x):
-    """Monic minimal polynomial of x in S, as Fractions, highest degree first: rows [x^j | e_j] enter
+    """Monic minimal polynomial of x in S, as Q scalars, highest degree first: rows [x^j | e_j] enter
     one running RREF, and the first to leave a pivot in the unit block holds the relation."""
     dim, rows, pivs, cur, j = S.dim, [], [], S.one, 0
     while True:
-        extend_rref(QQ, rows, pivs, cur + [Fraction(int(i == j)) for i in range(dim + 1)])
+        extend_rref(QQ, rows, pivs, cur + [int(i == j) for i in range(dim + 1)])
         if pivs[-1] >= dim:
             rel = rows[-1][dim : dim + j + 1]
-            return [c / rel[j] for c in reversed(rel)]
+            return [QQ.div(c, rel[j]) for c in reversed(rel)]
         cur, j = S.mul(cur, x), j + 1
 
 
-# Polynomials over Q are lists of Fractions, highest degree first, with no
+# Polynomials over Q are lists of Q scalars, highest degree first, with no
 # leading zero; the zero polynomial is [].
 
 
@@ -301,7 +300,7 @@ def _poly_divmod(a, b):
     r = list(a)
     q = []
     while len(r) >= len(b):
-        c = r.pop(0) / b[0]
+        c = QQ.div(r.pop(0), b[0])
         q.append(c)
         for i, bi in enumerate(b[1:]):
             r[i] -= c * bi
@@ -311,7 +310,7 @@ def _poly_divmod(a, b):
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -321,20 +320,20 @@ def _poly_mul(a, b):
 
 def _poly_sub(a, b):
     n = max(len(a), len(b))
-    zeros = [Fraction(0)] * n
+    zeros = [0] * n
     return _poly_trim([x - y for x, y in zip(zeros[len(a):] + a, zeros[len(b):] + b)])
 
 
 def _poly_gcdex(a, b):
     """(u, g): g the monic gcd of a and b (not both zero), and u*a = g modulo b."""
     r0, r1 = a, b
-    u0, u1 = [Fraction(1)], []
+    u0, u1 = [1], []
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
     lead = r0[0]
-    return [c / lead for c in u0], [c / lead for c in r0]
+    return [QQ.div(c, lead) for c in u0], [QQ.div(c, lead) for c in r0]
 
 
 def _idempotent_from_split(S, x, poly, f1, f2):
@@ -347,7 +346,7 @@ def _idempotent_from_split(S, x, poly, f1, f2):
 
 def _eval_poly(S, coeffs, x):
     """coeffs(x) in S by Horner's rule."""
-    acc = [Fraction(0)] * S.dim
+    acc = [0] * S.dim
     for i, c in enumerate(coeffs):
         if i:
             acc = S.mul(acc, x)
@@ -402,10 +401,9 @@ def _try_minpoly_split(S, x):
     if first is None:
         return None
     coeffs, k = first
-    base = [Fraction(c) for c in coeffs]
-    f1 = base
+    f1 = coeffs
     for _ in range(k - 1):
-        f1 = _poly_mul(f1, base)
+        f1 = _poly_mul(f1, coeffs)
     f2 = _poly_divmod(poly, f1)[0]
     e = _idempotent_from_split(S, x, poly, f1, f2)
     if e is None:
@@ -419,7 +417,7 @@ def _try_minpoly_split(S, x):
 
 def _center_basis(S):
     """Basis of the center of S, as coordinate vectors."""
-    units = [[Fraction(int(k == j)) for k in range(S.dim)] for j in range(S.dim)]
+    units = [[int(k == j) for k in range(S.dim)] for j in range(S.dim)]
     # comms[i][j] = b_j b_i - b_i b_j; a row per (i, coordinate k), a column per j
     comms = [[[a - b for a, b in zip(S.mul(u, v), S.mul(v, u))] for u in units] for v in units]
     rows = [[comm[j][k] for j in range(S.dim)] for comm in comms for k in range(S.dim)]
@@ -442,7 +440,7 @@ def _try_center_split(S, rng):
         if e is not None:
             return e
     for _ in range(CENTER_TRIES):
-        z = [Fraction(0)] * S.dim
+        z = [0] * S.dim
         for b in zb:
             c = rng.randint(-3, 3)
             if c:
@@ -462,13 +460,13 @@ def _find_idempotent(S, seed=0):
     rng = random.Random(seed)
     # 1: basis elements
     for i in range(S.dim):
-        x = [Fraction(int(j == i)) for j in range(S.dim)]
+        x = [int(j == i) for j in range(S.dim)]
         e = _try_minpoly_split(S, x)
         if e is not None:
             return e
     # 2: random small integer combinations
     for _ in range(20):
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(S.dim)]
+        x = [rng.randint(-3, 3) for _ in range(S.dim)]
         if all(c == 0 for c in x):
             continue
         e = _try_minpoly_split(S, x)
@@ -493,7 +491,7 @@ def _newton_idempotent_chain(g):
         if (g2 - g).is_zero():
             return g
         g3 = g2.compose(g)
-        g = g2.scale(Fraction(3)) - g3.scale(Fraction(2))
+        g = g2.scale(3) - g3.scale(2)
     raise DecomposeError("idempotent lift did not converge at the chain level")
 
 

@@ -1,9 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction` values (always stored reduced with
-positive denominator by the stdlib).  Prime-field scalars are plain ints in
-[0, p).  All arithmetic goes through the field object so generic code can stay
-agnostic of the representation.
+A rational scalar is a plain int when it is integral and a
+`fractions.Fraction` with denominator > 1 otherwise: almost every scalar the
+library meets is a small integer, and int arithmetic skips the Fraction
+constructor and its gcd.  The two mix freely, since `Fraction(n) == n`,
+`hash(Fraction(n)) == hash(n)` and an int has `numerator`/`denominator`;
+only a quotient needs care, as `/` on two ints is a float, so `inv` and
+`div` build it as a Fraction and return an int when it is integral.
+Prime-field scalars are plain ints in [0, p).  All arithmetic goes through
+the field object so generic code can stay agnostic of the representation.
 """
 
 from fractions import Fraction
@@ -15,16 +20,17 @@ class RationalField:
     tag = "Q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
+        """The Q scalar of an int, a Fraction or a "p/q" string: an int when integral."""
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
-            return Fraction(x)
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -42,10 +48,13 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        if type(a) is int and type(b) is int and not a % b:
+            return a // b
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def is_zero(self, a):
         return a == 0

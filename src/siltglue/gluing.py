@@ -6,8 +6,6 @@ T~_Y replaces it, and T = j_!(T_C) together with the T~_Y is the glued set.
 Every certificate is re-derivable from raw Hom computations.
 """
 
-from fractions import Fraction
-
 from .fields import QQ
 from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
 from .homs import hom_spaces, is_nonpositive, nonzero_homs
@@ -123,7 +121,7 @@ def k0_report(T_list, algebra, classes=None, seed=0):
             for v in vs:
                 row[verts.index(v)] += sgn
         mat.append(row)
-    qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in mat], cols=len(verts))
+    qmat = Matrix(QQ, [[QQ.of(x) for x in row] for row in mat], cols=len(verts))
     d = int(det(qmat)) if len(mat) == len(verts) else 0  # square: full rank exactly when d != 0
     r, d = (len(verts), d) if d else (rank(qmat) if mat else 0, None)
     uni = d in (1, -1)

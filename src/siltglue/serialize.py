@@ -8,7 +8,6 @@ pathspec is "e:<vertex>" for a trivial path or a list of arrow names.
 
 import json
 import os
-from fractions import Fraction
 
 from .fields import QQ, field_from_tag
 from .quiver import Quiver, build_algebra
@@ -97,7 +96,7 @@ def _coeff_in(field, raw):
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise SerializeError(f"bad coefficient {raw!r}: give an integer or a \"p/q\" string")
     try:
-        return field.of(Fraction(raw))
+        return field.of(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializeError(f"bad coefficient {raw!r}: {exc}")
 

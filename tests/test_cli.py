@@ -251,6 +251,19 @@ def test_check_silting_failure_exits_1(fx):
     assert data["generation"]["status"] == "inconclusive"
 
 
+@pytest.mark.parametrize("verb", ["check-silting", "glue"])
+def test_negative_depth_exits_2(fx, verb):
+    args = {
+        "check-silting": ["check-silting", fx["p1"], fx["p2"], fx["p3"]],
+        "glue": ["glue", fx["algebra"], "--e", "3", "--shortcut", "--tb", fx["tb"]],
+    }[verb]
+    for depth in ("-1", "-2"):
+        res = run(*args, "--depth", depth)
+        assert res.exit_code == 2
+        assert "--depth" in res.stderr
+    assert run(*args, "--depth", "0").exit_code == 0  # zero stays a valid depth
+
+
 def test_fixtures_flag(tmp_path):
     out = str(tmp_path / "out")
     res = run("--fixtures", out)

@@ -6,11 +6,13 @@ be listed in `__all__`; no import statement sits inside a function body; a
 local name that a function assigns is read in it, unless the name starts
 with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
-library outside its own definition.  Three more checks guard the benchmark's
-traced run: every method its tracer wraps must exist, every `decompose` and
-`homs` function it times or counts by name must resolve, and a `HomSpace`
-carries every attribute its hook reads.  One more runs the CLI's import and
-the gluing fixtures in a fresh interpreter, which must never load sympy.
+library outside its own definition; and no module but `fields` divides with
+`/`, which gives a float on two ints.  Three more checks guard the
+benchmark's traced run: every method its tracer wraps must exist, every
+`decompose` and `homs` function it times or counts by name must resolve, and
+a `HomSpace` carries every attribute its hook reads.  One more runs the
+CLI's import and the gluing fixtures in a fresh interpreter, which must
+never load sympy.
 """
 
 import ast
@@ -199,6 +201,31 @@ def test_no_unreferenced_private_helpers():
         with open(os.path.join(SRC, module)) as fh:
             sources[module] = fh.read()
     assert unreferenced_helpers(sources) == []
+
+
+def true_divisions(source):
+    """Lines of `source` with a true division, `a / b` or `a /= b`.
+
+    On two ints `/` gives a float, and a rational scalar is an int when it is
+    integral, so a quotient of scalars goes through `QQ.div`.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_scan_finds_a_true_division():
+    src = "def f(a, b):\n    c = a // b\n    d = a / b\n    a /= d\n    return [x / 2 for x in (c, d)]\n"
+    assert true_divisions(src) == [3, 4, 5]
+    assert true_divisions("x = 7 // 2 % 3\n") == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "fields.py"])
+def test_no_true_division_outside_fields(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert true_divisions(fh.read()) == []
 
 
 def load_tracing():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
@@ -17,6 +18,7 @@ from siltglue.linalg import (
     solve,
 )
 from siltglue._kernel import rref_fp, rref_qq
+from verifiers import is_q_scalar
 
 
 def frac_matrix(rows):
@@ -168,6 +170,50 @@ def test_sparse_kernel_agrees_qq(seed):
     ref, ref_piv = sympy.Matrix(len(m), cols, [sympy.Rational(x.numerator, x.denominator) for r in m for x in r]).rref()
     assert piv == list(ref_piv)
     assert red == [[Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(ref_piv))]
+
+
+def sympy_rref(m, cols):
+    """sympy's RREF over Q of the rows `m`, zero rows dropped, as Fractions, and its pivots."""
+    K = sympy.QQ
+    entries = [[K(Fraction(x).numerator, Fraction(x).denominator) for x in r] for r in m]
+    ref, piv = DomainMatrix(entries, (len(m), cols), K).rref()
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in ref.to_list()[: len(piv)]], list(piv)
+
+
+def rows_of_kind(rng, kind):
+    """0-6 seeded rows of 1-7 columns over Q, of one of the kinds the Q kernel must handle."""
+    rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+    if kind == "integer":
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    elif kind == "large":  # large coprime denominators and numerators
+        m = [[Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) for _ in range(cols)] for _ in range(rows)]
+    elif kind == "content":  # each row a multiple of a primitive row by a common rational factor
+        m = []
+        for _ in range(rows):
+            k = Fraction(rng.randint(2, 60), rng.choice([1, 1, 3, 7, 10**6 + 3]))
+            m.append([k * rng.randint(-4, 4) for _ in range(cols)])
+    else:  # mostly zero, with pivots that are not units, so rows must be rescaled
+        cols, m = sparse_rows(rng, lambda: rng.choice([-1, 1]) * rng.choice([2, 3, 4, 6, 9]))
+        if m and rng.random() < 0.5:  # a row that depends on two others up to a non-unit factor
+            a, b = rng.choice(m), rng.choice(m)
+            m.append([3 * x - 2 * y for x, y in zip(a, b)])
+    return cols, m
+
+
+@pytest.mark.parametrize("kind", ["integer", "large", "content", "sparse"])
+def test_rref_qq_matches_sympy_on_every_kind_of_row(kind):
+    """The integer-preserving Q kernel gives sympy's RREF, with every entry an int or a proper Fraction."""
+    rng = random.Random(f"rref-qq-{kind}")
+    non_unit_leads = 0
+    for _ in range(150):
+        cols, m = rows_of_kind(rng, kind)
+        before = [list(r) for r in m]
+        red, piv = rref_qq(m)
+        assert m == before  # the input rows are not changed
+        assert (red, piv) == sympy_rref(m, cols)
+        assert all(is_q_scalar(x) for r in red for x in r)
+        non_unit_leads += sum(next((x for x in r if x), 1) not in (1, -1) for r in m)
+    assert non_unit_leads > 100  # the rows do need rescaling
 
 
 @settings(max_examples=40, deadline=None)

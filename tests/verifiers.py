@@ -4,10 +4,17 @@ They recompute a claim from Hom spaces built afresh and never feed back
 into the library.  The benchmark's oracle lives apart, in `oracle.py`.
 """
 
+from fractions import Fraction
+
 from siltglue.approx import add_shift_preenvelope, left_minimize
 from siltglue.complexes import ChainMap, PathMatrix, cone, minimize, shift
 from siltglue.homs import HomSpace, s_sup
 from siltglue.linalg import Matrix, in_row_space, kernel_basis, row_space_rref, solve
+
+
+def is_q_scalar(x):
+    """A Q scalar in its one representation: an int when integral, else a Fraction with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def cone_projection(f):
