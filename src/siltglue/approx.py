@@ -34,7 +34,7 @@ from .complexes import (
     opposite_map,
     shift_map,
 )
-from .decompose import DecomposeError, decompose
+from .decompose import decompose
 from .homs import HomSpace, nonzero_homs, s_search
 from .linalg import row_space_rref
 from .quiver import build_algebra
@@ -190,20 +190,9 @@ def indecomposable_refinement(T_list, seed=0):
     """Replace each member by its indecomposable summands.
 
     The additive hull add(T) is unchanged, but greedy copy-deletion in
-    left_minimize then reaches a genuinely minimal approximation.  Falls
-    back to the input over fields where splitting is unavailable.
+    left_minimize then reaches a genuinely minimal approximation.
     """
-    out = []
-    for T in T_list:
-        if T.is_zero():
-            continue
-        try:
-            parts = decompose(T, seed=seed)
-        except DecomposeError:
-            out.append(T)
-            continue
-        out.extend(X for X, _mult, _cert in parts)
-    return out
+    return [X for T in T_list for X, _mult, _cert in decompose(T, seed=seed)]
 
 
 def _susp_envelope_stage(M, T_list, bound, between):

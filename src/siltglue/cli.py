@@ -11,7 +11,6 @@ import sys
 
 import click
 
-from .fields import QQ
 from .quiver import QuiverError
 from .complexes import ComplexError, ProjComplex, minimize
 from .homs import hom_spaces, hom_window
@@ -143,11 +142,9 @@ def minimize_cmd(x_file):
 @click.argument("x_file")
 @click.option("--seed", type=int, default=0)
 def decompose_cmd(x_file, seed):
-    """Indecomposable summands with multiplicities (rationals only)."""
+    """Indecomposable summands with multiplicities, over any field."""
     try:
         X = serialize.load_complex(x_file)
-        if X.algebra.field != QQ:
-            raise ValueError(f"decompose is implemented over Q only, not over {X.algebra.field.tag}")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:

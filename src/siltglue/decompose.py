@@ -1,4 +1,4 @@
-"""Krull-Schmidt decomposition and isomorphism testing.
+"""Krull-Schmidt decomposition and isomorphism testing over any field.
 
 Isomorphism of minimal complexes is decided by searching for a chain map
 whose trivial-path-coefficient block is invertible in every degree (such a
@@ -6,18 +6,21 @@ map is an isomorphism of complexes since the arrow radical is nilpotent).
 
 Decomposition splits primitive idempotents of the endomorphism algebra E
 modulo homotopy.  E/rad E is read through sigma, the trivial-path
-coefficients of the representatives: the radical is the kernel of the trace
-form of those small matrices (characteristic zero), and a product in the
-quotient is one product of sigma values, formed when it is asked for, whose
-traces give its coordinates, with no product of chain maps.  Idempotents are
+coefficients of the representatives, which are block-diagonal in (degree,
+vertex) blocks: the radical is the common kernel of the block trace forms,
+exactly so when the characteristic is 0 or exceeds every block size and
+certified by a nilpotency check otherwise.  A product in the quotient is one
+product of sigma values, formed when it is asked for and reduced modulo the
+radical to its coordinates, with no product of chain maps.  Idempotents are
 found in the quotient by minimal-polynomial factorization — basis elements,
 random small combinations, then central elements, whose minimal
 polynomials split the distinct simple blocks — and lifted to an exact
 chain-level idempotent by Newton iteration.  Minimal polynomials are lists
-of Q scalars, and their Bezout identities and evaluations are computed on
-those lists.  One of degree at most 2 is split exactly through its
-discriminant; sympy factors only those of degree 3 or more, and is imported
-on the first such factorization, so a run that meets none never loads it.
+of field scalars, and their Bezout identities and evaluations are computed
+on those lists with the field's operations.  Over Q one of degree at most 2
+is split exactly through its discriminant and sympy factors the others;
+over F_p sympy's `gf_factor` factors them all.  sympy is imported on the
+first such factorization, so a run that meets none never loads it.
 """
 
 import importlib.util
@@ -36,7 +39,7 @@ from .complexes import (
     transform,
 )
 from .homs import HomSpace
-from .linalg import Matrix, extend_rref, kernel_basis, rank, rref_kernel_basis, row_space_rref
+from .linalg import Matrix, extend_rref, kernel_basis, rank, residue, rref_kernel_basis, row_space_rref
 
 
 class DecomposeError(RuntimeError):
@@ -63,7 +66,7 @@ def _lazy_module(name):
     return module
 
 
-sympy = _lazy_module("sympy")  # factors the minimal polynomials of degree 3 or more
+sympy = _lazy_module("sympy")  # factors the minimal polynomials over F_p, and over Q those of degree 3 or more
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +147,8 @@ def is_isomorphic(X, Y, seed=0):
     for _ in range(ISO_TRIALS):
         g = ChainMap.zero(mx.complex, my.complex)
         for c in cycles:
-            if fld == QQ:
-                coef = rng.randint(-5, 5)
-            else:
-                coef = rng.randrange(fld.p)
-            if not fld.is_zero(coef):
+            coef = fld.of(rng.randint(-5, 5))
+            if coef:
                 g = g + c.scale(coef)
         w = try_candidate(g)
         if w is not None:
@@ -171,19 +171,24 @@ def _sigma(g):
     }
 
 
-def _sigma_mul(x, y):
+def _sigma_mul(fld, x, y):
     """The product of two sigma values: blockwise matrix products, per degree."""
     out = {}
     for (n, i, j), a in x.items():
         for (m, k, l), b in y.items():
             if (m, k) == (n, j):
-                out[n, i, l] = out.get((n, i, l), 0) + a * b
+                out[n, i, l] = fld.add(out.get((n, i, l), 0), fld.mul(a, b))
     return {key: c for key, c in out.items() if c}
 
 
-def _trace(x, y):
-    """tr(x y) of two sigma values."""
-    return sum(a * y[n, j, i] for (n, i, j), a in x.items() if (n, j, i) in y)
+def _combine(fld, coeffs, sigmas):
+    """The sigma value sum_a coeffs[a] sigmas[a]."""
+    out = {}
+    for c, sig in zip(coeffs, sigmas):
+        if c:
+            for key, a in sig.items():
+                out[key] = fld.add(out.get(key, 0), fld.mul(c, a))
+    return {key: a for key, a in out.items() if a}
 
 
 class EndAlgebra:
@@ -194,51 +199,93 @@ class EndAlgebra:
     from trivial times trivial; it vanishes on null-homotopic maps, whose
     entries are radical when X is minimal; and its kernel is nilpotent,
     since the quiver is acyclic.  So E / rad E = sigma(E) / rad sigma(E).
-    `sigmas[i]` is sigma(b_i) and `gram[i][j]` is tr(sigma(b_i) sigma(b_j)).
+    sigma(g) is block-diagonal: its blocks b = (n, v) are the summands P_v of
+    X in degree n.  `sigmas[i]` is sigma(b_i).
     """
 
     def __init__(self, X):
         self.X = X
+        self.field = X.algebra.field
         self.reps = HomSpace(X, X, 0).basis_maps()
         self.dim = len(self.reps)
         self.sigmas = [_sigma(b) for b in self.reps]
-        self.gram = [[_trace(a, b) for b in self.sigmas] for a in self.sigmas]
 
     def radical(self):
-        """Kernel of the Gram matrix: the preimage of rad sigma(E).
+        """R, the common kernel of the block trace forms tr_b(sigma(b_i) sigma(b_j)), as coordinate vectors.
 
-        In characteristic zero the radical of a matrix algebra is the kernel
-        of its trace form (Dickson).
+        rad E lies in R in every characteristic.  An x in R has
+        tr_b(sigma(x)^k) = 0 for every k >= 1 and every block b, so by
+        Newton's identities sigma(x) is nilpotent, and the ideal R is rad E,
+        when the characteristic is 0 or exceeds the size of every block.
         """
-        return kernel_basis(Matrix(QQ, self.gram, cols=self.dim))
+        fld, comps, rows = self.field, self.X.components, {}
+        for j, y in enumerate(self.sigmas):
+            for i, x in enumerate(self.sigmas):
+                for (n, a, b), c in x.items():
+                    if (n, b, a) in y:
+                        row = rows.setdefault((n, comps[n][a], j), [0] * self.dim)
+                        row[i] = fld.add(row[i], fld.mul(c, y[n, b, a]))
+        return kernel_basis(Matrix(fld, list(rows.values()), cols=self.dim))
 
 
 class SemisimpleQuotient:
-    """E / rad(E) in the coordinates of the representatives off the radical's RREF pivots.
+    """E / R, R = `end.radical()`, in the coordinates of the representatives off R's RREF pivots.
 
-    A class with coordinates c has traces (G_ff c)_f against the free
-    representatives b_f, and G_ff is invertible because they span a
-    complement of the radical.  One row reduction of [G_ff | I] gives the
-    sparse rows of G_ff^-1 (`inverse`), which turn traces into coordinates.
-    A product is formed when it is asked for: sigma(x) sigma(y) is one
-    product of sigma values, and its traces against the free
-    representatives give its coordinates.
+    One running RREF holds the rows [sigma(r) | 0], r in R, and
+    [sigma(b_f) | e_f] for the free representatives b_f: [sigma(x) | 0]
+    reduces against it to [0 | -c], c the coordinates of the class of x.  A
+    product is formed when it is asked for: sigma(x) sigma(y) is one product
+    of sigma values, reduced so.  `certified` says that R is rad E: always
+    when the characteristic exceeds the largest block size m, and otherwise
+    when sigma(R)^m = 0, since R contains rad E and a nilpotent ideal of
+    m x m block matrices has its m-th power zero.
     """
 
     def __init__(self, end):
         self.end = end
-        pivots = set(row_space_rref(QQ, end.radical())[1])
+        self.field = fld = end.field
+        radical = end.radical()
+        pivots = set(row_space_rref(fld, radical)[1])
         self.free = [i for i in range(end.dim) if i not in pivots]
-        self.dim = s = len(self.free)
-        unit = Matrix.identity(QQ, s).data
-        aug = [[end.gram[f][g] for g in self.free] + unit[a] for a, f in enumerate(self.free)]
-        self.inverse = [[(g, a) for g, a in enumerate(row[s:]) if a] for row in row_space_rref(QQ, aug)[0]]
-        self.sigmas = sig = [end.sigmas[f] for f in self.free]
-        self.one = self.project([sum(c for (_, i, j), c in x.items() if i == j) for x in sig])
+        self.dim = len(self.free)
+        self.sigmas = [end.sigmas[f] for f in self.free]
+        self.keys = {key: c for c, key in enumerate(sorted({key for x in end.sigmas for key in x}))}
+        ideal = [_combine(fld, r, end.sigmas) for r in radical]
+        self.rows, self.pivots = [], []
+        for r in ideal:
+            extend_rref(fld, self.rows, self.pivots, self._row(r))
+        for a, x in enumerate(self.sigmas):
+            extend_rref(fld, self.rows, self.pivots, self._row(x, a))
+        m = max(vs.count(v) for vs in end.X.components.values() for v in vs)
+        self.certified = fld == QQ or fld.p > m or self._is_nilpotent(ideal, m)
+        self.one = self.project({(n, i, i): 1 for n, vs in end.X.components.items() for i in range(len(vs))})
 
-    def project(self, traces):
-        """Coordinates of the class whose traces against the free representatives are `traces`."""
-        return [sum(a * traces[g] for g, a in row if traces[g]) for row in self.inverse]
+    def _row(self, x, free=None):
+        """[x | e_free] (or [x | 0]) for a sigma value x, its key coordinates in `keys` order."""
+        row = [0] * (len(self.keys) + self.dim)
+        for key, c in x.items():
+            row[self.keys[key]] = c
+        if free is not None:
+            row[len(self.keys) + free] = 1
+        return row
+
+    def _is_nilpotent(self, ideal, m):
+        """Is every product of m sigma values from `ideal` zero?
+
+        Each power is kept as the products of the one before with `ideal`
+        that are independent of those kept before them.
+        """
+        power = ideal
+        for _ in range(m - 1):
+            rows, pivots = [], []
+            products = (_sigma_mul(self.field, x, r) for x in power for r in ideal)
+            power = [p for p in products if extend_rref(self.field, rows, pivots, self._row(p))]
+        return not power
+
+    def project(self, x):
+        """Coordinates of the class whose sigma value is x."""
+        red = residue(self.field, self.rows, self.pivots, self._row(x))
+        return [self.field.neg(c) for c in red[len(self.keys) :]]
 
     def lift(self, x):
         """The chain map sum_a x_a b_{free[a]}, in the class of x."""
@@ -250,22 +297,10 @@ class SemisimpleQuotient:
 
     def sigma(self, x):
         """sigma of the class with coordinates x: sum_a x_a sigma(b_{free[a]})."""
-        out = {}
-        for c, sig in zip(x, self.sigmas):
-            if c:
-                for key, a in sig.items():
-                    out[key] = out.get(key, 0) + c * a
-        return {key: a for key, a in out.items() if a}
+        return _combine(self.field, x, self.sigmas)
 
     def mul(self, x, y):
-        p = _sigma_mul(self.sigma(x), self.sigma(y))
-        return self.project([_trace(p, z) for z in self.sigmas])
-
-    def is_zero(self, x):
-        return all(c == 0 for c in x)
-
-    def equal(self, x, y):
-        return all(a == b for a, b in zip(x, y))
+        return self.project(_sigma_mul(self.field, self.sigma(x), self.sigma(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +308,18 @@ class SemisimpleQuotient:
 
 
 def _min_poly(S, x):
-    """Monic minimal polynomial of x in S, as Q scalars, highest degree first: rows [x^j | e_j] enter
-    one running RREF, and the first to leave a pivot in the unit block holds the relation."""
-    dim, rows, pivs, cur, j = S.dim, [], [], S.one, 0
+    """Monic minimal polynomial of x in S, highest degree first: rows [x^j | e_j] enter one
+    running RREF, and the first to leave a pivot in the unit block holds the relation."""
+    fld, dim, rows, pivs, cur, j = S.field, S.dim, [], [], S.one, 0
     while True:
-        extend_rref(QQ, rows, pivs, cur + [int(i == j) for i in range(dim + 1)])
+        extend_rref(fld, rows, pivs, cur + [int(i == j) for i in range(dim + 1)])
         if pivs[-1] >= dim:
             rel = rows[-1][dim : dim + j + 1]
-            return [QQ.div(c, rel[j]) for c in reversed(rel)]
+            return [fld.div(c, rel[j]) for c in reversed(rel)]
         cur, j = S.mul(cur, x), j + 1
 
 
-# Polynomials over Q are lists of Q scalars, highest degree first, with no
+# Polynomials are lists of field scalars, highest degree first, with no
 # leading zero; the zero polynomial is [].
 
 
@@ -295,63 +330,63 @@ def _poly_trim(p):
     return p[i:]
 
 
-def _poly_divmod(a, b):
+def _poly_divmod(fld, a, b):
     """Quotient and remainder of a by a non-zero b."""
     r = list(a)
     q = []
     while len(r) >= len(b):
-        c = QQ.div(r.pop(0), b[0])
+        c = fld.div(r.pop(0), b[0])
         q.append(c)
         for i, bi in enumerate(b[1:]):
-            r[i] -= c * bi
+            r[i] = fld.sub(r[i], fld.mul(c, bi))
     return q, _poly_trim(r)
 
 
-def _poly_mul(a, b):
+def _poly_mul(fld, a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+                out[i + j] = fld.add(out[i + j], fld.mul(ai, bj))
     return out
 
 
-def _poly_sub(a, b):
+def _poly_sub(fld, a, b):
     n = max(len(a), len(b))
     zeros = [0] * n
-    return _poly_trim([x - y for x, y in zip(zeros[len(a):] + a, zeros[len(b):] + b)])
+    return _poly_trim([fld.sub(x, y) for x, y in zip(zeros[len(a):] + a, zeros[len(b):] + b)])
 
 
-def _poly_gcdex(a, b):
+def _poly_gcdex(fld, a, b):
     """(u, g): g the monic gcd of a and b (not both zero), and u*a = g modulo b."""
     r0, r1 = a, b
     u0, u1 = [1], []
     while r1:
-        q, r = _poly_divmod(r0, r1)
+        q, r = _poly_divmod(fld, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
+        u0, u1 = u1, _poly_sub(fld, u0, _poly_mul(fld, q, u1))
     lead = r0[0]
-    return [QQ.div(c, lead) for c in u0], [QQ.div(c, lead) for c in r0]
+    return [fld.div(c, lead) for c in u0], [fld.div(c, lead) for c in r0]
 
 
 def _idempotent_from_split(S, x, poly, f1, f2):
     """Idempotent u(x)f1(x) from a coprime factorization poly = f1 * f2."""
-    u, g = _poly_gcdex(f1, f2)
+    u, g = _poly_gcdex(S.field, f1, f2)
     if len(g) != 1:
         return None
-    return _eval_poly(S, _poly_divmod(_poly_mul(u, f1), poly)[1], x)
+    return _eval_poly(S, _poly_divmod(S.field, _poly_mul(S.field, u, f1), poly)[1], x)
 
 
 def _eval_poly(S, coeffs, x):
     """coeffs(x) in S by Horner's rule."""
-    acc = [0] * S.dim
+    fld, acc = S.field, [0] * S.dim
     for i, c in enumerate(coeffs):
         if i:
             acc = S.mul(acc, x)
         if c:
-            acc = [a + c * o for a, o in zip(acc, S.one)]
+            acc = [fld.add(a, fld.mul(c, o)) for a, o in zip(acc, S.one)]
     return acc
 
 
@@ -376,41 +411,42 @@ def _quadratic_first_factor(ints):
     return min([r.denominator, -r.numerator] for r in roots), 1
 
 
-def _first_factor(poly):
-    """(coefficients, multiplicity) of sympy's first irreducible factor of poly over Z, or None
+def _first_factor(fld, poly):
+    """(coefficients, multiplicity) of sympy's first irreducible factor of poly, or None
     when poly has fewer than two distinct irreducible factors.
 
-    Factoring over Q clears denominators and factors over Z; doing the
-    clearing here gives the same factors in the same order.  sympy orders
-    them by degree, then multiplicity, then primitive integer coefficients.
+    Over F_p sympy's `gf_factor` factors poly.  Factoring over Q clears
+    denominators and factors over Z; doing the clearing here gives the same
+    factors in the same order.  sympy orders them by degree, then
+    multiplicity, then primitive integer coefficients.
     """
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
-    if len(ints) <= 3:
-        return _quadratic_first_factor(ints)
-    factors = sympy.factor_list(sympy.Poly(ints, sympy.Symbol("t"), domain="ZZ"))[1]
+    if fld == QQ:
+        den = math.lcm(*(c.denominator for c in poly))
+        ints = [int(c * den) for c in poly]
+        if len(ints) <= 3:
+            return _quadratic_first_factor(ints)
+        zpoly = sympy.Poly(ints, sympy.Symbol("t"), domain="ZZ")
+        factors = [(f.all_coeffs(), k) for f, k in sympy.factor_list(zpoly)[1]]
+    else:
+        factors = sympy.polys.galoistools.gf_factor(poly, fld.p, sympy.polys.domains.ZZ)[1]
     if len(factors) < 2:
         return None
     f, k = factors[0]
-    return [int(c) for c in f.all_coeffs()], k
+    return [fld.of(int(c)) for c in f], k
 
 
 def _try_minpoly_split(S, x):
     poly = _min_poly(S, x)
-    first = _first_factor(poly)
+    first = _first_factor(S.field, poly)
     if first is None:
         return None
     coeffs, k = first
     f1 = coeffs
     for _ in range(k - 1):
-        f1 = _poly_mul(f1, coeffs)
-    f2 = _poly_divmod(poly, f1)[0]
+        f1 = _poly_mul(S.field, f1, coeffs)
+    f2 = _poly_divmod(S.field, poly, f1)[0]
     e = _idempotent_from_split(S, x, poly, f1, f2)
-    if e is None:
-        return None
-    if S.is_zero(e) or S.equal(e, S.one):
-        return None
-    if not S.equal(S.mul(e, e), e):
+    if e is None or not any(e) or e == S.one or S.mul(e, e) != e:
         return None
     return e
 
@@ -419,20 +455,21 @@ def _center_basis(S):
     """Basis of the center of S, as coordinate vectors."""
     units = [[int(k == j) for k in range(S.dim)] for j in range(S.dim)]
     # comms[i][j] = b_j b_i - b_i b_j; a row per (i, coordinate k), a column per j
-    comms = [[[a - b for a, b in zip(S.mul(u, v), S.mul(v, u))] for u in units] for v in units]
+    comms = [[[S.field.sub(a, b) for a, b in zip(S.mul(u, v), S.mul(v, u))] for u in units] for v in units]
     rows = [[comm[j][k] for j in range(S.dim)] for comm in comms for k in range(S.dim)]
-    return kernel_basis(Matrix(QQ, rows, cols=S.dim))
+    return kernel_basis(Matrix(S.field, rows, cols=S.dim))
 
 
 def _try_center_split(S, rng):
-    """Idempotent from the center: splits distinct simple blocks rationally.
+    """Idempotent from the center: splits distinct simple blocks.
 
     A generic central element has minimal polynomial equal to the product of
     one irreducible factor per simple block, so it is reducible whenever the
-    algebra has more than one block.  (A single matrix block M_n(Q) has a
-    trivial center and is left to the minimal-polynomial strategies.)
+    algebra has more than one block and the factors differ.  (A single
+    matrix block M_n(K) has the center K and is left to the
+    minimal-polynomial strategies.)
     """
-    zb = _center_basis(S)
+    fld, zb = S.field, _center_basis(S)
     if len(zb) <= 1:
         return None
     for z in zb:
@@ -442,10 +479,10 @@ def _try_center_split(S, rng):
     for _ in range(CENTER_TRIES):
         z = [0] * S.dim
         for b in zb:
-            c = rng.randint(-3, 3)
+            c = fld.of(rng.randint(-3, 3))
             if c:
-                z = [zc + c * bc for zc, bc in zip(z, b)]
-        if all(c == 0 for c in z):
+                z = [fld.add(zc, fld.mul(c, bc)) for zc, bc in zip(z, b)]
+        if not any(z):
             continue
         e = _try_minpoly_split(S, z)
         if e is not None:
@@ -466,8 +503,8 @@ def _find_idempotent(S, seed=0):
             return e
     # 2: random small integer combinations
     for _ in range(20):
-        x = [rng.randint(-3, 3) for _ in range(S.dim)]
-        if all(c == 0 for c in x):
+        x = [S.field.of(rng.randint(-3, 3)) for _ in range(S.dim)]
+        if not any(x):
             continue
         e = _try_minpoly_split(S, x)
         if e is not None:
@@ -532,7 +569,8 @@ def _split_by_idempotent(X, g):
         D = PathMatrix._of(alg, vs, vs, {(i, i): {alg.trivial_path(vs[i]): fld.one} for i in image})
         one = PathMatrix.identity(alg, vs)
         V = D.compose(u_inv).compose(m) + (one - D).compose(u_inv).compose(one - m)
-        assert (V.compose(m) - D.compose(V)).is_zero(), "idempotent not strictly diagonal after conjugation"
+        if not (V.compose(m) - D.compose(V)).is_zero():
+            raise DecomposeError("idempotent not strictly diagonal after conjugation")
         change[n] = V
         ones[n] = sorted(image)
     zeros = {n: [i for i in range(len(vs)) if i not in ones[n]] for n, vs in X.components.items()}
@@ -550,8 +588,8 @@ def _decompose_minimal(X, seed=0):
     if end.dim == 1:
         return [(X, 1, True)]
     S = SemisimpleQuotient(end)
-    if S.dim == 1:
-        return [(X, 1, True)]
+    if not S.certified or S.dim == 1:
+        return [(X, 1, S.certified)]
     e = _find_idempotent(S, seed)
     if e is None:
         return [(X, 1, False)]
@@ -600,14 +638,13 @@ def summand_order(part):
 
 
 def decompose(X, seed=0):
-    """Indecomposable summands of X with multiplicities, over Q only.
+    """Indecomposable summands of X with multiplicities.
 
     Returns a list of (ProjComplex, multiplicity, certified) triples sorted
     by `summand_order`.  `certified` is True when each summand has a local
     endomorphism ring, and False when indecomposability rests on the
-    exhausted randomized idempotent search.
+    exhausted randomized idempotent search, or on a radical candidate that
+    is not nilpotent (`SemisimpleQuotient.certified`).
     """
-    if X.algebra.field != QQ:
-        raise DecomposeError("decomposition is implemented over Q only")
     groups = group_isomorphic(_decompose_minimal(minimize(X).complex, seed), seed)
     return sorted((tuple(g) for g in groups), key=summand_order)

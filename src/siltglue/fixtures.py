@@ -56,22 +56,22 @@ def canonical_quotient_silting(rec, shifted=()):
     return direct_sum_many(rec.B, parts)
 
 
-def glue_fixtures():
-    """(name, recollement, T_B list) triples used by the gluing test matrix.
+def glue_fixtures(field=QQ):
+    """(name, recollement, T_B list) triples over `field` used by the gluing test matrix.
 
     All use the canonical corner silting for T_C, so both the inductive glue
     and the shortcut apply.
     """
     out = []
-    A3 = ka3_algebra()
+    A3 = ka3_algebra(field)
     rec3 = idempotent_recollement(A3, ["3"])
     out.append(("ka3_shifted", rec3, [canonical_quotient_silting(rec3, shifted=("1",))]))
     out.append(("ka3_canonical", rec3, [canonical_quotient_silting(rec3)]))
     for n, S in ((4, ["4"]), (5, ["4", "5"]), (6, ["5", "6"])):
-        An = linear_an(n)
+        An = linear_an(n, field)
         rec = idempotent_recollement(An, S)
         out.append((f"a{n}_sink{''.join(S)}", rec, [canonical_quotient_silting(rec)]))
-    st = star_quiver(3)
+    st = star_quiver(3, field)
     rec_st = idempotent_recollement(st, ["l1", "l2", "l3"])
     out.append(("star3_leaves", rec_st, [canonical_quotient_silting(rec_st)]))
     return out

@@ -73,46 +73,28 @@ def check_presilting(T_list):
     return rep
 
 
-def _summands(X, seed):
-    """`decompose(X)`; over F_p, where it is unavailable, a non-zero minimize(X) as one uncertified summand."""
-    if X.algebra.field == QQ:
-        return decompose(X, seed=seed)
-    Xm = minimize(X).complex
-    return [] if Xm.is_zero() else [(Xm, 1, False)]
-
-
 def summand_classes(T_list, seed=0):
     """Distinct indecomposable summands of a set, with multiplicities.
 
     Returns [summand, multiplicity, certified, index of the first T_i
     containing it] per class, in order of first appearance; the
-    multiplicity is summed over all members.  Over F_p, where `decompose`
-    is unavailable, each non-zero minimized input stands for itself.
+    multiplicity is summed over all members.
     """
     return group_isomorphic(
-        ((c, m, certified, ti) for ti, T in enumerate(T_list) for c, m, certified in _summands(T, seed)), seed
+        ((c, m, certified, ti) for ti, T in enumerate(T_list) for c, m, certified in decompose(T, seed=seed)), seed
     )
 
 
 def k0_report(T_list, algebra, classes=None, seed=0):
     """Classes [T_i] in the basis [P_v], with a unimodularity verdict.
 
-    Rows are the distinct indecomposable summand classes of the set (over Q;
-    `classes` as `summand_classes` returns them, computed when not given)
-    or the given complexes themselves (positive characteristic).  Unsplit
-    rows can still certify: when they form a unimodular square matrix the
-    summand classes span K_0, and a presilting set has at most as many
-    summand classes as vertices (Aihara-Iyama), so they are a basis.  Any
-    other matrix of unsplit rows proves nothing either way, and the report
-    then says "status": "inconclusive".
+    Rows are the distinct indecomposable summand classes of the set
+    (`classes` as `summand_classes` returns them, computed when not given).
     """
     verts = list(algebra.quiver.vertices)
-    if algebra.field == QQ:
-        if classes is None:
-            classes = summand_classes(T_list, seed)
-        rows = [c[0] for c in classes]
-    else:
-        rows = [minimize(T).complex for T in T_list]
+    if classes is None:
+        classes = summand_classes(T_list, seed)
+    rows = [c[0] for c in classes]
     mat = []
     for c in rows:
         row = [0] * len(verts)
@@ -125,7 +107,7 @@ def k0_report(T_list, algebra, classes=None, seed=0):
     d = int(det(qmat)) if len(mat) == len(verts) else 0  # square: full rank exactly when d != 0
     r, d = (len(verts), d) if d else (rank(qmat) if mat else 0, None)
     uni = d in (1, -1)
-    report = {
+    return {
         "matrix": mat,
         "rank": r,
         "square": len(mat) == len(verts),
@@ -134,9 +116,6 @@ def k0_report(T_list, algebra, classes=None, seed=0):
         "ok": uni,
         "classes": [c.describe() for c in rows],
     }
-    if algebra.field != QQ and not uni:
-        report["status"] = "inconclusive"
-    return report
 
 
 GENERATION_BUDGET = 64  # objects check_generation may hold before it gives up
@@ -157,9 +136,7 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     so the summands of its cones are held already.  Returns a report with
     status "generated" (plus witnesses) or "inconclusive".  At most
     GENERATION_BUDGET objects are held; when another is needed the search
-    stops as "inconclusive" with "budget_exhausted": true.  Over F_p cones
-    are not split into summands, so the object set can grow without end and
-    the budget ends the search.
+    stops as "inconclusive" with "budget_exhausted": true.
     """
     if not T_list:
         return {"status": "inconclusive", "ok": False, "witnesses": []}
@@ -172,7 +149,7 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     witnesses = {}
 
     def note(X, how):
-        for c, _m, _certified in _summands(X, seed):
+        for c, _m, _certified in decompose(X, seed=seed):
             if isomorphism_class(c, objs, seed) is None:
                 if len(objs) >= GENERATION_BUDGET:
                     raise _BudgetExhausted
@@ -348,7 +325,7 @@ def _certify(cert, depth, probes, decompose_result, seed):
     cert.reports.update(reports)
     if probes is not None:
         cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
-    if decompose_result and cert.rec.A.field == QQ:
+    if decompose_result:
         cert.decomposition = sorted(((c, m, certified) for c, m, certified, _ti in classes), key=summand_order)
     return cert
 

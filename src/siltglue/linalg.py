@@ -160,7 +160,7 @@ def row_space_rref(field, vectors):
     return _rref_rows(field, vectors)
 
 
-def _reduce(field, rref_rows, pivots, vec):
+def residue(field, rref_rows, pivots, vec):
     """The residue of `vec` modulo an RREF row space (a new list)."""
     fld = field
     v = list(vec)
@@ -176,7 +176,7 @@ def _reduce(field, rref_rows, pivots, vec):
 
 def in_row_space(field, rref_rows, pivots, vec):
     """Membership test against an RREF row space; pure reduction."""
-    return all(field.is_zero(x) for x in _reduce(field, rref_rows, pivots, vec))
+    return all(field.is_zero(x) for x in residue(field, rref_rows, pivots, vec))
 
 
 def extend_rref(field, rref_rows, pivots, vec):
@@ -188,7 +188,7 @@ def extend_rref(field, rref_rows, pivots, vec):
     normalized and its pivot column cleared from the rows that meet it.
     """
     fld = field
-    v = _reduce(fld, rref_rows, pivots, vec)
+    v = residue(fld, rref_rows, pivots, vec)
     nz = [c for c, x in enumerate(v) if not fld.is_zero(x)]
     if not nz:
         return False

@@ -161,20 +161,24 @@ def test_decompose_cmd(fx):
     assert all(s["certified"] for s in data["summands"])
 
 
-def test_decompose_over_fp_exits_2(fx, tmp_path):
-    """decompose refuses a complex over F_p at its input, before any computation."""
-    with open(fx["algebra"]) as fh:
+def test_decompose_over_fp(fx, tmp_path):
+    """decompose splits a complex over F_5 as it does over Q."""
+    tb_dir = os.path.dirname(fx["tb"])
+    with open(fx["tb"]) as fh:
+        data = json.load(fh)
+    with open(os.path.join(tb_dir, data["algebra"])) as fh:
         alg = json.load(fh)
     alg["field"] = "Fp:5"
-    (tmp_path / "ka3_f5.json").write_text(json.dumps(alg))
-    with open(fx["i2"]) as fh:
-        data = json.load(fh)
-    data["algebra"] = str(tmp_path / "ka3_f5.json")
-    (tmp_path / "i2_f5.json").write_text(json.dumps(data))
-    res = run("decompose", str(tmp_path / "i2_f5.json"))
-    assert res.exit_code == 2
-    assert "input error: decompose is implemented over Q only, not over Fp:5" in res.stderr
-    assert isinstance(res.exception, SystemExit)  # no uncaught error
+    (tmp_path / "quotient_f5.json").write_text(json.dumps(alg))
+    data["algebra"] = str(tmp_path / "quotient_f5.json")
+    (tmp_path / "tb_f5.json").write_text(json.dumps(data))
+    res = run("decompose", str(tmp_path / "tb_f5.json"))
+    assert res.exit_code == 0
+    over_q = json.loads(run("decompose", fx["tb"]).stdout)["summands"]
+    summands = json.loads(res.stdout)["summands"]
+    assert len(summands) == 2 and all(s["certified"] for s in summands)
+    assert [s["complex"]["components"] for s in summands] == [s["complex"]["components"] for s in over_q]
+    assert res.stderr.startswith("decomposition: ")
 
 
 def test_envelope_cmd(fx, tmp_path):

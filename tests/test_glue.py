@@ -14,7 +14,6 @@ from siltglue.fixtures import (
     ka3_algebra,
 )
 from siltglue.gluing import (
-    GENERATION_BUDGET,
     GlueError,
     canonical_corner_silting,
     check_generation,
@@ -161,45 +160,44 @@ def test_co_aisle_agreement_random_probes():
     assert len(rep["probes"]) == 4
 
 
-def test_glue_over_fp_ends_within_budget():
-    # over F_p cones are not split, so the generation closure keeps growing;
-    # the object budget ends it instead of a hang
-    rec = idempotent_recollement(ka3_algebra(PrimeField(5)), ["3"])
+def _multisets(cert):
+    return [(sorted(x.graded_multiset().items()), m) for x, m, _ in cert.decomposition]
+
+
+def test_glue_matrix_over_prime_fields():
+    """Every gluing fixture, rebuilt over F_5, F_2 and F_2^31-1, glues inductively and by the shortcut.
+
+    Each passes with generation "generated" and a certified decomposition
+    whose graded multisets are those over Q.  The whole matrix, sympy's
+    first import included, runs within a 20 s budget.
+    """
 
     def too_slow(_signum, _frame):
-        raise TimeoutError("glue over F_5 ran for more than 10 s")
+        raise TimeoutError("the gluing matrix over prime fields ran for more than 20 s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
+    signal.alarm(20)
     try:
-        cert = glue(rec, [canonical_corner_silting(rec)], [canonical_quotient_silting(rec, shifted=("1",))])
+        for field in (PrimeField(5), PrimeField(2), PrimeField(2147483647)):
+            for (name, rec, T_B), (_, rec_q, T_B_q) in zip(glue_fixtures(field), glue_fixtures()):
+                expected = _multisets(glue_shortcut(rec_q, T_B_q))
+                for cert in (glue(rec, [canonical_corner_silting(rec)], T_B), glue_shortcut(rec, T_B)):
+                    assert cert.passed, (field, name, cert.reports)
+                    assert cert.reports["generation"]["status"] == "generated"
+                    assert _multisets(cert) == expected, (field, name)
+                    assert all(ok for _, _, ok in cert.decomposition)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    gen = cert.reports["generation"]
-    assert gen["status"] == "inconclusive"
-    assert gen["budget_exhausted"] is True
-    assert gen["objects"] == GENERATION_BUDGET
-    assert not cert.passed
 
 
-def test_k0_report_over_fp_unsplit_input_is_inconclusive():
-    # over F_p the rows are the unsplit inputs: P1 (+) P2 (+) P3 is silting
-    # but gives one row, which proves nothing either way
+def test_k0_report_over_fp_splits_its_input():
+    # P1 (+) P2 (+) P3 given as one complex over F_5 is split into its three summand classes
     A = ka3_algebra(PrimeField(5))
-    P = [ProjComplex.stalk(A, v) for v in A.quiver.vertices]
-    rep = k0_report([direct_sum_many(A, P)], A)
-    assert rep["matrix"] == [[1, 1, 1]]
-    assert rep["status"] == "inconclusive"
-    assert not rep["ok"]
-    # a unimodular square of inputs certifies without splitting
-    rep = k0_report(P, A)
+    rep = k0_report([direct_sum_many(A, [ProjComplex.stalk(A, v) for v in A.quiver.vertices])], A)
+    assert rep["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rep["ok"] and rep["det"] == 1
     assert "status" not in rep
-    # over Q the same single input is split, and no status is reported
-    AQ = ka3_algebra()
-    rep = k0_report([direct_sum_many(AQ, [ProjComplex.stalk(AQ, v) for v in AQ.quiver.vertices])], AQ)
-    assert rep["ok"] and "status" not in rep
 
 
 def test_k0_report_eliminates_once(monkeypatch, ka3):

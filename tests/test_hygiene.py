@@ -7,12 +7,12 @@ local name that a function assigns is read in it, unless the name starts
 with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
 library outside its own definition; and no module but `fields` divides with
-`/`, which gives a float on two ints.  Three more checks guard the
+`/`, which gives a float on two ints.  Four more checks guard the
 benchmark's traced run: every method its tracer wraps must exist, every
 `decompose` and `homs` function it times or counts by name must resolve, and
-a `HomSpace` carries every attribute its hook reads.  One more runs the
-CLI's import and the gluing fixtures in a fresh interpreter, which must
-never load sympy.
+a `HomSpace` and an `EndAlgebra` each carry every attribute its hook reads.
+One more runs the CLI's import and the gluing fixtures in a fresh
+interpreter, which must never load sympy.
 """
 
 import ast
@@ -23,6 +23,10 @@ import sys
 
 import pytest
 
+from siltglue.complexes import direct_sum
+from siltglue.decompose import EndAlgebra
+from siltglue.fields import QQ, PrimeField
+from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace, hom_spaces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -287,6 +291,25 @@ def test_homspace_carries_what_the_tracer_reads(ka3):
         tracer._hook_homspace((hs,), None, 0.0, None)
     assert tracer.counters["homs.unknowns"] == sum(hs.fvars.dim + hs.hvars.dim for hs in spaces)
     assert tracer.counters["homs.repeats"] == 1 and len(tracer.hom_keys) == len(spaces) - 1
+
+
+def test_end_algebra_carries_what_the_tracer_reads():
+    """`Tracer._hook_end` runs on an EndAlgebra over Q and over F_5, whose `radical` the tracer wraps.
+
+    The hook reads the algebra's `dim` after each `EndAlgebra.__init__`; a
+    missing attribute would crash only the traced benchmark run.  The
+    tracer is loaded and called, never installed.
+    """
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    ends = []
+    for field in (QQ, PrimeField(5)):
+        d = ka3_named_complexes(ka3_algebra(field))
+        ends.append(EndAlgebra(direct_sum(d["S2"], d["S2"])))
+    for end in ends:
+        tracer._hook_end((end,), None, 0.0, None)
+        assert len(end.radical()) < end.dim
+    assert tracer.counters["decompose.end_dim_sum"] == sum(end.dim for end in ends) > 0
 
 
 NO_SYMPY_SCRIPT = """
