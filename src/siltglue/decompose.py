@@ -12,15 +12,20 @@ exactly so when the characteristic is 0 or exceeds every block size and
 certified by a nilpotency check otherwise.  A product in the quotient is one
 product of sigma values, formed when it is asked for and reduced modulo the
 radical to its coordinates, with no product of chain maps.  Idempotents are
-found in the quotient by minimal-polynomial factorization — basis elements,
-random small combinations, then central elements, whose minimal
-polynomials split the distinct simple blocks — and lifted to an exact
-chain-level idempotent by Newton iteration.  Minimal polynomials are lists
-of field scalars, and their Bezout identities and evaluations are computed
-on those lists with the field's operations.  Over Q one of degree at most 2
-is split exactly through its discriminant and sympy factors the others;
-over F_p sympy's `gf_factor` factors them all.  sympy is imported on the
-first such factorization, so a run that meets none never loads it.
+found in the quotient by minimal-polynomial factorization of one candidate
+stream, the basis elements and then seeded random combinations of them,
+which the isomorphism search also walks over the chain maps.  Over Q no
+pass over the centre could add a split: an element whose minimal
+polynomial is a power of one irreducible has the same trace per dimension
+in every simple block, a proper linear condition that no basis meets when
+there are two or more blocks, and one block has a field as its centre.
+The idempotents are lifted to exact chain-level ones by Newton iteration.
+Minimal polynomials are lists of field scalars, and their Bezout identities
+and evaluations are computed on those lists with the field's operations.
+Over Q one of degree at most 2 is split exactly through its discriminant
+and sympy factors the others; over F_p sympy's `gf_factor` factors them
+all.  sympy is imported on the first such factorization, so a run that
+meets none never loads it.
 """
 
 import importlib.util
@@ -47,7 +52,6 @@ class DecomposeError(RuntimeError):
 
 
 ISO_TRIALS = 64  # random candidate maps `is_isomorphic` tries after the basis cycles
-CENTER_TRIES = 20  # random central elements `_try_center_split` tries
 NEWTON_STEPS = 64  # Newton steps an idempotent lift may take before it fails
 
 
@@ -81,9 +85,6 @@ class IsoResult:
         self.witness = witness
         self.certified = certified
 
-    def __bool__(self):
-        return self.isomorphic
-
 
 def _scalar_invertible_everywhere(g):
     """Is the trivial-path block of g invertible in every degree?"""
@@ -101,13 +102,23 @@ def _scalar_invertible_everywhere(g):
     return True
 
 
-def _chain_map_cycles(X, Y):
-    """The full space of chain maps X -> Y (not modulo homotopy)."""
-    hs = HomSpace(X, Y, 0)
-    out = []
-    for v in hs.cycle_basis:
-        out.append(ChainMap(X, Y, hs.fvars.from_vector(v)))
-    return out
+def _candidates(fld, basis, rng, tries, bound):
+    """The vectors of `basis`, then `tries` seeded combinations of them with coefficients in [-bound, bound].
+
+    A combination draws one coefficient per basis vector, in basis order; a
+    combination that is zero is skipped but uses up its try.
+    """
+    yield from basis
+    if not basis:
+        return
+    for _ in range(tries):
+        x = [0] * len(basis[0])
+        for b in basis:
+            c = fld.of(rng.randint(-bound, bound))
+            if c:
+                x = [fld.add(a, fld.mul(c, v)) for a, v in zip(x, b)]
+        if any(x):
+            yield x
 
 
 def is_isomorphic(X, Y, seed=0):
@@ -127,32 +138,15 @@ def is_isomorphic(X, Y, seed=0):
     if mx.complex.is_zero():
         w = ChainMap.zero(X, Y)
         return IsoResult(True, witness=w, certified=True)
-    cycles = _chain_map_cycles(mx.complex, my.complex)
-    fld = X.algebra.field
-    rng = random.Random(seed)
+    hs = HomSpace(mx.complex, my.complex, 0)
     to_min, from_min = mx.to_min, my.from_min  # each read replays the Gauss steps
-
-    def try_candidate(g):
+    for v in _candidates(X.algebra.field, hs.cycle_basis, random.Random(seed), ISO_TRIALS, 5):
+        g = ChainMap(mx.complex, my.complex, hs.fvars.from_vector(v))
         if not _scalar_invertible_everywhere(g):
-            return None
+            continue
         witness = from_min.compose(g).compose(to_min)
         if minimize(cone(witness)).complex.is_zero():
-            return witness
-        return None
-
-    for g in cycles:
-        w = try_candidate(g)
-        if w is not None:
-            return IsoResult(True, witness=w, certified=True)
-    for _ in range(ISO_TRIALS):
-        g = ChainMap.zero(mx.complex, my.complex)
-        for c in cycles:
-            coef = fld.of(rng.randint(-5, 5))
-            if coef:
-                g = g + c.scale(coef)
-        w = try_candidate(g)
-        if w is not None:
-            return IsoResult(True, witness=w, certified=True)
+            return IsoResult(True, witness=witness, certified=True)
     return IsoResult(False, certified=False)
 
 
@@ -371,14 +365,6 @@ def _poly_gcdex(fld, a, b):
     return [fld.div(c, lead) for c in u0], [fld.div(c, lead) for c in r0]
 
 
-def _idempotent_from_split(S, x, poly, f1, f2):
-    """Idempotent u(x)f1(x) from a coprime factorization poly = f1 * f2."""
-    u, g = _poly_gcdex(S.field, f1, f2)
-    if len(g) != 1:
-        return None
-    return _eval_poly(S, _poly_divmod(S.field, _poly_mul(S.field, u, f1), poly)[1], x)
-
-
 def _eval_poly(S, coeffs, x):
     """coeffs(x) in S by Horner's rule."""
     fld, acc = S.field, [0] * S.dim
@@ -436,81 +422,37 @@ def _first_factor(fld, poly):
 
 
 def _try_minpoly_split(S, x):
-    poly = _min_poly(S, x)
-    first = _first_factor(S.field, poly)
+    """The idempotent (u f1)(x) of a split poly = f1 f2 of x's minimal polynomial, or None.
+
+    f1 is the first irreducible factor to its full multiplicity, so f1 and
+    f2 are coprime and u f1 = 1 modulo f2 by their Bezout identity.
+    """
+    fld, poly = S.field, _min_poly(S, x)
+    first = _first_factor(fld, poly)
     if first is None:
         return None
-    coeffs, k = first
-    f1 = coeffs
+    factor, k = first
+    f1 = factor
     for _ in range(k - 1):
-        f1 = _poly_mul(S.field, f1, coeffs)
-    f2 = _poly_divmod(S.field, poly, f1)[0]
-    e = _idempotent_from_split(S, x, poly, f1, f2)
-    if e is None or not any(e) or e == S.one or S.mul(e, e) != e:
+        f1 = _poly_mul(fld, f1, factor)
+    f2 = _poly_divmod(fld, poly, f1)[0]
+    u = _poly_gcdex(fld, f1, f2)[0]
+    e = _eval_poly(S, _poly_divmod(fld, _poly_mul(fld, u, f1), poly)[1], x)
+    if not any(e) or e == S.one or S.mul(e, e) != e:
         return None
     return e
-
-
-def _center_basis(S):
-    """Basis of the center of S, as coordinate vectors."""
-    units = [[int(k == j) for k in range(S.dim)] for j in range(S.dim)]
-    # comms[i][j] = b_j b_i - b_i b_j; a row per (i, coordinate k), a column per j
-    comms = [[[S.field.sub(a, b) for a, b in zip(S.mul(u, v), S.mul(v, u))] for u in units] for v in units]
-    rows = [[comm[j][k] for j in range(S.dim)] for comm in comms for k in range(S.dim)]
-    return kernel_basis(Matrix(S.field, rows, cols=S.dim))
-
-
-def _try_center_split(S, rng):
-    """Idempotent from the center: splits distinct simple blocks.
-
-    A generic central element has minimal polynomial equal to the product of
-    one irreducible factor per simple block, so it is reducible whenever the
-    algebra has more than one block and the factors differ.  (A single
-    matrix block M_n(K) has the center K and is left to the
-    minimal-polynomial strategies.)
-    """
-    fld, zb = S.field, _center_basis(S)
-    if len(zb) <= 1:
-        return None
-    for z in zb:
-        e = _try_minpoly_split(S, z)
-        if e is not None:
-            return e
-    for _ in range(CENTER_TRIES):
-        z = [0] * S.dim
-        for b in zb:
-            c = fld.of(rng.randint(-3, 3))
-            if c:
-                z = [fld.add(zc, fld.mul(c, bc)) for zc, bc in zip(z, b)]
-        if not any(z):
-            continue
-        e = _try_minpoly_split(S, z)
-        if e is not None:
-            return e
-    return None
 
 
 def _find_idempotent(S, seed=0):
     """A nontrivial idempotent of the semisimple algebra S, or None."""
     if S.dim <= 1:
         return None
-    rng = random.Random(seed)
-    # 1: basis elements
-    for i in range(S.dim):
-        x = [int(j == i) for j in range(S.dim)]
+    units = [[int(j == i) for j in range(S.dim)] for i in range(S.dim)]
+    for x in _candidates(S.field, units, random.Random(seed), 20, 3):
         e = _try_minpoly_split(S, x)
         if e is not None:
             return e
-    # 2: random small integer combinations
-    for _ in range(20):
-        x = [S.field.of(rng.randint(-3, 3)) for _ in range(S.dim)]
-        if not any(x):
-            continue
-        e = _try_minpoly_split(S, x)
-        if e is not None:
-            return e
-    # 3: central idempotents separating non-isomorphic blocks
-    return _try_center_split(S, rng)
+    return None
 
 
 # ---------------------------------------------------------------------------

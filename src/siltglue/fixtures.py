@@ -10,6 +10,7 @@ import os
 from .fields import QQ
 from .quiver import Quiver, build_algebra
 from .complexes import PathMatrix, ProjComplex, direct_sum_many, make_complex, shift
+from .gluing import canonical_corner_silting
 from .recollement import idempotent_recollement
 from . import serialize
 
@@ -94,7 +95,7 @@ def write_fixture_files(directory):
     bpath = os.path.join(directory, "ka3_quotient_algebra.json")
     serialize.save_algebra(rec.B, bpath)
     paths["quotient_algebra"] = bpath
-    tc = direct_sum_many(rec.C, [ProjComplex.stalk(rec.C, v) for v in rec.C.quiver.vertices])
+    tc = canonical_corner_silting(rec)
     tcp = os.path.join(directory, "ka3_tc.json")
     serialize.save_complex(tc, tcp, algebra_ref="ka3_corner_algebra.json")
     paths["tc"] = tcp

@@ -27,15 +27,18 @@ from siltglue import decompose as decompose_module
 from siltglue.decompose import (
     DecomposeError,
     EndAlgebra,
+    ISO_TRIALS,
     SemisimpleQuotient,
-    _center_basis,
+    _candidates,
+    _find_idempotent,
     _first_factor,
     _min_poly,
+    _newton_idempotent_chain,
     _poly_divmod,
     _poly_gcdex,
     _poly_mul,
+    _scalar_invertible_everywhere,
     _split_by_idempotent,
-    _try_center_split,
     _try_minpoly_split,
     decompose,
     group_isomorphic,
@@ -98,15 +101,16 @@ def test_decompose_stalk_and_sum(ka3):
 
 
 def test_decompose_mixed_two_term_sum(ka3):
-    # I2[1] (+) S2 is a sum of two non-isomorphic indecomposables
-    X = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
-    parts = decompose(X)
-    assert [(m, c) for _, m, c in parts] == [(1, True), (1, True)]
-    msets = {frozenset(x.graded_multiset().items()) for x, _, _ in parts}
-    assert msets == {
-        frozenset(shift(ka3["I2"], 1).graded_multiset().items()),
-        frozenset(ka3["S2"].graded_multiset().items()),
-    }
+    # I2[1] (+) S2 and I2 (+) S2 are sums of two non-isomorphic indecomposables;
+    # End(I2 (+) S2)/rad is Q x Q, two simple blocks
+    for first in (shift(ka3["I2"], 1), ka3["I2"]):
+        parts = decompose(direct_sum(first, ka3["S2"]))
+        assert [(m, c) for _, m, c in parts] == [(1, True), (1, True)]
+        msets = {frozenset(x.graded_multiset().items()) for x, _, _ in parts}
+        assert msets == {
+            frozenset(first.graded_multiset().items()),
+            frozenset(ka3["S2"].graded_multiset().items()),
+        }
 
 
 def test_decompose_doubled_complex(ka3):
@@ -248,26 +252,82 @@ def test_kronecker_pair_splits_over_f5_and_stays_uncertified_over_f2():
     assert [(c.describe(), m, ok) for c, m, ok in decompose(X)] == [("-1:[P_2,P_2] 0:[P_1,P_1]", 1, False)]
 
 
-def test_center_of_matrix_block_is_trivial(ka3):
-    # End(I2 (+) I2)/rad is M_2(Q): the center is one-dimensional and the
-    # central route correctly declines (basis elements split this case)
-    X = direct_sum(ka3["I2"], ka3["I2"])
-    S = SemisimpleQuotient(EndAlgebra(X))
-    assert S.dim == 4
-    assert len(_center_basis(S)) == 1
-    assert _try_center_split(S, random.Random(0)) is None
+def test_iso_over_f5_finds_its_witness_among_the_seeded_combinations():
+    """Over F_5, I2 (+) S2 ~= S2 (+) I2, but no basis cycle is an isomorphism.
+
+    Each basis cycle maps one summand only, so the witness comes from a
+    seeded combination, whose coefficients must be residues in [0, 5).
+    """
+    d = _ka3_over(PrimeField(5))
+    X, Y = direct_sum(d["I2"], d["S2"]), direct_sum(d["S2"], d["I2"])
+    hs = HomSpace(X, Y, 0)
+    cycles = [ChainMap(X, Y, hs.fvars.from_vector(v)) for v in hs.cycle_basis]
+    assert cycles and not any(_scalar_invertible_everywhere(g) for g in cycles)
+    F5 = X.algebra.field
+    combinations = list(_candidates(F5, hs.cycle_basis, random.Random(0), ISO_TRIALS, 5))[len(cycles) :]
+    assert combinations and all(0 <= c < 5 for v in combinations for c in v)
+    # these cycles have disjoint 0/1 supports; on overlapping large residues bare `+` and `*` would overflow
+    combinations = list(_candidates(F5, [[1, 4], [4, 4]], random.Random(0), 20, 5))[2:]
+    assert combinations and all(0 <= c < 5 for v in combinations for c in v)
+    res = is_isomorphic(X, Y)
+    assert res.isomorphic and res.certified
+    assert minimize(cone(res.witness)).complex.is_zero()
+    coefficients = [c for m in res.witness.components.values() for terms in m.cells.values() for c in terms.values()]
+    assert coefficients and all(0 <= c < 5 for c in coefficients)
 
 
-def test_center_split_two_blocks(ka3):
-    # End(I2 (+) S2)/rad is Q x Q: a two-dimensional center, split centrally
-    X = direct_sum(ka3["I2"], ka3["S2"])
-    S = SemisimpleQuotient(EndAlgebra(X))
-    assert S.dim == 2
-    assert len(_center_basis(S)) == 2
-    e = _try_center_split(S, random.Random(0))
-    assert e is not None
+class _MatrixQuotient:
+    """S = M_2(Q) in the basis 1, E12, E21, N = [[2, 1], [-1, 0]]: a stand-in for E/rad E.
+
+    The minimal polynomials of the basis elements are t - 1, t^2, t^2 and
+    (t - 1)^2, each a power of one irreducible, so no basis element splits S.
+    """
+
+    field = QQ
+    dim = 4
+    one = [1, 0, 0, 0]
+
+    @staticmethod
+    def _matrix(x):
+        a, b, c, d = x
+        return [[a + 2 * d, b + d], [c - d, a]]
+
+    def mul(self, x, y):
+        X, Y = self._matrix(x), self._matrix(y)
+        (p, q), (r, s) = ([sum(X[i][k] * Y[k][j] for k in range(2)) for j in range(2)] for i in range(2))
+        d = QQ.div(p - s, 2)
+        return [s, q - d, r + d, d]
+
+
+def test_idempotent_search_reaches_the_seeded_combinations(monkeypatch):
+    """No basis element of M_2(Q) splits it; the 3rd seeded combination does, on the 7th try."""
+    S = _MatrixQuotient()
+    units = [[int(j == i) for j in range(4)] for i in range(4)]
+    assert [_min_poly(S, u) for u in units] == [[1, -1], [1, 0, 0], [1, 0, 0], [1, -2, 1]]
+    tries = []
+    monkeypatch.setattr(decompose_module, "_try_minpoly_split", lambda S, x: tries.append(x) or _try_minpoly_split(S, x))
+    e = _find_idempotent(S, 0)
+    assert e == [Fraction(1, 3), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 6)]
     assert S.mul(e, e) == e
-    assert any(e) and e != S.one
+    assert tries[:4] == units and len(tries) == 7
+
+
+def test_newton_lift_iterates_to_an_exact_idempotent(ka3, monkeypatch):
+    """g = [[e2, b], [0, e3]] on P2 (+) P3 has sigma(g) = 1 but g^2 != g; one Newton step gives the identity."""
+    A, P = ka3["A"], ka3["P"]
+    X = direct_sum(P["2"], P["3"])
+    e2, e3 = (A.path_element(A.trivial_path(v)) for v in "23")
+    b = A.path_element(A.path_of_arrows(["b"]))
+    g = ChainMap(X, X, {0: PathMatrix(A, ("2", "3"), ("2", "3"), [[e2, b], [A.zero_element(), e3]])})
+    assert decompose_module._sigma(g) == decompose_module._sigma(ChainMap.identity(X))
+    assert not (g.compose(g) - g).is_zero()
+    composes = []
+    orig = ChainMap.compose
+    monkeypatch.setattr(ChainMap, "compose", lambda f, h: composes.append(1) or orig(f, h))
+    lifted = _newton_idempotent_chain(g)
+    assert (lifted - ChainMap.identity(X)).is_zero()
+    # g^2 and g^3 for the one step, then g^2 to see that the result is idempotent
+    assert len(composes) == 3
 
 
 def _regular_trace_form(hs, reps):

@@ -6,11 +6,12 @@ be listed in `__all__`; no import statement sits inside a function body; a
 local name that a function assigns is read in it, unless the name starts
 with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
-library outside its own definition; and no module but `fields` divides with
-`/`, which gives a float on two ints.  Four more checks guard the
-benchmark's traced run: every method its tracer wraps must exist, every
-`decompose` and `homs` function it times or counts by name must resolve, and
-a `HomSpace` and an `EndAlgebra` each carry every attribute its hook reads.
+library outside its own definition, and so is every module-level UPPER_CASE
+constant; and no module but `fields` divides with `/`, which gives a float
+on two ints.  Four more checks guard the benchmark's traced run: every
+method its tracer wraps must exist, every `decompose` and `homs` function
+it times or counts by name must resolve, and a `HomSpace` and an
+`EndAlgebra` each carry every attribute its hook reads.
 One more runs the CLI's import and the gluing fixtures in a fresh
 interpreter, which must never load sympy.
 """
@@ -37,6 +38,15 @@ MODULES = sorted(
     for f in files
     if f.endswith(".py")
 )
+
+
+def library_sources():
+    """{module: source text} of every library module."""
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    return sources
 
 
 def unused_imports(source):
@@ -200,11 +210,55 @@ def test_scan_finds_an_unreferenced_helper():
 
 
 def test_no_unreferenced_private_helpers():
-    sources = {}
-    for module in MODULES:
-        with open(os.path.join(SRC, module)) as fh:
-            sources[module] = fh.read()
-    assert unreferenced_helpers(sources) == []
+    assert unreferenced_helpers(library_sources()) == []
+
+
+def unread_constants(sources):
+    """(module, line, name) of each module-level UPPER_CASE constant that no library code reads.
+
+    A constant is a name that an assignment in a module's top level binds
+    and that has no lower-case letter.  A read is a name loaded, an
+    attribute or an imported name anywhere in `sources`, which maps module
+    names to source text, so a budget left behind by a deleted search
+    counts as unread.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.isupper() and name not in reads:
+                    found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_an_unread_constant():
+    sources = {
+        "a": "BUDGET = 20\nUSED = 3\nLIMIT: int = 5\nlower = 1\nMixed = 2\n\ndef f():\n    LOCAL = 4\n    return USED\n",
+        "b": "from a import LIMIT\nimport a\nTRIES = 7\nTRIES = 8\n\ndef g():\n    return a.other\n",
+    }
+    assert unread_constants(sources) == [("a", 1, "BUDGET"), ("b", 3, "TRIES"), ("b", 4, "TRIES")]
+    assert unread_constants({"c": "STEPS = 4\n\ndef h():\n    return m.STEPS\n"}) == []
+
+
+def test_no_unread_constants():
+    assert unread_constants(library_sources()) == []
 
 
 def true_divisions(source):
