@@ -2,32 +2,31 @@
 
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
 from Hom-basis representatives, minimizes them by one greedy pass that tries
-each copy once, and runs the inductive construction of the susp(T)-envelope
-triangle V -> M -> U via homotopy pushouts, which read the cocone with its
-map to M and the cone as a complex alone.  A deletion is decided on Hom
-coordinates: a set of target copies is a preenvelope exactly when every map
-M -> T_j[s] factors through it (Auslander-Smalo), a rank condition on the
-coordinates of the maps each copy lets through, so no candidate map is
-assembled.  The cosusp(T)-precover is the same construction over the opposite algebra,
-transported back.  All certificates are exact.
+each copy once, and builds the susp(T)-envelope triangle V -> M -> U in
+stages: each takes the minimized cocone of its input's minimal
+add(T)[s]-preenvelope, and U is one cone, of the composite of the stages'
+cocone maps.  A deletion is decided on Hom coordinates: a set of target
+copies is a preenvelope exactly when every map M -> T_j[s] factors through
+it (Auslander-Smalo), a rank condition on the coordinates of the maps each
+copy lets through, so no candidate map is assembled.  The cosusp(T)-precover
+is the same construction over the opposite algebra, transported back.  All
+certificates are exact.
 
-Each stage builds every Hom(M, T_i[k]) once: the s-search (`s_search`) keeps
+Each stage builds every Hom(W, T_i[k]) once: the s-search (`s_search`) keeps
 the spaces at s, and the preenvelope carries them and their representatives
 into `left_minimize`; each Hom(T_i, T_j) is built once per envelope and
 shifted to each stage's s.  The chain condition is checked once, on the maps
 a result reports: f and v_map of `susp_envelope`, and u_map and v_map of
 `cosusp_precover` over A (not again over the opposite algebra).  The stacked
-preenvelopes and the pushout maps inside a stage are chain maps by
-construction and are not checked.
+preenvelopes, the composite of the cocone maps and the map into its cone
+are chain maps by construction and are not checked.
 """
 
 from .complexes import (
     ChainMap,
     PathMatrix,
-    ProjComplex,
     cocone,
     cone,
-    direct_sum,
     direct_sum_many,
     minimize,
     opposite_complex,
@@ -195,53 +194,49 @@ def indecomposable_refinement(T_list, seed=0):
     return [X for T in T_list for X, _mult, _cert in decompose(T, seed=seed)]
 
 
-def _susp_envelope_stage(M, T_list, bound, between):
-    """Inductive stage: returns (f: M -> U, U, trace). s must drop each call.
+def _susp_envelope_stage(W, T_list, bound, between):
+    """One stage: (layer, Cm, u), or None when no Hom(W, T_i[s]) with s >= 0 is non-zero.
 
-    The s-search hands the Hom spaces it built at s on to the preenvelope,
-    and `between` is the envelope's table for `left_minimize`.
-    The pushout maps `gu` and `fX` are chain maps by construction and are
-    not checked; `susp_envelope` and `cosusp_precover` check the maps they
-    report.
+    Cm is the minimized cocone of W's minimal add(T)[s]-preenvelope and
+    u: Cm -> W its map to W; s must stay below `bound`.  The s-search hands
+    the Hom spaces it built at s on to the preenvelope, and `between` is the
+    envelope's table for `left_minimize`.
     """
-    s, spaces = s_search(M, T_list)
+    s, spaces = s_search(W, T_list)
     if s is None:
-        Z = ProjComplex.zero(M.algebra)
-        return ChainMap.zero(M, Z), Z, []
+        return None
     if bound is not None and s >= bound:
         raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
-    pre = left_minimize(add_shift_preenvelope(M, T_list, s, spaces), between)
-    h = pre.f
-    layer = (s, tuple(sorted((ti for ti, _ in pre.copies))))
-    C, u = cocone(h)  # C -> M -> F
+    pre = left_minimize(add_shift_preenvelope(W, T_list, s, spaces), between)
+    C, u = cocone(pre.f)  # C -> W -> F
     Cm = minimize(C)
-    u2 = Cm.pull(u)
-    g, E, sub_trace = _susp_envelope_stage(Cm.complex, T_list, s, between)
-    # homotopy pushout: X = cone of (g, -u): C -> E (+) M
-    EM = direct_sum(E, M)
-    comps = {}
-    for n in set(g.components) | set(u2.components):
-        comps[n] = PathMatrix.vstack(g.component(n), -u2.component(n))
-    gu = ChainMap(Cm.complex, EM, comps)
-    X = cone(gu)
-    # f: M -> X through the M slot of E (+) M
-    incl = {}
-    alg = M.algebra
-    for n, vs in M.components.items():
-        zc = PathMatrix.zero(alg, Cm.complex.component(n + 1), vs)
-        ze = PathMatrix.zero(alg, E.component(n), vs)
-        incl[n] = PathMatrix.vstack(PathMatrix.vstack(zc, ze), PathMatrix.identity(alg, vs))
-    fX = ChainMap(M, X, incl)
-    Xm = minimize(X)
-    return Xm.push(fX), Xm.complex, [layer] + sub_trace
+    return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm.complex, Cm.pull(u)
 
 
 def _envelope(M, T_list, seed):
-    """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace)."""
-    f, U, trace = _susp_envelope_stage(M, indecomposable_refinement(T_list, seed), None, {})
-    V, u = cocone(f)
+    """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace).
+
+    w: W_r -> M composes the stages' cocone maps M = W_0 <- W_1 <- ... <- W_r.
+    By the octahedral axiom C(-w) is the iterated homotopy pushout of the
+    stages, so U takes a single cone.
+    """
+    T_list = indecomposable_refinement(T_list, seed)
+    W, w, trace, between = M, ChainMap.identity(M), [], {}
+    while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between):
+        layer, W, u = stage
+        w = w.compose(u)
+        trace.append(layer)
+    X = cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
+    alg = M.algebra
+    incl = {
+        n: PathMatrix.vstack(PathMatrix.zero(alg, W.component(n + 1), vs), PathMatrix.identity(alg, vs))
+        for n, vs in M.components.items()
+    }
+    Xm = minimize(X)
+    f = Xm.push(ChainMap(M, X, incl))
+    V, v = cocone(f)
     Vm = minimize(V)
-    return f, U, Vm.complex, Vm.pull(u), trace
+    return f, Xm.complex, Vm.complex, Vm.pull(v), trace
 
 
 def _check_orthogonal(pairs, what):
@@ -258,10 +253,10 @@ def _check_orthogonal(pairs, what):
 def susp_envelope(M, T_list, seed=0):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
-    The statistic s = s_sup(M, T) strictly decreases through the recursion;
-    the construction follows the iterated homotopy-pushout scheme.  The
-    reported s is that of the outermost layer: splitting T into its
-    indecomposable summands does not change s_sup.  The maps f and v_map
+    The statistic s = s_sup(W, T) strictly decreases from stage to stage,
+    and U is the cone of the composite of the stages' cocone maps (see
+    `_envelope`).  The reported s is that of the outermost layer: splitting
+    T into its indecomposable summands does not change s_sup.  The maps f and v_map
     are checked to be chain maps, and the orthogonality Hom(V, T_i[k]) = 0
     for all k >= 0 is certified.  `seed` drives the splitting of T into
     indecomposable summands.

@@ -126,8 +126,9 @@ def is_isomorphic(X, Y, seed=0):
 
     A `True` verdict always carries a chain map X -> Y whose cone minimizes
     to zero.  A `False` verdict is certified when the minimal graded vertex
-    multisets differ, and flagged uncertified when only the randomized
-    invertible-map search failed.
+    multisets differ or no non-zero chain map joins the minimal models, and
+    flagged uncertified when only the randomized invertible-map search
+    failed.
     """
     if X.algebra != Y.algebra:
         raise DecomposeError("complexes over different algebras")
@@ -139,6 +140,8 @@ def is_isomorphic(X, Y, seed=0):
         w = ChainMap.zero(X, Y)
         return IsoResult(True, witness=w, certified=True)
     hs = HomSpace(mx.complex, my.complex, 0)
+    if not hs.cycle_basis:
+        return IsoResult(False, certified=True)
     to_min, from_min = mx.to_min, my.from_min  # each read replays the Gauss steps
     for v in _candidates(X.algebra.field, hs.cycle_basis, random.Random(seed), ISO_TRIALS, 5):
         g = ChainMap(mx.complex, my.complex, hs.fvars.from_vector(v))
@@ -483,6 +486,8 @@ def _split_by_idempotent(X, g):
     One conjugation, by V = D U^-1 g + (1 - D) U^-1 (1 - g), makes g exactly
     D: V g = D V because g is idempotent, and V is invertible because its
     scalar part is U^-1.  The summands are the D = 1 and D = 0 indices.
+    Both are minimal: conjugating by an invertible V keeps the differential
+    in the radical, and so does taking a diagonal block of it.
     """
     alg = X.algebra
     fld = alg.field
@@ -539,9 +544,7 @@ def _decompose_minimal(X, seed=0):
     A, B = _split_by_idempotent(X, g)
     if A.is_zero() or B.is_zero():
         raise DecomposeError("idempotent split produced a trivial summand")
-    return _decompose_minimal(minimize(A).complex, seed) + _decompose_minimal(
-        minimize(B).complex, seed
-    )
+    return _decompose_minimal(A, seed) + _decompose_minimal(B, seed)
 
 
 def isomorphism_class(X, classes, seed=0):

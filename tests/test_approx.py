@@ -183,6 +183,18 @@ def test_reported_maps_are_checked_once(ka3, monkeypatch):
     assert all(f.source.algebra is ka3["A"] for f in checked)
 
 
+def test_envelope_takes_one_cone_after_its_stages(ka3, monkeypatch):
+    """Two layers: one stage call per layer and one that finds no s, then a single cone."""
+    cones, stages = [], []
+    cone_, stage = approx.cone, approx._susp_envelope_stage
+    monkeypatch.setattr(approx, "cone", lambda f: cones.append(f) or cone_(f))
+    monkeypatch.setattr(approx, "_susp_envelope_stage", lambda *a: stages.append(a) or stage(*a))
+    env = susp_envelope(direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)])
+    assert [s for s, _ in env.trace] == [1, 0]
+    assert len(stages) == len(env.trace) + 1
+    assert len(cones) == 1
+
+
 def _sign_flipper(n, flipped):
     """f -> f with entry (0, 0) of its degree-n component negated, where that entry is non-zero.
 
@@ -206,10 +218,10 @@ def _sign_flipper(n, flipped):
 def _flip_instance(ka3):
     """I2 and [P1, P2].
 
-    Most one-entry sign flips in the stacked or pushout maps give a triangle
-    isomorphic to the true one, which is no error.  On this instance the
-    flipped map reaches the reported maps, so the boundary check must refuse
-    them.
+    Most one-entry sign flips in the stacked maps or in the map whose cone
+    is U give a triangle isomorphic to the true one, which is no error.  On
+    this instance the flipped map reaches the reported maps, so the boundary
+    check must refuse them.
     """
     return ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]
 

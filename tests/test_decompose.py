@@ -252,6 +252,14 @@ def test_kronecker_pair_splits_over_f5_and_stays_uncertified_over_f2():
     assert [(c.describe(), m, ok) for c, m, ok in decompose(X)] == [("-1:[P_2,P_2] 0:[P_1,P_1]", 1, False)]
 
 
+def test_iso_without_chain_maps_is_certified_false():
+    """The two F_5 Kronecker summands share their graded multiset, but no non-zero chain map joins them."""
+    (X, _, _), (Y, _, _) = decompose(_kronecker_pair(PrimeField(5)))
+    assert not HomSpace(X, Y, 0).cycle_basis
+    res = is_isomorphic(X, Y)
+    assert not res.isomorphic and res.certified
+
+
 def test_iso_over_f5_finds_its_witness_among_the_seeded_combinations():
     """Over F_5, I2 (+) S2 ~= S2 (+) I2, but no basis cycle is an isomorphism.
 
