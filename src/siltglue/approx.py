@@ -44,7 +44,7 @@ class ApproxError(RuntimeError):
 
 
 class Preenvelope:
-    """A map f: M -> F into add(T)[s] together with its provenance.
+    """A map f: M -> F into add(T)[s], given by its provenance.
 
     `copies` lists, per target summand block, the index into T and the
     representative index it came from (deletion order follows this list).
@@ -52,10 +52,10 @@ class Preenvelope:
     `add_shift_preenvelope` builds them once and `left_minimize` reads them.
     """
 
-    __slots__ = ("f", "T_list", "s", "copies", "spaces", "reps", "minimal")
+    __slots__ = ("M", "T_list", "s", "copies", "spaces", "reps", "minimal")
 
-    def __init__(self, f, T_list, s, copies, spaces, reps, minimal=False):
-        self.f = f
+    def __init__(self, M, T_list, s, copies, spaces, reps, minimal=False):
+        self.M = M
         self.T_list = T_list
         self.s = s
         self.copies = copies
@@ -64,12 +64,9 @@ class Preenvelope:
         self.minimal = minimal
 
     @property
-    def source(self):
-        return self.f.source
-
-    @property
-    def target(self):
-        return self.f.target
+    def f(self):
+        """The stacked map M -> F of the copies' representatives, built on each read."""
+        return _stack(self.M, [self.reps[ti][ri] for ti, ri in self.copies])
 
 
 def _stack(M, reps):
@@ -80,18 +77,12 @@ def _stack(M, reps):
     """
     alg = M.algebra
     F = direct_sum_many(alg, [r.target for r in reps])
-    degrees = set()
-    for r in reps:
-        degrees.update(r.components)
     comps = {}
-    for n in degrees:
-        cells, top = {}, 0
-        for r in reps:
-            m = r.component(n)
-            cells.update(((top + i, j), t) for (i, j), t in m.cells.items())
-            top += m.rows
-        comps[n] = PathMatrix._of(alg, F.component(n), M.component(n), cells)
-    return ChainMap(M, F, comps)
+    for k, r in enumerate(reps):
+        for n, m in r.components.items():
+            comps.setdefault(n, {})[k, 0] = m
+    rows = {n: [r.target.component(n) for r in reps] for n in comps}
+    return ChainMap(M, F, {n: PathMatrix.blocks(alg, rows[n], (M.component(n),), ms) for n, ms in comps.items()})
 
 
 def add_shift_preenvelope(M, T_list, s, spaces=None):
@@ -105,7 +96,7 @@ def add_shift_preenvelope(M, T_list, s, spaces=None):
     spaces = [known[ti] if ti in known else HomSpace(M, T, s) for ti, T in enumerate(T_list)]
     reps = [hs.basis_maps() for hs in spaces]
     copies = [(ti, ri) for ti, rs in enumerate(reps) for ri in range(len(rs))]
-    return Preenvelope(_stack(M, [r for rs in reps for r in rs]), list(T_list), s, copies, spaces, reps)
+    return Preenvelope(M, list(T_list), s, copies, spaces, reps)
 
 
 def _is_preenvelope(fld, dims, copy_rows):
@@ -129,7 +120,7 @@ def left_minimize(pre, between=None):
     through f are spanned by the h o r_c: h runs over a basis of
     Hom(T_ti[s], T_j[s]) and r_c is copy c's representative.  Their
     coordinates in Hom(M, T_j[s]) are computed once per copy, so deciding a
-    deletion is a rank test on rows; the minimized map is built at the end.
+    deletion is a rank test on rows; the map is built only when `f` is read.
     Each copy is tried once, in order, and dropped when its removal keeps
     every rank full.  A copy kept once is never tried again: dropping it
     from a smaller set would leave smaller spans still.  The spaces
@@ -137,7 +128,7 @@ def left_minimize(pre, between=None):
     Hom(T_ti[s], T_j[s]) has the shifted basis of Hom(T_ti, T_j), which
     `between` keeps by (ti, j) for calls on one T_list.
     """
-    M, T_list, s = pre.source, pre.T_list, pre.s
+    M, T_list, s = pre.M, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
     between = {} if between is None else between
     pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs.dim})
@@ -159,9 +150,7 @@ def left_minimize(pre, between=None):
         cand = [k for k in keep if k != c]
         if _is_preenvelope(fld, dims, [copy_rows[k] for k in cand]):
             keep = cand
-    copies = [pre.copies[c] for c in keep]
-    f = _stack(M, [reps[ti][ri] for ti, ri in copies])
-    return Preenvelope(f, T_list, s, copies, spaces, reps, minimal=True)
+    return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps, minimal=True)
 
 
 class EnvelopeResult:
@@ -229,7 +218,7 @@ def _envelope(M, T_list, seed):
     X = cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
     alg = M.algebra
     incl = {
-        n: PathMatrix.vstack(PathMatrix.zero(alg, W.component(n + 1), vs), PathMatrix.identity(alg, vs))
+        n: PathMatrix.blocks(alg, (W.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
         for n, vs in M.components.items()
     }
     Xm = minimize(X)
@@ -265,8 +254,7 @@ def susp_envelope(M, T_list, seed=0):
     f.check_chain_condition()
     v_map.check_chain_condition()
     _check_orthogonal([(V, T) for T in T_list], "envelope cocone")
-    certs = {"cocone_orthogonal": True, "orthogonality_failures": [], "layers": trace}
-    return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, certs)
+    return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
 
 
 def cosusp_precover(M, T_list, seed=0):
@@ -292,5 +280,4 @@ def cosusp_precover(M, T_list, seed=0):
     v_map.check_chain_condition()
     trace = [(-s, tags) for s, tags in op_trace]
     _check_orthogonal([(T, U) for T in T_list], "precover cone")
-    certs = {"cone_orthogonal": True, "orthogonality_failures": [], "layers": trace}
-    return EnvelopeResult(M, U, V, u_map, v_map, op_trace[0][0] if op_trace else None, trace, certs)
+    return EnvelopeResult(M, U, V, u_map, v_map, op_trace[0][0] if op_trace else None, trace, {"cone_orthogonal": True})

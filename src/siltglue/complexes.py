@@ -12,11 +12,15 @@ f: X -> Y has components X^{n+1} (+) Y^n with differential
 that complex alone, `cocone` the complex C(f)[-1] with its projection to X,
 and `direct_sum_many` a sum of any number of complexes in one pass.
 
-A `PathMatrix` stores only its non-zero entries, as cells
-{(i, j): {path: coefficient}}, and every operation touches only those.  Its
-constructor and `entries` are the dense boundary for data from outside; the
-library builds matrices from cells, and never mutates a cell once built,
-since matrices share them.
+Nothing zero is stored or built.  A `PathMatrix` stores only its non-zero
+entries, as cells {(i, j): {path: coefficient}}, and every operation touches
+only those.  Its constructor and `entries` are the dense boundary for data
+from outside; the library builds matrices from cells, and never mutates a
+cell once built, since matrices share them.  A `ProjComplex` holds only its
+non-zero differentials and a `ChainMap` only its non-zero components;
+`differential(n)` and `component(n)` give a zero matrix elsewhere.  Block
+matrices come from `PathMatrix.blocks`, which places the given blocks at
+their offsets: a block not given is zero and is never built.
 
 Constructors check shapes only (the dense `PathMatrix` constructor also that
 each entry is an element of the algebra).  Entries, vertices and d^2 = 0 are
@@ -28,6 +32,8 @@ reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
 of `glue` and `check-silting`.
 """
+
+from itertools import accumulate
 
 from .linalg import Matrix, extend_rref
 from .quiver import AlgebraElement, Path, QuiverError
@@ -189,25 +195,20 @@ class PathMatrix:
         return PathMatrix._of(self.algebra, tuple(rv[i] for i in row_idx), tuple(cv[j] for j in col_idx), cells)
 
     @classmethod
-    def _glue(cls, a, b, rv, cv, di, dj):
-        """The matrix with the cells of `a`, and those of `b` moved by (di, dj)."""
-        cells = dict(a.cells)
-        cells.update(((i + di, j + dj), t) for (i, j), t in b.cells.items())
-        return cls._of(a.algebra, rv, cv, cells)
+    def blocks(cls, algebra, row_parts, col_parts, parts):
+        """The block matrix with row blocks `row_parts` and column blocks `col_parts`, vertex tuples.
 
-    @classmethod
-    def vstack(cls, a, b):
-        """Stack maps with the same source: rows of a above rows of b."""
-        if a.col_vertices != b.col_vertices:
-            raise ComplexError("vstack column mismatch")
-        return cls._glue(a, b, a.row_vertices + b.row_vertices, a.col_vertices, a.rows, 0)
-
-    @classmethod
-    def hstack(cls, a, b):
-        """Join maps with the same target: columns of a before columns of b."""
-        if a.row_vertices != b.row_vertices:
-            raise ComplexError("hstack row mismatch")
-        return cls._glue(a, b, a.row_vertices, a.col_vertices + b.col_vertices, 0, a.cols)
+        `parts` maps (a, b) to block (a, b), whose cells move by the sizes of
+        the blocks before it; a block not in `parts` is zero.
+        """
+        rows, cols = [0, *accumulate(map(len, row_parts))], [0, *accumulate(map(len, col_parts))]
+        cells = {}
+        for (a, b), m in parts.items():
+            if m.row_vertices != row_parts[a] or m.col_vertices != col_parts[b]:
+                raise ComplexError(f"block ({a}, {b}) has wrong shape")
+            di, dj = rows[a], cols[b]
+            cells.update(((i + di, j + dj), t) for (i, j), t in m.cells.items())
+        return cls._of(algebra, sum(row_parts, ()), sum(col_parts, ()), cells)
 
     def scalar_part(self):
         """Field matrix of trivial-path coefficients (zero off same-vertex slots)."""
@@ -280,28 +281,24 @@ class PathMatrix:
 
 
 class ProjComplex:
-    """Bounded complex of projectives with d of degree +1 and d^2 = 0, as `check` verifies."""
+    """Bounded complex of projectives with d of degree +1 and d^2 = 0, as `check` verifies.
+
+    `components` holds the non-empty degrees and `differentials` the
+    non-zero differentials.  The constructor checks each differential's
+    shape, zero or not, and then drops a zero one.
+    """
 
     __slots__ = ("algebra", "components", "differentials")
 
     def __init__(self, algebra, components, differentials):
-        comps = {int(n): tuple(vs) for n, vs in components.items() if len(tuple(vs)) > 0}
+        comps = {int(n): tuple(vs) for n, vs in components.items() if vs}
         diffs = {}
         for n, d in differentials.items():
             n = int(n)
-            if d is None or (d.rows == 0 and d.cols == 0):
-                continue
-            diffs[n] = d
-        for n, d in list(diffs.items()):
-            src = comps.get(n, ())
-            tgt = comps.get(n + 1, ())
-            if d.col_vertices != src or d.row_vertices != tgt:
+            if d.col_vertices != comps.get(n, ()) or d.row_vertices != comps.get(n + 1, ()):
                 raise ComplexError(f"differential at degree {n} has wrong shape")
-            if not tgt or not src:
-                del diffs[n]
-        for n in comps:
-            if n + 1 in comps and n not in diffs:
-                diffs[n] = PathMatrix.zero(algebra, comps[n + 1], comps[n])
+            if d.cells:
+                diffs[n] = d
         self.algebra = algebra
         self.components = comps
         self.differentials = diffs
@@ -361,8 +358,7 @@ class ProjComplex:
             isinstance(other, ProjComplex)
             and self.algebra == other.algebra
             and self.components == other.components
-            and {n: d for n, d in self.differentials.items() if not d.is_zero()}
-            == {n: d for n, d in other.differentials.items() if not d.is_zero()}
+            and self.differentials == other.differentials
         )
 
     def describe(self):
@@ -380,8 +376,10 @@ class ProjComplex:
 class ChainMap:
     """Degree-0 chain map between complexes over one algebra.
 
-    The constructor checks shapes only.  d f = f d is checked by
-    `check_chain_condition`, which callers run where a map is claimed.
+    `components` holds the non-zero components.  The constructor checks
+    each component's shape, zero or not, and then drops a zero one; it
+    checks nothing else.  d f = f d is checked by `check_chain_condition`,
+    which callers run where a map is claimed.
     """
 
     __slots__ = ("source", "target", "components")
@@ -392,11 +390,10 @@ class ChainMap:
         comps = {}
         for n, m in components.items():
             n = int(n)
-            if m.rows == 0 or m.cols == 0:
-                continue
             if m.col_vertices != source.component(n) or m.row_vertices != target.component(n):
                 raise ComplexError(f"chain map component at degree {n} has wrong shape")
-            comps[n] = m
+            if m.cells:
+                comps[n] = m
         self.source = source
         self.target = target
         self.components = comps
@@ -435,12 +432,11 @@ class ChainMap:
         return PathMatrix.zero(self.source.algebra, self.target.component(n), self.source.component(n))
 
     def compose(self, other):
-        """self o other: apply `other` first."""
+        """self o other: apply `other` first, multiplying in the degrees where both have a component."""
         if other.target is not self.source and other.target != self.source:
             raise ComplexError("composition endpoint mismatch")
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            comps[n] = self.component(n).compose(other.component(n))
+        right = other.components
+        comps = {n: m.compose(right[n]) for n, m in self.components.items() if n in right}
         return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other):
@@ -461,7 +457,7 @@ class ChainMap:
         )
 
     def is_zero(self):
-        return all(m.is_zero() for m in self.components.values())
+        return not self.components
 
     def __repr__(self):
         return f"ChainMap({self.source.describe()} -> {self.target.describe()})"
@@ -498,17 +494,20 @@ def direct_sum(X, Y):
 
 
 def direct_sum_many(algebra, complexes):
-    """The direct sum of `complexes`, in one pass: each differential's cells move by the summands before it."""
-    comps, cells = {}, {}
-    for X in complexes:
-        if X.algebra != algebra:
-            raise ComplexError("different algebras")
+    """The direct sum of `complexes` in one pass: each differential has the summands' ones as diagonal blocks."""
+    if any(X.algebra != algebra for X in complexes):
+        raise ComplexError("different algebras")
+
+    def parts(n):
+        return [X.component(n) for X in complexes]
+
+    diagonals = {}
+    for k, X in enumerate(complexes):
         for n, d in X.differentials.items():
-            di, dj = len(comps.get(n + 1, ())), len(comps.get(n, ()))
-            cells.setdefault(n, {}).update(((i + di, j + dj), t) for (i, j), t in d.cells.items())
-        for n, vs in X.components.items():
-            comps[n] = comps.get(n, ()) + vs
-    diffs = {n: PathMatrix._of(algebra, comps[n + 1], comps[n], c) for n, c in cells.items()}
+            diagonals.setdefault(n, {})[k, k] = d
+    # degrees in the order the summands first show them: callers read `components` in its order
+    comps = {n: sum(parts(n), ()) for n in dict.fromkeys(n for X in complexes for n in X.components)}
+    diffs = {n: PathMatrix.blocks(algebra, parts(n + 1), parts(n), ds) for n, ds in diagonals.items()}
     return ProjComplex(algebra, comps, diffs)
 
 
@@ -521,16 +520,16 @@ def cone(f):
         vs = X.component(n + 1) + Y.component(n)
         if vs:
             comps[n] = vs
+    dX, dY, fc = X.differentials, Y.differentials, f.components
     diffs = {}
-    for n in comps:
-        if n + 1 not in comps:
-            continue
-        top = PathMatrix.hstack(
-            -X.differential(n + 1),
-            PathMatrix.zero(alg, X.component(n + 2), Y.component(n)),
-        )
-        bot = PathMatrix.hstack(f.component(n + 1), Y.differential(n))
-        diffs[n] = PathMatrix.vstack(top, bot)
+    for n in sorted({n - 1 for n in dX} | {n - 1 for n in fc} | set(dY)):
+        parts = {(0, 0): -dX[n + 1]} if n + 1 in dX else {}
+        if n + 1 in fc:
+            parts[1, 0] = fc[n + 1]
+        if n in dY:
+            parts[1, 1] = dY[n]
+        rows, cols = (X.component(n + 2), Y.component(n + 1)), (X.component(n + 1), Y.component(n))
+        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
     return ProjComplex(alg, comps, diffs)
 
 
@@ -539,22 +538,22 @@ def cocone(f):
     X, Y = f.source, f.target
     CC = shift(cone(f), -1)
     alg = X.algebra
-    proj = {}
-    for n in CC.components:
-        # CC^n = X^n (+) Y^{n-1}; project onto X^n
-        Xn = X.component(n)
-        proj[n] = PathMatrix.hstack(PathMatrix.identity(alg, Xn), PathMatrix.zero(alg, Xn, Y.component(n - 1)))
+    # CC^n = X^n (+) Y^{n-1}; project onto X^n
+    proj = {
+        n: PathMatrix.blocks(alg, (vs,), (vs, Y.component(n - 1)), {(0, 0): PathMatrix.identity(alg, vs)})
+        for n, vs in X.components.items()
+    }
     return CC, ChainMap(CC, X, proj)
 
 
 class MinimizeResult:
     """Minimal model of `source`, with the Gauss steps that reached it.
 
-    Each step is `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1},
-    (cols, Phi^{-1}, B))` as `_cancel` returns it, Y being the complex after
-    the step.  The homotopy equivalences are never accumulated: `push` and
-    `pull` replay the steps on the two degrees each one touches, so a caller
-    builds only the composite it reads.
+    Each step is `(n, rows, keep_src, keep_tgt, Gamma Phi^{-1},
+    (cols, Phi^{-1}, B))` as `_cancel` returns it; the complexes between
+    the steps are not kept.  The homotopy equivalences are never
+    accumulated: `push` and `pull` replay the steps on the two degrees each
+    one touches, so a caller builds only the composite it reads.
     """
 
     __slots__ = ("complex", "source", "steps")
@@ -569,7 +568,7 @@ class MinimizeResult:
         if g.target is not self.source and g.target != self.source:
             raise ComplexError("composition endpoint mismatch")
         comps = dict(g.components)
-        for n, _Y, rows, keep_src, keep_tgt, gamma_phi_inv, _ in self.steps:
+        for n, rows, keep_src, keep_tgt, gamma_phi_inv, _ in self.steps:
             if n in comps:
                 m = comps[n]
                 comps[n] = m.submatrix(keep_src, range(m.cols))
@@ -584,7 +583,7 @@ class MinimizeResult:
         if h.source is not self.source and h.source != self.source:
             raise ComplexError("composition endpoint mismatch")
         comps = dict(h.components)
-        for n, _Y, _rows, keep_src, keep_tgt, _, (cols, phi_inv, beta) in self.steps:
+        for n, _rows, keep_src, keep_tgt, _, (cols, phi_inv, beta) in self.steps:
             if n in comps:
                 m = comps[n]
                 every = range(m.rows)
@@ -620,9 +619,8 @@ def minimize(X):
     for n in sorted(X.differentials):
         rows, cols = _pivots(cur.differential(n))
         if rows:
-            step = _cancel(cur, n, rows, cols)
+            cur, step = _cancel(cur, n, rows, cols)
             steps.append(step)
-            cur = step[1]
     return MinimizeResult(cur, X, steps)
 
 
@@ -661,8 +659,8 @@ def _cancel(X, n, rows, cols):
     d^n is Delta - Gamma Phi^{-1} B.  The chain maps p: X -> Y and i: Y -> X
     are selections except p^{n+1} = [-Gamma Phi^{-1} | 1] and
     i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id and
-    i o p is homotopic to the identity.  Returns the step
-    `(n, Y, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1}, B))`,
+    i o p is homotopic to the identity.  Returns Y and the step
+    `(n, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1}, B))`,
     from which `MinimizeResult` applies p and i; Phi^{-1} B is left to
     `pull`, the only reader of i.
     """
@@ -685,8 +683,7 @@ def _cancel(X, n, rows, cols):
         diffs[n - 1] = diffs[n - 1].submatrix(keep_src, range(diffs[n - 1].cols))
     if n + 1 in diffs:
         diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
-    Y = ProjComplex(alg, comps, diffs)
-    return (n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
+    return ProjComplex(alg, comps, diffs), (n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
 
 
 def transform(X, change):
@@ -728,11 +725,11 @@ def subcomplex_on_indices(X, index_map):
         vs = tuple(X.component(n)[i] for i in idx)
         if vs:
             comps[n] = vs
-    diffs = {}
-    for n in comps:
-        if n + 1 in comps:
-            d = X.differential(n)
-            diffs[n] = d.submatrix(index_map[n + 1], index_map[n])
+    diffs = {
+        n: d.submatrix(index_map[n + 1], index_map[n])
+        for n, d in X.differentials.items()
+        if n in comps and n + 1 in comps
+    }
     return ProjComplex(alg, comps, diffs)
 
 

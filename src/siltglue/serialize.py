@@ -144,8 +144,6 @@ def complex_to_json(X, algebra_ref=None):
     if algebra_ref is not None:
         data["algebra"] = algebra_ref
     for n, d in sorted(X.differentials.items()):
-        if d.is_zero():
-            continue
         data["differentials"][str(n)] = [
             [_element_out(x) for x in row] for row in d.entries
         ]
@@ -201,7 +199,6 @@ def chain_map_to_json(f):
         "components": {
             str(n): [[_element_out(x) for x in row] for row in m.entries]
             for n, m in sorted(f.components.items())
-            if not m.is_zero()
         },
     }
 

@@ -13,6 +13,7 @@ from siltglue.complexes import (
     cocone,
     cone,
     direct_sum,
+    direct_sum_many,
     make_complex,
     minimize,
     shift,
@@ -20,6 +21,8 @@ from siltglue.complexes import (
     subcomplex_on_indices,
     transform,
     opposite_complex,
+    ProjComplex,
+    _cancel,
     _pivots,
 )
 from siltglue.homs import HomSpace
@@ -60,6 +63,18 @@ def test_entry_not_an_algebra_element_is_named(ka3):
     with pytest.raises(ComplexError, match=r"entry \(1,0\) is not an element of the algebra"):
         PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], [stray]]).check_entries()
     PathMatrix(A, ("1", "2"), ("3",), [[A.zero_element()], [b]]).check_entries()
+
+
+def test_direct_sum_keeps_the_first_seen_degree_order(ka3):
+    """`components` lists the degrees in the order the summands first show them.
+
+    The benchmark's input generator draws its random numbers degree by
+    degree in this order, so the order is part of what a sum gives back.
+    """
+    A = ka3["A"]
+    stalks = [ProjComplex.stalk(A, v, n) for v, n in (("1", 1), ("2", 0), ("3", 2), ("2", 1))]
+    X = direct_sum_many(A, stalks)
+    assert list(X.components.items()) == [(1, ("1", "2")), (0, ("2",)), (2, ("3",))]
 
 
 def test_shift_sign_and_involution(ka3):
@@ -237,15 +252,17 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
 def _full_maps(m):
     """to_min and from_min as products of every Gauss step's own chain maps.
 
-    Each step (n, Y, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))
+    Each step (n, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))
     gives p: X -> Y and i: Y -> X as whole chain maps, checked on
     construction, and they are composed up step by step; this is the
-    reference for `push` and `pull`.
+    reference for `push` and `pull`.  The steps keep no complex, so Y is
+    `_cancel`'s result on the complex before the step.
     """
     alg = m.source.algebra
     p_total = i_total = ChainMap.identity(m.source)
     prev = m.source
-    for n, Y, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta) in m.steps:
+    for n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta) in m.steps:
+        Y = _cancel(prev, n, rows, cols)[0]
         phi_inv_beta = phi_inv.compose(beta)
         id_src, id_tgt = PathMatrix.identity(alg, prev.component(n)), PathMatrix.identity(alg, prev.component(n + 1))
         all_src, all_tgt = range(id_src.rows), range(id_tgt.rows)
@@ -258,7 +275,7 @@ def _full_maps(m):
         p_total = ChainMap(prev, Y, p).compose(p_total)
         i_total = i_total.compose(ChainMap(Y, prev, i))
         prev = Y
-    assert prev is m.complex
+    assert prev == m.complex
     return p_total, i_total
 
 
@@ -437,7 +454,10 @@ def _assert_sparse(m):
 
 
 def _produced_matrices(field):
-    """Matrices from every operation that builds one, over random complexes and maps."""
+    """(matrix, stored) from every operation that builds one, over random complexes and maps.
+
+    `stored` marks a differential of a complex or a component of a chain map.
+    """
     rng = seeded_rng(47)
     for _ in range(6):
         alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
@@ -449,31 +469,55 @@ def _produced_matrices(field):
             f = f + g.scale(field.of(rng.randint(-2, 2)))
         Z = cone(f)
         m = minimize(Z)
-        maps = [f, m.to_min, m.from_min, m.to_min.compose(m.from_min)]
-        complexes = [X, Y, shift(X, 1), shift(Y, -1), Z, m.complex, direct_sum(Z, X)]
+        CC, u = cocone(f)
+        maps = [f, m.to_min, m.from_min, m.to_min.compose(m.from_min), u, f - f, f.scale(field.zero), f.compose(u)]
+        complexes = [X, Y, shift(X, 1), shift(Y, -1), Z, m.complex, direct_sum(Z, X), CC, cone(f - f)]
         mats = [d for C in complexes for d in C.differentials.values()]
         mats += [c for g in maps for c in g.components.values()]
+        yield from ((a, True) for a in mats)
         for a in mats:
             b = _random_path_matrix(alg, rng, a.row_vertices, a.col_vertices)
             c = _random_path_matrix(alg, rng, a.col_vertices, a.col_vertices[::-1])
             rows = sorted(rng.sample(range(a.rows), rng.randint(0, a.rows)))
             cols = sorted(rng.sample(range(a.cols), rng.randint(0, a.cols)))
-            yield from (a, -a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), a.radical_part())
-            yield from (a.scale(field.zero), a.scale(field.of(rng.randint(-2, 2))), a.submatrix(rows, cols))
-            yield from (PathMatrix.vstack(a, b), PathMatrix.hstack(a, b))
+            rv, cv = a.row_vertices, a.col_vertices
+            made = [-a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), a.radical_part()]
+            made += [a.scale(field.zero), a.scale(field.of(rng.randint(-2, 2))), a.submatrix(rows, cols)]
+            made += [PathMatrix.blocks(alg, (rv, rv), (cv,), {(0, 0): a, (1, 0): b})]
+            made += [PathMatrix.blocks(alg, (rv,), (cv, cv), {(0, 0): a, (0, 1): b})]
+            yield from ((x, False) for x in made)
         for n, vs in Z.components.items():
-            u = _unitriangular(alg, rng, vs)
-            yield from (u, u.invert(), u.invert().compose(u))
+            v = _unitriangular(alg, rng, vs)
+            yield from ((x, False) for x in (v, v.invert(), v.invert().compose(v)))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_operations_store_only_nonzero_cells(field):
-    seen = zeros = 0
-    for m in _produced_matrices(field):
+    """No matrix has an empty cell, and no complex or chain map stores a zero matrix."""
+    seen = zeros = stored = 0
+    for m, kept in _produced_matrices(field):
         _assert_sparse(m)
+        assert not (kept and m.is_zero())
         seen += 1
         zeros += m.is_zero()
-    assert seen > 500 and 0 < zeros < seen
+        stored += kept
+    assert seen > 500 and 0 < zeros < seen and stored > 50
+
+
+def test_wrong_shaped_zero_blocks_are_refused(ka3):
+    """The constructors check a block's shape before they drop it as zero."""
+    A = ka3["A"]
+    comps = {0: ("1",), 1: ("2",)}
+    X = ProjComplex(A, comps, {0: PathMatrix.zero(A, ("2",), ("1",))})
+    assert X.differentials == {} and ChainMap(X, X, {0: PathMatrix.zero(A, ("1",), ("1",))}).components == {}
+    for d in (PathMatrix.zero(A, ("3",), ("1",)), PathMatrix.zero(A, (), ()), PathMatrix.zero(A, (), ("1",))):
+        with pytest.raises(ComplexError, match="differential at degree 0 has wrong shape"):
+            ProjComplex(A, comps, {0: d})
+    for m in (PathMatrix.zero(A, ("2",), ("1",)), PathMatrix.zero(A, (), ()), PathMatrix.zero(A, ("1",), ())):
+        with pytest.raises(ComplexError, match="chain map component at degree 0 has wrong shape"):
+            ChainMap(X, X, {0: m})
+    with pytest.raises(ComplexError, match="block \\(1, 0\\) has wrong shape"):
+        PathMatrix.blocks(A, (("1",), ("2",)), (("1",),), {(1, 0): PathMatrix.zero(A, ("1",), ("1",))})
 
 
 def _unit_rows_matrix(alg, rng):

@@ -187,9 +187,7 @@ def test_split_by_idempotent_with_a_radical_entry(ka3):
     comps = {}
     for k in X.components:
         ys, zs = S2.component(k), I2.component(k)
-        top = PathMatrix.hstack(PathMatrix.identity(A, ys), PathMatrix.zero(A, ys, zs))
-        bot = PathMatrix.hstack(n.component(k), PathMatrix.zero(A, zs, zs))
-        comps[k] = PathMatrix.vstack(top, bot)
+        comps[k] = PathMatrix.blocks(A, (ys, zs), (ys, zs), {(0, 0): PathMatrix.identity(A, ys), (1, 0): n.component(k)})
     g = ChainMap(X, X, comps)
     assert g.compose(g).components == g.components
     assert not g.component(0).radical_part().is_zero()

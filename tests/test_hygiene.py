@@ -15,12 +15,14 @@ method its tracer wraps must exist, every function of the `decompose`,
 resolve, and a `HomSpace` and an `EndAlgebra` each carry every attribute
 its hook reads.
 One more runs the CLI's import and the gluing fixtures in a fresh
-interpreter, which must never load sympy.
+interpreter, which must never load sympy, and one more checks that every
+test README.md names exists.
 """
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -424,3 +426,44 @@ def test_cli_and_gluing_fixtures_never_load_sympy():
         [sys.executable, "-c", NO_SYMPY_SCRIPT], capture_output=True, text=True, env=env, timeout=120, check=True
     )
     assert res.stdout.strip() == "[]"
+
+
+def unknown_readme_tests(readme, tests):
+    """The test names in `readme` that no test defines.
+
+    A name is a `tests/<file>.py::<name>` or a backticked `test_*` name;
+    `tests` maps the name of each test file to its source text.  The first
+    form must name a test function of its file, the second one of any file.
+    """
+    defined = {
+        name: {n.name for n in ast.walk(ast.parse(src)) if isinstance(n, ast.FunctionDef) and n.name.startswith("test")}
+        for name, src in tests.items()
+    }
+    anywhere = set().union(*defined.values())
+    missing = [f"tests/{f}::{t}" for f, t in re.findall(r"tests/(\w+\.py)::(\w+)", readme) if t not in defined.get(f, ())]
+    return missing + [t for t in re.findall(r"`(test_\w+)`", readme) if t not in anywhere]
+
+
+def test_scan_finds_an_unknown_readme_test():
+    tests = {"test_a.py": "def test_one():\n    pass\n\ndef helper():\n    pass\n", "test_b.py": "def test_two():\n    pass\n"}
+    readme = (
+        "`tests/test_a.py::test_one` and tests/test_a.py::test_two, tests/test_c.py::test_one,\n"
+        "`test_two`, `test_three`, `helper`, `test_a.py`, tests/test_a.py::helper\n"
+    )
+    assert unknown_readme_tests(readme, tests) == [
+        "tests/test_a.py::test_two",
+        "tests/test_c.py::test_one",
+        "tests/test_a.py::helper",
+        "test_three",
+    ]
+
+
+def test_readme_names_only_existing_tests():
+    tests = {}
+    for name in os.listdir(os.path.join(ROOT, "tests")):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "tests", name)) as fh:
+                tests[name] = fh.read()
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    assert re.search(r"`test_\w+`", readme) and unknown_readme_tests(readme, tests) == []

@@ -25,11 +25,8 @@ def cone_projection(f):
     alg = X.algebra
     comps = {}
     for n in C.components:
-        proj = PathMatrix.hstack(
-            PathMatrix.identity(alg, X.component(n + 1)),
-            PathMatrix.zero(alg, X.component(n + 1), f.target.component(n)),
-        )
-        comps[n] = proj
+        vs = X.component(n + 1)
+        comps[n] = PathMatrix.blocks(alg, (vs,), (vs, f.target.component(n)), {(0, 0): PathMatrix.identity(alg, vs)})
     return ChainMap(C, X1, comps)
 
 
