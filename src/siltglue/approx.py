@@ -22,6 +22,8 @@ preenvelopes, the composite of the cocone maps and the map into its cone
 are chain maps by construction and are not checked.
 """
 
+from functools import reduce
+
 from .complexes import (
     ChainMap,
     PathMatrix,
@@ -52,16 +54,15 @@ class Preenvelope:
     `add_shift_preenvelope` builds them once and `left_minimize` reads them.
     """
 
-    __slots__ = ("M", "T_list", "s", "copies", "spaces", "reps", "minimal")
+    __slots__ = ("M", "T_list", "s", "copies", "spaces", "reps")
 
-    def __init__(self, M, T_list, s, copies, spaces, reps, minimal=False):
+    def __init__(self, M, T_list, s, copies, spaces, reps):
         self.M = M
         self.T_list = T_list
         self.s = s
         self.copies = copies
         self.spaces = spaces
         self.reps = reps
-        self.minimal = minimal
 
     @property
     def f(self):
@@ -150,7 +151,7 @@ def left_minimize(pre, between=None):
         cand = [k for k in keep if k != c]
         if _is_preenvelope(fld, dims, [copy_rows[k] for k in cand]):
             keep = cand
-    return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps, minimal=True)
+    return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps)
 
 
 class EnvelopeResult:
@@ -210,11 +211,12 @@ def _envelope(M, T_list, seed):
     stages, so U takes a single cone.
     """
     T_list = indecomposable_refinement(T_list, seed)
-    W, w, trace, between = M, ChainMap.identity(M), [], {}
+    W, maps, trace, between = M, [], [], {}
     while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between):
         layer, W, u = stage
-        w = w.compose(u)
+        maps.append(u)
         trace.append(layer)
+    w = reduce(ChainMap.compose, maps) if maps else ChainMap.identity(M)
     X = cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
     alg = M.algebra
     incl = {

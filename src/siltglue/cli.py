@@ -52,10 +52,6 @@ def _load_complexes(paths, algebra=None):
     return [serialize.load_complex(p, algebra=algebra) for p in paths]
 
 
-def _describe(X):
-    return X.describe()
-
-
 def _materialize_fixtures(ctx, _param, value):
     if not value or ctx.resilient_parsing:
         return
@@ -135,7 +131,7 @@ def minimize_cmd(x_file):
         _fail_input(exc)
     m = minimize(X)
     report = {"v": 1, "minimal": serialize.complex_to_json(m.complex)}
-    _emit(report, [f"minimal model: {_describe(m.complex)}"])
+    _emit(report, [f"minimal model: {m.complex.describe()}"])
 
 
 @main.command("decompose")
@@ -162,7 +158,7 @@ def decompose_cmd(x_file, seed):
             for c, m, cert in parts
         ],
     }
-    _emit(report, ["decomposition: " + " + ".join(f"({_describe(c)})^{m}" for c, m, _ in parts)])
+    _emit(report, ["decomposition: " + " + ".join(f"({c.describe()})^{m}" for c, m, _ in parts)])
 
 
 @main.command("envelope")
@@ -197,7 +193,7 @@ def envelope(m_file, t_files, seed):
         report,
         [
             f"s = {env.s}",
-            f"triangle: {_describe(env.V)} -> {_describe(M)} -> {_describe(env.U)}",
+            f"triangle: {env.V.describe()} -> {M.describe()} -> {env.U.describe()}",
         ],
     )
 
@@ -259,7 +255,7 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
             for c, m, _ in cert.decomposition
         ]
         pretty = " + ".join(
-            (f"{_describe(c)}" if m == 1 else f"({_describe(c)})^{m}")
+            (c.describe() if m == 1 else f"({c.describe()})^{m}")
             for c, m, _ in cert.decomposition
         )
         summary.append(f"T decomposes as {pretty}")

@@ -25,8 +25,8 @@ their offsets: a block not given is zero and is never built.
 Constructors check shapes only (the dense `PathMatrix` constructor also that
 each entry is an element of the algebra).  Entries, vertices and d^2 = 0 are
 checked where a complex enters: `make_complex` (used on loading and by the
-fixtures) and `i_star`, whose d^2 = 0 rests on a table.  The chain condition
-is checked once, where a map is claimed: on loading
+fixtures) and `i_star`, whose d^2 = 0 rests on its syzygy lift.  The chain
+condition is checked once, where a map is claimed: on loading
 (`serialize.chain_map_from_json`, after `PathMatrix.check_entries`), on the
 reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
@@ -439,15 +439,18 @@ class ChainMap:
         comps = {n: m.compose(right[n]) for n, m in self.components.items() if n in right}
         return ChainMap(other.source, self.target, comps)
 
-    def __add__(self, other):
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            comps[n] = self.component(n) + other.component(n)
+    def _merge(self, other, negate):
+        """self + other, or self - other when `negate` is set; a degree only `other` has is copied or negated."""
+        comps = dict(self.components)
+        for n, m in other.components.items():
+            comps[n] = comps[n]._merge(m, negate) if n in comps else (-m if negate else m)
         return ChainMap(self.source, self.target, comps)
 
+    def __add__(self, other):
+        return self._merge(other, False)
+
     def __sub__(self, other):
-        comps = {n: self.component(n) - other.component(n) for n in set(self.components) | set(other.components)}
-        return ChainMap(self.source, self.target, comps)
+        return self._merge(other, True)
 
     def scale(self, scalar):
         return ChainMap(
@@ -714,10 +717,10 @@ def subcomplex_on_indices(X, index_map):
     caller guarantees that the kept indices span a summand, a subcomplex or
     a quotient complex; nothing here checks it.  `decompose` asserts
     V g = D V in `_split_by_idempotent`, so the conjugated differential is
-    block-diagonal for its indices.  `glue_shortcut` relies on no arrow
-    leaving S: an entry from a complement summand to an S summand would be a
-    path from S to the complement, so the complement summands span a
-    subcomplex and the S summands its quotient.
+    block-diagonal for its indices.  `glue_shortcut` and `recollement`'s
+    i^* rely on no arrow leaving S: an entry from a complement summand to an
+    S summand would be a path from S to the complement, so the complement
+    summands span a subcomplex and the S summands its quotient.
     """
     alg = X.algebra
     comps = {}

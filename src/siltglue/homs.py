@@ -31,7 +31,7 @@ class _VarSpace:
         for n in sorted(set(X.components) & {n - m for n in Y.components}):
             for i, w in enumerate(Y.component(n + m)):
                 for j, v in enumerate(X.component(n)):
-                    for p in alg.hom_proj_basis(v, w):
+                    for p in alg.paths_between(w, v):  # Hom(P_v, P_w) = e_w A e_v
                         self.index[(n, i, j, p)] = len(self.slots)
                         self.slots.append((n, i, j, p))
         self.dim = len(self.slots)

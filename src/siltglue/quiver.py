@@ -230,13 +230,6 @@ class PathAlgebra:
         c = self.field.one if coeff is None else coeff
         return AlgebraElement(self, {p: c})
 
-    def hom_proj_basis(self, v, w):
-        """Basis of Hom_A(P_v, P_w) = e_w A e_v: the paths from w to v."""
-        for x in (v, w):
-            if x not in self.quiver.vertex_index:
-                raise QuiverError(f"unknown vertex {x!r}")
-        return self.paths_between(w, v)
-
     def __eq__(self, other):
         if self is other:
             return True

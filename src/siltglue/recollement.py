@@ -3,12 +3,13 @@
 For a subset S of vertices with no arrow from S into its complement, the
 quotient B = A/AeA and the corner C = eAe are again path algebras (on the
 full subquivers).  j_! and i^* re-read differential entries in another
-algebra (`_over`); i_* replaces each quotient projective by its two-term
-resolution, read off one first-entry factorization table, `factor`.
+algebra (`_over`); i_* replaces each quotient projective P_v by its
+two-term resolution, whose generators are the first-entry paths from v
+into S (the combinatorial syzygies of Green-Happel-Zacharia).
 """
 
-from .quiver import Path, build_algebra
-from .complexes import PathMatrix, ProjComplex, minimize
+from .quiver import build_algebra
+from .complexes import PathMatrix, ProjComplex, minimize, subcomplex_on_indices
 
 
 class RecollementError(ValueError):
@@ -18,14 +19,12 @@ class RecollementError(ValueError):
 class IdempotentRecollement:
     """Validated idempotent recollement data for a vertex subset S.
 
-    `factor[q]`, for each path q from a complement vertex that touches S, is
-    (head, tail): head is the first-entry path of q (every interior vertex
-    outside S, target in S) and q = head * tail.  Both are A's own basis
-    paths.  The table is built once, and it is the only place that factors
-    paths.  `resolutions[v]`, for v outside S, lists in basis order the
-    heads with trivial tail from v; left multiplication by them gives the
-    exact two-term resolution 0 -> (+)_p P_{t(p)} -> P_v of the
-    B-projective P_v.
+    `resolutions[v]`, for v outside S, lists in basis order the first-entry
+    paths from v: the paths that end in S and whose last arrow starts
+    outside S.  No arrow leaves S, so a path touches S exactly when it ends
+    there, and every such path from v factors uniquely as p * r with p
+    first-entry.  Left multiplication by them gives the exact two-term
+    resolution 0 -> (+)_p P_{t(p)} -> P_v of the B-projective P_v.
     """
 
     def __init__(self, A, S):
@@ -49,24 +48,15 @@ class IdempotentRecollement:
         self.complement = tuple(comp)
         self.C = build_algebra(A.quiver.full_subquiver(self.S), A.field)
         self.B = build_algebra(A.quiver.full_subquiver(comp), A.field)
-        self.factor = {}
-        for q in A.basis:
-            if q.source not in sset:
-                fac = _first_entry_factor(A, sset, q)
-                if fac is not None:
-                    self.factor[q] = fac
         self.resolutions = {}
         for v in comp:
-            firsts = [q for q, (_head, tail) in self.factor.items() if q.source == v and tail.is_trivial()]
-            # exactness by dimension count: every path from v touching S
-            # factors uniquely as (first-entry path) * (tail)
-            touched = sum(1 for q in self.factor if q.source == v)
-            span = sum(
-                sum(1 for q in A.basis if q.source == p.target) for p in firsts
-            )
-            if span != touched:
+            into = [q for q in A.basis if q.source == v and q.target in sset]
+            firsts = [q for q in into if A.quiver.arrow_by_name[q.arrows[-1]].source not in sset]
+            # exactness by dimension count: the products p * r span the paths into S
+            span = sum(sum(1 for r in A.basis if r.source == p.target) for p in firsts)
+            if span != len(into):
                 raise RecollementError(
-                    f"resolution table for {v} is not exact: {span} != {touched}"
+                    f"resolution table for {v} is not exact: {span} != {len(into)}"
                 )
             self.resolutions[v] = firsts
 
@@ -76,18 +66,6 @@ class IdempotentRecollement:
 
 def idempotent_recollement(A, S):
     return IdempotentRecollement(A, S)
-
-
-def _first_entry_factor(A, sset, path):
-    """Factor an A-path touching the vertex set `sset` as (first-entry path, tail)."""
-    cur = path.source
-    for i, name in enumerate(path.arrows):
-        cur = A.quiver.arrow_by_name[name].target
-        if cur in sset:
-            head = Path(path.source, cur, path.arrows[: i + 1])
-            tail = Path(cur, path.target, path.arrows[i + 1 :])
-            return A._interned(head), A._interned(tail)
-    return None
 
 
 def _over(m, algebra):
@@ -120,43 +98,41 @@ def i_star(rec, Y):
 
     Degree m of the total complex is P(Y^m) followed by the syzygy slots
     (j, p) of Y^{m+1}, one per summand j and first-entry path p of its
-    resolution.  Each differential is [[d_Y, res], [0, -lift]]: the
-    resolution block holds p at row j, and the syzygy lift has -c * tail
-    at row (i, head) for each term c * q of d_Y^{m+1}[i][j], where
-    (head, tail) = factor[q * p].  The total complex is checked, since
-    d^2 = 0 rests on the factor table, and then minimized.
+    resolution.  Each differential is the block matrix [[d_Y, res], [0,
+    lift]]: `res` holds p at row j of slot (j, p), and `lift` has
+    -c * e_{t(p)} at row (i, q * p) for each term c * q of d_Y^{m+1}[i][j].
+    A term q of d_Y never touches S, so q * p is again a first-entry path.
+    The total complex is checked, since d^2 = 0 rests on the lift, and then
+    minimized.
     """
     if Y.algebra != rec.B:
         raise RecollementError("expected a complex over the quotient algebra")
     A = rec.A
     if Y.is_zero():
         return ProjComplex.zero(A)
-    fld, factor = A.field, rec.factor
+    one, neg = A.field.one, A.field.neg
     dY = {n: _over(d, A) for n, d in Y.differentials.items()}
-
-    def slots(n):
-        return [(j, p) for j, v in enumerate(Y.component(n)) for p in rec.resolutions[v]]
-
-    comps = {}
-    for m in range(Y.lo - 1, Y.hi + 1):
-        vs = Y.component(m) + tuple(p.target for _j, p in slots(m + 1))
-        if vs:
-            comps[m] = vs
+    slots = {
+        n: [(j, p) for j, v in enumerate(Y.component(n)) for p in rec.resolutions[v]] for n in range(Y.lo, Y.hi + 2)
+    }
+    # degree m in two blocks: P(Y^m) and the syzygies of Y^{m+1}
+    parts = {m: (Y.component(m), tuple(p.target for _j, p in slots[m + 1])) for m in range(Y.lo - 1, Y.hi + 1)}
     diffs = {}
-    for m in comps:
-        if m + 1 not in comps:
-            continue
-        row_of = {slot: r for r, slot in enumerate(slots(m + 2), len(Y.component(m + 1)))}
+    for m in range(Y.lo - 1, Y.hi):
+        (_, syz_cols), (y_rows, syz_rows) = parts[m], parts[m + 1]
+        row_of = {slot: r for r, slot in enumerate(slots[m + 2])}
         d_cols = dY[m + 1].lines(1) if m + 1 in dY else {}
-        cells = dict(dY[m].cells) if m in dY else {}
-        for col, (j, p) in enumerate(slots(m + 1), len(Y.component(m))):
-            cells[j, col] = {p: fld.one}
+        res, lift = {}, {}
+        for col, (j, p) in enumerate(slots[m + 1]):
+            res[j, col] = {p: one}
             for i, terms in d_cols.get(j, ()):
                 for q, c in terms.items():
-                    head, tail = factor[A.compose_paths(q, p)]
-                    cells.setdefault((row_of[i, head], col), {})[tail] = fld.neg(c)
-        diffs[m] = PathMatrix._of(A, comps[m + 1], comps[m], cells)
-    total = ProjComplex(A, comps, diffs)
+                    lift[row_of[i, A.compose_paths(q, p)], col] = {A.trivial_path(p.target): neg(c)}
+        blocks = {(0, 1): PathMatrix._of(A, y_rows, syz_cols, res), (1, 1): PathMatrix._of(A, syz_rows, syz_cols, lift)}
+        if m in dY:
+            blocks[0, 0] = dY[m]
+        diffs[m] = PathMatrix.blocks(A, parts[m + 1], parts[m], blocks)
+    total = ProjComplex(A, {m: sum(part, ()) for m, part in parts.items()}, diffs)
     total.check()
     return minimize(total).complex
 
@@ -170,17 +146,6 @@ def i_upper_star(rec, Z):
     if Z.algebra != rec.A:
         raise RecollementError("expected a complex over the ambient algebra")
     sset = set(rec.S)
-    comps = {}
-    keep = {}
-    for n, vs in Z.components.items():
-        idx = [i for i, v in enumerate(vs) if v not in sset]
-        keep[n] = idx
-        if idx:
-            comps[n] = tuple(vs[i] for i in idx)
-    diffs = {}
-    for n, d in Z.differentials.items():
-        rows = keep.get(n + 1, [])
-        cols = keep.get(n, [])
-        if rows and cols:
-            diffs[n] = _over(d.submatrix(rows, cols), rec.B)
-    return ProjComplex(rec.B, comps, diffs)
+    outside = {n: [i for i, v in enumerate(vs) if v not in sset] for n, vs in Z.components.items()}
+    kept = subcomplex_on_indices(Z, outside)
+    return ProjComplex(rec.B, kept.components, {n: _over(d, rec.B) for n, d in kept.differentials.items()})

@@ -504,6 +504,22 @@ def test_operations_store_only_nonzero_cells(field):
     assert seen > 500 and 0 < zeros < seen and stored > 50
 
 
+def test_chain_map_sums_build_no_zero_matrix(monkeypatch):
+    """A degree that only one summand has is copied (or negated), not merged with a zero matrix."""
+    A = ka3_algebra()
+    X = direct_sum(ProjComplex.stalk(A, "1"), ProjComplex.stalk(A, "2", 1))
+    f = ChainMap(X, X, {0: PathMatrix.identity(A, ("1",))})
+    g = ChainMap(X, X, {1: PathMatrix.identity(A, ("2",))})
+    zeros = []
+    zero = PathMatrix.zero.__func__
+    monkeypatch.setattr(PathMatrix, "zero", classmethod(lambda cls, *a: zeros.append(a) or zero(cls, *a)))
+    total, diff = f + g, f - g
+    assert zeros == []
+    assert total.components == {0: f.components[0], 1: g.components[1]}
+    assert diff.components == {0: f.components[0], 1: -g.components[1]}
+    assert (f - f).is_zero() and (f + g - g).components == f.components
+
+
 def test_wrong_shaped_zero_blocks_are_refused(ka3):
     """The constructors check a block's shape before they drop it as zero."""
     A = ka3["A"]

@@ -1,9 +1,10 @@
 """Byte-for-byte regression of the CLI against recorded outputs.
 
-For the ka3 anchor files and every `glue_fixtures()` entry, `glue`,
-`glue --shortcut` and `check-silting` on the glued set must print exactly
-what `tests/golden/<case>.json` recorded: the same exit code, standard
-output and standard error.  The ka3 case also checks two sets of anchor
+For the ka3 anchor files and every `glue_fixtures()` entry, `recollement`
+(whose report prints the corner, the quotient and the two-term
+resolutions), `glue`, `glue --shortcut` and `check-silting` on the glued
+set must print exactly what `tests/golden/<case>.json` recorded: the same
+exit code, standard output and standard error.  The ka3 case also checks two sets of anchor
 complexes whose generation check has to take cones, `minimize` on anchor
 files and on raw cones that need cancelling, and `envelope` on anchor
 files, whose report prints the maps `f` and `v_map` built from the
@@ -90,6 +91,7 @@ def run_case(case, directory):
     """The CLI runs of a case, keyed by verb and arguments."""
     alg, tc, tb, e, anchor = _case_files(case, directory)
     out = {
+        "recollement": _invoke(["recollement", alg, "--e", e]),
         "glue": _invoke(["glue", alg, "--e", e, "--tc", tc, "--tb", tb]),
         "glue --shortcut": _invoke(["glue", alg, "--e", e, "--shortcut", "--tb", tb]),
     }

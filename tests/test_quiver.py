@@ -60,8 +60,8 @@ def test_hom_proj_basis_orientation():
     # Hom(P_v, P_w) = e_w A e_v = paths from w to v
     q = Quiver(["1", "2"], [("a", "1", "2")])
     alg = build_algebra(q)
-    assert [p.label() for p in alg.hom_proj_basis("2", "1")] == ["a"]
-    assert alg.hom_proj_basis("1", "2") == []
+    assert [p.label() for p in alg.paths_between("1", "2")] == ["a"]  # Hom(P_2, P_1)
+    assert alg.paths_between("2", "1") == []  # Hom(P_1, P_2)
 
 
 def test_units_and_arithmetic():

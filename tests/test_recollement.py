@@ -3,6 +3,7 @@ import pytest
 from conftest import random_complex, seeded_rng
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import ka3_algebra, linear_an, star_quiver
+from siltglue.quiver import Quiver, build_algebra
 from siltglue.complexes import ProjComplex, cone, direct_sum, minimize, shift
 from siltglue.homs import HomSpace, hom_dim_table
 from siltglue.recollement import (
@@ -147,6 +148,13 @@ def test_i_star_random_d_squared_and_minimality():
                     assert A.field.is_zero(x.trivial_coefficient())
 
 
+def _parallel_routes(field=QQ):
+    """Parallel arrows 1 => 2 and two routes from 1 into S = {3, 4}, which has an arrow inside."""
+    q = Quiver(["1", "2", "3", "4"], [("a1", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"), ("e", "2", "4"),
+                                      ("c", "1", "3"), ("d", "3", "4")])
+    return build_algebra(q, field), ["3", "4"]
+
+
 def _table_cases(field=QQ):
     star = star_quiver(3, field)
     return [
@@ -154,6 +162,7 @@ def _table_cases(field=QQ):
         (linear_an(5, field), ["4", "5"]),
         (linear_an(6, field), ["5", "6"]),
         (star, [v for v in star.quiver.vertices if v != "c"]),
+        _parallel_routes(field),
     ]
 
 
@@ -161,24 +170,19 @@ def _vertices_after_source(A, p):
     return [A.quiver.arrow_by_name[a].target for a in p.arrows]
 
 
-@pytest.mark.parametrize("case", range(4))
-def test_factor_table_is_the_first_entry_factorization(case):
+@pytest.mark.parametrize("case", range(5))
+def test_resolutions_are_the_first_entry_paths(case):
     A, S = _table_cases()[case]
     rec = idempotent_recollement(A, S)
     sset = set(S)
-    touching = [
-        p for p in A.basis
-        if p.source not in sset and any(w in sset for w in _vertices_after_source(A, p))
-    ]
-    assert list(rec.factor) == touching
-    for p, (head, tail) in rec.factor.items():
-        walk = _vertices_after_source(A, head)
-        assert walk and walk[-1] in sset and not any(w in sset for w in walk[:-1])
-        assert A.compose_paths(head, tail) == p
-        assert A.basis[A.basis_index[head]] is head
-        assert A.basis[A.basis_index[tail]] is tail
     for v in rec.complement:
-        assert rec.resolutions[v] == [p for p in touching if p.source == v and rec.factor[p][0] == p]
+        walks = {p: _vertices_after_source(A, p) for p in A.basis if p.source == v}
+        firsts = [p for p, walk in walks.items() if walk and walk[-1] in sset and not sset & set(walk[:-1])]
+        assert rec.resolutions[v] == firsts
+        assert all(A.basis[A.basis_index[p]] is p for p in firsts)
+        # every path from v into S is p * r for exactly one first-entry p and path r
+        for q in (p for p, walk in walks.items() if sset & set(walk)):
+            assert len([(p, r) for p in firsts for r in A.basis if A.compose_paths(p, r) == q]) == 1
 
 
 def _first_entry_targets(A, sset, v):
@@ -218,26 +222,45 @@ def test_i_star_k0_class_is_the_resolution_sum(field):
             assert _k0(i_star(rec, Y)) == {v: c for v, c in want.items() if c}
 
 
-def test_i_star_reads_the_factor_table(monkeypatch):
+def test_i_star_lifts_syzygies_by_scalars(monkeypatch):
+    """In the unminimized total complex, a syzygy maps to a syzygy by a scalar times a trivial path.
+
+    The resolution block holds the first-entry path p in the column of slot (j, p).
+    """
     import siltglue.recollement as recollement
 
-    calls = []
-    original = recollement._first_entry_factor
+    totals = []
+    original = recollement.minimize
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def captured(X):
+        totals.append(X)
+        return original(X)
 
-    monkeypatch.setattr(recollement, "_first_entry_factor", counted)
-    A, S = _table_cases()[2]
-    rec = idempotent_recollement(A, S)
-    assert calls  # the table is built from it, once
-    calls.clear()
-    stalks = [ProjComplex.stalk(rec.B, v) for v in rec.complement]
-    for X in stalks:
-        for Z in stalks:
-            for f in HomSpace(X, Z, 0).basis_maps():
-                Y = cone(f)  # a non-zero differential, lifted to the syzygies
-                assert not Y.differential(-1).is_zero()
-                i_star(rec, Y)
-    assert not calls
+    monkeypatch.setattr(recollement, "minimize", captured)
+    lifted = 0
+    for A, S in (_table_cases()[2], _parallel_routes()):
+        rec = idempotent_recollement(A, S)
+        stalks = [ProjComplex.stalk(rec.B, v) for v in rec.complement]
+        for X in stalks:
+            for Z in stalks:
+                for f in HomSpace(X, Z, 0).basis_maps():
+                    Y = cone(f)  # a non-zero differential, lifted to the syzygies
+                    assert not Y.differential(-1).is_zero()
+                    totals.clear()
+                    i_star(rec, Y)
+                    (total,) = totals
+                    for m, d in total.differentials.items():
+                        rows, cols = len(Y.component(m + 1)), len(Y.component(m))
+                        slots = [(j, p) for j, v in enumerate(Y.component(m + 1)) for p in rec.resolutions[v]]
+                        for (i, k), terms in d.cells.items():
+                            if k < cols:
+                                continue
+                            j, p = slots[k - cols]
+                            if i < rows:
+                                assert (i, terms) == (j, {p: A.field.one})
+                            else:
+                                ((r, c),) = terms.items()
+                                assert r.is_trivial() and not A.field.is_zero(c)
+                                lifted += 1
+                        assert all((j, cols + k) in d.cells for k, (j, _p) in enumerate(slots))
+    assert lifted
