@@ -715,12 +715,12 @@ def subcomplex_on_indices(X, index_map):
 
     `index_map` maps degree -> sorted list of summand indices to keep.  The
     caller guarantees that the kept indices span a summand, a subcomplex or
-    a quotient complex; nothing here checks it.  `decompose` asserts
-    V g = D V in `_split_by_idempotent`, so the conjugated differential is
-    block-diagonal for its indices.  `glue_shortcut` and `recollement`'s
-    i^* rely on no arrow leaving S: an entry from a complement summand to an
-    S summand would be a path from S to the complement, so the complement
-    summands span a subcomplex and the S summands its quotient.
+    a quotient complex; nothing here checks it.  `decompose._components`
+    keeps the connected components of the differentials, which no cell
+    joins.  `glue_shortcut` and `recollement`'s i^* rely on no arrow leaving
+    S: an entry from a complement summand to an S summand would be a path
+    from S to the complement, so the complement summands span a subcomplex
+    and the S summands its quotient.
     """
     alg = X.algebra
     comps = {}

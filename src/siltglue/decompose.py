@@ -4,6 +4,13 @@ Isomorphism of minimal complexes is decided by searching for a chain map
 whose trivial-path-coefficient block is invertible in every degree (such a
 map is an isomorphism of complexes since the arrow radical is nilpotent).
 
+A minimal complex is cut into summands in one place: the connected
+components of its differentials, of which it is the direct sum, so a
+component needs no certificate of its own.  A connected complex with two or
+more summands is split by an idempotent, as below, which only conjugates
+it: the lifted idempotent becomes a 0/1 diagonal, and the conjugate is cut
+into its components.
+
 Decomposition splits primitive idempotents of the endomorphism algebra E
 modulo homotopy.  E/rad E is read through sigma, the trivial-path
 coefficients of the representatives, which are block-diagonal in (degree,
@@ -20,12 +27,12 @@ polynomial is a power of one irreducible has the same trace per dimension
 in every simple block, a proper linear condition that no basis meets when
 there are two or more blocks, and one block has a field as its centre.
 The idempotents are lifted to exact chain-level ones by Newton iteration.
-Minimal polynomials are lists of field scalars, and their Bezout identities
-and evaluations are computed on those lists with the field's operations.
-Over Q one of degree at most 2 is split exactly through its discriminant
-and sympy factors the others; over F_p sympy's `gf_factor` factors them
-all.  sympy is imported on the first such factorization, so a run that
-meets none never loads it.
+Minimal polynomials are lists of field scalars, and the idempotent of a
+split f^k g of one is the Chinese-remainder one, read off the minimal
+polynomial of f(x)^k with no Bezout identity.  Over Q one of degree at
+most 2 is split exactly through its discriminant and sympy factors the
+others; over F_p sympy's `gf_factor` factors them all.  sympy is imported
+on the first such factorization, so a run that meets none never loads it.
 """
 
 import importlib.util
@@ -316,58 +323,6 @@ def _min_poly(S, x):
         cur, j = S.mul(cur, x), j + 1
 
 
-# Polynomials are lists of field scalars, highest degree first, with no
-# leading zero; the zero polynomial is [].
-
-
-def _poly_trim(p):
-    i = 0
-    while i < len(p) and not p[i]:
-        i += 1
-    return p[i:]
-
-
-def _poly_divmod(fld, a, b):
-    """Quotient and remainder of a by a non-zero b."""
-    r = list(a)
-    q = []
-    while len(r) >= len(b):
-        c = fld.div(r.pop(0), b[0])
-        q.append(c)
-        for i, bi in enumerate(b[1:]):
-            r[i] = fld.sub(r[i], fld.mul(c, bi))
-    return q, _poly_trim(r)
-
-
-def _poly_mul(fld, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = fld.add(out[i + j], fld.mul(ai, bj))
-    return out
-
-
-def _poly_sub(fld, a, b):
-    n = max(len(a), len(b))
-    zeros = [0] * n
-    return _poly_trim([fld.sub(x, y) for x, y in zip(zeros[len(a):] + a, zeros[len(b):] + b)])
-
-
-def _poly_gcdex(fld, a, b):
-    """(u, g): g the monic gcd of a and b (not both zero), and u*a = g modulo b."""
-    r0, r1 = a, b
-    u0, u1 = [1], []
-    while r1:
-        q, r = _poly_divmod(fld, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(fld, u0, _poly_mul(fld, q, u1))
-    lead = r0[0]
-    return [fld.div(c, lead) for c in u0], [fld.div(c, lead) for c in r0]
-
-
 def _eval_poly(S, coeffs, x):
     """coeffs(x) in S by Horner's rule."""
     fld, acc = S.field, [0] * S.dim
@@ -425,22 +380,22 @@ def _first_factor(fld, poly):
 
 
 def _try_minpoly_split(S, x):
-    """The idempotent (u f1)(x) of a split poly = f1 f2 of x's minimal polynomial, or None.
+    """The idempotent of x's minimal polynomial's split f^k g, f the first irreducible factor, or None.
 
-    f1 is the first irreducible factor to its full multiplicity, so f1 and
-    f2 are coprime and u f1 = 1 modulo f2 by their Bezout identity.
+    y = f(x)^k is 0 on the f-primary part of k[x] = k[t]/(f^k) x k[t]/(g)
+    and a unit on the other, so its minimal polynomial is t r(t) with
+    r(0) != 0, and 1 - r(y)/r(0) is 0 on the first part and 1 on the other.
     """
-    fld, poly = S.field, _min_poly(S, x)
-    first = _first_factor(fld, poly)
+    fld = S.field
+    first = _first_factor(fld, _min_poly(S, x))
     if first is None:
         return None
     factor, k = first
-    f1 = factor
+    fx = y = _eval_poly(S, factor, x)
     for _ in range(k - 1):
-        f1 = _poly_mul(fld, f1, factor)
-    f2 = _poly_divmod(fld, poly, f1)[0]
-    u = _poly_gcdex(fld, f1, f2)[0]
-    e = _eval_poly(S, _poly_divmod(fld, _poly_mul(fld, u, f1), poly)[1], x)
+        y = S.mul(y, fx)
+    *head, r0, _ = _min_poly(S, y)  # t r(t): head holds r's coefficients above r(0) = r0
+    e = _eval_poly(S, [fld.div(fld.neg(c), r0) for c in head] + [0], y)
     if not any(e) or e == S.one or S.mul(e, e) != e:
         return None
     return e
@@ -477,28 +432,51 @@ def _newton_idempotent_chain(g):
     raise DecomposeError("idempotent lift did not converge at the chain level")
 
 
-def _split_by_idempotent(X, g):
-    """Split a minimal complex along an exact chain-level idempotent g.
+def _components(X):
+    """The subcomplexes of X on the connected components of its differentials, in order of first (degree, index).
+
+    Summand (n, i) joins (n + 1, j) when d^n has a cell at (j, i).  No cell
+    joins two components, so X is their direct sum.
+    """
+    parent = {(n, i): (n, i) for n, vs in X.components.items() for i in range(len(vs))}
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for n, d in X.differentials.items():
+        for j, i in d.cells:
+            parent[root((n, i))] = root((n + 1, j))
+    parts = {}
+    for n, i in sorted(parent):
+        parts.setdefault(root((n, i)), {}).setdefault(n, []).append(i)
+    return [subcomplex_on_indices(X, idx) for idx in parts.values()]
+
+
+def _conjugate_by_idempotent(X, g):
+    """Conjugate a minimal complex so that an exact chain-level idempotent g becomes a 0/1 diagonal.
 
     Per degree, U has as columns a basis of the image and then one of the
     kernel of each same-vertex block of g's scalar part, and D is the 0/1
     diagonal with ones on the image columns, so U^-1 g U has scalar part D.
     One conjugation, by V = D U^-1 g + (1 - D) U^-1 (1 - g), makes g exactly
     D: V g = D V because g is idempotent, and V is invertible because its
-    scalar part is U^-1.  The summands are the D = 1 and D = 0 indices.
-    Both are minimal: conjugating by an invertible V keeps the differential
-    in the radical, and so does taking a diagonal block of it.
+    scalar part is U^-1.  D is then a chain map of the result, so no cell of
+    its differential joins a D = 1 index to a D = 0 one, and the result
+    stays minimal, since conjugating by an invertible V keeps the
+    differential in the radical.
     """
     alg = X.algebra
     fld = alg.field
-    change, ones = {}, {}
+    change = {}
     for n, vs in X.components.items():
         m = g.component(n)
         sp = m.scalar_part()
         by_vertex = {}
         for i, v in enumerate(vs):
             by_vertex.setdefault(v, []).append(i)
-        U, image = {}, []
+        U, ones = {}, {}
         for v, idx in by_vertex.items():
             # columns: basis of the image then of the kernel (block idempotent).
             # The pivot columns of the block's RREF are those outside the span
@@ -511,40 +489,42 @@ def _split_by_idempotent(X, g):
                 for ri, c in enumerate(col):
                     if not fld.is_zero(c):
                         U[idx[ri], idx[ci]] = {e: c}
-            image.extend(idx[: len(piv)])
+            for i in idx[: len(piv)]:
+                ones[i, i] = {e: fld.one}
         u_inv = PathMatrix._of(alg, vs, vs, U).invert()
-        D = PathMatrix._of(alg, vs, vs, {(i, i): {alg.trivial_path(vs[i]): fld.one} for i in image})
+        D = PathMatrix._of(alg, vs, vs, ones)
         one = PathMatrix.identity(alg, vs)
         V = D.compose(u_inv).compose(m) + (one - D).compose(u_inv).compose(one - m)
         if not (V.compose(m) - D.compose(V)).is_zero():
             raise DecomposeError("idempotent not strictly diagonal after conjugation")
         change[n] = V
-        ones[n] = sorted(image)
-    zeros = {n: [i for i in range(len(vs)) if i not in ones[n]] for n, vs in X.components.items()}
-    X2 = transform(X, change)
-    return subcomplex_on_indices(X2, ones), subcomplex_on_indices(X2, zeros)
+    return transform(X, change)
 
 
 def _decompose_minimal(X, seed=0):
-    """(summand, 1, certified) per indecomposable summand of a minimal X, unsorted."""
-    if X.is_zero():
-        return []
+    """(summand, 1, certified) per indecomposable summand of a minimal X, unsorted.
+
+    X is cut into its components.  A connected X with two or more summands
+    is conjugated by a lifted idempotent of E / rad E and cut into the
+    components of the result.  Each part is decomposed in turn.
+    """
     if X.summand_count() == 1:
         return [(X, 1, True)]
-    end = EndAlgebra(X)
-    if end.dim == 1:
-        return [(X, 1, True)]
-    S = SemisimpleQuotient(end)
-    if not S.certified or S.dim == 1:
-        return [(X, 1, S.certified)]
-    e = _find_idempotent(S, seed)
-    if e is None:
-        return [(X, 1, False)]
-    g = _newton_idempotent_chain(S.lift(e))
-    A, B = _split_by_idempotent(X, g)
-    if A.is_zero() or B.is_zero():
-        raise DecomposeError("idempotent split produced a trivial summand")
-    return _decompose_minimal(A, seed) + _decompose_minimal(B, seed)
+    parts = _components(X)
+    if len(parts) == 1:
+        end = EndAlgebra(X)
+        if end.dim == 1:
+            return [(X, 1, True)]
+        S = SemisimpleQuotient(end)
+        if not S.certified or S.dim == 1:
+            return [(X, 1, S.certified)]
+        e = _find_idempotent(S, seed)
+        if e is None:
+            return [(X, 1, False)]
+        parts = _components(_conjugate_by_idempotent(X, _newton_idempotent_chain(S.lift(e))))
+        if len(parts) == 1:
+            raise DecomposeError("idempotent split produced a trivial summand")
+    return [p for Y in parts for p in _decompose_minimal(Y, seed)]
 
 
 def isomorphism_class(X, classes, seed=0):

@@ -37,10 +37,6 @@ class Matrix:
     def identity(cls, field, n):
         return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, [[field.zero] * cols for _ in range(rows)], cols=cols)
-
     def __getitem__(self, rc):
         r, c = rc
         return self.data[r][c]

@@ -266,14 +266,6 @@ class AlgebraElement:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def source(self):
-        return next(iter(self.terms)).source if self.terms else None
-
-    @property
-    def target(self):
-        return next(iter(self.terms)).target if self.terms else None
-
     def trivial_coefficient(self):
         """Coefficient of the trivial path, or the field zero."""
         for p, c in self.terms.items():

@@ -255,6 +255,20 @@ def test_check_silting_failure_exits_1(fx):
     assert data["generation"]["status"] == "inconclusive"
 
 
+@pytest.mark.parametrize("shortcut", [[], ["--shortcut"]], ids=["glue", "shortcut"])
+def test_glue_raised_check_exits_1(fx, tmp_path, shortcut):
+    """T_B = P1, P1[-1] over the quotient is not presilting: `glue` raises, and the CLI reports it and exits 1."""
+    tb = []
+    for degree in (0, 1):
+        path = tmp_path / f"p1_degree{degree}.json"
+        path.write_text(json.dumps({"v": 1, "components": {str(degree): ["1"]}, "differentials": {}}))
+        tb += ["--tb", str(path)]
+    res = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], *tb, *shortcut)
+    assert res.exit_code == 1
+    assert res.stderr == "check failed: T_B is not non-positive: Hom(T_0, T_1[1]) != 0\n"
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("verb", ["check-silting", "glue"])
 def test_negative_depth_exits_2(fx, verb):
     args = {

@@ -8,7 +8,7 @@ from conftest import random_complex, random_quiver, seeded_rng
 from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
-from siltglue.gluing import canonical_corner_silting, glue, summand_classes
+from siltglue.gluing import canonical_corner_silting, glue, glue_shortcut, summand_classes
 from siltglue.homs import HomSpace
 from siltglue.linalg import Matrix, kernel_basis, row_space_rref, solve
 from siltglue.quiver import Quiver, build_algebra
@@ -22,6 +22,7 @@ from siltglue.complexes import (
     make_complex,
     minimize,
     shift,
+    transform,
 )
 from siltglue import decompose as decompose_module
 from siltglue.decompose import (
@@ -30,15 +31,13 @@ from siltglue.decompose import (
     ISO_TRIALS,
     SemisimpleQuotient,
     _candidates,
+    _components,
+    _conjugate_by_idempotent,
     _find_idempotent,
     _first_factor,
     _min_poly,
     _newton_idempotent_chain,
-    _poly_divmod,
-    _poly_gcdex,
-    _poly_mul,
     _scalar_invertible_everywhere,
-    _split_by_idempotent,
     _try_minpoly_split,
     decompose,
     group_isomorphic,
@@ -52,6 +51,37 @@ def two_term(A, verts1, verts0, entries):
         {-1: tuple(verts1), 0: tuple(verts0)},
         {-1: PathMatrix(A, tuple(verts0), tuple(verts1), entries)},
     )
+
+
+def _conjugated(X, seed):
+    """X conjugated, through `transform`, by a seeded change of basis per degree with unit diagonal.
+
+    Below the diagonal a same-vertex entry takes a scalar, and any
+    off-diagonal entry takes the radical paths between its two vertices,
+    each with a seeded coefficient in [-2, 2].  The scalar part is
+    unitriangular, so each change is invertible.
+    """
+    alg, rng = X.algebra, random.Random(seed)
+
+    def entry(i, j, w, v):
+        if i == j:
+            return alg.unit_at(v)
+        return alg.element({p: alg.field.of(rng.randint(-2, 2)) for p in alg.paths_between(w, v) if p.arrows or i > j})
+
+    change = {
+        n: PathMatrix(alg, vs, vs, [[entry(i, j, w, v) for j, v in enumerate(vs)] for i, w in enumerate(vs)])
+        for n, vs in X.components.items()
+    }
+    return transform(X, change)
+
+
+def _connected(X):
+    """The first of the seeded conjugates of X, seeds 1, 2, ..., that has one component."""
+    for seed in range(1, 21):
+        Y = _conjugated(X, seed)
+        if len(_components(Y)) == 1:
+            return Y
+    raise AssertionError(f"no connected conjugate of {X!r}")
 
 
 def test_iso_detects_hidden_shift_summand(ka3):
@@ -102,9 +132,12 @@ def test_decompose_stalk_and_sum(ka3):
 
 def test_decompose_mixed_two_term_sum(ka3):
     # I2[1] (+) S2 and I2 (+) S2 are sums of two non-isomorphic indecomposables;
-    # End(I2 (+) S2)/rad is Q x Q, two simple blocks
+    # End(I2 (+) S2)/rad is Q x Q, two simple blocks.  I2 (+) S2 is conjugated
+    # to be connected; no conjugate of I2[1] (+) S2 is, since every radical
+    # multiple of I2's differential ab is 0, so it splits by its components.
     for first in (shift(ka3["I2"], 1), ka3["I2"]):
-        parts = decompose(direct_sum(first, ka3["S2"]))
+        X = direct_sum(first, ka3["S2"])
+        parts = decompose(_connected(X) if first is ka3["I2"] else X)
         assert [(m, c) for _, m, c in parts] == [(1, True), (1, True)]
         msets = {frozenset(x.graded_multiset().items()) for x, _, _ in parts}
         assert msets == {
@@ -114,8 +147,8 @@ def test_decompose_mixed_two_term_sum(ka3):
 
 
 def test_decompose_doubled_complex(ka3):
-    # X (+) X forces a matrix-block endomorphism ring M_2(Q)
-    X = direct_sum(ka3["I2"], ka3["I2"])
+    # a connected conjugate of X (+) X forces a matrix-block endomorphism ring M_2(Q)
+    X = _connected(direct_sum(ka3["I2"], ka3["I2"]))
     parts = decompose(X)
     assert len(parts) == 1
     Y, mult, certified = parts[0]
@@ -171,14 +204,47 @@ def test_decompose_random_roundtrip_over_prime_fields():
         _assert_random_roundtrips(field)
 
 
-def test_split_by_idempotent_with_a_radical_entry(ka3):
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(5), PrimeField(2), PrimeField(2147483647)], ids=["Q", "F5", "F2", "F2147483647"]
+)
+def test_connected_sums_split_through_an_idempotent(field, monkeypatch):
+    """Connected conjugates of I2 (+) I2, I2 (+) S2 and S2^2 (+) P1 split, certified, into the parts they were summed from.
+
+    Each has one component, so it splits through `_find_idempotent`.  Over
+    F_2 the blocks of two same-vertex summands have size p, and the radical
+    is certified by the nilpotency check with m = 2.
+    """
+    finds, checks = [], []
+    orig_find, orig_nilpotent = _find_idempotent, SemisimpleQuotient._is_nilpotent
+    monkeypatch.setattr(decompose_module, "_find_idempotent", lambda S, seed=0: finds.append(S.dim) or orig_find(S, seed))
+    monkeypatch.setattr(
+        SemisimpleQuotient, "_is_nilpotent", lambda S, ideal, m: checks.append(m) or orig_nilpotent(S, ideal, m)
+    )
+    d = _ka3_over(field)
+    I2, S2, P1 = d["I2"], d["S2"], d["P"]["1"]
+    for summed, expected in (([I2, I2], [(I2, 2)]), ([I2, S2], [(I2, 1), (S2, 1)]), ([S2, S2, P1], [(S2, 2), (P1, 1)])):
+        X = _connected(direct_sum_many(d["A"], summed))
+        finds.clear()
+        parts = decompose(X)
+        assert finds, (field, summed)
+        assert all(ok for _, _, ok in parts)
+        assert len(parts) == len(expected)
+        for Y, m in expected:
+            assert [k for Z, k, _ in parts if is_isomorphic(Z, Y).isomorphic] == [m]
+        rebuilt = direct_sum_many(d["A"], [Y for Y, m, _ in parts for _ in range(m)])
+        assert rebuilt.graded_multiset() == X.graded_multiset()
+        assert is_isomorphic(rebuilt, X).isomorphic
+    assert set(checks) == ({2} if field == PrimeField(2) else set())
+
+
+def test_conjugate_by_idempotent_with_a_radical_entry(ka3):
     """g = [[1, 0], [n, 0]] on S2 (+) I2 for the map n: S2 -> I2.
 
     g is idempotent, and its degree-0 entry n = a is radical and sits in a
     row where the scalar part of g is 0, so one conjugation must clear it.
     In degree -1 the scalar block of vertex 3 is [[1, 0], [1, 0]], which
-    needs a basis change.  The image of g is isomorphic to S2, the kernel
-    to I2.
+    needs a basis change.  The conjugate has two components: the image of
+    g, isomorphic to S2, and its kernel, isomorphic to I2.
     """
     S2, I2 = ka3["S2"], ka3["I2"]
     A = ka3["A"]
@@ -191,16 +257,43 @@ def test_split_by_idempotent_with_a_radical_entry(ka3):
     g = ChainMap(X, X, comps)
     assert g.compose(g).components == g.components
     assert not g.component(0).radical_part().is_zero()
-    image, kernel = _split_by_idempotent(X, g)
+    image, kernel = _components(_conjugate_by_idempotent(X, g))
     assert is_isomorphic(image, S2).isomorphic
     assert is_isomorphic(kernel, I2).isomorphic
 
 
-def test_split_by_idempotent_rejects_a_non_idempotent(ka3):
+def test_conjugate_by_idempotent_rejects_a_non_idempotent(ka3):
     # g = 2 id is not idempotent: the conjugated map is not the 0/1 diagonal, which raises
     X = direct_sum(ka3["S2"], ka3["I2"])
     with pytest.raises(DecomposeError, match="strictly diagonal"):
-        _split_by_idempotent(X, ChainMap.identity(X).scale(2))
+        _conjugate_by_idempotent(X, ChainMap.identity(X).scale(2))
+
+
+def test_components_are_the_blocks_in_order_of_first_summand(ka3):
+    """(P3 (+) P3 -> P2 (+) P1, d = [[0, b], [ab, 0]]) (+) P2[-1] is I2 (+) S2 (+) P2[-1], in that order.
+
+    The first summand (-1, 0) lies in the I2 block, (-1, 1) in the S2 block
+    and (1, 0) alone.
+    """
+    A = ka3["A"]
+    zero, b = A.zero_element(), A.path_element(A.path_of_arrows(["b"]))
+    ab = A.path_element(A.path_of_arrows(["a", "b"]))
+    d = PathMatrix(A, ("2", "1"), ("3", "3"), [[zero, b], [ab, zero]])
+    X = make_complex(A, {-1: ("3", "3"), 0: ("2", "1"), 1: ("2",)}, {-1: d})
+    assert _components(X) == [ka3["I2"], ka3["S2"], ProjComplex.stalk(A, "2", 1)]
+    assert _components(ka3["I2"]) == [ka3["I2"]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2)], ids=["Q", "F5", "F2"])
+def test_gluing_fixtures_build_no_endomorphism_algebra(field, monkeypatch):
+    """Every complex the gluing fixtures decompose splits by its components alone, inductively and by the shortcut."""
+    built = []
+    orig = EndAlgebra.__init__
+    monkeypatch.setattr(EndAlgebra, "__init__", lambda end, X: built.append(X) or orig(end, X))
+    for name, rec, T_B in glue_fixtures(field):
+        for cert in (glue(rec, [canonical_corner_silting(rec)], T_B), glue_shortcut(rec, T_B)):
+            assert cert.passed and cert.decomposition, (field, name)
+    assert built == []
 
 
 def _ka3_over(field):
@@ -208,23 +301,26 @@ def _ka3_over(field):
 
 
 def test_block_traces_split_over_f2():
-    """Over F_2, S2 (+) P1 splits into two certified summands.
+    """Over F_2, a connected conjugate of S2 (+) P1 splits into two certified summands.
 
     The total trace form would see one: tr(1_{S2}) = 2 = 0, so the unit of
     End(S2) would lie in the kernel of the summed form.
     """
     d = _ka3_over(PrimeField(2))
-    parts = decompose(direct_sum(d["S2"], d["P"]["1"]))
+    parts = decompose(_connected(direct_sum(d["S2"], d["P"]["1"])))
     assert [(c.describe(), m, ok) for c, m, ok in parts] == [("-1:[P_3] 0:[P_2]", 1, True), ("0:[P_1]", 1, True)]
 
 
 def test_small_characteristic_radical_is_certified_by_nilpotency(monkeypatch):
-    """Over F_2, S2^2 (+) P1 has blocks of size 2 = p, so R is certified as the radical by sigma(R)^2 = 0."""
+    """Over F_2, a connected conjugate of S2^2 (+) P1 has blocks of size 2 = p.
+
+    So R is certified as the radical by sigma(R)^2 = 0.
+    """
     checks = []
     orig = SemisimpleQuotient._is_nilpotent
     monkeypatch.setattr(SemisimpleQuotient, "_is_nilpotent", lambda S, ideal, m: checks.append(m) or orig(S, ideal, m))
     d = _ka3_over(PrimeField(2))
-    parts = decompose(direct_sum_many(d["A"], [d["S2"], d["S2"], d["P"]["1"]]))
+    parts = decompose(_connected(direct_sum_many(d["A"], [d["S2"], d["S2"], d["P"]["1"]])))
     assert [(c.describe(), m, ok) for c, m, ok in parts] == [("-1:[P_3] 0:[P_2]", 2, True), ("0:[P_1]", 1, True)]
     assert checks and set(checks) == {2}
 
@@ -442,44 +538,7 @@ def test_quotient_sigma_sums_overlapping_representatives():
 
 
 # ---------------------------------------------------------------------------
-# the idempotent search's polynomial arithmetic
-
-
-def _random_poly(rng, degree):
-    """A Q polynomial of the given degree, highest coefficient first and non-zero."""
-    lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-    return [lead] + [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(degree)]
-
-
-def _sympy_poly(coeffs):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], sympy.Symbol("t"))
-
-
-def _from_sympy(p):
-    return [Fraction(int(c.p), int(c.q)) for c in p.all_coeffs()] if not p.is_zero else []
-
-
-def test_poly_divmod_matches_sympy_div():
-    rng = seeded_rng(41)
-    for _ in range(60):
-        a = _random_poly(rng, rng.randint(0, 6))
-        b = _random_poly(rng, rng.randint(0, 4))
-        q, r = _poly_divmod(QQ, a, b)
-        sq, sr = _sympy_poly(a).div(_sympy_poly(b))
-        assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
-        assert len(r) < len(b)
-
-
-def test_poly_gcdex_bezout_identity():
-    rng = seeded_rng(43)
-    for _ in range(60):
-        common = _random_poly(rng, rng.randint(0, 2))
-        f1 = _poly_mul(QQ, common, _random_poly(rng, rng.randint(0, 3)))
-        f2 = _poly_mul(QQ, common, _random_poly(rng, rng.randint(1, 3)))
-        u, g = _poly_gcdex(QQ, f1, f2)
-        # g is the monic gcd, and u * f1 = g modulo f2
-        assert g == _from_sympy(_sympy_poly(f1).gcd(_sympy_poly(f2)).monic())
-        assert _poly_divmod(QQ, _poly_mul(QQ, u, f1), f2)[1] == _poly_divmod(QQ, g, f2)[1]
+# the idempotent search's polynomials
 
 
 class _PolyQuotient:
@@ -594,22 +653,26 @@ def _random_quadratics(rng, n):
     def linear(den=1):
         return [Fraction(nonzero(), rng.randint(1, den)), Fraction(rng.randint(-12, 12), rng.randint(1, den))]
 
+    def product(f, g):
+        (a, b), (c, d) = f, g
+        return [a * c, a * d + b * c, b * d]
+
     out = []
     for i in range(n):
         kind = i % 5
         if kind == 0:  # a product of two linear integer factors, primitive or not
-            p = _poly_mul(QQ, linear(), linear())
+            p = product(linear(), linear())
         elif kind == 1:  # a double root, times a scalar
             f, m = linear(), nonzero()
-            p = [m * c for c in _poly_mul(QQ, f, f)]
+            p = [m * c for c in product(f, f)]
         elif kind == 2:  # random integer coefficients: mostly irreducible
             p = [Fraction(nonzero()), Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30))]
         elif kind == 3:  # a product times an integer: never primitive
             m = rng.randint(2, 9)
-            p = [m * c for c in _poly_mul(QQ, linear(), linear())]
+            p = [m * c for c in product(linear(), linear())]
         else:  # Fraction coefficients: a product of rational linear factors or random, some made monic
             if rng.random() < 0.7:
-                p = _poly_mul(QQ, linear(9), linear(9))
+                p = product(linear(9), linear(9))
             else:
                 lead, b, c = nonzero(), rng.randint(-30, 30), rng.randint(-30, 30)
                 p = [Fraction(lead, rng.randint(1, 9)), Fraction(b, rng.randint(1, 9)), Fraction(c, rng.randint(1, 9))]

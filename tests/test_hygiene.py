@@ -403,23 +403,27 @@ def test_end_algebra_carries_what_the_tracer_reads():
 NO_SYMPY_SCRIPT = """
 import sys
 import siltglue.cli
+from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import glue_shortcut
 
 loaded = ["import"] if "sympy.core" in sys.modules else []
-for name, rec, T_B in glue_fixtures():
-    assert glue_shortcut(rec, T_B).passed, name
-    if "sympy.core" in sys.modules:
-        loaded.append(name)
+for field in (QQ, PrimeField(5), PrimeField(2), PrimeField(2147483647)):
+    for name, rec, T_B in glue_fixtures(field):
+        assert glue_shortcut(rec, T_B).passed, (field, name)
+        if "sympy.core" in sys.modules:
+            loaded.append((str(field), name))
 print(loaded)
 """
 
 
 def test_cli_and_gluing_fixtures_never_load_sympy():
-    """Every minimal polynomial the gluing fixtures factor is at most quadratic, so sympy stays unloaded.
+    """Gluing every fixture, over Q, F_5, F_2 and F_2147483647, leaves sympy unloaded.
 
-    `decompose.sympy` is a lazy module that sits in `sys.modules["sympy"]`
-    from the start; `sympy.core` appears only once it has been executed.
+    Every complex they decompose splits by its components, so no minimal
+    polynomial is factored.  `decompose.sympy` is a lazy module that sits in
+    `sys.modules["sympy"]` from the start; `sympy.core` appears only once it
+    has been executed.
     """
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     res = subprocess.run(
