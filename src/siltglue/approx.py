@@ -175,13 +175,13 @@ class EnvelopeResult:
         self.certificates = certificates
 
 
-def indecomposable_refinement(T_list, seed=0):
+def indecomposable_refinement(T_list):
     """Replace each member by its indecomposable summands.
 
     The additive hull add(T) is unchanged, but greedy copy-deletion in
     left_minimize then reaches a genuinely minimal approximation.
     """
-    return [X for T in T_list for X, _mult, _cert in decompose(T, seed=seed)]
+    return [X for T in T_list for X, _mult, _cert in decompose(T)]
 
 
 def _susp_envelope_stage(W, T_list, bound, between):
@@ -203,14 +203,14 @@ def _susp_envelope_stage(W, T_list, bound, between):
     return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm.complex, Cm.pull(u)
 
 
-def _envelope(M, T_list, seed):
+def _envelope(M, T_list):
     """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace).
 
     w: W_r -> M composes the stages' cocone maps M = W_0 <- W_1 <- ... <- W_r.
     By the octahedral axiom C(-w) is the iterated homotopy pushout of the
     stages, so U takes a single cone.
     """
-    T_list = indecomposable_refinement(T_list, seed)
+    T_list = indecomposable_refinement(T_list)
     W, maps, trace, between = M, [], [], {}
     while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between):
         layer, W, u = stage
@@ -241,7 +241,7 @@ def _check_orthogonal(pairs, what):
         raise ApproxError(f"{what} not orthogonal: {bad}")
 
 
-def susp_envelope(M, T_list, seed=0):
+def susp_envelope(M, T_list):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
     The statistic s = s_sup(W, T) strictly decreases from stage to stage,
@@ -249,17 +249,17 @@ def susp_envelope(M, T_list, seed=0):
     `_envelope`).  The reported s is that of the outermost layer: splitting
     T into its indecomposable summands does not change s_sup.  The maps f and v_map
     are checked to be chain maps, and the orthogonality Hom(V, T_i[k]) = 0
-    for all k >= 0 is certified.  `seed` drives the splitting of T into
-    indecomposable summands.
+    for all k >= 0 is certified.  Splitting T into its indecomposable
+    summands searches the one fixed stream of `decompose`.
     """
-    f, U, V, v_map, trace = _envelope(M, T_list, seed)
+    f, U, V, v_map, trace = _envelope(M, T_list)
     f.check_chain_condition()
     v_map.check_chain_condition()
     _check_orthogonal([(V, T) for T in T_list], "envelope cocone")
     return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
 
 
-def cosusp_precover(M, T_list, seed=0):
+def cosusp_precover(M, T_list):
     """Precover triangle V -> M -> U with V in cosusp(T), U right-orthogonal.
 
     The susp envelope of op(M) by op(T) over the opposite algebra, read
@@ -271,9 +271,8 @@ def cosusp_precover(M, T_list, seed=0):
     """
     A = M.algebra
     Aop = build_algebra(A.quiver.opposite(), A.field)
-    f_op, U_op, V_op, v_op, op_trace = _envelope(
-        opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list], seed
-    )
+    T_op = [opposite_complex(T, Aop) for T in T_list]
+    f_op, U_op, V_op, v_op, op_trace = _envelope(opposite_complex(M, Aop), T_op)
     V = opposite_complex(U_op, A)
     U = opposite_complex(V_op, A)
     v_map = opposite_map(f_op, M, V, A)

@@ -2,8 +2,8 @@
 
 Every verb reads JSON inputs, writes a JSON report to standard output and a
 human summary to standard error.  Exit codes: 0 success, 1 a mathematical
-check failed, 2 malformed input.  All randomized behavior is governed by
---seed; identical invocations produce byte-identical output.
+check failed, 2 malformed input.  Every randomized search draws from one
+fixed stream, so identical invocations produce byte-identical output.
 """
 
 import json
@@ -136,15 +136,14 @@ def minimize_cmd(x_file):
 
 @main.command("decompose")
 @click.argument("x_file")
-@click.option("--seed", type=int, default=0)
-def decompose_cmd(x_file, seed):
+def decompose_cmd(x_file):
     """Indecomposable summands with multiplicities, over any field."""
     try:
         X = serialize.load_complex(x_file)
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        parts = decompose(X, seed=seed)
+        parts = decompose(X)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -164,8 +163,7 @@ def decompose_cmd(x_file, seed):
 @main.command("envelope")
 @click.argument("m_file")
 @click.argument("t_files", nargs=-1, required=True)
-@click.option("--seed", type=int, default=0)
-def envelope(m_file, t_files, seed):
+def envelope(m_file, t_files):
     """Envelope triangle V -> M -> U for the non-negative shifts of T."""
     try:
         M = serialize.load_complex(m_file)
@@ -173,7 +171,7 @@ def envelope(m_file, t_files, seed):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        env = susp_envelope(M, T, seed=seed)
+        env = susp_envelope(M, T)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -220,7 +218,7 @@ def recollement_cmd(algebra_file, e_list):
     _emit(report, [f"recollement ok: C on {list(rec.S)}, B on {list(rec.complement)}"])
 
 
-def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
+def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
     try:
         alg = serialize.load_algebra(algebra_file)
         rec = idempotent_recollement(alg, [v.strip() for v in e_list.split(",") if v.strip()])
@@ -234,9 +232,9 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
     try:
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
         if shortcut:
-            cert = glue_shortcut(rec, T_B, depth=depth, probes=probes, seed=seed)
+            cert = glue_shortcut(rec, T_B, depth=depth, probes=probes)
         else:
-            cert = glue(rec, T_C, T_B, depth=depth, probes=probes, seed=seed)
+            cert = glue(rec, T_C, T_B, depth=depth, probes=probes)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -273,19 +271,17 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
 @click.option("--tb", "tb_files", multiple=True, help="T_B complex files (over the quotient)")
 @click.option("--shortcut", is_flag=True, help="use the canonical-corner shortcut")
 @click.option("--depth", type=click.IntRange(min=0), default=3)
-@click.option("--seed", type=int, default=0)
-def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed):
+def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
     """Glue silting sets along the idempotent recollement at --e."""
     if not shortcut and not tc_files:
         _fail_input("glue requires --tc files (or --shortcut)")
-    _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth, seed)
+    _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth)
 
 
 @main.command("check-silting")
 @click.argument("t_files", nargs=-1, required=True)
 @click.option("--depth", type=click.IntRange(min=0), default=3)
-@click.option("--seed", type=int, default=0)
-def check_silting(t_files, depth, seed):
+def check_silting(t_files, depth):
     """Presilting + generation + K0 certificates for a set of complexes."""
     try:
         T = _load_complexes(t_files)
@@ -294,7 +290,7 @@ def check_silting(t_files, depth, seed):
                 raise serialize.SerializeError("complexes over different algebras")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
-    reports, _classes = certify_set(T, T[0].algebra, depth, seed)
+    reports, _classes = certify_set(T, T[0].algebra, depth)
     pres, gen, k0 = reports["presilting"], reports["generation"], reports["k0"]
     report = {
         "v": 1,

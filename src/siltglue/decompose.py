@@ -20,7 +20,7 @@ certified by a nilpotency check otherwise.  A product in the quotient is one
 product of sigma values, formed when it is asked for and reduced modulo the
 radical to its coordinates, with no product of chain maps.  Idempotents are
 found in the quotient by minimal-polynomial factorization of one candidate
-stream, the basis elements and then seeded random combinations of them,
+stream, the basis elements and then fixed pseudo-random combinations of them,
 which the isomorphism search also walks over the chain maps.  Over Q no
 pass over the centre could add a split: an element whose minimal
 polynomial is a power of one irreducible has the same trace per dimension
@@ -109,15 +109,17 @@ def _scalar_invertible_everywhere(g):
     return True
 
 
-def _candidates(fld, basis, rng, tries, bound):
-    """The vectors of `basis`, then `tries` seeded combinations of them with coefficients in [-bound, bound].
+def _candidates(fld, basis, tries, bound):
+    """The vectors of `basis`, then `tries` random combinations of them with coefficients in [-bound, bound].
 
-    A combination draws one coefficient per basis vector, in basis order; a
-    combination that is zero is skipped but uses up its try.
+    Every call draws from the same fixed stream, `Random(0)`.  A combination
+    draws one coefficient per basis vector, in basis order; a combination
+    that is zero is skipped but uses up its try.
     """
     yield from basis
     if not basis:
         return
+    rng = random.Random(0)
     for _ in range(tries):
         x = [0] * len(basis[0])
         for b in basis:
@@ -128,7 +130,7 @@ def _candidates(fld, basis, rng, tries, bound):
             yield x
 
 
-def is_isomorphic(X, Y, seed=0):
+def is_isomorphic(X, Y):
     """Decide X ~= Y in the homotopy category, with a verified witness.
 
     A `True` verdict always carries a chain map X -> Y whose cone minimizes
@@ -150,7 +152,7 @@ def is_isomorphic(X, Y, seed=0):
     if not hs.cycle_basis:
         return IsoResult(False, certified=True)
     to_min, from_min = mx.to_min, my.from_min  # each read replays the Gauss steps
-    for v in _candidates(X.algebra.field, hs.cycle_basis, random.Random(seed), ISO_TRIALS, 5):
+    for v in _candidates(X.algebra.field, hs.cycle_basis, ISO_TRIALS, 5):
         g = ChainMap(mx.complex, my.complex, hs.fvars.from_vector(v))
         if not _scalar_invertible_everywhere(g):
             continue
@@ -401,12 +403,12 @@ def _try_minpoly_split(S, x):
     return e
 
 
-def _find_idempotent(S, seed=0):
+def _find_idempotent(S):
     """A nontrivial idempotent of the semisimple algebra S, or None."""
     if S.dim <= 1:
         return None
     units = [[int(j == i) for j in range(S.dim)] for i in range(S.dim)]
-    for x in _candidates(S.field, units, random.Random(seed), 20, 3):
+    for x in _candidates(S.field, units, 20, 3):
         e = _try_minpoly_split(S, x)
         if e is not None:
             return e
@@ -501,7 +503,7 @@ def _conjugate_by_idempotent(X, g):
     return transform(X, change)
 
 
-def _decompose_minimal(X, seed=0):
+def _decompose_minimal(X):
     """(summand, 1, certified) per indecomposable summand of a minimal X, unsorted.
 
     X is cut into its components.  A connected X with two or more summands
@@ -518,28 +520,28 @@ def _decompose_minimal(X, seed=0):
         S = SemisimpleQuotient(end)
         if not S.certified or S.dim == 1:
             return [(X, 1, S.certified)]
-        e = _find_idempotent(S, seed)
+        e = _find_idempotent(S)
         if e is None:
             return [(X, 1, False)]
         parts = _components(_conjugate_by_idempotent(X, _newton_idempotent_chain(S.lift(e))))
         if len(parts) == 1:
             raise DecomposeError("idempotent split produced a trivial summand")
-    return [p for Y in parts for p in _decompose_minimal(Y, seed)]
+    return [p for Y in parts for p in _decompose_minimal(Y)]
 
 
-def isomorphism_class(X, classes, seed=0):
+def isomorphism_class(X, classes):
     """Index of the first of `classes` whose entry 0 is isomorphic to X, or None.
 
     The representative is passed to `is_isomorphic` first, because its
     randomized search is not symmetric in its two arguments.
     """
     for i, c in enumerate(classes):
-        if is_isomorphic(c[0], X, seed=seed).isomorphic:
+        if is_isomorphic(c[0], X).isomorphic:
             return i
     return None
 
 
-def group_isomorphic(parts, seed=0):
+def group_isomorphic(parts):
     """Merge (summand, multiplicity, certified, *tags) records by isomorphism.
 
     Returns one [summand, multiplicity, certified, *tags] list per class, in
@@ -548,7 +550,7 @@ def group_isomorphic(parts, seed=0):
     """
     classes = []
     for X, m, certified, *tags in parts:
-        i = isomorphism_class(X, classes, seed)
+        i = isomorphism_class(X, classes)
         if i is None:
             classes.append([X, m, certified, *tags])
         else:
@@ -562,7 +564,7 @@ def summand_order(part):
     return (part[0].lo, sorted(part[0].graded_multiset().items()))
 
 
-def decompose(X, seed=0):
+def decompose(X):
     """Indecomposable summands of X with multiplicities.
 
     Returns a list of (ProjComplex, multiplicity, certified) triples sorted
@@ -571,5 +573,5 @@ def decompose(X, seed=0):
     exhausted randomized idempotent search, or on a radical candidate that
     is not nilpotent (`SemisimpleQuotient.certified`).
     """
-    groups = group_isomorphic(_decompose_minimal(minimize(X).complex, seed), seed)
+    groups = group_isomorphic(_decompose_minimal(minimize(X).complex))
     return sorted((tuple(g) for g in groups), key=summand_order)

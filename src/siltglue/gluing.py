@@ -73,27 +73,23 @@ def check_presilting(T_list):
     return rep
 
 
-def summand_classes(T_list, seed=0):
+def summand_classes(T_list):
     """Distinct indecomposable summands of a set, with multiplicities.
 
     Returns [summand, multiplicity, certified, index of the first T_i
     containing it] per class, in order of first appearance; the
     multiplicity is summed over all members.
     """
-    return group_isomorphic(
-        ((c, m, certified, ti) for ti, T in enumerate(T_list) for c, m, certified in decompose(T, seed=seed)), seed
-    )
+    return group_isomorphic((c, m, certified, ti) for ti, T in enumerate(T_list) for c, m, certified in decompose(T))
 
 
-def k0_report(T_list, algebra, classes=None, seed=0):
+def k0_report(classes, algebra):
     """Classes [T_i] in the basis [P_v], with a unimodularity verdict.
 
     Rows are the distinct indecomposable summand classes of the set
-    (`classes` as `summand_classes` returns them, computed when not given).
+    (`classes` as `summand_classes` returns them).
     """
     verts = list(algebra.quiver.vertices)
-    if classes is None:
-        classes = summand_classes(T_list, seed)
     rows = [c[0] for c in classes]
     mat = []
     for c in rows:
@@ -125,13 +121,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def check_generation(T_list, depth=3, classes=None, seed=0):
+def check_generation(T_list, classes, depth=3):
     """Depth-bounded thick-closure saturation: do all P_v get generated?
 
     Starts from the indecomposable summands of the given complexes
-    (`classes` as `summand_classes` returns them, computed when not given)
-    and repeatedly adjoins minimized cones of Hom-basis maps between
-    shifts.  Each depth walks only the pairs with an object new since the
+    (`classes` as `summand_classes` returns them) and repeatedly adjoins
+    minimized cones of Hom-basis maps between shifts.  Each depth walks only the pairs with an object new since the
     depth before: an older pair was walked to the end at an earlier depth,
     so the summands of its cones are held already.  Returns a report with
     status "generated" (plus witnesses) or "inconclusive".  At most
@@ -142,15 +137,13 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
         return {"status": "inconclusive", "ok": False, "witnesses": []}
     algebra = T_list[0].algebra
     verts = list(algebra.quiver.vertices)
-    if classes is None:
-        classes = summand_classes(T_list, seed)
 
     objs = [(c, f"input[{ti}]") for c, _m, _certified, ti in classes]
     witnesses = {}
 
     def note(X, how):
-        for c, _m, _certified in decompose(X, seed=seed):
-            if isomorphism_class(c, objs, seed) is None:
+        for c, _m, _certified in decompose(X):
+            if isomorphism_class(c, objs) is None:
                 if len(objs) >= GENERATION_BUDGET:
                     raise _BudgetExhausted
                 objs.append((c, how))
@@ -189,8 +182,6 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
                 missing = found_all()
                 if not missing:
                     break
-            if not missing:
-                break
     except _BudgetExhausted:
         missing = found_all()
         exhausted = bool(missing)
@@ -214,17 +205,17 @@ def check_generation(T_list, depth=3, classes=None, seed=0):
     }
 
 
-def certify_set(T_list, algebra, depth=3, seed=0):
+def certify_set(T_list, algebra, depth=3):
     """Presilting, generation and K_0 reports of a set, splitting it once.
 
     Returns the reports and the distinct summand classes (`summand_classes`),
     which the generation check and the K_0 screen share.
     """
-    classes = summand_classes(T_list, seed)
+    classes = summand_classes(T_list)
     reports = {
         "presilting": check_presilting(T_list),
-        "generation": check_generation(T_list, depth, classes, seed),
-        "k0": k0_report(T_list, algebra, classes, seed),
+        "generation": check_generation(T_list, classes, depth),
+        "k0": k0_report(classes, algebra),
     }
     return reports, classes
 
@@ -278,14 +269,14 @@ def _require_nonpositive(name, T_list):
         raise GlueError(f"{name} is not non-positive: Hom(T_{w[0]}, T_{w[1]}[{w[2]}]) != 0")
 
 
-def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
+def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
     quotient algebra.  Raises GlueError with a witness when an input set is
-    not non-positive.  `seed` drives every randomized search: the splitting
-    and isomorphism tests of the envelope, the reports and the final
-    decomposition.
+    not non-positive.  Every randomized search (the splitting and
+    isomorphism tests of the envelope, the reports and the final
+    decomposition) draws from the one fixed stream of `decompose`.
     """
     _require_nonpositive("T_C", T_C)
     _require_nonpositive("T_B", T_B)
@@ -297,7 +288,7 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
     for T_Y in T_B:
         M = i_star(rec, T_Y)
         iT.append(M)
-        env = susp_envelope(M, env_targets, seed=seed)
+        env = susp_envelope(M, env_targets)
         tildes.append(env.V)
         triangles.append(
             {
@@ -311,17 +302,17 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True, seed=0):
             }
         )
     T = jT + tildes
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result, seed)
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result)
 
 
-def _certify(cert, depth, probes, decompose_result, seed):
+def _certify(cert, depth, probes, decompose_result):
     """Fill the reports of a glued set (condition (*), then `certify_set`) and its decomposition.
 
     By Krull-Schmidt the decomposition of (+)T is the union of the members'
     summand classes, so it is read off those, sorted as `decompose` sorts.
     """
     cert.reports["star_condition"] = check_star_condition(cert)
-    reports, classes = certify_set(cert.T, cert.rec.A, depth, seed)
+    reports, classes = certify_set(cert.T, cert.rec.A, depth)
     cert.reports.update(reports)
     if probes is not None:
         cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
@@ -337,7 +328,7 @@ def canonical_corner_silting(rec):
     )
 
 
-def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True, seed=0):
+def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
     """Shortcut for canonical T_C = {C}: split minimize(i_*(+)T_B) directly.
 
     Requires every T_B component in degrees <= 0 after minimization; the
@@ -370,4 +361,4 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True, seed=0)
         else [{"V": tilde, "M": P, "U": U1, "f": None, "v_map": None, "s": None, "trace": [(0, ())]}]
     )
     T = jT + [t for t in tildes if not t.is_zero()]
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result, seed)
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result)

@@ -26,6 +26,23 @@ def _check_version(data, what):
         raise SerializeError(f"{what}: unsupported schema version {v!r}")
 
 
+JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(value, kind, what):
+    """`value` if it has the JSON type `kind` (a key of JSON_TYPES), else a SerializeError naming `what`."""
+    if not isinstance(value, kind):
+        raise SerializeError(f"{what}: expected a JSON {JSON_TYPES[kind]}")
+    return value
+
+
+def _array_of(value, kind, what):
+    """`value` if it is a JSON array whose items have the JSON type `kind`, else a SerializeError."""
+    for item in _expect(value, list, what):
+        _expect(item, kind, f"{what} item")
+    return value
+
+
 def _degree(key, what):
     try:
         return int(key)
@@ -53,14 +70,16 @@ def algebra_from_json(data):
     for key in ("field", "vertices", "arrows"):
         if key not in data:
             raise SerializeError(f"algebra: missing key {key!r}")
-    field = field_from_tag(data["field"])
+    field = field_from_tag(_expect(data["field"], str, "algebra: field"))
     arrows = []
-    for i, a in enumerate(data["arrows"]):
+    for i, a in enumerate(_expect(data["arrows"], list, "algebra: arrows")):
+        _expect(a, dict, f"algebra: arrow {i}")
         for key in ("name", "from", "to"):
             if key not in a:
                 raise SerializeError(f"algebra: arrow {i} missing key {key!r}")
+            _expect(a[key], str, f"algebra: arrow {i} {key!r}")
         arrows.append((a["name"], a["from"], a["to"]))
-    quiver = Quiver(data["vertices"], arrows)
+    quiver = Quiver(_array_of(data["vertices"], str, "algebra: vertices"), arrows)
     return build_algebra(quiver, field)
 
 
@@ -156,12 +175,17 @@ def complex_from_json(data, algebra=None, base_dir=None):
         ref = data.get("algebra")
         if ref is None:
             raise SerializeError("complex: no algebra given and no 'algebra' reference")
+        _expect(ref, str, "complex: algebra")
         path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
         algebra = load_algebra(path)
-    comps = {_degree(key, "complex"): tuple(vs) for key, vs in data.get("components", {}).items()}
+    comps = {
+        _degree(key, "complex"): tuple(_array_of(vs, str, f"complex: component {key}"))
+        for key, vs in _expect(data.get("components", {}), dict, "complex: components").items()
+    }
     diffs = {}
-    for key, rows in data.get("differentials", {}).items():
+    for key, rows in _expect(data.get("differentials", {}), dict, "complex: differentials").items():
         n = _degree(key, "complex")
+        _array_of(rows, list, f"complex: differential {n}")
         tgt = comps.get(n + 1, ())
         src = comps.get(n, ())
         if len(rows) != len(tgt):
@@ -212,9 +236,9 @@ def chain_map_from_json(data, algebra):
     src = complex_from_json(data["source"], algebra=algebra)
     tgt = complex_from_json(data["target"], algebra=algebra)
     comps = {}
-    for key, rows in data.get("components", {}).items():
+    for key, rows in _expect(data.get("components", {}), dict, "chain map: components").items():
         n = _degree(key, "chain map")
-        ents = [[_element_in(algebra, x) for x in row] for row in rows]
+        ents = [[_element_in(algebra, x) for x in row] for row in _array_of(rows, list, f"chain map: component {n}")]
         comps[n] = PathMatrix(algebra, tgt.component(n), src.component(n), ents)
         comps[n].check_entries()
     f = ChainMap(src, tgt, comps)

@@ -4,7 +4,8 @@ import pytest
 
 from siltglue.fields import QQ
 from siltglue.quiver import Quiver
-from siltglue.complexes import ProjComplex, cone, direct_sum, minimize, shift
+from siltglue.complexes import PathMatrix, ProjComplex, cone, direct_sum, minimize, shift, transform
+from siltglue.decompose import _components
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace
 
@@ -66,3 +67,34 @@ def random_complex(alg, rng, steps=2, max_width=4, shift_range=2):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def conjugated(X, seed):
+    """X conjugated, through `transform`, by a seeded change of basis per degree with unit diagonal.
+
+    Below the diagonal a same-vertex entry takes a scalar, and any
+    off-diagonal entry takes the radical paths between its two vertices,
+    each with a seeded coefficient in [-2, 2].  The scalar part is
+    unitriangular, so each change is invertible.
+    """
+    alg, rng = X.algebra, random.Random(seed)
+
+    def entry(i, j, w, v):
+        if i == j:
+            return alg.unit_at(v)
+        return alg.element({p: alg.field.of(rng.randint(-2, 2)) for p in alg.paths_between(w, v) if p.arrows or i > j})
+
+    change = {
+        n: PathMatrix(alg, vs, vs, [[entry(i, j, w, v) for j, v in enumerate(vs)] for i, w in enumerate(vs)])
+        for n, vs in X.components.items()
+    }
+    return transform(X, change)
+
+
+def connected_conjugate(X):
+    """The first of the seeded conjugates of X, seeds 1, 2, ..., that has one component."""
+    for seed in range(1, 21):
+        Y = conjugated(X, seed)
+        if len(_components(Y)) == 1:
+            return Y
+    raise AssertionError(f"no connected conjugate of {X!r}")

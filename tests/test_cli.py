@@ -1,19 +1,27 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from siltglue import approx, decompose as decompose_mod, gluing
+from conftest import connected_conjugate
+from siltglue import serialize
 from siltglue.cli import main
+from siltglue.complexes import direct_sum
+from siltglue.fields import PrimeField
+from siltglue.fixtures import ka3_algebra, ka3_named_complexes, write_fixture_files
 from siltglue.homs import HomSpace
-from siltglue.fixtures import write_fixture_files
 
 
 @pytest.fixture(scope="module")
 def fx(tmp_path_factory):
     d = tmp_path_factory.mktemp("fx")
     return write_fixture_files(str(d))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*args):
@@ -232,8 +240,7 @@ def test_glue_requires_tc_or_shortcut(fx):
 
 def test_glue_byte_determinism(fx):
     runs = [
-        run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"], "--seed", "0")
-        for _ in range(2)
+run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"]) for _ in range(2)
     ]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == runs[1].stderr
@@ -307,39 +314,89 @@ def test_algebra_over_huge_prime_exits_2(tmp_path):
     assert "primality bound" in res.stderr
 
 
-def _seeded_invocations(fx):
-    return {
-        "glue": ["glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"]],
+@pytest.mark.parametrize("verb", ["decompose", "envelope", "glue", "check-silting"])
+def test_seed_option_is_gone(fx, verb):
+    """Every search draws from one fixed stream, so no verb takes `--seed`."""
+    args = {
+        "decompose": ["decompose", fx["i2"]],
         "envelope": ["envelope", fx["i2"], fx["p3"]],
+        "glue": ["glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"]],
         "check-silting": ["check-silting", fx["i2"], fx["s2"], fx["p3"]],
-    }
+    }[verb]
+    res = run(*args, "--seed", "0")
+    assert res.exit_code == 2
+    assert "no such option" in res.stderr.lower() and "--seed" in res.stderr
 
 
-@pytest.mark.parametrize("verb", ["glue", "envelope", "check-silting"])
-def test_seed_zero_is_the_default(fx, verb):
-    args = _seeded_invocations(fx)[verb]
-    plain, seeded = run(*args), run(*args, "--seed", "0")
-    assert plain.stdout_bytes == seeded.stdout_bytes
-    assert plain.stderr_bytes == seeded.stderr_bytes
+def _fresh_cli(args, hash_seed):
+    """stdout and stderr bytes of the CLI on `args` in a new interpreter under PYTHONHASHSEED=`hash_seed`."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
+    res = subprocess.run([sys.executable, "-m", "siltglue.cli", *args], capture_output=True, env=env, timeout=120)
+    return res.returncode, res.stdout, res.stderr
 
 
-@pytest.mark.parametrize("verb", ["glue", "envelope", "check-silting"])
-def test_seed_reaches_decompose(fx, monkeypatch, verb):
-    seen = {"decompose": [], "is_isomorphic": []}
+@pytest.mark.parametrize("verb", ["glue", "decompose"])
+def test_fresh_interpreters_give_identical_bytes(fx, tmp_path, verb):
+    """Two new interpreters with different string hashing print the same bytes.
 
-    def spy(name, real):
-        def wrapper(*args, seed=0, **kwargs):
-            seen[name].append(seed)
-            return real(*args, seed=seed, **kwargs)
+    `decompose` runs on a connected conjugate of I2 (+) S2 over F_5, which
+    splits through the idempotent search.
+    """
+    if verb == "glue":
+        args = ["glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"]]
+    else:
+        d = ka3_named_complexes(ka3_algebra(PrimeField(5)))
+        X = connected_conjugate(direct_sum(d["I2"], d["S2"]))
+        serialize.save_algebra(X.algebra, str(tmp_path / "ka3_f5.json"))
+        serialize.save_complex(X, str(tmp_path / "sum.json"), algebra_ref="ka3_f5.json")
+        args = ["decompose", str(tmp_path / "sum.json")]
+    first, second = _fresh_cli(args, 1), _fresh_cli(args, 2)
+    assert first[0] == 0
+    assert first == second
+    if verb == "decompose":
+        assert len(json.loads(first[1])["summands"]) == 2
 
-        return wrapper
 
-    for name in seen:
-        wrapped = spy(name, getattr(decompose_mod, name))
-        # gluing and approx bind `decompose` at import; `is_isomorphic` is called only inside decompose
-        for mod in (decompose_mod, gluing, approx):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, wrapped)
-    run(*_seeded_invocations(fx)[verb], "--seed", "7")
-    assert seen["decompose"] and set(seen["decompose"]) == {7}
-    assert set(seen["is_isomorphic"]) <= {7}
+@pytest.mark.parametrize(
+    "verb, data",
+    [
+        ("minimize", {"components": {"0": "12"}}),
+        ("minimize", {"components": ["0"]}),
+        ("minimize", {"components": {"0": ["1"], "1": ["2"]}, "differentials": {"0": 5}}),
+        ("algebra-check", {"vertices": "12"}),
+        ("algebra-check", {"arrows": [5]}),
+    ],
+    ids=["string-component", "list-components", "number-differential", "string-vertices", "number-arrow"],
+)
+def test_wrong_json_type_exits_2(tmp_path, verb, data):
+    """A field of the wrong JSON type is an input error, not a misreading or a crash."""
+    if verb == "algebra-check":
+        body = {"v": 1, "field": "Q", "vertices": ["1", "2"], "arrows": [], **data}
+    else:
+        (tmp_path / "alg.json").write_text(json.dumps({"v": 1, "field": "Q", "vertices": ["1", "2"], "arrows": []}))
+        body = {"v": 1, "algebra": "alg.json", "differentials": {}, **data}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    res = run(verb, str(path))
+    assert res.exit_code == 2
+    assert res.stderr.startswith("input error:")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_glue_failing_report_exits_1(fx):
+    """With no T_B the glued set is j_!(T_C) = P3 alone: it does not generate, and the K_0 screen fails."""
+    res = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"])
+    assert res.exit_code == 1
+    data = json.loads(res.stdout)
+    assert data["passed"] is False
+    assert not data["reports"]["generation"]["ok"] and not data["reports"]["k0"]["ok"]
+    assert "generation: FAIL" in res.stderr.splitlines()
+    assert "k0: FAIL" in res.stderr.splitlines()
+
+
+def test_check_silting_over_different_algebras_exits_2(fx):
+    res = run("check-silting", fx["p1"], fx["tc"])
+    assert res.exit_code == 2
+    assert res.stderr == "input error: complexes over different algebras\n"
+    assert res.stdout == ""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import random_complex, random_quiver, seeded_rng
+from conftest import connected_conjugate, random_complex, random_quiver, seeded_rng
 from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
@@ -22,7 +22,6 @@ from siltglue.complexes import (
     make_complex,
     minimize,
     shift,
-    transform,
 )
 from siltglue import decompose as decompose_module
 from siltglue.decompose import (
@@ -51,37 +50,6 @@ def two_term(A, verts1, verts0, entries):
         {-1: tuple(verts1), 0: tuple(verts0)},
         {-1: PathMatrix(A, tuple(verts0), tuple(verts1), entries)},
     )
-
-
-def _conjugated(X, seed):
-    """X conjugated, through `transform`, by a seeded change of basis per degree with unit diagonal.
-
-    Below the diagonal a same-vertex entry takes a scalar, and any
-    off-diagonal entry takes the radical paths between its two vertices,
-    each with a seeded coefficient in [-2, 2].  The scalar part is
-    unitriangular, so each change is invertible.
-    """
-    alg, rng = X.algebra, random.Random(seed)
-
-    def entry(i, j, w, v):
-        if i == j:
-            return alg.unit_at(v)
-        return alg.element({p: alg.field.of(rng.randint(-2, 2)) for p in alg.paths_between(w, v) if p.arrows or i > j})
-
-    change = {
-        n: PathMatrix(alg, vs, vs, [[entry(i, j, w, v) for j, v in enumerate(vs)] for i, w in enumerate(vs)])
-        for n, vs in X.components.items()
-    }
-    return transform(X, change)
-
-
-def _connected(X):
-    """The first of the seeded conjugates of X, seeds 1, 2, ..., that has one component."""
-    for seed in range(1, 21):
-        Y = _conjugated(X, seed)
-        if len(_components(Y)) == 1:
-            return Y
-    raise AssertionError(f"no connected conjugate of {X!r}")
 
 
 def test_iso_detects_hidden_shift_summand(ka3):
@@ -137,7 +105,7 @@ def test_decompose_mixed_two_term_sum(ka3):
     # multiple of I2's differential ab is 0, so it splits by its components.
     for first in (shift(ka3["I2"], 1), ka3["I2"]):
         X = direct_sum(first, ka3["S2"])
-        parts = decompose(_connected(X) if first is ka3["I2"] else X)
+        parts = decompose(connected_conjugate(X) if first is ka3["I2"] else X)
         assert [(m, c) for _, m, c in parts] == [(1, True), (1, True)]
         msets = {frozenset(x.graded_multiset().items()) for x, _, _ in parts}
         assert msets == {
@@ -148,7 +116,7 @@ def test_decompose_mixed_two_term_sum(ka3):
 
 def test_decompose_doubled_complex(ka3):
     # a connected conjugate of X (+) X forces a matrix-block endomorphism ring M_2(Q)
-    X = _connected(direct_sum(ka3["I2"], ka3["I2"]))
+    X = connected_conjugate(direct_sum(ka3["I2"], ka3["I2"]))
     parts = decompose(X)
     assert len(parts) == 1
     Y, mult, certified = parts[0]
@@ -216,14 +184,14 @@ def test_connected_sums_split_through_an_idempotent(field, monkeypatch):
     """
     finds, checks = [], []
     orig_find, orig_nilpotent = _find_idempotent, SemisimpleQuotient._is_nilpotent
-    monkeypatch.setattr(decompose_module, "_find_idempotent", lambda S, seed=0: finds.append(S.dim) or orig_find(S, seed))
+    monkeypatch.setattr(decompose_module, "_find_idempotent", lambda S: finds.append(S.dim) or orig_find(S))
     monkeypatch.setattr(
         SemisimpleQuotient, "_is_nilpotent", lambda S, ideal, m: checks.append(m) or orig_nilpotent(S, ideal, m)
     )
     d = _ka3_over(field)
     I2, S2, P1 = d["I2"], d["S2"], d["P"]["1"]
     for summed, expected in (([I2, I2], [(I2, 2)]), ([I2, S2], [(I2, 1), (S2, 1)]), ([S2, S2, P1], [(S2, 2), (P1, 1)])):
-        X = _connected(direct_sum_many(d["A"], summed))
+        X = connected_conjugate(direct_sum_many(d["A"], summed))
         finds.clear()
         parts = decompose(X)
         assert finds, (field, summed)
@@ -307,7 +275,7 @@ def test_block_traces_split_over_f2():
     End(S2) would lie in the kernel of the summed form.
     """
     d = _ka3_over(PrimeField(2))
-    parts = decompose(_connected(direct_sum(d["S2"], d["P"]["1"])))
+    parts = decompose(connected_conjugate(direct_sum(d["S2"], d["P"]["1"])))
     assert [(c.describe(), m, ok) for c, m, ok in parts] == [("-1:[P_3] 0:[P_2]", 1, True), ("0:[P_1]", 1, True)]
 
 
@@ -320,7 +288,7 @@ def test_small_characteristic_radical_is_certified_by_nilpotency(monkeypatch):
     orig = SemisimpleQuotient._is_nilpotent
     monkeypatch.setattr(SemisimpleQuotient, "_is_nilpotent", lambda S, ideal, m: checks.append(m) or orig(S, ideal, m))
     d = _ka3_over(PrimeField(2))
-    parts = decompose(_connected(direct_sum_many(d["A"], [d["S2"], d["S2"], d["P"]["1"]])))
+    parts = decompose(connected_conjugate(direct_sum_many(d["A"], [d["S2"], d["S2"], d["P"]["1"]])))
     assert [(c.describe(), m, ok) for c, m, ok in parts] == [("-1:[P_3] 0:[P_2]", 2, True), ("0:[P_1]", 1, True)]
     assert checks and set(checks) == {2}
 
@@ -358,7 +326,7 @@ def test_iso_over_f5_finds_its_witness_among_the_seeded_combinations():
     """Over F_5, I2 (+) S2 ~= S2 (+) I2, but no basis cycle is an isomorphism.
 
     Each basis cycle maps one summand only, so the witness comes from a
-    seeded combination, whose coefficients must be residues in [0, 5).
+    combination from the fixed stream, whose coefficients must be residues in [0, 5).
     """
     d = _ka3_over(PrimeField(5))
     X, Y = direct_sum(d["I2"], d["S2"]), direct_sum(d["S2"], d["I2"])
@@ -366,10 +334,10 @@ def test_iso_over_f5_finds_its_witness_among_the_seeded_combinations():
     cycles = [ChainMap(X, Y, hs.fvars.from_vector(v)) for v in hs.cycle_basis]
     assert cycles and not any(_scalar_invertible_everywhere(g) for g in cycles)
     F5 = X.algebra.field
-    combinations = list(_candidates(F5, hs.cycle_basis, random.Random(0), ISO_TRIALS, 5))[len(cycles) :]
+    combinations = list(_candidates(F5, hs.cycle_basis, ISO_TRIALS, 5))[len(cycles) :]
     assert combinations and all(0 <= c < 5 for v in combinations for c in v)
     # these cycles have disjoint 0/1 supports; on overlapping large residues bare `+` and `*` would overflow
-    combinations = list(_candidates(F5, [[1, 4], [4, 4]], random.Random(0), 20, 5))[2:]
+    combinations = list(_candidates(F5, [[1, 4], [4, 4]], 20, 5))[2:]
     assert combinations and all(0 <= c < 5 for v in combinations for c in v)
     res = is_isomorphic(X, Y)
     assert res.isomorphic and res.certified
@@ -402,13 +370,13 @@ class _MatrixQuotient:
 
 
 def test_idempotent_search_reaches_the_seeded_combinations(monkeypatch):
-    """No basis element of M_2(Q) splits it; the 3rd seeded combination does, on the 7th try."""
+    """No basis element of M_2(Q) splits it; the 3rd combination from the fixed stream does, on the 7th try."""
     S = _MatrixQuotient()
     units = [[int(j == i) for j in range(4)] for i in range(4)]
     assert [_min_poly(S, u) for u in units] == [[1, -1], [1, 0, 0], [1, 0, 0], [1, -2, 1]]
     tries = []
     monkeypatch.setattr(decompose_module, "_try_minpoly_split", lambda S, x: tries.append(x) or _try_minpoly_split(S, x))
-    e = _find_idempotent(S, 0)
+    e = _find_idempotent(S)
     assert e == [Fraction(1, 3), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 6)]
     assert S.mul(e, e) == e
     assert tries[:4] == units and len(tries) == 7

@@ -22,6 +22,7 @@ from siltglue.gluing import (
     glue,
     glue_shortcut,
     k0_report,
+    summand_classes,
 )
 from siltglue.recollement import idempotent_recollement
 
@@ -194,7 +195,8 @@ def test_glue_matrix_over_prime_fields():
 def test_k0_report_over_fp_splits_its_input():
     # P1 (+) P2 (+) P3 given as one complex over F_5 is split into its three summand classes
     A = ka3_algebra(PrimeField(5))
-    rep = k0_report([direct_sum_many(A, [ProjComplex.stalk(A, v) for v in A.quiver.vertices])], A)
+    total = direct_sum_many(A, [ProjComplex.stalk(A, v) for v in A.quiver.vertices])
+    rep = k0_report(summand_classes([total]), A)
     assert rep["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rep["ok"] and rep["det"] == 1
     assert "status" not in rep
@@ -206,27 +208,31 @@ def test_k0_report_eliminates_once(monkeypatch, ka3):
     orig = gluing.rank
     monkeypatch.setattr(gluing, "rank", lambda mat: ranks.append(mat.rows) or orig(mat))
     A, P = ka3["A"], ka3["P"]
-    rep = k0_report([P["1"], P["2"], P["3"]], A)
+    rep = k0_report(summand_classes([P["1"], P["2"], P["3"]]), A)
     assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (3, True, 1, True)
     assert ranks == []
-    rep = k0_report([P["1"], shift(P["1"], 1), P["2"]], A)  # [P1[1]] = -[P1]
+    rep = k0_report(summand_classes([P["1"], shift(P["1"], 1), P["2"]]), A)  # [P1[1]] = -[P1]
     assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (2, True, None, False)
-    rep = k0_report([P["1"], P["2"]], A)
+    rep = k0_report(summand_classes([P["1"], P["2"]]), A)
     assert (rep["rank"], rep["square"], rep["det"], rep["ok"]) == (2, False, None, False)
     assert ranks == [3, 2]
 
 
+def _generation(T_list):
+    return check_generation(T_list, summand_classes(T_list))
+
+
 def test_generation_budget_is_reported(monkeypatch, ka3):
     P = ka3["P"]
-    full = check_generation([P["1"], P["2"]])
+    full = _generation([P["1"], P["2"]])
     assert full["status"] == "inconclusive" and "budget_exhausted" not in full
     assert full["objects"] > 4
     monkeypatch.setattr(gluing, "GENERATION_BUDGET", 4)
-    cut = check_generation([P["1"], P["2"]])
+    cut = _generation([P["1"], P["2"]])
     assert cut["status"] == "inconclusive" and cut["budget_exhausted"] is True
     assert cut["objects"] == 4
     # a set that generates within the budget is unaffected
-    ok = check_generation([P["1"], P["2"], P["3"]])
+    ok = _generation([P["1"], P["2"], P["3"]])
     assert ok["status"] == "generated" and "budget_exhausted" not in ok
 
 
@@ -240,7 +246,7 @@ def test_generation_walks_each_pair_at_one_depth(monkeypatch, ka3):
     orig = gluing.hom_spaces
     monkeypatch.setattr(gluing, "hom_spaces", lambda X, Y: walked.append((X, Y)) or orig(X, Y))
     P = ka3["P"]
-    rep = check_generation([P["1"], P["2"]])
+    rep = _generation([P["1"], P["2"]])
     witnesses = {"1": ("input[0]", 0), "2": ("input[1]", 0)}
     assert rep == {"status": "inconclusive", "ok": False, "missing": ["3"], "objects": 7, "witnesses": witnesses}
     pairs = [(id(X), id(Y)) for X, Y in walked]  # `walked` keeps every object alive, so ids stay distinct

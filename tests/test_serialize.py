@@ -7,6 +7,7 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import QuiverError, build_algebra
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, direct_sum, shift
 from siltglue.approx import cosusp_precover, susp_envelope
+from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace
 from siltglue.serialize import (
     SerializeError,
@@ -81,6 +82,62 @@ def test_complex_fraction_coefficients(ka3):
     assert c == QQ.of("1/2")
 
 
+def _through_text(data):
+    return json.loads(json.dumps(data))
+
+
+def _coefficients(matrices):
+    """The coefficients written in a JSON map from degree to matrix rows."""
+    return [coeff for rows in matrices.values() for row in rows for entry in row for _spec, coeff in entry]
+
+
+def _assert_map_round_trip(f, algebra):
+    data = _through_text(chain_map_to_json(f))
+    back = chain_map_from_json(data, algebra)
+    assert back.source == f.source and back.target == f.target
+    for n in set(f.components) | set(back.components):
+        assert (back.component(n) - f.component(n)).is_zero()
+    return _coefficients(data["components"])
+
+
+@pytest.mark.parametrize("p", [5, 2147483647], ids=["F5", "F2147483647"])
+def test_prime_field_round_trip_through_json_text(p):
+    """Seeded complexes over F_p and Hom representatives between them come back from the JSON text.
+
+    Coefficients are written as residues in [0, p).
+    """
+    rng = seeded_rng(31)
+    field = PrimeField(p)
+    written = []
+    for _ in range(6):
+        alg = build_algebra(random_quiver(rng, max_vertices=4), field)
+        X, Y = random_complex(alg, rng), random_complex(alg, rng)
+        for Z in (X, Y):
+            data = _through_text(complex_to_json(Z))
+            assert complex_from_json(data, algebra=alg) == Z
+            written += _coefficients(data["differentials"])
+        for f in HomSpace(X, Y, 0).basis_maps():
+            written += _assert_map_round_trip(f.scale(field.of(-2)), alg)
+    d = ka3_named_complexes(ka3_algebra(field))
+    (rep,) = HomSpace(d["S2"], d["I2"], 0).basis_maps()
+    written += _assert_map_round_trip(rep.scale(field.of(-1)), d["A"])
+    assert all(type(c) is int and 0 <= c < p for c in written)
+    assert p - 1 in written and p - 2 in written
+
+
+def test_fraction_round_trip_through_json_text(ka3):
+    """Over Q, entries 1/2 and -3/4 are written as "p/q" strings and read back exactly."""
+    A = ka3["A"]
+    (ab,) = ka3["I2"].differential(-1).entries[0][0].terms
+    half, minus_three_quarters = QQ.of("1/2"), QQ.of("-3/4")
+    d = PathMatrix(A, ("1",), ("3", "3"), [[A.element({ab: half}), A.element({ab: minus_three_quarters})]])
+    X = ProjComplex(A, {-1: ("3", "3"), 0: ("1",)}, {-1: d})
+    data = _through_text(complex_to_json(X))
+    assert _coefficients(data["differentials"]) == ["1/2", "-3/4"]
+    assert complex_from_json(data, algebra=A) == X
+    assert set(_assert_map_round_trip(ChainMap.identity(X).scale(minus_three_quarters), A)) == {"-3/4"}
+
+
 def test_complex_row_mismatch_reported(ka3):
     d = complex_to_json(ka3["I2"])
     d["differentials"]["-1"].append([[["a"], 1]])
@@ -123,11 +180,7 @@ def test_chain_map_round_trip(ka3):
     hs = HomSpace(ka3["I2"], ka3["S2"], 0)
     maps = hs.basis_maps() + [ChainMap.identity(ka3["I2"])]
     for f in maps:
-        back = chain_map_from_json(chain_map_to_json(f), A)
-        back.check_chain_condition()
-        assert back.source == f.source and back.target == f.target
-        for n in set(f.components) | set(back.components):
-            assert (back.component(n) - f.component(n)).is_zero()
+        _assert_map_round_trip(f, A)
 
 
 def test_chain_map_from_json_refuses_a_non_chain_map(ka3):
@@ -203,6 +256,42 @@ def test_chain_map_bad_degree_key_is_refused(ka3):
     data["components"]["zero"] = data["components"].pop("0")
     with pytest.raises(SerializeError, match="chain map: bad degree key 'zero'"):
         chain_map_from_json(data, ka3["A"])
+
+
+def _algebra_with(**fields):
+    return {"v": 1, "field": "Q", "vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}], **fields}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_algebra_with(field=5), "algebra: field: expected a JSON string"),
+        (_algebra_with(vertices=["1", 2]), "vertices item: expected a JSON string"),
+        (_algebra_with(arrows={}), "arrows: expected a JSON array"),
+        (_algebra_with(arrows=[["a", "1", "2"]]), "arrow 0: expected a JSON object"),
+        (_algebra_with(arrows=[{"name": 5, "from": "1", "to": "2"}]), "arrow 0 'name': expected a JSON string"),
+    ],
+)
+def test_algebra_field_of_wrong_json_type_is_refused(data, message):
+    with pytest.raises(SerializeError, match=message):
+        algebra_from_json(data)
+
+
+def test_complex_and_chain_map_fields_of_wrong_json_type_are_refused(ka3):
+    A = ka3["A"]
+    with pytest.raises(SerializeError, match="complex: algebra: expected a JSON string"):
+        complex_from_json({"v": 1, "algebra": 5, "components": {}})
+    data = complex_to_json(ka3["I2"])
+    data["differentials"]["-1"] = [5]
+    with pytest.raises(SerializeError, match="differential -1 item: expected a JSON array"):
+        complex_from_json(data, algebra=A)
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    data["components"]["0"] = 5
+    with pytest.raises(SerializeError, match="chain map: component 0: expected a JSON array"):
+        chain_map_from_json(data, A)
+    data["components"] = [5]
+    with pytest.raises(SerializeError, match="chain map: components: expected a JSON object"):
+        chain_map_from_json(data, A)
 
 
 def _count_checks(monkeypatch):
