@@ -2,58 +2,77 @@
 
 Hom(X, Y[k]) is H^k of Hom•(X, Y): Hom^m = (+)_n Hom_A(X^n, Y^{n+m}), with
 the path coefficients of the matrix entries as coordinates, and
-delta^m f = d_Y f - (-1)^m f d_X.  `HomComplex` builds each Hom^m and
-assembles each delta^m once, and reduces delta^m at most once as equations
-(kernel: the cycles) and once as a row space (image: the boundaries).  A
-`HomSpace` is a view: dim = nullity delta^k - rank delta^(k-1).  Since
-d_{Y[k]} = (-1)^k d_Y, kernel and row space are those of the chain maps
-X -> Y[k] modulo homotopy, so only a homotopy witness picks up the sign
-(-1)^k; and Hom(X[s], Y[s]) has the representative vectors of Hom(X, Y).
-A window walker shares one complex per pair, so measuring w shifts assembles
-and reduces w + 1 differentials.  Cycles and representatives wait for a read.
+delta^m f = d_Y f - (-1)^m f d_X.  The coordinates come in blocks, one per
+matrix entry (n, i, j), each a basis of paths of some e_w A e_v.
+`HomComplex` builds each Hom^m and assembles each delta^m once, block by
+block: a path s of d_Y or t of d_X acts on a block through the algebra's
+action tables (`PathAlgebra.left_action`, `right_action`), and each
+non-zero of delta^m comes from exactly one such term, so it is written once
+with no sums.  delta^m is reduced at most once as equations (kernel: the
+cycles) and once as a row space (image: the boundaries), each from the dense
+orientation that reduction reads.  A `HomSpace` is a view:
+dim = nullity delta^k - rank delta^(k-1).  Since d_{Y[k]} = (-1)^k d_Y,
+kernel and row space are those of the chain maps X -> Y[k] modulo homotopy,
+so only a homotopy witness picks up the sign (-1)^k; and Hom(X[s], Y[s]) has
+the representative vectors of Hom(X, Y).  A window walker shares one complex
+per pair, so measuring w shifts assembles and reduces w + 1 differentials.
+Cycles and representatives wait for a read; the representatives take one
+more reduction, of the boundaries on the free coordinates of the cycles.
 """
 
 import functools
-import itertools
 
 from .complexes import ChainMap, PathMatrix, shift
-from .linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref, in_row_space, solve
+from .linalg import Matrix, rref_kernel_basis, row_space_rref, in_row_space, solve
 
 
 class _VarSpace:
-    """Coordinates of Hom^m: degreewise path-matrix maps X^n -> Y^{n+m}."""
+    """Coordinates of Hom^m: degreewise path-matrix maps X^n -> Y^{n+m}.
+
+    `blocks` maps each entry (degree n, row i, col j) with a non-zero
+    e_w A e_v = Hom(P_v, P_w), for w = Y^{n+m}_i and v = X^n_j, to its offset
+    and its paths from w to v; a coordinate is an offset plus the position of
+    a path among them.
+    """
 
     def __init__(self, X, Y, m):
         self.X, self.Y, self.m = X, Y, m
-        self.slots = []  # (degree n, row i, col j, path)
-        self.index = {}
-        alg = X.algebra
+        self.blocks = {}
+        between, dim = X.algebra.between, 0
         for n in sorted(set(X.components) & {n - m for n in Y.components}):
-            for i, w in enumerate(Y.component(n + m)):
-                for j, v in enumerate(X.component(n)):
-                    for p in alg.paths_between(w, v):  # Hom(P_v, P_w) = e_w A e_v
-                        self.index[(n, i, j, p)] = len(self.slots)
-                        self.slots.append((n, i, j, p))
-        self.dim = len(self.slots)
+            xs = X.components[n]
+            for i, w in enumerate(Y.components[n + m]):
+                for j, v in enumerate(xs):
+                    paths = between.get((w, v))
+                    if paths:
+                        self.blocks[n, i, j] = (dim, paths)
+                        dim += len(paths)
+        self.dim = dim
 
     def to_vector(self, comps):
         """Flatten degreewise matrices {n: PathMatrix} into coordinates."""
-        vec = [self.X.algebra.field.zero] * self.dim
+        alg = self.X.algebra
+        pos, vec = alg.between_index, [alg.field.zero] * self.dim
         for n, m in comps.items():
-            for (i, j), terms in m.cells.items():
+            for ij, terms in m.cells.items():
+                off = self.blocks[(n, *ij)][0]
                 for p, c in terms.items():
-                    vec[self.index[n, i, j, p]] = c
+                    vec[off + pos[p]] = c
         return vec
+
+    @functools.cached_property
+    def slots(self):
+        """(degree n, row i, col j, path) of each coordinate, in order."""
+        return [(n, i, j, p) for (n, i, j), (_, paths) in self.blocks.items() for p in paths]
 
     def from_vector(self, vec):
         """Inverse of to_vector; returns {n: PathMatrix}."""
         X, Y, m = self.X, self.Y, self.m
-        alg, fld, cells = X.algebra, X.algebra.field, {}
+        alg, is_zero, slots, cells = X.algebra, X.algebra.field.is_zero, self.slots, {}
         for idx, c in enumerate(vec):
-            if fld.is_zero(c):
-                continue
-            n, i, j, p = self.slots[idx]
-            cells.setdefault(n, {}).setdefault((i, j), {})[p] = c
+            if c and not is_zero(c):  # a zero scalar is falsy; is_zero also knows an unreduced one
+                n, i, j, p = slots[idx]
+                cells.setdefault(n, {}).setdefault((i, j), {})[p] = c
         return {n: PathMatrix._of(alg, Y.component(n + m), X.component(n), cs) for n, cs in cells.items()}
 
 
@@ -62,7 +81,7 @@ class HomComplex:
 
     def __init__(self, X, Y):
         self.X, self.Y, self.field = X, Y, X.algebra.field
-        # a unit map meets one column of a d_Y and one row of a d_X
+        # a block (n, i, j) meets column i of d_Y^(n+m) and row j of d_X^(n-1)
         self._dy_cols = {n: d.lines(1) for n, d in Y.differentials.items()}
         self._dx_rows = {n: d.lines(0) for n, d in X.differentials.items()}
         self._terms, self._deltas, self._equations, self._images = {}, {}, {}, {}
@@ -74,42 +93,63 @@ class HomComplex:
         return self._terms[m]
 
     def delta(self, m):
-        """delta^m as dense rows: the images in Hom^(m+1) of the unit maps of Hom^m, in slot order."""
+        """delta^m as its non-zero entries [(coordinate of Hom^m, coordinate of Hom^(m+1), value)]."""
         if m not in self._deltas:
-            zero, width = self.field.zero, self.term(m + 1).dim
-            images = (self._unit_image(slot, m) for slot in self.term(m).slots)
-            self._deltas[m] = [[img.get(c, zero) for c in range(width)] for img in images]
+            self._deltas[m] = self._assemble(m)
         return self._deltas[m]
 
-    def _unit_image(self, slot, m):
-        """delta^m u = d_Y u - (-1)^m u d_X, sparse, for the unit map u: X^n -> Y^{n+m} at `slot`.
+    def _assemble(self, m):
+        """The entries of delta^m, block by block from the action tables.
 
-        u is the path p at (i, j): d_Y u has entries d_Y[r][i] p at (n, r, j),
-        and u d_X has entries p d_X[j][c] at (n-1, i, c).
+        For a path p in block (n, i, j) of Hom^m, d_Y p has the entries s p
+        at (n, r, j) for the terms s of d_Y[r][i], and p d_X the entries p t
+        at (n-1, i, c) for the terms t of d_X[j][c], with sign -(-1)^m.
         """
-        n, i, j, p = slot
-        fld, prod, index = self.field, self.X.algebra.compose_paths, self.term(m + 1).index
-        out = {}
-        for r, terms in self._dy_cols.get(n + m, {}).get(i, ()):
-            for s, c in terms.items():
-                idx = index[n, r, j, prod(s, p)]
-                out[idx] = fld.add(out.get(idx, fld.zero), c)
-        for col, terms in self._dx_rows.get(n - 1, {}).get(j, ()):
-            for t, c in terms.items():
-                idx = index[n - 1, i, col, prod(p, t)]
-                out[idx] = fld.add(out.get(idx, fld.zero), c if m % 2 else fld.neg(c))
+        alg, even = self.X.algebra, not m % 2
+        neg, left, right = self.field.neg, alg.left_action, alg.right_action
+        src, dst, out = self.term(m).blocks, self.term(m + 1).blocks, []
+        put, degree = out.append, None
+        for (n, i, j), (off, paths) in src.items():
+            if n != degree:
+                degree, dy, dx = n, self._dy_cols.get(n + m, {}), self._dx_rows.get(n - 1, {})
+            for r, terms in dy.get(i, ()):
+                to, v = dst[n, r, j][0], paths[0].target
+                for s, c in terms.items():
+                    for a, b in left[s, v]:
+                        put((off + a, to + b, c))
+            for col, terms in dx.get(j, ()):
+                to, w = dst[n - 1, i, col][0], paths[0].source
+                for t, c in terms.items():
+                    c = neg(c) if even else c
+                    for a, b in right[t, w]:
+                        put((off + a, to + b, c))
+        return out
+
+    def dense(self, m, transposed=False):
+        """delta^m as dense rows, one per coordinate of Hom^m (transposed: of Hom^(m+1)); no rows when either is 0."""
+        rows, cols, zero = self.term(m).dim, self.term(m + 1).dim, self.field.zero
+        if not (rows and cols):
+            return []
+        if transposed:
+            out = [[zero] * rows for _ in range(cols)]
+            for a, b, c in self.delta(m):
+                out[b][a] = c
+        else:
+            out = [[zero] * cols for _ in range(rows)]
+            for a, b, c in self.delta(m):
+                out[a][b] = c
         return out
 
     def equations(self, m):
         """RREF (rows, pivots) of delta^m as equations on Hom^m: its kernel is the cycles."""
         if m not in self._equations:
-            self._equations[m] = row_space_rref(self.field, list(zip(*self.delta(m))))
+            self._equations[m] = row_space_rref(self.field, self.dense(m, transposed=True))
         return self._equations[m]
 
     def image(self, m):
         """RREF (rows, pivots) of im delta^m in Hom^(m+1): the boundaries there."""
         if m not in self._images:
-            self._images[m] = row_space_rref(self.field, self.delta(m) if self.term(m + 1).dim else [])
+            self._images[m] = row_space_rref(self.field, self.dense(m))
         return self._images[m]
 
     def rank(self, m, reduce):
@@ -143,14 +183,25 @@ class HomSpace:
 
     @functools.cached_property
     def _reps(self):
-        """Canonical representatives: cycle-kernel vectors that grow the span,
-        added one by one to a running RREF of the boundaries, until `dim`."""
+        """Canonical representatives: the cycle-basis vectors that grow the span of the
+        boundaries and the vectors before them, picked in one reduction.
+
+        Cycle-basis vector q is 1 at the q-th free column of the equations,
+        0 at the other free columns, and the free coordinates are an
+        isomorphism from the cycles onto their space.  So q lies in the span
+        of the boundaries and vectors 0..q-1 exactly when some boundary, on
+        the free coordinates, has its last non-zero at q: exactly when q is a
+        pivot of the boundary rows restricted to the free columns and read
+        in reverse order.  The others, `dim` of them, are the same vectors a
+        running RREF would keep, one cycle at a time.
+        """
         if not self.dim:
             return []
-        fld = self.X.algebra.field
-        brows, bpivs = self.hom.image(self.k - 1)  # the boundaries
-        rows, pivs = [list(r) for r in brows], list(bpivs)
-        return list(itertools.islice((v for v in self.cycle_basis if extend_rref(fld, rows, pivs, v)), self.dim))
+        pivots = set(self.hom.equations(self.k)[1])
+        free = [c for c in range(self.fvars.dim) if c not in pivots]  # cycle-basis vector q is 1 at free[q]
+        boundaries = [[row[c] for c in reversed(free)] for row in self.hom.image(self.k - 1)[0]]
+        skipped = {len(free) - 1 - p for p in row_space_rref(self.X.algebra.field, boundaries)[1]}
+        return [v for q, v in enumerate(self.cycle_basis) if q not in skipped]
 
     def basis_maps(self):
         """Canonical representing chain maps X -> Y[k].
@@ -160,9 +211,15 @@ class HomSpace:
         """
         return [ChainMap(self.X, self.Z, self.fvars.from_vector(v)) for v in self._reps]
 
+    def _vector(self, f):
+        """The coordinates of f in Hom^k; ValueError unless f maps X to Y[k]."""
+        if f.source.components != self.X.components or f.target.components != self.Z.components:
+            raise ValueError("map not from X to Y[k] of this Hom space")
+        return self.fvars.to_vector(f.components)
+
     def is_null_homotopic(self, f):
-        vec = self.fvars.to_vector(f.components)
-        return in_row_space(self.X.algebra.field, *self.hom.image(self.k - 1), vec)
+        """Whether the map f: X -> Y[k] is a boundary; ValueError for a map of another source or target."""
+        return in_row_space(self.X.algebra.field, *self.hom.image(self.k - 1), self._vector(f))
 
     def coordinates(self, f):
         """Coefficients of [f] in the representative basis, exact.
@@ -172,10 +229,11 @@ class HomSpace:
         block, because those rows are independent, so each reduced row comes
         with its expression in reps and boundaries.  Every call reduces f
         against the reduced rows and sums the rep parts of their expressions.
-        Raises ValueError if f is not a cycle of this Hom space.
+        Raises ValueError if f is not a cycle of this Hom space, or not a
+        map X -> Y[k].
         """
         fld = self.X.algebra.field
-        vec = self.fvars.to_vector(f.components)
+        vec = self._vector(f)
         x = [fld.zero] * len(self._reps)
         for col, row, expr in self._solver:
             c = vec[col]
@@ -208,12 +266,13 @@ class HomSpace:
         """For a null-homotopic f, a degree -1 map h with f = d h + h d.
 
         With d = d_{Y[k]} = (-1)^k d_Y, d h + h d = (-1)^k delta^(k-1) h, so
-        h is (-1)^k times a solution of delta^(k-1) x = f.
+        h is (-1)^k times a solution of delta^(k-1) x = f.  Returns None
+        when f is not null-homotopic; ValueError unless f maps X to Y[k].
         """
         fld = self.X.algebra.field
-        vec = self.fvars.to_vector(f.components)
-        rows = self.hom.delta(self.k - 1)
-        x = solve(Matrix(fld, [[row[r] for row in rows] for r in range(self.fvars.dim)], cols=len(rows)), vec)
+        vec = self._vector(f)
+        rows = self.hom.dense(self.k - 1, transposed=True) or [[] for _ in vec]
+        x = solve(Matrix(fld, rows, cols=self.hvars.dim), vec)
         if x is None:
             return None
         return self.hvars.from_vector([fld.neg(c) for c in x] if self.k % 2 else x)

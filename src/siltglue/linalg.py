@@ -182,22 +182,23 @@ def extend_rref(field, rref_rows, pivots, vec):
     same as `row_space_rref` of the old rows plus `vec`, without reducing the
     old rows again: the non-zero entries of the residue of `vec` are
     normalized and its pivot column cleared from the rows that meet it.
+    Every stored entry is the field zero or goes through `field.of`, so over
+    Q an integral one is an int; the residue takes one inverse, of its pivot.
     """
     fld = field
-    v = residue(fld, rref_rows, pivots, vec)
-    nz = [c for c, x in enumerate(v) if not fld.is_zero(x)]
+    res = residue(fld, rref_rows, pivots, vec)
+    nz = [c for c, x in enumerate(res) if not fld.is_zero(x)]
     if not nz:
         return False
-    col = nz[0]
-    if v[col] != fld.one:
-        inv = fld.inv(v[col])
-        for c in nz:
-            v[c] = fld.mul(v[c], inv)
+    col, v = nz[0], [fld.zero] * len(res)
+    inv = fld.inv(res[col])
+    for c in nz:
+        v[c] = fld.of(fld.mul(res[c], inv))
     for row in rref_rows:
         f = row[col]
         if not fld.is_zero(f):
             for c in nz:
-                row[c] = fld.sub(row[c], fld.mul(f, v[c]))
+                row[c] = fld.of(fld.sub(row[c], fld.mul(f, v[c])))
     at = bisect.bisect(pivots, col)
     rref_rows.insert(at, v)
     pivots.insert(at, col)

@@ -8,6 +8,7 @@ Conventions (fixed once, everywhere):
   multiplication, with basis the paths from w to v.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .fields import QQ
@@ -141,6 +142,46 @@ class Path:
         return f"Path({self.label()}: {self.source}->{self.target})"
 
 
+class _Memo(dict):
+    """A table of `make(*key)`, each value made on the first read of its key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(*key)
+        return value
+
+
+def _product(p, q):
+    """The path p*q, first p then q, of composable paths p and q."""
+    return Path(p.source, q.target, p.arrows + q.arrows)
+
+
+def _left_pairs(between, pos, s, v):
+    """Left multiplication by the path s, e_{s.target} A e_v -> e_{s.source} A e_v, as position pairs.
+
+    The pairs (a, b) say that s*p is path b of e_{s.source} A e_v when p is
+    path a of e_{s.target} A e_v (positions in `between`, found by `pos`).
+    A path algebra has no relations, so s*p is a single path; s*p = s'*p
+    only when s = s', and s*p = s*p' only when p = p'.  That is why
+    `HomComplex` writes each entry of delta^m once, with no sums: for one
+    basis path p, the terms s of one entry of d_Y give distinct s*p,
+    distinct entries land in distinct blocks, the same holds for the
+    products p*t with d_X, and the two kinds land in different degrees.
+    Read through the memo `PathAlgebra.left_action[s, v]`.
+    """
+    return [(a, pos[_product(s, p)]) for a, p in enumerate(between.get((s.target, v), ()))]
+
+
+def _right_pairs(between, pos, t, w):
+    """Right multiplication by the path t, e_w A e_{t.source} -> e_w A e_{t.target}: the mirror
+    image of `_left_pairs`, with pairs (a, b) such that p*t is path b when p is path a.
+    Read through the memo `PathAlgebra.right_action[t, w]`."""
+    return [(a, pos[_product(p, t)]) for a, p in enumerate(between.get((w, t.source), ()))]
+
+
 class PathAlgebra:
     """Path algebra of a finite acyclic quiver over an exact field.
 
@@ -153,13 +194,21 @@ class PathAlgebra:
         self.field = field
         self.basis = self._enumerate_paths()
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
-        # paths from w to v, i.e. a basis of e_w A e_v = Hom(P_v, P_w)
-        self._between = {}
+        # between[w, v]: the paths from w to v, a basis of e_w A e_v = Hom(P_v, P_w), not to be
+        # changed; between_index[p]: the position of p there
+        self.between, self.between_index = {}, {}
         for p in self.basis:
-            self._between.setdefault((p.source, p.target), []).append(p)
+            paths = self.between.setdefault((p.source, p.target), [])
+            self.between_index[p] = len(paths)
+            paths.append(p)
         self._trivial = {p.source: p for p in self.basis if p.is_trivial()}
         # path-product table (p, q) -> pq, filled as composable pairs are met
         self._products = {}
+        # action tables left_action[s, v] and right_action[t, w], filled as they are read; they
+        # hold no reference to the algebra, which reference counting can then free at once
+        tables = (self.between, self.between_index)
+        self.left_action = _Memo(functools.partial(_left_pairs, *tables))
+        self.right_action = _Memo(functools.partial(_right_pairs, *tables))
 
     def _enumerate_paths(self):
         q = self.quiver
@@ -204,7 +253,7 @@ class PathAlgebra:
             return None
         pq = self._products.get((p, q))
         if pq is None:
-            pq = self._products[p, q] = self._interned(Path(p.source, q.target, p.arrows + q.arrows))
+            pq = self._products[p, q] = self._interned(_product(p, q))
         return pq
 
     def _interned(self, path):
@@ -214,7 +263,7 @@ class PathAlgebra:
 
     def paths_between(self, src, tgt):
         """All paths src -> tgt, in basis order."""
-        return list(self._between.get((src, tgt), []))
+        return list(self.between.get((src, tgt), ()))
 
     def element(self, terms):
         return AlgebraElement(self, dict(terms))

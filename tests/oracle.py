@@ -1,4 +1,5 @@
-"""Independent brute-force Hom-dimension solver used as a test oracle.
+"""Independent brute-force Hom-dimension solver used as a test oracle, and
+the differentials of the Hom complex built one unit map at a time.
 
 Deliberately avoids the library's linear algebra and Hom machinery: it
 flattens the chain-map and homotopy conditions into plain scalar matrices
@@ -85,6 +86,30 @@ def _apply_right(alg, i, j, p, dmat):
                 out[(i, c_, pq)] = out.get((i, c_, pq), alg.field.zero)
                 out[(i, c_, pq)] = alg.field.add(out[(i, c_, pq)], c)
     return out
+
+
+def oracle_delta(X, Y, m):
+    """delta^m of Hom•(X, Y) as dense rows, one unit map of Hom^m at a time.
+
+    The row of the unit map u at (n, i, j, p) is d_Y u - (-1)^m u d_X in the
+    coordinates of Hom^(m+1), summed term by term: the per-coordinate rule
+    that the library replaces with action tables.  Coordinates are
+    (n, i, j, path) in the library's order.
+    """
+    alg, field = X.algebra, X.algebra.field
+    units, images = _graded_map_vars(alg, X, Y, m), _graded_map_vars(alg, X, Y, m + 1)
+    index = {var: idx for idx, var in enumerate(images)}
+    rows = []
+    for n, i, j, p in units:
+        row = [field.zero] * len(images)
+        for (r, c_, q), coeff in _apply_left(alg, Y.differential(n + m), n, i, j, p, None).items():
+            idx = index[n, r, c_, q]
+            row[idx] = field.add(row[idx], coeff)
+        for (r, c_, q), coeff in _apply_right(alg, i, j, p, X.differential(n - 1)).items():
+            idx = index[n - 1, r, c_, q]
+            row[idx] = field.add(row[idx], coeff if m % 2 else field.neg(coeff))
+        rows.append(row)
+    return rows
 
 
 def oracle_hom_dim(X, Y, k):

@@ -1,12 +1,17 @@
+import functools
+import itertools
+
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
-from oracle import oracle_hom_dim
+from oracle import oracle_delta, oracle_hom_dim
+from test_recollement import _parallel_routes
 from verifiers import boundary
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, direct_sum, shift
-from siltglue.linalg import Matrix, solve
+from siltglue.fixtures import ka3_algebra
+from siltglue.linalg import Matrix, extend_rref, solve
 from siltglue import homs
 from siltglue.approx import add_shift_preenvelope
 from siltglue.homs import (
@@ -341,24 +346,36 @@ def test_dim_is_the_number_of_representatives(field):
     assert all(seen.values()), seen
 
 
+def _spy_on_reps(monkeypatch):
+    """Record each space whose representatives are picked; returns the list."""
+    picked = []
+    orig = HomSpace._reps.func
+
+    def recording(self):
+        picked.append(self)
+        return orig(self)
+
+    spy = functools.cached_property(recording)
+    spy.__set_name__(HomSpace, "_reps")
+    monkeypatch.setattr(HomSpace, "_reps", spy)
+    return picked
+
+
 def test_measuring_builds_no_representatives(ka3, monkeypatch):
-    """hom_dim and hom_dim_table read two ranks; no representative is chosen."""
-    calls = []
-    orig = homs.extend_rref
-
-    def counting(*args):
-        calls.append(1)
-        return orig(*args)
-
-    monkeypatch.setattr(homs, "extend_rref", counting)
+    """hom_dim and hom_dim_table read two ranks; no representative is picked until basis_maps() is read."""
+    picked = _spy_on_reps(monkeypatch)
     X = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
     Y = direct_sum(ka3["P"]["3"], ka3["I2"])
     table = hom_dim_table(X, Y)
     assert any(table.values())
     assert [hom_dim(X, Y, k) for k in table] == list(table.values())
-    assert not calls
-    assert len(HomSpace(X, Y, max(table, key=table.get)).basis_maps()) == max(table.values())
-    assert calls  # the counter sees the representatives once they are read
+    assert not picked
+    hs = HomSpace(X, Y, max(table, key=table.get))
+    assert not picked
+    assert len(hs.basis_maps()) == max(table.values())
+    assert picked == [hs]  # the spy sees the representatives once they are read
+    hs.basis_maps()
+    assert picked == [hs]
 
 
 def test_s_search_builds_representatives_only_where_read(ka3, monkeypatch):
@@ -434,15 +451,16 @@ def test_representatives_are_shift_invariant(field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_a_window_walk_assembles_each_differential_once(field, monkeypatch):
     """Reading every view of a window (dims, representatives, null-homotopy, coordinates, witnesses)
-    assembles each delta^m once: one unit image per coordinate of Hom^m, for m from lo - 1 to hi."""
+    assembles each delta^m once, for m from lo - 1 to hi; one with no rows or no columns is never assembled."""
     calls = []
-    orig = HomComplex._unit_image
+    orig = HomComplex._assemble
 
-    def counting(self, slot, m):
+    def counting(self, m):
         calls.append(m)
-        return orig(self, slot, m)
+        return orig(self, m)
 
-    monkeypatch.setattr(HomComplex, "_unit_image", counting)
+    monkeypatch.setattr(HomComplex, "_assemble", counting)
+    assembled = 0
     for X, Y in _random_pairs(field, 813, 6):
         calls.clear()
         spaces = hom_spaces(X, Y)
@@ -453,7 +471,99 @@ def test_a_window_walk_assembles_each_differential_once(field, monkeypatch):
             hs.homotopy_witness(ChainMap.zero(X, hs.Z))
         hom = next(iter(spaces.values())).hom
         lo, hi = min(spaces), max(spaces)
-        assert sorted(calls) == [m for m in range(lo - 1, hi + 1) for _ in range(hom.term(m).dim)]
+        assert sorted(calls) == [m for m in range(lo - 1, hi + 1) if hom.term(m).dim and hom.term(m + 1).dim]
+        assembled += len(calls)
+    assert assembled >= 12
+
+
+def _delta_pairs(field, seed, count):
+    """`count` pairs of sums of two random complexes, over random quivers and over a quiver with
+    parallel arrows, each pair with a non-empty window."""
+    rng = seeded_rng(seed)
+    parallel, _ = _parallel_routes(field)
+    pairs = []
+    while len(pairs) < count:
+        alg = parallel if len(pairs) % 2 else build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X, Y = (direct_sum(*(random_complex(alg, rng, steps=3, shift_range=1) for _ in range(2))) for _ in range(2))
+        lo, hi = hom_window(X, Y)
+        if lo <= hi:
+            pairs.append((X, Y))
+    return pairs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_table_built_differentials_match_the_unit_images(field):
+    """delta^m from the action tables equals delta^m built one unit map at a time, with sums,
+    and names each non-zero entry once."""
+    checked = 0
+    for X, Y in _delta_pairs(field, 815, 24):
+        hom = HomComplex(X, Y)
+        lo, hi = hom_window(X, Y)
+        for m in range(lo - 2, hi + 2):
+            entries = hom.delta(m)
+            assert len({(a, b) for a, b, _ in entries}) == len(entries)
+            assert not any(field.is_zero(c) for _, _, c in entries)
+            dense = [[field.zero] * hom.term(m + 1).dim for _ in range(hom.term(m).dim)]
+            for a, b, c in entries:
+                dense[a][b] = c
+            assert dense == oracle_delta(X, Y, m)
+            assert hom.dense(m) == (dense if hom.term(m + 1).dim else [])
+            assert hom.dense(m, transposed=True) == ([list(c) for c in zip(*dense)] if dense else [])
+            checked += len(entries)
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_action_tables_agree_with_compose_paths(field):
+    """left_action[s, v] and right_action[t, w] hold exactly the products of composable basis paths."""
+    rng = seeded_rng(816)
+    algebras = [ka3_algebra(field), _parallel_routes(field)[0]]
+    algebras += [build_algebra(random_quiver(rng, max_vertices=5, arrow_prob=0.6), field) for _ in range(3)]
+    for alg in algebras:
+        for s in alg.basis:
+            for v in alg.quiver.vertices:
+                paths, ends = alg.paths_between(s.target, v), alg.paths_between(s.source, v)
+                products = [(p, alg.compose_paths(s, p)) for p in paths]
+                assert [(paths[a], ends[b]) for a, b in alg.left_action[s, v]] == products
+                paths, ends = alg.paths_between(v, s.source), alg.paths_between(v, s.target)
+                products = [(p, alg.compose_paths(p, s)) for p in paths]
+                assert [(paths[a], ends[b]) for a, b in alg.right_action[s, v]] == products
+
+
+def _greedy_reps(hs):
+    """The cycle-basis vectors that grow a running RREF of the boundaries, one at a time, until dim."""
+    fld = hs.X.algebra.field
+    brows, bpivs = hs.hom.image(hs.k - 1)
+    rows, pivs = [list(r) for r in brows], list(bpivs)
+    return list(itertools.islice((v for v in hs.cycle_basis if extend_rref(fld, rows, pivs, v)), hs.dim))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_representatives_are_the_greedy_choice(field):
+    """The one-reduction representatives are the vectors a running RREF keeps, cycle by cycle."""
+    compared = 0
+    for X, Y in _random_pairs(field, 817, 10) + _delta_pairs(field, 817, 6):
+        for hs in hom_spaces(X, Y).values():
+            assert hs._reps == _greedy_reps(hs)
+            compared += hs._reps != hs.cycle_basis[: hs.dim]  # some cycle before the last rep is skipped
+    assert compared >= 5
+
+
+def test_maps_of_another_shift_are_refused(ka3):
+    """coordinates, is_null_homotopic and homotopy_witness raise ValueError for a map not X -> Y[k]."""
+    X = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    Y = direct_sum(ka3["P"]["3"], ka3["I2"])
+    base = HomSpace(X, Y, 0)
+    f = base.basis_maps()[0]
+    assert base.coordinates(f) == [1] + [0] * (base.dim - 1)
+    other = HomSpace(X, Y, 2)
+    for read in (other.coordinates, other.is_null_homotopic, other.homotopy_witness):
+        with pytest.raises(ValueError, match="not from X to Y"):
+            read(f)
+    back = HomSpace(Y, X, 0)  # the source and target swapped
+    for read in (back.coordinates, back.is_null_homotopic, back.homotopy_witness):
+        with pytest.raises(ValueError, match="not from X to Y"):
+            read(f)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

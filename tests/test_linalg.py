@@ -147,6 +147,25 @@ def test_extend_rref_matches_full_reduction(seed):
             before = row_space_rref(field, vectors[:i])
             assert extend_rref(field, rows, pivs, v) == (not in_row_space(field, *before, v))
             assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
+            assert field != QQ or all(is_q_scalar(x) for r in rows for x in r)
+
+
+def test_extend_rref_keeps_the_scalar_representation():
+    """Over Q an integral entry of the grown rows is an int, not an integral Fraction; over F_5 the rows
+    are the canonical RREF, as before."""
+    rows, pivs = [], []
+    assert extend_rref(QQ, rows, pivs, [2, 4, 0])
+    assert rows == [[1, 2, 0]] and all(is_q_scalar(x) for r in rows for x in r)
+    assert extend_rref(QQ, rows, pivs, [1, 0, 3])
+    assert (rows, pivs) == ([[1, 0, 3], [0, 1, Fraction(-3, 2)]], [0, 1])
+    assert all(is_q_scalar(x) for r in rows for x in r)
+    assert extend_rref(QQ, rows, pivs, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])  # residue (0, 0, -1/2)
+    assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and all(type(x) is int for r in rows for x in r)
+    F5, rows, pivs = PrimeField(5), [], []
+    for v in ([2, 4, 0], [1, 0, 3]):
+        assert extend_rref(F5, rows, pivs, v)
+    assert (rows, pivs) == ([[1, 0, 3], [0, 1, 1]], [0, 1])
+    assert (rows, pivs) == tuple(map(list, row_space_rref(F5, [[2, 4, 0], [1, 0, 3]])))
 
 
 def sparse_rows(rng, value):
@@ -245,4 +264,5 @@ def test_sparse_extend_rref_matches_full_reduction(seed):
             before = row_space_rref(field, vectors[:i])
             assert extend_rref(field, rows, pivs, v) == (not in_row_space(field, *before, v))
             assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
+            assert field != QQ or all(is_q_scalar(x) for r in rows for x in r)
             assert in_row_space(field, rows, pivs, v)

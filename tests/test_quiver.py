@@ -1,7 +1,9 @@
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -123,3 +125,20 @@ def test_unpickled_path_hashes_afresh():
             [sys.executable, "-c", script], input=data, capture_output=True, env=env, timeout=60, check=True
         )
         assert res.stdout.strip() == b"True"
+
+
+def test_an_algebra_with_read_tables_is_freed_by_reference_counting():
+    """The action tables hold no reference back to their algebra, so dropping the last
+    reference frees it at once, without waiting for the cycle collector."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    gc.disable()
+    try:
+        alg = build_algebra(q)
+        for s in alg.basis:
+            for v in q.vertices:
+                alg.left_action[s, v], alg.right_action[s, v]
+        freed = weakref.ref(alg)
+        del alg
+        assert freed() is None
+    finally:
+        gc.enable()
