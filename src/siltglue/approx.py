@@ -3,23 +3,28 @@
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
 from Hom-basis representatives, minimizes them by one greedy pass that tries
 each copy once, and builds the susp(T)-envelope triangle V -> M -> U in
-stages: each takes the minimized cocone of its input's minimal
-add(T)[s]-preenvelope, and U is one cone, of the composite of the stages'
-cocone maps.  A deletion is decided on Hom coordinates: a set of target
-copies is a preenvelope exactly when every map M -> T_j[s] factors through
-it (Auslander-Smalo), a rank condition on the coordinates of the maps each
-copy lets through, so no candidate map is assembled.  The cosusp(T)-precover
-is the same construction over the opposite algebra, transported back.  All
-certificates are exact.
+stages: each takes the minimized cocone W of its input's minimal
+add(T)[s]-preenvelope, with its map to the input.  With w the composite of
+those maps, W -w-> M -> C(-w) -> W[1] is distinguished, being the cone
+triangle of -w with its first term changed by -id: V is the last stage's W
+and v_map is w, and U is one cone, C(-w) minimized.  With no stage U = 0,
+f = 0 and V is the minimal model of M.  A deletion is decided on Hom
+coordinates: a set of target copies is a preenvelope exactly when every map
+M -> T_j[s] factors through it (Auslander-Smalo), a rank condition on the
+coordinates of the maps each copy lets through, so no candidate map is
+assembled.  The cosusp(T)-precover is the same construction over the
+opposite algebra, transported back.  All certificates are exact.
 
 Each stage builds every Hom(W, T_i[k]) once: the s-search (`s_search`) keeps
 the spaces at s, and the preenvelope carries them and their representatives
 into `left_minimize`; each Hom(T_i, T_j) is built once per envelope and
-shifted to each stage's s.  The chain condition is checked once, on the maps
-a result reports: f and v_map of `susp_envelope`, and u_map and v_map of
-`cosusp_precover` over A (not again over the opposite algebra).  The stacked
-preenvelopes, the composite of the cocone maps and the map into its cone
-are chain maps by construction and are not checked.
+shifted to each stage's s.  The last s-search finds every Hom(V, T_i[k]),
+k >= 0, zero, and the certificate reads those spaces.  The chain condition
+is checked once, on the maps a result reports: f and v_map of
+`susp_envelope`, the latter the composite of the cocone maps, and u_map and
+v_map of `cosusp_precover` over A (not again over the opposite algebra).
+The stacked preenvelopes are chain maps by construction and are not
+checked.
 """
 
 from functools import reduce
@@ -27,6 +32,7 @@ from functools import reduce
 from .complexes import (
     ChainMap,
     PathMatrix,
+    ProjComplex,
     cocone,
     cone,
     direct_sum_many,
@@ -184,15 +190,15 @@ def indecomposable_refinement(T_list):
     return [X for T in T_list for X, _mult, _cert in decompose(T)]
 
 
-def _susp_envelope_stage(W, T_list, bound, between):
+def _susp_envelope_stage(W, T_list, bound, between, scan):
     """One stage: (layer, Cm, u), or None when no Hom(W, T_i[s]) with s >= 0 is non-zero.
 
     Cm is the minimized cocone of W's minimal add(T)[s]-preenvelope and
     u: Cm -> W its map to W; s must stay below `bound`.  The s-search hands
-    the Hom spaces it built at s on to the preenvelope, and `between` is the
-    envelope's table for `left_minimize`.
+    the Hom spaces it built at s on to the preenvelope, and every space it
+    built to `scan`; `between` is the envelope's table for `left_minimize`.
     """
-    s, spaces = s_search(W, T_list)
+    s, spaces = s_search(W, T_list, scan)
     if s is None:
         return None
     if bound is not None and s >= bound:
@@ -204,19 +210,32 @@ def _susp_envelope_stage(W, T_list, bound, between):
 
 
 def _envelope(M, T_list):
-    """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace).
+    """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace, zeros).
 
-    w: W_r -> M composes the stages' cocone maps M = W_0 <- W_1 <- ... <- W_r.
-    By the octahedral axiom C(-w) is the iterated homotopy pushout of the
-    stages, so U takes a single cone.
+    The stages give M = W_0 <- W_1 <- ... <- W_r, each map the pulled
+    cocone map u of a stage, and w: W_r -> M composes them.  The triangle
+    W_r -w-> M -> C(-w) -> W_r[1] is distinguished: it is the cone triangle
+    of -w with its first term changed by -id.  So V is W_r, already
+    minimal, v_map is w, and U is the minimized C(-w) with f the push of
+    the inclusion of M; by the octahedral axiom C(-w) is the iterated
+    homotopy pushout of the stages, so U takes a single cone.  With no
+    stage U = 0 and f = 0, V is the minimal model of M and v_map its
+    inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of the last stage's
+    scan, every k >= 0 where they can be non-zero.
     """
     T_list = indecomposable_refinement(T_list)
     W, maps, trace, between = M, [], [], {}
-    while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between):
+    # a fresh scan per stage: after the loop it holds the search that found no s
+    while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between, scan := {}):
         layer, W, u = stage
         maps.append(u)
         trace.append(layer)
-    w = reduce(ChainMap.compose, maps) if maps else ChainMap.identity(M)
+    zeros = list(scan.values())
+    if not maps:
+        Mm = minimize(M)
+        U = ProjComplex.zero(M.algebra)
+        return ChainMap.zero(M, U), U, Mm.complex, Mm.from_min, trace, zeros
+    w = reduce(ChainMap.compose, maps)
     X = cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
     alg = M.algebra
     incl = {
@@ -224,19 +243,20 @@ def _envelope(M, T_list):
         for n, vs in M.components.items()
     }
     Xm = minimize(X)
-    f = Xm.push(ChainMap(M, X, incl))
-    V, v = cocone(f)
-    Vm = minimize(V)
-    return f, Xm.complex, Vm.complex, Vm.pull(v), trace
+    return Xm.push(ChainMap(M, X, incl)), Xm.complex, W, w, trace, zeros
 
 
-def _check_orthogonal(pairs, what):
+def _check_orthogonal(pairs, what, built=()):
     """Raise ApproxError unless Hom(X_i, Y_i[k]) = 0 for all (X_i, Y_i) in `pairs`, k >= 0.
 
     Checked exactly over each support window; the error lists the
-    (i, k, dim) of every non-zero Hom.
+    (i, k, dim) of every non-zero Hom.  A space in `built` whose X and Y
+    are the pair's own objects is read, not built again.
     """
-    bad = [(i, k, hs.dim) for i, (X, Y) in enumerate(pairs) for k, hs in nonzero_homs(X, Y, 0)]
+    bad = []
+    for i, (X, Y) in enumerate(pairs):
+        known = {hs.k: hs for hs in built if hs.X is X and hs.Y is Y}
+        bad += [(i, k, hs.dim) for k, hs in nonzero_homs(X, Y, 0, known)]
     if bad:
         raise ApproxError(f"{what} not orthogonal: {bad}")
 
@@ -244,18 +264,20 @@ def _check_orthogonal(pairs, what):
 def susp_envelope(M, T_list):
     """Envelope triangle V -> M -> U with U in susp(T), V left-orthogonal.
 
-    The statistic s = s_sup(W, T) strictly decreases from stage to stage,
-    and U is the cone of the composite of the stages' cocone maps (see
-    `_envelope`).  The reported s is that of the outermost layer: splitting
-    T into its indecomposable summands does not change s_sup.  The maps f and v_map
-    are checked to be chain maps, and the orthogonality Hom(V, T_i[k]) = 0
-    for all k >= 0 is certified.  Splitting T into its indecomposable
-    summands searches the one fixed stream of `decompose`.
+    The statistic s = s_sup(W, T) strictly decreases from stage to stage;
+    V is the last stage's cocone, v_map the composite of the stages'
+    cocone maps and U its cone (see `_envelope`).  The reported s is that
+    of the outermost layer: splitting T into its indecomposable summands
+    does not change s_sup.  The maps f and v_map are checked to be chain
+    maps, and the orthogonality Hom(V, T_i[k]) = 0 for all k >= 0 is
+    certified, reading the spaces the last stage's s-search built on V.
+    Splitting T into its indecomposable summands searches the one fixed
+    stream of `decompose`.
     """
-    f, U, V, v_map, trace = _envelope(M, T_list)
+    f, U, V, v_map, trace, zeros = _envelope(M, T_list)
     f.check_chain_condition()
     v_map.check_chain_condition()
-    _check_orthogonal([(V, T) for T in T_list], "envelope cocone")
+    _check_orthogonal([(V, T) for T in T_list], "envelope cocone", zeros)
     return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
 
 
@@ -272,7 +294,7 @@ def cosusp_precover(M, T_list):
     A = M.algebra
     Aop = build_algebra(A.quiver.opposite(), A.field)
     T_op = [opposite_complex(T, Aop) for T in T_list]
-    f_op, U_op, V_op, v_op, op_trace = _envelope(opposite_complex(M, Aop), T_op)
+    f_op, U_op, V_op, v_op, op_trace, _ = _envelope(opposite_complex(M, Aop), T_op)
     V = opposite_complex(U_op, A)
     U = opposite_complex(V_op, A)
     v_map = opposite_map(f_op, M, V, A)

@@ -9,8 +9,9 @@ Sign conventions, fixed once: the differential has degree +1; the shift [1]
 moves components one degree to the left and flips the sign of d; the cone of
 f: X -> Y has components X^{n+1} (+) Y^n with differential
 [[-d_X, 0], [f, d_Y]].  Only what a caller reads is built: `cone` returns
-that complex alone, `cocone` the complex C(f)[-1] with its projection to X,
-and `direct_sum_many` a sum of any number of complexes in one pass.
+that complex alone, `cocone` the complex C(f)[-1], built directly, with its
+projection to X, and `direct_sum_many` a sum of any number of complexes in
+one pass.
 
 Nothing zero is stored or built.  A `PathMatrix` stores only its non-zero
 entries, as cells {(i, j): {path: coefficient}}, and every operation touches
@@ -35,7 +36,7 @@ of `glue` and `check-silting`.
 
 from itertools import accumulate
 
-from .linalg import Matrix, extend_rref
+from .linalg import extend_rref, row_space_rref
 from .quiver import AlgebraElement, Path, QuiverError
 
 
@@ -229,33 +230,42 @@ class PathMatrix:
 
         Works because the radical part is nilpotent: with V = S + R, the
         inverse is a finite Neumann series of -S^{-1} R applied to S^{-1},
-        and S^{-1} itself when R = 0.  S^{-1} is one field inverse for a 1x1
-        block, and otherwise comes from one row reduction of [S | 1].
+        and S^{-1} itself when R = 0.  One pass over the cells splits them
+        into the rows of [S | 1] and the cells of R.  S^{-1} is one field
+        inverse for a 1x1 block, and otherwise the right half of the one
+        row reduction of [S | 1].
         """
         if self.rows != self.cols:
             raise ComplexError("not square")
         alg = self.algebra
         fld = alg.field
         n = self.rows
-        sp = self.scalar_part()
+        aug = [[fld.zero] * (2 * n) for _ in range(n)]  # [S | 1]
+        rad = {}
+        for (i, j), t in self.cells.items():
+            for p, c in t.items():
+                if p.arrows:
+                    rad.setdefault((i, j), {})[p] = c
+                else:
+                    aug[i][j] = c
         if n == 1:
-            if fld.is_zero(sp[0][0]):
+            if fld.is_zero(aug[0][0]):
                 raise ComplexError("scalar part is singular")
-            s_inv_field = [[fld.inv(sp[0][0])]]
+            s_inv_field = [[fld.inv(aug[0][0])]]
         else:
-            aug = [s + e for s, e in zip(sp, Matrix.identity(fld, n).data)]
-            red, piv = Matrix(fld, aug, cols=2 * n).rref()
+            for i, row in enumerate(aug):
+                row[n + i] = fld.one
+            red, piv = row_space_rref(fld, aug)
             if piv != list(range(n)):
                 raise ComplexError("scalar part is singular")
-            s_inv_field = [[red[i, n + j] for j in range(n)] for i in range(n)]
+            s_inv_field = [row[n:] for row in red]
         cv, rv = self.col_vertices, self.row_vertices
         units = ((i, j, c) for i, row in enumerate(s_inv_field) for j, c in enumerate(row) if cv[i] == rv[j])
         cells = {(i, j): {alg.trivial_path(cv[i]): c} for i, j, c in units if not fld.is_zero(c)}
         s_inv = PathMatrix._of(alg, cv, rv, cells)
-        r = self.radical_part()
-        if r.is_zero():
+        if not rad:
             return s_inv
-        term = s_inv.compose(r)  # S^-1 R, nilpotent
+        term = s_inv.compose(PathMatrix._of(alg, rv, cv, rad))  # S^-1 R, nilpotent
         # (S + R)^-1 = (1 + S^-1 R)^-1 S^-1, a finite alternating series
         acc = power = PathMatrix.identity(alg, cv)
         sign = -1
@@ -537,11 +547,30 @@ def cone(f):
 
 
 def cocone(f):
-    """(CC(f), u) for f: X -> Y: the cocone CC(f) = C(f)[-1] and u: CC(f) -> X of the triangle CC(f) -> X -> Y."""
+    """(CC(f), u) for f: X -> Y: the cocone CC(f) = C(f)[-1] and u: CC(f) -> X of the triangle CC(f) -> X -> Y.
+
+    Built in one pass: CC^n = X^n (+) Y^{n-1} with differential
+    [[d_X, 0], [-f, -d_Y]], one `PathMatrix.blocks` per degree, which is
+    C(f) shifted by -1 without negating d_X twice; u projects onto X^n.
+    """
     X, Y = f.source, f.target
-    CC = shift(cone(f), -1)
     alg = X.algebra
-    # CC^n = X^n (+) Y^{n-1}; project onto X^n
+    comps = {}
+    for n in range(min(X.lo, Y.lo + 1), max(X.hi, Y.hi + 1) + 1):
+        vs = X.component(n) + Y.component(n - 1)
+        if vs:
+            comps[n] = vs
+    dX, dY, fc = X.differentials, Y.differentials, f.components
+    diffs = {}
+    for n in sorted(set(dX) | set(fc) | {n + 1 for n in dY}):
+        parts = {(0, 0): dX[n]} if n in dX else {}
+        if n in fc:
+            parts[1, 0] = -fc[n]
+        if n - 1 in dY:
+            parts[1, 1] = -dY[n - 1]
+        rows, cols = (X.component(n + 1), Y.component(n)), (X.component(n), Y.component(n - 1))
+        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
+    CC = ProjComplex(alg, comps, diffs)
     proj = {
         n: PathMatrix.blocks(alg, (vs,), (vs, Y.component(n - 1)), {(0, 0): PathMatrix.identity(alg, vs)})
         for n, vs in X.components.items()

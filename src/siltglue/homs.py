@@ -300,16 +300,22 @@ def hom_spaces(X, Y, lo=None, hi=None):
     return {k: HomSpace(X, Y, k, hom) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
 
 
-def nonzero_homs(X, Y, lo):
+def nonzero_homs(X, Y, lo, built=None):
     """Lazily, upwards: (k, HomSpace(X, Y, k)) for each k >= lo with Hom(X, Y[k]) != 0.
 
     Only the shifts inside the support window are built, on one HomComplex,
     so a caller that stops at the first yield builds no space past it.
+    `built` maps shifts k to a HomSpace(X, Y, k) built before; it is read
+    and not built again, and the HomComplex is made only for a shift it
+    lacks.
     """
     wlo, whi = hom_window(X, Y)
-    hom = HomComplex(X, Y)
+    built, hom = built or {}, None
     for k in range(max(lo, wlo), whi + 1):
-        hs = HomSpace(X, Y, k, hom)
+        hs = built.get(k)
+        if hs is None:
+            hom = hom or HomComplex(X, Y)
+            hs = HomSpace(X, Y, k, hom)
         if hs.dim:
             yield k, hs
 
@@ -319,7 +325,7 @@ def hom_dim_table(X, Y, lo=None, hi=None):
     return {k: 0 if hs is None else hs.dim for k, hs in hom_spaces(X, Y, lo, hi).items()}
 
 
-def s_search(M, T_list):
+def s_search(M, T_list, scan=None):
     """s = sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, and the spaces at s.
 
     Returns (s, spaces), with s None when there is no such k.  Each
@@ -327,9 +333,11 @@ def s_search(M, T_list):
     to the best k found so far (or to 0), and stops at the first non-zero
     Hom.  So every member whose window reaches s has HomSpace(M, T_i, s)
     built on the way: `spaces` maps those indices i to it.  The other
-    members have Hom(M, T_i[s]) = 0.
+    members have Hom(M, T_i[s]) = 0.  `scan`, a dict when given, receives
+    every space built, by (i, k); when s is None these are Hom(M, T_i[k])
+    for every k from 0 to the top of each window, all zero.
     """
-    best, built = None, {}
+    best, built = None, {} if scan is None else scan
     for i, T in enumerate(T_list):
         _, whi = hom_window(M, T)
         hom = HomComplex(M, T)

@@ -157,7 +157,11 @@ def row_space_rref(field, vectors):
 
 
 def residue(field, rref_rows, pivots, vec):
-    """The residue of `vec` modulo an RREF row space (a new list)."""
+    """The residue of `vec` modulo an RREF row space (a new list).
+
+    An entry that changes goes through `field.of`, so over Q an integral
+    one is an int; the entries it leaves are those of `vec`.
+    """
     fld = field
     v = list(vec)
     for row, col in zip(rref_rows, pivots):
@@ -166,7 +170,7 @@ def residue(field, rref_rows, pivots, vec):
             # an RREF row is zero left of its pivot; zero entries change nothing
             for c in range(col, len(v)):
                 if not fld.is_zero(row[c]):
-                    v[c] = fld.sub(v[c], fld.mul(f, row[c]))
+                    v[c] = fld.of(fld.sub(v[c], fld.mul(f, row[c])))
     return v
 
 

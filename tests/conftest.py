@@ -48,9 +48,7 @@ def random_complex(alg, rng, steps=2, max_width=4, shift_range=2):
             f = ChainMap.zero(X, Y)
             for v in cycles:
                 if alg.field == QQ:
-                    from fractions import Fraction
-
-                    c = Fraction(rng.randint(-2, 2))
+                    c = alg.field.of(rng.randint(-2, 2))
                 else:
                     c = rng.randrange(alg.field.p)
                 if not alg.field.is_zero(c):

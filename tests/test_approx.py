@@ -1,10 +1,17 @@
+import json
+
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from former import former_envelope_tail
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue import approx
+from siltglue.fixtures import glue_fixtures
+from siltglue.gluing import canonical_corner_silting
+from siltglue.recollement import i_star, j_lower_shriek
+from siltglue.serialize import chain_map_to_json, complex_to_json
 from siltglue.complexes import (
     ChainMap,
     ComplexError,
@@ -13,10 +20,12 @@ from siltglue.complexes import (
     cone,
     direct_sum,
     minimize,
+    opposite_complex,
     shift,
 )
 from siltglue.homs import HomSpace, hom_dim, hom_window, is_nonpositive, s_sup
 from siltglue.approx import (
+    ApproxError,
     _stack,
     add_shift_preenvelope,
     cosusp_precover,
@@ -301,9 +310,9 @@ def test_envelope_idempotence(ka3):
     assert is_isomorphic(again.U, env.U).isomorphic
 
 
-def _random_instance(seed):
+def _random_instance(seed, field=QQ):
     rng = seeded_rng(seed)
-    alg = build_algebra(random_quiver(rng, max_vertices=5), QQ)
+    alg = build_algebra(random_quiver(rng, max_vertices=5), field)
     M = random_complex(alg, rng, steps=2, max_width=4)
     # strict descent needs a non-positive T; rejection-sample until we get one
     while True:
@@ -446,3 +455,108 @@ def test_cosusp_precover_oracle_random(field):
         res = _check_precover_by_oracle(M, T)
         hits += not res.V.is_zero() and not res.U.is_zero()
     assert hits >= 3
+
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "F5", "F2147483647"]
+
+
+def _dump(x):
+    return json.dumps(chain_map_to_json(x) if isinstance(x, ChainMap) else complex_to_json(x), sort_keys=True)
+
+
+def _envelope_inputs(field):
+    """(M, T) of every envelope the gluing fixtures take, then of the random sample's instances, over `field`."""
+    for _name, rec, T_B in glue_fixtures(field):
+        targets = [shift(j_lower_shriek(rec, canonical_corner_silting(rec)), 1)]
+        for T_Y in T_B:
+            yield i_star(rec, T_Y), targets
+    for seed in range(12):
+        _rng, _alg, M, T = _random_instance(900 + seed, field)
+        yield M, T
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_envelope_reads_v_and_v_map_off_its_last_stage(field):
+    """V and v_map equal the former tail, the minimized cocone of f and the pull of its projection, byte for byte.
+
+    Over the envelopes and, through the opposite algebra, the precovers of
+    the gluing fixtures and of the random sample's instances.
+    """
+    staged = unstaged = 0
+    for M, T in _envelope_inputs(field):
+        A = M.algebra
+        Aop = build_algebra(A.quiver.opposite(), A.field)
+        for M_, T_ in ((M, T), (opposite_complex(M, Aop), [opposite_complex(t, Aop) for t in T])):
+            f, U, V, v_map, trace, _zeros = approx._envelope(M_, T_)
+            V_old, v_old = former_envelope_tail(f)
+            assert V == V_old and _dump(V) == _dump(V_old)
+            assert v_map.source == V_old and v_map.components == v_old.components and _dump(v_map) == _dump(v_old)
+            staged += bool(trace)
+            unstaged += not trace
+    assert staged >= 10 and unstaged >= 4
+
+
+def test_an_envelope_without_a_stage_builds_no_cone(ka3, monkeypatch):
+    """No stage: U = 0 and f = 0, V is the minimal model of M and v_map its inclusion, with no cone taken."""
+    cones = []
+    monkeypatch.setattr(approx, "cone", lambda f: cones.append(f) or cone(f))
+    P = ka3["P"]
+    contractible = cone(ChainMap.identity(P["2"]))
+    for M in (shift(P["3"], -1), direct_sum(shift(P["3"], -1), contractible)):
+        env = susp_envelope(M, [P["3"]])
+        assert env.trace == [] and env.s is None and cones == []
+        assert env.U.is_zero() and env.f.is_zero() and env.f.source is M and env.f.target is env.U
+        assert env.V == shift(P["3"], -1)
+        assert env.v_map.source is env.V and env.v_map.target is M
+        assert env.v_map.components == minimize(M).from_min.components
+        V_old, v_old = former_envelope_tail(env.f)
+        assert env.V == V_old and _dump(env.v_map) == _dump(v_old)
+
+
+def test_envelope_takes_no_cocone_after_its_stages(ka3, monkeypatch):
+    """One cocone per stage, for its preenvelope, and none to rebuild V."""
+    cocones = []
+    cocone_ = approx.cocone
+    monkeypatch.setattr(approx, "cocone", lambda f: cocones.append(f) or cocone_(f))
+    for M, T in (
+        (direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
+        (ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]),
+    ):
+        cocones.clear()
+        env = susp_envelope(M, T)
+        assert len(cocones) == len(env.trace) >= 1
+
+
+@pytest.mark.parametrize("scan", ["kept", "lost"])
+def test_an_envelope_stopped_a_stage_early_fails_its_certificate(ka3, monkeypatch, scan):
+    """Stop the stage loop before its last stage: V is then not orthogonal to T, and the certificate says so.
+
+    `kept`: the stopped stage's s-search still runs, so the certificate
+    reads the non-zero spaces it handed on; `lost`: it hands on nothing,
+    and the certificate builds every space itself.
+    """
+    stage = approx._susp_envelope_stage
+    instances = [
+        (direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
+        (ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]),
+        (direct_sum(ka3["I2"], ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
+    ]
+    for M, T in instances:
+        layers = len(susp_envelope(M, T).trace)
+        calls = []
+
+        def early(W, T_list, bound, between, scan_):
+            calls.append(W)
+            if len(calls) < layers:
+                return stage(W, T_list, bound, between, scan_)
+            if scan == "kept":
+                stage(W, T_list, bound, between, scan_)
+            return None
+
+        monkeypatch.setattr(approx, "_susp_envelope_stage", early)
+        with pytest.raises(ApproxError, match="envelope cocone not orthogonal"):
+            susp_envelope(M, T)
+        assert len(calls) == layers
+        monkeypatch.setattr(approx, "_susp_envelope_stage", stage)
+

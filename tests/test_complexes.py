@@ -1,7 +1,9 @@
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from former import former_cocone, former_invert
 from oracle import _rank
+from siltglue import complexes, linalg
 from siltglue.fields import QQ, PrimeField
 from siltglue.linalg import Matrix
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
@@ -585,3 +587,109 @@ def test_pivots_match_the_gauss_loop(field):
         no_unit += len(unit_rows) < d.rows
         dependent += len(rows) < len(unit_rows)
     assert no_unit >= 150 and dependent >= 60
+
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "F5", "F2147483647"]
+
+
+def _layout(m):
+    """A path matrix with its shape and every cell and term in stored order, scalars by repr."""
+    return repr((m.row_vertices, m.col_vertices, [(ij, list(t.items())) for ij, t in m.cells.items()]))
+
+
+def _complex_layout(X):
+    return repr((list(X.components.items()), [(n, _layout(d)) for n, d in X.differentials.items()]))
+
+
+def _map_layout(f):
+    return repr((_complex_layout(f.source), _complex_layout(f.target), [(n, _layout(m)) for n, m in f.components.items()]))
+
+
+def _combination(hs, rng):
+    """A seeded random combination of the representatives of `hs`, coefficients in [-2, 2]."""
+    f = ChainMap.zero(hs.X, hs.Z)
+    for g in hs.basis_maps():
+        f = f + g.scale(hs.X.algebra.field.of(rng.randint(-2, 2)))
+    return f
+
+
+def _random_chain_maps(field, seed, count):
+    """`count` non-zero chain maps, seeded random combinations of Hom representatives.
+
+    Each is a map f: X -> Y[k], k in [-1, 1], between random complexes, or
+    an endomorphism of C(f)[-1], whose ends have the differential -f.
+    """
+    rng = seeded_rng(seed)
+    maps = []
+    while len(maps) < count:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=3, shift_range=1)
+        f = _combination(HomSpace(X, Y, rng.randint(-1, 1)), rng)
+        if not f.is_zero():
+            CC = former_cocone(f)[0]
+            maps += [g for g in (f, _combination(HomSpace(CC, CC, 0), rng)) if not g.is_zero()]
+    return maps
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_cocone_is_the_shifted_cone_built_in_one_pass(field, monkeypatch):
+    """The direct cocone equals C(f)[-1] and its projection, down to the order of every dict; it builds no cone and no shift."""
+    maps = _random_chain_maps(field, 61, 30)
+    former = [former_cocone(f) for f in maps]
+    monkeypatch.setattr(complexes, "cone", lambda f: pytest.fail("cocone built a cone"))
+    monkeypatch.setattr(complexes, "shift", lambda X, k: pytest.fail("cocone built a shift"))
+    for f, (CC_old, u_old) in zip(maps, former):
+        CC, u = cocone(f)
+        assert CC == CC_old and _complex_layout(CC) == _complex_layout(CC_old)
+        assert u.source is CC and _map_layout(u) == _map_layout(u_old)
+    assert sum(bool(f.source.differentials and f.target.differentials) for f in maps) >= 10
+
+
+def _random_square_matrix(alg, rng):
+    """1-4 summands, same-vertex scalars in [-2, 2] (often singular), radical paths about half the time."""
+    fld, verts = alg.field, alg.quiver.vertices
+    vs = tuple(rng.choice(verts) for _ in range(rng.randint(1, 4)))
+    ents = []
+    for w in vs:
+        row = []
+        for v in vs:
+            terms = {}
+            for p in alg.paths_between(w, v):
+                if not p.arrows:
+                    terms[p] = fld.of(rng.randint(-2, 2))
+                elif rng.random() < 0.5:
+                    terms[p] = fld.of(rng.randint(-2, 2))
+            row.append(alg.element(terms))
+        ents.append(row)
+    return PathMatrix(alg, vs, vs, ents)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_invert_matches_the_dense_augmented_reduction(field, monkeypatch):
+    """One-pass `invert` gives the former [S | 1] routine's inverse, down to stored order and scalar
+    representation, and refuses the same singular scalar parts; it builds no `Matrix`."""
+    rng = seeded_rng(83)
+    cases = []
+    while len(cases) < 150:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        for _ in range(10):
+            m = _random_square_matrix(alg, rng)
+            try:
+                cases.append((m, former_invert(m)))
+            except ComplexError:
+                cases.append((m, None))
+    monkeypatch.setattr(linalg.Matrix, "__init__", lambda *a, **k: pytest.fail("invert built a Matrix"))
+    kinds = set()
+    for m, want in cases:
+        if want is None:
+            with pytest.raises(ComplexError, match="singular"):
+                m.invert()
+            kinds.add(("singular", m.rows == 1))
+            continue
+        got = m.invert()
+        assert _layout(got) == _layout(want)
+        assert (m.compose(got) - PathMatrix.identity(m.algebra, m.row_vertices)).is_zero()
+        kinds.add(("radical" if not m.radical_part().is_zero() else "scalar", m.rows == 1))
+    assert {("singular", True), ("singular", False), ("radical", False), ("scalar", False), ("scalar", True)} <= kinds

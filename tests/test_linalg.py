@@ -14,6 +14,7 @@ from siltglue.linalg import (
     in_row_space,
     kernel_basis,
     rank,
+    residue,
     row_space_rref,
     solve,
 )
@@ -166,6 +167,38 @@ def test_extend_rref_keeps_the_scalar_representation():
         assert extend_rref(F5, rows, pivs, v)
     assert (rows, pivs) == ([[1, 0, 3], [0, 1, 1]], [0, 1])
     assert (rows, pivs) == tuple(map(list, row_space_rref(F5, [[2, 4, 0], [1, 0, 3]])))
+
+
+def test_residue_keeps_the_scalar_representation():
+    """Over Q an entry of the residue that changes is an int when integral; over F_5 the values are as before."""
+    rows, pivs = [[1, 0, 3], [0, 1, Fraction(-3, 2)]], [0, 1]
+    half = Fraction(1, 2)
+    got = residue(QQ, rows, pivs, [half, half, half])
+    assert got == [0, 0, Fraction(-1, 4)] and [type(x) for x in got] == [int, int, Fraction]
+    assert residue(QQ, rows, pivs, [1, 2, 3]) == [0, 0, 3] and all(type(x) is int for x in residue(QQ, rows, pivs, [1, 2, 3]))
+    F5 = PrimeField(5)
+    rows5 = [[F5.of(x) for x in r] for r in rows]
+    h = F5.of(half)
+    assert residue(F5, rows5, pivs, [h, h, h]) == [0, 0, F5.of(Fraction(-1, 4))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_residue_matches_the_unnormalized_reduction(seed):
+    """The residue has the values of the plain subtraction loop; over Q its entries are ints or non-integral Fractions."""
+    rng = random.Random(seed)
+    for field in (QQ, PrimeField(5), PrimeField(2147483647)):
+        cols = rng.randint(1, 6)
+        vecs = [[field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(cols)] for _ in range(3)]
+        rows, pivs = row_space_rref(field, vecs[:2])
+        v = vecs[2]
+        want = list(v)
+        for row, col in zip(rows, pivs):
+            f = want[col]
+            want = [field.sub(a, field.mul(f, b)) for a, b in zip(want, row)]
+        got = residue(field, rows, pivs, v)
+        assert got == want
+        assert field != QQ or all(is_q_scalar(x) for x in got)
 
 
 def sparse_rows(rng, value):
