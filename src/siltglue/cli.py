@@ -8,6 +8,7 @@ fixed stream, so identical invocations produce byte-identical output.
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -32,8 +33,38 @@ INPUT_ERRORS = (
 MATH_ERRORS = (ApproxError, GlueError, DecomposeError)
 
 
+def _dumps(report):
+    """The text of json.dumps(report, indent=1, sort_keys=True).
+
+    A report is built of dicts with str or int keys, lists or tuples, str,
+    int, bool and None.  json.dumps encodes an indented document with its
+    pure-Python encoder; this writes the same bytes with its C string
+    encoder.  Items are sorted by their keys as given, so int keys sort as
+    numbers, as in json.dumps.
+    """
+
+    def text(value, pad):
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if isinstance(value, dict):
+            inner = pad + " "
+            items = [f"{encode_basestring_ascii(str(k))}: {text(v, inner)}" for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        if isinstance(value, (list, tuple)):
+            inner = pad + " "
+            items = [text(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return int.__repr__(value)
+
+    return text(report, "\n")
+
+
 def _emit(report, summary_lines):
-    click.echo(json.dumps(report, indent=1, sort_keys=True))
+    click.echo(_dumps(report))
     for line in summary_lines:
         click.echo(line, err=True)
 

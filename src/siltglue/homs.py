@@ -8,22 +8,26 @@ matrix entry (n, i, j), each a basis of paths of some e_w A e_v.
 block: a path s of d_Y or t of d_X acts on a block through the algebra's
 action tables (`PathAlgebra.left_action`, `right_action`), and each
 non-zero of delta^m comes from exactly one such term, so it is written once
-with no sums.  delta^m is reduced at most once as equations (kernel: the
-cycles) and once as a row space (image: the boundaries), each from the dense
-orientation that reduction reads.  A `HomSpace` is a view:
-dim = nullity delta^k - rank delta^(k-1).  Since d_{Y[k]} = (-1)^k d_Y,
+with no sums.  A `HomSpace` is a view that reduces nothing when built:
+dim = nullity delta^k - rank delta^(k-1), two ranks, each counted once per
+complex on the sparse entries of delta^m by peeling singleton lines
+(`linalg.sparse_rank`), with a dense reduction of only what is left.  A
+reduced row echelon form waits for a read: delta^k as equations (kernel:
+the cycles) for cycles and representatives, delta^(k-1) as a row space
+(image: the boundaries) for coordinates and null-homotopy tests; a rank is
+read off such a reduction when one exists.  Since d_{Y[k]} = (-1)^k d_Y,
 kernel and row space are those of the chain maps X -> Y[k] modulo homotopy,
 so only a homotopy witness picks up the sign (-1)^k; and Hom(X[s], Y[s]) has
 the representative vectors of Hom(X, Y).  A window walker shares one complex
-per pair, so measuring w shifts assembles and reduces w + 1 differentials.
-Cycles and representatives wait for a read; the representatives take one
-more reduction, of the boundaries on the free coordinates of the cycles.
+per pair, so measuring w shifts assembles w + 1 differentials and counts
+each one's rank once.  The representatives take one more reduction, of the
+raw rows of delta^(k-1) on the free coordinates of the cycles.
 """
 
 import functools
 
 from .complexes import ChainMap, PathMatrix, shift
-from .linalg import Matrix, rref_kernel_basis, row_space_rref, in_row_space, solve
+from .linalg import Matrix, rref_kernel_basis, row_space_rref, in_row_space, solve, sparse_rank
 
 
 class _VarSpace:
@@ -77,14 +81,14 @@ class _VarSpace:
 
 
 class HomComplex:
-    """Hom•(X, Y), built on demand: each Hom^m, delta^m and reduction of delta^m once."""
+    """Hom•(X, Y), built on demand: each Hom^m, delta^m, rank and reduction of delta^m once."""
 
     def __init__(self, X, Y):
         self.X, self.Y, self.field = X, Y, X.algebra.field
         # a block (n, i, j) meets column i of d_Y^(n+m) and row j of d_X^(n-1)
         self._dy_cols = {n: d.lines(1) for n, d in Y.differentials.items()}
         self._dx_rows = {n: d.lines(0) for n, d in X.differentials.items()}
-        self._terms, self._deltas, self._equations, self._images = {}, {}, {}, {}
+        self._terms, self._deltas, self._equations, self._images, self._ranks = {}, {}, {}, {}, {}
 
     def term(self, m):
         """The coordinates of Hom^m."""
@@ -152,9 +156,15 @@ class HomComplex:
             self._images[m] = row_space_rref(self.field, self.dense(m))
         return self._images[m]
 
-    def rank(self, m, reduce):
-        """rank delta^m, read off a reduction of delta^m already made, else off `reduce(m)`."""
-        return len((self._equations.get(m) or self._images.get(m) or reduce(m))[1])
+    def rank(self, m):
+        """rank delta^m, read off a reduction of delta^m already made, else counted once by `sparse_rank`."""
+        done = self._equations.get(m) or self._images.get(m)
+        if done is not None:
+            return len(done[1])
+        if m not in self._ranks:
+            live = self.term(m).dim and self.term(m + 1).dim
+            self._ranks[m] = sparse_rank(self.field, self.delta(m)) if live else 0
+        return self._ranks[m]
 
 
 class HomSpace:
@@ -167,9 +177,11 @@ class HomSpace:
         self.X, self.Y, self.k = X, Y, k
         self.hom = HomComplex(X, Y) if hom is None else hom
         self.fvars, self.hvars = self.hom.term(k), self.hom.term(k - 1)
-        # where nothing is reduced yet: delta^k as equations, delta^(k-1) as an image, the forms the reps read
-        ranks = self.hom.rank(k, self.hom.equations) + self.hom.rank(k - 1, self.hom.image)
-        self.dim = self.fvars.dim - ranks
+
+    @functools.cached_property
+    def dim(self):
+        """nullity delta^k - rank delta^(k-1), from the two ranks `HomComplex.rank` counts."""
+        return self.fvars.dim - self.hom.rank(self.k) - self.hom.rank(self.k - 1)
 
     @functools.cached_property
     def Z(self):
@@ -193,13 +205,16 @@ class HomSpace:
         the free coordinates, has its last non-zero at q: exactly when q is a
         pivot of the boundary rows restricted to the free columns and read
         in reverse order.  The others, `dim` of them, are the same vectors a
-        running RREF would keep, one cycle at a time.
+        running RREF would keep, one cycle at a time.  The equations are
+        reduced first, so `dim` reads rank delta^k off them; the boundaries
+        are the raw rows of delta^(k-1), which span them as its RREF does,
+        so they give the same pivots without reducing delta^(k-1) as an image.
         """
+        pivots = set(self.hom.equations(self.k)[1])
         if not self.dim:
             return []
-        pivots = set(self.hom.equations(self.k)[1])
         free = [c for c in range(self.fvars.dim) if c not in pivots]  # cycle-basis vector q is 1 at free[q]
-        boundaries = [[row[c] for c in reversed(free)] for row in self.hom.image(self.k - 1)[0]]
+        boundaries = [[row[c] for c in reversed(free)] for row in self.hom.dense(self.k - 1)]
         skipped = {len(free) - 1 - p for p in row_space_rref(self.X.algebra.field, boundaries)[1]}
         return [v for q, v in enumerate(self.cycle_basis) if q not in skipped]
 
@@ -330,18 +345,19 @@ def s_search(M, T_list, scan=None):
 
     Returns (s, spaces), with s None when there is no such k.  Each
     member's window is scanned downwards on one HomComplex, from its top
-    to the best k found so far (or to 0), and stops at the first non-zero
-    Hom.  So every member whose window reaches s has HomSpace(M, T_i, s)
-    built on the way: `spaces` maps those indices i to it.  The other
-    members have Hom(M, T_i[s]) = 0.  `scan`, a dict when given, receives
-    every space built, by (i, k); when s is None these are Hom(M, T_i[k])
-    for every k from 0 to the top of each window, all zero.
+    to the best k found so far (or to 0), never below the window's bottom,
+    and stops at the first non-zero Hom.  So every member whose window
+    reaches s has HomSpace(M, T_i, s) built on the way: `spaces` maps those
+    indices i to it.  The other members have Hom(M, T_i[s]) = 0.  `scan`, a
+    dict when given, receives every space built, by (i, k); when s is None
+    these are Hom(M, T_i[k]) for every k from max(0, wlo) to the top of
+    each window [wlo, whi], all zero.
     """
     best, built = None, {} if scan is None else scan
     for i, T in enumerate(T_list):
-        _, whi = hom_window(M, T)
+        wlo, whi = hom_window(M, T)
         hom = HomComplex(M, T)
-        for k in range(whi, (0 if best is None else best) - 1, -1):
+        for k in range(whi, max(wlo, 0 if best is None else best) - 1, -1):
             hs = built[i, k] = HomSpace(M, T, k, hom)
             if hs.dim:
                 best = k

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact dense linear algebra over Q and F_p, and the rank of a sparse matrix.
 
 Everything is deterministic: the pivot is the first nonzero entry in a
 row-major scan, and the reduced row echelon form is canonical.  Matrices are
@@ -7,6 +7,7 @@ immutable after construction and all operations are pure, except
 """
 
 import bisect
+from collections import defaultdict
 
 from .fields import QQ, PrimeField
 from . import _kernel
@@ -97,6 +98,51 @@ def rank(mat):
     """Rank over the field by exact elimination."""
     _, piv = _rref_rows(mat.field, mat.data)
     return len(piv)
+
+
+def sparse_rank(field, entries):
+    """The rank of a matrix given by its entries [(row, col, value)], each
+    position at most once and each value non-zero.
+
+    Singleton lines are peeled first, as in structured Gaussian elimination
+    (LaMacchia-Odlyzko 1990): a column with a single non-zero c is removed
+    together with the row of c, and a row with a single non-zero c together
+    with the column of c, and each peel adds one to the rank.  With c placed
+    first, a lone entry of its column makes the matrix block triangular,
+    [[c, r], [0, B]], with B what is left (a lone entry of its row: the
+    transpose), so its rank is 1 + rank B over every field.  Peeling
+    repeats until no line holds a single entry; what is left is reduced
+    densely.
+    """
+    lines = (defaultdict(set), defaultdict(set))  # row -> its columns, column -> its rows
+    for r, c, _ in entries:
+        lines[0][r].add(c)
+        lines[1][c].add(r)
+    peeled, lone = 0, [(side, i) for side in (0, 1) for i, s in lines[side].items() if len(s) == 1]
+    while lone:
+        side, i = lone.pop()
+        own, cross = lines[side], lines[1 - side]
+        if len(own.get(i, ())) != 1:
+            continue  # gone since it was queued
+        (j,) = own.pop(i)
+        peeled += 1
+        for k in cross.pop(j):
+            if k != i:
+                rest = own[k]
+                rest.discard(j)
+                if len(rest) == 1:
+                    lone.append((side, k))
+                elif not rest:
+                    del own[k]
+    rows, cols = lines
+    if not rows:
+        return peeled
+    at_row, at_col = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
+    dense = [[field.zero] * len(cols) for _ in rows]
+    for r, c, x in entries:
+        if r in at_row and c in at_col:
+            dense[at_row[r]][at_col[c]] = x
+    return peeled + len(_rref_rows(field, dense)[1])
 
 
 def det(mat):

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from conftest import connected_conjugate
 from siltglue import serialize
-from siltglue.cli import main
+from siltglue.cli import _dumps, main
 from siltglue.complexes import direct_sum
 from siltglue.fields import PrimeField
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes, write_fixture_files
@@ -400,3 +401,37 @@ def test_check_silting_over_different_algebras_exits_2(fx):
     assert res.exit_code == 2
     assert res.stderr == "input error: complexes over different algebras\n"
     assert res.stdout == ""
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_reports = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports)
+def test_report_writer_matches_json_dumps(report):
+    """_dumps writes the bytes of json.dumps(..., indent=1, sort_keys=True): nesting, empty containers,
+    non-ASCII and control characters, int keys sorted as numbers."""
+    assert _dumps(report) == json.dumps(report, indent=1, sort_keys=True)
+
+
+def test_report_writer_matches_every_golden_report():
+    """Every report recorded under tests/golden is written back byte for byte."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    checked = 0
+    for name in sorted(os.listdir(golden)):
+        with open(os.path.join(golden, name)) as fh:
+            record = json.load(fh)
+        for run_ in record.values():
+            if run_["stdout"]:
+                report = json.loads(run_["stdout"])
+                assert _dumps(report) + "\n" == run_["stdout"] == json.dumps(report, indent=1, sort_keys=True) + "\n"
+                checked += 1
+    assert checked >= 40

@@ -5,7 +5,6 @@ from former import former_cocone, former_invert
 from oracle import _rank
 from siltglue import complexes, linalg
 from siltglue.fields import QQ, PrimeField
-from siltglue.linalg import Matrix
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.quiver import Path, build_algebra
 from siltglue.complexes import (
@@ -354,7 +353,7 @@ def test_pathmatrix_invert_one_by_one_matches_row_reduction(monkeypatch):
     def no_rref(*_args):
         raise AssertionError("a 1x1 block needs no row reduction")
 
-    monkeypatch.setattr(Matrix, "rref", no_rref)
+    monkeypatch.setattr(complexes, "row_space_rref", no_rref)
     assert pm.invert() == by_rref
     with pytest.raises(ComplexError, match="singular"):
         PathMatrix(A, ("2",), ("2",), [[A.zero_element()]]).invert()

@@ -11,7 +11,7 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, direct_sum, shift
 from siltglue.fixtures import ka3_algebra
-from siltglue.linalg import Matrix, extend_rref, solve
+from siltglue.linalg import Matrix, extend_rref, row_space_rref, solve, sparse_rank
 from siltglue import homs
 from siltglue.approx import add_shift_preenvelope
 from siltglue.homs import (
@@ -566,24 +566,99 @@ def test_maps_of_another_shift_are_refused(ka3):
             read(f)
 
 
+def _live(hom, ms):
+    """The m among `ms` whose delta^m has rows and columns."""
+    return [m for m in ms if hom.term(m).dim and hom.term(m + 1).dim]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_measuring_a_window_reduces_each_differential_once(field, monkeypatch):
-    """Dims over w shifts need w + 1 ranks: upwards (the table) and downwards (the s-search)
-    each reduce every delta^m once, reusing whichever form of it is already reduced."""
-    calls = []
-    orig = homs.row_space_rref
+    """Dims over a window count the rank of each delta^m with rows and columns once, by sparse_rank,
+    upwards (the table) and downwards (the s-search), and build no dense delta^m and no RREF."""
+    pairs, counted, echelon = _random_pairs(field, 814, 8), [], []
+    orig = homs.sparse_rank
 
-    def counting(fld, rows):
-        calls.append(1)
-        return orig(fld, rows)
+    def counting(fld, entries):
+        counted.append(entries)
+        return orig(fld, entries)
 
-    monkeypatch.setattr(homs, "row_space_rref", counting)
-    for X, Y in _random_pairs(field, 814, 8):
+    monkeypatch.setattr(homs, "sparse_rank", counting)
+    monkeypatch.setattr(homs, "row_space_rref", lambda *args: echelon.append(args))
+    monkeypatch.setattr(HomComplex, "dense", lambda *args, **kwargs: echelon.append(args))
+    for X, Y in pairs:
         lo, hi = hom_window(X, Y)
-        calls.clear()
+        fresh = HomComplex(X, Y)
+        counted.clear()
         hom_dim_table(X, Y)
-        assert len(calls) == hi - lo + 2
-        calls.clear()
+        assert sorted(map(repr, counted)) == sorted(repr(fresh.delta(m)) for m in _live(fresh, range(lo - 1, hi + 1)))
+        counted.clear()
         s, _spaces = s_search(X, [Y])
-        scanned = hi - (0 if s is None else s) + 1
-        assert len(calls) == (scanned + 1 if scanned > 0 else 0)
+        bottom = max(lo, 0 if s is None else s)
+        assert sorted(map(repr, counted)) == sorted(repr(fresh.delta(m)) for m in _live(fresh, range(bottom - 1, hi + 1)))
+    assert not echelon
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sparse_rank_of_every_differential(field):
+    """sparse_rank of each delta^m equals the rank of its dense RREF, in both orientations."""
+    checked = 0
+    for X, Y in _random_pairs(field, 814, 8) + _delta_pairs(field, 815, 24):
+        hom = HomComplex(X, Y)
+        lo, hi = hom_window(X, Y)
+        for m in range(lo - 2, hi + 2):
+            rank = sparse_rank(field, hom.delta(m)) if hom.term(m).dim and hom.term(m + 1).dim else 0
+            assert rank == len(row_space_rref(field, hom.dense(m))[1])
+            assert rank == len(row_space_rref(field, hom.dense(m, transposed=True))[1])
+            checked += rank > 0
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_only_coordinates_and_null_homotopy_reduce_the_boundaries(field, monkeypatch):
+    """basis_maps() never reduces delta^(k-1) as an image; coordinates and is_null_homotopic reduce it once."""
+    reduced = []
+    orig = HomComplex.image
+
+    def recording(self, m):
+        if m not in self._images:
+            reduced.append(m)
+        return orig(self, m)
+
+    monkeypatch.setattr(HomComplex, "image", recording)
+    picked = 0
+    for X, Y in _random_pairs(field, 818, 8):
+        for read in ("coordinates", "is_null_homotopic"):
+            reduced.clear()
+            spaces = hom_spaces(X, Y)
+            maps = {k: hs.basis_maps() for k, hs in spaces.items()}
+            assert not reduced
+            for k, hs in spaces.items():
+                for f in maps[k] + [ChainMap.zero(X, hs.Z)] * 2:
+                    getattr(hs, read)(f)
+            assert reduced == [k - 1 for k in spaces]
+            picked += sum(map(len, maps.values()))
+    assert picked >= 8
+
+
+def test_s_search_builds_no_space_below_a_window(ka3, monkeypatch):
+    """A member whose window starts above 0 is scanned down to the window's bottom, not to 0;
+    s is still the largest k >= 0 with a non-zero Hom."""
+    built = []
+    orig = HomSpace.__init__
+
+    def recording(self, X, Y, k=0, hom=None):
+        built.append((Y, k))
+        orig(self, X, Y, k, hom)
+
+    monkeypatch.setattr(HomSpace, "__init__", recording)
+    P = ka3["P"]
+    M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    above = 0
+    for T in ([shift(P["1"], -3)], [shift(P["3"], -2), shift(ka3["S2"], -3)], [P["2"], shift(ka3["I2"], -4)]):
+        built.clear()
+        s, _spaces = s_search(M, T)
+        assert not any(k < hom_window(M, Y)[0] for Y, k in built)
+        above += sum(hom_window(M, Y)[0] > 0 for Y in T)
+        tops = [k for Y in T for k in range(max(0, hom_window(M, Y)[0]), hom_window(M, Y)[1] + 1) if hom_dim(M, Y, k)]
+        assert s == max(tops, default=None)
+    assert above >= 3

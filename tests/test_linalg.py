@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from siltglue.linalg import (
     residue,
     row_space_rref,
     solve,
+    sparse_rank,
 )
 from siltglue._kernel import rref_fp, rref_qq
 from verifiers import is_q_scalar
@@ -299,3 +301,72 @@ def test_sparse_extend_rref_matches_full_reduction(seed):
             assert (rows, pivs) == tuple(map(list, row_space_rref(field, vectors[: i + 1])))
             assert field != QQ or all(is_q_scalar(x) for r in rows for x in r)
             assert in_row_space(field, rows, pivs, v)
+
+
+SPARSE_FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
+SPARSE_IDS = ["Q", "F5", "F2147483647"]
+
+
+def _nonzero(field, rng):
+    """A random non-zero scalar; over Q half of them are Fractions that are not integral."""
+    if field == QQ:
+        x = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 7]))
+        return int(x) if x.denominator == 1 else x
+    return rng.choice([1, 2, field.p - 1, rng.randrange(1, field.p)])
+
+
+def _sparse_matrix(field, rng, kind):
+    """(rows, cols, entries) of one seeded sparse matrix of the given kind, rows and columns shuffled."""
+    nz = functools.partial(_nonzero, field, rng)
+    r, c = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == "empty":
+        cells = {}
+    elif kind == "single":
+        cells = {(rng.randrange(r), rng.randrange(c)): nz()}
+    elif kind == "chain":  # bidiagonal: every peel leaves a new singleton
+        n = min(r, c)
+        cells = {(i, i): nz() for i in range(n)} | {(i, i + 1): nz() for i in range(n - 1)}
+        if rng.random() < 0.5:
+            cells = {(b, a): x for (a, b), x in cells.items()}
+    elif kind == "block":  # every line holds at least two entries, often dependent
+        r, c, t = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 3)
+        a = [[nz() for _ in range(t)] for _ in range(r)]
+        b = [[nz() for _ in range(c)] for _ in range(t)]
+        cells = {}
+        for i in range(r):
+            for j in range(c):
+                x = field.zero
+                for k in range(t):
+                    x = field.add(x, field.mul(a[i][k], b[k][j]))
+                if not field.is_zero(x):
+                    cells[i, j] = field.of(x)
+    else:  # random, with a few rows copied or scaled so that the rank drops
+        density = rng.choice([0.15, 0.3, 0.6])
+        cells = {(i, j): nz() for i in range(r) for j in range(c) if rng.random() < density}
+        for _ in range(rng.randint(0, 2)):
+            src, dst, s = rng.randrange(r), rng.randrange(r), nz()
+            for j in range(c):
+                cells.pop((dst, j), None)
+                if (src, j) in cells:
+                    cells[dst, j] = field.of(field.mul(s, cells[src, j]))
+    rows = list(range(max([r] + [i + 1 for i, _ in cells])))
+    cols = list(range(max([c] + [j + 1 for _, j in cells])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    entries = [(rows[i], cols[j], x) for (i, j), x in cells.items()]
+    rng.shuffle(entries)
+    return len(rows), len(cols), entries
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_sparse_rank_matches_the_row_reduction(field):
+    """Peeling singletons and reducing the rest gives the rank of the dense RREF, on every kind of sparse matrix."""
+    rng = random.Random(3201)
+    kinds = ["empty", "single", "chain", "block"] + ["random"] * 6
+    for trial in range(250):
+        nrows, ncols, entries = _sparse_matrix(field, rng, kinds[trial % len(kinds)])
+        dense = [[field.zero] * ncols for _ in range(nrows)]
+        for a, b, x in entries:
+            dense[a][b] = x
+        assert sparse_rank(field, entries) == len(row_space_rref(field, dense)[1])
+    assert sparse_rank(field, []) == 0
