@@ -1,8 +1,8 @@
 """Envelopes and precovers with respect to shifts of a fixed set of complexes.
 
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
-from Hom-basis representatives, minimizes them by one greedy pass that tries
-each copy once, and builds the susp(T)-envelope triangle V -> M -> U in
+from Hom-basis representatives, minimizes them by one greedy pass that tests
+each copy at most once, and builds the susp(T)-envelope triangle V -> M -> U in
 stages: each takes the minimized cocone W of its input's minimal
 add(T)[s]-preenvelope, with its map to the input.  With w the composite of
 those maps, W -w-> M -> C(-w) -> W[1] is distinguished, being the cone
@@ -12,13 +12,18 @@ f = 0 and V is the minimal model of M.  A deletion is decided on Hom
 coordinates: a set of target copies is a preenvelope exactly when every map
 M -> T_j[s] factors through it (Auslander-Smalo), a rank condition on the
 coordinates of the maps each copy lets through, so no candidate map is
-assembled.  The cosusp(T)-precover is the same construction over the
-opposite algebra, transported back.  All certificates are exact.
+assembled.  Most copies need no test: a copy that no other copy can reach,
+because the Hom spaces between the members' complexes are zero or the
+member's End is the field, is needed, and Hom dimensions alone say so (the
+rule and its proof are in `left_minimize`).  The cosusp(T)-precover is the
+same construction over the opposite algebra, transported back.  All
+certificates are exact.
 
 Each stage builds every Hom(W, T_i[k]) once: the s-search (`s_search`) keeps
 the spaces at s, and the preenvelope carries them and their representatives
-into `left_minimize`; each Hom(T_i, T_j) is built once per envelope and
-shifted to each stage's s.  The last s-search finds every Hom(V, T_i[k]),
+into `left_minimize`; each Hom(T_i, T_j) a stage reads is built once per
+envelope, and its basis is shifted to the stage's s only when a copy is
+tested.  The last s-search finds every Hom(V, T_i[k]),
 k >= 0, zero, and the certificate reads those spaces.  The chain condition
 is checked once, on the maps a result reports: f and v_map of
 `susp_envelope`, the latter the composite of the cocone maps, and u_map and
@@ -27,6 +32,7 @@ The stacked preenvelopes are chain maps by construction and are not
 checked.
 """
 
+from collections import Counter
 from functools import reduce
 
 from .complexes import (
@@ -80,8 +86,11 @@ def _stack(M, reps):
     """The map M -> (+) r.target whose block rows are the maps `reps`, in order.
 
     Block rows of chain maps with one source form a chain map, so the
-    result is not checked here.
+    result is not checked here.  One representative is its own stack, and
+    is returned as it is: nothing writes into a map once built.
     """
+    if len(reps) == 1:
+        return reps[0]
     alg = M.algebra
     F = direct_sum_many(alg, [r.target for r in reps])
     comps = {}
@@ -132,28 +141,52 @@ def left_minimize(pre, between=None):
     every rank full.  A copy kept once is never tried again: dropping it
     from a smaller set would leave smaller spans still.  The spaces
     Hom(M, T_j[s]) and their representatives are the ones `pre` carries.
-    Hom(T_ti[s], T_j[s]) has the shifted basis of Hom(T_ti, T_j), which
-    `between` keeps by (ti, j) for calls on one T_list.
+
+    A copy c = (ti, ri) is kept without a test when no other copy can
+    reach its representative: when every other copy k = (tk, rk) has
+    Hom(T_tk, T_ti) = 0 (tk != ti) or dim End(T_ti) = 1 (tk = ti).  Proof:
+    in Hom(M, T_ti[s]) the representative r_c has coordinates e_ri.  An
+    End of dimension 1 is k.id modulo homotopy, so a copy k of ti lets
+    through multiples of r_k alone, with rows in span{e_rk}, rk != ri; a
+    copy k with Hom(T_tk, T_ti) = 0 has no rows there at all.  So for
+    j = ti the rows of any set of copies without c span a space without
+    e_ri, of rank below dim Hom(M, T_ti[s]), and the test for c would
+    fail.  A lone copy is the case with no other copy.  Only the copies
+    left undecided are tested, in order, and the rows are built only when
+    there is one.  `between` keeps HomSpace(T_a, T_b, 0) by (a, b) for
+    calls on one T_list: the rule reads dimensions, and a test reads the
+    basis of Hom(T_ti, T_j), shifted, as that of Hom(T_ti[s], T_j[s]).
     """
     M, T_list, s = pre.M, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
     between = {} if between is None else between
-    pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs.dim})
-    for ti, j in (p for p in pairs if p not in between):
-        between[ti, j] = HomSpace(T_list[ti], T_list[j], 0).basis_maps()
-    shifted = {p: [shift_map(h, s) for h in between[p]] for p in pairs}  # bases of Hom(T_ti[s], T_j[s])
+
+    def hom(a, b):
+        if (a, b) not in between:
+            between[a, b] = HomSpace(T_list[a], T_list[b], 0)
+        return between[a, b]
+
+    count = Counter(ti for ti, _ in pre.copies)
+
+    def decided(ti):
+        return (count[ti] == 1 or hom(ti, ti).dim == 1) and not any(hom(tk, ti).dim for tk in count if tk != ti)
+
+    needed = {ti for ti in count if decided(ti)}
+    undecided = [c for c, (ti, _) in enumerate(pre.copies) if ti not in needed]
+    if not undecided:
+        return pre
+    live = [j for j, hs in enumerate(spaces) if hs.dim]
+    shifted = {  # bases of Hom(T_ti[s], T_j[s])
+        (ti, j): [shift_map(h, s) for h in hom(ti, j).basis_maps()] for ti in count for j in live
+    }
     copy_rows = []
     for ti, ri in pre.copies:
         r = reps[ti][ri]
-        rows = []
-        for j, hs in enumerate(spaces):
-            if hs.dim:
-                rows.append([hs.coordinates(h.compose(r)) for h in shifted[ti, j]])
-        copy_rows.append(rows)
-    dims = [hs.dim for hs in spaces if hs.dim]
+        copy_rows.append([[spaces[j].coordinates(h.compose(r)) for h in shifted[ti, j]] for j in live])
+    dims = [spaces[j].dim for j in live]
     fld = M.algebra.field
     keep = list(range(len(pre.copies)))
-    for c in range(len(pre.copies)):
+    for c in undecided:
         cand = [k for k in keep if k != c]
         if _is_preenvelope(fld, dims, [copy_rows[k] for k in cand]):
             keep = cand

@@ -128,13 +128,39 @@ class PathMatrix:
             out.setdefault(ij[axis], []).append((ij[1 - axis], terms))
         return out
 
+    def is_identity(self):
+        """Whether this is an identity: square, with e_v at coefficient one on the diagonal and nothing else."""
+        n, one = len(self.row_vertices), self.algebra.field.one
+        if len(self.cells) != n or self.col_vertices != self.row_vertices:
+            return False
+        for (i, j), t in self.cells.items():
+            if i != j or len(t) != 1:
+                return False
+            [(p, c)] = t.items()
+            if p.arrows or c != one:
+                return False
+        return True
+
     def compose(self, other):
-        """self o other (apply `other` first): algebra-matrix product."""
-        if other.algebra != self.algebra:
+        """self o other (apply `other` first): algebra-matrix product.
+
+        A product whose answer the factors already decide is not formed: a
+        factor with no cells gives a zero matrix, and an identity factor
+        (`is_identity`) gives the other factor itself.  Handing back an
+        operand is safe because no cell or terms dict is written once a
+        matrix is built (see the class docstring).
+        """
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ComplexError("different algebras")
         if self.col_vertices != other.row_vertices:
             raise ComplexError("composition shape mismatch")
         alg = self.algebra
+        if not (self.cells and other.cells):
+            return PathMatrix._of(alg, self.row_vertices, other.col_vertices, {})
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         fld = alg.field
         add, mul, prod, is_zero = fld.add, fld.mul, alg.compose_paths, fld.is_zero
         right = other.lines(0)
@@ -231,37 +257,45 @@ class PathMatrix:
         Works because the radical part is nilpotent: with V = S + R, the
         inverse is a finite Neumann series of -S^{-1} R applied to S^{-1},
         and S^{-1} itself when R = 0.  One pass over the cells splits them
-        into the rows of [S | 1] and the cells of R.  S^{-1} is one field
-        inverse for a 1x1 block, and otherwise the right half of the one
-        row reduction of [S | 1].
+        into the non-zeros of S and the cells of R.  S with fewer than n
+        non-zeros is singular.  S with exactly one non-zero per row and per
+        column (every 1x1 block among them) is monomial: S^{-1} is its
+        transpose with each coefficient inverted, emitted in the row-major
+        order of S^{-1}.  Any other S^{-1} is the right half of the one row
+        reduction of [S | 1].
         """
         if self.rows != self.cols:
             raise ComplexError("not square")
         alg = self.algebra
         fld = alg.field
         n = self.rows
-        aug = [[fld.zero] * (2 * n) for _ in range(n)]  # [S | 1]
-        rad = {}
+        scalars, rad = {}, {}
         for (i, j), t in self.cells.items():
             for p, c in t.items():
                 if p.arrows:
                     rad.setdefault((i, j), {})[p] = c
                 else:
-                    aug[i][j] = c
-        if n == 1:
-            if fld.is_zero(aug[0][0]):
-                raise ComplexError("scalar part is singular")
-            s_inv_field = [[fld.inv(aug[0][0])]]
+                    scalars[i, j] = c
+        if len(scalars) < n:
+            raise ComplexError("scalar part is singular")
+        cv, rv = self.col_vertices, self.row_vertices
+        by_col = {j: (i, c) for (i, j), c in scalars.items()}
+        if len(scalars) == len(by_col) == len({i for i, _ in scalars}) == n:
+            cells = {}
+            for j in range(n):
+                i, c = by_col[j]
+                cells[j, i] = {alg.trivial_path(cv[j]): fld.inv(c)}
         else:
+            aug = [[fld.zero] * (2 * n) for _ in range(n)]  # [S | 1]
+            for (i, j), c in scalars.items():
+                aug[i][j] = c
             for i, row in enumerate(aug):
                 row[n + i] = fld.one
             red, piv = row_space_rref(fld, aug)
             if piv != list(range(n)):
                 raise ComplexError("scalar part is singular")
-            s_inv_field = [row[n:] for row in red]
-        cv, rv = self.col_vertices, self.row_vertices
-        units = ((i, j, c) for i, row in enumerate(s_inv_field) for j, c in enumerate(row) if cv[i] == rv[j])
-        cells = {(i, j): {alg.trivial_path(cv[i]): c} for i, j, c in units if not fld.is_zero(c)}
+            units = ((i, j, c) for i, row in enumerate(red) for j, c in enumerate(row[n:]) if cv[i] == rv[j])
+            cells = {(i, j): {alg.trivial_path(cv[i]): c} for i, j, c in units if not fld.is_zero(c)}
         s_inv = PathMatrix._of(alg, cv, rv, cells)
         if not rad:
             return s_inv

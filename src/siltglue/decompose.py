@@ -65,11 +65,14 @@ NEWTON_STEPS = 64  # Newton steps an idempotent lift may take before it fails
 def _lazy_module(name):
     """The module `name`, executed on its first attribute access (the `importlib.util.LazyLoader` recipe).
 
-    A module already imported is returned as it is.
+    A module already imported is returned as it is; one that is not
+    installed raises ModuleNotFoundError, as `import` would.
     """
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module

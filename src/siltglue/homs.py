@@ -209,13 +209,21 @@ class HomSpace:
         reduced first, so `dim` reads rank delta^k off them; the boundaries
         are the raw rows of delta^(k-1), which span them as its RREF does,
         so they give the same pivots without reducing delta^(k-1) as an image.
+        A row that is zero on the free columns adds no pivot, so only the
+        rows that meet a free column are built, from the entries of
+        delta^(k-1), in row order.
         """
         pivots = set(self.hom.equations(self.k)[1])
         if not self.dim:
             return []
         free = [c for c in range(self.fvars.dim) if c not in pivots]  # cycle-basis vector q is 1 at free[q]
-        boundaries = [[row[c] for c in reversed(free)] for row in self.hom.dense(self.k - 1)]
-        skipped = {len(free) - 1 - p for p in row_space_rref(self.X.algebra.field, boundaries)[1]}
+        at = {c: len(free) - 1 - q for q, c in enumerate(free)}  # the free columns in reverse order
+        fld, rows = self.X.algebra.field, {}
+        for a, b, c in self.hom.delta(self.k - 1) if self.hvars.dim else ():
+            if b in at:
+                rows.setdefault(a, [fld.zero] * len(free))[at[b]] = c
+        boundaries = [rows[a] for a in sorted(rows)]
+        skipped = {len(free) - 1 - p for p in row_space_rref(fld, boundaries)[1]}
         return [v for q, v in enumerate(self.cycle_basis) if q not in skipped]
 
     def basis_maps(self):

@@ -1,4 +1,4 @@
-"""Earlier forms of three library routines, kept as oracles for their one-pass forms.
+"""Earlier forms of library routines, kept as oracles for their faster forms.
 
 - `former_cocone` builds CC(f) as C(f) shifted by -1, with the projection
   onto X, as `complexes.cocone` once did.
@@ -9,10 +9,18 @@
 - `former_invert` inverts a path matrix by the dense reduction of
   [S | 1] on `linalg.Matrix` objects, then the Neumann series in the radical
   part, as `PathMatrix.invert` once did.
+- `former_left_minimize` rank-tests every copy of a preenvelope once, in
+  order, as `approx.left_minimize` did before it kept the copies that Hom
+  dimensions decide without a test.
+- `former_reps` picks the representatives from every row of the dense
+  delta^(k-1), as `HomSpace._reps` did before it dropped the rows that are
+  zero on the free columns.
 """
 
-from siltglue.complexes import ChainMap, ComplexError, PathMatrix, cone, minimize, shift
-from siltglue.linalg import Matrix
+from siltglue.approx import Preenvelope, _is_preenvelope
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, cone, minimize, shift, shift_map
+from siltglue.homs import HomSpace
+from siltglue.linalg import Matrix, row_space_rref
 
 
 def former_cocone(f):
@@ -69,3 +77,33 @@ def former_invert(m):
         acc = acc + power if sign > 0 else acc - power
         sign = -sign
     return acc.compose(s_inv)
+
+
+def former_left_minimize(pre):
+    """`pre` with every copy rank-tested once, in order, and dropped when the rest still form a preenvelope."""
+    M, T_list, s = pre.M, pre.T_list, pre.s
+    spaces, reps = pre.spaces, pre.reps
+    pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs.dim})
+    shifted = {(a, b): [shift_map(h, s) for h in HomSpace(T_list[a], T_list[b], 0).basis_maps()] for a, b in pairs}
+    copy_rows = []
+    for ti, ri in pre.copies:
+        r = reps[ti][ri]
+        copy_rows.append([[hs.coordinates(h.compose(r)) for h in shifted[ti, j]] for j, hs in enumerate(spaces) if hs.dim])
+    dims = [hs.dim for hs in spaces if hs.dim]
+    keep = list(range(len(pre.copies)))
+    for c in range(len(pre.copies)):
+        cand = [k for k in keep if k != c]
+        if _is_preenvelope(M.algebra.field, dims, [copy_rows[k] for k in cand]):
+            keep = cand
+    return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps)
+
+
+def former_reps(hs):
+    """The representatives of a HomSpace, picked with every row of the dense delta^(k-1)."""
+    pivots = set(hs.hom.equations(hs.k)[1])
+    if not hs.dim:
+        return []
+    free = [c for c in range(hs.fvars.dim) if c not in pivots]
+    boundaries = [[row[c] for c in reversed(free)] for row in hs.hom.dense(hs.k - 1)]
+    skipped = {len(free) - 1 - p for p in row_space_rref(hs.X.algebra.field, boundaries)[1]}
+    return [v for q, v in enumerate(hs.cycle_basis) if q not in skipped]

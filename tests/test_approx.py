@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
-from former import former_envelope_tail
+from former import former_envelope_tail, former_left_minimize
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
@@ -35,6 +36,9 @@ from siltglue.approx import (
 )
 from siltglue.decompose import is_isomorphic
 from verifiers import certify_preenvelope, check_left_minimality, factors_through, weakly_preenveloping_check
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "F5", "F2147483647"]
 
 
 def test_preenvelope_anchor_h(ka3):
@@ -100,22 +104,38 @@ def test_left_minimize_against_the_assembled_certificate(field):
     assert hits >= 16 and deleted >= 10
 
 
-def test_left_minimize_tries_each_copy_once(ka3, monkeypatch):
-    """One rank test per copy: a copy kept once stays needed in every smaller set.
+def _undecided(pre):
+    """The copies whose need Hom dimensions leave open: some other copy, of member tk, has
+    Hom(T_tk, T_ti) != 0 (tk != ti) or dim End(T_ti) > 1 (tk = ti), for the copy's member ti."""
+    T = pre.T_list
 
-    On I2 (+) S2 against [P3, P2] the third copy goes after the first two
-    were kept, so a scan that restarted after a deletion would test them
-    again.
+    def reaches(tk, ti):
+        return HomSpace(T[tk], T[ti], 0).dim > (tk == ti)
+
+    return [
+        c for c, (ti, _) in enumerate(pre.copies)
+        if any(reaches(tk, ti) for k, (tk, _) in enumerate(pre.copies) if k != c)
+    ]
+
+
+def test_left_minimize_tries_each_copy_once(ka3, monkeypatch):
+    """At most one rank test per copy, and none for a copy that Hom dimensions keep.
+
+    On I2 (+) S2 against [P3, P2] the two copies of P3 are kept by
+    dimensions (End(P3) = k, Hom(P2, P3) = 0) and the copy of P2 alone is
+    tested and dropped.  On the random instances, over each field, every
+    copy left open is tested exactly once.
     """
     tests = []
     orig = approx._is_preenvelope
     monkeypatch.setattr(approx, "_is_preenvelope", lambda *args: tests.append(1) or orig(*args))
     P = ka3["P"]
     pre = add_shift_preenvelope(direct_sum(ka3["I2"], ka3["S2"]), [P["3"], P["2"]], 1)
-    assert left_minimize(pre).copies == [(0, 0), (0, 1)] and len(pre.copies) == len(tests) == 3
-    for seed in range(24):
+    assert left_minimize(pre).copies == [(0, 0), (0, 1)] and len(pre.copies) == 3 and len(tests) == 1
+    tested = 0
+    for field, seed in itertools.product(FIELDS, range(24)):
         rng = seeded_rng(5100 + seed)
-        alg = build_algebra(random_quiver(rng, max_vertices=4), QQ)
+        alg = build_algebra(random_quiver(rng, max_vertices=4), field)
         M = random_complex(alg, rng, steps=2, max_width=3)
         T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 3))]
         s = s_sup(M, T + T[:1])
@@ -123,7 +143,67 @@ def test_left_minimize_tries_each_copy_once(ka3, monkeypatch):
             tests.clear()
             pre = add_shift_preenvelope(M, T + T[:1], s)
             left_minimize(pre)
-            assert len(tests) == len(pre.copies)
+            assert len(tests) == len(_undecided(pre)) <= len(pre.copies)
+            tested += len(tests)
+    assert tested >= 30
+
+
+def _preenvelope_instances(field, seed, count):
+    """`count` random preenvelopes, in turn with T repeating a member, T summing two members into a third, and T as drawn."""
+    rng = seeded_rng(seed)
+    out = []
+    while len(out) < count:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.6), field)
+        M = random_complex(alg, rng, steps=2, max_width=3)
+        T = [random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 3))]
+        kind = len(out) % 3
+        if kind == 0:
+            T.append(T[0])
+        elif kind == 1:
+            T.append(direct_sum(T[0], T[-1]))
+        s = s_sup(M, T)
+        if s is not None:
+            out.append(add_shift_preenvelope(M, T, s))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_left_minimize_keeps_the_copies_every_test_keeps(field):
+    """The copies equal those of the former form, which rank-tests every copy, on random preenvelopes.
+
+    The instances repeat members, sum two members into a third, and have Hom
+    between members, so that dimensions decide some copies, leave others
+    open, and some open copies are dropped.
+    """
+    decided = opened = dropped = 0
+    for pre in _preenvelope_instances(field, 5300, 30):
+        mini = left_minimize(pre)
+        assert mini.copies == former_left_minimize(pre).copies
+        open_ = len(_undecided(pre))
+        decided += len(pre.copies) - open_
+        opened += open_
+        dropped += len(pre.copies) - len(mini.copies)
+    assert decided >= 8 and opened >= 10 and dropped >= 5
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_envelope_stage_keeps_the_former_copies(field, monkeypatch):
+    """Each preenvelope that an envelope or precover of the gluing fixtures and of the random sample
+    minimizes keeps the copies the former form keeps."""
+    seen = []
+    minimize_ = approx.left_minimize
+
+    def checked(pre, between=None):
+        mini = minimize_(pre, between)
+        assert mini.copies == former_left_minimize(pre).copies
+        seen.append(len(pre.copies) - len(mini.copies))
+        return mini
+
+    monkeypatch.setattr(approx, "left_minimize", checked)
+    for M, T in _envelope_inputs(field):
+        susp_envelope(M, T)
+        cosusp_precover(M, T)
+    assert len(seen) >= 20 and sum(seen) >= 1
 
 
 def _recording_homspaces(monkeypatch):
@@ -455,10 +535,6 @@ def test_cosusp_precover_oracle_random(field):
         res = _check_precover_by_oracle(M, T)
         hits += not res.V.is_zero() and not res.U.is_zero()
     assert hits >= 3
-
-
-FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
-FIELD_IDS = ["Q", "F5", "F2147483647"]
 
 
 def _dump(x):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_complex, random_quiver, seeded_rng
+from conftest import conjugated, random_complex, random_quiver, seeded_rng
 from former import former_cocone, former_invert
 from oracle import _rank
 from siltglue import complexes, linalg
@@ -692,3 +692,139 @@ def test_invert_matches_the_dense_augmented_reduction(field, monkeypatch):
         assert (m.compose(got) - PathMatrix.identity(m.algebra, m.row_vertices)).is_zero()
         kinds.add(("radical" if not m.radical_part().is_zero() else "scalar", m.rows == 1))
     assert {("singular", True), ("singular", False), ("radical", False), ("scalar", False), ("scalar", True)} <= kinds
+
+
+def _identity_factor_cases(field):
+    """(a, I_rows, I_cols): seeded random matrices, some with no cells, and the identities on their two sides."""
+    rng = seeded_rng(89)
+    out = []
+    while len(out) < 40:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        vs = alg.quiver.vertices
+        rows, cols = ([rng.choice(vs) for _ in range(rng.randint(1, 4))] for _ in range(2))
+        a = _random_path_matrix(alg, rng, rows, cols)
+        out.append((a, PathMatrix.identity(alg, rows), PathMatrix.identity(alg, cols)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_compose_with_an_identity_or_an_empty_factor(field):
+    """An identity factor, on either side, gives the other factor itself; an empty one, a zero matrix
+    of the product's shape.  Each equals the entrywise product."""
+    empty = 0
+    for a, left, right in _identity_factor_cases(field):
+        assert left.is_identity() and right.is_identity()
+        assert left.compose(a) == a == a.compose(right)
+        assert (left.compose(a) is a and a.compose(right) is a) or a.is_zero()
+        assert a == _naive_compose(left, a) == _naive_compose(a, right)
+        zl = PathMatrix.zero(a.algebra, a.row_vertices, a.row_vertices)
+        zr = PathMatrix.zero(a.algebra, a.col_vertices, a.col_vertices)
+        for prod, (x, y) in ((zl.compose(a), (zl, a)), (a.compose(zr), (a, zr))):
+            assert prod.is_zero() and prod == _naive_compose(x, y)
+            assert (prod.row_vertices, prod.col_vertices) == (x.row_vertices, y.col_vertices)
+        empty += a.is_zero()
+    assert empty >= 2
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_near_identities_take_the_general_product(field):
+    """A scaled identity (coefficient 2), a radical term on the diagonal and a permuted identity are not
+    identities; their products with a random matrix, on either side, equal the entrywise product."""
+    A = ka3_algebra(field)
+    rng = seeded_rng(97)
+    a = A.path_element(A.path_of_arrows(["a"]))
+    vs = ("1", "2", "2", "3")
+    two = PathMatrix(A, vs, vs, [[A.unit_at(w, field.of(2)) if i == j else A.zero_element() for j in range(4)]
+                                 for i, w in enumerate(vs)])
+    radical = PathMatrix(A, ("1",), ("2",), [[a]])
+    swap = PathMatrix(A, ("1", "2"), ("2", "1"), [[A.zero_element(), A.unit_at("1")], [A.unit_at("2"), A.zero_element()]])
+    for m in (two, radical, swap):
+        assert not m.is_identity()
+        for _ in range(5):
+            after = _random_path_matrix(A, rng, m.col_vertices, [rng.choice("123") for _ in range(3)])
+            before = _random_path_matrix(A, rng, [rng.choice("123") for _ in range(3)], m.row_vertices)
+            assert m.compose(after) == _naive_compose(m, after)
+            assert before.compose(m) == _naive_compose(before, m)
+            if not after.is_zero():
+                assert m.compose(after) is not after
+    assert two.compose(two) == _naive_compose(two, two) != two
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_merge_and_slices_of_nothing(field):
+    """Adding or subtracting a matrix with no cells gives the first operand; a slice of an empty matrix,
+    or with no rows or no columns, has the slice's shape and no cells."""
+    for a, _, _ in _identity_factor_cases(field):
+        zero = PathMatrix.zero(a.algebra, a.row_vertices, a.col_vertices)
+        assert _layout(a + zero) == _layout(a - zero) == _layout(a)
+        assert zero - a == -a
+        for rows, cols in (([], range(a.cols)), (range(a.rows), []), ([0], [0])):
+            for m in (a, zero):
+                sub = m.submatrix(rows, cols)
+                assert (sub.row_vertices, sub.col_vertices) == (
+                    tuple(m.row_vertices[i] for i in rows), tuple(m.col_vertices[j] for j in cols))
+                assert sub == PathMatrix(m.algebra, sub.row_vertices, sub.col_vertices,
+                                         [[m.entries[i][j] for j in cols] for i in rows])
+
+
+def _random_monomial_matrix(alg, rng, radical):
+    """A seeded square matrix whose scalar part has one non-zero per row and per column, coefficients in
+    [-3, 3] minus 0 (so often not 1), with random radical paths elsewhere when `radical` is set."""
+    fld, verts = alg.field, alg.quiver.vertices
+    rows = [rng.choice(verts) for _ in range(rng.randint(1, 4))]
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    cols = [None] * len(rows)
+    for i, j in enumerate(perm):
+        cols[j] = rows[i]
+    ents = []
+    for i, w in enumerate(rows):
+        row = []
+        for j, v in enumerate(cols):
+            terms = {}
+            if j == perm[i]:
+                terms[alg.trivial_path(w)] = fld.of(rng.choice([-3, -2, -1, 1, 2, 3]))
+            elif radical:
+                for p in alg.paths_between(w, v):
+                    if p.arrows and rng.random() < 0.6:
+                        terms[p] = fld.of(rng.randint(-2, 2))
+            row.append(alg.element(terms))
+        ents.append(row)
+    return PathMatrix(alg, rows, cols, ents)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_monomial_invert_needs_no_row_reduction(field, monkeypatch):
+    """A scalar part with one non-zero per row and per column is inverted by transposing it and inverting
+    each coefficient: the inverse equals the former [S | 1] routine's, down to stored order and scalar
+    representation, with and without a radical part, and no row reduction runs.  A unit block that is
+    not monomial still row-reduces."""
+    rng = seeded_rng(101)
+    cases = []
+    while len(cases) < 120:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        for radical in (False, True):
+            m = _random_monomial_matrix(alg, rng, radical)
+            cases.append((m, former_invert(m)))
+    A = ka3_algebra(field)
+    block = PathMatrix(A, ("2", "2"), ("2", "2"), [[A.unit_at("2"), A.unit_at("2")], [A.zero_element(), A.unit_at("2")]])
+    want = former_invert(block)
+
+    def no_rref(*_args):
+        raise AssertionError("a monomial scalar part needs no row reduction")
+
+    monkeypatch.setattr(complexes, "row_space_rref", no_rref)
+    kinds = set()
+    for m, want_m in cases:
+        got = m.invert()
+        assert _layout(got) == _layout(want_m)
+        kinds.add((m.rows > 1, not m.radical_part().is_zero(), any(c != field.one for c in _scalars(m))))
+    assert {(True, True, True), (True, False, True)} <= kinds and any(not rows for rows, _, _ in kinds)
+    with pytest.raises(AssertionError, match="monomial"):
+        block.invert()
+    monkeypatch.undo()
+    assert _layout(block.invert()) == _layout(want)
+
+
+def _scalars(m):
+    return [c for t in m.cells.values() for p, c in t.items() if not p.arrows]

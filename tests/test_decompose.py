@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -690,3 +693,19 @@ def test_min_poly_matches_the_solve_reference(monkeypatch):
         assert _min_poly(S, x) == expected
         assert not calls
     assert _min_poly(quotients[3], _t(quotients[3])) == [1, Fraction(-7, 2), Fraction(3, 2)]
+
+
+def test_a_missing_module_raises_module_not_found():
+    """`_lazy_module` of a module that is not installed raises ModuleNotFoundError naming it, and so does
+    importing the library where sympy cannot be found (`python -I -S`: no site-packages, and no PYTHONPATH
+    or user site directory either)."""
+    with pytest.raises(ModuleNotFoundError) as err:
+        decompose_module._lazy_module("no_such_module_xyz")
+    assert err.value.name == "no_such_module_xyz" and "no_such_module_xyz" not in sys.modules
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "try:\n    import siltglue.approx\nexcept ModuleNotFoundError as e:\n    print(e.name)\n"
+    )
+    res = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout.strip() == "sympy", res.stderr

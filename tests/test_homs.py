@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from former import former_reps
 from oracle import oracle_delta, oracle_hom_dim
 from test_recollement import _parallel_routes
 from verifiers import boundary
@@ -547,6 +548,22 @@ def test_representatives_are_the_greedy_choice(field):
             assert hs._reps == _greedy_reps(hs)
             compared += hs._reps != hs.cycle_basis[: hs.dim]  # some cycle before the last rep is skipped
     assert compared >= 5
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_representatives_skip_the_boundaries_zero_on_the_free_columns(field):
+    """Building only the boundary rows that meet a free column gives the representatives of every
+    row of delta^(k-1); some spaces have rows that are zero there."""
+    compared = dropped = 0
+    for X, Y in _random_pairs(field, 818, 10):
+        for hs in hom_spaces(X, Y).values():
+            assert hs._reps == former_reps(hs)
+            if hs.dim:
+                pivots = set(hs.hom.equations(hs.k)[1])
+                free = [c for c in range(hs.fvars.dim) if c not in pivots]
+                dropped += sum(not any(row[c] for c in free) for row in hs.hom.dense(hs.k - 1))
+                compared += 1
+    assert compared >= 10 and dropped >= 10
 
 
 def test_maps_of_another_shift_are_refused(ka3):
