@@ -62,8 +62,9 @@ class Preenvelope:
 
     `copies` lists, per target summand block, the index into T and the
     representative index it came from (deletion order follows this list).
-    `spaces[i]` is HomSpace(M, T_i, s) and `reps[i]` its `basis_maps()`;
-    `add_shift_preenvelope` builds them once and `left_minimize` reads them.
+    `spaces[i]` is HomSpace(M, T_i, s), or None where the s-search showed
+    it zero, and `reps[i]` its `basis_maps()`; `add_shift_preenvelope`
+    builds them once and `left_minimize` reads them.
     """
 
     __slots__ = ("M", "T_list", "s", "copies", "spaces", "reps")
@@ -104,13 +105,14 @@ def _stack(M, reps):
 def add_shift_preenvelope(M, T_list, s, spaces=None):
     """Preenvelope of M in add(T)[s]: one target copy per Hom representative.
 
-    `spaces` maps member indices to HomSpace(M, T_i, s) where it is already
-    built, as `s_search` returns it; the other members' spaces are built
-    here.
+    `spaces` maps member indices to HomSpace(M, T_i, s) as `s_search`
+    returns it: a member it leaves out has Hom(M, T_i[s]) = 0, so it gets
+    no copy and no space (None).  Without `spaces` every member's space is
+    built here.
     """
-    known = spaces or {}
-    spaces = [known[ti] if ti in known else HomSpace(M, T, s) for ti, T in enumerate(T_list)]
-    reps = [hs.basis_maps() for hs in spaces]
+    known = dict(enumerate(HomSpace(M, T, s) for T in T_list)) if spaces is None else spaces
+    spaces = [known.get(ti) for ti in range(len(T_list))]
+    reps = [[] if hs is None else hs.basis_maps() for hs in spaces]
     copies = [(ti, ri) for ti, rs in enumerate(reps) for ri in range(len(rs))]
     return Preenvelope(M, list(T_list), s, copies, spaces, reps)
 
@@ -175,7 +177,7 @@ def left_minimize(pre, between=None):
     undecided = [c for c, (ti, _) in enumerate(pre.copies) if ti not in needed]
     if not undecided:
         return pre
-    live = [j for j, hs in enumerate(spaces) if hs.dim]
+    live = [j for j, hs in enumerate(spaces) if hs is not None and hs.dim]
     shifted = {  # bases of Hom(T_ti[s], T_j[s])
         (ti, j): [shift_map(h, s) for h in hom(ti, j).basis_maps()] for ti in count for j in live
     }

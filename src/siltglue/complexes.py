@@ -32,6 +32,9 @@ condition is checked once, where a map is claimed: on loading
 reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
 of `glue` and `check-silting`.
+
+`minimize` runs its Gauss steps on one table of cells in the source's own
+indices, re-indexed once at the end; with nothing to cancel it is the identity.
 """
 
 from itertools import accumulate
@@ -161,11 +164,16 @@ class PathMatrix:
             return other
         if other.is_identity():
             return self
+        cells = PathMatrix._product(alg, self.cells, other.lines(0))
+        return PathMatrix._of(alg, self.row_vertices, other.col_vertices, cells)
+
+    @staticmethod
+    def _product(alg, left, right):
+        """The cells of left x right, from left's cells {(i, k): terms} and right's rows {k: [(j, terms)]}."""
         fld = alg.field
         add, mul, prod, is_zero = fld.add, fld.mul, alg.compose_paths, fld.is_zero
-        right = other.lines(0)
         sums = {}
-        for (i, k), a in self.cells.items():
+        for (i, k), a in left.items():
             for j, b in right.get(k, ()):
                 acc = sums.setdefault((i, j), {})
                 for p, cp in a.items():
@@ -176,16 +184,13 @@ class PathMatrix:
                             old = acc.get(pq)
                             acc[pq] = c if old is None else add(old, c)
         parts = ((ij, {p: c for p, c in acc.items() if not is_zero(c)}) for ij, acc in sums.items())
-        return PathMatrix._of(alg, self.row_vertices, other.col_vertices, {ij: t for ij, t in parts if t})
+        return {ij: t for ij, t in parts if t}
 
-    def _merge(self, other, negate):
-        """self + other, or self - other when `negate` is set, in one pass over the cells of `other`."""
-        if self.row_vertices != other.row_vertices or self.col_vertices != other.col_vertices:
-            raise ComplexError("shape mismatch")
-        fld = self.algebra.field
+    @staticmethod
+    def _add_into(fld, cells, other, negate):
+        """Add the cells `other` into the dict `cells` (subtract, with `negate`); no terms dict is written."""
         op, zero, is_zero = fld.sub if negate else fld.add, fld.zero, fld.is_zero
-        cells = dict(self.cells)
-        for ij, b in other.cells.items():
+        for ij, b in other.items():
             terms = dict(cells.pop(ij, ()))
             for p, c in b.items():
                 terms[p] = op(terms.get(p, zero), c)
@@ -193,6 +198,13 @@ class PathMatrix:
                     del terms[p]
             if terms:
                 cells[ij] = terms
+        return cells
+
+    def _merge(self, other, negate):
+        """self + other, or self - other when `negate` is set, in one pass over the cells of `other`."""
+        if self.row_vertices != other.row_vertices or self.col_vertices != other.col_vertices:
+            raise ComplexError("shape mismatch")
+        cells = PathMatrix._add_into(self.algebra.field, dict(self.cells), other.cells, negate)
         return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, cells)
 
     def __add__(self, other):
@@ -605,59 +617,101 @@ def cocone(f):
         rows, cols = (X.component(n + 1), Y.component(n)), (X.component(n), Y.component(n - 1))
         diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
     CC = ProjComplex(alg, comps, diffs)
-    proj = {
-        n: PathMatrix.blocks(alg, (vs,), (vs, Y.component(n - 1)), {(0, 0): PathMatrix.identity(alg, vs)})
-        for n, vs in X.components.items()
-    }
+    e, one = alg.trivial_path, alg.field.one
+    proj = {n: PathMatrix._of(alg, vs, vs + Y.component(n - 1), {(i, i): {e(v): one} for i, v in enumerate(vs)})
+            for n, vs in X.components.items()}
     return CC, ChainMap(CC, X, proj)
 
 
 class MinimizeResult:
     """Minimal model of `source`, with the Gauss steps that reached it.
 
-    Each step is `(n, rows, keep_src, keep_tgt, Gamma Phi^{-1},
-    (cols, Phi^{-1}, B))` as `_cancel` returns it; the complexes between
-    the steps are not kept.  The homotopy equivalences are never
-    accumulated: `push` and `pull` replay the steps on the two degrees each
-    one touches, so a caller builds only the composite it reads.
+    Each step is `(n, rows, cols, Gamma Phi^{-1}, Phi^{-1}, B)` in the
+    source's summand indices, Gamma Phi^{-1} as cells and Phi^{-1} and B by
+    rows {row: [(column, terms)]}; `index` maps each degree that lost a
+    summand to {source index: index in `complex`}.  `push` and `pull` replay
+    the steps on the given map's cells and re-index once; with no step,
+    `complex` is `source` itself and they return the given components.
     """
 
-    __slots__ = ("complex", "source", "steps")
+    __slots__ = ("complex", "source", "steps", "index")
 
-    def __init__(self, complex, source, steps):
-        self.complex = complex
-        self.source = source
-        self.steps = steps
+    def __init__(self, complex, source, steps, index):
+        self.complex, self.source, self.steps, self.index = complex, source, steps, index
 
     def push(self, g):
-        """to_min o g, for a chain map g into `source`."""
+        """to_min o g, for a chain map g into `source`: p^{n+1} = [-Gamma Phi^{-1} | 1] at each step."""
         if g.target is not self.source and g.target != self.source:
             raise ComplexError("composition endpoint mismatch")
-        comps = dict(g.components)
-        for n, rows, keep_src, keep_tgt, gamma_phi_inv, _ in self.steps:
-            if n in comps:
-                m = comps[n]
-                comps[n] = m.submatrix(keep_src, range(m.cols))
+        alg, comps = self.source.algebra, {n: m.cells for n, m in g.components.items()}
+        for n, rows, _cols, gamma_phi_inv, _phi_inv, _beta in self.steps:
             if n + 1 in comps:
-                m = comps[n + 1]
-                every = range(m.cols)
-                comps[n + 1] = m.submatrix(keep_tgt, every) - gamma_phi_inv.compose(m.submatrix(rows, every))
-        return ChainMap(g.source, self.complex, comps)
+                pivot, kept, lines = set(rows), {}, {}
+                for (i, j), t in comps[n + 1].items():
+                    if i in pivot:
+                        lines.setdefault(i, []).append((j, t))
+                    else:
+                        kept[i, j] = t
+                prod = PathMatrix._product(alg, gamma_phi_inv, lines)
+                comps[n + 1] = PathMatrix._add_into(alg.field, kept, prod, True)
+        return ChainMap(g.source, self.complex, self._onto(g, comps, 0))
 
     def pull(self, h):
-        """h o from_min, for a chain map h out of `source`."""
+        """h o from_min, for a chain map h out of `source`: i^n = [-Phi^{-1} B ; 1] at each step."""
         if h.source is not self.source and h.source != self.source:
             raise ComplexError("composition endpoint mismatch")
-        comps = dict(h.components)
-        for n, _rows, keep_src, keep_tgt, _, (cols, phi_inv, beta) in self.steps:
+        alg, comps = self.source.algebra, {n: m.cells for n, m in h.components.items()}
+        for n, _rows, _cols, _gamma_phi_inv, phi_inv, beta in self.steps:
             if n in comps:
-                m = comps[n]
-                every = range(m.rows)
-                comps[n] = m.submatrix(every, keep_src) - m.submatrix(every, cols).compose(phi_inv).compose(beta)
-            if n + 1 in comps:
-                m = comps[n + 1]
-                comps[n + 1] = m.submatrix(range(m.rows), keep_tgt)
-        return ChainMap(self.complex, h.target, comps)
+                pivot, kept = {}, {}
+                for (i, j), t in comps[n].items():
+                    (pivot if j in phi_inv else kept)[i, j] = t
+                prod = PathMatrix._product(alg, self._times_inverse(alg, pivot, phi_inv), beta)
+                comps[n] = PathMatrix._add_into(alg.field, kept, prod, True)
+        return ChainMap(self.complex, h.target, self._onto(h, comps, 1))
+
+    def _onto(self, f, comps, axis):
+        """f's components from `comps`, in source indices on the rows (axis 0) or columns, onto `complex`."""
+        out = dict(f.components)
+        for n, idx in self.index.items():
+            if n in comps:
+                m, vs = out[n], self.complex.component(n)
+                shape, maps = ((m.row_vertices, vs), (None, idx)) if axis else ((vs, m.col_vertices), (idx, None))
+                out[n] = PathMatrix._of(m.algebra, *shape, self._renumber(comps[n], *maps))
+        return out
+
+    @staticmethod
+    def _after(X, done, gone):
+        """The model of X that the steps `done`, each (new cells of d^n, step), leave once `gone` is cancelled.
+        Apart from `minimize`, whose frame then holds no comprehension and so makes no closure cell per call."""
+        table = {step[0]: cells for cells, step in done}
+        index = {n: {i: k for k, i in enumerate(i for i in range(len(X.component(n))) if i not in g)}
+                 for n, g in gone.items()}
+        comps = {n: tuple(vs[i] for i in index[n]) if n in index else vs for n, vs in X.components.items()}
+        diffs = dict(X.differentials)
+        for n in (index.keys() | {n - 1 for n in index}) & diffs.keys():  # the d^n next to a degree that lost one
+            cells = MinimizeResult._renumber(table.get(n, diffs[n].cells), index.get(n + 1), index.get(n))
+            diffs[n] = PathMatrix._of(X.algebra, comps[n + 1], comps[n], cells)
+        return MinimizeResult(ProjComplex(X.algebra, comps, diffs), X, [step for _, step in done], index)
+
+    @staticmethod
+    def _renumber(cells, rmap, cmap):
+        """The cells whose row is in `rmap` and column in `cmap`, renumbered by them; None keeps every index."""
+        return {(i if rmap is None else rmap[i], j if cmap is None else cmap[j]): t for (i, j), t in cells.items()
+                if (rmap is None or i in rmap) and (cmap is None or j in cmap)}
+
+    @staticmethod
+    def _times_inverse(alg, left, phi_inv):
+        """The cells of left Phi^{-1}.  Phi^{-1} with one single-term cell per row is monomial (invertible, so
+        each term is a trivial path): it renames columns and scales, keeping the terms at coefficient one."""
+        if not all(len(line) == 1 and len(line[0][1]) == 1 for line in phi_inv.values()):
+            return PathMatrix._product(alg, left, phi_inv)
+        one, mul, out = alg.field.one, alg.field.mul, {}
+        for (i, k), t in left.items():
+            [(j, unit)] = phi_inv[k]
+            [c] = unit.values()
+            out[i, j] = t if c == one else {p: mul(x, c) for p, x in t.items()}
+        return out
 
     @property
     def to_min(self):
@@ -678,78 +732,84 @@ def minimize(X):
     mutually inverse-up-to-homotopy chain maps in both directions.  Degrees
     are taken in increasing order, with one block step per degree
     (`_cancel`): cancelling at degree n only deletes rows of d^{n-1} and
-    columns of d^{n+1}, so no lower degree regains a unit entry.
+    columns of d^{n+1}, so no lower degree regains a unit entry.  The steps
+    share one table, each d^n as its cells in X's indices (X's own until a
+    step writes it); only the degrees that lost a summand are re-indexed.
     """
-    cur = X
-    steps = []
+    done, gone = [], {}  # (cells of the new d^n, step) per step, and the summands cancelled so far
     for n in sorted(X.differentials):
-        rows, cols = _pivots(cur.differential(n))
+        cells = X.differentials[n].cells  # a step at n - 1 only marks columns of d^n gone
+        rows, cols = _pivots(X.algebra.field, cells, len(X.component(n)), gone.get(n, ()))
         if rows:
-            cur, step = _cancel(cur, n, rows, cols)
-            steps.append(step)
-    return MinimizeResult(cur, X, steps)
+            done.append(_cancel(X, cells, n, rows, cols, gone))
+    return MinimizeResult._after(X, done, gone) if done else MinimizeResult(X, X, done, gone)
 
 
-def _pivots(d):
-    """Rows and columns of a maximal invertible block of unit entries of d.
+def _pivots(fld, cells, width, skip=()):
+    """Rows and columns of a maximal invertible block of unit entries of d, from its cells and `width`.
 
     The block is the one that cancelling the first unit entry in row-major
-    order, again and again, would use up.  Taking the scalar part commutes
-    with sums and products, so that elimination runs on the trivial-path
-    coefficients, and it takes a row exactly when the row leaves the span of
-    the rows before it, with the first non-zero column of its residue.  A
-    residue modulo a row space does not depend on the echelon form that
-    holds the space, so the rows that hold a unit enter one running RREF
-    (`extend_rref`) in order, and the others, which lie in every span, are
-    never built.
+    order, again and again, would use up, with the columns in `skip` left
+    out.  When each row with a unit has one, in a column no other such row
+    uses, that loop takes them all in row order.  Otherwise a row is taken
+    when its trivial-path coefficients leave the span of the rows before,
+    at the first non-zero column of its residue in one running RREF.
     """
-    fld = d.algebra.field
     units = {}
-    for (i, j), t in d.cells.items():
-        for p, c in t.items():
-            if not p.arrows:
-                units.setdefault(i, [fld.zero] * d.cols)[j] = c
-    red, pivs, rows, cols = [], [], [], []
-    for i, row in sorted(units.items()):
-        if extend_rref(fld, red, pivs, row):
-            rows.append(i)
-            cols.append(next(c for c in pivs if c not in cols))
-    return rows, cols
+    for (i, j), t in cells.items():
+        if j not in skip:
+            for p, c in t.items():
+                if not p.arrows:
+                    units.setdefault(i, {})[j] = c
+    if not units:
+        return [], []
+    rows, lines = zip(*sorted(units.items()))  # no comprehension here reads a local: a call makes no closure cell
+    cols = [next(iter(line)) for line in lines]
+    if all(len(line) == 1 for line in lines) and len(set(cols)) == len(cols):
+        return list(rows), cols
+    red, pivs, taken, at = [], [], [], []
+    for i, line in zip(rows, lines):
+        if extend_rref(fld, red, pivs, list(map(line.get, range(width), [fld.zero] * width))):
+            taken.append(i)
+            at.append(next(c for c in pivs if c not in at))
+    return taken, at
 
 
-def _cancel(X, n, rows, cols):
-    """Cancel the invertible block Phi = d^n[rows, cols] in one Gauss step.
+def _cancel(X, cells, n, rows, cols, gone):
+    """Cancel the invertible block Phi = d^n[rows, cols] of d^n, given by its cells, in one Gauss step.
 
-    In block form d^n = [[Phi, B], [Gamma, Delta]], with the pivot rows and
-    columns first.  The result Y drops X^n[cols] and X^{n+1}[rows], and its
-    d^n is Delta - Gamma Phi^{-1} B.  The chain maps p: X -> Y and i: Y -> X
-    are selections except p^{n+1} = [-Gamma Phi^{-1} | 1] and
-    i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id and
-    i o p is homotopic to the identity.  Returns Y and the step
-    `(n, rows, keep_src, keep_tgt, Gamma Phi^{-1}, (cols, Phi^{-1}, B))`,
-    from which `MinimizeResult` applies p and i; Phi^{-1} B is left to
-    `pull`, the only reader of i.
+    In block form d^n = [[Phi, B], [Gamma, Delta]], pivots first.  One pass
+    sorts the cells into the blocks, skipping the columns `gone` marks; the
+    cells of the new d^n are Delta - Gamma Phi^{-1} B.  X^n[cols] and
+    X^{n+1}[rows] join `gone`, and no complex is built.  The chain maps
+    p: X -> Y and i: Y -> X are selections except p^{n+1} = [-Gamma Phi^{-1} | 1]
+    and i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id
+    and i o p is homotopic to the identity.  Returns the new cells and the step (`MinimizeResult`).
     """
-    alg = X.algebra
-    d = X.differential(n)
-    src, tgt = X.component(n), X.component(n + 1)
-    keep_src = [c for c in range(d.cols) if c not in cols]
-    keep_tgt = [r for r in range(d.rows) if r not in rows]
-    beta = d.submatrix(rows, keep_src)
-    phi_inv = d.submatrix(rows, cols).invert()
-    gamma_phi_inv = d.submatrix(keep_tgt, cols).compose(phi_inv)
-    new_d = d.submatrix(keep_tgt, keep_src) - gamma_phi_inv.compose(beta)
-
-    comps = dict(X.components)
-    comps[n] = tuple(src[c] for c in keep_src)
-    comps[n + 1] = tuple(tgt[r] for r in keep_tgt)
-    diffs = dict(X.differentials)
-    diffs[n] = new_d
-    if n - 1 in diffs:
-        diffs[n - 1] = diffs[n - 1].submatrix(keep_src, range(diffs[n - 1].cols))
-    if n + 1 in diffs:
-        diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
-    return ProjComplex(alg, comps, diffs), (n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
+    alg, skip = X.algebra, gone.setdefault(n, set())
+    rpos, cpos = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
+    phi, gamma, beta, delta = {}, {}, {}, {}
+    for (i, j), t in cells.items():
+        if j in cpos:
+            if i in rpos:
+                phi[rpos[i], cpos[j]] = t
+            else:
+                gamma[i, j] = t
+        elif j in skip:
+            continue
+        elif i in rpos:
+            beta.setdefault(i, []).append((j, t))
+        else:
+            delta[i, j] = t
+    src, tgt, phi_inv = X.component(n), X.component(n + 1), {}
+    block = PathMatrix._of(alg, tuple(tgt[r] for r in rows), tuple(src[c] for c in cols), phi)
+    for (b, a), t in block.invert().cells.items():
+        phi_inv.setdefault(cols[b], []).append((rows[a], t))
+    gamma_phi_inv = MinimizeResult._times_inverse(alg, gamma, phi_inv)
+    skip.update(cols)
+    gone.setdefault(n + 1, set()).update(rows)
+    new = PathMatrix._add_into(alg.field, delta, PathMatrix._product(alg, gamma_phi_inv, beta), True)
+    return new, (n, rows, cols, gamma_phi_inv, phi_inv, beta)
 
 
 def transform(X, change):

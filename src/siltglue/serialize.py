@@ -44,10 +44,15 @@ def _array_of(value, kind, what):
 
 
 def _degree(key, what):
+    """The degree a key names.  Only the form the writer emits, str(n), is read, so that no two keys
+    ("0" and "00", say) name one degree."""
     try:
-        return int(key)
+        n = int(key)
     except ValueError:
+        n = None
+    if n is None or str(n) != key:
         raise SerializeError(f"{what}: bad degree key {key!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,21 @@
   part, as `PathMatrix.invert` once did.
 - `former_left_minimize` rank-tests every copy of a preenvelope once, in
   order, as `approx.left_minimize` did before it kept the copies that Hom
-  dimensions decide without a test.
+  dimensions decide without a test; a member with no space (None) is zero.
+- `former_minimize` cancels one unit block per degree by slicing the
+  differentials with `submatrix` and building a `ProjComplex` after every
+  step, with pivots from a running RREF of every unit row, and replays the
+  steps in `push` and `pull` by slicing again, as `complexes.minimize` did
+  before it ran on one cell table in the source's own indices.
 - `former_reps` picks the representatives from every row of the dense
   delta^(k-1), as `HomSpace._reps` did before it dropped the rows that are
   zero on the free columns.
 """
 
 from siltglue.approx import Preenvelope, _is_preenvelope
-from siltglue.complexes import ChainMap, ComplexError, PathMatrix, cone, minimize, shift, shift_map
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, shift, shift_map
 from siltglue.homs import HomSpace
-from siltglue.linalg import Matrix, row_space_rref
+from siltglue.linalg import Matrix, extend_rref, row_space_rref
 
 
 def former_cocone(f):
@@ -38,7 +43,7 @@ def former_cocone(f):
 def former_envelope_tail(f):
     """(V, v_map) of the envelope whose map M -> U is f, rebuilt from f."""
     V, v = former_cocone(f)
-    Vm = minimize(V)
+    Vm = former_minimize(V)
     return Vm.complex, Vm.pull(v)
 
 
@@ -83,13 +88,13 @@ def former_left_minimize(pre):
     """`pre` with every copy rank-tested once, in order, and dropped when the rest still form a preenvelope."""
     M, T_list, s = pre.M, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
-    pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs.dim})
+    pairs = sorted({(ti, j) for ti, _ in pre.copies for j, hs in enumerate(spaces) if hs and hs.dim})
     shifted = {(a, b): [shift_map(h, s) for h in HomSpace(T_list[a], T_list[b], 0).basis_maps()] for a, b in pairs}
     copy_rows = []
     for ti, ri in pre.copies:
         r = reps[ti][ri]
-        copy_rows.append([[hs.coordinates(h.compose(r)) for h in shifted[ti, j]] for j, hs in enumerate(spaces) if hs.dim])
-    dims = [hs.dim for hs in spaces if hs.dim]
+        copy_rows.append([[hs.coordinates(h.compose(r)) for h in shifted[ti, j]] for j, hs in enumerate(spaces) if hs and hs.dim])
+    dims = [hs.dim for hs in spaces if hs and hs.dim]
     keep = list(range(len(pre.copies)))
     for c in range(len(pre.copies)):
         cand = [k for k in keep if k != c]
@@ -107,3 +112,91 @@ def former_reps(hs):
     boundaries = [[row[c] for c in reversed(free)] for row in hs.hom.dense(hs.k - 1)]
     skipped = {len(free) - 1 - p for p in row_space_rref(hs.X.algebra.field, boundaries)[1]}
     return [v for q, v in enumerate(hs.cycle_basis) if q not in skipped]
+
+
+class FormerMinimizeResult:
+    """The minimal model and the steps `(n, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))`,
+    each in the indices of the complex before it."""
+
+    def __init__(self, complex, source, steps):
+        self.complex, self.source, self.steps = complex, source, steps
+
+    def push(self, g):
+        """to_min o g, replaying the steps on slices."""
+        comps = dict(g.components)
+        for n, rows, keep_src, keep_tgt, gamma_phi_inv, _ in self.steps:
+            if n in comps:
+                m = comps[n]
+                comps[n] = m.submatrix(keep_src, range(m.cols))
+            if n + 1 in comps:
+                m = comps[n + 1]
+                every = range(m.cols)
+                comps[n + 1] = m.submatrix(keep_tgt, every) - gamma_phi_inv.compose(m.submatrix(rows, every))
+        return ChainMap(g.source, self.complex, comps)
+
+    def pull(self, h):
+        """h o from_min, replaying the steps on slices."""
+        comps = dict(h.components)
+        for n, _rows, keep_src, keep_tgt, _, (cols, phi_inv, beta) in self.steps:
+            if n in comps:
+                m = comps[n]
+                every = range(m.rows)
+                comps[n] = m.submatrix(every, keep_src) - m.submatrix(every, cols).compose(phi_inv).compose(beta)
+            if n + 1 in comps:
+                m = comps[n + 1]
+                comps[n + 1] = m.submatrix(range(m.rows), keep_tgt)
+        return ChainMap(self.complex, h.target, comps)
+
+    @property
+    def to_min(self):
+        return self.push(ChainMap.identity(self.source))
+
+    @property
+    def from_min(self):
+        return self.pull(ChainMap.identity(self.source))
+
+
+def former_minimize(X):
+    """Minimal model of X by one sliced Gauss step per degree, in increasing order."""
+    cur, steps = X, []
+    for n in sorted(X.differentials):
+        rows, cols = former_pivots(cur.differential(n))
+        if rows:
+            cur, step = former_cancel(cur, n, rows, cols)
+            steps.append(step)
+    return FormerMinimizeResult(cur, X, steps)
+
+
+def former_pivots(d):
+    """The unit block of d that the row-major Gauss loop takes, by a running RREF of every unit row."""
+    fld = d.algebra.field
+    units = {}
+    for (i, j), t in d.cells.items():
+        for p, c in t.items():
+            if not p.arrows:
+                units.setdefault(i, [fld.zero] * d.cols)[j] = c
+    red, pivs, rows, cols = [], [], [], []
+    for i, row in sorted(units.items()):
+        if extend_rref(fld, red, pivs, row):
+            rows.append(i)
+            cols.append(next(c for c in pivs if c not in cols))
+    return rows, cols
+
+
+def former_cancel(X, n, rows, cols):
+    """(Y, step): X with the block d^n[rows, cols] cancelled, by four slices of d^n and a new complex."""
+    d = X.differential(n)
+    src, tgt = X.component(n), X.component(n + 1)
+    keep_src = [c for c in range(d.cols) if c not in cols]
+    keep_tgt = [r for r in range(d.rows) if r not in rows]
+    beta = d.submatrix(rows, keep_src)
+    phi_inv = d.submatrix(rows, cols).invert()
+    gamma_phi_inv = d.submatrix(keep_tgt, cols).compose(phi_inv)
+    comps, diffs = dict(X.components), dict(X.differentials)
+    comps[n], comps[n + 1] = tuple(src[c] for c in keep_src), tuple(tgt[r] for r in keep_tgt)
+    diffs[n] = d.submatrix(keep_tgt, keep_src) - gamma_phi_inv.compose(beta)
+    if n - 1 in diffs:
+        diffs[n - 1] = diffs[n - 1].submatrix(keep_src, range(diffs[n - 1].cols))
+    if n + 1 in diffs:
+        diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
+    return ProjComplex(X.algebra, comps, diffs), (n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))

@@ -385,6 +385,20 @@ def test_wrong_json_type_exits_2(tmp_path, verb, data):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("components", [{"0": ["1"], "00": ["2"]}, {"1_0": ["1"]}, {" 1": ["1"]}],
+                         ids=["colliding", "underscore", "space"])
+def test_non_canonical_degree_key_exits_2(tmp_path, components):
+    """`minimize` on a file whose degree keys are not str(n) is an input error: "00" next to "0" used to
+    merge into one degree and drop P_1 with exit code 0."""
+    (tmp_path / "alg.json").write_text(json.dumps({"v": 1, "field": "Q", "vertices": ["1", "2"], "arrows": []}))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"v": 1, "algebra": "alg.json", "components": components, "differentials": {}}))
+    res = run("minimize", str(path))
+    assert res.exit_code == 2
+    assert res.stderr.startswith("input error:") and "bad degree key" in res.stderr
+    assert res.stdout == ""
+
+
 def test_glue_failing_report_exits_1(fx):
     """With no T_B the glued set is j_!(T_C) = P3 alone: it does not generate, and the K_0 screen fails."""
     res = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"])

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import conjugated, random_complex, random_quiver, seeded_rng
-from former import former_cocone, former_invert
+from former import former_cancel, former_cocone, former_invert, former_minimize
 from oracle import _rank
 from siltglue import complexes, linalg
 from siltglue.fields import QQ, PrimeField
@@ -23,7 +23,6 @@ from siltglue.complexes import (
     transform,
     opposite_complex,
     ProjComplex,
-    _cancel,
     _pivots,
 )
 from siltglue.homs import HomSpace
@@ -253,28 +252,51 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
 def _full_maps(m):
     """to_min and from_min as products of every Gauss step's own chain maps.
 
-    Each step (n, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))
-    gives p: X -> Y and i: Y -> X as whole chain maps, checked on
-    construction, and they are composed up step by step; this is the
-    reference for `push` and `pull`.  The steps keep no complex, so Y is
-    `_cancel`'s result on the complex before the step.
+    Each step (n, rows, cols, Gamma Phi^-1, Phi^-1, B) is in the source's
+    indices and keeps no complex, so the complex before it is carried
+    along: Y is `former_cancel`'s result on it, at the positions that
+    `rows` and `cols` have among the summands still there, and the step's
+    blocks are read off at those positions.  Its p: X -> Y and i: Y -> X
+    are whole chain maps, checked on construction, composed up step by
+    step; this is the reference for `push` and `pull`.
     """
     alg = m.source.algebra
     p_total = i_total = ChainMap.identity(m.source)
     prev = m.source
-    for n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta) in m.steps:
-        Y = _cancel(prev, n, rows, cols)[0]
-        phi_inv_beta = phi_inv.compose(beta)
-        id_src, id_tgt = PathMatrix.identity(alg, prev.component(n)), PathMatrix.identity(alg, prev.component(n + 1))
+    alive = {n: list(range(len(vs))) for n, vs in prev.components.items()}
+
+    def block(lines, rpos, cpos, rv, cv):
+        cells = {(rpos[i], cpos[j]): t for i, line in lines.items() for j, t in line}
+        return PathMatrix._of(alg, tuple(rv), tuple(cv), cells)
+
+    for n, rows, cols, gamma_phi_inv, phi_inv, beta in m.steps:
+        src, tgt = alive[n], alive[n + 1]
+        at_rows, at_cols = [tgt.index(r) for r in rows], [src.index(c) for c in cols]
+        keep_src = [k for k in range(len(src)) if k not in at_cols]
+        keep_tgt = [k for k in range(len(tgt)) if k not in at_rows]
+        Y = former_cancel(prev, n, at_rows, at_cols)[0]
+        vs_src, vs_tgt = prev.component(n), prev.component(n + 1)
+        by_row = {}
+        for (i, r), t in gamma_phi_inv.items():
+            by_row.setdefault(i, []).append((r, t))
+        pos_keep_src = {src[k]: b for b, k in enumerate(keep_src)}
+        pos_keep_tgt = {tgt[k]: a for a, k in enumerate(keep_tgt)}
+        pos_rows, pos_cols = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
+        rows_v, cols_v = [vs_tgt[k] for k in at_rows], [vs_src[k] for k in at_cols]
+        gpi = block(by_row, pos_keep_tgt, pos_rows, Y.component(n + 1), rows_v)
+        phi_inv_beta = block(phi_inv, pos_cols, pos_rows, cols_v, rows_v).compose(
+            block(beta, pos_rows, pos_keep_src, rows_v, Y.component(n)))
+        id_src, id_tgt = PathMatrix.identity(alg, vs_src), PathMatrix.identity(alg, vs_tgt)
         all_src, all_tgt = range(id_src.rows), range(id_tgt.rows)
         p = {k: PathMatrix.identity(alg, vs) for k, vs in prev.components.items()}
         i = dict(p)
         p[n] = id_src.submatrix(keep_src, all_src)
-        p[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gamma_phi_inv.compose(id_tgt.submatrix(rows, all_tgt))
-        i[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, cols).compose(phi_inv_beta)
+        p[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gpi.compose(id_tgt.submatrix(at_rows, all_tgt))
+        i[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, at_cols).compose(phi_inv_beta)
         i[n + 1] = id_tgt.submatrix(all_tgt, keep_tgt)
         p_total = ChainMap(prev, Y, p).compose(p_total)
         i_total = i_total.compose(ChainMap(Y, prev, i))
+        alive[n], alive[n + 1] = [src[k] for k in keep_src], [tgt[k] for k in keep_tgt]
         prev = Y
     assert prev == m.complex
     return p_total, i_total
@@ -573,15 +595,20 @@ def _unit_rows_matrix(alg, rng):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_pivots_match_the_gauss_loop(field):
-    """`_pivots` takes the rows and columns the row-major Gauss loop on the scalar part takes."""
+    """`_pivots`, on the cells of d, takes the rows and columns the row-major Gauss loop on the scalar part takes."""
     rng = seeded_rng(1811)
     no_unit = dependent = 0
     for trial in range(300):
         if trial % 30 == 0:
             alg = build_algebra(random_quiver(rng, max_vertices=3, arrow_prob=0.7), field)
         d = _unit_rows_matrix(alg, rng)
-        rows, cols = _pivots(d)
+        rows, cols = _pivots(field, d.cells, d.cols)
         assert (rows, cols) == reference_pivots(d)
+        # columns cancelled by an earlier step are left out, as if they were gone
+        skip = {j for j in range(d.cols) if rng.random() < 0.3}
+        kept = [j for j in range(d.cols) if j not in skip]
+        sub_rows, sub_cols = reference_pivots(d.submatrix(range(d.rows), kept))
+        assert _pivots(field, d.cells, d.cols, skip) == (sub_rows, [kept[b] for b in sub_cols])
         unit_rows = {i for (i, j), t in d.cells.items() if any(not p.arrows for p in t)}
         no_unit += len(unit_rows) < d.rows
         dependent += len(rows) < len(unit_rows)
@@ -828,3 +855,78 @@ def test_monomial_invert_needs_no_row_reduction(field, monkeypatch):
 
 def _scalars(m):
     return [c for t in m.cells.values() for p, c in t.items() if not p.arrows]
+
+
+def _gauss_cases(field):
+    """Seeded complexes with unit entries, for `minimize` against `former_minimize`.
+
+    Over ka3 at vertex 2, with e its unit: d^0 = [e; e] and d^1 = [e, -e]
+    (two unit rows share a column, and d^1 holds a unit in the column the
+    first step cancels); d^0 = [e, e] (a row with two units);
+    d^0 = [2e, 0; 0, 3e; 2e, 3e] (a unit row that depends on the rows
+    before it, and a monomial Phi^-1 with coefficients 1/2 and 1/3);
+    d^0 = [e, e; 0, e] (a Phi whose scalar part is not monomial).  Then
+    `_unminimized_inputs`, which has a Phi with a radical part, and seeded
+    conjugates of its random sums, whose blocks mix all of these.
+    """
+    A = ka3_algebra(field)
+    e, zero = A.unit_at("2"), A.zero_element()
+
+    def dm(rows):
+        ents = [[x if x is zero else e.scale(field.of(x)) for x in row] for row in rows]
+        return PathMatrix(A, ("2",) * len(rows), ("2",) * len(rows[0]), ents)
+
+    out = [
+        make_complex(A, {0: ("2",), 1: ("2", "2"), 2: ("2",)}, {0: dm([[1], [1]]), 1: dm([[1, -1]])}),
+        make_complex(A, {0: ("2", "2"), 1: ("2",)}, {0: dm([[1, 1]])}),
+        make_complex(A, {0: ("2", "2"), 1: ("2", "2", "2")}, {0: dm([[2, zero], [zero, 3], [2, 3]])}),
+        make_complex(A, {0: ("2", "2"), 1: ("2", "2")}, {0: dm([[1, 1], [zero, 1]])}),
+    ]
+    unminimized = _unminimized_inputs(field)
+    return out + unminimized + [conjugated(X, seed) for seed, X in enumerate(unminimized[1::3])]
+
+
+def _phi_inv_kinds(steps):
+    """(monomial with a coefficient other than one, monomial, radical part) for each step's Phi^-1."""
+    out = set()
+    for _n, _rows, _cols, _gpi, phi_inv, _beta in steps:
+        terms = [t for line in phi_inv.values() for _, t in line]
+        monomial = all(len(line) == 1 for line in phi_inv.values()) and all(len(t) == 1 for t in terms)
+        ones = all(c == 1 for t in terms for c in t.values())
+        out.add((monomial and not ones, monomial, any(p.arrows for t in terms for p in t)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_minimize_matches_the_former_gauss_steps(field):
+    """The cell-table `minimize` gives the complex, push and pull of the former one, which slices the
+    differentials at every step, down to stored order and scalar representation.  Each map into or out
+    of the complex is checked, and so are to_min and from_min."""
+    kinds, skipped = set(), 0
+    for X in _gauss_cases(field):
+        m, old = minimize(X), former_minimize(X)
+        assert m.complex == old.complex and _complex_layout(m.complex) == _complex_layout(old.complex)
+        maps = [(m.to_min, old.to_min), (m.from_min, old.from_min)]
+        for g in HomSpace(X, X, 0).basis_maps()[:4]:
+            maps += [(m.push(g), old.push(g)), (m.pull(g), old.pull(g))]
+        for new, former in maps:
+            assert new.source == former.source and new.target == former.target
+            assert new.components == former.components and _map_layout(new) == _map_layout(former)
+        kinds |= _phi_inv_kinds(m.steps)
+        for n, rows, *_ in m.steps:  # a unit of d^(n+1) in a column the step at n cancels
+            d = X.differentials.get(n + 1)
+            skipped += d is not None and any(j in rows and any(not p.arrows for p in t) for (_, j), t in d.cells.items())
+    assert {(True, True, False), (False, True, False), (False, False, True), (False, False, False)} <= kinds
+    assert skipped >= 1
+
+
+def test_a_minimal_complex_is_its_own_minimal_model(ka3):
+    """With no unit entry there is no step: the model is the complex itself, and push and pull hand back
+    the given map's own components."""
+    for X in (ka3["I2"], ka3["S2"], direct_sum(ka3["I2"], shift(ka3["S2"], 1)), ka3["P"]["1"]):
+        m = minimize(X)
+        assert m.steps == [] and m.complex is X
+        for g in [ChainMap.identity(X), *HomSpace(X, X, 0).basis_maps()]:
+            pushed, pulled = m.push(g), m.pull(g)
+            assert pushed.target is X and pulled.source is X
+            assert all(pushed.components[n] is c and pulled.components[n] is c for n, c in g.components.items())

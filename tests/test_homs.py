@@ -398,7 +398,9 @@ def test_s_search_builds_representatives_only_where_read(ka3, monkeypatch):
     assert not any("_reps" in vars(hs) for hs in scanned)
     pre = add_shift_preenvelope(M, T, s, spaces)
     assert [id(hs) for hs in scanned if "_reps" in vars(hs)] == [id(hs) for hs in spaces.values()]
-    assert [hs.dim for hs in pre.spaces] == [len(reps) for reps in pre.reps]
+    assert [0 if hs is None else hs.dim for hs in pre.spaces] == [len(reps) for reps in pre.reps]
+    # a member the search left without a space at s has Hom(M, T_i[s]) = 0 and gets none
+    assert [hs is None for hs in pre.spaces] == [ti not in spaces for ti in range(len(T))]
 
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]

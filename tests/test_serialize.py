@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -155,6 +156,37 @@ def test_complex_bad_pathspec(ka3):
 def test_complex_bad_degree_key(ka3):
     with pytest.raises(SerializeError, match="degree key"):
         complex_from_json({"v": 1, "components": {"zero": ["1"]}}, algebra=ka3["A"])
+
+
+NON_CANONICAL = [("00", "0"), ("1_0", "10"), (" 1", "1"), ("+1", "1"), ("-0", "0"), ("-01", "-1")]
+
+
+@pytest.mark.parametrize("key, degree", NON_CANONICAL, ids=[k for k, _ in NON_CANONICAL])
+def test_complex_degree_key_must_be_canonical(ka3, key, degree):
+    """A degree key is read only in the form the writer emits, str(n): "00" next to "0" would merge into one
+    degree, and "1_0" or " 1" would be read as 10 or 1."""
+    A = ka3["A"]
+    colliding = {"v": 1, "components": {degree: ["1"], key: ["2"]}}
+    with pytest.raises(SerializeError, match=re.escape(f"complex: bad degree key '{key}'")):
+        complex_from_json(colliding, algebra=A)
+    data = complex_to_json(shift(ka3["I2"], -int(degree) - 1))  # a differential at `degree`
+    data["differentials"][key] = data["differentials"].pop(degree)
+    with pytest.raises(SerializeError, match=re.escape(f"complex: bad degree key '{key}'")):
+        complex_from_json(data, algebra=A)
+    assert complex_from_json({"v": 1, "components": {degree: ["1"]}}, algebra=A).components == {int(degree): ("1",)}
+
+
+@pytest.mark.parametrize("key, degree", NON_CANONICAL, ids=[k for k, _ in NON_CANONICAL])
+def test_chain_map_degree_key_must_be_canonical(ka3, key, degree):
+    """The same keys are refused in a chain map's components, next to the canonical key or alone."""
+    X = shift(ka3["I2"], -int(degree))  # a component at `degree`
+    data = chain_map_to_json(ChainMap.identity(X))
+    data["components"][key] = data["components"][degree]
+    with pytest.raises(SerializeError, match=re.escape(f"chain map: bad degree key '{key}'")):
+        chain_map_from_json(data, ka3["A"])
+    del data["components"][degree]
+    with pytest.raises(SerializeError, match=re.escape(f"chain map: bad degree key '{key}'")):
+        chain_map_from_json(data, ka3["A"])
 
 
 def test_file_round_trip_with_algebra_ref(tmp_path, ka3):
