@@ -48,7 +48,7 @@ from .complexes import (
     shift_map,
 )
 from .decompose import decompose
-from .homs import HomSpace, nonzero_homs, s_search
+from .homs import HomSpace, hom_spaces, nonzero_homs, s_search
 from .linalg import row_space_rref
 from .quiver import build_algebra
 
@@ -156,8 +156,10 @@ def left_minimize(pre, between=None):
     fail.  A lone copy is the case with no other copy.  Only the copies
     left undecided are tested, in order, and the rows are built only when
     there is one.  `between` keeps HomSpace(T_a, T_b, 0) by (a, b) for
-    calls on one T_list: the rule reads dimensions, and a test reads the
-    basis of Hom(T_ti, T_j), shifted, as that of Hom(T_ti[s], T_j[s]).
+    calls on one T_list, or None where 0 lies outside the support window
+    and the space is zero, unbuilt: the rule reads dimensions, and a test
+    reads the basis of Hom(T_ti, T_j), shifted, as that of
+    Hom(T_ti[s], T_j[s]).
     """
     M, T_list, s = pre.M, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
@@ -165,13 +167,16 @@ def left_minimize(pre, between=None):
 
     def hom(a, b):
         if (a, b) not in between:
-            between[a, b] = HomSpace(T_list[a], T_list[b], 0)
+            between[a, b] = hom_spaces(T_list[a], T_list[b], 0, 0)[0]
         return between[a, b]
+
+    def dim(a, b):
+        return 0 if hom(a, b) is None else hom(a, b).dim
 
     count = Counter(ti for ti, _ in pre.copies)
 
     def decided(ti):
-        return (count[ti] == 1 or hom(ti, ti).dim == 1) and not any(hom(tk, ti).dim for tk in count if tk != ti)
+        return (count[ti] == 1 or dim(ti, ti) == 1) and not any(dim(tk, ti) for tk in count if tk != ti)
 
     needed = {ti for ti in count if decided(ti)}
     undecided = [c for c, (ti, _) in enumerate(pre.copies) if ti not in needed]
@@ -179,7 +184,9 @@ def left_minimize(pre, between=None):
         return pre
     live = [j for j, hs in enumerate(spaces) if hs is not None and hs.dim]
     shifted = {  # bases of Hom(T_ti[s], T_j[s])
-        (ti, j): [shift_map(h, s) for h in hom(ti, j).basis_maps()] for ti in count for j in live
+        (ti, j): [] if hom(ti, j) is None else [shift_map(h, s) for h in hom(ti, j).basis_maps()]
+        for ti in count
+        for j in live
     }
     copy_rows = []
     for ti, ri in pre.copies:

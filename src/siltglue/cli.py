@@ -249,7 +249,7 @@ def recollement_cmd(algebra_file, e_list):
     _emit(report, [f"recollement ok: C on {list(rec.S)}, B on {list(rec.complement)}"])
 
 
-def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
+def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut):
     try:
         alg = serialize.load_algebra(algebra_file)
         rec = idempotent_recollement(alg, [v.strip() for v in e_list.split(",") if v.strip()])
@@ -263,9 +263,9 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
     try:
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
         if shortcut:
-            cert = glue_shortcut(rec, T_B, depth=depth, probes=probes)
+            cert = glue_shortcut(rec, T_B, probes=probes)
         else:
-            cert = glue(rec, T_C, T_B, depth=depth, probes=probes)
+            cert = glue(rec, T_C, T_B, probes=probes)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -301,18 +301,16 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
 @click.option("--tc", "tc_files", multiple=True, help="T_C complex files (over the corner)")
 @click.option("--tb", "tb_files", multiple=True, help="T_B complex files (over the quotient)")
 @click.option("--shortcut", is_flag=True, help="use the canonical-corner shortcut")
-@click.option("--depth", type=click.IntRange(min=0), default=3)
-def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut, depth):
+def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut):
     """Glue silting sets along the idempotent recollement at --e."""
     if not shortcut and not tc_files:
         _fail_input("glue requires --tc files (or --shortcut)")
-    _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut, depth)
+    _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut)
 
 
 @main.command("check-silting")
 @click.argument("t_files", nargs=-1, required=True)
-@click.option("--depth", type=click.IntRange(min=0), default=3)
-def check_silting(t_files, depth):
+def check_silting(t_files):
     """Presilting + generation + K0 certificates for a set of complexes."""
     try:
         T = _load_complexes(t_files)
@@ -321,7 +319,7 @@ def check_silting(t_files, depth):
                 raise serialize.SerializeError("complexes over different algebras")
     except INPUT_ERRORS as exc:
         _fail_input(exc)
-    reports, _classes = certify_set(T, T[0].algebra, depth)
+    reports, _classes = certify_set(T, T[0].algebra)
     pres, gen, k0 = reports["presilting"], reports["generation"], reports["k0"]
     report = {
         "v": 1,

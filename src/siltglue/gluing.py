@@ -7,11 +7,11 @@ Every certificate is re-derivable from raw Hom computations.
 """
 
 from .fields import QQ
-from .complexes import ProjComplex, cone, direct_sum_many, minimize, shift, subcomplex_on_indices
-from .homs import hom_spaces, is_nonpositive, nonzero_homs
-from .approx import susp_envelope
+from .complexes import ProjComplex, direct_sum_many, minimize, shift, subcomplex_on_indices
+from .homs import is_nonpositive, nonzero_homs
+from .approx import cosusp_precover, susp_envelope
 from .recollement import i_star, j_lower_shriek
-from .decompose import decompose, group_isomorphic, isomorphism_class, summand_order
+from .decompose import decompose, group_isomorphic, summand_order
 from .linalg import Matrix, det, rank
 
 
@@ -114,107 +114,55 @@ def k0_report(classes, algebra):
     }
 
 
-GENERATION_BUDGET = 64  # objects check_generation may hold before it gives up
+def check_generation(algebra, classes, presilting):
+    """Does thick(T) hold every P_v?  A report with status "generated", "not generated" or "undecided".
 
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def check_generation(T_list, classes, depth=3):
-    """Depth-bounded thick-closure saturation: do all P_v get generated?
-
-    Starts from the indecomposable summands of the given complexes
-    (`classes` as `summand_classes` returns them) and repeatedly adjoins
-    minimized cones of Hom-basis maps between shifts.  Each depth walks only the pairs with an object new since the
-    depth before: an older pair was walked to the end at an earlier depth,
-    so the summands of its cones are held already.  Returns a report with
-    status "generated" (plus witnesses) or "inconclusive".  At most
-    GENERATION_BUDGET objects are held; when another is needed the search
-    stops as "inconclusive" with "budget_exhausted": true.
+    T is given by its summand classes (`classes` as `summand_classes`
+    returns them); `presilting` is the verdict of `check_presilting`.  A
+    vertex v whose stalk P_v[k] is a summand class is witnessed by it.  At
+    every other vertex the envelope V -> P_v -> U, U in susp(T), is taken,
+    then the precover V' -> V -> W, V' in cosusp(T), of its cocone: W = 0
+    puts P_v in thick(T), and the two traces, whose tags index the classes,
+    are the witness.  If T is silting, W = 0 at every vertex: the
+    co-t-structure of a silting set puts any V in the left orthogonal of
+    T[>=0] into cosusp(T[-1]) (Bondarko, "Weight structures vs.
+    t-structures", 2010; Aihara-Iyama, "Silting mutation in triangulated
+    categories", 2012).  So for a presilting T, W != 0 proves that T does
+    not generate.  A set that is not presilting is approximated
+    nowhere: with a vertex left after the stalks, its report is
+    "undecided".  `missing` lists the vertices not shown to be in thick(T).
     """
-    if not T_list:
-        return {"status": "inconclusive", "ok": False, "witnesses": []}
-    algebra = T_list[0].algebra
-    verts = list(algebra.quiver.vertices)
-
-    objs = [(c, f"input[{ti}]") for c, _m, _certified, ti in classes]
+    T_list = [c for c, _m, _certified, _ti in classes]
     witnesses = {}
-
-    def note(X, how):
-        for c, _m, _certified in decompose(X):
-            if isomorphism_class(c, objs) is None:
-                if len(objs) >= GENERATION_BUDGET:
-                    raise _BudgetExhausted
-                objs.append((c, how))
-
-    def found_all():
-        missing = []
-        for v in verts:
-            hit = None
-            # a generated stalk shows up as a one-summand object P_v[k]
-            for o, how in objs:
-                k = o.lo  # a stalk summand sits in a single degree
-                if o.summand_count() == 1 and tuple(o.components[k]) == (v,):
-                    hit = (how, k)
-                    break
-            if hit is None:
-                missing.append(v)
-            else:
-                witnesses[v] = hit
-        return missing
-
-    missing = found_all()
-    level = fresh = 0
-    exhausted = False
-    try:
-        while missing and level < depth:
-            level += 1
-            snapshot, old, fresh = list(objs), fresh, len(objs)
-            for x, (X, howx) in enumerate(snapshot):
-                for Y, howy in snapshot if x >= old else snapshot[old:]:  # two older objects: walked before
-                    for k, hs in hom_spaces(X, Y).items():
-                        for ri, f in enumerate(hs.basis_maps()):
-                            note(
-                                minimize(cone(f)).complex,
-                                f"cone({howx} -> {howy}[{k}], rep {ri}) @depth {level}",
-                            )
-                missing = found_all()
-                if not missing:
-                    break
-    except _BudgetExhausted:
-        missing = found_all()
-        exhausted = bool(missing)
+    for c, _m, _certified, ti in classes:
+        if c.summand_count() == 1:  # a stalk: one P_v, in degree lo
+            witnesses.setdefault(c.components[c.lo][0], (f"input[{ti}]", c.lo))
+    missing = [v for v in algebra.quiver.vertices if v not in witnesses]
+    report = {"objects": len(classes), "witnesses": witnesses}
+    if missing and not presilting["ok"]:
+        return {"status": "undecided", "ok": False, "missing": missing, **report}
+    for v in missing:
+        env = susp_envelope(ProjComplex.stalk(algebra, v), T_list)
+        pre = cosusp_precover(env.V, T_list)
+        if pre.U.is_zero():
+            witnesses[v] = {"envelope": env.trace, "precover": pre.trace}
+    missing = [v for v in missing if v not in witnesses]
     if missing:
-        report = {
-            "status": "inconclusive",
-            "ok": False,
-            "missing": missing,
-            "objects": len(objs),
-            "witnesses": witnesses,
-        }
-        if exhausted:
-            report["budget_exhausted"] = True
-        return report
-    return {
-        "status": "generated",
-        "ok": True,
-        "depth": level,
-        "witnesses": witnesses,
-        "objects": len(objs),
-    }
+        return {"status": "not generated", "ok": False, "missing": missing, **report}
+    return {"status": "generated", "ok": True, **report}
 
 
-def certify_set(T_list, algebra, depth=3):
+def certify_set(T_list, algebra):
     """Presilting, generation and K_0 reports of a set, splitting it once.
 
     Returns the reports and the distinct summand classes (`summand_classes`),
     which the generation check and the K_0 screen share.
     """
     classes = summand_classes(T_list)
+    presilting = check_presilting(T_list)
     reports = {
-        "presilting": check_presilting(T_list),
-        "generation": check_generation(T_list, classes, depth),
+        "presilting": presilting,
+        "generation": check_generation(algebra, classes, presilting),
         "k0": k0_report(classes, algebra),
     }
     return reports, classes
@@ -269,7 +217,7 @@ def _require_nonpositive(name, T_list):
         raise GlueError(f"{name} is not non-positive: Hom(T_{w[0]}, T_{w[1]}[{w[2]}]) != 0")
 
 
-def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
+def glue(rec, T_C, T_B, probes=None, decompose_result=True):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
@@ -302,17 +250,17 @@ def glue(rec, T_C, T_B, depth=3, probes=None, decompose_result=True):
             }
         )
     T = jT + tildes
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result)
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), probes, decompose_result)
 
 
-def _certify(cert, depth, probes, decompose_result):
+def _certify(cert, probes, decompose_result):
     """Fill the reports of a glued set (condition (*), then `certify_set`) and its decomposition.
 
     By Krull-Schmidt the decomposition of (+)T is the union of the members'
     summand classes, so it is read off those, sorted as `decompose` sorts.
     """
     cert.reports["star_condition"] = check_star_condition(cert)
-    reports, classes = certify_set(cert.T, cert.rec.A, depth)
+    reports, classes = certify_set(cert.T, cert.rec.A)
     cert.reports.update(reports)
     if probes is not None:
         cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
@@ -328,7 +276,7 @@ def canonical_corner_silting(rec):
     )
 
 
-def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
+def glue_shortcut(rec, T_B, probes=None, decompose_result=True):
     """Shortcut for canonical T_C = {C}: split minimize(i_*(+)T_B) directly.
 
     Requires every T_B component in degrees <= 0 after minimization; the
@@ -361,4 +309,4 @@ def glue_shortcut(rec, T_B, depth=3, probes=None, decompose_result=True):
         else [{"V": tilde, "M": P, "U": U1, "f": None, "v_map": None, "s": None, "trace": [(0, ())]}]
     )
     T = jT + [t for t in tildes if not t.is_zero()]
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), depth, probes, decompose_result)
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), probes, decompose_result)

@@ -2,21 +2,26 @@ import json
 import signal
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import random_complex, seeded_rng
 from siltglue import gluing, serialize
-from siltglue.fields import PrimeField
-from siltglue.complexes import ProjComplex, direct_sum_many, shift
+from siltglue.fields import QQ, PrimeField
+from siltglue.approx import cosusp_precover, susp_envelope
+from siltglue.cli import main
+from siltglue.complexes import PathMatrix, ProjComplex, direct_sum_many, make_complex, shift
 from siltglue.decompose import decompose, is_isomorphic
 from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
     ka3_algebra,
+    linear_an,
 )
 from siltglue.gluing import (
     GlueError,
     canonical_corner_silting,
     check_generation,
+    check_presilting,
     check_co_aisle_agreement,
     check_star_condition,
     glue,
@@ -83,8 +88,8 @@ def test_glue_empty_quotient_part():
     # only j_! of the corner silting survives; it is presilting but cannot
     # generate the whole category
     assert cert.reports["presilting"]["ok"]
-    assert cert.reports["generation"]["status"] == "inconclusive"
-    assert "budget_exhausted" not in cert.reports["generation"]
+    assert cert.reports["generation"]["status"] == "not generated"
+    assert cert.reports["generation"]["missing"] == ["1", "2"]
     assert not cert.passed
 
 
@@ -219,35 +224,75 @@ def test_k0_report_eliminates_once(monkeypatch, ka3):
 
 
 def _generation(T_list):
-    return check_generation(T_list, summand_classes(T_list))
+    return check_generation(T_list[0].algebra, summand_classes(T_list), check_presilting(T_list))
 
 
-def test_generation_budget_is_reported(monkeypatch, ka3):
-    P = ka3["P"]
-    full = _generation([P["1"], P["2"]])
-    assert full["status"] == "inconclusive" and "budget_exhausted" not in full
-    assert full["objects"] > 4
-    monkeypatch.setattr(gluing, "GENERATION_BUDGET", 4)
-    cut = _generation([P["1"], P["2"]])
-    assert cut["status"] == "inconclusive" and cut["budget_exhausted"] is True
-    assert cut["objects"] == 4
-    # a set that generates within the budget is unaffected
-    ok = _generation([P["1"], P["2"], P["3"]])
-    assert ok["status"] == "generated" and "budget_exhausted" not in ok
-
-
-def test_generation_walks_each_pair_at_one_depth(monkeypatch, ka3):
-    """No (X, Y, k) is built at two depths: a depth walks only the pairs with a new object.
-
-    On [P1, P2] the walk runs three depths and stays inconclusive; the
-    report is the one a walk over every pair at every depth gives.
-    """
-    walked = []
-    orig = gluing.hom_spaces
-    monkeypatch.setattr(gluing, "hom_spaces", lambda X, Y: walked.append((X, Y)) or orig(X, Y))
+def test_generation_refutes_a_presilting_set(ka3):
+    """P1 (+) P2 is presilting, and the precover of P3's envelope cocone is not zero: "not generated"."""
     P = ka3["P"]
     rep = _generation([P["1"], P["2"]])
     witnesses = {"1": ("input[0]", 0), "2": ("input[1]", 0)}
-    assert rep == {"status": "inconclusive", "ok": False, "missing": ["3"], "objects": 7, "witnesses": witnesses}
-    pairs = [(id(X), id(Y)) for X, Y in walked]  # `walked` keeps every object alive, so ids stay distinct
-    assert len(pairs) == len(set(pairs)) == 5 * 5  # the 5 objects held when the last depth began
+    assert rep == {"status": "not generated", "ok": False, "missing": ["3"], "objects": 2, "witnesses": witnesses}
+    assert _generation([P["1"], P["2"], P["3"]])["status"] == "generated"
+
+
+def test_generation_approximates_nothing_for_a_set_that_is_not_presilting(monkeypatch, ka3):
+    """I2, S2, P3 is not presilting: the vertices its stalks miss are "undecided", with no envelope taken."""
+    monkeypatch.setattr(gluing, "susp_envelope", None)
+    rep = _generation([ka3["I2"], ka3["S2"], ka3["P"]["3"]])
+    witnesses = {"3": ("input[2]", 0)}
+    assert rep == {"status": "undecided", "ok": False, "missing": ["1", "2"], "objects": 3, "witnesses": witnesses}
+
+
+def _staircase(alg):
+    """P_v1 and the P_vm -> P_vi, i < m, in degrees -1 and 0, over a linear quiver v1 -> ... -> vm.
+
+    Each differential is the path vi -> vm; the set is 2-term silting.
+    """
+    verts = list(alg.quiver.vertices)
+    vm = verts[-1]
+    steps = [
+        make_complex(alg, {-1: (vm,), 0: (vi,)}, {-1: PathMatrix(alg, (vi,), (vm,), [[alg.path_element(path)]])})
+        for vi in verts[:-1]
+        for (path,) in [alg.paths_between(vi, vm)]
+    ]
+    return [ProjComplex.stalk(alg, verts[0])] + steps
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_staircase_glue_on_a16_passes(tmp_path, field):
+    """The staircases over the two halves of A16 glue to a silting set, and the `glue` verb exits 0.
+
+    The glued set has a stalk summand at two vertices only, so generation
+    is decided at the other fourteen by the envelope and the precover.
+    """
+    rec = idempotent_recollement(linear_an(16, field), [str(i) for i in range(9, 17)])
+    T_C, T_B = _staircase(rec.C), _staircase(rec.B)
+    cert = glue(rec, T_C, T_B)
+    assert cert.passed, cert.reports
+    gen = cert.reports["generation"]
+    assert gen["status"] == "generated" and sorted(gen["witnesses"]) == sorted(rec.A.quiver.vertices)
+    assert sum(isinstance(w, dict) for w in gen["witnesses"].values()) == 14  # all but the stalks P1 and P9
+    args = ["glue"]
+    for key, alg in (("A", rec.A), ("C", rec.C), ("B", rec.B)):
+        serialize.save_algebra(alg, str(tmp_path / f"{key}.json"))
+    args += [str(tmp_path / "A.json"), "--e", ",".join(rec.S)]
+    for opt, key, T in (("--tc", "C", T_C), ("--tb", "B", T_B)):
+        for i, t in enumerate(T):
+            path = tmp_path / f"t{key}{i}.json"
+            serialize.save_complex(t, str(path), algebra_ref=f"{key}.json")
+            args += [opt, str(path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_approximations_generate_every_vertex_of_the_glued_fixtures(field):
+    """At every vertex, stalk or not, the precover of the envelope cocone of P_v by a glued fixture set is zero."""
+    for name, rec, T_B in glue_fixtures(field):
+        cert = glue(rec, [canonical_corner_silting(rec)], T_B)
+        T_list = [c for c, _m, _certified, _ti in summand_classes(cert.T)]
+        for v in rec.A.quiver.vertices:
+            env = susp_envelope(ProjComplex.stalk(rec.A, v), T_list)
+            assert cosusp_precover(env.V, T_list).U.is_zero(), (name, v)

@@ -4,8 +4,10 @@ For the ka3 anchor files and every `glue_fixtures()` entry, `recollement`
 (whose report prints the corner, the quotient and the two-term
 resolutions), `glue`, `glue --shortcut` and `check-silting` on the glued
 set must print exactly what `tests/golden/<case>.json` recorded: the same
-exit code, standard output and standard error.  The ka3 case also checks two sets of anchor
-complexes whose generation check has to take cones, `minimize` on anchor
+exit code, standard output and standard error.  The ka3 case also checks
+`check-silting` on two sets of anchor complexes that no stalk summand
+generates: P1, P2, which is presilting and "not generated", and I2, S2,
+P3, which is not presilting and "undecided"; `minimize` on anchor
 files and on raw cones that need cancelling, and `envelope` on anchor
 files, whose report prints the maps `f` and `v_map` built from the
 minimization maps.  Regenerate the records (only when an output change is

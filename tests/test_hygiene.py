@@ -8,12 +8,12 @@ with `_`; and every module-level `_private` function or class, and every
 `_private` method of a module-level class, is referenced somewhere in the
 library outside its own definition, and so is every module-level UPPER_CASE
 constant; and no module but `fields` divides with `/`, which gives a float
-on two ints.  Five more checks guard the benchmark's traced run: every
+on two ints.  Six more checks guard the benchmark's traced run: every
 method its tracer wraps must exist, every function of the `decompose`,
 `homs`, `complexes` and `linalg` layers, and of the `approx`, `gluing`,
 `recollement` and `serialize` layers, that it times or counts by name must
-resolve, and a `HomSpace` and an `EndAlgebra` each carry every attribute
-its hook reads.
+resolve, and a `HomSpace`, an `EndAlgebra` and a generation report each
+carry every attribute or key its hook reads.
 One more runs the CLI's import and the gluing fixtures in a fresh
 interpreter, which must never load sympy, and one more checks that every
 test README.md names exists.
@@ -32,6 +32,7 @@ from siltglue.complexes import direct_sum
 from siltglue.decompose import EndAlgebra
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
+from siltglue.gluing import check_generation, check_presilting, summand_classes
 from siltglue.homs import HomSpace, hom_spaces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -379,6 +380,24 @@ def test_homspace_carries_what_the_tracer_reads(ka3):
         tracer._hook_homspace((hs,), None, 0.0, None)
     assert tracer.counters["homs.unknowns"] == sum(hs.fvars.dim + hs.hvars.dim for hs in spaces)
     assert tracer.counters["homs.repeats"] == 1 and len(tracer.hom_keys) == len(spaces) - 1
+
+
+def test_generation_report_carries_what_the_tracer_reads(ka3):
+    """`Tracer._hook_generation` runs on a "generated", a "not generated" and an "undecided" report.
+
+    The hook reads each report's `objects` after `check_generation`; a
+    missing key would count nothing, and only in the traced benchmark run.
+    The tracer is loaded and called, never installed.
+    """
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    P = ka3["P"]
+    sets = [[P["1"], P["2"], P["3"]], [P["1"], P["2"]], [ka3["I2"], ka3["S2"], P["3"]]]
+    reports = [check_generation(ka3["A"], summand_classes(T), check_presilting(T)) for T in sets]
+    assert [rep["status"] for rep in reports] == ["generated", "not generated", "undecided"]
+    for rep in reports:
+        tracer._hook_generation((), rep, 0.0, None)
+    assert tracer.counters["gluing.generation_objects"] == sum(rep["objects"] for rep in reports) == 8
 
 
 def test_end_algebra_carries_what_the_tracer_reads():
