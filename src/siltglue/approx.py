@@ -9,22 +9,22 @@ those maps, W -w-> M -> C(-w) -> W[1] is distinguished, being the cone
 triangle of -w with its first term changed by -id: V is the last stage's W
 and v_map is w, and U is one cone, C(-w) minimized.  With no stage U = 0,
 f = 0 and V is the minimal model of M.  A deletion is decided on Hom
-coordinates: a set of target copies is a preenvelope exactly when every map
-M -> T_j[s] factors through it (Auslander-Smalo), a rank condition on the
-coordinates of the maps each copy lets through, so no candidate map is
-assembled.  Most copies need no test: a copy that no other copy can reach,
-because the Hom spaces between the members' complexes are zero or the
-member's End is the field, is needed, and Hom dimensions alone say so (the
-rule and its proof are in `left_minimize`).  The cosusp(T)-precover is the
-same construction over the opposite algebra, transported back.  All
-certificates are exact.
+coordinates: a copy of T_i can go exactly when its representative factors
+through the other kept copies (Auslander-Smalo), a rank condition in the
+one space Hom(M, T_i[s]) on the coordinates of the maps they let through,
+so no candidate map is assembled.  Most copies need no test: a copy that
+no other copy can reach, because the Hom spaces between the members'
+complexes are zero or the member's End is the field, is needed, and Hom
+dimensions alone say so (the rule and both proofs are in `left_minimize`).
+The cosusp(T)-precover is the same construction over the opposite
+algebra, transported back.  All certificates are exact.
 
 Each stage builds every Hom(W, T_i[k]) once: the s-search (`s_search`) keeps
 the spaces at s, and the preenvelope carries them and their representatives
 into `left_minimize`; each Hom(T_i, T_j) a stage reads is built once per
-envelope, and its basis is shifted to the stage's s only when a copy is
-tested.  The last s-search finds every Hom(V, T_i[k]),
-k >= 0, zero, and the certificate reads those spaces.  The chain condition
+envelope, and its basis is shifted to the stage's s only when a copy of
+T_j is tested.  The last s-search finds every Hom(V, T_i[k]), k >= 0,
+zero, and the certificate reads those spaces.  The chain condition
 is checked once, on the maps a result reports: f and v_map of
 `susp_envelope`, the latter the composite of the cocone maps, and u_map and
 v_map of `cosusp_precover` over A (not again over the opposite algebra).
@@ -117,49 +117,45 @@ def add_shift_preenvelope(M, T_list, s, spaces=None):
     return Preenvelope(M, list(T_list), s, copies, spaces, reps)
 
 
-def _is_preenvelope(fld, dims, copy_rows):
-    """Do the copies with these coordinate rows form a preenvelope?
-
-    `copy_rows[c][j]` holds the coordinates in Hom(M, T_j[s]) of the maps
-    that copy c lets through, `dims[j]` the dimension of that space.
-    """
-    for j, d in enumerate(dims):
-        span = [v for rows in copy_rows for v in rows[j]]
-        if len(row_space_rref(fld, span)[1]) < d:
-            return False
-    return True
+def _is_preenvelope(fld, dim, rows):
+    """Do these coordinate rows span Hom(M, T_ti[s]), of dimension `dim`?  (See `left_minimize`.)"""
+    return len(row_space_rref(fld, rows)[1]) == dim
 
 
 def left_minimize(pre, between=None):
     """Greedily delete target copies while the preenvelope property holds.
 
-    The copies' target F is a direct sum, so Hom(F, T_j[s]) is the direct
-    sum of the Hom(T_ti[s], T_j[s]), and the maps M -> T_j[s] that factor
-    through f are spanned by the h o r_c: h runs over a basis of
-    Hom(T_ti[s], T_j[s]) and r_c is copy c's representative.  Their
-    coordinates in Hom(M, T_j[s]) are computed once per copy, so deciding a
-    deletion is a rank test on rows; the map is built only when `f` is read.
-    Each copy is tried once, in order, and dropped when its removal keeps
-    every rank full.  A copy kept once is never tried again: dropping it
-    from a smaller set would leave smaller spans still.  The spaces
-    Hom(M, T_j[s]) and their representatives are the ones `pre` carries.
+    The copies' target F is a direct sum, so the maps M -> T_j[s] that
+    factor through the copies are spanned by the h o r_k: h runs over a
+    basis of Hom(T_tk[s], T_j[s]) and r_k is copy k's representative, with
+    coordinates e_rk in Hom(M, T_tk[s]).  Each copy is tried once, in
+    order, and dropped when the copies kept without it still form a
+    preenvelope; those kept so far always do, as every representative
+    starts with its own copy.  A copy kept once is never tried again:
+    dropping it from a smaller set would leave smaller spans still.  The
+    spaces Hom(M, T_j[s]) and their representatives are those `pre` carries.
 
-    A copy c = (ti, ri) is kept without a test when no other copy can
-    reach its representative: when every other copy k = (tk, rk) has
-    Hom(T_tk, T_ti) = 0 (tk != ti) or dim End(T_ti) = 1 (tk = ti).  Proof:
-    in Hom(M, T_ti[s]) the representative r_c has coordinates e_ri.  An
-    End of dimension 1 is k.id modulo homotopy, so a copy k of ti lets
-    through multiples of r_k alone, with rows in span{e_rk}, rk != ri; a
-    copy k with Hom(T_tk, T_ti) = 0 has no rows there at all.  So for
-    j = ti the rows of any set of copies without c span a space without
-    e_ri, of rank below dim Hom(M, T_ti[s]), and the test for c would
-    fail.  A lone copy is the case with no other copy.  Only the copies
-    left undecided are tested, in order, and the rows are built only when
-    there is one.  `between` keeps HomSpace(T_a, T_b, 0) by (a, b) for
-    calls on one T_list, or None where 0 lies outside the support window
-    and the space is zero, unbuilt: the rule reads dimensions, and a test
-    reads the basis of Hom(T_ti, T_j), shifted, as that of
-    Hom(T_ti[s], T_j[s]).
+    One space decides whether c = (ti, ri) can go (Auslander-Smalo), by two
+    steps.  The span S of the other kept copies' rows in Hom(M, T_ti[s]) is
+    closed under End(T_ti), since an endomorphism after h o r_k is another
+    map through copy k; with c the rows span the whole space, and c adds
+    only End(T_ti) o r_c, so S is full exactly when it holds r_c = e_ri.
+    And if r_c factors through the other copies, so does h o r_c for every
+    h: T_ti[s] -> T_j[s], so no other space adds a condition.  A deletion
+    is thus one rank test, and rows are built only in the spaces
+    Hom(M, T_ti[s]) of the members with a tested copy; the map is built
+    only when `f` is read.
+
+    Most copies need no test.  When no other copy has rows in
+    Hom(M, T_ti[s]) that can reach e_ri, S cannot be full and c is kept by
+    Hom dimensions: every other copy k = (tk, rk) has Hom(T_tk, T_ti) = 0
+    (tk != ti), and no rows there, or dim End(T_ti) = 1 (tk = ti), so End
+    is k.id modulo homotopy and k's rows lie in span{e_rk}, rk != ri.  A
+    lone copy is the case with no other copy.  `between` keeps
+    HomSpace(T_a, T_b, 0) by (a, b) for calls on one T_list, or None where
+    0 lies outside the support window and the space is zero, unbuilt: the
+    rule reads dimensions, and a test reads the basis of Hom(T_tk, T_ti),
+    shifted, as that of Hom(T_tk[s], T_ti[s]).
     """
     M, T_list, s = pre.M, pre.T_list, pre.s
     spaces, reps = pre.spaces, pre.reps
@@ -178,26 +174,26 @@ def left_minimize(pre, between=None):
     def decided(ti):
         return (count[ti] == 1 or dim(ti, ti) == 1) and not any(dim(tk, ti) for tk in count if tk != ti)
 
-    needed = {ti for ti in count if decided(ti)}
-    undecided = [c for c, (ti, _) in enumerate(pre.copies) if ti not in needed]
+    undecided = [c for c, (ti, _) in enumerate(pre.copies) if not decided(ti)]
     if not undecided:
         return pre
-    live = [j for j, hs in enumerate(spaces) if hs is not None and hs.dim]
-    shifted = {  # bases of Hom(T_ti[s], T_j[s])
-        (ti, j): [] if hom(ti, j) is None else [shift_map(h, s) for h in hom(ti, j).basis_maps()]
-        for ti in count
-        for j in live
+    targets = {pre.copies[c][0] for c in undecided}
+    shifted = {  # bases of Hom(T_tk[s], T_ti[s])
+        (tk, ti): [] if hom(tk, ti) is None else [shift_map(h, s) for h in hom(tk, ti).basis_maps()]
+        for tk in count
+        for ti in targets
     }
-    copy_rows = []
-    for ti, ri in pre.copies:
-        r = reps[ti][ri]
-        copy_rows.append([[spaces[j].coordinates(h.compose(r)) for h in shifted[ti, j]] for j in live])
-    dims = [spaces[j].dim for j in live]
+    rows = {  # coordinates in Hom(M, T_ti[s]) of the maps copy k lets through
+        (k, ti): [spaces[ti].coordinates(h.compose(reps[tk][rk])) for h in shifted[tk, ti]]
+        for k, (tk, rk) in enumerate(pre.copies)
+        for ti in targets
+    }
     fld = M.algebra.field
     keep = list(range(len(pre.copies)))
     for c in undecided:
+        ti = pre.copies[c][0]
         cand = [k for k in keep if k != c]
-        if _is_preenvelope(fld, dims, [copy_rows[k] for k in cand]):
+        if _is_preenvelope(fld, spaces[ti].dim, [v for k in cand for v in rows[k, ti]]):
             keep = cand
     return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps)
 

@@ -10,8 +10,10 @@
   [S | 1] on `linalg.Matrix` objects, then the Neumann series in the radical
   part, as `PathMatrix.invert` once did.
 - `former_left_minimize` rank-tests every copy of a preenvelope once, in
-  order, as `approx.left_minimize` did before it kept the copies that Hom
-  dimensions decide without a test; a member with no space (None) is zero.
+  order, over every non-zero space Hom(M, T_j[s]), as `approx.left_minimize`
+  did before it kept the copies that Hom dimensions decide without a test
+  and decided the others in the one space of the copy's member; a member
+  with no space (None) is zero.
 - `former_minimize` cancels one unit block per degree by slicing the
   differentials with `submatrix` and building a `ProjComplex` after every
   step, with pivots from a running RREF of every unit row, and replays the
@@ -22,7 +24,7 @@
   zero on the free columns.
 """
 
-from siltglue.approx import Preenvelope, _is_preenvelope
+from siltglue.approx import Preenvelope
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, shift, shift_map
 from siltglue.homs import HomSpace
 from siltglue.linalg import Matrix, extend_rref, row_space_rref
@@ -98,9 +100,15 @@ def former_left_minimize(pre):
     keep = list(range(len(pre.copies)))
     for c in range(len(pre.copies)):
         cand = [k for k in keep if k != c]
-        if _is_preenvelope(M.algebra.field, dims, [copy_rows[k] for k in cand]):
+        if former_is_preenvelope(M.algebra.field, dims, [copy_rows[k] for k in cand]):
             keep = cand
     return Preenvelope(M, T_list, s, [pre.copies[c] for c in keep], spaces, reps)
+
+
+def former_is_preenvelope(fld, dims, copy_rows):
+    """Do the copies with these rows span every space?  `copy_rows[c][j]` holds the coordinates in
+    the j-th non-zero Hom(M, T_j[s]) of the maps copy c lets through, `dims[j]` its dimension."""
+    return all(len(row_space_rref(fld, [v for rows in copy_rows for v in rows[j]])[1]) == d for j, d in enumerate(dims))
 
 
 def former_reps(hs):

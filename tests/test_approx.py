@@ -186,6 +186,35 @@ def test_left_minimize_keeps_the_copies_every_test_keeps(field):
     assert decided >= 8 and opened >= 10 and dropped >= 5
 
 
+def test_each_minimality_test_reads_one_space(ka3, monkeypatch):
+    """Each rank test reads Hom(M, T_ti[s]) alone, for the member ti of the copy it tests, and
+    coordinates are taken only in the spaces of members with a tested copy.
+
+    On I2 (+) S2 against [P3, P2] at s = 1 only the copy of P2 is undecided, so no coordinates are
+    taken in Hom(M, P3[1]).  The random preenvelopes, over each field, also have non-zero spaces
+    that no test reads.
+    """
+    coords, dims = [], []
+    coordinates, is_preenvelope = HomSpace.coordinates, approx._is_preenvelope
+    monkeypatch.setattr(HomSpace, "coordinates", lambda self, f: coords.append(self) or coordinates(self, f))
+    monkeypatch.setattr(approx, "_is_preenvelope", lambda *args: dims.append(args[1]) or is_preenvelope(*args))
+    P = ka3["P"]
+    pres = [add_shift_preenvelope(direct_sum(ka3["I2"], ka3["S2"]), [P["3"], P["2"]], 1)]
+    pres += [pre for field in FIELDS for pre in _preenvelope_instances(field, 5300, 30)]
+    unread = 0
+    for pre in pres:
+        members = [pre.copies[c][0] for c in _undecided(pre)]
+        coords.clear()
+        dims.clear()
+        left_minimize(pre)
+        read = [pre.spaces[ti] for ti in set(members)]
+        assert all(any(hs is space for space in read) for hs in coords)
+        assert dims == [pre.spaces[ti].dim for ti in members]
+        unread += sum(1 for hs in pre.spaces if hs is not None and hs.dim and not any(hs is space for space in read))
+    assert pres[0].copies[2:] == [(1, 0)] and _undecided(pres[0]) == [2]
+    assert unread >= 10
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_every_envelope_stage_keeps_the_former_copies(field, monkeypatch):
     """Each preenvelope that an envelope or precover of the gluing fixtures and of the random sample
