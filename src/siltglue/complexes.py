@@ -258,11 +258,6 @@ class PathMatrix:
                     out[i][j] = c
         return out
 
-    def radical_part(self):
-        """The matrix with all trivial-path coefficients removed."""
-        parts = ((ij, {p: c for p, c in t.items() if p.arrows}) for ij, t in self.cells.items())
-        return PathMatrix._of(self.algebra, self.row_vertices, self.col_vertices, {ij: t for ij, t in parts if t})
-
     def invert(self):
         """Inverse of a matrix whose scalar part is invertible.
 

@@ -9,7 +9,7 @@ Every certificate is re-derivable from raw Hom computations.
 from .fields import QQ
 from .complexes import ProjComplex, direct_sum_many, minimize, shift, subcomplex_on_indices
 from .homs import is_nonpositive, nonzero_homs
-from .approx import cosusp_precover, susp_envelope
+from .approx import susp_envelope
 from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, summand_order
 from .linalg import Matrix, det, rank
@@ -120,17 +120,20 @@ def check_generation(algebra, classes, presilting):
     T is given by its summand classes (`classes` as `summand_classes`
     returns them); `presilting` is the verdict of `check_presilting`.  A
     vertex v whose stalk P_v[k] is a summand class is witnessed by it.  At
-    every other vertex the envelope V -> P_v -> U, U in susp(T), is taken,
-    then the precover V' -> V -> W, V' in cosusp(T), of its cocone: W = 0
-    puts P_v in thick(T), and the two traces, whose tags index the classes,
-    are the witness.  If T is silting, W = 0 at every vertex: the
-    co-t-structure of a silting set puts any V in the left orthogonal of
-    T[>=0] into cosusp(T[-1]) (Bondarko, "Weight structures vs.
-    t-structures", 2010; Aihara-Iyama, "Silting mutation in triangulated
-    categories", 2012).  So for a presilting T, W != 0 proves that T does
-    not generate.  A set that is not presilting is approximated
-    nowhere: with a vertex left after the stalks, its report is
-    "undecided".  `missing` lists the vertices not shown to be in thick(T).
+    every other vertex one envelope V -> X -> U, U in susp(T), is taken of
+    X, the stalk P_v in degree lo, the lowest degree of any class: V = 0
+    puts P_v in thick(T), and the envelope's trace, whose tags index the
+    classes, is the witness with lo.  For a presilting T, V = 0 exactly
+    when P_v lies in thick(T).  If V = 0, X is U, in susp(T).  If P_v lies
+    in thick(T), T is silting there, so susp(T) is the right orthogonal of
+    cosusp(T[-1]) (Bondarko, "Weight structures vs. t-structures", 2010;
+    Aihara-Iyama, "Silting mutation in triangulated categories", 2012);
+    each T_i[-a], a >= 1, lives in degrees >= lo + 1 and has no non-zero
+    chain map to X, so X lies in susp(T) and is its own envelope, V = 0.
+    So V != 0 proves that T does not generate.  A set that is not
+    presilting is approximated nowhere: with a vertex left after the
+    stalks, its report is "undecided".  `missing` lists the vertices not
+    shown to be in thick(T); with no class, that is every vertex.
     """
     T_list = [c for c, _m, _certified, _ti in classes]
     witnesses = {}
@@ -141,11 +144,11 @@ def check_generation(algebra, classes, presilting):
     report = {"objects": len(classes), "witnesses": witnesses}
     if missing and not presilting["ok"]:
         return {"status": "undecided", "ok": False, "missing": missing, **report}
+    lo = min((c.lo for c in T_list), default=0)  # with no class, P_v is its own envelope cocone
     for v in missing:
-        env = susp_envelope(ProjComplex.stalk(algebra, v), T_list)
-        pre = cosusp_precover(env.V, T_list)
-        if pre.U.is_zero():
-            witnesses[v] = {"envelope": env.trace, "precover": pre.trace}
+        env = susp_envelope(ProjComplex.stalk(algebra, v, lo), T_list)
+        if env.V.is_zero():
+            witnesses[v] = {"envelope": env.trace, "degree": lo}
     missing = [v for v in missing if v not in witnesses]
     if missing:
         return {"status": "not generated", "ok": False, "missing": missing, **report}

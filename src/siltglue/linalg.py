@@ -68,18 +68,6 @@ class Matrix:
             out.append(row)
         return Matrix(fld, out, cols=other.cols)
 
-    def mul_vector(self, vec):
-        fld = self.field
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = fld.zero
-            for k in range(self.cols):
-                acc = fld.add(acc, fld.mul(self.data[i][k], vec[k]))
-            out.append(acc)
-        return out
-
     def rref(self):
         """Canonical reduced row echelon form: (Matrix, pivot columns)."""
         red, piv = _rref_rows(self.field, self.data)

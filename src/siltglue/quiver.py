@@ -315,13 +315,6 @@ class AlgebraElement:
     def is_zero(self):
         return not self.terms
 
-    def trivial_coefficient(self):
-        """Coefficient of the trivial path, or the field zero."""
-        for p, c in self.terms.items():
-            if p.is_trivial():
-                return c
-        return self.algebra.field.zero
-
     def __add__(self, other):
         if other.algebra != self.algebra:
             raise QuiverError("different algebras")

@@ -2,6 +2,10 @@
 
 - `former_cocone` builds CC(f) as C(f) shifted by -1, with the projection
   onto X, as `complexes.cocone` once did.
+- `former_generated` decides whether P_v lies in thick(T) by the envelope
+  V -> P_v -> U, then the precover V' -> V -> W of its cocone: W = 0, as
+  `gluing.check_generation` did before one envelope of P_v in the lowest
+  degree of T decided it.
 - `former_envelope_tail` rebuilds V and v_map of an envelope from its f:
   the cocone of f, minimized, and the pull of the cocone's projection.
   `approx._envelope` once ran this after its stages; it now reads V and
@@ -19,12 +23,15 @@
   step, with pivots from a running RREF of every unit row, and replays the
   steps in `push` and `pull` by slicing again, as `complexes.minimize` did
   before it ran on one cell table in the source's own indices.
+- `radical_part` and `trivial_coefficient` are the radical part of a path
+  matrix and the trivial-path coefficient of an algebra element, once
+  methods of `PathMatrix` and `AlgebraElement` that only the tests called.
 - `former_reps` picks the representatives from every row of the dense
   delta^(k-1), as `HomSpace._reps` did before it dropped the rows that are
   zero on the free columns.
 """
 
-from siltglue.approx import Preenvelope
+from siltglue.approx import Preenvelope, cosusp_precover, susp_envelope
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, shift, shift_map
 from siltglue.homs import HomSpace
 from siltglue.linalg import Matrix, extend_rref, row_space_rref
@@ -40,6 +47,12 @@ def former_cocone(f):
         for n, vs in X.components.items()
     }
     return CC, ChainMap(CC, X, proj)
+
+
+def former_generated(algebra, T_list, v):
+    """Is P_v in thick(T)?  The precover of the envelope cocone of P_v (in degree 0) by T is zero."""
+    env = susp_envelope(ProjComplex.stalk(algebra, v), T_list)
+    return cosusp_precover(env.V, T_list).U.is_zero()
 
 
 def former_envelope_tail(f):
@@ -71,7 +84,7 @@ def former_invert(m):
     units = ((i, j, c) for i, row in enumerate(s_inv_field) for j, c in enumerate(row) if cv[i] == rv[j])
     cells = {(i, j): {alg.trivial_path(cv[i]): c} for i, j, c in units if not fld.is_zero(c)}
     s_inv = PathMatrix._of(alg, cv, rv, cells)
-    r = m.radical_part()
+    r = radical_part(m)
     if r.is_zero():
         return s_inv
     term = s_inv.compose(r)
@@ -84,6 +97,17 @@ def former_invert(m):
         acc = acc + power if sign > 0 else acc - power
         sign = -sign
     return acc.compose(s_inv)
+
+
+def radical_part(m):
+    """The path matrix m with all trivial-path coefficients removed."""
+    parts = ((ij, {p: c for p, c in t.items() if p.arrows}) for ij, t in m.cells.items())
+    return PathMatrix._of(m.algebra, m.row_vertices, m.col_vertices, {ij: t for ij, t in parts if t})
+
+
+def trivial_coefficient(x):
+    """Coefficient of the trivial path in the algebra element x, or the field zero."""
+    return next((c for p, c in x.terms.items() if p.is_trivial()), x.algebra.field.zero)
 
 
 def former_left_minimize(pre):

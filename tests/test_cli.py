@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import connected_conjugate
 from siltglue import serialize
 from siltglue.cli import _dumps, main
-from siltglue.complexes import direct_sum
+from siltglue.complexes import ProjComplex, direct_sum
 from siltglue.fields import PrimeField
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes, write_fixture_files
 from siltglue.homs import HomSpace
@@ -261,6 +261,17 @@ def test_check_silting_failure_exits_1(fx):
     assert res.exit_code == 1
     data = json.loads(res.stdout)
     assert data["generation"]["status"] == "not generated"
+
+
+def test_check_silting_of_the_zero_complex_generates_nothing(fx, tmp_path):
+    """A set with no summand class is presilting and "not generated", every vertex missing, and exits 1."""
+    path = tmp_path / "zero.json"
+    serialize.save_complex(ProjComplex.zero(ka3_algebra()), str(path), algebra_ref=os.path.abspath(fx["algebra"]))
+    res = run("check-silting", str(path))
+    assert res.exit_code == 1, res.output
+    data = json.loads(res.stdout)
+    assert data["presilting"]["ok"] and data["k0"]["classes"] == []
+    assert data["generation"] == {"status": "not generated", "ok": False, "missing": ["1", "2", "3"], "objects": 0}
 
 
 @pytest.mark.parametrize("shortcut", [[], ["--shortcut"]], ids=["glue", "shortcut"])

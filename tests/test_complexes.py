@@ -1,7 +1,14 @@
 import pytest
 
 from conftest import conjugated, random_complex, random_quiver, seeded_rng
-from former import former_cancel, former_cocone, former_invert, former_minimize
+from former import (
+    former_cancel,
+    former_cocone,
+    former_invert,
+    former_minimize,
+    radical_part,
+    trivial_coefficient,
+)
 from oracle import _rank
 from siltglue import complexes, linalg
 from siltglue.fields import QQ, PrimeField
@@ -197,7 +204,7 @@ def _unminimized_inputs(field):
     ab = A.path_element(A.path_of_arrows(["a", "b"]))
     ents = [[A.unit_at("1"), a, ab.scale(field.of(2))], [A.zero_element(), A.unit_at("2"), b]]
     d = PathMatrix(A, ("1", "2"), ("1", "2", "3"), ents)
-    assert not d.submatrix([0, 1], [0, 1]).radical_part().is_zero()
+    assert not radical_part(d.submatrix([0, 1], [0, 1])).is_zero()
     block = make_complex(A, {0: ("1", "2", "3"), 1: ("1", "2")}, {0: d})
     out += [block, shift(direct_sum(ka3_named_complexes(A)["I2"], block), 1)]
     return out
@@ -228,7 +235,7 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
         m = minimize(X)
         Y, alg = m.complex, X.algebra
         for d in Y.differentials.values():
-            assert all(field.is_zero(x.trivial_coefficient()) for row in d.entries for x in row)
+            assert all(field.is_zero(trivial_coefficient(x)) for row in d.entries for x in row)
         assert {(n, v): vs.count(v) for n, vs in Y.components.items() for v in vs} == _scalar_homology(X)
         m.to_min.check_chain_condition()
         m.from_min.check_chain_condition()
@@ -338,7 +345,7 @@ def test_minimal_model_entries_in_radical():
         for d in m.differentials.values():
             for row in d.entries:
                 for x in row:
-                    assert alg.field.is_zero(x.trivial_coefficient())
+                    assert alg.field.is_zero(trivial_coefficient(x))
 
 
 def test_transform_conjugation(ka3):
@@ -504,7 +511,7 @@ def _produced_matrices(field):
             rows = sorted(rng.sample(range(a.rows), rng.randint(0, a.rows)))
             cols = sorted(rng.sample(range(a.cols), rng.randint(0, a.cols)))
             rv, cv = a.row_vertices, a.col_vertices
-            made = [-a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), a.radical_part()]
+            made = [-a, a + b, a - b, a - a, b - b.scale(field.one), a.compose(c), radical_part(a)]
             made += [a.scale(field.zero), a.scale(field.of(rng.randint(-2, 2))), a.submatrix(rows, cols)]
             made += [PathMatrix.blocks(alg, (rv, rv), (cv,), {(0, 0): a, (1, 0): b})]
             made += [PathMatrix.blocks(alg, (rv,), (cv, cv), {(0, 0): a, (0, 1): b})]
@@ -717,7 +724,7 @@ def test_invert_matches_the_dense_augmented_reduction(field, monkeypatch):
         got = m.invert()
         assert _layout(got) == _layout(want)
         assert (m.compose(got) - PathMatrix.identity(m.algebra, m.row_vertices)).is_zero()
-        kinds.add(("radical" if not m.radical_part().is_zero() else "scalar", m.rows == 1))
+        kinds.add(("radical" if not radical_part(m).is_zero() else "scalar", m.rows == 1))
     assert {("singular", True), ("singular", False), ("radical", False), ("scalar", False), ("scalar", True)} <= kinds
 
 
@@ -845,7 +852,7 @@ def test_monomial_invert_needs_no_row_reduction(field, monkeypatch):
     for m, want_m in cases:
         got = m.invert()
         assert _layout(got) == _layout(want_m)
-        kinds.add((m.rows > 1, not m.radical_part().is_zero(), any(c != field.one for c in _scalars(m))))
+        kinds.add((m.rows > 1, not radical_part(m).is_zero(), any(c != field.one for c in _scalars(m))))
     assert {(True, True, True), (True, False, True)} <= kinds and any(not rows for rows, _, _ in kinds)
     with pytest.raises(AssertionError, match="monomial"):
         block.invert()

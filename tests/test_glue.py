@@ -1,3 +1,4 @@
+import itertools
 import json
 import signal
 
@@ -5,9 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_complex, seeded_rng
-from siltglue import gluing, serialize
+from former import former_generated
+from siltglue import approx, gluing, serialize
 from siltglue.fields import QQ, PrimeField
-from siltglue.approx import cosusp_precover, susp_envelope
+from siltglue.approx import susp_envelope
 from siltglue.cli import main
 from siltglue.complexes import PathMatrix, ProjComplex, direct_sum_many, make_complex, shift
 from siltglue.decompose import decompose, is_isomorphic
@@ -15,7 +17,9 @@ from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
     ka3_algebra,
+    ka3_named_complexes,
     linear_an,
+    star_quiver,
 )
 from siltglue.gluing import (
     GlueError,
@@ -228,7 +232,7 @@ def _generation(T_list):
 
 
 def test_generation_refutes_a_presilting_set(ka3):
-    """P1 (+) P2 is presilting, and the precover of P3's envelope cocone is not zero: "not generated"."""
+    """P1 (+) P2 is presilting, and the envelope of P3 has a non-zero cocone: "not generated"."""
     P = ka3["P"]
     rep = _generation([P["1"], P["2"]])
     witnesses = {"1": ("input[0]", 0), "2": ("input[1]", 0)}
@@ -264,7 +268,7 @@ def test_staircase_glue_on_a16_passes(tmp_path, field):
     """The staircases over the two halves of A16 glue to a silting set, and the `glue` verb exits 0.
 
     The glued set has a stalk summand at two vertices only, so generation
-    is decided at the other fourteen by the envelope and the precover.
+    is decided at the other fourteen by one envelope each.
     """
     rec = idempotent_recollement(linear_an(16, field), [str(i) for i in range(9, 17)])
     T_C, T_B = _staircase(rec.C), _staircase(rec.B)
@@ -272,7 +276,9 @@ def test_staircase_glue_on_a16_passes(tmp_path, field):
     assert cert.passed, cert.reports
     gen = cert.reports["generation"]
     assert gen["status"] == "generated" and sorted(gen["witnesses"]) == sorted(rec.A.quiver.vertices)
-    assert sum(isinstance(w, dict) for w in gen["witnesses"].values()) == 14  # all but the stalks P1 and P9
+    envelopes = [w for w in gen["witnesses"].values() if isinstance(w, dict)]
+    assert len(envelopes) == 14  # all but the stalks P1 and P9
+    assert all(w["degree"] == -1 for w in envelopes)  # the staircases' lowest degree
     args = ["glue"]
     for key, alg in (("A", rec.A), ("C", rec.C), ("B", rec.B)):
         serialize.save_algebra(alg, str(tmp_path / f"{key}.json"))
@@ -289,10 +295,78 @@ def test_staircase_glue_on_a16_passes(tmp_path, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
 def test_approximations_generate_every_vertex_of_the_glued_fixtures(field):
-    """At every vertex, stalk or not, the precover of the envelope cocone of P_v by a glued fixture set is zero."""
+    """At every vertex, stalk or not, the envelope of P_v in the lowest degree of a glued fixture set has V = 0."""
     for name, rec, T_B in glue_fixtures(field):
         cert = glue(rec, [canonical_corner_silting(rec)], T_B)
         T_list = [c for c, _m, _certified, _ti in summand_classes(cert.T)]
+        lo = min(c.lo for c in T_list)
         for v in rec.A.quiver.vertices:
-            env = susp_envelope(ProjComplex.stalk(rec.A, v), T_list)
-            assert cosusp_precover(env.V, T_list).U.is_zero(), (name, v)
+            assert susp_envelope(ProjComplex.stalk(rec.A, v, lo), T_list).V.is_zero(), (name, v)
+
+
+def test_staircase_generation_takes_one_envelope_per_vertex(monkeypatch):
+    """On the A16 staircase glue, `check_generation` takes 14 envelopes, one per non-stalk vertex, and no precover."""
+    rec = idempotent_recollement(linear_an(16), [str(i) for i in range(9, 17)])
+    T = glue(rec, _staircase(rec.C), _staircase(rec.B)).T
+    classes, presilting = summand_classes(T), check_presilting(T)
+    calls = []
+
+    def spy(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(gluing, "susp_envelope", spy("envelope", susp_envelope))
+    monkeypatch.setattr(approx, "cosusp_precover", spy("precover", approx.cosusp_precover))
+    assert check_generation(rec.A, classes, presilting)["status"] == "generated"
+    assert calls == ["envelope"] * 14
+    assert not hasattr(gluing, "cosusp_precover")
+
+
+def _subsets(xs, proper=False):
+    return [list(c) for r in range(len(xs) + (not proper)) for c in itertools.combinations(xs, r)]
+
+
+def _generation_families(field):
+    """(algebra, set) pairs on which one envelope per vertex is checked against the envelope and the precover.
+
+    Each glued fixture and all its proper subsets of summand classes; the
+    A8 and A12 staircase glues; the A8 staircase with one member dropped,
+    and shifted by 2; every subset of I2, S2, P1, P2, P3 over ka3; every
+    set of stalks in degrees 0 to 2 over A4 and the three-leaf star.
+    """
+    for _name, rec, T_B in glue_fixtures(field):
+        T = glue(rec, [canonical_corner_silting(rec)], T_B).T
+        yield from ((rec.A, S) for S in [T] + _subsets([c for c, _m, _certified, _ti in summand_classes(T)], True))
+    for n in (8, 12):
+        rec = idempotent_recollement(linear_an(n, field), [str(i) for i in range(n // 2 + 1, n + 1)])
+        yield rec.A, glue(rec, _staircase(rec.C), _staircase(rec.B)).T
+    A8 = linear_an(8, field)
+    stair = _staircase(A8)
+    yield from ((A8, stair[:i] + stair[i + 1 :]) for i in range(len(stair)))
+    yield A8, [shift(t, 2) for t in stair]
+    ka3 = ka3_named_complexes(ka3_algebra(field))
+    yield from ((ka3["A"], S) for S in _subsets([ka3["I2"], ka3["S2"], *ka3["P"].values()]))
+    for alg in (linear_an(4, field), star_quiver(3, field)):
+        verts = list(alg.quiver.vertices)
+        for degrees in itertools.product((None, 0, 1, 2), repeat=len(verts)):
+            yield alg, [ProjComplex.stalk(alg, v, d) for v, d in zip(verts, degrees) if d is not None]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_one_envelope_decides_generation_as_the_envelope_and_precover_did(field):
+    """At every vertex of every presilting set of the families, `check_generation` misses P_v exactly when the
+    precover of the envelope cocone of P_v, the former rule, is not zero; both verdicts occur."""
+    compared, statuses, envelopes = 0, set(), 0
+    for alg, T in _generation_families(field):
+        presilting = check_presilting(T)
+        if not presilting["ok"]:
+            continue
+        classes = summand_classes(T)
+        rep = check_generation(alg, classes, presilting)
+        stalks = {v for v, w in rep["witnesses"].items() if isinstance(w, tuple)}
+        T_list = [c for c, _m, _certified, _ti in classes]
+        former = [v for v in alg.quiver.vertices if v not in stalks and not former_generated(alg, T_list, v)]
+        assert rep.get("missing", []) == former, (alg.quiver.vertices, T, rep)
+        compared += 1
+        statuses.add(rep["status"])
+        envelopes += sum(isinstance(w, dict) for w in rep["witnesses"].values())
+    assert compared == 438 and statuses == {"generated", "not generated"} and envelopes, (compared, envelopes)
