@@ -177,18 +177,9 @@ def decompose_cmd(x_file):
         parts = decompose(X)
     except MATH_ERRORS as exc:
         _fail_math(exc)
-    report = {
-        "v": 1,
-        "summands": [
-            {
-                "complex": serialize.complex_to_json(c),
-                "multiplicity": m,
-                "certified": cert,
-            }
-            for c, m, cert in parts
-        ],
-    }
-    _emit(report, ["decomposition: " + " + ".join(f"({c.describe()})^{m}" for c, m, _ in parts)])
+    summands = [{"complex": serialize.complex_to_json(c), "multiplicity": m, "certified": cert} for c, m, cert in parts]
+    summary = "decomposition: " + " + ".join(f"({c.describe()})^{m}" for c, m, _ in parts)
+    _emit({"v": 1, "summands": summands}, [summary])
 
 
 @main.command("envelope")
@@ -254,18 +245,12 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut):
         alg = serialize.load_algebra(algebra_file)
         rec = idempotent_recollement(alg, [v.strip() for v in e_list.split(",") if v.strip()])
         T_B = _load_complexes(tb_files, algebra=rec.B)
-        if shortcut:
-            T_C = None
-        else:
-            T_C = _load_complexes(tc_files, algebra=rec.C)
+        T_C = None if shortcut else _load_complexes(tc_files, algebra=rec.C)
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
-        if shortcut:
-            cert = glue_shortcut(rec, T_B, probes=probes)
-        else:
-            cert = glue(rec, T_C, T_B, probes=probes)
+        cert = glue_shortcut(rec, T_B, probes=probes) if shortcut else glue(rec, T_C, T_B, probes=probes)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {

@@ -16,8 +16,8 @@ one pass.
 Nothing zero is stored or built.  A `PathMatrix` stores only its non-zero
 entries, as cells {(i, j): {path: coefficient}}, and every operation touches
 only those.  Its constructor and `entries` are the dense boundary for data
-from outside; the library builds matrices from cells, and never mutates a
-cell once built, since matrices share them.  A `ProjComplex` holds only its
+built by hand; the library and `serialize` build matrices from cells, and no
+cell changes once built, since matrices share them.  A `ProjComplex` holds only its
 non-zero differentials and a `ChainMap` only its non-zero components;
 `differential(n)` and `component(n)` give a zero matrix elsewhere.  Block
 matrices come from `PathMatrix.blocks`, which places the given blocks at
@@ -59,7 +59,7 @@ class PathMatrix:
     coefficient.  Every operation touches the cells alone.  A cell is never
     mutated once built, since matrices share cells.  The constructor and
     `entries` are the dense boundary, rows of `AlgebraElement`s, for data
-    from outside; the library builds matrices from cells (`_of`).
+    built by hand; the library and `serialize` build matrices from cells (`_of`).
     """
 
     __slots__ = ("algebra", "row_vertices", "col_vertices", "cells")

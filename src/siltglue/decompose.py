@@ -44,6 +44,7 @@ from fractions import Fraction
 from .fields import QQ
 from .complexes import (
     ChainMap,
+    MinimizeResult,
     PathMatrix,
     cone,
     minimize,
@@ -144,8 +145,8 @@ def is_isomorphic(X, Y):
     """
     if X.algebra != Y.algebra:
         raise DecomposeError("complexes over different algebras")
-    mx = minimize(X)
-    my = minimize(Y)
+    # a complex with no differential is its own minimal model
+    mx, my = (minimize(Z) if Z.differentials else MinimizeResult(Z, Z, [], {}) for Z in (X, Y))
     if mx.complex.graded_multiset() != my.complex.graded_multiset():
         return IsoResult(False, certified=True)
     if mx.complex.is_zero():
@@ -576,5 +577,5 @@ def decompose(X):
     exhausted randomized idempotent search, or on a radical candidate that
     is not nilpotent (`SemisimpleQuotient.certified`).
     """
-    groups = group_isomorphic(_decompose_minimal(minimize(X).complex))
+    groups = group_isomorphic(_decompose_minimal(minimize(X).complex if X.differentials else X))
     return sorted((tuple(g) for g in groups), key=summand_order)

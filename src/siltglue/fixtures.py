@@ -79,36 +79,19 @@ def glue_fixtures(field=QQ):
 
 
 def write_fixture_files(directory):
-    """Materialize the anchor example as JSON files; returns written paths."""
+    """Materialize the anchor example as JSON files, ka3_<key>.json; returns the written paths by key."""
     os.makedirs(directory, exist_ok=True)
     data = ka3_named_complexes()
-    A = data["A"]
-    paths = {}
-    apath = os.path.join(directory, "ka3_algebra.json")
-    serialize.save_algebra(A, apath)
-    paths["algebra"] = apath
-    rec = idempotent_recollement(A, ["3"])
-    # corner silting over C and the quotient silting over B, as separate files
-    cpath = os.path.join(directory, "ka3_corner_algebra.json")
-    serialize.save_algebra(rec.C, cpath)
-    paths["corner_algebra"] = cpath
-    bpath = os.path.join(directory, "ka3_quotient_algebra.json")
-    serialize.save_algebra(rec.B, bpath)
-    paths["quotient_algebra"] = bpath
-    tc = canonical_corner_silting(rec)
-    tcp = os.path.join(directory, "ka3_tc.json")
-    serialize.save_complex(tc, tcp, algebra_ref="ka3_corner_algebra.json")
-    paths["tc"] = tcp
-    tb = canonical_quotient_silting(rec, shifted=("1",))
-    tbp = os.path.join(directory, "ka3_tb.json")
-    serialize.save_complex(tb, tbp, algebra_ref="ka3_quotient_algebra.json")
-    paths["tb"] = tbp
-    for name in ("I2", "S2"):
-        p = os.path.join(directory, f"ka3_{name.lower()}.json")
-        serialize.save_complex(data[name], p, algebra_ref="ka3_algebra.json")
-        paths[name.lower()] = p
-    for v, st in data["P"].items():
-        p = os.path.join(directory, f"ka3_p{v}.json")
-        serialize.save_complex(st, p, algebra_ref="ka3_algebra.json")
-        paths[f"p{v}"] = p
+    rec = idempotent_recollement(data["A"], ["3"])
+    algebras = {"algebra": data["A"], "corner_algebra": rec.C, "quotient_algebra": rec.B}
+    # the corner silting over C and the quotient silting over B refer to their own algebra files
+    complexes = {"tc": (canonical_corner_silting(rec), "corner_algebra"),
+                 "tb": (canonical_quotient_silting(rec, shifted=("1",)), "quotient_algebra"),
+                 "i2": (data["I2"], "algebra"), "s2": (data["S2"], "algebra"),
+                 **{f"p{v}": (st, "algebra") for v, st in data["P"].items()}}
+    paths = {key: os.path.join(directory, f"ka3_{key}.json") for key in (*algebras, *complexes)}
+    for key, alg in algebras.items():
+        serialize.save_algebra(alg, paths[key])
+    for key, (X, ref) in complexes.items():
+        serialize.save_complex(X, paths[key], algebra_ref=f"ka3_{ref}.json")
     return paths

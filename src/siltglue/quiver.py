@@ -6,9 +6,14 @@ Conventions (fixed once, everywhere):
   ``a*b`` is the path ``ab`` from 1 to 3;
 * right modules, P_v := e_v A; Hom_A(P_v, P_w) is e_w A e_v acting by left
   multiplication, with basis the paths from w to v.
+
+`build_algebra` hands out one live `PathAlgebra` per field, vertex order and
+arrow list, so equal algebras (loaded, corner, quotient or opposite) share one
+path basis and one set of tables; `==` still compares by value.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 from .fields import QQ
@@ -34,11 +39,8 @@ class Quiver:
             raise QuiverError("duplicate vertex labels")
         arrs = []
         for a in arrows:
-            if isinstance(a, Arrow):
-                arrs.append(Arrow(a.name, str(a.source), str(a.target)))
-            else:
-                name, src, tgt = a
-                arrs.append(Arrow(str(name), str(src), str(tgt)))
+            name, src, tgt = (a.name, a.source, a.target) if isinstance(a, Arrow) else a
+            arrs.append(Arrow(str(name), str(src), str(tgt)))
         names = [a.name for a in arrs]
         if len(set(names)) != len(names):
             raise QuiverError("duplicate arrow names")
@@ -202,6 +204,7 @@ class PathAlgebra:
             self.between_index[p] = len(paths)
             paths.append(p)
         self._trivial = {p.source: p for p in self.basis if p.is_trivial()}
+        self._by_arrows = {p.arrows: p for p in self.basis if p.arrows}
         # path-product table (p, q) -> pq, filled as composable pairs are met
         self._products = {}
         # action tables left_action[s, v] and right_action[t, w], filled as they are read; they
@@ -235,7 +238,12 @@ class PathAlgebra:
         return self._trivial[v]
 
     def path_of_arrows(self, arrow_names):
-        """Compose a nonempty arrow-name sequence into a Path."""
+        """The basis path a nonempty arrow-name sequence spells, read from one table; a sequence that
+        is not there is checked name by name only to raise the error that says why."""
+        try:
+            return self._by_arrows[tuple(arrow_names)]
+        except (KeyError, TypeError):  # no path, or an unhashable name: the checks below raise the error
+            pass
         if not arrow_names:
             raise QuiverError("empty arrow list; a trivial path is written e:<vertex>")
         for n in arrow_names:
@@ -245,7 +253,6 @@ class PathAlgebra:
         for x, y in zip(arrs, arrs[1:]):
             if x.target != y.source:
                 raise QuiverError(f"arrows {x.name}, {y.name} do not compose")
-        return self._interned(Path(arrs[0].source, arrs[-1].target, tuple(a.name for a in arrs)))
 
     def compose_paths(self, p, q):
         """p*q = first p then q; None when not composable."""
@@ -372,6 +379,18 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+ALGEBRAS = weakref.WeakValueDictionary()  # the live algebras by `algebra_key`, each gone with its last reference
+
+
+def algebra_key(tag, vertices, arrows):
+    """The `ALGEBRAS` key: a field tag, the vertex labels and the (name, source, target) of each arrow, in order."""
+    return tag, tuple(vertices), tuple(arrows)
+
+
 def build_algebra(quiver, field=QQ):
-    """Construct the path algebra; raises QuiverError on a cyclic quiver."""
-    return PathAlgebra(quiver, field)
+    """The path algebra, one object per content (`ALGEBRAS`); `Quiver` has already refused a cyclic quiver."""
+    key = algebra_key(field.tag, quiver.vertices, ((a.name, a.source, a.target) for a in quiver.arrows))
+    alg = ALGEBRAS.get(key)
+    if alg is None:
+        alg = ALGEBRAS[key] = PathAlgebra(quiver, field)
+    return alg

@@ -4,18 +4,25 @@ Algebra files fix vertex and arrow order, which in turn fixes the path-basis
 order and all downstream determinism.  Complex files reference their algebra
 by path; matrix entries are lists of [pathspec, coeff] pairs where a
 pathspec is "e:<vertex>" for a trivial path or a list of arrow names.
+
+A file is read in one pass, each entry straight into its matrix cell and []
+entries passed over.  Equal algebras are one object (`quiver.build_algebra`),
+a content met before is not validated again, and `==` compares by value.
 """
 
 import json
 import os
 
 from .fields import QQ, field_from_tag
-from .quiver import Quiver, build_algebra
+from .quiver import ALGEBRAS, Quiver, algebra_key, build_algebra
 from .complexes import ChainMap, PathMatrix, make_complex
 
 
 class SerializeError(ValueError):
     pass
+
+
+MAX_DEGREE_SPAN = 1000  # highest minus lowest occupied degree of a loaded complex; the verbs' work grows with it
 
 
 def _check_version(data, what):
@@ -75,7 +82,7 @@ def algebra_from_json(data):
     for key in ("field", "vertices", "arrows"):
         if key not in data:
             raise SerializeError(f"algebra: missing key {key!r}")
-    field = field_from_tag(_expect(data["field"], str, "algebra: field"))
+    tag = _expect(data["field"], str, "algebra: field")
     arrows = []
     for i, a in enumerate(_expect(data["arrows"], list, "algebra: arrows")):
         _expect(a, dict, f"algebra: arrow {i}")
@@ -84,8 +91,9 @@ def algebra_from_json(data):
                 raise SerializeError(f"algebra: arrow {i} missing key {key!r}")
             _expect(a[key], str, f"algebra: arrow {i} {key!r}")
         arrows.append((a["name"], a["from"], a["to"]))
-    quiver = Quiver(_array_of(data["vertices"], str, "algebra: vertices"), arrows)
-    return build_algebra(quiver, field)
+    vertices = _array_of(data["vertices"], str, "algebra: vertices")
+    alg = ALGEBRAS.get(algebra_key(tag, vertices, arrows))  # a content met before is not validated again
+    return build_algebra(Quiver(vertices, arrows), field_from_tag(tag)) if alg is None else alg
 
 
 def save_algebra(alg, path):
@@ -125,19 +133,20 @@ def _coeff_in(field, raw):
         raise SerializeError(f"bad coefficient {raw!r}: {exc}")
 
 
-def _element_out(x):
-    alg = x.algebra
-    out = []
-    for p in sorted(x.terms, key=lambda p: alg.basis_index[p]):
-        spec = f"e:{p.source}" if p.is_trivial() else list(p.arrows)
-        out.append([spec, _coeff_out(alg.field, x.terms[p])])
-    return out
+def _rows_out(m):
+    """The JSON rows of the path matrix `m`, read off its cells: terms in basis order, [] where there is no cell."""
+    alg, rows = m.algebra, [[[] for _ in m.col_vertices] for _ in m.row_vertices]
+    for (i, j), t in m.cells.items():
+        rows[i][j] = [[list(p.arrows) if p.arrows else f"e:{p.source}", _coeff_out(alg.field, t[p])]
+                      for p in sorted(t, key=alg.basis_index.__getitem__)]
+    return rows
 
 
-def _element_in(alg, raw):
-    terms = {}
+def _terms(alg, raw):
+    """The terms {path: coefficient} of one JSON matrix entry, a path written twice summed and zeros dropped."""
     if not isinstance(raw, list):
         raise SerializeError(f"bad matrix entry {raw!r}")
+    fld, terms = alg.field, {}
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise SerializeError(f"bad term {item!r}")
@@ -150,9 +159,25 @@ def _element_in(alg, raw):
             p = alg.path_of_arrows(spec)
         else:
             raise SerializeError(f"bad pathspec {spec!r}")
-        c = _coeff_in(alg.field, coeff)
-        terms[p] = alg.field.add(terms.get(p, alg.field.zero), c)
-    return alg.element(terms)
+        c = _coeff_in(fld, coeff)
+        terms[p] = fld.add(terms[p], c) if p in terms else c
+    return {p: c for p, c in terms.items() if not fld.is_zero(c)}
+
+
+def _matrix(alg, rows, rv, cv, what):
+    """The PathMatrix rv x cv of the JSON `rows`, each entry parsed straight into a cell; [] entries are passed over."""
+    if len(_array_of(rows, list, what)) != len(rv):
+        raise SerializeError(f"{what} has {len(rows)} rows, expected {len(rv)}")
+    cells = {}
+    for i, row in enumerate(rows):
+        if len(row) != len(cv):
+            raise SerializeError(f"{what} row length mismatch")
+        for j, x in enumerate(row):
+            if x != []:
+                terms = _terms(alg, x)
+                if terms:
+                    cells[i, j] = terms
+    return PathMatrix._of(alg, rv, cv, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +188,10 @@ def complex_to_json(X, algebra_ref=None):
     data = {
         "v": 1,
         "components": {str(n): list(vs) for n, vs in sorted(X.components.items())},
-        "differentials": {},
+        "differentials": {str(n): _rows_out(d) for n, d in sorted(X.differentials.items())},
     }
     if algebra_ref is not None:
         data["algebra"] = algebra_ref
-    for n, d in sorted(X.differentials.items()):
-        data["differentials"][str(n)] = [
-            [_element_out(x) for x in row] for row in d.entries
-        ]
     return data
 
 
@@ -187,20 +208,13 @@ def complex_from_json(data, algebra=None, base_dir=None):
         _degree(key, "complex"): tuple(_array_of(vs, str, f"complex: component {key}"))
         for key, vs in _expect(data.get("components", {}), dict, "complex: components").items()
     }
+    occupied = [n for n, vs in comps.items() if vs]
+    if occupied and max(occupied) - min(occupied) > MAX_DEGREE_SPAN:
+        raise SerializeError(f"complex: degrees {min(occupied)} to {max(occupied)} span more than {MAX_DEGREE_SPAN}")
     diffs = {}
     for key, rows in _expect(data.get("differentials", {}), dict, "complex: differentials").items():
         n = _degree(key, "complex")
-        _array_of(rows, list, f"complex: differential {n}")
-        tgt = comps.get(n + 1, ())
-        src = comps.get(n, ())
-        if len(rows) != len(tgt):
-            raise SerializeError(f"complex: differential {n} has {len(rows)} rows, expected {len(tgt)}")
-        ents = []
-        for row in rows:
-            if len(row) != len(src):
-                raise SerializeError(f"complex: differential {n} row length mismatch")
-            ents.append([_element_in(algebra, x) for x in row])
-        diffs[n] = PathMatrix(algebra, tgt, src, ents)
+        diffs[n] = _matrix(algebra, rows, comps.get(n + 1, ()), comps.get(n, ()), f"complex: differential {n}")
     return make_complex(algebra, comps, diffs)
 
 
@@ -225,10 +239,7 @@ def chain_map_to_json(f):
         "v": 1,
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
-        "components": {
-            str(n): [[_element_out(x) for x in row] for row in m.entries]
-            for n, m in sorted(f.components.items())
-        },
+        "components": {str(n): _rows_out(m) for n, m in sorted(f.components.items())},
     }
 
 
@@ -243,8 +254,7 @@ def chain_map_from_json(data, algebra):
     comps = {}
     for key, rows in _expect(data.get("components", {}), dict, "chain map: components").items():
         n = _degree(key, "chain map")
-        ents = [[_element_in(algebra, x) for x in row] for row in _array_of(rows, list, f"chain map: component {n}")]
-        comps[n] = PathMatrix(algebra, tgt.component(n), src.component(n), ents)
+        comps[n] = _matrix(algebra, rows, tgt.component(n), src.component(n), f"chain map: component {n}")
         comps[n].check_entries()
     f = ChainMap(src, tgt, comps)
     f.check_chain_condition()

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import connected_conjugate
-from siltglue import serialize
+from siltglue import cli as cli_module, serialize
 from siltglue.cli import _dumps, main
 from siltglue.complexes import ProjComplex, direct_sum
 from siltglue.fields import PrimeField
@@ -253,6 +253,26 @@ def test_check_silting_pass(fx):
     data = json.loads(res.stdout)
     assert data["silting_certified"] is True
     assert data["k0"]["unimodular"] is True
+
+
+def test_check_silting_loads_its_complexes_over_one_algebra_object(fx, monkeypatch):
+    seen = []
+    orig = cli_module.certify_set
+    monkeypatch.setattr(cli_module, "certify_set", lambda T, alg: seen.append((T, alg)) or orig(T, alg))
+    res = run("check-silting", fx["p1"], fx["p2"], fx["p3"], fx["i2"])
+    assert res.exit_code == 1  # P1, P2, P3 and I2 are not presilting together
+    [(T, alg)] = seen
+    assert all(t.algebra is alg for t in T)
+
+
+@pytest.mark.parametrize("verb", ["hom", "check-silting", "envelope"])
+def test_a_complex_past_the_degree_bound_exits_2(fx, tmp_path, verb):
+    far = tmp_path / "far9.json"
+    far.write_text(json.dumps({"v": 1, "algebra": fx["algebra"], "components": {"0": ["1"], "1000000000": ["2"]}}))
+    args = {"hom": [fx["p1"], str(far)], "check-silting": [str(far)], "envelope": [str(far), fx["p1"], fx["p2"], fx["p3"]]}
+    res = run(verb, *args[verb])
+    assert res.exit_code == 2
+    assert "input error: complex: degrees 0 to 1000000000 span more than 1000" in res.stderr
 
 
 def test_check_silting_failure_exits_1(fx):

@@ -102,6 +102,22 @@ def test_decompose_stalk_and_sum(ka3):
     assert total == 3
 
 
+def test_a_complex_with_no_differential_is_not_minimized(ka3, monkeypatch):
+    """Such a complex is its own minimal model, so `is_isomorphic` and `decompose` take it as it is;
+    only the cone of an isomorphism witness, which has a differential, is minimized."""
+    calls = []
+    monkeypatch.setattr(decompose_module, "minimize", lambda X: calls.append(X) or minimize(X))
+    P = ka3["P"]
+    X, Y = direct_sum(P["1"], shift(P["2"], 1)), direct_sum(shift(P["2"], 1), P["1"])
+    res = is_isomorphic(X, Y)
+    assert res.isomorphic and res.certified
+    assert res.witness.source is X and res.witness.target is Y and minimize(cone(res.witness)).complex.is_zero()
+    assert not is_isomorphic(X, direct_sum(P["1"], P["2"])).isomorphic
+    parts = decompose(direct_sum(X, P["1"]))
+    assert [(Z.components, m, cert) for Z, m, cert in parts] == [({-1: ("2",)}, 1, True), ({0: ("1",)}, 2, True)]
+    assert calls and all(Z.differentials for Z in calls)
+
+
 def test_decompose_mixed_two_term_sum(ka3):
     # I2[1] (+) S2 and I2 (+) S2 are sums of two non-isomorphic indecomposables;
     # End(I2 (+) S2)/rad is Q x Q, two simple blocks.  I2 (+) S2 is conjugated

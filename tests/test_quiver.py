@@ -9,7 +9,7 @@ import pytest
 
 from former import trivial_coefficient
 from siltglue.fields import PrimeField
-from siltglue.quiver import Path, Quiver, QuiverError, build_algebra
+from siltglue.quiver import ALGEBRAS, Path, PathAlgebra, Quiver, QuiverError, build_algebra
 
 
 def test_cycle_rejected():
@@ -47,6 +47,9 @@ def test_path_of_arrows_refuses_unknown_and_empty_arrow_lists():
         alg.path_of_arrows([])
     with pytest.raises(QuiverError, match="do not compose"):
         alg.path_of_arrows(["b", "a"])
+    with pytest.raises(QuiverError, match=r"unknown arrow \['a'\]"):
+        alg.path_of_arrows([["a"]])
+    assert alg.path_of_arrows(("a", "b")) is alg.compose_paths(alg.path_of_arrows(["a"]), alg.path_of_arrows(["b"]))
 
 
 def test_left_to_right_composition():
@@ -141,5 +144,40 @@ def test_an_algebra_with_read_tables_is_freed_by_reference_counting():
         freed = weakref.ref(alg)
         del alg
         assert freed() is None
+        assert ("Q", ("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3"))) not in ALGEBRAS
+    finally:
+        gc.enable()
+
+
+def test_equal_quivers_give_one_algebra_object():
+    """`build_algebra` hands out one object per field, vertex order and arrow list; equality stays by value."""
+    arrows = [("a", "1", "2"), ("b", "2", "3")]
+    alg = build_algebra(Quiver(["1", "2", "3"], arrows))
+    assert build_algebra(Quiver(["1", "2", "3"], arrows)) is alg
+    assert build_algebra(Quiver(["1", "2", "3"], list(alg.quiver.arrows))) is alg
+    others = [
+        build_algebra(Quiver(["2", "1", "3"], arrows)),
+        build_algebra(Quiver(["1", "2", "3"], arrows[::-1])),
+        build_algebra(Quiver(["1", "2", "3"], arrows), PrimeField(5)),
+    ]
+    assert len({id(alg), *map(id, others)}) == 4
+    assert all(other != alg for other in others)
+    unshared = PathAlgebra(Quiver(["1", "2", "3"], arrows))
+    assert unshared is not alg and unshared == alg
+
+
+def test_an_algebra_shared_by_two_builds_lives_until_both_references_go():
+    q = Quiver(["u", "v", "w"], [("s", "u", "v"), ("t", "v", "w")])
+    gc.disable()
+    try:
+        first, second = build_algebra(q, PrimeField(7)), build_algebra(Quiver(q.vertices, q.arrows), PrimeField(7))
+        assert first is second
+        first.compose_paths(first.path_of_arrows(["s"]), first.path_of_arrows(["t"]))
+        freed = weakref.ref(first)
+        del first
+        assert freed() is second
+        del second
+        assert freed() is None
+        assert build_algebra(q, PrimeField(7)).dimension == 6
     finally:
         gc.enable()

@@ -4,13 +4,15 @@ import re
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from siltglue.cli import INPUT_ERRORS
 from siltglue.fields import QQ, PrimeField
-from siltglue.quiver import QuiverError, build_algebra
+from siltglue.quiver import ALGEBRAS, QuiverError, build_algebra
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, direct_sum, shift
 from siltglue.approx import cosusp_precover, susp_envelope
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace
 from siltglue.serialize import (
+    MAX_DEGREE_SPAN,
     SerializeError,
     algebra_from_json,
     algebra_to_json,
@@ -238,6 +240,92 @@ def _i2_with_entry(ka3, terms):
     data = complex_to_json(ka3["I2"])
     data["differentials"]["-1"][0][0] = terms
     return data
+
+
+# Each bad term with the message the loader names it by.  A complex and a chain map give the same
+# message, and each error is one the CLI reports as an input error, with exit code 2.
+BAD_TERMS = [
+    ([["zz"], 1], "unknown arrow 'zz'"),
+    ([[5], 1], "unknown arrow 5"),
+    ([[["a"]], 1], "unknown arrow ['a']"),
+    ([["b", "a"], 1], "arrows b, a do not compose"),
+    ([[], 1], "empty arrow list; a trivial path is written e:<vertex>"),
+    (["e:9", 1], "unknown vertex '9'"),
+    ([["a", "b"], 0.5], 'bad coefficient 0.5: give an integer or a "p/q" string'),
+    ([["a", "b"], True], 'bad coefficient True: give an integer or a "p/q" string'),
+]
+
+
+@pytest.mark.parametrize("term, message", BAD_TERMS, ids=[m for _, m in BAD_TERMS])
+def test_a_bad_term_is_refused_with_its_message(ka3, term, message):
+    A = ka3["A"]
+    with pytest.raises(INPUT_ERRORS) as exc:
+        complex_from_json(_i2_with_entry(ka3, [[["a", "b"], 1], term]), algebra=A)
+    assert str(exc.value) == message
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    data["components"]["0"][0][0].append(term)
+    with pytest.raises(INPUT_ERRORS) as exc:
+        chain_map_from_json(data, A)
+    assert str(exc.value) == message
+
+
+def test_a_path_written_twice_is_summed_and_a_zero_entry_dropped(ka3):
+    A = ka3["A"]
+    ab = A.path_of_arrows(["a", "b"])
+    summed = complex_from_json(_i2_with_entry(ka3, [[["a", "b"], 2], [["a", "b"], "-1/2"]]), algebra=A)
+    assert summed.differential(-1).cells == {(0, 0): {ab: QQ.of("3/2")}}
+    cancelled = complex_from_json(_i2_with_entry(ka3, [[["a", "b"], 2], [["a", "b"], -2]]), algebra=A)
+    assert cancelled == complex_from_json(_i2_with_entry(ka3, []), algebra=A)
+    assert not cancelled.differentials and cancelled.components == ka3["I2"].components
+    P1 = ka3["P"]["1"]
+    data = chain_map_to_json(ChainMap.zero(P1, P1))
+    data["components"]["0"] = [[[["e:1", 1], ["e:1", -1]]]]
+    back = chain_map_from_json(data, A)
+    assert not back.components and back.source == P1 and back.target == P1
+
+
+def test_a_chain_map_component_of_the_wrong_shape_is_refused(ka3):
+    data = chain_map_to_json(ChainMap.identity(ka3["I2"]))
+    data["components"]["0"].append([[]])
+    with pytest.raises(SerializeError, match="chain map: component 0 has 2 rows, expected 1"):
+        chain_map_from_json(data, ka3["A"])
+    data["components"]["0"] = [[[], []]]
+    with pytest.raises(SerializeError, match="chain map: component 0 row length mismatch"):
+        chain_map_from_json(data, ka3["A"])
+
+
+def test_two_loads_of_one_algebra_file_give_one_object(ka3, tmp_path):
+    A = ka3["A"]
+    path = str(tmp_path / "alg.json")
+    save_algebra(A, path)
+    assert load_algebra(path) is load_algebra(path) is A
+    save_complex(ka3["I2"], str(tmp_path / "i2.json"), algebra_ref="alg.json")
+    save_complex(ka3["S2"], str(tmp_path / "s2.json"), algebra_ref="alg.json")
+    assert load_complex(str(tmp_path / "i2.json")).algebra is load_complex(str(tmp_path / "s2.json")).algebra is A
+
+
+def test_an_invalid_algebra_file_fails_alike_on_every_load(tmp_path):
+    cyclic = _algebra_with(arrows=[{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "1"}])
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(cyclic))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(QuiverError, match="cycle") as exc:
+            load_algebra(str(path))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert not [key for key in ALGEBRAS.keys() if key[1:] == (("1", "2"), (("a", "1", "2"), ("b", "2", "1")))]
+
+
+def test_a_complex_wider_than_the_degree_bound_is_refused(ka3):
+    A = ka3["A"]
+    widest = complex_from_json({"v": 1, "components": {"-3": ["1"], str(MAX_DEGREE_SPAN - 3): ["2"]}}, algebra=A)
+    assert widest.hi - widest.lo == MAX_DEGREE_SPAN
+    far = {"v": 1, "components": {"0": ["1"], str(10**9): ["2"], str(-(10**9)): []}}
+    with pytest.raises(SerializeError, match=f"complex: degrees 0 to 1000000000 span more than {MAX_DEGREE_SPAN}"):
+        complex_from_json(far, algebra=A)
+    del far["components"]["0"]  # an empty component occupies no degree
+    assert complex_from_json(far, algebra=A).components == {10**9: ("2",)}
 
 
 def test_loaded_entry_outside_its_hom_space_is_refused(ka3):
