@@ -3,16 +3,19 @@
 Given a finite set T of complexes, this module builds add(T)[s]-preenvelopes
 from Hom-basis representatives, minimizes them by one greedy pass that tests
 each copy at most once, and builds the susp(T)-envelope triangle V -> M -> U in
-stages: each takes the minimized cocone W of its input's minimal
+stages: each takes the minimal cocone W of its input's minimal
 add(T)[s]-preenvelope, with its map to the input.  With w the composite of
 those maps, W -w-> M -> C(-w) -> W[1] is distinguished, being the cone
 triangle of -w with its first term changed by -id: V is the last stage's W
-and v_map is w, and U is one cone, C(-w) minimized.  With no stage U = 0,
-f = 0 and V is the minimal model of M.  A deletion is decided on Hom
-coordinates: a copy of T_i can go exactly when its representative factors
-through the other kept copies (Auslander-Smalo), a rank condition in the
-one space Hom(M, T_i[s]) on the coordinates of the maps they let through,
-so no candidate map is assembled.  Most copies need no test: a copy that
+and v_map is w, and U is one cone, the minimal C(-w).  With no stage U = 0,
+f = 0 and V is the minimal model of M.  The members of T are minimal and so
+is each W, so past the first stage of a raw M every cocone, and the cone of
+a minimal M, comes from one direct elimination of the map's unit block
+(`complexes.minimal_cocone` and `minimal_cone`), with no full cone built.
+A deletion is decided on Hom coordinates: a copy of T_i can go exactly when
+its representative factors through the other kept copies (Auslander-Smalo),
+a rank condition in the one space Hom(M, T_i[s]) on the coordinates of the
+maps they let through, so no candidate map is assembled.  Most copies need no test: a copy that
 no other copy can reach, because the Hom spaces between the members'
 complexes are zero or the member's End is the field, is needed, and Hom
 dimensions alone say so (the rule and both proofs are in `left_minimize`).
@@ -39,9 +42,9 @@ from .complexes import (
     ChainMap,
     PathMatrix,
     ProjComplex,
-    cocone,
-    cone,
     direct_sum_many,
+    minimal_cocone,
+    minimal_cone,
     minimize,
     opposite_complex,
     opposite_map,
@@ -231,10 +234,12 @@ def indecomposable_refinement(T_list):
 def _susp_envelope_stage(W, T_list, bound, between, scan):
     """One stage: (layer, Cm, u), or None when no Hom(W, T_i[s]) with s >= 0 is non-zero.
 
-    Cm is the minimized cocone of W's minimal add(T)[s]-preenvelope and
-    u: Cm -> W its map to W; s must stay below `bound`.  The s-search hands
-    the Hom spaces it built at s on to the preenvelope, and every space it
-    built to `scan`; `between` is the envelope's table for `left_minimize`.
+    Cm is the minimal cocone of W's minimal add(T)[s]-preenvelope and
+    u: Cm -> W its map to W, from `minimal_cocone`: one direct elimination
+    when W is minimal, as the target of copies of T is; s must stay below
+    `bound`.  The s-search hands the Hom spaces it built at s on to the
+    preenvelope, and every space it built to `scan`; `between` is the
+    envelope's table for `left_minimize`.
     """
     s, spaces = s_search(W, T_list, scan)
     if s is None:
@@ -242,9 +247,8 @@ def _susp_envelope_stage(W, T_list, bound, between, scan):
     if bound is not None and s >= bound:
         raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
     pre = left_minimize(add_shift_preenvelope(W, T_list, s, spaces), between)
-    C, u = cocone(pre.f)  # C -> W -> F
-    Cm = minimize(C)
-    return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm.complex, Cm.pull(u)
+    Cm, u = minimal_cocone(pre.f)  # Cm -> W -> F
+    return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm, u
 
 
 def _envelope(M, T_list):
@@ -254,12 +258,13 @@ def _envelope(M, T_list):
     cocone map u of a stage, and w: W_r -> M composes them.  The triangle
     W_r -w-> M -> C(-w) -> W_r[1] is distinguished: it is the cone triangle
     of -w with its first term changed by -id.  So V is W_r, already
-    minimal, v_map is w, and U is the minimized C(-w) with f the push of
-    the inclusion of M; by the octahedral axiom C(-w) is the iterated
-    homotopy pushout of the stages, so U takes a single cone.  With no
-    stage U = 0 and f = 0, V is the minimal model of M and v_map its
-    inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of the last stage's
-    scan, every k >= 0 where they can be non-zero.
+    minimal, v_map is w, and U is the minimal model of C(-w) with f the
+    push of the inclusion of M, from `minimal_cone`: one direct
+    elimination when M is minimal, as W_r is.  By the octahedral axiom
+    C(-w) is the iterated homotopy pushout of the stages, so U takes a
+    single cone.  With no stage U = 0 and f = 0, V is the minimal model of
+    M and v_map its inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of
+    the last stage's scan, every k >= 0 where they can be non-zero.
     """
     T_list = indecomposable_refinement(T_list)
     W, maps, trace, between = M, [], [], {}
@@ -274,14 +279,8 @@ def _envelope(M, T_list):
         U = ProjComplex.zero(M.algebra)
         return ChainMap.zero(M, U), U, Mm.complex, Mm.from_min, trace, zeros
     w = reduce(ChainMap.compose, maps)
-    X = cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
-    alg = M.algebra
-    incl = {
-        n: PathMatrix.blocks(alg, (W.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
-        for n, vs in M.components.items()
-    }
-    Xm = minimize(X)
-    return Xm.push(ChainMap(M, X, incl)), Xm.complex, W, w, trace, zeros
+    U, f = minimal_cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
+    return f, U, W, w, trace, zeros
 
 
 def _check_orthogonal(pairs, what, built=()):

@@ -35,9 +35,13 @@ of `glue` and `check-silting`.
 
 `minimize` runs its Gauss steps on one table of cells in the source's own
 indices, re-indexed once at the end; with nothing to cancel it is the identity.
+`minimal_cone` and `minimal_cocone` give the minimal model of C(f) or CC(f)
+with its map from Y or to X.  For f between minimal complexes that is one
+direct elimination of f's unit block, in final indices, with no cone built;
+for any other f it is `minimize` of the built cone and its push or pull.
 """
 
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .linalg import extend_rref, row_space_rref
 from .quiver import AlgebraElement, Path, QuiverError
@@ -677,8 +681,7 @@ class MinimizeResult:
 
     @staticmethod
     def _after(X, done, gone):
-        """The model of X that the steps `done`, each (new cells of d^n, step), leave once `gone` is cancelled.
-        Apart from `minimize`, whose frame then holds no comprehension and so makes no closure cell per call."""
+        """The model of X that the steps `done`, each (new cells of d^n, step), leave once `gone` is cancelled."""
         table = {step[0]: cells for cells, step in done}
         index = {n: {i: k for k, i in enumerate(i for i in range(len(X.component(n))) if i not in g)}
                  for n, g in gone.items()}
@@ -730,13 +733,20 @@ def minimize(X):
     columns of d^{n+1}, so no lower degree regains a unit entry.  The steps
     share one table, each d^n as its cells in X's indices (X's own until a
     step writes it); only the degrees that lost a summand are re-indexed.
+    The cone or cocone of a map between minimal complexes needs no table:
+    `minimal_cone` and `minimal_cocone` eliminate the map's block directly.
     """
     done, gone = [], {}  # (cells of the new d^n, step) per step, and the summands cancelled so far
     for n in sorted(X.differentials):
-        cells = X.differentials[n].cells  # a step at n - 1 only marks columns of d^n gone
-        rows, cols = _pivots(X.algebra.field, cells, len(X.component(n)), gone.get(n, ()))
+        cells, src, tgt = X.differentials[n].cells, X.component(n), X.component(n + 1)
+        rows, cols = _pivots(X.algebra.field, cells, len(src), gone.get(n, ()))  # a step at n - 1 marks columns gone
         if rows:
-            done.append(_cancel(X, cells, n, rows, cols, gone))
+            skip = gone.setdefault(n, set())
+            blocks = _split(cells, rows, cols, skip)
+            new, gamma_phi_inv, phi_inv = _cancel(X.algebra, tgt, src, rows, cols, *blocks)
+            skip.update(cols)
+            gone.setdefault(n + 1, set()).update(rows)
+            done.append((new, (n, rows, cols, gamma_phi_inv, phi_inv, blocks[2])))
     return MinimizeResult._after(X, done, gone) if done else MinimizeResult(X, X, done, gone)
 
 
@@ -770,19 +780,14 @@ def _pivots(fld, cells, width, skip=()):
     return taken, at
 
 
-def _cancel(X, cells, n, rows, cols, gone):
-    """Cancel the invertible block Phi = d^n[rows, cols] of d^n, given by its cells, in one Gauss step.
+def _split(cells, rows, cols, skip):
+    """The blocks of d^n = [[Phi, B], [Gamma, Delta]], pivots first, from its cells in one pass.
 
-    In block form d^n = [[Phi, B], [Gamma, Delta]], pivots first.  One pass
-    sorts the cells into the blocks, skipping the columns `gone` marks; the
-    cells of the new d^n are Delta - Gamma Phi^{-1} B.  X^n[cols] and
-    X^{n+1}[rows] join `gone`, and no complex is built.  The chain maps
-    p: X -> Y and i: Y -> X are selections except p^{n+1} = [-Gamma Phi^{-1} | 1]
-    and i^n = [-Phi^{-1} B ; 1]; the chain condition forces both, p o i = id
-    and i o p is homotopic to the identity.  Returns the new cells and the step (`MinimizeResult`).
+    Phi's cells are at their positions in `rows` and `cols`, Gamma and
+    Delta keep d^n's indices, B is by rows {row: [(column, terms)]}; the
+    columns in `skip` are left out.
     """
-    alg, skip = X.algebra, gone.setdefault(n, set())
-    rpos, cpos = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
+    rpos, cpos = dict(zip(rows, count())), dict(zip(cols, count()))
     phi, gamma, beta, delta = {}, {}, {}, {}
     for (i, j), t in cells.items():
         if j in cpos:
@@ -796,15 +801,142 @@ def _cancel(X, cells, n, rows, cols, gone):
             beta.setdefault(i, []).append((j, t))
         else:
             delta[i, j] = t
-    src, tgt, phi_inv = X.component(n), X.component(n + 1), {}
-    block = PathMatrix._of(alg, tuple(tgt[r] for r in rows), tuple(src[c] for c in cols), phi)
+    return phi, gamma, beta, delta
+
+
+def _cancel(alg, tgt, src, rows, cols, phi, gamma, beta, delta):
+    """One Gauss step on d^n = [[Phi, B], [Gamma, Delta]]: Delta - Gamma Phi^{-1} B, Gamma Phi^{-1} and Phi^{-1}.
+
+    Phi is the invertible block at rows `rows` of `tgt` and columns `cols`
+    of `src`; Phi^{-1} comes back by rows {column: [(row, terms)]}.  The
+    chain maps p: X -> Y and i: Y -> X are selections except
+    p^{n+1} = [-Gamma Phi^{-1} | 1] and i^n = [-Phi^{-1} B ; 1]; the chain
+    condition forces both, p o i = id and i o p is homotopic to the identity.
+    """
+    block, phi_inv = PathMatrix._of(alg, tuple(tgt[r] for r in rows), tuple(src[c] for c in cols), phi), {}
     for (b, a), t in block.invert().cells.items():
         phi_inv.setdefault(cols[b], []).append((rows[a], t))
     gamma_phi_inv = MinimizeResult._times_inverse(alg, gamma, phi_inv)
-    skip.update(cols)
-    gone.setdefault(n + 1, set()).update(rows)
     new = PathMatrix._add_into(alg.field, delta, PathMatrix._product(alg, gamma_phi_inv, beta), True)
-    return new, (n, rows, cols, gamma_phi_inv, phi_inv, beta)
+    return new, gamma_phi_inv, phi_inv
+
+
+def minimal_cocone(f):
+    """(V, u) for f: X -> Y: V the minimal model of CC(f) and u: V -> X the pull of its projection onto X.
+
+    With minimal ends, one direct elimination (`_minimal_cone`); otherwise
+    `minimize` of `cocone(f)` and its `pull`.
+    """
+    if _has_unit(f.source) or _has_unit(f.target):
+        CC, u = cocone(f)
+        m = minimize(CC)
+        return m.complex, m.pull(u)
+    return _minimal_cone(f, 0)
+
+
+def minimal_cone(f):
+    """(U, p) for f: X -> Y: U the minimal model of C(f) and p: Y -> U the push of the inclusion of Y.
+
+    With minimal ends, one direct elimination (`_minimal_cone`); otherwise
+    `minimize` of `cone(f)` and its `push`.
+    """
+    if _has_unit(f.source) or _has_unit(f.target):
+        X, Y, C = f.source, f.target, cone(f)
+        alg = X.algebra
+        incl = {
+            n: PathMatrix.blocks(alg, (X.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
+            for n, vs in Y.components.items()
+        }
+        m = minimize(C)
+        return m.complex, m.push(ChainMap(Y, C, incl))
+    return _minimal_cone(f, 1)
+
+
+def _has_unit(X):
+    """Whether some differential entry of X has a trivial-path term, that is, X is not minimal."""
+    return any(not p.arrows for d in X.differentials.values() for t in d.cells.values() for p in t)
+
+
+def _minimal_cone(f, t):
+    """`minimal_cone` (t = 1) or `minimal_cocone` (t = 0) of f: X -> Y between minimal complexes.
+
+    The complex is C(f)[t - 1]: E^n = P^n (+) Q^n with P^n = X^{n+t} and
+    Q^n = Y^{n+t-1}, and d^n = (-1)^t [[-d_X, 0], [f, d_Y]], as `cone` and
+    `cocone` build it.  d_X and d_Y are radical, so every unit of d^n lies
+    in f's block; and a step at degree n only deletes rows of d^{n-1} and
+    columns of d^{n+1} (`minimize`).  So the pivots of each degree are
+    `_pivots` of f^{n+t} alone, all known before the first step, and every
+    kept summand has its final index up front, P^n's before Q^n's.  Each d^n
+    is written once in those indices from the blocks of d_X, f and d_Y: as
+    Delta - Gamma Phi^{-1} B (`_cancel`) where degree n has a step, the
+    blocks alone elsewhere; a pivot keeps its index in P^n or Q^{n+1}.  The
+    map is a selection, corrected where a step is by -Gamma Phi^{-1} (push)
+    or -Phi^{-1} B (pull), as `MinimizeResult` replays it.  No cone is built,
+    re-indexed or replayed, and every cell, term and dict order is the one
+    `minimize` of the built cone and its push or pull give.
+    """
+    X, Y, fc = f.source, f.target, f.components
+    xc, yc, dX, dY, alg = X.components, Y.components, X.differentials, Y.differentials, X.algebra
+    fld, e, one, none = alg.field, alg.trivial_path, alg.field.one, ((), ())
+    pivots = {}  # degree n of E -> (rows in Q^{n+1}, columns in P^n)
+    for n, m in fc.items():
+        rows, cols = _pivots(fld, m.cells, len(xc[n]))
+        if rows:
+            pivots[n - t] = rows, cols
+    at, comps = {}, {}  # final index of each kept summand of P^n and of Q^n; the components of E
+    for n in sorted({n - t for n in xc} | {n + 1 - t for n in yc}):
+        p_vs, q_vs = xc.get(n + t, ()), yc.get(n + t - 1, ())
+        p_keep = [i for i in range(len(p_vs)) if i not in pivots[n][1]] if n in pivots else range(len(p_vs))
+        q_keep = [i for i in range(len(q_vs)) if i not in pivots[n - 1][0]] if n - 1 in pivots else range(len(q_vs))
+        at[n] = dict(zip(p_keep, count())), dict(zip(q_keep, count(len(p_keep))))
+        if p_keep or q_keep:
+            comps[n] = tuple(map(p_vs.__getitem__, p_keep)) + tuple(map(q_vs.__getitem__, q_keep))
+    diffs, steps, empty, neg = {}, {}, {}, fld.neg
+    for n in sorted({n - t for n in dX} | {n - t for n in fc} | {n + 1 - t for n in dY}):
+        (cp, cq), (rp, rq), (rows, cols) = at.get(n, none), at.get(n + 1, none), pivots.get(n, none)
+        rpos, cpos = dict(zip(rows, count())), dict(zip(cols, count()))
+        phi, gamma, beta, delta = {}, {}, {}, {}  # d^n's blocks, as `_split` sorts the cone's cells
+        # (-1)^t (-d_X), (-1)^t f and (-1)^t d_Y: a pivot row or column is a key of rpos or cpos, any other
+        # is kept at its final index, or left out when it has none
+        for ms, k, rmap, cmap, rpiv, cpiv, negate in ((dX, n + t, rp, cp, empty, cpos, t),
+                                                       (fc, n + t, rq, cp, rpos, cpos, not t),
+                                                       (dY, n + t - 1, rq, cq, rpos, empty, not t)):
+            for (i, j), terms in ms[k].cells.items() if k in ms else ():
+                if negate:
+                    terms = {p: neg(c) for p, c in terms.items()}
+                if j in cpiv:
+                    if i in rpiv:
+                        phi[rpiv[i], cpiv[j]] = terms
+                    elif i in rmap:
+                        gamma[rmap[i], j] = terms
+                elif j not in cmap:
+                    continue
+                elif i in rpiv:
+                    beta.setdefault(i, []).append((cmap[j], terms))
+                elif i in rmap:
+                    delta[rmap[i], cmap[j]] = terms
+        if rows:
+            delta, gamma_phi_inv, phi_inv = _cancel(alg, yc[n + t], xc[n + t], rows, cols, phi, gamma, beta, delta)
+            steps[n] = gamma_phi_inv, phi_inv, beta
+        if delta:
+            diffs[n] = PathMatrix._of(alg, comps.get(n + 1, ()), comps.get(n, ()), delta)
+    E, out = ProjComplex(alg, comps, diffs), {}
+    if t:  # the push of Y = Q's inclusion: [-Gamma Phi^{-1} | 1] in the degree after a step
+        for n, vs in yc.items():
+            cells = {(k, i): {e(vs[i]): one} for i, k in at[n][1].items()}
+            if n - 1 in steps:
+                lines = {r: [(r, {e(vs[r]): one})] for r in pivots[n - 1][0]}
+                cells = PathMatrix._add_into(fld, cells, PathMatrix._product(alg, steps[n - 1][0], lines), True)
+            out[n] = PathMatrix._of(alg, comps.get(n, ()), vs, cells)
+        return E, ChainMap(Y, E, out)
+    for n, vs in xc.items():  # the pull of the projection onto X = P: [-Phi^{-1} B ; 1] at a step
+        cells = {(i, k): {e(vs[i]): one} for i, k in at[n][0].items()}
+        if n in steps:
+            _gamma_phi_inv, phi_inv, beta = steps[n]
+            pivot = MinimizeResult._times_inverse(alg, {(c, c): {e(vs[c]): one} for c in sorted(pivots[n][1])}, phi_inv)
+            cells = PathMatrix._add_into(fld, cells, PathMatrix._product(alg, pivot, beta), True)
+        out[n] = PathMatrix._of(alg, vs, comps.get(n, ()), cells)
+    return E, ChainMap(E, X, out)
 
 
 def transform(X, change):

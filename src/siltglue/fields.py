@@ -168,9 +168,16 @@ QQ = RationalField()
 
 
 def field_from_tag(tag):
-    """Parse a field tag: "Q" or "Fp:<p>"."""
+    """Parse a field tag: "Q" or "Fp:<p>".  Only the form `PrimeField.tag` emits, "Fp:" + str(p), is read,
+    so that "Fp:05", "Fp:+5" or "Fp: 5" is refused rather than read as F_5, and one field has one tag."""
     if tag == "Q":
         return QQ
     if tag.startswith("Fp:"):
-        return PrimeField(int(tag[3:]))
+        try:
+            p = int(tag[3:])
+        except ValueError:
+            p = None
+        if p is None or "Fp:" + str(p) != tag:
+            raise ValueError(f"bad field tag {tag!r}")
+        return PrimeField(p)
     raise ValueError(f"unknown field tag {tag!r}")

@@ -6,6 +6,11 @@
   V -> P_v -> U, then the precover V' -> V -> W of its cocone: W = 0, as
   `gluing.check_generation` did before one envelope of P_v in the lowest
   degree of T decided it.
+- `former_minimal_cocone` and `former_minimal_cone` build CC(f) or C(f) in
+  full, `minimize` it and replay the steps on the projection onto X
+  (`pull`) or the inclusion of Y (`push`), as `approx` did for every
+  envelope stage and final cone before `complexes.minimal_cocone` and
+  `minimal_cone` eliminated f's block directly when both ends are minimal.
 - `former_envelope_tail` rebuilds V and v_map of an envelope from its f:
   the cocone of f, minimized, and the pull of the cocone's projection.
   `approx._envelope` once ran this after its stages; it now reads V and
@@ -32,7 +37,7 @@
 """
 
 from siltglue.approx import Preenvelope, cosusp_precover, susp_envelope
-from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, shift, shift_map
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cocone, cone, minimize, shift, shift_map
 from siltglue.homs import HomSpace
 from siltglue.linalg import Matrix, extend_rref, row_space_rref
 
@@ -47,6 +52,25 @@ def former_cocone(f):
         for n, vs in X.components.items()
     }
     return CC, ChainMap(CC, X, proj)
+
+
+def former_minimal_cocone(f):
+    """(V, u): the minimal model of CC(f), built in full, and the pull of its projection onto X."""
+    CC, u = cocone(f)
+    m = minimize(CC)
+    return m.complex, m.pull(u)
+
+
+def former_minimal_cone(f):
+    """(U, p): the minimal model of C(f), built in full, and the push of the inclusion of Y."""
+    X, Y, C = f.source, f.target, cone(f)
+    alg = X.algebra
+    incl = {
+        n: PathMatrix.blocks(alg, (X.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
+        for n, vs in Y.components.items()
+    }
+    m = minimize(C)
+    return m.complex, m.push(ChainMap(Y, C, incl))
 
 
 def former_generated(algebra, T_list, v):

@@ -20,6 +20,7 @@ from siltglue.complexes import (
     cocone,
     cone,
     direct_sum,
+    minimal_cone,
     minimize,
     opposite_complex,
     shift,
@@ -333,8 +334,8 @@ def test_reported_maps_are_checked_once(ka3, monkeypatch):
 def test_envelope_takes_one_cone_after_its_stages(ka3, monkeypatch):
     """Two layers: one stage call per layer and one that finds no s, then a single cone."""
     cones, stages = [], []
-    cone_, stage = approx.cone, approx._susp_envelope_stage
-    monkeypatch.setattr(approx, "cone", lambda f: cones.append(f) or cone_(f))
+    cone_, stage = approx.minimal_cone, approx._susp_envelope_stage
+    monkeypatch.setattr(approx, "minimal_cone", lambda f: cones.append(f) or cone_(f))
     monkeypatch.setattr(approx, "_susp_envelope_stage", lambda *a: stages.append(a) or stage(*a))
     env = susp_envelope(direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)])
     assert [s for s, _ in env.trace] == [1, 0]
@@ -403,7 +404,7 @@ def test_sign_flip_in_the_pushout_map_is_caught(ka3, monkeypatch):
     M, T = _flip_instance(ka3)
     flipped = []
     flip = _sign_flipper(-1, flipped)
-    monkeypatch.setattr(approx, "cone", lambda gu: cone(flip(gu)))
+    monkeypatch.setattr(approx, "minimal_cone", lambda gu: minimal_cone(flip(gu)))
     with pytest.raises(ComplexError, match="not a chain map"):
         susp_envelope(M, T)
     with pytest.raises(ComplexError):
@@ -634,7 +635,7 @@ def test_envelope_reads_v_and_v_map_off_its_last_stage(field):
 def test_an_envelope_without_a_stage_builds_no_cone(ka3, monkeypatch):
     """No stage: U = 0 and f = 0, V is the minimal model of M and v_map its inclusion, with no cone taken."""
     cones = []
-    monkeypatch.setattr(approx, "cone", lambda f: cones.append(f) or cone(f))
+    monkeypatch.setattr(approx, "minimal_cone", lambda f: cones.append(f) or minimal_cone(f))
     P = ka3["P"]
     contractible = cone(ChainMap.identity(P["2"]))
     for M in (shift(P["3"], -1), direct_sum(shift(P["3"], -1), contractible)):
@@ -651,8 +652,8 @@ def test_an_envelope_without_a_stage_builds_no_cone(ka3, monkeypatch):
 def test_envelope_takes_no_cocone_after_its_stages(ka3, monkeypatch):
     """One cocone per stage, for its preenvelope, and none to rebuild V."""
     cocones = []
-    cocone_ = approx.cocone
-    monkeypatch.setattr(approx, "cocone", lambda f: cocones.append(f) or cocone_(f))
+    cocone_ = approx.minimal_cocone
+    monkeypatch.setattr(approx, "minimal_cocone", lambda f: cocones.append(f) or cocone_(f))
     for M, T in (
         (direct_sum(shift(ka3["I2"], 1), ka3["S2"]), [shift(ka3["P"]["3"], 1)]),
         (ka3["I2"], [ka3["P"]["1"], ka3["P"]["2"]]),

@@ -429,6 +429,18 @@ def test_non_canonical_degree_key_exits_2(tmp_path, components):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("tag", ["Fp:05", "Fp:+5", "Fp: 5", "Fp:5_0"])
+def test_non_canonical_field_tag_exits_2(tmp_path, tag):
+    """An algebra whose field tag is not "Fp:" + str(p) is an input error that names the tag: "Fp:05" used to
+    load as F_5, and "Fp:5_0" failed with "50 is not prime"."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"v": 1, "field": tag, "vertices": ["1", "2"], "arrows": []}))
+    res = run("algebra-check", str(path))
+    assert res.exit_code == 2
+    assert res.stderr == f"input error: bad field tag {tag!r}\n"
+    assert res.stdout == ""
+
+
 def test_glue_failing_report_exits_1(fx):
     """With no T_B the glued set is j_!(T_C) = P3 alone: it does not generate, and the K_0 screen fails."""
     res = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"])

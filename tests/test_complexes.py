@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import conjugated, random_complex, random_quiver, seeded_rng
@@ -5,14 +7,17 @@ from former import (
     former_cancel,
     former_cocone,
     former_invert,
+    former_minimal_cocone,
+    former_minimal_cone,
     former_minimize,
     radical_part,
     trivial_coefficient,
 )
 from oracle import _rank
-from siltglue import complexes, linalg
+from siltglue import approx, complexes, linalg
 from siltglue.fields import QQ, PrimeField
-from siltglue.fixtures import ka3_algebra, ka3_named_complexes
+from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
+from siltglue.gluing import canonical_corner_silting, glue
 from siltglue.quiver import Path, build_algebra
 from siltglue.complexes import (
     ChainMap,
@@ -33,6 +38,7 @@ from siltglue.complexes import (
     _pivots,
 )
 from siltglue.homs import HomSpace
+from siltglue.serialize import chain_map_to_json, complex_to_json
 from verifiers import cone_projection, reference_pivots
 
 
@@ -678,6 +684,70 @@ def test_cocone_is_the_shifted_cone_built_in_one_pass(field, monkeypatch):
         assert CC == CC_old and _complex_layout(CC) == _complex_layout(CC_old)
         assert u.source is CC and _map_layout(u) == _map_layout(u_old)
     assert sum(bool(f.source.differentials and f.target.differentials) for f in maps) >= 10
+
+
+def _one_end_not_minimal(field, seed, count):
+    """`count` non-zero chain maps into or out of Y (+) C(id_P)[k], a complex Y with a contractible summand,
+    from or to a random complex, each with a seeded random Hom shift in [-1, 1]."""
+    rng = seeded_rng(seed)
+    maps = []
+    while len(maps) < count:
+        alg = build_algebra(random_quiver(rng, max_vertices=4, arrow_prob=0.7), field)
+        X = random_complex(alg, rng, steps=3, shift_range=1)
+        Y = random_complex(alg, rng, steps=2, shift_range=1)
+        P = ProjComplex.stalk(alg, rng.choice(alg.quiver.vertices), rng.randint(-1, 1))
+        Z = direct_sum(Y, cone(ChainMap.identity(P)))
+        for hs in (HomSpace(X, Z, rng.randint(-1, 1)), HomSpace(Z, X, rng.randint(-1, 1))):
+            f = _combination(hs, rng)
+            if not f.is_zero():
+                maps.append(f)
+    return maps
+
+
+def _envelope_maps(field, monkeypatch):
+    """(name, f) of every call of `minimal_cocone` (a stage) and `minimal_cone` (a final cone) that the
+    envelopes of the glued fixtures make, their generation check's included."""
+    calls = []
+    for name in ("minimal_cocone", "minimal_cone"):
+        real = getattr(approx, name)
+        monkeypatch.setattr(approx, name, lambda f, name=name, real=real: calls.append((name, f)) or real(f))
+    for _name, rec, T_B in glue_fixtures(field):
+        glue(rec, [canonical_corner_silting(rec)], T_B)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_minimal_cone_and_cocone_match_the_minimized_full_cone(field, monkeypatch):
+    """`minimal_cocone` and `minimal_cone` equal `minimize` of the full cocone or cone with its pull or push.
+
+    Equal by ==, by serialized JSON and down to the order of every dict, on
+    maps between minimal complexes (one direct elimination), zero maps and
+    maps from or to the zero complex among them, maps with one end that is
+    not minimal (the full cone), and the map of every envelope stage and
+    final cone of the glued fixtures.
+    """
+    formers = {"minimal_cocone": former_minimal_cocone, "minimal_cone": former_minimal_cone}
+    random_maps = _random_chain_maps(field, 67, 40) + _one_end_not_minimal(field, 71, 30)
+    for f in random_maps[:6]:
+        zero = ProjComplex.zero(f.source.algebra)
+        random_maps += [ChainMap.zero(f.source, f.target), ChainMap.zero(zero, f.target), ChainMap.zero(f.source, zero)]
+    cases = [(name, f) for f in random_maps for name in formers] + _envelope_maps(field, monkeypatch)
+    direct = built = cancelled = 0
+    for name, f in cases:
+        (E, g), (E_old, g_old) = getattr(complexes, name)(f), formers[name](f)
+        assert E == E_old and _complex_layout(E) == _complex_layout(E_old)
+        assert json.dumps(complex_to_json(E)) == json.dumps(complex_to_json(E_old))
+        assert g.source == g_old.source and g.target == g_old.target and g.components == g_old.components
+        assert _map_layout(g) == _map_layout(g_old)
+        assert json.dumps(chain_map_to_json(g)) == json.dumps(chain_map_to_json(g_old))
+        assert (g.source if name == "minimal_cocone" else g.target) is E
+        minimal = not (complexes._has_unit(f.source) or complexes._has_unit(f.target))
+        direct += minimal
+        built += not minimal and (complexes._has_unit(f.source) != complexes._has_unit(f.target))
+        cancelled += minimal and E.summand_count() < f.source.summand_count() + f.target.summand_count()
+    assert direct >= 50 and built >= 50 and cancelled >= 40
+    assert len(cases) - 2 * len(random_maps) >= 12  # the fixtures' stages and final cones
 
 
 def _random_square_matrix(alg, rng):

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -36,8 +37,13 @@ def test_fp_matches_integers(a, b):
 def test_field_from_tag():
     assert field_from_tag("Q") == QQ
     assert field_from_tag("Fp:11") == PrimeField(11)
+    assert field_from_tag(PrimeField(5).tag) == PrimeField(5)
     with pytest.raises(ValueError):
         field_from_tag("R")
+    # only the form the writer emits, "Fp:" + str(p): none of these is read as F_5 (or, for "5_0", as F_50)
+    for tag in ("Fp:05", "Fp:+5", "Fp: 5", "Fp:5 ", "Fp:5_0", "Fp:", "Fp:5.0"):
+        with pytest.raises(ValueError, match=re.escape(f"bad field tag {tag!r}")):
+            field_from_tag(tag)
 
 
 def test_equality_and_hash():

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from conftest import random_complex, seeded_rng
 from former import former_generated
-from siltglue import approx, gluing, serialize
+from siltglue import approx, complexes, gluing, serialize
 from siltglue.fields import QQ, PrimeField
 from siltglue.approx import susp_envelope
 from siltglue.cli import main
@@ -319,6 +319,55 @@ def test_staircase_generation_takes_one_envelope_per_vertex(monkeypatch):
     assert check_generation(rec.A, classes, presilting)["status"] == "generated"
     assert calls == ["envelope"] * 14
     assert not hasattr(gluing, "cosusp_precover")
+
+
+def test_envelopes_with_minimal_ends_build_no_cone(monkeypatch):
+    """On the glued fixtures and the A16 staircase's generation check, no stage or final cone whose map has
+    minimal ends calls `cone`, `cocone` or `minimize`: each eliminates the map's unit block directly.
+
+    Every binding the envelope code can reach is spied on: complexes' own
+    and any that approx imports.  `cone` and `cocone` fail on a map with
+    minimal ends, and `minimize` on any complex but one they built or the
+    input of an envelope (minimized when it takes no stage).
+    """
+    def minimal(X):
+        return not any(not p.arrows for d in X.differentials.values() for t in d.cells.values() for p in t)
+
+    built, inputs, traces = [], [], []
+
+    def building(real):
+        def spy(f):
+            assert not (minimal(f.source) and minimal(f.target)), "a cone or cocone of a map with minimal ends"
+            out = real(f)
+            built.append(out[0] if isinstance(out, tuple) else out)
+            return out
+        return spy
+
+    def minimizing(real):
+        def spy(X):
+            assert any(X is Y for Y in built + inputs), "minimize of a complex that is not a built cone or an input"
+            return real(X)
+        return spy
+
+    def enveloping(M, T_list):
+        inputs.append(M)
+        out = envelope(M, T_list)
+        traces.append(out[4])
+        return out
+
+    envelope = approx._envelope
+    monkeypatch.setattr(approx, "_envelope", enveloping)
+    for module in (complexes, approx):
+        for name, wrap in (("cone", building), ("cocone", building), ("minimize", minimizing)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    for _name, rec, T_B in glue_fixtures():
+        assert glue(rec, [canonical_corner_silting(rec)], T_B).passed
+    rec = idempotent_recollement(linear_an(16), [str(i) for i in range(9, 17)])
+    T = glue(rec, _staircase(rec.C), _staircase(rec.B)).T
+    assert check_generation(rec.A, summand_classes(T), check_presilting(T))["status"] == "generated"
+    assert sum(len(trace) + bool(trace) for trace in traces) >= 90  # stages and final cones
+    assert built == []  # every one of them has minimal ends
 
 
 def _subsets(xs, proper=False):
