@@ -20,11 +20,17 @@ kernel and row space are those of the chain maps X -> Y[k] modulo homotopy,
 so only a homotopy witness picks up the sign (-1)^k; and Hom(X[s], Y[s]) has
 the representative vectors of Hom(X, Y).  A window walker shares one complex
 per pair, so measuring w shifts assembles w + 1 differentials and counts
-each one's rank once.  The representatives take one more reduction, of the
-raw rows of delta^(k-1) on the free coordinates of the cycles.
+each one's rank once.  Spaces built alone, one shift at a time, share one
+too: `LIVE` keeps the complex of each pair while a space holds it (one
+object per live pair, as `quiver.ALGEBRAS` keeps one algebra per content),
+so a space at k reads rank delta^(k-1) off the reduction the space at k - 1
+made.  The representatives take one more reduction, of the raw rows of
+delta^(k-1) on the free coordinates of the cycles; a space measured at 0
+takes none.
 """
 
 import functools
+import weakref
 
 from .complexes import ChainMap, PathMatrix, shift
 from .linalg import Matrix, rref_kernel_basis, row_space_rref, in_row_space, solve, sparse_rank
@@ -167,15 +173,31 @@ class HomComplex:
         return self._ranks[m]
 
 
+LIVE = weakref.WeakValueDictionary()  # the HomComplex of each pair (id(X), id(Y)) while a space holds it
+
+
+def _live_complex(X, Y):
+    """The pair's complex in `LIVE`, or a new one put there.
+
+    The complex holds X and Y, so neither id is reused while its entry lives.
+    """
+    hom = LIVE.get((id(X), id(Y)))
+    if hom is None:
+        hom = LIVE[id(X), id(Y)] = HomComplex(X, Y)
+    return hom
+
+
 class HomSpace:
     """Hom_{K^b}(X, Y[k]) = H^k Hom•(X, Y), with a canonical basis of representatives.
 
-    A view on `hom`, the HomComplex of (X, Y) a walker shares; a space built alone makes its own.
+    A view on `hom`, the HomComplex of (X, Y) a walker shares.  A space built
+    alone takes the complex its pair already has in `LIVE`, so spaces built
+    one shift at a time share deltas, ranks and reductions as a walk does.
     """
 
     def __init__(self, X, Y, k=0, hom=None):
         self.X, self.Y, self.k = X, Y, k
-        self.hom = HomComplex(X, Y) if hom is None else hom
+        self.hom = _live_complex(X, Y) if hom is None else hom
         self.fvars, self.hvars = self.hom.term(k), self.hom.term(k - 1)
 
     @functools.cached_property
@@ -205,14 +227,17 @@ class HomSpace:
         the free coordinates, has its last non-zero at q: exactly when q is a
         pivot of the boundary rows restricted to the free columns and read
         in reverse order.  The others, `dim` of them, are the same vectors a
-        running RREF would keep, one cycle at a time.  The equations are
-        reduced first, so `dim` reads rank delta^k off them; the boundaries
+        running RREF would keep, one cycle at a time.  A space already
+        measured at 0 reduces nothing; otherwise the equations are reduced
+        first, so `dim` reads rank delta^k off them.  The boundaries
         are the raw rows of delta^(k-1), which span them as its RREF does,
         so they give the same pivots without reducing delta^(k-1) as an image.
         A row that is zero on the free columns adds no pivot, so only the
         rows that meet a free column are built, from the entries of
         delta^(k-1), in row order.
         """
+        if "dim" in vars(self) and not self.dim:
+            return []
         pivots = set(self.hom.equations(self.k)[1])
         if not self.dim:
             return []
@@ -316,10 +341,11 @@ def hom_spaces(X, Y, lo=None, hi=None):
     """{k: HomSpace(X, Y, k)} over a shift window (default: full support), on one HomComplex.
 
     A shift outside the support maps to None: Hom is zero there, and no
-    space is built.
+    space is built; a window that misses the support builds no complex.
     """
     wlo, whi = hom_window(X, Y)
-    lo, hi, hom = wlo if lo is None else lo, whi if hi is None else hi, HomComplex(X, Y)
+    lo, hi = wlo if lo is None else lo, whi if hi is None else hi
+    hom = HomComplex(X, Y) if max(lo, wlo) <= min(hi, whi) else None
     return {k: HomSpace(X, Y, k, hom) if wlo <= k <= whi else None for k in range(lo, hi + 1)}
 
 
@@ -354,9 +380,10 @@ def s_search(M, T_list, scan=None):
     Returns (s, spaces), with s None when there is no such k.  Each
     member's window is scanned downwards on one HomComplex, from its top
     to the best k found so far (or to 0), never below the window's bottom,
-    and stops at the first non-zero Hom.  So every member whose window
-    reaches s has HomSpace(M, T_i, s) built on the way: `spaces` maps those
-    indices i to it.  The other members have Hom(M, T_i[s]) = 0.  `scan`, a
+    and stops at the first non-zero Hom; a member with no shift to scan
+    builds no complex.  So every member whose window reaches s has
+    HomSpace(M, T_i, s) built on the way: `spaces` maps those indices i to
+    it.  The other members have Hom(M, T_i[s]) = 0.  `scan`, a
     dict when given, receives every space built, by (i, k); when s is None
     these are Hom(M, T_i[k]) for every k from max(0, wlo) to the top of
     each window [wlo, whi], all zero.
@@ -364,8 +391,9 @@ def s_search(M, T_list, scan=None):
     best, built = None, {} if scan is None else scan
     for i, T in enumerate(T_list):
         wlo, whi = hom_window(M, T)
-        hom = HomComplex(M, T)
-        for k in range(whi, max(wlo, 0 if best is None else best) - 1, -1):
+        shifts = range(whi, max(wlo, 0 if best is None else best) - 1, -1)
+        hom = HomComplex(M, T) if shifts else None
+        for k in shifts:
             hs = built[i, k] = HomSpace(M, T, k, hom)
             if hs.dim:
                 best = k

@@ -1,7 +1,11 @@
 import functools
+import gc
 import itertools
+import json
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_quiver, seeded_rng
 from former import former_reps
@@ -15,6 +19,7 @@ from siltglue.fixtures import ka3_algebra
 from siltglue.linalg import Matrix, extend_rref, row_space_rref, solve, sparse_rank
 from siltglue import homs
 from siltglue.approx import add_shift_preenvelope
+from siltglue.serialize import chain_map_to_json
 from siltglue.homs import (
     HomComplex,
     HomSpace,
@@ -681,3 +686,154 @@ def test_s_search_builds_no_space_below_a_window(ka3, monkeypatch):
         tops = [k for Y in T for k in range(max(0, hom_window(M, Y)[0]), hom_window(M, Y)[1] + 1) if hom_dim(M, Y, k)]
         assert s == max(tops, default=None)
     assert above >= 3
+
+
+def _test_maps(hs, rng):
+    """A boundary b and f = b + a random combination of the representatives, both X -> Y[k]."""
+    fld = hs.X.algebra.field
+    h = hs.hvars.from_vector([fld.of(rng.randint(-2, 2)) for _ in range(hs.hvars.dim)])
+    b = ChainMap(hs.X, hs.Z, boundary(hs, h))
+    f = b
+    for rep in hs.basis_maps():
+        f = f + rep.scale(fld.of(rng.randint(-2, 2)))
+    return b, f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_lone_spaces_read_as_spaces_on_private_complexes(field, seed):
+    """A walk of spaces built alone, which share their pair's live complex, reads as spaces on
+    complexes of their own: dims, representatives (by == and serialized), coordinates, null-homotopy
+    and homotopy witnesses, whether a space is measured before its representatives are read or not."""
+    rng = seeded_rng(seed)
+    (X, Y), = _random_pairs(field, seed, 1)
+    lo, hi = hom_window(X, Y)
+    walk = []
+    for k in range(lo - 1, hi + 2):
+        lone, private = HomSpace(X, Y, k), HomSpace(X, Y, k, HomComplex(X, Y))
+        walk.append(lone)
+        if rng.random() < 0.5:
+            assert lone.dim == private.dim
+        maps, expected = lone.basis_maps(), private.basis_maps()
+        assert lone.dim == private.dim == len(maps)
+        assert [(g.source, g.target, g.components) for g in maps] == [
+            (g.source, g.target, g.components) for g in expected]
+        assert [json.dumps(chain_map_to_json(g)) for g in maps] == [json.dumps(chain_map_to_json(g)) for g in expected]
+        b, f = _test_maps(private, rng)
+        for g in (b, f, *expected):
+            assert lone.coordinates(g) == private.coordinates(g)
+            assert lone.is_null_homotopic(g) == private.is_null_homotopic(g)
+            assert lone.homotopy_witness(g) == private.homotopy_witness(g)
+        assert lone.is_null_homotopic(b) and lone.homotopy_witness(b) is not None
+    assert {id(hs.hom) for hs in walk} == {id(homs.LIVE[id(X), id(Y)])}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_lone_spaces_one_shift_at_a_time_assemble_each_differential_once(field, monkeypatch):
+    """The benchmark's Hom walk, `hs` rebound to HomSpace(X, Y, k) at each shift and asked for its dim
+    and representatives, assembles each delta^m and builds each Hom^m once: each space takes the
+    complex the space before it still holds."""
+    assembled, terms = [], []
+    orig_assemble, orig_term = HomComplex._assemble, homs._VarSpace.__init__
+
+    def assembling(self, m):
+        assembled.append(m)
+        return orig_assemble(self, m)
+
+    def building(self, X, Y, m):
+        terms.append(m)
+        orig_term(self, X, Y, m)
+
+    monkeypatch.setattr(HomComplex, "_assemble", assembling)
+    monkeypatch.setattr(homs._VarSpace, "__init__", building)
+    shared = 0
+    for X, Y in _random_pairs(field, 819, 8):
+        assembled.clear()
+        terms.clear()
+        lo, hi = hom_window(X, Y)
+        for k in range(lo, hi + 1):
+            hs = HomSpace(X, Y, k)
+            assert hs.dim == len(hs.basis_maps())
+        assert sorted(assembled) == _live(hs.hom, range(lo - 1, hi + 1))
+        assert len(terms) == len(set(terms))
+        shared += len(_live(hs.hom, range(lo, hi)))  # read by two spaces, assembled twice on complexes of their own
+        del hs
+    assert shared >= 8
+
+
+def test_a_lone_complex_is_freed_with_its_last_space(ka3):
+    """The table holds no reference to a complex: with the cycle collector off, the complex goes,
+    and its entry with it, when its last space is dropped.  A complex passed in is not registered."""
+    X, Y = direct_sum(shift(ka3["I2"], 1), ka3["S2"]), direct_sum(ka3["P"]["3"], ka3["I2"])
+    key = (id(X), id(Y))
+    gc.disable()
+    try:
+        first = HomSpace(X, Y, 0)
+        maps = first.basis_maps()
+        second = HomSpace(X, Y, 1)
+        assert second.hom is first.hom is homs.LIVE[key]
+        assert second.coordinates(ChainMap.zero(X, second.Z)) == [0] * second.dim
+        freed = weakref.ref(first.hom)
+        del first
+        assert freed() is second.hom
+        del second
+        assert freed() is None and key not in homs.LIVE
+        private = HomComplex(X, Y)
+        assert HomSpace(X, Y, 0, private).hom is private and key not in homs.LIVE
+        assert len(HomSpace(X, Y, 0).basis_maps()) == len(maps) == 1
+        assert key not in homs.LIVE
+    finally:
+        gc.enable()
+
+
+def test_a_space_measured_at_zero_reduces_nothing_for_its_representatives(monkeypatch):
+    """basis_maps() of a space whose dim was read as 0 reduces no equations; a space not measured
+    yet reduces delta^k once and reads its rank off that reduction."""
+    reduced, counted = [], []
+    orig_rref, orig_rank = homs.row_space_rref, homs.sparse_rank
+    monkeypatch.setattr(homs, "row_space_rref", lambda *args: reduced.append(1) or orig_rref(*args))
+    monkeypatch.setattr(homs, "sparse_rank", lambda *args: counted.append(1) or orig_rank(*args))
+    zeros = unmeasured = 0
+    for X, Y in _random_pairs(QQ, 820, 24):
+        lo, hi = hom_window(X, Y)
+        for k in range(lo, hi + 1):
+            hs = HomSpace(X, Y, k, HomComplex(X, Y))
+            if hs.dim:
+                continue
+            reduced.clear()
+            assert hs.basis_maps() == [] and not reduced
+            zeros += 1
+            fresh = HomSpace(X, Y, k, HomComplex(X, Y))
+            if fresh.hom.term(k).dim and fresh.hom.term(k + 1).dim:
+                counted.clear()
+                assert fresh.basis_maps() == [] and len(reduced) == 1
+                assert counted == [1] * bool(fresh.hom.term(k - 1).dim and fresh.fvars.dim)
+                unmeasured += 1
+    assert zeros >= 5 and unmeasured >= 3
+
+
+def test_a_walk_that_builds_no_space_builds_no_complex(ka3, monkeypatch):
+    """hom_spaces over shifts that miss the window, and s_search over a member whose window ends
+    below 0 or below the best k found, build no HomComplex."""
+    made = []
+    orig = HomComplex.__init__
+
+    def recording(self, X, Y):
+        made.append(Y)
+        orig(self, X, Y)
+
+    monkeypatch.setattr(HomComplex, "__init__", recording)
+    P = ka3["P"]
+    M = direct_sum(shift(ka3["I2"], 1), ka3["S2"])
+    lo, hi = hom_window(M, P["1"])
+    assert set(hom_spaces(M, P["1"], hi + 1, hi + 3).values()) == {None}
+    assert set(hom_spaces(M, P["1"], lo - 3, lo - 1).values()) == {None}
+    assert not made
+    below = shift(P["1"], 5)
+    assert hom_window(M, below)[1] < 0
+    assert s_search(M, [below]) == (None, {}) and not made
+    top = shift(ka3["I2"], -1)
+    s, spaces = s_search(M, [top, below, shift(P["3"], 1)])
+    assert s is not None and s > hom_window(M, shift(P["3"], 1))[1]
+    assert made == [top] and list(spaces) == [0]
