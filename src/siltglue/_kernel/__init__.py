@@ -4,7 +4,11 @@ The two hot loops of the linear algebra, kept apart from `siltglue.linalg`
 so that they can be timed on their own.  The reduced row echelon form is
 canonical: zero rows dropped, pivots equal to 1, pivot columns cleared.
 The systems are mostly zero, so each pivot row's non-zero columns are
-collected once, and elimination touches only those where it can.
+collected once, and elimination touches only those where it can.  A caller
+that reads only the rank or the pivot columns passes ``reduced=False``: the
+elimination then clears each pivot column below its pivot only, and over Q
+skips the final division, so it stops at a row echelon form with the pivot
+columns of the RREF (forward elimination never moves a pivot).
 
 Over Q the elimination is integer-preserving (after Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", 1968):
@@ -20,13 +24,14 @@ from math import gcd, lcm
 __all__ = ["rref_qq", "rref_fp"]
 
 
-def rref_qq(rows):
+def rref_qq(rows, reduced=True):
     """RREF over Q.
 
     Takes a list of rows of Q scalars (ints and Fractions); returns
     ``(reduced_rows, pivot_cols)`` with zero rows dropped, pivots equal to 1
     and pivot columns cleared.  A returned entry is an int when it is
-    integral and a Fraction otherwise.
+    integral and a Fraction otherwise.  With ``reduced=False`` the rows are
+    integer rows in echelon form instead, with the same pivot columns.
     """
     m = []
     for r in rows:
@@ -56,7 +61,7 @@ def rref_qq(rows):
             row[:] = [x // g for x in row]
         a = row[col]
         nz = [c for c in range(col, ncols) if row[c]]
-        for r in range(len(m)):
+        for r in range(0 if reduced else piv_r + 1, len(m)):
             if r == piv_r:
                 continue
             other = m[r]
@@ -76,6 +81,8 @@ def rref_qq(rows):
         if piv_r == len(m):
             break
     m = m[:piv_r]
+    if not reduced:
+        return m, pivots
     for row, col in zip(m, pivots):
         a = row[col]
         if a != 1:
@@ -87,8 +94,9 @@ def rref_qq(rows):
     return m, pivots
 
 
-def rref_fp(rows, p):
-    """RREF over F_p; rows are lists of ints in [0, p)."""
+def rref_fp(rows, p, reduced=True):
+    """RREF over F_p; rows are lists of ints in [0, p).  With ``reduced=False``,
+    an echelon form with the same pivot columns and pivots equal to 1."""
     m = [[x % p for x in r] for r in rows]
     if not m:
         return [], []
@@ -109,7 +117,7 @@ def rref_fp(rows, p):
         nz = [c for c in range(col, ncols) if row[c]]
         for c in nz:
             row[c] = row[c] * inv % p
-        for r in range(len(m)):
+        for r in range(0 if reduced else piv_r + 1, len(m)):
             if r == piv_r:
                 continue
             f = m[r][col]

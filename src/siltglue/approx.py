@@ -122,7 +122,7 @@ def add_shift_preenvelope(M, T_list, s, spaces=None):
 
 def _is_preenvelope(fld, dim, rows):
     """Do these coordinate rows span Hom(M, T_ti[s]), of dimension `dim`?  (See `left_minimize`.)"""
-    return len(row_space_rref(fld, rows)[1]) == dim
+    return len(row_space_rref(fld, rows, reduced=False)[1]) == dim
 
 
 def left_minimize(pre, between=None):

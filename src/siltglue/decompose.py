@@ -134,6 +134,11 @@ def _candidates(fld, basis, tries, bound):
             yield x
 
 
+def _minimal_model(Z):
+    """`minimize(Z)`; a complex with no differential is its own minimal model."""
+    return minimize(Z) if Z.differentials else MinimizeResult(Z, Z, [], {})
+
+
 def is_isomorphic(X, Y):
     """Decide X ~= Y in the homotopy category, with a verified witness.
 
@@ -145,8 +150,7 @@ def is_isomorphic(X, Y):
     """
     if X.algebra != Y.algebra:
         raise DecomposeError("complexes over different algebras")
-    # a complex with no differential is its own minimal model
-    mx, my = (minimize(Z) if Z.differentials else MinimizeResult(Z, Z, [], {}) for Z in (X, Y))
+    mx, my = map(_minimal_model, (X, Y))
     if mx.complex.graded_multiset() != my.complex.graded_multiset():
         return IsoResult(False, certified=True)
     if mx.complex.is_zero():
@@ -255,7 +259,7 @@ class SemisimpleQuotient:
         self.end = end
         self.field = fld = end.field
         radical = end.radical()
-        pivots = set(row_space_rref(fld, radical)[1])
+        pivots = set(row_space_rref(fld, radical, reduced=False)[1])
         self.free = [i for i in range(end.dim) if i not in pivots]
         self.dim = len(self.free)
         self.sigmas = [end.sigmas[f] for f in self.free]
@@ -533,33 +537,30 @@ def _decompose_minimal(X):
     return [p for Y in parts for p in _decompose_minimal(Y)]
 
 
-def isomorphism_class(X, classes):
-    """Index of the first of `classes` whose entry 0 is isomorphic to X, or None.
-
-    The representative is passed to `is_isomorphic` first, because its
-    randomized search is not symmetric in its two arguments.
-    """
-    for i, c in enumerate(classes):
-        if is_isomorphic(c[0], X).isomorphic:
-            return i
-    return None
-
-
 def group_isomorphic(parts):
     """Merge (summand, multiplicity, certified, *tags) records by isomorphism.
 
     Returns one [summand, multiplicity, certified, *tags] list per class, in
     order of first appearance: the summand and tags of its first record, the
     sum of the multiplicities, and the conjunction of the `certified` flags.
+    A record joins the first class whose summand is isomorphic to it, passed
+    to `is_isomorphic` first, because its randomized search is not symmetric
+    in its two arguments.  Each summand's minimal graded multiset is formed
+    once: a class whose multiset differs is skipped without a call, since
+    `is_isomorphic` answers False there, once it has checked that the
+    algebras agree.  That check still raises for another algebra.
     """
-    classes = []
+    classes, keys = [], []
     for X, m, certified, *tags in parts:
-        i = isomorphism_class(X, classes)
-        if i is None:
-            classes.append([X, m, certified, *tags])
+        key = _minimal_model(X).complex.graded_multiset()
+        for c, c_key in zip(classes, keys):
+            if (c_key == key or c[0].algebra != X.algebra) and is_isomorphic(c[0], X).isomorphic:
+                c[1] += m
+                c[2] = c[2] and certified
+                break
         else:
-            classes[i][1] += m
-            classes[i][2] = classes[i][2] and certified
+            classes.append([X, m, certified, *tags])
+            keys.append(key)
     return classes
 
 

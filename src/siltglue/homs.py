@@ -11,11 +11,14 @@ non-zero of delta^m comes from exactly one such term, so it is written once
 with no sums.  A `HomSpace` is a view that reduces nothing when built:
 dim = nullity delta^k - rank delta^(k-1), two ranks, each counted once per
 complex on the sparse entries of delta^m by peeling singleton lines
-(`linalg.sparse_rank`), with a dense reduction of only what is left.  A
-reduced row echelon form waits for a read: delta^k as equations (kernel:
-the cycles) for cycles and representatives, delta^(k-1) as a row space
-(image: the boundaries) for coordinates and null-homotopy tests; a rank is
-read off such a reduction when one exists.  Since d_{Y[k]} = (-1)^k d_Y,
+(`linalg.independent_columns`), with a dense reduction of only what is
+left, to its pivots; the count is a set of independent columns of delta^m,
+as many as its rank.  A reduced row echelon form waits for a read: delta^k
+as equations (kernel: the cycles) for cycles and representatives, reduced
+on those independent columns alone once they are known, since they span
+the same row space; delta^(k-1) as a row space (image: the boundaries) for
+coordinates and null-homotopy tests; a rank is read off such a reduction
+when one exists.  Since d_{Y[k]} = (-1)^k d_Y,
 kernel and row space are those of the chain maps X -> Y[k] modulo homotopy,
 so only a homotopy witness picks up the sign (-1)^k; and Hom(X[s], Y[s]) has
 the representative vectors of Hom(X, Y).  A window walker shares one complex
@@ -24,16 +27,18 @@ each one's rank once.  Spaces built alone, one shift at a time, share one
 too: `LIVE` keeps the complex of each pair while a space holds it (one
 object per live pair, as `quiver.ALGEBRAS` keeps one algebra per content),
 so a space at k reads rank delta^(k-1) off the reduction the space at k - 1
-made.  The representatives take one more reduction, of the raw rows of
-delta^(k-1) on the free coordinates of the cycles; a space measured at 0
-takes none.
+made.  The representatives take one more reduction, to its pivots only,
+of raw rows of delta^(k-1) on the free coordinates of the cycles: the
+independent rows, the pivots of the equations of delta^(k-1), when the
+space at k - 1 has reduced them.  Only the cycle vectors of the
+representatives kept are built, and a space measured at 0 reduces nothing.
 """
 
 import functools
 import weakref
 
 from .complexes import ChainMap, PathMatrix, shift
-from .linalg import Matrix, rref_kernel_basis, row_space_rref, in_row_space, solve, sparse_rank
+from .linalg import Matrix, independent_columns, rref_kernel_basis, row_space_rref, in_row_space, solve
 
 
 class _VarSpace:
@@ -87,14 +92,18 @@ class _VarSpace:
 
 
 class HomComplex:
-    """Hom•(X, Y), built on demand: each Hom^m, delta^m, rank and reduction of delta^m once."""
+    """Hom•(X, Y), built on demand: each Hom^m, delta^m, rank and reduction of delta^m once.
+
+    `_lines[m]` holds the columns of delta^m that `independent_columns`
+    found, once delta^m is ranked so: the independent rows of the equations.
+    """
 
     def __init__(self, X, Y):
         self.X, self.Y, self.field = X, Y, X.algebra.field
         # a block (n, i, j) meets column i of d_Y^(n+m) and row j of d_X^(n-1)
         self._dy_cols = {n: d.lines(1) for n, d in Y.differentials.items()}
         self._dx_rows = {n: d.lines(0) for n, d in X.differentials.items()}
-        self._terms, self._deltas, self._equations, self._images, self._ranks = {}, {}, {}, {}, {}
+        self._terms, self._deltas, self._equations, self._images, self._lines = {}, {}, {}, {}, {}
 
     def term(self, m):
         """The coordinates of Hom^m."""
@@ -151,9 +160,16 @@ class HomComplex:
         return out
 
     def equations(self, m):
-        """RREF (rows, pivots) of delta^m as equations on Hom^m: its kernel is the cycles."""
+        """RREF (rows, pivots) of delta^m as equations on Hom^m: its kernel is the cycles.
+
+        Once delta^m is ranked, only the rows of its independent columns are
+        reduced: they span the same row space, whose RREF is canonical.
+        """
         if m not in self._equations:
-            self._equations[m] = row_space_rref(self.field, self.dense(m, transposed=True))
+            rows, lines = self.dense(m, transposed=True), self._lines.get(m)
+            if lines is not None:
+                rows = [rows[b] for b in lines]
+            self._equations[m] = row_space_rref(self.field, rows)
         return self._equations[m]
 
     def image(self, m):
@@ -162,15 +178,22 @@ class HomComplex:
             self._images[m] = row_space_rref(self.field, self.dense(m))
         return self._images[m]
 
+    def image_rows(self, m):
+        """The rows of delta^m that span its image independently, rank delta^m of them, when its
+        equations are reduced: their pivot columns.  None otherwise."""
+        done = self._equations.get(m)
+        return None if done is None else set(done[1])
+
     def rank(self, m):
-        """rank delta^m, read off a reduction of delta^m already made, else counted once by `sparse_rank`."""
+        """rank delta^m, read off a reduction of delta^m already made, else counted once as the
+        number of `independent_columns`."""
         done = self._equations.get(m) or self._images.get(m)
         if done is not None:
             return len(done[1])
-        if m not in self._ranks:
+        if m not in self._lines:
             live = self.term(m).dim and self.term(m + 1).dim
-            self._ranks[m] = sparse_rank(self.field, self.delta(m)) if live else 0
-        return self._ranks[m]
+            self._lines[m] = independent_columns(self.field, self.delta(m)) if live else []
+        return len(self._lines[m])
 
 
 LIVE = weakref.WeakValueDictionary()  # the HomComplex of each pair (id(X), id(Y)) while a space holds it
@@ -227,29 +250,34 @@ class HomSpace:
         the free coordinates, has its last non-zero at q: exactly when q is a
         pivot of the boundary rows restricted to the free columns and read
         in reverse order.  The others, `dim` of them, are the same vectors a
-        running RREF would keep, one cycle at a time.  A space already
-        measured at 0 reduces nothing; otherwise the equations are reduced
-        first, so `dim` reads rank delta^k off them.  The boundaries
-        are the raw rows of delta^(k-1), which span them as its RREF does,
-        so they give the same pivots without reducing delta^(k-1) as an image.
-        A row that is zero on the free columns adds no pivot, so only the
-        rows that meet a free column are built, from the entries of
-        delta^(k-1), in row order.
+        running RREF would keep, one cycle at a time, and only their vectors
+        are built.  A space already measured at 0 reduces nothing; otherwise
+        the equations are reduced first, so `dim` reads rank delta^k off
+        them.  The boundaries are raw rows of delta^(k-1) that span them as
+        its RREF does, so they give the same pivots without reducing
+        delta^(k-1) as an image, and only the pivots are reduced for.  Those
+        rows are the independent ones (`HomComplex.image_rows`) when the
+        equations of delta^(k-1) are reduced, as a walk that read the space
+        at k - 1 has them, and otherwise all of them.  A row that is zero on
+        the free columns adds no pivot, so only the rows that meet a free
+        column are built, from the entries of delta^(k-1), in row order.
         """
         if "dim" in vars(self) and not self.dim:
             return []
-        pivots = set(self.hom.equations(self.k)[1])
+        red, piv = self.hom.equations(self.k)
         if not self.dim:
             return []
+        pivots = set(piv)
         free = [c for c in range(self.fvars.dim) if c not in pivots]  # cycle-basis vector q is 1 at free[q]
         at = {c: len(free) - 1 - q for q, c in enumerate(free)}  # the free columns in reverse order
-        fld, rows = self.X.algebra.field, {}
+        fld, rows, span = self.X.algebra.field, {}, self.hom.image_rows(self.k - 1)
         for a, b, c in self.hom.delta(self.k - 1) if self.hvars.dim else ():
-            if b in at:
+            if b in at and (span is None or a in span):
                 rows.setdefault(a, [fld.zero] * len(free))[at[b]] = c
         boundaries = [rows[a] for a in sorted(rows)]
-        skipped = {len(free) - 1 - p for p in row_space_rref(fld, boundaries)[1]}
-        return [v for q, v in enumerate(self.cycle_basis) if q not in skipped]
+        skipped = {len(free) - 1 - p for p in row_space_rref(fld, boundaries, reduced=False)[1]}
+        kept = [c for q, c in enumerate(free) if q not in skipped]
+        return rref_kernel_basis(fld, red, piv, self.fvars.dim, kept)
 
     def basis_maps(self):
         """Canonical representing chain maps X -> Y[k].

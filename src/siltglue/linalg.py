@@ -74,46 +74,53 @@ class Matrix:
         return Matrix(self.field, red, cols=self.cols), piv
 
 
-def _rref_rows(field, rows):
+def _rref_rows(field, rows, reduced=True):
+    """The RREF (rows, pivots) of `rows`; with `reduced` False only an echelon form with its pivots."""
     if field == QQ:
-        return _kernel.rref_qq(rows)
+        return _kernel.rref_qq(rows, reduced)
     if isinstance(field, PrimeField):
-        return _kernel.rref_fp(rows, field.p)
+        return _kernel.rref_fp(rows, field.p, reduced)
     raise TypeError(f"unsupported field {field!r}")
 
 
 def rank(mat):
     """Rank over the field by exact elimination."""
-    _, piv = _rref_rows(mat.field, mat.data)
-    return len(piv)
+    return len(_rref_rows(mat.field, mat.data, reduced=False)[1])
 
 
 def sparse_rank(field, entries):
-    """The rank of a matrix given by its entries [(row, col, value)], each
-    position at most once and each value non-zero.
+    """The rank of a matrix given by its entries: the number of `independent_columns`."""
+    return len(independent_columns(field, entries))
+
+
+def independent_columns(field, entries):
+    """Columns that form a basis of the column space of a matrix given by its
+    entries [(row, col, value)], each position at most once and each value
+    non-zero; sorted, and as many as its rank.
 
     Singleton lines are peeled first, as in structured Gaussian elimination
     (LaMacchia-Odlyzko 1990): a column with a single non-zero c is removed
     together with the row of c, and a row with a single non-zero c together
-    with the column of c, and each peel adds one to the rank.  With c placed
+    with the column of c, and each peel keeps the column of c.  With c placed
     first, a lone entry of its column makes the matrix block triangular,
-    [[c, r], [0, B]], with B what is left (a lone entry of its row: the
-    transpose), so its rank is 1 + rank B over every field.  Peeling
-    repeats until no line holds a single entry; what is left is reduced
-    densely.
+    [[c, r], [0, B]], with B what is left (a lone entry of its row: [[c, 0],
+    [x, B]]), so over every field its rank is 1 + rank B, and the column of
+    c with the columns of a basis of B's column space is independent.
+    Peeling repeats until no line holds a single entry; what is left is
+    reduced densely, to its pivot columns only.
     """
     lines = (defaultdict(set), defaultdict(set))  # row -> its columns, column -> its rows
     for r, c, _ in entries:
         lines[0][r].add(c)
         lines[1][c].add(r)
-    peeled, lone = 0, [(side, i) for side in (0, 1) for i, s in lines[side].items() if len(s) == 1]
+    basis, lone = [], [(side, i) for side in (0, 1) for i, s in lines[side].items() if len(s) == 1]
     while lone:
         side, i = lone.pop()
         own, cross = lines[side], lines[1 - side]
         if len(own.get(i, ())) != 1:
             continue  # gone since it was queued
         (j,) = own.pop(i)
-        peeled += 1
+        basis.append(i if side else j)
         for k in cross.pop(j):
             if k != i:
                 rest = own[k]
@@ -123,14 +130,15 @@ def sparse_rank(field, entries):
                 elif not rest:
                     del own[k]
     rows, cols = lines
-    if not rows:
-        return peeled
-    at_row, at_col = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
-    dense = [[field.zero] * len(cols) for _ in rows]
-    for r, c, x in entries:
-        if r in at_row and c in at_col:
-            dense[at_row[r]][at_col[c]] = x
-    return peeled + len(_rref_rows(field, dense)[1])
+    if rows:
+        at_row, at_col = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
+        dense = [[field.zero] * len(cols) for _ in rows]
+        for r, c, x in entries:
+            if r in at_row and c in at_col:
+                dense[at_row[r]][at_col[c]] = x
+        left = list(cols)
+        basis += [left[b] for b in _rref_rows(field, dense, reduced=False)[1]]
+    return sorted(basis)
 
 
 def det(mat):
@@ -170,11 +178,14 @@ def kernel_basis(mat):
     return rref_kernel_basis(mat.field, *_rref_rows(mat.field, mat.data), mat.cols)
 
 
-def rref_kernel_basis(field, red, piv, ncols):
-    """`kernel_basis` of a matrix with `ncols` columns, read off its RREF (red, piv)."""
-    piv_set = set(piv)
+def rref_kernel_basis(field, red, piv, ncols, free=None):
+    """`kernel_basis` of a matrix with `ncols` columns, read off its RREF (red, piv);
+    with `free`, only the vectors of those free columns, in that order."""
+    if free is None:
+        piv_set = set(piv)
+        free = [c for c in range(ncols) if c not in piv_set]
     basis = []
-    for fc in (c for c in range(ncols) if c not in piv_set):
+    for fc in free:
         v = [field.zero] * ncols
         v[fc] = field.one
         for i, col in enumerate(piv):
@@ -183,11 +194,12 @@ def rref_kernel_basis(field, red, piv, ncols):
     return basis
 
 
-def row_space_rref(field, vectors):
-    """RREF rows spanning the same space as `vectors` (zero rows dropped)."""
+def row_space_rref(field, vectors, reduced=True):
+    """RREF rows spanning the same space as `vectors` (zero rows dropped), and
+    their pivots; with `reduced` False, echelon rows with the same pivots."""
     if not vectors:
         return [], []
-    return _rref_rows(field, vectors)
+    return _rref_rows(field, vectors, reduced)
 
 
 def residue(field, rref_rows, pivots, vec):

@@ -34,12 +34,23 @@
 - `former_reps` picks the representatives from every row of the dense
   delta^(k-1), as `HomSpace._reps` did before it dropped the rows that are
   zero on the free columns.
+- `FormerHomSpace` reduces the equations of delta^k on every row of its
+  transpose, reads dim off two such reductions, and picks the
+  representatives from the full cycle basis with every row of delta^(k-1)
+  that meets a free column, fully reduced, on a complex of its own, as
+  `HomSpace` did before it reduced the independent rows only.
+- `former_group_isomorphic` calls `is_isomorphic` against every class
+  before a record, as `decompose.group_isomorphic` did before it skipped
+  the classes whose minimal graded multiset differs.
 """
+
+import functools
 
 from siltglue.approx import Preenvelope, cosusp_precover, susp_envelope
 from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cocone, cone, minimize, shift, shift_map
-from siltglue.homs import HomSpace
-from siltglue.linalg import Matrix, extend_rref, row_space_rref
+from siltglue.decompose import is_isomorphic
+from siltglue.homs import HomComplex, HomSpace
+from siltglue.linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref
 
 
 def former_cocone(f):
@@ -168,6 +179,58 @@ def former_reps(hs):
     boundaries = [[row[c] for c in reversed(free)] for row in hs.hom.dense(hs.k - 1)]
     skipped = {len(free) - 1 - p for p in row_space_rref(hs.X.algebra.field, boundaries)[1]}
     return [v for q, v in enumerate(hs.cycle_basis) if q not in skipped]
+
+
+def former_equations(hom, m):
+    """The RREF (rows, pivots) of delta^m as equations, reduced on every row of its transpose."""
+    return row_space_rref(hom.field, hom.dense(m, transposed=True))
+
+
+class FormerHomSpace(HomSpace):
+    """HomSpace(X, Y, k) on a complex of its own, with the equations, dim and representatives of
+    every row; `coordinates` and null-homotopy tests are HomSpace's, on these representatives."""
+
+    def __init__(self, X, Y, k=0):
+        super().__init__(X, Y, k, HomComplex(X, Y))
+
+    @functools.cached_property
+    def dim(self):
+        return self.fvars.dim - len(self.equations[1]) - len(former_equations(self.hom, self.k - 1)[1])
+
+    @functools.cached_property
+    def equations(self):
+        return former_equations(self.hom, self.k)
+
+    @functools.cached_property
+    def cycle_basis(self):
+        return rref_kernel_basis(self.X.algebra.field, *self.equations, self.fvars.dim)
+
+    @functools.cached_property
+    def _reps(self):
+        if not self.dim:
+            return []
+        pivots = set(self.equations[1])
+        free = [c for c in range(self.fvars.dim) if c not in pivots]
+        at = {c: len(free) - 1 - q for q, c in enumerate(free)}
+        fld, rows = self.X.algebra.field, {}
+        for a, b, c in self.hom.delta(self.k - 1) if self.hvars.dim else ():
+            if b in at:
+                rows.setdefault(a, [fld.zero] * len(free))[at[b]] = c
+        skipped = {len(free) - 1 - p for p in row_space_rref(fld, [rows[a] for a in sorted(rows)])[1]}
+        return [v for q, v in enumerate(self.cycle_basis) if q not in skipped]
+
+
+def former_group_isomorphic(parts):
+    """[summand, multiplicity, certified, *tags] per class, each record tested against every class."""
+    classes = []
+    for X, m, certified, *tags in parts:
+        i = next((i for i, c in enumerate(classes) if is_isomorphic(c[0], X).isomorphic), None)
+        if i is None:
+            classes.append([X, m, certified, *tags])
+        else:
+            classes[i][1] += m
+            classes[i][2] = classes[i][2] and certified
+    return classes
 
 
 class FormerMinimizeResult:

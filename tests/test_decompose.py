@@ -8,7 +8,8 @@ import pytest
 import sympy
 
 from conftest import connected_conjugate, random_complex, random_quiver, seeded_rng
-from former import radical_part
+import former
+from former import former_group_isomorphic, radical_part
 from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
@@ -161,6 +162,40 @@ def test_classes_sum_multiplicities_across_members(ka3):
     assert [c[1:] for c in summand_classes(members)] == [[3, True, 0], [1, True, 2]]
     # one uncertified record leaves its class uncertified
     assert [c[1:] for c in group_isomorphic([(X, 1, True), (X, 1, False)])] == [[2, False]]
+
+
+def test_grouping_tests_isomorphism_only_between_equal_minimal_multisets(ka3, monkeypatch):
+    """group_isomorphic calls is_isomorphic only where the minimal graded multisets agree, a complex
+    that is not minimal included, and groups as calling it against every class does; a record over
+    another algebra still raises."""
+    A, P, I2, S2 = ka3["A"], ka3["P"], ka3["I2"], ka3["S2"]
+    b = A.path_element(A.path_of_arrows(["b"]))
+    hidden = two_term(A, ["3", "1"], ["2"], [[b, A.zero_element()]])  # P1[1] (+) S2, not minimal
+    members = [I2, S2, hidden, shift(I2, 1), direct_sum(shift(P["1"], 1), S2), I2, P["1"], S2,
+               shift(P["1"], 1), direct_sum(S2, P["2"]), hidden, P["2"]]
+    parts = [(X, i % 3 + 1, i != 4, i) for i, X in enumerate(members)]
+    calls = []
+    orig = decompose_module.is_isomorphic
+
+    def testing(X, Y):
+        calls.append((X, Y))
+        return orig(X, Y)
+
+    monkeypatch.setattr(decompose_module, "is_isomorphic", testing)
+    classes = group_isomorphic(parts)
+    assert calls and all(
+        (minimize(X).complex if X.differentials else X).graded_multiset()
+        == (minimize(Y).complex if Y.differentials else Y).graded_multiset() for X, Y in calls)
+    tested = len(calls)
+    monkeypatch.setattr(former, "is_isomorphic", testing)
+    expected = former_group_isomorphic(parts)
+    assert [[id(c[0]), *c[1:]] for c in classes] == [[id(c[0]), *c[1:]] for c in expected]
+    assert [c[1:] for c in classes] == [[4, True, 0], [4, True, 1], [7, False, 2], [1, True, 3], [1, True, 6],
+                                        [3, True, 8], [1, True, 9], [3, True, 11]]
+    assert tested == 4 and len(calls) - tested > 30
+    other = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), QQ)
+    with pytest.raises(DecomposeError, match="different algebras"):
+        group_isomorphic(parts[:2] + [(ProjComplex.stalk(other, "1"), 1, True, 99)])
 
 
 def _assert_random_roundtrips(field):
@@ -488,9 +523,9 @@ def test_end_algebra_rref_calls_independent_of_dim(monkeypatch, ka3):
     calls = []
     orig = _kernel.rref_qq
 
-    def counting(rows):
+    def counting(rows, *args):
         calls.append(len(rows))
-        return orig(rows)
+        return orig(rows, *args)
 
     monkeypatch.setattr(_kernel, "rref_qq", counting)
     counts, quotient_counts, dims = [], [], []
@@ -703,7 +738,7 @@ def test_min_poly_matches_the_solve_reference(monkeypatch):
     cases += [(S, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(S.dim)]) for S in quotients]
     calls = []
     orig = _kernel.rref_qq
-    monkeypatch.setattr(_kernel, "rref_qq", lambda rows: calls.append(1) or orig(rows))
+    monkeypatch.setattr(_kernel, "rref_qq", lambda rows, *args: calls.append(1) or orig(rows, *args))
     for S, x in cases:
         expected = _min_poly_by_solve(S, x)
         calls.clear()

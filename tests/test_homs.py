@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_quiver, seeded_rng
-from former import former_reps
+from former import FormerHomSpace, former_reps
 from oracle import oracle_delta, oracle_hom_dim
 from test_recollement import _parallel_routes
 from verifiers import boundary
@@ -597,16 +597,17 @@ def _live(hom, ms):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_measuring_a_window_reduces_each_differential_once(field, monkeypatch):
-    """Dims over a window count the rank of each delta^m with rows and columns once, by sparse_rank,
-    upwards (the table) and downwards (the s-search), and build no dense delta^m and no RREF."""
+    """Dims over a window count the rank of each delta^m with rows and columns once, by
+    independent_columns, upwards (the table) and downwards (the s-search), and build no dense delta^m
+    and no RREF."""
     pairs, counted, echelon = _random_pairs(field, 814, 8), [], []
-    orig = homs.sparse_rank
+    orig = homs.independent_columns
 
     def counting(fld, entries):
         counted.append(entries)
         return orig(fld, entries)
 
-    monkeypatch.setattr(homs, "sparse_rank", counting)
+    monkeypatch.setattr(homs, "independent_columns", counting)
     monkeypatch.setattr(homs, "row_space_rref", lambda *args: echelon.append(args))
     monkeypatch.setattr(HomComplex, "dense", lambda *args, **kwargs: echelon.append(args))
     for X, Y in pairs:
@@ -791,9 +792,9 @@ def test_a_space_measured_at_zero_reduces_nothing_for_its_representatives(monkey
     """basis_maps() of a space whose dim was read as 0 reduces no equations; a space not measured
     yet reduces delta^k once and reads its rank off that reduction."""
     reduced, counted = [], []
-    orig_rref, orig_rank = homs.row_space_rref, homs.sparse_rank
+    orig_rref, orig_rank = homs.row_space_rref, homs.independent_columns
     monkeypatch.setattr(homs, "row_space_rref", lambda *args: reduced.append(1) or orig_rref(*args))
-    monkeypatch.setattr(homs, "sparse_rank", lambda *args: counted.append(1) or orig_rank(*args))
+    monkeypatch.setattr(homs, "independent_columns", lambda *args: counted.append(1) or orig_rank(*args))
     zeros = unmeasured = 0
     for X, Y in _random_pairs(QQ, 820, 24):
         lo, hi = hom_window(X, Y)
@@ -837,3 +838,78 @@ def test_a_walk_that_builds_no_space_builds_no_complex(ka3, monkeypatch):
     s, spaces = s_search(M, [top, below, shift(P["3"], 1)])
     assert s is not None and s > hom_window(M, shift(P["3"], 1))[1]
     assert made == [top] and list(spaces) == [0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_spaces_read_as_the_full_row_oracle(field, seed):
+    """Spaces that reduce the independent rows only read as FormerHomSpace, which reduces every row:
+    dims, representatives (by == and serialized), coordinates and null-homotopy, for a walk of lone
+    spaces measured before their representatives are read or not, and for spaces on complexes of
+    their own."""
+    rng = seeded_rng(seed)
+    (X, Y), = _random_pairs(field, seed, 1)
+    lo, hi = hom_window(X, Y)
+    for k in range(lo - 1, hi + 2):
+        oracle = FormerHomSpace(X, Y, k)
+        lone, private = HomSpace(X, Y, k), HomSpace(X, Y, k, HomComplex(X, Y))
+        if rng.random() < 0.7:
+            assert lone.dim == oracle.dim
+        expected = oracle.basis_maps()
+        for hs in (lone, private):
+            maps = hs.basis_maps()
+            assert hs.dim == oracle.dim == len(maps)
+            assert [(g.source, g.target, g.components) for g in maps] == [
+                (g.source, g.target, g.components) for g in expected]
+            assert [json.dumps(chain_map_to_json(g)) for g in maps] == [
+                json.dumps(chain_map_to_json(g)) for g in expected]
+        b, f = _test_maps(oracle, rng)
+        for g in (b, f, *expected):
+            assert lone.coordinates(g) == private.coordinates(g) == oracle.coordinates(g)
+            assert lone.is_null_homotopic(g) == private.is_null_homotopic(g) == oracle.is_null_homotopic(g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_walk_reduces_independent_rows_and_builds_kept_cycles_only(field, monkeypatch):
+    """The benchmark's Hom walk, HomSpace(X, Y, k) per shift asked for its dim and then its
+    representatives, reduces the equations of delta^k on exactly rank delta^k rows, and the
+    boundaries on exactly rank delta^(k-1) rows once the space at k - 1 has reduced its equations
+    (on the rows that meet a free column before), and builds one cycle vector per representative."""
+    reductions, built = [], []
+    orig_rref, orig_kernel = homs.row_space_rref, homs.rref_kernel_basis
+
+    def reducing(fld, rows, *args, **kwargs):
+        reductions.append(len(rows))
+        return orig_rref(fld, rows, *args, **kwargs)
+
+    def building(*args):
+        vectors = orig_kernel(*args)
+        built.append(len(vectors))
+        return vectors
+
+    monkeypatch.setattr(homs, "row_space_rref", reducing)
+    monkeypatch.setattr(homs, "rref_kernel_basis", building)
+    dependent_equations = dependent_boundaries = skipped_cycles = 0
+    for X, Y in _random_pairs(field, 821, 12) + _delta_pairs(field, 821, 24):
+        lo, hi = hom_window(X, Y)
+        for k in range(lo, hi + 1):
+            hs = HomSpace(X, Y, k)
+            hom, dim = hs.hom, hs.dim
+            prior = k - 1 in hom._equations  # the space at k - 1 reduced its equations
+            reductions.clear()
+            built.clear()
+            assert len(hs.basis_maps()) == dim
+            if not dim:
+                assert not reductions and not built
+                continue
+            pivots = set(hom.equations(k)[1])
+            free = [c for c in range(hs.fvars.dim) if c not in pivots]
+            meeting = sum(any(row[c] for c in free) for row in hom.dense(k - 1))
+            assert reductions == [hom.rank(k), hom.rank(k - 1) if prior else meeting]
+            assert built == [dim]
+            dependent_equations += hom.term(k + 1).dim > hom.rank(k)
+            dependent_boundaries += prior and meeting > hom.rank(k - 1)
+            skipped_cycles += len(free) > dim
+        del hs
+    assert dependent_equations >= 5 and dependent_boundaries >= 3 and skipped_cycles >= 5

@@ -13,6 +13,7 @@ from siltglue.linalg import (
     det,
     extend_rref,
     in_row_space,
+    independent_columns,
     kernel_basis,
     rank,
     residue,
@@ -376,3 +377,52 @@ def test_sparse_rank_matches_the_row_reduction(field):
             dense[a][b] = x
         assert sparse_rank(field, entries) == len(row_space_rref(field, dense)[1])
     assert sparse_rank(field, []) == 0
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_independent_columns_are_a_basis_of_the_column_space(field):
+    """The columns the peel and the residual keep are sorted, as many as the rank, and independent."""
+    rng = random.Random(3202)
+    kinds = ["empty", "single", "chain", "block"] + ["random"] * 6
+    for trial in range(250):
+        nrows, ncols, entries = _sparse_matrix(field, rng, kinds[trial % len(kinds)])
+        dense = [[field.zero] * ncols for _ in range(nrows)]
+        for a, b, x in entries:
+            dense[a][b] = x
+        cols = independent_columns(field, entries)
+        assert cols == sorted(set(cols)) and len(cols) == len(row_space_rref(field, dense)[1])
+        assert len(row_space_rref(field, [[row[b] for row in dense] for b in cols])[1]) == len(cols)
+
+
+def _forward_rows(field, rng):
+    """A seeded matrix over `field`, with zero rows, duplicate rows, scaled rows, and sometimes 0 columns."""
+    cols, nrows = rng.choice([0, 1, 2, 4, 7]), rng.randint(0, 7)
+    nz = functools.partial(_nonzero, field, rng)
+    rows = [[nz() if rng.random() < rng.choice([0.2, 0.5, 0.9]) else field.zero for _ in range(cols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            kind, src = rng.choice(["zero", "copy", "scaled"]), rng.choice(rows)
+            s = nz()
+            rows.insert(rng.randint(0, len(rows)), {
+                "zero": [field.zero] * cols, "copy": list(src), "scaled": [field.of(field.mul(s, x)) for x in src]}[kind])
+    if field == QQ and rows and rng.random() < 0.5:  # Fraction entries, integral ones included
+        rows = [[Fraction(x) for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=SPARSE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_forward_elimination_stops_at_the_rref_pivots(field, seed):
+    """reduced=False gives the pivots of the RREF, and echelon rows spanning the same row space, on
+    rows with Fractions, zero rows, duplicate rows and 0 columns; the input rows are not changed."""
+    rows = _forward_rows(field, random.Random(seed))
+    before = [list(r) for r in rows]
+    red, piv = row_space_rref(field, rows)
+    echelon, forward = row_space_rref(field, rows, reduced=False)
+    assert rows == before and forward == piv and len(echelon) == len(piv)
+    assert all(not field.is_zero(row[c]) and not any(row[:c]) for row, c in zip(echelon, forward))
+    assert row_space_rref(field, echelon) == (red, piv)
+    kernel = rref_qq if field == QQ else functools.partial(rref_fp, p=field.p)
+    assert kernel(rows, reduced=False)[1] == kernel(rows)[1] == piv
+    assert rank(Matrix(field, rows, cols=len(rows[0]) if rows else 0)) == len(piv)
