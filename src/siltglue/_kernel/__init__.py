@@ -95,9 +95,10 @@ def rref_qq(rows, reduced=True):
 
 
 def rref_fp(rows, p, reduced=True):
-    """RREF over F_p; rows are lists of ints in [0, p).  With ``reduced=False``,
-    an echelon form with the same pivot columns and pivots equal to 1."""
-    m = [[x % p for x in r] for r in rows]
+    """RREF over F_p.  Every entry must be a field element, an int in [0, p): the
+    rows are copied as they are, not reduced.  With ``reduced=False``, an
+    echelon form with the same pivot columns and pivots equal to 1."""
+    m = [list(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])

@@ -44,7 +44,7 @@ for any other f it is `minimize` of the built cone and its push or pull.
 from itertools import accumulate, count
 
 from .linalg import extend_rref, row_space_rref
-from .quiver import AlgebraElement, Path, QuiverError
+from .quiver import AlgebraElement, QuiverError
 
 
 class ComplexError(ValueError):
@@ -173,20 +173,28 @@ class PathMatrix:
 
     @staticmethod
     def _product(alg, left, right):
-        """The cells of left x right, from left's cells {(i, k): terms} and right's rows {k: [(j, terms)]}."""
+        """The cells of left x right, from left's cells {(i, k): terms} and right's rows {k: [(j, terms)]}.
+
+        Terms compose by shape: a term of cell (i, k) runs to the vertex that
+        a term of row k starts from, so each pair multiplies by the product
+        rule of `quiver`, one lookup in `basis_path`; a pair that does not
+        compose, from an entry outside its e_w A e_v, raises ComplexError.
+        """
         fld = alg.field
-        add, mul, prod, is_zero = fld.add, fld.mul, alg.compose_paths, fld.is_zero
+        add, mul, paths, is_zero = fld.add, fld.mul, alg.basis_path, fld.is_zero
         sums = {}
-        for (i, k), a in left.items():
-            for j, b in right.get(k, ()):
-                acc = sums.setdefault((i, j), {})
-                for p, cp in a.items():
-                    for q, cq in b.items():
-                        pq = prod(p, q)
-                        if pq is not None:
+        try:
+            for (i, k), a in left.items():
+                for j, b in right.get(k, ()):
+                    acc = sums.setdefault((i, j), {})
+                    for p, cp in a.items():
+                        for q, cq in b.items():
+                            pq = paths[p.source, q.target, p.arrows + q.arrows]
                             c = mul(cp, cq)
                             old = acc.get(pq)
                             acc[pq] = c if old is None else add(old, c)
+        except KeyError:
+            raise ComplexError(f"terms of entry ({i},{k}) and of row {k} do not compose") from None
         parts = ((ij, {p: c for p, c in acc.items() if not is_zero(c)}) for ij, acc in sums.items())
         return {ij: t for ij, t in parts if t}
 
@@ -325,7 +333,7 @@ class PathMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, PathMatrix)
-            and self.algebra == other.algebra
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.row_vertices == other.row_vertices
             and self.col_vertices == other.col_vertices
             and self.cells == other.cells
@@ -411,7 +419,7 @@ class ProjComplex:
     def __eq__(self, other):
         return (
             isinstance(other, ProjComplex)
-            and self.algebra == other.algebra
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.components == other.components
             and self.differentials == other.differentials
         )
@@ -440,7 +448,7 @@ class ChainMap:
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source, target, components):
-        if source.algebra != target.algebra:
+        if source.algebra is not target.algebra and source.algebra != target.algebra:
             raise ComplexError("different algebras")
         comps = {}
         for n, m in components.items():
@@ -553,7 +561,7 @@ def direct_sum(X, Y):
 
 def direct_sum_many(algebra, complexes):
     """The direct sum of `complexes` in one pass: each differential has the summands' ones as diagonal blocks."""
-    if any(X.algebra != algebra for X in complexes):
+    if any(X.algebra is not algebra and X.algebra != algebra for X in complexes):
         raise ComplexError("different algebras")
 
     def parts(n):
@@ -989,12 +997,13 @@ def subcomplex_on_indices(X, index_map):
 def _op_matrix(m, op_algebra):
     """Transpose a path matrix and reverse every path, over the opposite algebra, in one pass.
 
-    Reversed paths are the opposite algebra's own basis objects, so dict
-    lookups on them match by identity.
+    A path reversed is the basis path of A^op with the reversed arrow word,
+    from its target to its source: the opposite algebra's own basis object,
+    so dict lookups on it match by identity.
     """
-    intern = op_algebra._interned
+    paths = op_algebra.basis_path
     cells = {
-        (j, i): {intern(Path(p.target, p.source, p.arrows[::-1])): c for p, c in t.items()}
+        (j, i): {paths[p.target, p.source, p.arrows[::-1]]: c for p, c in t.items()}
         for (i, j), t in m.cells.items()
     }
     return PathMatrix._of(op_algebra, m.col_vertices, m.row_vertices, cells)

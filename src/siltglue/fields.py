@@ -9,8 +9,12 @@ only a quotient needs care, as `/` on two ints is a float, so `inv` and
 `div` build it as a Fraction and return an int when it is integral.
 Prime-field scalars are plain ints in [0, p).  All arithmetic goes through
 the field object so generic code can stay agnostic of the representation.
+Over Q, `add`, `sub`, `mul` and `neg` are the `operator` functions and
+`is_zero` is `operator.not_`, a truth test, so the field's hottest calls run
+in C; F_p reduces each result modulo p.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -33,17 +37,9 @@ class RationalField:
             return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    # the operator functions themselves: a builtin binds no `self`, and a call runs no Python frame
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    is_zero = operator.not_
 
     def inv(self, a):
         if a == 0:
@@ -55,9 +51,6 @@ class RationalField:
             return a // b
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
-
-    def is_zero(self, a):
-        return a == 0
 
     def to_str(self, a):
         return str(a)

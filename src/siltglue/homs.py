@@ -34,11 +34,25 @@ space at k - 1 has reduced them.  Only the cycle vectors of the
 representatives kept are built, and a space measured at 0 reduces nothing.
 """
 
-import functools
 import weakref
 
 from .complexes import ChainMap, PathMatrix, shift
 from .linalg import Matrix, independent_columns, rref_kernel_basis, row_space_rref, in_row_space, solve
+
+
+class _cached:
+    """A property computed on its first read and stored in the instance `__dict__` under its name,
+    where every later read finds it first: `functools.cached_property` without the lock that
+    Python 3.10 and 3.11 take on each first read."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class _VarSpace:
@@ -75,7 +89,7 @@ class _VarSpace:
                     vec[off + pos[p]] = c
         return vec
 
-    @functools.cached_property
+    @_cached
     def slots(self):
         """(degree n, row i, col j, path) of each coordinate, in order."""
         return [(n, i, j, p) for (n, i, j), (_, paths) in self.blocks.items() for p in paths]
@@ -223,22 +237,22 @@ class HomSpace:
         self.hom = _live_complex(X, Y) if hom is None else hom
         self.fvars, self.hvars = self.hom.term(k), self.hom.term(k - 1)
 
-    @functools.cached_property
+    @_cached
     def dim(self):
         """nullity delta^k - rank delta^(k-1), from the two ranks `HomComplex.rank` counts."""
         return self.fvars.dim - self.hom.rank(self.k) - self.hom.rank(self.k - 1)
 
-    @functools.cached_property
+    @_cached
     def Z(self):
         """Y[k], the target of the chain maps of this space."""
         return shift(self.Y, self.k)
 
-    @functools.cached_property
+    @_cached
     def cycle_basis(self):
         """The chain maps X -> Y[k]: the kernel of delta^k."""
         return rref_kernel_basis(self.X.algebra.field, *self.hom.equations(self.k), self.fvars.dim)
 
-    @functools.cached_property
+    @_cached
     def _reps(self):
         """Canonical representatives: the cycle-basis vectors that grow the span of the
         boundaries and the vectors before them, picked in one reduction.
@@ -273,7 +287,9 @@ class HomSpace:
         fld, rows, span = self.X.algebra.field, {}, self.hom.image_rows(self.k - 1)
         for a, b, c in self.hom.delta(self.k - 1) if self.hvars.dim else ():
             if b in at and (span is None or a in span):
-                rows.setdefault(a, [fld.zero] * len(free))[at[b]] = c
+                if a not in rows:
+                    rows[a] = [fld.zero] * len(free)
+                rows[a][at[b]] = c
         boundaries = [rows[a] for a in sorted(rows)]
         skipped = {len(free) - 1 - p for p in row_space_rref(fld, boundaries, reduced=False)[1]}
         kept = [c for q, c in enumerate(free) if q not in skipped]
@@ -323,7 +339,7 @@ class HomSpace:
             raise ValueError("map outside the homotopy Hom space")
         return x
 
-    @functools.cached_property
+    @_cached
     def _solver(self):
         """[(pivot, sparse reduced row, sparse rep coefficients)] of the cycle space."""
         fld = self.X.algebra.field

@@ -7,6 +7,13 @@ Conventions (fixed once, everywhere):
 * right modules, P_v := e_v A; Hom_A(P_v, P_w) is e_w A e_v acting by left
   multiplication, with basis the paths from w to v.
 
+A path is a named tuple (source, target, arrows), so it hashes and compares
+as that tuple does, in C, and a plain tuple with the same fields finds it in
+any path-keyed dict.  The product of basis paths p and q is one lookup,
+`basis_path[p.source, q.target, p.arrows + q.arrows]`: the basis path whose
+arrow word is the two words joined.  A trivial factor gives the other, and a
+pair that does not compose is no key.
+
 `build_algebra` hands out one live `PathAlgebra` per field, vertex order and
 arrow list, so equal algebras (loaded, corner, quotient or opposite) share one
 path basis and one set of tables; `==` still compares by value.
@@ -14,7 +21,7 @@ path basis and one set of tables; `==` still compares by value.
 
 import functools
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import QQ
 
@@ -23,8 +30,7 @@ class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
@@ -37,10 +43,7 @@ class Quiver:
         vertices = [str(v) for v in vertices]
         if len(set(vertices)) != len(vertices):
             raise QuiverError("duplicate vertex labels")
-        arrs = []
-        for a in arrows:
-            name, src, tgt = (a.name, a.source, a.target) if isinstance(a, Arrow) else a
-            arrs.append(Arrow(str(name), str(src), str(tgt)))
+        arrs = [Arrow(str(name), str(src), str(tgt)) for name, src, tgt in arrows]
         names = [a.name for a in arrs]
         if len(set(names)) != len(names):
             raise QuiverError("duplicate arrow names")
@@ -52,7 +55,6 @@ class Quiver:
         self.arrows = arrs
         self.arrow_by_name = {a.name: a for a in arrs}
         self.vertex_index = {v: i for i, v in enumerate(vertices)}
-        self.arrow_index = {a.name: i for i, a in enumerate(arrs)}
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -109,26 +111,13 @@ class Quiver:
         return f"Quiver({self.vertices}, {[a.name for a in self.arrows]})"
 
 
-@dataclass(frozen=True)
-class Path:
-    """A path in a quiver; empty arrow tuple means the trivial path e_v."""
+class Path(NamedTuple):
+    """A path in a quiver; empty arrow tuple means the trivial path e_v.  A tuple, it hashes as
+    hash((source, target, arrows)), afresh in each process, so an unpickled path too."""
 
     source: str
     target: str
     arrows: tuple  # tuple of arrow names, composing left to right
-
-    def __post_init__(self):
-        # Paths key every path-indexed dict; hashing the field tuple once
-        # here spares rebuilding it on each lookup.  The value is the one
-        # the dataclass would compute.
-        object.__setattr__(self, "_hash", hash((self.source, self.target, self.arrows)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: an unpickled path hashes afresh
-        return Path, (self.source, self.target, self.arrows)
 
     @property
     def length(self):
@@ -156,11 +145,6 @@ class _Memo(dict):
         return value
 
 
-def _product(p, q):
-    """The path p*q, first p then q, of composable paths p and q."""
-    return Path(p.source, q.target, p.arrows + q.arrows)
-
-
 def _left_pairs(between, pos, s, v):
     """Left multiplication by the path s, e_{s.target} A e_v -> e_{s.source} A e_v, as position pairs.
 
@@ -174,21 +158,25 @@ def _left_pairs(between, pos, s, v):
     products p*t with d_X, and the two kinds land in different degrees.
     Read through the memo `PathAlgebra.left_action[s, v]`.
     """
-    return [(a, pos[_product(s, p)]) for a, p in enumerate(between.get((s.target, v), ()))]
+    return [(a, pos[s.source, p.target, s.arrows + p.arrows]) for a, p in enumerate(between.get((s.target, v), ()))]
 
 
 def _right_pairs(between, pos, t, w):
     """Right multiplication by the path t, e_w A e_{t.source} -> e_w A e_{t.target}: the mirror
     image of `_left_pairs`, with pairs (a, b) such that p*t is path b when p is path a.
     Read through the memo `PathAlgebra.right_action[t, w]`."""
-    return [(a, pos[_product(p, t)]) for a, p in enumerate(between.get((w, t.source), ()))]
+    return [(a, pos[p.source, t.target, p.arrows + t.arrows]) for a, p in enumerate(between.get((w, t.source), ()))]
 
 
 class PathAlgebra:
     """Path algebra of a finite acyclic quiver over an exact field.
 
-    The path basis is enumerated once, sorted by length then lexicographically
-    by arrow indices; this order fixes all downstream determinism.
+    The path basis is enumerated once, by length and then lexicographically
+    by arrow indices (the trivial paths in vertex order); this order fixes
+    all downstream determinism.  `basis_path` maps each basis path, and so
+    each equal (source, target, arrows) tuple, to the basis path itself: the
+    table of the product rule in the module docstring, whose results are the
+    basis objects, so dict lookups on them match by identity.
     """
 
     def __init__(self, quiver, field=QQ):
@@ -196,6 +184,7 @@ class PathAlgebra:
         self.field = field
         self.basis = self._enumerate_paths()
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
+        self.basis_path = {p: p for p in self.basis}
         # between[w, v]: the paths from w to v, a basis of e_w A e_v = Hom(P_v, P_w), not to be
         # changed; between_index[p]: the position of p there
         self.between, self.between_index = {}, {}
@@ -205,8 +194,6 @@ class PathAlgebra:
             paths.append(p)
         self._trivial = {p.source: p for p in self.basis if p.is_trivial()}
         self._by_arrows = {p.arrows: p for p in self.basis if p.arrows}
-        # path-product table (p, q) -> pq, filled as composable pairs are met
-        self._products = {}
         # action tables left_action[s, v] and right_action[t, w], filled as they are read; they
         # hold no reference to the algebra, which reference counting can then free at once
         tables = (self.between, self.between_index)
@@ -214,19 +201,18 @@ class PathAlgebra:
         self.right_action = _Memo(functools.partial(_right_pairs, *tables))
 
     def _enumerate_paths(self):
+        """The paths in basis order, built so: a path of length n + 1 is a path of
+        length n, in order, followed by an arrow leaving its target, in arrow order."""
         q = self.quiver
+        leaving = {v: [] for v in q.vertices}
+        for a in q.arrows:
+            leaving[a.source].append(a)
         paths = [Path(v, v, ()) for v in q.vertices]
-        frontier = list(paths)
-        while frontier:
-            new = []
-            for p in frontier:
-                for a in q.arrows:
-                    if a.source == p.target:
-                        new.append(Path(p.source, a.target, p.arrows + (a.name,)))
-            paths.extend(new)
-            frontier = new
-        key = lambda p: (p.length, tuple(q.arrow_index[n] for n in p.arrows), q.vertex_index[p.source])
-        return sorted(paths, key=key)
+        layer = [Path(a.source, a.target, (a.name,)) for a in q.arrows]
+        while layer:
+            paths += layer
+            layer = [Path(p.source, a.target, p.arrows + (a.name,)) for p in layer for a in leaving[p.target]]
+        return paths
 
     @property
     def dimension(self):
@@ -255,18 +241,8 @@ class PathAlgebra:
                 raise QuiverError(f"arrows {x.name}, {y.name} do not compose")
 
     def compose_paths(self, p, q):
-        """p*q = first p then q; None when not composable."""
-        if p.target != q.source:
-            return None
-        pq = self._products.get((p, q))
-        if pq is None:
-            pq = self._products[p, q] = self._interned(_product(p, q))
-        return pq
-
-    def _interned(self, path):
-        """The basis object equal to `path`, so that dict lookups match by identity."""
-        i = self.basis_index.get(path)
-        return path if i is None else self.basis[i]
+        """p*q = first p then q, by the product rule; None when not composable."""
+        return self.basis_path.get((p.source, q.target, p.arrows + q.arrows))
 
     def paths_between(self, src, tgt):
         """All paths src -> tgt, in basis order."""

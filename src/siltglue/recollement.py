@@ -74,8 +74,8 @@ def _over(m, algebra):
     Each path becomes the target algebra's own basis object, as in
     `complexes._op_matrix`, so dict lookups on it match by identity.
     """
-    intern = algebra._interned
-    cells = {ij: {intern(p): c for p, c in t.items()} for ij, t in m.cells.items()}
+    paths = algebra.basis_path
+    cells = {ij: {paths[p]: c for p, c in t.items()} for ij, t in m.cells.items()}
     return PathMatrix._of(algebra, m.row_vertices, m.col_vertices, cells)
 
 

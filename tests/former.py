@@ -42,6 +42,15 @@
 - `former_group_isomorphic` calls `is_isomorphic` against every class
   before a record, as `decompose.group_isomorphic` did before it skipped
   the classes whose minimal graded multiset differs.
+- `former_enumerate_paths` grows the paths of a quiver by length and sorts
+  them by length, arrow indices and source vertex, as `PathAlgebra` did
+  before it built its basis in basis order.
+- `former_compose_paths` builds the path p*q and interns it, the basis
+  object equal to it, as `PathAlgebra.compose_paths` did (through a memo of
+  the pairs) before one lookup of the product rule; `former_product` and
+  `former_opposite_complex` multiply and reverse paths by that route, as
+  `PathMatrix._product` and `complexes._op_matrix` did, and
+  `former_product` drops a pair that does not compose.
 """
 
 import functools
@@ -51,6 +60,7 @@ from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, 
 from siltglue.decompose import is_isomorphic
 from siltglue.homs import HomComplex, HomSpace
 from siltglue.linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref
+from siltglue.quiver import Path
 
 
 def former_cocone(f):
@@ -319,3 +329,61 @@ def former_cancel(X, n, rows, cols):
     if n + 1 in diffs:
         diffs[n + 1] = diffs[n + 1].submatrix(range(diffs[n + 1].rows), keep_tgt)
     return ProjComplex(X.algebra, comps, diffs), (n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta))
+
+
+def former_enumerate_paths(quiver):
+    """The paths of an acyclic quiver, sorted by length, arrow indices and source vertex index."""
+    paths = [Path(v, v, ()) for v in quiver.vertices]
+    frontier = list(paths)
+    while frontier:
+        new = []
+        for p in frontier:
+            for a in quiver.arrows:
+                if a.source == p.target:
+                    new.append(Path(p.source, a.target, p.arrows + (a.name,)))
+        paths.extend(new)
+        frontier = new
+    arrow_index = {a.name: i for i, a in enumerate(quiver.arrows)}
+    vertex_index = {v: i for i, v in enumerate(quiver.vertices)}
+    return sorted(paths, key=lambda p: (p.length, tuple(arrow_index[n] for n in p.arrows), vertex_index[p.source]))
+
+
+def former_compose_paths(alg, p, q):
+    """p*q, built as a new path and interned in the basis of `alg`; None when not composable."""
+    if p.target != q.source:
+        return None
+    pq = Path(p.source, q.target, p.arrows + q.arrows)
+    i = alg.basis_index.get(pq)
+    return pq if i is None else alg.basis[i]
+
+
+def former_product(alg, left, right):
+    """The cells of left x right, as `PathMatrix._product` takes and gives them, term pair by term pair."""
+    fld = alg.field
+    sums = {}
+    for (i, k), a in left.items():
+        for j, b in right.get(k, ()):
+            acc = sums.setdefault((i, j), {})
+            for p, cp in a.items():
+                for q, cq in b.items():
+                    pq = former_compose_paths(alg, p, q)
+                    if pq is not None:
+                        c = fld.mul(cp, cq)
+                        acc[pq] = c if pq not in acc else fld.add(acc[pq], c)
+    parts = ((ij, {p: c for p, c in acc.items() if not fld.is_zero(c)}) for ij, acc in sums.items())
+    return {ij: t for ij, t in parts if t}
+
+
+def former_opposite_complex(X, op_algebra):
+    """X over the opposite algebra: degrees negated, differentials transposed, each path built reversed and interned."""
+    def reversed_path(p):
+        path = Path(p.target, p.source, p.arrows[::-1])
+        i = op_algebra.basis_index.get(path)
+        return path if i is None else op_algebra.basis[i]
+
+    diffs = {
+        -n - 1: PathMatrix._of(op_algebra, d.col_vertices, d.row_vertices, {
+            (j, i): {reversed_path(p): c for p, c in t.items()} for (i, j), t in d.cells.items()})
+        for n, d in X.differentials.items()
+    }
+    return ProjComplex(op_algebra, {-n: tuple(vs) for n, vs in X.components.items()}, diffs)

@@ -367,6 +367,19 @@ def _spy_on_reps(monkeypatch):
     return picked
 
 
+def test_a_read_property_is_stored_in_the_instance(ka3):
+    """`dim` and the other computed properties of a space are stored in its `vars()` on their first read,
+    where `_reps` looks for `dim`, and later reads return the stored object."""
+    hs = HomSpace(ka3["P"]["3"], ka3["P"]["3"], 0)
+    assert not {"dim", "Z", "cycle_basis", "_reps", "_solver"} & set(vars(hs))
+    dim = hs.dim
+    assert vars(hs)["dim"] == dim == 1 and HomSpace.dim.__doc__.startswith("nullity")
+    reps = hs._reps
+    assert vars(hs)["_reps"] is reps is hs._reps and len(reps) == dim
+    slots = hs.fvars.slots
+    assert vars(hs.fvars)["slots"] is slots is hs.fvars.slots
+
+
 def test_measuring_builds_no_representatives(ka3, monkeypatch):
     """hom_dim and hom_dim_table read two ranks; no representative is picked until basis_maps() is read."""
     picked = _spy_on_reps(monkeypatch)

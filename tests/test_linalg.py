@@ -1,5 +1,9 @@
 import functools
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +27,9 @@ from siltglue.linalg import (
 )
 from siltglue._kernel import rref_fp, rref_qq
 from verifiers import is_q_scalar
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def frac_matrix(rows):
@@ -275,6 +282,23 @@ def test_rref_qq_matches_sympy_on_every_kind_of_row(kind):
         assert all(is_q_scalar(x) for r in red for x in r)
         non_unit_leads += sum(next((x for x in r if x), 1) not in (1, -1) for r in m)
     assert non_unit_leads > 100  # the rows do need rescaling
+
+
+def test_rref_fp_receives_field_elements_only():
+    """Every entry `_kernel.rref_fp` receives in the F_5 and F_2147483647 tests of the Hom, linear
+    algebra, decomposition and approximation modules is an int in [0, p), the precondition under
+    which it copies its rows as they are (the `rref_fp_spy` plugin, in a pytest run of its own)."""
+    root = os.path.dirname(TESTS)
+    files = [os.path.join(TESTS, f"test_{name}.py") for name in ("homs", "linalg", "decompose", "approx")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), TESTS]))
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "rref_fp_spy",
+         "-k", "F5 or F2147483647", *files],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stdout[-3000:]
+    calls, bad = map(int, re.search(r"rref_fp calls (\d+), entries out of range (\d+)", res.stdout).groups())
+    assert calls > 100 and bad == 0, res.stdout[-3000:]
 
 
 @settings(max_examples=40, deadline=None)
