@@ -8,10 +8,12 @@ add(T)[s]-preenvelope, with its map to the input.  With w the composite of
 those maps, W -w-> M -> C(-w) -> W[1] is distinguished, being the cone
 triangle of -w with its first term changed by -id: V is the last stage's W
 and v_map is w, and U is one cone, the minimal C(-w).  With no stage U = 0,
-f = 0 and V is the minimal model of M.  The members of T are minimal and so
-is each W, so past the first stage of a raw M every cocone, and the cone of
-a minimal M, comes from one direct elimination of the map's unit block
-(`complexes.minimal_cocone` and `minimal_cone`), with no full cone built.
+f = 0 and V is the minimal model of M.  A non-minimal M is minimized once,
+at entry: the stages and the cone run on its model, and f and v_map pass
+back to M through the model's homotopy equivalences.  The members of T are
+minimal and so is each W, so every cocone and the cone come from one direct
+elimination of the map's unit block (`complexes.minimal_cocone` and
+`minimal_cone`), with no full cone built.
 A deletion is decided on Hom coordinates: a copy of T_i can go exactly when
 its representative factors through the other kept copies (Auslander-Smalo),
 a rank condition in the one space Hom(M, T_i[s]) on the coordinates of the
@@ -22,12 +24,17 @@ dimensions alone say so (the rule and both proofs are in `left_minimize`).
 The cosusp(T)-precover is the same construction over the opposite
 algebra, transported back.  All certificates are exact.
 
-Each stage builds every Hom(W, T_i[k]) once: the s-search (`s_search`) keeps
-the spaces at s, and the preenvelope carries them and their representatives
-into `left_minimize`; each Hom(T_i, T_j) a stage reads is built once per
-envelope, and its basis is shifted to the stage's s only when a copy of
-T_j is tested.  The last s-search finds every Hom(V, T_i[k]), k >= 0,
-zero, and the certificate reads those spaces.  The chain condition
+Each stage builds Hom(W, T_i[k]) once, and only below the previous stage's
+s: for presilting T the statistic strictly decreases (Aihara-Iyama), since
+W's cocone triangle makes every Hom(W, T_i[k]) with k at or above that s
+zero.  So s decreases by construction and the loop ends; a non-presilting T
+that leaves such a space non-zero is caught by the certificate.  The
+s-search (`s_search`) keeps the spaces at s, and the preenvelope carries
+them and their representatives into `left_minimize`; each Hom(T_i, T_j) a
+stage reads is built once per envelope, and its basis is shifted to the
+stage's s only when a copy of T_j is tested.  The last s-search finds every
+Hom(V, T_i[k]) it scans zero; the certificate reads those spaces and builds
+the ones at and above the previous stage's s.  The chain condition
 is checked once, on the maps a result reports: f and v_map of
 `susp_envelope`, the latter the composite of the cocone maps, and u_map and
 v_map of `cosusp_precover` over A (not again over the opposite algebra).
@@ -43,6 +50,7 @@ from .complexes import (
     PathMatrix,
     ProjComplex,
     direct_sum_many,
+    is_minimal,
     minimal_cocone,
     minimal_cone,
     minimize,
@@ -231,21 +239,20 @@ def indecomposable_refinement(T_list):
     return [X for T in T_list for X, _mult, _cert in decompose(T)]
 
 
-def _susp_envelope_stage(W, T_list, bound, between, scan):
-    """One stage: (layer, Cm, u), or None when no Hom(W, T_i[s]) with s >= 0 is non-zero.
+def _susp_envelope_stage(W, T_list, below, between, scan):
+    """One stage: (layer, Cm, u), or None when Hom(W, T_i[s]) = 0 for every s with 0 <= s < `below`.
 
     Cm is the minimal cocone of W's minimal add(T)[s]-preenvelope and
-    u: Cm -> W its map to W, from `minimal_cocone`: one direct elimination
-    when W is minimal, as the target of copies of T is; s must stay below
-    `bound`.  The s-search hands the Hom spaces it built at s on to the
-    preenvelope, and every space it built to `scan`; `between` is the
-    envelope's table for `left_minimize`.
+    u: Cm -> W its map to W, from `minimal_cocone`: one direct elimination,
+    as W and the copies of T are minimal.  `below` is the previous stage's
+    s, or None at the first stage: the s-search scans no shift at or above
+    it, so s strictly decreases.  The s-search hands the Hom spaces it
+    built at s on to the preenvelope, and every space it built to `scan`;
+    `between` is the envelope's table for `left_minimize`.
     """
-    s, spaces = s_search(W, T_list, scan)
+    s, spaces = s_search(W, T_list, scan, below)
     if s is None:
         return None
-    if bound is not None and s >= bound:
-        raise ApproxError(f"statistic failed to decrease: {s} >= {bound}")
     pre = left_minimize(add_shift_preenvelope(W, T_list, s, spaces), between)
     Cm, u = minimal_cocone(pre.f)  # Cm -> W -> F
     return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm, u
@@ -254,20 +261,26 @@ def _susp_envelope_stage(W, T_list, bound, between, scan):
 def _envelope(M, T_list):
     """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace, zeros).
 
-    The stages give M = W_0 <- W_1 <- ... <- W_r, each map the pulled
-    cocone map u of a stage, and w: W_r -> M composes them.  The triangle
-    W_r -w-> M -> C(-w) -> W_r[1] is distinguished: it is the cone triangle
-    of -w with its first term changed by -id.  So V is W_r, already
-    minimal, v_map is w, and U is the minimal model of C(-w) with f the
-    push of the inclusion of M, from `minimal_cone`: one direct
-    elimination when M is minimal, as W_r is.  By the octahedral axiom
-    C(-w) is the iterated homotopy pushout of the stages, so U takes a
-    single cone.  With no stage U = 0 and f = 0, V is the minimal model of
-    M and v_map its inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of
-    the last stage's scan, every k >= 0 where they can be non-zero.
+    A non-minimal M is minimized once, here, and the stages run on its
+    model W_0; a minimal M is W_0 itself.  The stages give
+    W_0 <- W_1 <- ... <- W_r, each map the pulled cocone map u of a stage,
+    and w: W_r -> W_0 composes them.  The triangle
+    W_r -w-> W_0 -> C(-w) -> W_r[1] is distinguished: it is the cone
+    triangle of -w with its first term changed by -id.  So V is W_r,
+    already minimal, and U is the minimal model of C(-w), with the push of
+    the inclusion of W_0, from `minimal_cone`: one direct elimination, as
+    both ends are minimal.  By the octahedral axiom C(-w) is the iterated
+    homotopy pushout of the stages, so U takes a single cone.  Through the
+    homotopy equivalences of M with W_0, f is that push after `to_min` and
+    v_map is `from_min` after w.  With no stage U = 0 and f = 0, V is W_0
+    and v_map its inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of the
+    last stage's scan: every k below the previous stage's s (every k >= 0
+    with no stage) where they can be non-zero.
     """
     T_list = indecomposable_refinement(T_list)
-    W, maps, trace, between = M, [], [], {}
+    model = None if is_minimal(M) else minimize(M)
+    W0 = M if model is None else model.complex
+    W, maps, trace, between = W0, [], [], {}
     # a fresh scan per stage: after the loop it holds the search that found no s
     while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between, scan := {}):
         layer, W, u = stage
@@ -275,11 +288,12 @@ def _envelope(M, T_list):
         trace.append(layer)
     zeros = list(scan.values())
     if not maps:
-        Mm = minimize(M)
         U = ProjComplex.zero(M.algebra)
-        return ChainMap.zero(M, U), U, Mm.complex, Mm.from_min, trace, zeros
+        return ChainMap.zero(M, U), U, W0, ChainMap.identity(M) if model is None else model.from_min, trace, zeros
     w = reduce(ChainMap.compose, maps)
-    U, f = minimal_cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) M^n
+    U, f = minimal_cone(ChainMap(W, W0, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) W0^n
+    if model is not None:
+        f, w = f.compose(model.to_min), model.from_min.compose(w)
     return f, U, W, w, trace, zeros
 
 
@@ -307,7 +321,8 @@ def susp_envelope(M, T_list):
     of the outermost layer: splitting T into its indecomposable summands
     does not change s_sup.  The maps f and v_map are checked to be chain
     maps, and the orthogonality Hom(V, T_i[k]) = 0 for all k >= 0 is
-    certified, reading the spaces the last stage's s-search built on V.
+    certified, reading the spaces the last stage's s-search built on V and
+    building the ones it did not scan, at and above the previous stage's s.
     Splitting T into its indecomposable summands searches the one fixed
     stream of `decompose`.
     """

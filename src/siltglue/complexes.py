@@ -8,10 +8,10 @@ differentials are matrices of path-algebra elements.
 Sign conventions, fixed once: the differential has degree +1; the shift [1]
 moves components one degree to the left and flips the sign of d; the cone of
 f: X -> Y has components X^{n+1} (+) Y^n with differential
-[[-d_X, 0], [f, d_Y]].  Only what a caller reads is built: `cone` returns
-that complex alone, `cocone` the complex C(f)[-1], built directly, with its
-projection to X, and `direct_sum_many` a sum of any number of complexes in
-one pass.
+[[-d_X, 0], [f, d_Y]].  No cone is built in full: the library reads only
+the minimal models of C(f) and of the cocone C(f)[-1] (`minimal_cone`,
+`minimal_cocone`).  Only what a caller reads is built: `direct_sum_many`
+builds a sum of any number of complexes in one pass.
 
 Nothing zero is stored or built.  A `PathMatrix` stores only its non-zero
 entries, as cells {(i, j): {path: coefficient}}, and every operation touches
@@ -36,9 +36,10 @@ of `glue` and `check-silting`.
 `minimize` runs its Gauss steps on one table of cells in the source's own
 indices, re-indexed once at the end; with nothing to cancel it is the identity.
 `minimal_cone` and `minimal_cocone` give the minimal model of C(f) or CC(f)
-with its map from Y or to X.  For f between minimal complexes that is one
-direct elimination of f's unit block, in final indices, with no cone built;
-for any other f it is `minimize` of the built cone and its push or pull.
+with its map from Y or to X, for f between minimal complexes: one direct
+elimination of f's unit block, in final indices, with no cone built.  A
+caller whose map has a non-minimal end minimizes that end first, as
+`approx._envelope` does with a raw M.
 """
 
 from itertools import accumulate, count
@@ -577,59 +578,6 @@ def direct_sum_many(algebra, complexes):
     return ProjComplex(algebra, comps, diffs)
 
 
-def cone(f):
-    """The mapping cone C(f) of f: X -> Y, the third object of the triangle X -> Y -> C(f)."""
-    X, Y = f.source, f.target
-    alg = X.algebra
-    comps = {}
-    for n in range(min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi) + 1):
-        vs = X.component(n + 1) + Y.component(n)
-        if vs:
-            comps[n] = vs
-    dX, dY, fc = X.differentials, Y.differentials, f.components
-    diffs = {}
-    for n in sorted({n - 1 for n in dX} | {n - 1 for n in fc} | set(dY)):
-        parts = {(0, 0): -dX[n + 1]} if n + 1 in dX else {}
-        if n + 1 in fc:
-            parts[1, 0] = fc[n + 1]
-        if n in dY:
-            parts[1, 1] = dY[n]
-        rows, cols = (X.component(n + 2), Y.component(n + 1)), (X.component(n + 1), Y.component(n))
-        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
-    return ProjComplex(alg, comps, diffs)
-
-
-def cocone(f):
-    """(CC(f), u) for f: X -> Y: the cocone CC(f) = C(f)[-1] and u: CC(f) -> X of the triangle CC(f) -> X -> Y.
-
-    Built in one pass: CC^n = X^n (+) Y^{n-1} with differential
-    [[d_X, 0], [-f, -d_Y]], one `PathMatrix.blocks` per degree, which is
-    C(f) shifted by -1 without negating d_X twice; u projects onto X^n.
-    """
-    X, Y = f.source, f.target
-    alg = X.algebra
-    comps = {}
-    for n in range(min(X.lo, Y.lo + 1), max(X.hi, Y.hi + 1) + 1):
-        vs = X.component(n) + Y.component(n - 1)
-        if vs:
-            comps[n] = vs
-    dX, dY, fc = X.differentials, Y.differentials, f.components
-    diffs = {}
-    for n in sorted(set(dX) | set(fc) | {n + 1 for n in dY}):
-        parts = {(0, 0): dX[n]} if n in dX else {}
-        if n in fc:
-            parts[1, 0] = -fc[n]
-        if n - 1 in dY:
-            parts[1, 1] = -dY[n - 1]
-        rows, cols = (X.component(n + 1), Y.component(n)), (X.component(n), Y.component(n - 1))
-        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
-    CC = ProjComplex(alg, comps, diffs)
-    e, one = alg.trivial_path, alg.field.one
-    proj = {n: PathMatrix._of(alg, vs, vs + Y.component(n - 1), {(i, i): {e(v): one} for i, v in enumerate(vs)})
-            for n, vs in X.components.items()}
-    return CC, ChainMap(CC, X, proj)
-
-
 class MinimizeResult:
     """Minimal model of `source`, with the Gauss steps that reached it.
 
@@ -742,7 +690,9 @@ def minimize(X):
     share one table, each d^n as its cells in X's indices (X's own until a
     step writes it); only the degrees that lost a summand are re-indexed.
     The cone or cocone of a map between minimal complexes needs no table:
-    `minimal_cone` and `minimal_cocone` eliminate the map's block directly.
+    `minimal_cone` and `minimal_cocone` eliminate the map's block directly,
+    and `approx._envelope` minimizes a raw M once, at entry, so that every
+    cone and cocone it takes has minimal ends.
     """
     done, gone = [], {}  # (cells of the new d^n, step) per step, and the summands cancelled so far
     for n in sorted(X.differentials):
@@ -830,58 +780,48 @@ def _cancel(alg, tgt, src, rows, cols, phi, gamma, beta, delta):
 
 
 def minimal_cocone(f):
-    """(V, u) for f: X -> Y: V the minimal model of CC(f) and u: V -> X the pull of its projection onto X.
+    """(V, u) for f: X -> Y between minimal complexes: V the minimal model of CC(f), u: V -> X the pull of CC(f) -> X.
 
-    With minimal ends, one direct elimination (`_minimal_cone`); otherwise
-    `minimize` of `cocone(f)` and its `pull`.
+    One direct elimination (`_minimal_cone`).  With a non-minimal end the
+    result is C(f)[-1] with f's unit block eliminated, a model that keeps
+    the units of d_X and d_Y and need not be minimal.
     """
-    if _has_unit(f.source) or _has_unit(f.target):
-        CC, u = cocone(f)
-        m = minimize(CC)
-        return m.complex, m.pull(u)
     return _minimal_cone(f, 0)
 
 
 def minimal_cone(f):
-    """(U, p) for f: X -> Y: U the minimal model of C(f) and p: Y -> U the push of the inclusion of Y.
+    """(U, p) for f: X -> Y between minimal complexes: U the minimal model of C(f), p: Y -> U the push of Y -> C(f).
 
-    With minimal ends, one direct elimination (`_minimal_cone`); otherwise
-    `minimize` of `cone(f)` and its `push`.
+    One direct elimination (`_minimal_cone`).  With a non-minimal end the
+    result is C(f) with f's unit block eliminated, a model that keeps the
+    units of d_X and d_Y and need not be minimal.
     """
-    if _has_unit(f.source) or _has_unit(f.target):
-        X, Y, C = f.source, f.target, cone(f)
-        alg = X.algebra
-        incl = {
-            n: PathMatrix.blocks(alg, (X.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
-            for n, vs in Y.components.items()
-        }
-        m = minimize(C)
-        return m.complex, m.push(ChainMap(Y, C, incl))
     return _minimal_cone(f, 1)
 
 
-def _has_unit(X):
-    """Whether some differential entry of X has a trivial-path term, that is, X is not minimal."""
-    return any(not p.arrows for d in X.differentials.values() for t in d.cells.values() for p in t)
+def is_minimal(X):
+    """Whether every differential entry of X lies in the radical: no term is a trivial path."""
+    return all(p.arrows for d in X.differentials.values() for t in d.cells.values() for p in t)
 
 
 def _minimal_cone(f, t):
     """`minimal_cone` (t = 1) or `minimal_cocone` (t = 0) of f: X -> Y between minimal complexes.
 
     The complex is C(f)[t - 1]: E^n = P^n (+) Q^n with P^n = X^{n+t} and
-    Q^n = Y^{n+t-1}, and d^n = (-1)^t [[-d_X, 0], [f, d_Y]], as `cone` and
-    `cocone` build it.  d_X and d_Y are radical, so every unit of d^n lies
-    in f's block; and a step at degree n only deletes rows of d^{n-1} and
-    columns of d^{n+1} (`minimize`).  So the pivots of each degree are
-    `_pivots` of f^{n+t} alone, all known before the first step, and every
-    kept summand has its final index up front, P^n's before Q^n's.  Each d^n
-    is written once in those indices from the blocks of d_X, f and d_Y: as
-    Delta - Gamma Phi^{-1} B (`_cancel`) where degree n has a step, the
-    blocks alone elsewhere; a pivot keeps its index in P^n or Q^{n+1}.  The
-    map is a selection, corrected where a step is by -Gamma Phi^{-1} (push)
-    or -Phi^{-1} B (pull), as `MinimizeResult` replays it.  No cone is built,
-    re-indexed or replayed, and every cell, term and dict order is the one
-    `minimize` of the built cone and its push or pull give.
+    Q^n = Y^{n+t-1}, and d^n = (-1)^(t-1) [[-d_X, 0], [f, d_Y]], the cone's
+    differential shifted by t - 1.  d_X and d_Y are radical, so every unit
+    of d^n lies in f's block; and a step at degree n only deletes rows of
+    d^{n-1} and columns of d^{n+1} (`minimize`).  So the pivots of each
+    degree are `_pivots` of f^{n+t} alone, all known before the first step,
+    and every kept summand has its final index up front, P^n's before
+    Q^n's.  Each d^n is written once in those indices from the blocks of
+    d_X, f and d_Y: as Delta - Gamma Phi^{-1} B (`_cancel`) where degree n
+    has a step, the blocks alone elsewhere; a pivot keeps its index in P^n
+    or Q^{n+1}.  The map is a selection, corrected where a step is by
+    -Gamma Phi^{-1} (push) or -Phi^{-1} B (pull), as `MinimizeResult`
+    replays it.  No cone is built, re-indexed or replayed, and every cell,
+    term and dict order is the one `minimize` of the cone built in full and
+    its push or pull would give.
     """
     X, Y, fc = f.source, f.target, f.components
     xc, yc, dX, dY, alg = X.components, Y.components, X.differentials, Y.differentials, X.algebra

@@ -46,7 +46,7 @@ from .complexes import (
     ChainMap,
     MinimizeResult,
     PathMatrix,
-    cone,
+    minimal_cone,
     minimize,
     subcomplex_on_indices,
     transform,
@@ -142,13 +142,16 @@ def _minimal_model(Z):
 def is_isomorphic(X, Y):
     """Decide X ~= Y in the homotopy category, with a verified witness.
 
-    A `True` verdict always carries a chain map X -> Y whose cone minimizes
-    to zero.  A `False` verdict is certified when the minimal graded vertex
-    multisets differ or no non-zero chain map joins the minimal models, and
-    flagged uncertified when only the randomized invertible-map search
-    failed.
+    A `True` verdict always carries a chain map X -> Y whose cone is
+    contractible: the witness is from_min o g o to_min for a chain map g
+    between the minimal models whose minimal cone (`minimal_cone`, one
+    direct elimination) is zero, and the homotopy equivalences on either
+    side leave the cone's homotopy type alone.  A `False` verdict is
+    certified when the minimal graded vertex multisets differ or no
+    non-zero chain map joins the minimal models, and flagged uncertified
+    when only the randomized invertible-map search failed.
     """
-    if X.algebra != Y.algebra:
+    if X.algebra is not Y.algebra and X.algebra != Y.algebra:
         raise DecomposeError("complexes over different algebras")
     mx, my = map(_minimal_model, (X, Y))
     if mx.complex.graded_multiset() != my.complex.graded_multiset():
@@ -159,14 +162,10 @@ def is_isomorphic(X, Y):
     hs = HomSpace(mx.complex, my.complex, 0)
     if not hs.cycle_basis:
         return IsoResult(False, certified=True)
-    to_min, from_min = mx.to_min, my.from_min  # each read replays the Gauss steps
     for v in _candidates(X.algebra.field, hs.cycle_basis, ISO_TRIALS, 5):
         g = ChainMap(mx.complex, my.complex, hs.fvars.from_vector(v))
-        if not _scalar_invertible_everywhere(g):
-            continue
-        witness = from_min.compose(g).compose(to_min)
-        if minimize(cone(witness)).complex.is_zero():
-            return IsoResult(True, witness=witness, certified=True)
+        if _scalar_invertible_everywhere(g) and minimal_cone(g)[0].is_zero():
+            return IsoResult(True, witness=my.from_min.compose(g).compose(mx.to_min), certified=True)
     return IsoResult(False, certified=False)
 
 
@@ -554,7 +553,8 @@ def group_isomorphic(parts):
     for X, m, certified, *tags in parts:
         key = _minimal_model(X).complex.graded_multiset()
         for c, c_key in zip(classes, keys):
-            if (c_key == key or c[0].algebra != X.algebra) and is_isomorphic(c[0], X).isomorphic:
+            alg = c[0].algebra
+            if (c_key == key or alg is not X.algebra and alg != X.algebra) and is_isomorphic(c[0], X).isomorphic:
                 c[1] += m
                 c[2] = c[2] and certified
                 break

@@ -418,24 +418,26 @@ def hom_dim_table(X, Y, lo=None, hi=None):
     return {k: 0 if hs is None else hs.dim for k, hs in hom_spaces(X, Y, lo, hi).items()}
 
 
-def s_search(M, T_list, scan=None):
-    """s = sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, and the spaces at s.
+def s_search(M, T_list, scan=None, below=None):
+    """s = sup{k >= 0 : Hom(M, T_i[k]) != 0 for some i}, k < `below` when given, and the spaces at s.
 
     Returns (s, spaces), with s None when there is no such k.  Each
     member's window is scanned downwards on one HomComplex, from its top
-    to the best k found so far (or to 0), never below the window's bottom,
-    and stops at the first non-zero Hom; a member with no shift to scan
-    builds no complex.  So every member whose window reaches s has
-    HomSpace(M, T_i, s) built on the way: `spaces` maps those indices i to
-    it.  The other members have Hom(M, T_i[s]) = 0.  `scan`, a
-    dict when given, receives every space built, by (i, k); when s is None
-    these are Hom(M, T_i[k]) for every k from max(0, wlo) to the top of
-    each window [wlo, whi], all zero.
+    (or from below - 1, when that is lower) to the best k found so far (or
+    to 0), never below the window's bottom, and stops at the first non-zero
+    Hom; a member with no shift to scan builds no complex.  So every member
+    whose window reaches s has HomSpace(M, T_i, s) built on the way:
+    `spaces` maps those indices i to it.  The other members have
+    Hom(M, T_i[s]) = 0.  `scan`, a dict when given, receives every space
+    built, by (i, k); when s is None these are Hom(M, T_i[k]) for every k
+    from max(0, wlo) to min(whi, below - 1) of each window [wlo, whi], all
+    zero, and no space at k >= `below` is among them.
     """
     best, built = None, {} if scan is None else scan
     for i, T in enumerate(T_list):
         wlo, whi = hom_window(M, T)
-        shifts = range(whi, max(wlo, 0 if best is None else best) - 1, -1)
+        top = whi if below is None else min(whi, below - 1)
+        shifts = range(top, max(wlo, 0 if best is None else best) - 1, -1)
         hom = HomComplex(M, T) if shifts else None
         for k in shifts:
             hs = built[i, k] = HomSpace(M, T, k, hom)

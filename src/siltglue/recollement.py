@@ -84,7 +84,7 @@ def j_lower_shriek(rec, X):
 
     Valid because no path leaves S, so e_w C e_v = e_w A e_v for v, w in S.
     """
-    if X.algebra != rec.C:
+    if X.algebra is not rec.C and X.algebra != rec.C:
         raise RecollementError("expected a complex over the corner algebra")
     for vs in X.components.values():
         for v in vs:
@@ -105,7 +105,7 @@ def i_star(rec, Y):
     The total complex is checked, since d^2 = 0 rests on the lift, and then
     minimized.
     """
-    if Y.algebra != rec.B:
+    if Y.algebra is not rec.B and Y.algebra != rec.B:
         raise RecollementError("expected a complex over the quotient algebra")
     A = rec.A
     if Y.is_zero():
@@ -143,7 +143,7 @@ def i_upper_star(rec, Z):
     Paths between complement vertices never touch S (arrows cannot re-exit),
     so the surviving differential entries are read in B verbatim.
     """
-    if Z.algebra != rec.A:
+    if Z.algebra is not rec.A and Z.algebra != rec.A:
         raise RecollementError("expected a complex over the ambient algebra")
     sset = set(rec.S)
     outside = {n: [i for i, v in enumerate(vs) if v not in sset] for n, vs in Z.components.items()}

@@ -4,7 +4,8 @@ import pytest
 
 from siltglue.fields import QQ
 from siltglue.quiver import Quiver
-from siltglue.complexes import PathMatrix, ProjComplex, cone, direct_sum, minimize, shift, transform
+from former import cone
+from siltglue.complexes import PathMatrix, ProjComplex, direct_sum, minimize, shift, transform
 from siltglue.decompose import _components
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace

@@ -1,5 +1,9 @@
 """Earlier forms of library routines, kept as oracles for their faster forms.
 
+- `cone` and `cocone` build the mapping cone C(f) and the cocone
+  CC(f) = C(f)[-1] with its projection onto X in full, as `complexes` did
+  before `approx._envelope` minimized a raw M at entry and every cone the
+  library takes became a direct elimination with minimal ends.
 - `former_cocone` builds CC(f) as C(f) shifted by -1, with the projection
   onto X, as `complexes.cocone` once did.
 - `former_generated` decides whether P_v lies in thick(T) by the envelope
@@ -11,6 +15,12 @@
   (`pull`) or the inclusion of Y (`push`), as `approx` did for every
   envelope stage and final cone before `complexes.minimal_cocone` and
   `minimal_cone` eliminated f's block directly when both ends are minimal.
+- `former_envelope` and `former_cosusp_precover` take the envelope and
+  the precover as `approx` did before it minimized a raw M at entry and
+  bounded each stage's s-search by the previous stage's s: every s-search
+  scans each window from its top and raises when s fails to decrease, and
+  every stage and the final cone take the full cone route
+  (`former_minimal_cocone`, `former_minimal_cone`) on the raw M itself.
 - `former_envelope_tail` rebuilds V and v_map of an envelope from its f:
   the cocone of f, minimized, and the pull of the cocone's projection.
   `approx._envelope` once ran this after its stages; it now reads V and
@@ -55,12 +65,82 @@
 
 import functools
 
-from siltglue.approx import Preenvelope, cosusp_precover, susp_envelope
-from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cocone, cone, minimize, shift, shift_map
+from siltglue.approx import (
+    ApproxError,
+    Preenvelope,
+    add_shift_preenvelope,
+    cosusp_precover,
+    indecomposable_refinement,
+    left_minimize,
+    susp_envelope,
+)
+from siltglue.complexes import (
+    ChainMap,
+    ComplexError,
+    PathMatrix,
+    ProjComplex,
+    minimize,
+    opposite_complex,
+    shift,
+    shift_map,
+)
 from siltglue.decompose import is_isomorphic
-from siltglue.homs import HomComplex, HomSpace
+from siltglue.homs import HomComplex, HomSpace, s_search
 from siltglue.linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref
-from siltglue.quiver import Path
+from siltglue.quiver import Path, build_algebra
+
+
+def cone(f):
+    """The mapping cone C(f) of f: X -> Y, the third object of the triangle X -> Y -> C(f)."""
+    X, Y = f.source, f.target
+    alg = X.algebra
+    comps = {}
+    for n in range(min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi) + 1):
+        vs = X.component(n + 1) + Y.component(n)
+        if vs:
+            comps[n] = vs
+    dX, dY, fc = X.differentials, Y.differentials, f.components
+    diffs = {}
+    for n in sorted({n - 1 for n in dX} | {n - 1 for n in fc} | set(dY)):
+        parts = {(0, 0): -dX[n + 1]} if n + 1 in dX else {}
+        if n + 1 in fc:
+            parts[1, 0] = fc[n + 1]
+        if n in dY:
+            parts[1, 1] = dY[n]
+        rows, cols = (X.component(n + 2), Y.component(n + 1)), (X.component(n + 1), Y.component(n))
+        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
+    return ProjComplex(alg, comps, diffs)
+
+
+def cocone(f):
+    """(CC(f), u) for f: X -> Y: the cocone CC(f) = C(f)[-1] and u: CC(f) -> X of the triangle CC(f) -> X -> Y.
+
+    Built in one pass: CC^n = X^n (+) Y^{n-1} with differential
+    [[d_X, 0], [-f, -d_Y]], one `PathMatrix.blocks` per degree, which is
+    C(f) shifted by -1 without negating d_X twice; u projects onto X^n.
+    """
+    X, Y = f.source, f.target
+    alg = X.algebra
+    comps = {}
+    for n in range(min(X.lo, Y.lo + 1), max(X.hi, Y.hi + 1) + 1):
+        vs = X.component(n) + Y.component(n - 1)
+        if vs:
+            comps[n] = vs
+    dX, dY, fc = X.differentials, Y.differentials, f.components
+    diffs = {}
+    for n in sorted(set(dX) | set(fc) | {n + 1 for n in dY}):
+        parts = {(0, 0): dX[n]} if n in dX else {}
+        if n in fc:
+            parts[1, 0] = -fc[n]
+        if n - 1 in dY:
+            parts[1, 1] = -dY[n - 1]
+        rows, cols = (X.component(n + 1), Y.component(n)), (X.component(n), Y.component(n - 1))
+        diffs[n] = PathMatrix.blocks(alg, rows, cols, parts)
+    CC = ProjComplex(alg, comps, diffs)
+    e, one = alg.trivial_path, alg.field.one
+    proj = {n: PathMatrix._of(alg, vs, vs + Y.component(n - 1), {(i, i): {e(v): one} for i, v in enumerate(vs)})
+            for n, vs in X.components.items()}
+    return CC, ChainMap(CC, X, proj)
 
 
 def former_cocone(f):
@@ -98,6 +178,35 @@ def former_generated(algebra, T_list, v):
     """Is P_v in thick(T)?  The precover of the envelope cocone of P_v (in degree 0) by T is zero."""
     env = susp_envelope(ProjComplex.stalk(algebra, v), T_list)
     return cosusp_precover(env.V, T_list).U.is_zero()
+
+
+def former_envelope(M, T_list):
+    """(f, U, V, v_map, trace) of the susp(T)-envelope triangle V -> M -> U, by the former route on M itself."""
+    T_list = indecomposable_refinement(T_list)
+    W, maps, trace, between = M, [], [], {}
+    while (found := s_search(W, T_list))[0] is not None:
+        s, spaces = found
+        if trace and s >= trace[-1][0]:
+            raise ApproxError(f"statistic failed to decrease: {s} >= {trace[-1][0]}")
+        pre = left_minimize(add_shift_preenvelope(W, T_list, s, spaces), between)
+        W, u = former_minimal_cocone(pre.f)
+        maps.append(u)
+        trace.append((s, tuple(sorted(ti for ti, _ in pre.copies))))
+    if not maps:
+        Mm = minimize(M)
+        U = ProjComplex.zero(M.algebra)
+        return ChainMap.zero(M, U), U, Mm.complex, Mm.from_min, trace
+    w = functools.reduce(ChainMap.compose, maps)
+    U, f = former_minimal_cone(ChainMap(W, M, {n: -m for n, m in w.components.items()}))
+    return f, U, W, w, trace
+
+
+def former_cosusp_precover(M, T_list):
+    """(V, U, trace) of the cosusp(T)-precover triangle V -> M -> U: `former_envelope` over A^op, read back."""
+    A = M.algebra
+    Aop = build_algebra(A.quiver.opposite(), A.field)
+    _f, U_op, V_op, _v, trace = former_envelope(opposite_complex(M, Aop), [opposite_complex(T, Aop) for T in T_list])
+    return opposite_complex(U_op, A), opposite_complex(V_op, A), [(-s, tags) for s, tags in trace]
 
 
 def former_envelope_tail(f):

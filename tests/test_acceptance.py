@@ -12,9 +12,10 @@ import time
 import pytest
 
 from conftest import random_complex, random_quiver, seeded_rng
+from former import cocone
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ProjComplex, cocone, direct_sum, minimize, shift
+from siltglue.complexes import ProjComplex, direct_sum, minimize, shift
 from siltglue.homs import HomSpace, hom_dim_table, hom_window, is_nonpositive, s_sup
 from siltglue.approx import (
     add_shift_preenvelope,

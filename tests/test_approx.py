@@ -1,10 +1,19 @@
 import itertools
 import json
+import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_complex, random_quiver, seeded_rng
-from former import former_envelope_tail, former_left_minimize
+from conftest import conjugated, random_complex, random_quiver, seeded_rng
+from former import (
+    cocone,
+    cone,
+    former_cosusp_precover,
+    former_envelope,
+    former_envelope_tail,
+    former_left_minimize,
+)
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
@@ -12,14 +21,14 @@ from siltglue import approx
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting
 from siltglue.recollement import i_star, j_lower_shriek
-from siltglue.serialize import chain_map_to_json, complex_to_json
+from siltglue.serialize import algebra_from_json, chain_map_to_json, complex_from_json, complex_to_json
 from siltglue.complexes import (
     ChainMap,
     ComplexError,
     PathMatrix,
-    cocone,
-    cone,
+    ProjComplex,
     direct_sum,
+    is_minimal,
     minimal_cone,
     minimize,
     opposite_complex,
@@ -695,3 +704,110 @@ def test_an_envelope_stopped_a_stage_early_fails_its_certificate(ka3, monkeypatc
         assert len(calls) == layers
         monkeypatch.setattr(approx, "_susp_envelope_stage", stage)
 
+
+def _raw(M, rng):
+    """M (+) C(id_P) for a seeded stalk P, conjugated by a seeded change of basis: M up to homotopy, not minimal."""
+    alg = M.algebra
+    P = ProjComplex.stalk(alg, rng.choice(alg.quiver.vertices), rng.randint(-1, 1))
+    raw = conjugated(direct_sum(M, cone(ChainMap.identity(P))), rng.randrange(10**6))
+    assert not is_minimal(raw)
+    return raw
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_no_stage_scans_at_or_above_the_previous_stage_s(field, monkeypatch):
+    """After the first, no stage of an envelope or precover builds a Hom(W, T_i[k]) with k at or above the
+    previous stage's s, where W's cocone triangle makes it zero for presilting T.
+
+    Over the envelopes of the gluing fixtures, the random sample's
+    instances and raw copies of their M, each also as a precover.
+    """
+    inputs = list(_envelope_inputs(field))
+    inputs += [(_raw(M, seeded_rng(4500 + i)), T) for i, (M, T) in enumerate(inputs[-12:])]
+    built = _recording_homspaces(monkeypatch)
+    stage, last, bounded = approx._susp_envelope_stage, [None, None], []
+
+    def spied(W, *rest):
+        mark = len(built)
+        out = stage(W, *rest)
+        if W is last[0]:  # a later stage of the same envelope
+            assert max((k for X, _Y, k in built[mark:] if X is W), default=-1) < last[1]
+            bounded.append(W)
+        last[:] = (out[1], out[0][0]) if out else (None, None)
+        return out
+
+    monkeypatch.setattr(approx, "_susp_envelope_stage", spied)
+    for M, T in inputs:
+        susp_envelope(M, T)
+        cosusp_precover(M, T)
+    assert len(bounded) >= 40
+
+
+def _raw_cases():
+    """(M, T) of the three envelope-mix inputs whose output presentation a raw M's minimization at entry changed:
+    seed 1 operations 19 (a precover) and 40, and seed 3 operation 70, all over Q."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "envelope_mix_raw.json")) as fh:
+        cases = json.load(fh)
+    for case in cases:
+        alg = algebra_from_json(case["algebra"])
+        yield complex_from_json(case["M"], alg), [complex_from_json(t, alg) for t in case["T"]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_a_raw_m_gives_the_former_routes_envelope_and_precover_up_to_isomorphism(field):
+    """For a non-minimal M, `susp_envelope` and `cosusp_precover` (M minimized once, at entry) give the trace of
+    the former route (full cones on M itself) and U and V isomorphic to its own.
+
+    Over raw copies of the random sample's M and, over Q, the three
+    envelope-mix inputs whose outputs this reshaped.
+    """
+    cases = [(_raw(M, rng), T) for rng, _alg, M, T in (_random_instance(4600 + seed, field) for seed in range(10))]
+    cases += list(_raw_cases()) if field == QQ else []
+    staged = 0
+    for M, T in cases:
+        assert not is_minimal(M)
+        env, (_f, U, V, _v, trace) = susp_envelope(M, T), former_envelope(M, T)
+        pre, (V_pre, U_pre, trace_pre) = cosusp_precover(M, T), former_cosusp_precover(M, T)
+        assert env.trace == trace and pre.trace == trace_pre
+        for new, old in ((env.U, U), (env.V, V), (pre.U, U_pre), (pre.V, V_pre)):
+            assert is_isomorphic(new, old).isomorphic
+        staged += bool(trace) + bool(trace_pre)
+    assert staged >= 12
+
+
+def _check_envelope_by_oracle(M, T, res):
+    """The envelope triangle V -> M -> U against independent computations."""
+    s = max((k for t in T for k in range(0, t.hi - M.lo + 1) if oracle_hom_dim(M, t, k)), default=None)
+    assert res.s == s and res.certificates == {"cocone_orthogonal": True}
+    assert all(k >= 0 for k, _tags in res.trace)
+    for t in T:
+        for k in range(0, t.hi - res.V.lo + 1):
+            assert oracle_hom_dim(res.V, t, k) == 0
+    km, kv, ku = _k0(M), _k0(res.V), _k0(res.U)
+    assert all(km.get(v, 0) == kv.get(v, 0) + ku.get(v, 0) for v in set(km) | set(kv) | set(ku))
+    assert HomSpace(res.V, res.U, 0).is_null_homotopic(res.f.compose(res.v_map))
+    assert is_isomorphic(minimize(cone(res.v_map)).complex, res.U).isomorphic
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([QQ, PrimeField(5)]), st.booleans())
+def test_on_a_t_that_is_not_presilting_an_envelope_raises_or_is_certified(seed, field, raw):
+    """With no statistic guard, a T with Hom(T_i, T_j[k]) != 0 for some k >= 1 either fails the orthogonality
+    certificate (ApproxError) or gives a triangle that the oracle confirms, as envelope and as precover."""
+    rng = seeded_rng(seed)
+    alg = build_algebra(random_quiver(rng, max_vertices=4), field)
+    M = random_complex(alg, rng, steps=2, max_width=4)
+    T = next((T for T in ([random_complex(alg, rng, steps=1, max_width=3) for _ in range(rng.randint(1, 2))]
+                          for _ in range(20)) if not is_nonpositive(T)[0]), None)
+    assume(T is not None)
+    M = _raw(M, rng) if raw else M
+    try:
+        res = susp_envelope(M, T)
+    except ApproxError as e:
+        assert "envelope cocone not orthogonal" in str(e)
+    else:
+        _check_envelope_by_oracle(M, T, res)
+    try:
+        _check_precover_by_oracle(M, T)
+    except ApproxError as e:
+        assert "precover cone not orthogonal" in str(e)

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from conftest import conjugated, random_complex, random_quiver, seeded_rng
+import former
 from former import (
+    cocone,
+    cone,
     former_cancel,
     former_cocone,
     former_invert,
@@ -23,11 +26,11 @@ from siltglue.complexes import (
     ChainMap,
     ComplexError,
     PathMatrix,
-    cocone,
-    cone,
     direct_sum,
     direct_sum_many,
     make_complex,
+    minimal_cocone,
+    minimal_cone,
     minimize,
     shift,
     shift_map,
@@ -37,6 +40,7 @@ from siltglue.complexes import (
     ProjComplex,
     _pivots,
 )
+from siltglue.decompose import is_isomorphic
 from siltglue.homs import HomSpace
 from siltglue.serialize import chain_map_to_json, complex_to_json
 from verifiers import cone_projection, reference_pivots
@@ -506,8 +510,9 @@ def _produced_matrices(field):
         Z = cone(f)
         m = minimize(Z)
         CC, u = cocone(f)
-        maps = [f, m.to_min, m.from_min, m.to_min.compose(m.from_min), u, f - f, f.scale(field.zero), f.compose(u)]
-        complexes = [X, Y, shift(X, 1), shift(Y, -1), Z, m.complex, direct_sum(Z, X), CC, cone(f - f)]
+        (E, p), (D, q) = minimal_cone(f), minimal_cocone(f)
+        maps = [f, m.to_min, m.from_min, m.to_min.compose(m.from_min), u, f - f, f.scale(field.zero), f.compose(u), p, q]
+        complexes = [X, Y, shift(X, 1), shift(Y, -1), Z, m.complex, direct_sum(Z, X), CC, cone(f - f), E, D]
         mats = [d for C in complexes for d in C.differentials.values()]
         mats += [c for g in maps for c in g.components.values()]
         yield from ((a, True) for a in mats)
@@ -676,10 +681,10 @@ def _random_chain_maps(field, seed, count):
 def test_cocone_is_the_shifted_cone_built_in_one_pass(field, monkeypatch):
     """The direct cocone equals C(f)[-1] and its projection, down to the order of every dict; it builds no cone and no shift."""
     maps = _random_chain_maps(field, 61, 30)
-    former = [former_cocone(f) for f in maps]
-    monkeypatch.setattr(complexes, "cone", lambda f: pytest.fail("cocone built a cone"))
-    monkeypatch.setattr(complexes, "shift", lambda X, k: pytest.fail("cocone built a shift"))
-    for f, (CC_old, u_old) in zip(maps, former):
+    old = [former_cocone(f) for f in maps]
+    monkeypatch.setattr(former, "cone", lambda f: pytest.fail("cocone built a cone"))
+    monkeypatch.setattr(former, "shift", lambda X, k: pytest.fail("cocone built a shift"))
+    for f, (CC_old, u_old) in zip(maps, old):
         CC, u = cocone(f)
         assert CC == CC_old and _complex_layout(CC) == _complex_layout(CC_old)
         assert u.source is CC and _map_layout(u) == _map_layout(u_old)
@@ -717,23 +722,29 @@ def _envelope_maps(field, monkeypatch):
     return calls
 
 
+def _minimal_ends(f):
+    return complexes.is_minimal(f.source) and complexes.is_minimal(f.target)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_minimal_cone_and_cocone_match_the_minimized_full_cone(field, monkeypatch):
     """`minimal_cocone` and `minimal_cone` equal `minimize` of the full cocone or cone with its pull or push.
 
     Equal by ==, by serialized JSON and down to the order of every dict, on
     maps between minimal complexes (one direct elimination), zero maps and
-    maps from or to the zero complex among them, maps with one end that is
-    not minimal (the full cone), and the map of every envelope stage and
-    final cone of the glued fixtures.
+    maps from or to the zero complex among them, and the map of every
+    envelope stage and final cone of the glued fixtures, whose ends are all
+    minimal.
     """
     formers = {"minimal_cocone": former_minimal_cocone, "minimal_cone": former_minimal_cone}
-    random_maps = _random_chain_maps(field, 67, 40) + _one_end_not_minimal(field, 71, 30)
+    random_maps = [f for f in _random_chain_maps(field, 67, 40) if _minimal_ends(f)]
     for f in random_maps[:6]:
         zero = ProjComplex.zero(f.source.algebra)
         random_maps += [ChainMap.zero(f.source, f.target), ChainMap.zero(zero, f.target), ChainMap.zero(f.source, zero)]
-    cases = [(name, f) for f in random_maps for name in formers] + _envelope_maps(field, monkeypatch)
-    direct = built = cancelled = 0
+    envelope_maps = _envelope_maps(field, monkeypatch)
+    assert all(_minimal_ends(f) for _name, f in envelope_maps)
+    cases = [(name, f) for f in random_maps for name in formers] + envelope_maps
+    cancelled = 0
     for name, f in cases:
         (E, g), (E_old, g_old) = getattr(complexes, name)(f), formers[name](f)
         assert E == E_old and _complex_layout(E) == _complex_layout(E_old)
@@ -742,12 +753,28 @@ def test_minimal_cone_and_cocone_match_the_minimized_full_cone(field, monkeypatc
         assert _map_layout(g) == _map_layout(g_old)
         assert json.dumps(chain_map_to_json(g)) == json.dumps(chain_map_to_json(g_old))
         assert (g.source if name == "minimal_cocone" else g.target) is E
-        minimal = not (complexes._has_unit(f.source) or complexes._has_unit(f.target))
-        direct += minimal
-        built += not minimal and (complexes._has_unit(f.source) != complexes._has_unit(f.target))
-        cancelled += minimal and E.summand_count() < f.source.summand_count() + f.target.summand_count()
-    assert direct >= 50 and built >= 50 and cancelled >= 40
-    assert len(cases) - 2 * len(random_maps) >= 12  # the fixtures' stages and final cones
+        cancelled += E.summand_count() < f.source.summand_count() + f.target.summand_count()
+    assert len(random_maps) >= 35 and cancelled >= 40
+    assert len(envelope_maps) >= 12  # the fixtures' stages and final cones
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_map_with_a_non_minimal_end_takes_its_cone_on_the_minimal_models(field):
+    """For f with a non-minimal end, the map g = to_min o f o from_min between the minimal models of its ends
+    has a minimal cone and cocone isomorphic to `minimize` of f's full cone and cocone; f itself gets C(f) or
+    CC(f) with f's unit block eliminated, whose minimal model is that one too."""
+    maps = [f for f in _random_chain_maps(field, 67, 40) if not _minimal_ends(f)] + _one_end_not_minimal(field, 71, 30)
+    for f in maps:
+        g = minimize(f.target).to_min.compose(f).compose(minimize(f.source).from_min)
+        for name, former_route in (("minimal_cocone", former_minimal_cocone), ("minimal_cone", former_minimal_cone)):
+            E_old = former_route(f)[0]
+            E, h = getattr(complexes, name)(g)
+            assert complexes.is_minimal(E) and is_isomorphic(E, E_old).isomorphic
+            E_f, h_f = getattr(complexes, name)(f)
+            h.check_chain_condition()
+            h_f.check_chain_condition()
+            assert is_isomorphic(minimize(E_f).complex, E_old).isomorphic
+    assert len(maps) >= 40
 
 
 def _random_square_matrix(alg, rng):

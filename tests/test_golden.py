@@ -23,9 +23,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from former import cone
 from siltglue import serialize
 from siltglue.cli import main
-from siltglue.complexes import ChainMap, cone, direct_sum, shift
+from siltglue.complexes import ChainMap, direct_sum, shift
 from siltglue.fixtures import glue_fixtures, write_fixture_files
 from siltglue.gluing import canonical_corner_silting
 from siltglue.homs import HomSpace

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_quiver, seeded_rng
-from former import FormerHomSpace, former_reps
+from former import FormerHomSpace, cone, former_reps
 from oracle import oracle_delta, oracle_hom_dim
 from test_recollement import _parallel_routes
 from verifiers import boundary
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
-from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, cone, direct_sum, shift
+from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, direct_sum, shift
 from siltglue.fixtures import ka3_algebra
 from siltglue.linalg import Matrix, extend_rref, row_space_rref, solve, sparse_rank
 from siltglue import homs

@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import random_complex, seeded_rng
-from former import trivial_coefficient
+from former import cone, trivial_coefficient
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import ka3_algebra, linear_an, star_quiver
 from siltglue.quiver import Quiver, build_algebra
-from siltglue.complexes import ProjComplex, cone, direct_sum, minimize, shift
+from siltglue.complexes import ProjComplex, direct_sum, minimize, shift
 from siltglue.homs import HomSpace, hom_dim_table
 from siltglue.recollement import (
     RecollementError,

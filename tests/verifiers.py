@@ -6,8 +6,9 @@ into the library.  The benchmark's oracle lives apart, in `oracle.py`.
 
 from fractions import Fraction
 
+from former import cone
 from siltglue.approx import add_shift_preenvelope, left_minimize
-from siltglue.complexes import ChainMap, PathMatrix, cone, minimize, shift
+from siltglue.complexes import ChainMap, PathMatrix, minimize, shift
 from siltglue.homs import HomSpace, s_sup
 from siltglue.linalg import Matrix, in_row_space, kernel_basis, row_space_rref, solve
 
