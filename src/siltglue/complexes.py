@@ -33,11 +33,14 @@ reported maps of an envelope or precover (`approx`), on the representatives
 that `hom --reps` prints, and on the presilting witness in the certificates
 of `glue` and `check-silting`.
 
-`minimize` runs its Gauss steps on one table of cells in the source's own
-indices, re-indexed once at the end; with nothing to cancel it is the identity.
-`minimal_cone` and `minimal_cocone` give the minimal model of C(f) or CC(f)
-with its map from Y or to X, for f between minimal complexes: one direct
-elimination of f's unit block, in final indices, with no cone built.  A
+Minimal models come from one Gaussian elimination, `_eliminate`: with every
+step's pivots known up front, each kept summand gets its final index and
+each differential is written once.  `minimize` runs it on X's own cells;
+with nothing to cancel the model is X itself.  `minimal_cone` and
+`minimal_cocone` give the minimal model of C(f) or CC(f) with its map from
+Y or to X, for f between minimal complexes: the same elimination on cells
+read off d_X, f and d_Y, with no cone built.  The maps come from the same
+two builders as `to_min` and `from_min` (`_projection`, `_inclusion`).  A
 caller whose map has a non-minimal end minimizes that end first, as
 `approx._envelope` does with a raw M.
 """
@@ -579,133 +582,66 @@ def direct_sum_many(algebra, complexes):
 
 
 class MinimizeResult:
-    """Minimal model of `source`, with the Gauss steps that reached it.
+    """Minimal model of `source`, with the Gauss steps that reached it (`_eliminate`).
 
-    Each step is `(n, rows, cols, Gamma Phi^{-1}, Phi^{-1}, B)` in the
-    source's summand indices, Gamma Phi^{-1} as cells and Phi^{-1} and B by
-    rows {row: [(column, terms)]}; `index` maps each degree that lost a
-    summand to {source index: index in `complex`}.  `push` and `pull` replay
-    the steps on the given map's cells and re-index once; with no step,
-    `complex` is `source` itself and they return the given components.
+    `at` maps each degree of `source` to {index: index in `complex`} of its
+    kept summands, and `steps` each degree n with a step to
+    (Gamma Phi^{-1}, Phi^{-1}, B), as `_eliminate` records them.  With no
+    step, `complex` is `source` itself and both maps are its identity.
     """
 
-    __slots__ = ("complex", "source", "steps", "index")
+    __slots__ = ("complex", "source", "at", "steps")
 
-    def __init__(self, complex, source, steps, index):
-        self.complex, self.source, self.steps, self.index = complex, source, steps, index
-
-    def push(self, g):
-        """to_min o g, for a chain map g into `source`: p^{n+1} = [-Gamma Phi^{-1} | 1] at each step."""
-        if g.target is not self.source and g.target != self.source:
-            raise ComplexError("composition endpoint mismatch")
-        alg, comps = self.source.algebra, {n: m.cells for n, m in g.components.items()}
-        for n, rows, _cols, gamma_phi_inv, _phi_inv, _beta in self.steps:
-            if n + 1 in comps:
-                pivot, kept, lines = set(rows), {}, {}
-                for (i, j), t in comps[n + 1].items():
-                    if i in pivot:
-                        lines.setdefault(i, []).append((j, t))
-                    else:
-                        kept[i, j] = t
-                prod = PathMatrix._product(alg, gamma_phi_inv, lines)
-                comps[n + 1] = PathMatrix._add_into(alg.field, kept, prod, True)
-        return ChainMap(g.source, self.complex, self._onto(g, comps, 0))
-
-    def pull(self, h):
-        """h o from_min, for a chain map h out of `source`: i^n = [-Phi^{-1} B ; 1] at each step."""
-        if h.source is not self.source and h.source != self.source:
-            raise ComplexError("composition endpoint mismatch")
-        alg, comps = self.source.algebra, {n: m.cells for n, m in h.components.items()}
-        for n, _rows, _cols, _gamma_phi_inv, phi_inv, beta in self.steps:
-            if n in comps:
-                pivot, kept = {}, {}
-                for (i, j), t in comps[n].items():
-                    (pivot if j in phi_inv else kept)[i, j] = t
-                prod = PathMatrix._product(alg, self._times_inverse(alg, pivot, phi_inv), beta)
-                comps[n] = PathMatrix._add_into(alg.field, kept, prod, True)
-        return ChainMap(self.complex, h.target, self._onto(h, comps, 1))
-
-    def _onto(self, f, comps, axis):
-        """f's components from `comps`, in source indices on the rows (axis 0) or columns, onto `complex`."""
-        out = dict(f.components)
-        for n, idx in self.index.items():
-            if n in comps:
-                m, vs = out[n], self.complex.component(n)
-                shape, maps = ((m.row_vertices, vs), (None, idx)) if axis else ((vs, m.col_vertices), (idx, None))
-                out[n] = PathMatrix._of(m.algebra, *shape, self._renumber(comps[n], *maps))
-        return out
-
-    @staticmethod
-    def _after(X, done, gone):
-        """The model of X that the steps `done`, each (new cells of d^n, step), leave once `gone` is cancelled."""
-        table = {step[0]: cells for cells, step in done}
-        index = {n: {i: k for k, i in enumerate(i for i in range(len(X.component(n))) if i not in g)}
-                 for n, g in gone.items()}
-        comps = {n: tuple(vs[i] for i in index[n]) if n in index else vs for n, vs in X.components.items()}
-        diffs = dict(X.differentials)
-        for n in (index.keys() | {n - 1 for n in index}) & diffs.keys():  # the d^n next to a degree that lost one
-            cells = MinimizeResult._renumber(table.get(n, diffs[n].cells), index.get(n + 1), index.get(n))
-            diffs[n] = PathMatrix._of(X.algebra, comps[n + 1], comps[n], cells)
-        return MinimizeResult(ProjComplex(X.algebra, comps, diffs), X, [step for _, step in done], index)
-
-    @staticmethod
-    def _renumber(cells, rmap, cmap):
-        """The cells whose row is in `rmap` and column in `cmap`, renumbered by them; None keeps every index."""
-        return {(i if rmap is None else rmap[i], j if cmap is None else cmap[j]): t for (i, j), t in cells.items()
-                if (rmap is None or i in rmap) and (cmap is None or j in cmap)}
-
-    @staticmethod
-    def _times_inverse(alg, left, phi_inv):
-        """The cells of left Phi^{-1}.  Phi^{-1} with one single-term cell per row is monomial (invertible, so
-        each term is a trivial path): it renames columns and scales, keeping the terms at coefficient one."""
-        if not all(len(line) == 1 and len(line[0][1]) == 1 for line in phi_inv.values()):
-            return PathMatrix._product(alg, left, phi_inv)
-        one, mul, out = alg.field.one, alg.field.mul, {}
-        for (i, k), t in left.items():
-            [(j, unit)] = phi_inv[k]
-            [c] = unit.values()
-            out[i, j] = t if c == one else {p: mul(x, c) for p, x in t.items()}
-        return out
+    def __init__(self, complex, source, at, steps):
+        self.complex, self.source, self.at, self.steps = complex, source, at, steps
 
     @property
     def to_min(self):
-        """The projection source -> complex, built on each read."""
-        return self.push(ChainMap.identity(self.source))
+        """The projection source -> complex, built on each read (`_projection`)."""
+        X, Y, steps = self.source, self.complex, self.steps
+        if not steps:
+            return ChainMap.identity(X)
+        return ChainMap(X, Y, {n: _projection(X.algebra, vs, 0, self.at[n], steps.get(n - 1), Y.component(n))
+                               for n, vs in X.components.items()})
 
     @property
     def from_min(self):
-        """The inclusion complex -> source, built on each read."""
-        return self.pull(ChainMap.identity(self.source))
+        """The inclusion complex -> source, built on each read (`_inclusion`)."""
+        X, Y, steps = self.source, self.complex, self.steps
+        if not steps:
+            return ChainMap.identity(X)
+        return ChainMap(Y, X, {n: _inclusion(X.algebra, vs, 0, self.at[n], steps.get(n), Y.component(n))
+                               for n, vs in X.components.items()})
 
 
 def minimize(X):
     """Strip unit differential entries by exact Gaussian cancellation.
 
     Returns a MinimizeResult whose complex has all differential entries in
-    the radical (no trivial-path coefficients); its `push` and `pull` apply
-    mutually inverse-up-to-homotopy chain maps in both directions.  Degrees
-    are taken in increasing order, with one block step per degree
-    (`_cancel`): cancelling at degree n only deletes rows of d^{n-1} and
-    columns of d^{n+1}, so no lower degree regains a unit entry.  The steps
-    share one table, each d^n as its cells in X's indices (X's own until a
-    step writes it); only the degrees that lost a summand are re-indexed.
-    The cone or cocone of a map between minimal complexes needs no table:
-    `minimal_cone` and `minimal_cocone` eliminate the map's block directly,
-    and `approx._envelope` minimizes a raw M once, at entry, so that every
-    cone and cocone it takes has minimal ends.
+    the radical (no trivial-path coefficients), with `to_min` and
+    `from_min`, mutually inverse-up-to-homotopy chain maps in both
+    directions.  One block step per degree: the pivots of d^n are `_pivots`
+    of X's own d^n, the columns that the step at n - 1 cancels left out.  A
+    step at degree n only deletes rows of d^{n-1} and columns of d^{n+1}, so
+    taking degrees in increasing order finds every pivot before the first
+    step, and no lower degree regains a unit entry; one `_eliminate` on X's
+    cells then writes the model.  The cone or cocone of a map between
+    minimal complexes is not minimized: `minimal_cone` and `minimal_cocone`
+    run the same elimination on its cells, and `approx._envelope` minimizes
+    a raw M once, at entry, so that every cone and cocone it takes has
+    minimal ends.
     """
-    done, gone = [], {}  # (cells of the new d^n, step) per step, and the summands cancelled so far
+    pivots, fld = {}, X.algebra.field
     for n in sorted(X.differentials):
-        cells, src, tgt = X.differentials[n].cells, X.component(n), X.component(n + 1)
-        rows, cols = _pivots(X.algebra.field, cells, len(src), gone.get(n, ()))  # a step at n - 1 marks columns gone
+        skip = pivots[n - 1][0] if n - 1 in pivots else ()  # the step at n - 1 cancels these columns of d^n
+        rows, cols = _pivots(fld, X.differentials[n].cells, len(X.component(n)), skip)
         if rows:
-            skip = gone.setdefault(n, set())
-            blocks = _split(cells, rows, cols, skip)
-            new, gamma_phi_inv, phi_inv = _cancel(X.algebra, tgt, src, rows, cols, *blocks)
-            skip.update(cols)
-            gone.setdefault(n + 1, set()).update(rows)
-            done.append((new, (n, rows, cols, gamma_phi_inv, phi_inv, blocks[2])))
-    return MinimizeResult._after(X, done, gone) if done else MinimizeResult(X, X, done, gone)
+            pivots[n] = rows, cols
+    if not pivots:
+        return MinimizeResult(X, X, {}, {})
+    cells = {n: d.cells.items() for n, d in X.differentials.items()}
+    E, at, steps = _eliminate(X.algebra, X.components, cells, pivots)
+    return MinimizeResult(E, X, at, steps)
 
 
 def _pivots(fld, cells, width, skip=()):
@@ -738,28 +674,51 @@ def _pivots(fld, cells, width, skip=()):
     return taken, at
 
 
-def _split(cells, rows, cols, skip):
-    """The blocks of d^n = [[Phi, B], [Gamma, Delta]], pivots first, from its cells in one pass.
+def _eliminate(alg, comps, cells, pivots):
+    """The complex that a Gauss step at each degree of `pivots` leaves of the complex with components `comps`.
 
-    Phi's cells are at their positions in `rows` and `cols`, Gamma and
-    Delta keep d^n's indices, B is by rows {row: [(column, terms)]}; the
-    columns in `skip` are left out.
+    `cells` maps each degree n of a differential to its cells ((i, j),
+    terms), read once, and `pivots` each degree n with a step to its rows
+    and columns of d^n, an invertible block Phi of unit entries, none of
+    its columns a row of the step at n - 1.  A step at n
+    only deletes rows of d^{n-1} and columns of d^{n+1}, so every kept
+    summand has its final index up front, in its degree's order, and each
+    d^n is written once in those indices: as Delta - Gamma Phi^{-1} B
+    (`_cancel`) where degree n has a step, Delta alone elsewhere, with a
+    row or column that a step cancels left out.  Returns the complex, `at`
+    mapping each degree to {index: final index} of its kept summands, and
+    {n: (Gamma Phi^{-1}, Phi^{-1}, B)} per step: Gamma Phi^{-1} with its rows
+    final, B by rows {pivot row: [(final column, terms)]}, and every pivot
+    at its index in `comps`.  The maps to and from the model are
+    selections, corrected after or at a step (`_projection`, `_inclusion`).
     """
-    rpos, cpos = dict(zip(rows, count())), dict(zip(cols, count()))
-    phi, gamma, beta, delta = {}, {}, {}, {}
-    for (i, j), t in cells.items():
-        if j in cpos:
-            if i in rpos:
-                phi[rpos[i], cpos[j]] = t
-            else:
-                gamma[i, j] = t
-        elif j in skip:
-            continue
-        elif i in rpos:
-            beta.setdefault(i, []).append((j, t))
-        else:
-            delta[i, j] = t
-    return phi, gamma, beta, delta
+    at, kept, none = {}, {}, ((), ())
+    for n, vs in comps.items():
+        gone = set(pivots.get(n, none)[1]).union(pivots.get(n - 1, none)[0])
+        keep = [i for i in range(len(vs)) if i not in gone]
+        at[n], kept[n] = dict(zip(keep, count())), tuple(map(vs.__getitem__, keep))
+    diffs, steps = {}, {}
+    for n, ds in cells.items():
+        rmap, cmap, (rows, cols) = at.get(n + 1, {}), at.get(n, {}), pivots.get(n, none)
+        rpos, cpos = dict(zip(rows, count())), dict(zip(cols, count()))
+        phi, gamma, beta, delta = {}, {}, {}, {}  # d^n = [[Phi, B], [Gamma, Delta]], pivots first
+        for (i, j), t in ds:
+            if j in cpos:
+                if i in rpos:
+                    phi[rpos[i], cpos[j]] = t
+                elif i in rmap:
+                    gamma[rmap[i], j] = t
+            elif j not in cmap:
+                continue
+            elif i in rpos:
+                beta.setdefault(i, []).append((cmap[j], t))
+            elif i in rmap:
+                delta[rmap[i], cmap[j]] = t
+        if rows:
+            delta, gamma_phi_inv, phi_inv = _cancel(alg, comps[n + 1], comps[n], rows, cols, phi, gamma, beta, delta)
+            steps[n] = gamma_phi_inv, phi_inv, beta
+        diffs[n] = PathMatrix._of(alg, kept.get(n + 1, ()), kept[n], delta)
+    return ProjComplex(alg, kept, diffs), at, steps
 
 
 def _cancel(alg, tgt, src, rows, cols, phi, gamma, beta, delta):
@@ -770,31 +729,71 @@ def _cancel(alg, tgt, src, rows, cols, phi, gamma, beta, delta):
     chain maps p: X -> Y and i: Y -> X are selections except
     p^{n+1} = [-Gamma Phi^{-1} | 1] and i^n = [-Phi^{-1} B ; 1]; the chain
     condition forces both, p o i = id and i o p is homotopic to the identity.
+    Phi^{-1} with one single-term cell per row is monomial (invertible, so
+    each term is a trivial path): Gamma Phi^{-1} renames Gamma's columns
+    and scales, keeping the terms at coefficient one.
     """
     block, phi_inv = PathMatrix._of(alg, tuple(tgt[r] for r in rows), tuple(src[c] for c in cols), phi), {}
     for (b, a), t in block.invert().cells.items():
         phi_inv.setdefault(cols[b], []).append((rows[a], t))
-    gamma_phi_inv = MinimizeResult._times_inverse(alg, gamma, phi_inv)
+    if all(len(line) == 1 and len(line[0][1]) == 1 for line in phi_inv.values()):
+        one, mul, gamma_phi_inv = alg.field.one, alg.field.mul, {}
+        for (i, k), t in gamma.items():
+            [(j, unit)] = phi_inv[k]
+            [c] = unit.values()
+            gamma_phi_inv[i, j] = t if c == one else {p: mul(x, c) for p, x in t.items()}
+    else:
+        gamma_phi_inv = PathMatrix._product(alg, gamma, phi_inv)
     new = PathMatrix._add_into(alg.field, delta, PathMatrix._product(alg, gamma_phi_inv, beta), True)
     return new, gamma_phi_inv, phi_inv
 
 
-def minimal_cocone(f):
-    """(V, u) for f: X -> Y between minimal complexes: V the minimal model of CC(f), u: V -> X the pull of CC(f) -> X.
+def _projection(alg, vs, lo, at, step, target):
+    """The component of `to_min` at a degree, on its summands `vs` from index `lo` on, into `target`.
 
-    One direct elimination (`_minimal_cone`).  With a non-minimal end the
-    result is C(f)[-1] with f's unit block eliminated, a model that keeps
-    the units of d_X and d_Y and need not be minimal.
+    A selection of the kept summands (`at`), less Gamma Phi^{-1} where the
+    degree below has a `step`, whose pivot rows lie among `vs`.
+    """
+    e, one, neg = alg.trivial_path, alg.field.one, alg.field.neg
+    cells = {(at[i], i - lo): {e(v): one} for i, v in enumerate(vs, lo) if i in at}
+    if step:
+        for (k, r), t in step[0].items():
+            cells[k, r - lo] = {p: neg(c) for p, c in t.items()}
+    return PathMatrix._of(alg, target, vs, cells)
+
+
+def _inclusion(alg, vs, lo, at, step, source):
+    """The component of `from_min` at a degree, from `source`, on its summands `vs` from index `lo` on.
+
+    A selection of the kept summands (`at`), less Phi^{-1} B where the
+    degree has a `step`, whose pivot columns lie among `vs`.
+    """
+    e, one, neg = alg.trivial_path, alg.field.one, alg.field.neg
+    cells = {(i - lo, at[i]): {e(v): one} for i, v in enumerate(vs, lo) if i in at}
+    if step:
+        _gamma_phi_inv, phi_inv, beta = step
+        lines = {(c, r): t for c in sorted(phi_inv) for r, t in phi_inv[c]}
+        for (c, k), t in PathMatrix._product(alg, lines, beta).items():
+            cells[c - lo, k] = {p: neg(x) for p, x in t.items()}
+    return PathMatrix._of(alg, vs, source, cells)
+
+
+def minimal_cocone(f):
+    """(V, u) for f: X -> Y between minimal complexes: V the minimal model of CC(f), u: V -> X its map onto X.
+
+    One elimination of f's unit block (`_minimal_cone`).  With a
+    non-minimal end the result is C(f)[-1] with f's unit block eliminated,
+    a model that keeps the units of d_X and d_Y and need not be minimal.
     """
     return _minimal_cone(f, 0)
 
 
 def minimal_cone(f):
-    """(U, p) for f: X -> Y between minimal complexes: U the minimal model of C(f), p: Y -> U the push of Y -> C(f).
+    """(U, p) for f: X -> Y between minimal complexes: U the minimal model of C(f), p: Y -> U its map out of Y.
 
-    One direct elimination (`_minimal_cone`).  With a non-minimal end the
-    result is C(f) with f's unit block eliminated, a model that keeps the
-    units of d_X and d_Y and need not be minimal.
+    One elimination of f's unit block (`_minimal_cone`).  With a
+    non-minimal end the result is C(f) with f's unit block eliminated, a
+    model that keeps the units of d_X and d_Y and need not be minimal.
     """
     return _minimal_cone(f, 1)
 
@@ -808,83 +807,43 @@ def _minimal_cone(f, t):
     """`minimal_cone` (t = 1) or `minimal_cocone` (t = 0) of f: X -> Y between minimal complexes.
 
     The complex is C(f)[t - 1]: E^n = P^n (+) Q^n with P^n = X^{n+t} and
-    Q^n = Y^{n+t-1}, and d^n = (-1)^(t-1) [[-d_X, 0], [f, d_Y]], the cone's
-    differential shifted by t - 1.  d_X and d_Y are radical, so every unit
-    of d^n lies in f's block; and a step at degree n only deletes rows of
-    d^{n-1} and columns of d^{n+1} (`minimize`).  So the pivots of each
-    degree are `_pivots` of f^{n+t} alone, all known before the first step,
-    and every kept summand has its final index up front, P^n's before
-    Q^n's.  Each d^n is written once in those indices from the blocks of
-    d_X, f and d_Y: as Delta - Gamma Phi^{-1} B (`_cancel`) where degree n
-    has a step, the blocks alone elsewhere; a pivot keeps its index in P^n
-    or Q^{n+1}.  The map is a selection, corrected where a step is by
-    -Gamma Phi^{-1} (push) or -Phi^{-1} B (pull), as `MinimizeResult`
-    replays it.  No cone is built, re-indexed or replayed, and every cell,
-    term and dict order is the one `minimize` of the cone built in full and
-    its push or pull would give.
+    Q^n = Y^{n+t-1}, Q's summands after P's, and d^n = (-1)^(t-1)
+    [[-d_X, 0], [f, d_Y]], the cone's differential shifted by t - 1.  d_X
+    and d_Y are radical, so every unit of d^n lies in f's block, and the
+    pivots of each degree are `_pivots` of f^{n+t} alone.  `_eliminate`
+    runs on d^n's cells read off d_X, f and d_Y (`_cone_cells`), and the
+    map is the restriction of the model's `to_min` to Q (t = 1, out of Y)
+    or of its `from_min` to P (t = 0, onto X).  No cone is built, and every
+    cell, term and dict order is the one `minimize` of the cone built in
+    full would give, with its `to_min` after Y's inclusion or its
+    `from_min` before the projection onto X.
     """
-    X, Y, fc = f.source, f.target, f.components
-    xc, yc, dX, dY, alg = X.components, Y.components, X.differentials, Y.differentials, X.algebra
-    fld, e, one, none = alg.field, alg.trivial_path, alg.field.one, ((), ())
-    pivots = {}  # degree n of E -> (rows in Q^{n+1}, columns in P^n)
+    X, Y, fc, alg = f.source, f.target, f.components, f.source.algebra
+    xc, yc = X.components, Y.components
+    pivots = {}
     for n, m in fc.items():
-        rows, cols = _pivots(fld, m.cells, len(xc[n]))
+        rows, cols = _pivots(alg.field, m.cells, len(xc[n]))
         if rows:
-            pivots[n - t] = rows, cols
-    at, comps = {}, {}  # final index of each kept summand of P^n and of Q^n; the components of E
-    for n in sorted({n - t for n in xc} | {n + 1 - t for n in yc}):
-        p_vs, q_vs = xc.get(n + t, ()), yc.get(n + t - 1, ())
-        p_keep = [i for i in range(len(p_vs)) if i not in pivots[n][1]] if n in pivots else range(len(p_vs))
-        q_keep = [i for i in range(len(q_vs)) if i not in pivots[n - 1][0]] if n - 1 in pivots else range(len(q_vs))
-        at[n] = dict(zip(p_keep, count())), dict(zip(q_keep, count(len(p_keep))))
-        if p_keep or q_keep:
-            comps[n] = tuple(map(p_vs.__getitem__, p_keep)) + tuple(map(q_vs.__getitem__, q_keep))
-    diffs, steps, empty, neg = {}, {}, {}, fld.neg
-    for n in sorted({n - t for n in dX} | {n - t for n in fc} | {n + 1 - t for n in dY}):
-        (cp, cq), (rp, rq), (rows, cols) = at.get(n, none), at.get(n + 1, none), pivots.get(n, none)
-        rpos, cpos = dict(zip(rows, count())), dict(zip(cols, count()))
-        phi, gamma, beta, delta = {}, {}, {}, {}  # d^n's blocks, as `_split` sorts the cone's cells
-        # (-1)^t (-d_X), (-1)^t f and (-1)^t d_Y: a pivot row or column is a key of rpos or cpos, any other
-        # is kept at its final index, or left out when it has none
-        for ms, k, rmap, cmap, rpiv, cpiv, negate in ((dX, n + t, rp, cp, empty, cpos, t),
-                                                       (fc, n + t, rq, cp, rpos, cpos, not t),
-                                                       (dY, n + t - 1, rq, cq, rpos, empty, not t)):
-            for (i, j), terms in ms[k].cells.items() if k in ms else ():
-                if negate:
-                    terms = {p: neg(c) for p, c in terms.items()}
-                if j in cpiv:
-                    if i in rpiv:
-                        phi[rpiv[i], cpiv[j]] = terms
-                    elif i in rmap:
-                        gamma[rmap[i], j] = terms
-                elif j not in cmap:
-                    continue
-                elif i in rpiv:
-                    beta.setdefault(i, []).append((cmap[j], terms))
-                elif i in rmap:
-                    delta[rmap[i], cmap[j]] = terms
-        if rows:
-            delta, gamma_phi_inv, phi_inv = _cancel(alg, yc[n + t], xc[n + t], rows, cols, phi, gamma, beta, delta)
-            steps[n] = gamma_phi_inv, phi_inv, beta
-        if delta:
-            diffs[n] = PathMatrix._of(alg, comps.get(n + 1, ()), comps.get(n, ()), delta)
-    E, out = ProjComplex(alg, comps, diffs), {}
-    if t:  # the push of Y = Q's inclusion: [-Gamma Phi^{-1} | 1] in the degree after a step
-        for n, vs in yc.items():
-            cells = {(k, i): {e(vs[i]): one} for i, k in at[n][1].items()}
-            if n - 1 in steps:
-                lines = {r: [(r, {e(vs[r]): one})] for r in pivots[n - 1][0]}
-                cells = PathMatrix._add_into(fld, cells, PathMatrix._product(alg, steps[n - 1][0], lines), True)
-            out[n] = PathMatrix._of(alg, comps.get(n, ()), vs, cells)
-        return E, ChainMap(Y, E, out)
-    for n, vs in xc.items():  # the pull of the projection onto X = P: [-Phi^{-1} B ; 1] at a step
-        cells = {(i, k): {e(vs[i]): one} for i, k in at[n][0].items()}
-        if n in steps:
-            _gamma_phi_inv, phi_inv, beta = steps[n]
-            pivot = MinimizeResult._times_inverse(alg, {(c, c): {e(vs[c]): one} for c in sorted(pivots[n][1])}, phi_inv)
-            cells = PathMatrix._add_into(fld, cells, PathMatrix._product(alg, pivot, beta), True)
-        out[n] = PathMatrix._of(alg, vs, comps.get(n, ()), cells)
-    return E, ChainMap(E, X, out)
+            off = len(xc.get(n + 1, ()))  # f^n's rows are Q^{n+1-t}, after P^{n+1-t} = X^{n+1}
+            pivots[n - t] = [off + r for r in rows], cols
+    comps = {n: xc.get(n + t, ()) + yc.get(n + t - 1, ())
+             for n in sorted({n - t for n in xc} | {n + 1 - t for n in yc})}
+    degrees = sorted({n - t for n in X.differentials} | {n - t for n in fc} | {n + 1 - t for n in Y.differentials})
+    E, at, steps = _eliminate(alg, comps, {n: _cone_cells(f, t, n) for n in degrees}, pivots)
+    if t:
+        return E, ChainMap(Y, E, {n: _projection(alg, vs, len(xc.get(n + 1, ())), at[n], steps.get(n - 1),
+                                                 E.component(n)) for n, vs in yc.items()})
+    return E, ChainMap(E, X, {n: _inclusion(alg, vs, 0, at[n], steps.get(n), E.component(n)) for n, vs in xc.items()})
+
+
+def _cone_cells(f, t, n):
+    """The cells of d^n of C(f)[t - 1] (`_minimal_cone`), block by block: (-1)^(t-1) times -d_X, f and d_Y."""
+    X, Y, neg = f.source, f.target, f.source.algebra.field.neg
+    rq, cq = len(X.component(n + 1 + t)), len(X.component(n + t))  # where Q^{n+1} and Q^n start
+    for ms, k, di, dj, negate in ((X.differentials, n + t, 0, 0, t), (f.components, n + t, rq, 0, not t),
+                                  (Y.differentials, n + t - 1, rq, cq, not t)):
+        for (i, j), terms in ms[k].cells.items() if k in ms else ():
+            yield (i + di, j + dj), {p: neg(c) for p, c in terms.items()} if negate else terms
 
 
 def transform(X, change):

@@ -136,7 +136,7 @@ def _candidates(fld, basis, tries, bound):
 
 def _minimal_model(Z):
     """`minimize(Z)`; a complex with no differential is its own minimal model."""
-    return minimize(Z) if Z.differentials else MinimizeResult(Z, Z, [], {})
+    return minimize(Z) if Z.differentials else MinimizeResult(Z, Z, {}, {})
 
 
 def is_isomorphic(X, Y):

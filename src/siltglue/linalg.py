@@ -88,11 +88,6 @@ def rank(mat):
     return len(_rref_rows(mat.field, mat.data, reduced=False)[1])
 
 
-def sparse_rank(field, entries):
-    """The rank of a matrix given by its entries: the number of `independent_columns`."""
-    return len(independent_columns(field, entries))
-
-
 def independent_columns(field, entries):
     """Columns that form a basis of the column space of a matrix given by its
     entries [(row, col, value)], each position at most once and each value

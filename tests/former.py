@@ -11,10 +11,12 @@
   `gluing.check_generation` did before one envelope of P_v in the lowest
   degree of T decided it.
 - `former_minimal_cocone` and `former_minimal_cone` build CC(f) or C(f) in
-  full, `minimize` it and replay the steps on the projection onto X
-  (`pull`) or the inclusion of Y (`push`), as `approx` did for every
-  envelope stage and final cone before `complexes.minimal_cocone` and
-  `minimal_cone` eliminated f's block directly when both ends are minimal.
+  full, minimize it by `former_minimize` and replay its steps on the
+  projection onto X (`pull`) or the inclusion of Y (`push`), as `approx`
+  did for every envelope stage and final cone before
+  `complexes.minimal_cocone` and `minimal_cone` eliminated f's block
+  directly when both ends are minimal; they share no code with the
+  library's elimination.
 - `former_envelope` and `former_cosusp_precover` take the envelope and
   the precover as `approx` did before it minimized a raw M at entry and
   bounded each stage's s-search by the previous stage's s: every s-search
@@ -36,8 +38,10 @@
 - `former_minimize` cancels one unit block per degree by slicing the
   differentials with `submatrix` and building a `ProjComplex` after every
   step, with pivots from a running RREF of every unit row, and replays the
-  steps in `push` and `pull` by slicing again, as `complexes.minimize` did
-  before it ran on one cell table in the source's own indices.
+  steps on any map in `push` and `pull` by slicing again, as
+  `complexes.minimize` did before it ran on one cell table and, later,
+  wrote each differential once in final indices with `to_min` and
+  `from_min` built directly.
 - `radical_part` and `trivial_coefficient` are the radical part of a path
   matrix and the trivial-path coefficient of an algebra element, once
   methods of `PathMatrix` and `AlgebraElement` that only the tests called.
@@ -158,7 +162,7 @@ def former_cocone(f):
 def former_minimal_cocone(f):
     """(V, u): the minimal model of CC(f), built in full, and the pull of its projection onto X."""
     CC, u = cocone(f)
-    m = minimize(CC)
+    m = former_minimize(CC)
     return m.complex, m.pull(u)
 
 
@@ -170,7 +174,7 @@ def former_minimal_cone(f):
         n: PathMatrix.blocks(alg, (X.component(n + 1), vs), (vs,), {(1, 0): PathMatrix.identity(alg, vs)})
         for n, vs in Y.components.items()
     }
-    m = minimize(C)
+    m = former_minimize(C)
     return m.complex, m.push(ChainMap(Y, C, incl))
 
 

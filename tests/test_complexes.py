@@ -266,56 +266,36 @@ def test_minimize_is_a_homotopy_equivalence_onto_a_minimal_complex(field):
             assert dh == diff.component(n)
 
 
-def _full_maps(m):
-    """to_min and from_min as products of every Gauss step's own chain maps.
+def _full_maps(old):
+    """to_min and from_min as products of every Gauss step's own chain maps, from `former_minimize`'s steps.
 
-    Each step (n, rows, cols, Gamma Phi^-1, Phi^-1, B) is in the source's
-    indices and keeps no complex, so the complex before it is carried
-    along: Y is `former_cancel`'s result on it, at the positions that
-    `rows` and `cols` have among the summands still there, and the step's
-    blocks are read off at those positions.  Its p: X -> Y and i: Y -> X
-    are whole chain maps, checked on construction, composed up step by
-    step; this is the reference for `push` and `pull`.
+    Each step (n, rows, keep_src, keep_tgt, Gamma Phi^-1, (cols, Phi^-1, B))
+    is in the indices of the complex before it, which is carried along: Y
+    is `former_cancel`'s result on it.  Its p: X -> Y and i: Y -> X are
+    whole chain maps, selections except p^{n+1} = [-Gamma Phi^-1 | 1] and
+    i^n = [-Phi^-1 B ; 1], each checked for the chain condition and
+    composed up step by step; this is the reference for `to_min` and
+    `from_min`.
     """
-    alg = m.source.algebra
-    p_total = i_total = ChainMap.identity(m.source)
-    prev = m.source
-    alive = {n: list(range(len(vs))) for n, vs in prev.components.items()}
-
-    def block(lines, rpos, cpos, rv, cv):
-        cells = {(rpos[i], cpos[j]): t for i, line in lines.items() for j, t in line}
-        return PathMatrix._of(alg, tuple(rv), tuple(cv), cells)
-
-    for n, rows, cols, gamma_phi_inv, phi_inv, beta in m.steps:
-        src, tgt = alive[n], alive[n + 1]
-        at_rows, at_cols = [tgt.index(r) for r in rows], [src.index(c) for c in cols]
-        keep_src = [k for k in range(len(src)) if k not in at_cols]
-        keep_tgt = [k for k in range(len(tgt)) if k not in at_rows]
-        Y = former_cancel(prev, n, at_rows, at_cols)[0]
-        vs_src, vs_tgt = prev.component(n), prev.component(n + 1)
-        by_row = {}
-        for (i, r), t in gamma_phi_inv.items():
-            by_row.setdefault(i, []).append((r, t))
-        pos_keep_src = {src[k]: b for b, k in enumerate(keep_src)}
-        pos_keep_tgt = {tgt[k]: a for a, k in enumerate(keep_tgt)}
-        pos_rows, pos_cols = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
-        rows_v, cols_v = [vs_tgt[k] for k in at_rows], [vs_src[k] for k in at_cols]
-        gpi = block(by_row, pos_keep_tgt, pos_rows, Y.component(n + 1), rows_v)
-        phi_inv_beta = block(phi_inv, pos_cols, pos_rows, cols_v, rows_v).compose(
-            block(beta, pos_rows, pos_keep_src, rows_v, Y.component(n)))
-        id_src, id_tgt = PathMatrix.identity(alg, vs_src), PathMatrix.identity(alg, vs_tgt)
+    alg = old.source.algebra
+    p_total = i_total = ChainMap.identity(old.source)
+    prev = old.source
+    for n, rows, keep_src, keep_tgt, gamma_phi_inv, (cols, phi_inv, beta) in old.steps:
+        Y = former_cancel(prev, n, rows, cols)[0]
+        id_src, id_tgt = PathMatrix.identity(alg, prev.component(n)), PathMatrix.identity(alg, prev.component(n + 1))
         all_src, all_tgt = range(id_src.rows), range(id_tgt.rows)
         p = {k: PathMatrix.identity(alg, vs) for k, vs in prev.components.items()}
         i = dict(p)
         p[n] = id_src.submatrix(keep_src, all_src)
-        p[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gpi.compose(id_tgt.submatrix(at_rows, all_tgt))
-        i[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, at_cols).compose(phi_inv_beta)
+        p[n + 1] = id_tgt.submatrix(keep_tgt, all_tgt) - gamma_phi_inv.compose(id_tgt.submatrix(rows, all_tgt))
+        i[n] = id_src.submatrix(all_src, keep_src) - id_src.submatrix(all_src, cols).compose(phi_inv).compose(beta)
         i[n + 1] = id_tgt.submatrix(all_tgt, keep_tgt)
-        p_total = ChainMap(prev, Y, p).compose(p_total)
-        i_total = i_total.compose(ChainMap(Y, prev, i))
-        alive[n], alive[n + 1] = [src[k] for k in keep_src], [tgt[k] for k in keep_tgt]
+        p, i = ChainMap(prev, Y, p), ChainMap(Y, prev, i)
+        p.check_chain_condition()
+        i.check_chain_condition()
+        p_total, i_total = p.compose(p_total), i_total.compose(i)
         prev = Y
-    assert prev == m.complex
+    assert prev == old.complex
     return p_total, i_total
 
 
@@ -327,23 +307,16 @@ def _same_map(f, g):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
-def test_minimize_push_pull_match_full_maps(field):
-    inputs = _unminimized_inputs(field)
-    checked = 0
-    for X in inputs:
-        m = minimize(X)
-        to_min, from_min = _full_maps(m)
+def test_minimize_maps_match_full_maps(field):
+    """to_min and from_min equal the products of every former Gauss step's own chain maps."""
+    steps = 0
+    for X in _unminimized_inputs(field):
+        m, old = minimize(X), former_minimize(X)
+        to_min, from_min = _full_maps(old)
         assert _same_map(m.to_min, to_min)
         assert _same_map(m.from_min, from_min)
-        # W: the first input over the same algebra, so X itself for the first
-        W = next(Z for Z in inputs if Z.algebra is X.algebra)
-        for g in HomSpace(W, X, 0).basis_maps():
-            assert _same_map(m.push(g), to_min.compose(g))
-            checked += 1
-        for h in HomSpace(X, W, 0).basis_maps():
-            assert _same_map(m.pull(h), h.compose(from_min))
-            checked += 1
-    assert checked
+        steps += len(old.steps)
+    assert steps >= 10
 
 
 def test_minimal_model_entries_in_radical():
@@ -728,7 +701,8 @@ def _minimal_ends(f):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_minimal_cone_and_cocone_match_the_minimized_full_cone(field, monkeypatch):
-    """`minimal_cocone` and `minimal_cone` equal `minimize` of the full cocone or cone with its pull or push.
+    """`minimal_cocone` and `minimal_cone` equal `former_minimize` of the full cocone or cone with its pull or push,
+    which share no code with the library's elimination.
 
     Equal by ==, by serialized JSON and down to the order of every dict, on
     maps between minimal complexes (one direct elimination), zero maps and
@@ -761,7 +735,7 @@ def test_minimal_cone_and_cocone_match_the_minimized_full_cone(field, monkeypatc
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_a_map_with_a_non_minimal_end_takes_its_cone_on_the_minimal_models(field):
     """For f with a non-minimal end, the map g = to_min o f o from_min between the minimal models of its ends
-    has a minimal cone and cocone isomorphic to `minimize` of f's full cone and cocone; f itself gets C(f) or
+    has a minimal cone and cocone isomorphic to `former_minimize` of f's full cone and cocone; f itself gets C(f) or
     CC(f) with f's unit block eliminated, whose minimal model is that one too."""
     maps = [f for f in _random_chain_maps(field, 67, 40) if not _minimal_ends(f)] + _one_end_not_minimal(field, 71, 30)
     for f in maps:
@@ -993,7 +967,7 @@ def _gauss_cases(field):
 def _phi_inv_kinds(steps):
     """(monomial with a coefficient other than one, monomial, radical part) for each step's Phi^-1."""
     out = set()
-    for _n, _rows, _cols, _gpi, phi_inv, _beta in steps:
+    for _gpi, phi_inv, _beta in steps.values():
         terms = [t for line in phi_inv.values() for _, t in line]
         monomial = all(len(line) == 1 for line in phi_inv.values()) and all(len(t) == 1 for t in terms)
         ones = all(c == 1 for t in terms for c in t.values())
@@ -1003,21 +977,19 @@ def _phi_inv_kinds(steps):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_minimize_matches_the_former_gauss_steps(field):
-    """The cell-table `minimize` gives the complex, push and pull of the former one, which slices the
-    differentials at every step, down to stored order and scalar representation.  Each map into or out
-    of the complex is checked, and so are to_min and from_min."""
+    """`minimize`, one elimination in final indices, gives the complex, to_min and from_min of the former
+    one, which slices the differentials at every step and replays the steps on the identity, down to
+    stored order and scalar representation."""
     kinds, skipped = set(), 0
     for X in _gauss_cases(field):
         m, old = minimize(X), former_minimize(X)
         assert m.complex == old.complex and _complex_layout(m.complex) == _complex_layout(old.complex)
-        maps = [(m.to_min, old.to_min), (m.from_min, old.from_min)]
-        for g in HomSpace(X, X, 0).basis_maps()[:4]:
-            maps += [(m.push(g), old.push(g)), (m.pull(g), old.pull(g))]
-        for new, former in maps:
+        for new, former in ((m.to_min, old.to_min), (m.from_min, old.from_min)):
             assert new.source == former.source and new.target == former.target
             assert new.components == former.components and _map_layout(new) == _map_layout(former)
         kinds |= _phi_inv_kinds(m.steps)
-        for n, rows, *_ in m.steps:  # a unit of d^(n+1) in a column the step at n cancels
+        for n, (_gpi, phi_inv, _beta) in m.steps.items():  # a unit of d^(n+1) in a column the step at n cancels
+            rows = {r for line in phi_inv.values() for r, _ in line}
             d = X.differentials.get(n + 1)
             skipped += d is not None and any(j in rows and any(not p.arrows for p in t) for (_, j), t in d.cells.items())
     assert {(True, True, False), (False, True, False), (False, False, True), (False, False, False)} <= kinds
@@ -1025,12 +997,11 @@ def test_minimize_matches_the_former_gauss_steps(field):
 
 
 def test_a_minimal_complex_is_its_own_minimal_model(ka3):
-    """With no unit entry there is no step: the model is the complex itself, and push and pull hand back
-    the given map's own components."""
+    """With no unit entry there is no step: the model is the complex itself, and to_min and from_min are its
+    identity."""
     for X in (ka3["I2"], ka3["S2"], direct_sum(ka3["I2"], shift(ka3["S2"], 1)), ka3["P"]["1"]):
         m = minimize(X)
-        assert m.steps == [] and m.complex is X
-        for g in [ChainMap.identity(X), *HomSpace(X, X, 0).basis_maps()]:
-            pushed, pulled = m.push(g), m.pull(g)
-            assert pushed.target is X and pulled.source is X
-            assert all(pushed.components[n] is c and pulled.components[n] is c for n, c in g.components.items())
+        assert m.steps == {} and m.complex is X
+        for f in (m.to_min, m.from_min):
+            assert f.source is X and f.target is X
+            assert f.components == ChainMap.identity(X).components
