@@ -17,7 +17,7 @@ from .complexes import ComplexError, ProjComplex, minimize
 from .homs import hom_spaces, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement
-from .gluing import GlueError, certify_set, glue, glue_shortcut
+from .gluing import GlueError, canonical_corner_silting, certify_set, glue
 from .decompose import DecomposeError, decompose
 from . import serialize, fixtures
 
@@ -245,12 +245,12 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut):
         alg = serialize.load_algebra(algebra_file)
         rec = idempotent_recollement(alg, [v.strip() for v in e_list.split(",") if v.strip()])
         T_B = _load_complexes(tb_files, algebra=rec.B)
-        T_C = None if shortcut else _load_complexes(tc_files, algebra=rec.C)
+        T_C = [canonical_corner_silting(rec)] if shortcut else _load_complexes(tc_files, algebra=rec.C)
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
         probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
-        cert = glue_shortcut(rec, T_B, probes=probes) if shortcut else glue(rec, T_C, T_B, probes=probes)
+        cert = glue(rec, T_C, T_B, probes=probes)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {
@@ -285,7 +285,7 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut):
 @click.option("--e", "e_list", required=True)
 @click.option("--tc", "tc_files", multiple=True, help="T_C complex files (over the corner)")
 @click.option("--tb", "tb_files", multiple=True, help="T_B complex files (over the quotient)")
-@click.option("--shortcut", is_flag=True, help="use the canonical-corner shortcut")
+@click.option("--shortcut", is_flag=True, help="take T_C = the corner algebra, in place of --tc")
 def glue_cmd(algebra_file, e_list, tc_files, tb_files, shortcut):
     """Glue silting sets along the idempotent recollement at --e."""
     if not shortcut and not tc_files:
@@ -300,7 +300,7 @@ def check_silting(t_files):
     try:
         T = _load_complexes(t_files)
         for t in T[1:]:
-            if t.algebra != T[0].algebra:
+            if t.algebra is not T[0].algebra and t.algebra != T[0].algebra:
                 raise serialize.SerializeError("complexes over different algebras")
     except INPUT_ERRORS as exc:
         _fail_input(exc)

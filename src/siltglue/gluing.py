@@ -6,10 +6,12 @@ T~_Y replaces it, and T = j_!(T_C) together with the T~_Y is the glued set.
 Every certificate is re-derivable from raw Hom computations.
 """
 
+from itertools import count
+
 from .fields import QQ
-from .complexes import ProjComplex, direct_sum_many, minimize, shift, subcomplex_on_indices
+from .complexes import ChainMap, ProjComplex, _inclusion, _projection, direct_sum_many, shift, subcomplex_on_indices
 from .homs import is_nonpositive, nonzero_homs
-from .approx import susp_envelope
+from .approx import EnvelopeResult, susp_envelope
 from .recollement import i_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, summand_order
 from .linalg import Matrix, det, rank
@@ -23,9 +25,10 @@ class GlueCertificate:
     """The glued set with its verification reports.
 
     `T` is the list of glued complexes over A (j_! images first, then the
-    modified T~_Y); `triangles` records, per T_Y, the envelope triangle
-    T~_Y -> i_*T_Y -> U (the shifted third term U[1]).  `reports` and
-    `decomposition` are filled in by `_certify`.
+    non-zero T~_Y), and `tildes` every T~_Y, one per T_Y; `triangles`
+    records, per T_Y, the envelope triangle T~_Y -> i_*T_Y -> U (the
+    shifted third term U[1]).  `reports` and `decomposition` are filled in
+    by `_certify`.
     """
 
     __slots__ = (
@@ -220,39 +223,62 @@ def _require_nonpositive(name, T_list):
         raise GlueError(f"{name} is not non-positive: Hom(T_{w[0]}, T_{w[1]}[{w[2]}]) != 0")
 
 
+def _corner_split(rec, T_C, M):
+    """The envelope triangle V -> M -> U of M = i_*T_Y by j_!T_C[1], read off M's summands; None where it may not be.
+
+    It is read when T_C's members are stalk sums in degree 0 that hold
+    each vertex of S once, so add(j_!T_C) = add(P_v, v in S), and M's
+    S-summands lie in degrees <= -1.  No arrow leaves S, so M's complement
+    summands span a subcomplex V, its S-summands form the quotient U, in
+    susp(j_!T_C[1]), and Hom(V, P_v[k]) = 0 already on chains.  Such a
+    triangle is unique up to isomorphism: it is the one `susp_envelope`
+    builds, with M, V and U minimal, v_map the inclusion and f the
+    projection, chain-checked as there.  The trace has a layer (-n-1,
+    sorted tags of U's degree-n summands) per degree n of U, outermost
+    first, the tag of P_v being its index among the members' stalks, each
+    member's in vertex order as `decompose` sorts them.  The envelope's
+    orthogonality certificate is condition (ii) of `check_star_condition`,
+    which `_certify` re-derives for every T~_Y.
+    """
+    corner = [v for t in T_C for v in sorted(t.components.get(0, ()))]
+    if any(n != 0 for t in T_C for n in t.components) or sorted(corner) != sorted(rec.S):
+        return None
+    tags = {v: i for i, v in enumerate(corner)}
+    keep = {n: [i for i, v in enumerate(vs) if v not in tags] for n, vs in M.components.items()}
+    quotient = {n: [i for i, v in enumerate(vs) if v in tags] for n, vs in M.components.items()}
+    if any(n >= 0 and idx for n, idx in quotient.items()):
+        return None
+    V, U, alg = subcomplex_on_indices(M, keep), subcomplex_on_indices(M, quotient), M.algebra
+    v_map = ChainMap(V, M, {n: _inclusion(alg, vs, 0, dict(zip(keep[n], count())), None, V.component(n))
+                            for n, vs in M.components.items()})
+    f = ChainMap(M, U, {n: _projection(alg, vs, 0, dict(zip(quotient[n], count())), None, U.component(n))
+                        for n, vs in M.components.items()})
+    f.check_chain_condition()
+    v_map.check_chain_condition()
+    trace = [(-n - 1, tuple(sorted(tags[v] for v in U.components[n]))) for n in sorted(U.components)]
+    return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
+
+
 def glue(rec, T_C, T_B, probes=None, decompose_result=True):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
     quotient algebra.  Raises GlueError with a witness when an input set is
-    not non-positive.  Every randomized search (the splitting and
-    isomorphism tests of the envelope, the reports and the final
+    not non-positive.  Each i_*T_Y takes its envelope triangle from
+    `_corner_split` where that applies, and from `susp_envelope` otherwise;
+    a zero T~_Y is left out of T.  Every randomized search (the splitting
+    and isomorphism tests of the envelope, the reports and the final
     decomposition) draws from the one fixed stream of `decompose`.
     """
     _require_nonpositive("T_C", T_C)
     _require_nonpositive("T_B", T_B)
     jT = [j_lower_shriek(rec, t) for t in T_C]
     env_targets = [shift(t, 1) for t in jT]
-    iT = []
-    tildes = []
-    triangles = []
-    for T_Y in T_B:
-        M = i_star(rec, T_Y)
-        iT.append(M)
-        env = susp_envelope(M, env_targets)
-        tildes.append(env.V)
-        triangles.append(
-            {
-                "V": env.V,
-                "M": M,
-                "U": env.U,
-                "f": env.f,
-                "v_map": env.v_map,
-                "s": env.s,
-                "trace": env.trace,
-            }
-        )
-    T = jT + tildes
+    iT = [i_star(rec, T_Y) for T_Y in T_B]
+    envs = [_corner_split(rec, T_C, M) or susp_envelope(M, env_targets) for M in iT]
+    tildes = [env.V for env in envs]
+    triangles = [{k: getattr(env, k) for k in ("V", "M", "U", "f", "v_map", "s", "trace")} for env in envs]
+    T = jT + [t for t in tildes if not t.is_zero()]
     return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), probes, decompose_result)
 
 
@@ -277,39 +303,3 @@ def canonical_corner_silting(rec):
     return direct_sum_many(
         rec.C, [ProjComplex.stalk(rec.C, v) for v in rec.C.quiver.vertices]
     )
-
-
-def glue_shortcut(rec, T_B, probes=None, decompose_result=True):
-    """Shortcut for canonical T_C = {C}: split minimize(i_*(+)T_B) directly.
-
-    Requires every T_B component in degrees <= 0 after minimization; the
-    complement-vertex summands of P := minimize(i_* (+) T_B) form a
-    subcomplex T~ (no path leaves S), and the S-vertex summands are the
-    quotient U[1].
-    """
-    _require_nonpositive("T_B", T_B)
-    for t in T_B:
-        tm = minimize(t).complex
-        if not tm.is_zero() and tm.hi > 0:
-            raise GlueError("shortcut requires T_B concentrated in degrees <= 0")
-    T_C = [canonical_corner_silting(rec)]
-    jT = [j_lower_shriek(rec, T_C[0])]
-    if T_B:
-        total_B = direct_sum_many(rec.B, T_B)
-        P = i_star(rec, total_B)
-    else:
-        P = ProjComplex.zero(rec.A)
-    sset = set(rec.S)
-    idx_comp = {n: [i for i, v in enumerate(vs) if v not in sset] for n, vs in P.components.items()}
-    idx_s = {n: [i for i, v in enumerate(vs) if v in sset] for n, vs in P.components.items()}
-    tilde = subcomplex_on_indices(P, idx_comp)
-    U1 = subcomplex_on_indices(P, idx_s)
-    tildes = [] if tilde.is_zero() and not T_B else [tilde]
-    iT = [P] if T_B else []
-    triangles = (
-        []
-        if not T_B
-        else [{"V": tilde, "M": P, "U": U1, "f": None, "v_map": None, "s": None, "trace": [(0, ())]}]
-    )
-    T = jT + [t for t in tildes if not t.is_zero()]
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), probes, decompose_result)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from siltglue import gluing
 from siltglue.fields import QQ
 from siltglue.quiver import Quiver
 from former import cone
@@ -62,6 +63,13 @@ def random_complex(alg, rng, steps=2, max_width=4, shift_range=2):
         if max(len(vs) for vs in X.components.values()) >= max_width:
             break
     return X
+
+
+def glue_by_envelope(rec, T_C, T_B):
+    """`gluing.glue` with `_corner_split` declining, so that every T~_Y comes from `susp_envelope`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing, "_corner_split", lambda *args: None)
+        return gluing.glue(rec, T_C, T_B)
 
 
 def seeded_rng(seed):

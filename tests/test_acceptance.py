@@ -2,7 +2,7 @@
 
 Each test exercises one externally visible guarantee: the worked small
 example, the staged envelope triangle, the intermediate-extension fixtures,
-the statistic, shortcut agreement, randomized envelope properties, the
+the statistic, corner-split agreement, randomized envelope properties, the
 independent Hom oracle, co-aisle probe agreement, and the silting
 certificates on every shipped fixture.
 """
@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import random_complex, random_quiver, seeded_rng
+from conftest import glue_by_envelope, random_complex, random_quiver, seeded_rng
 from former import cocone
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
@@ -29,7 +29,7 @@ from siltglue.fixtures import (
     glue_fixtures,
     ka3_named_complexes,
 )
-from siltglue.gluing import canonical_corner_silting, check_co_aisle_agreement, glue, glue_shortcut
+from siltglue.gluing import canonical_corner_silting, check_co_aisle_agreement, glue
 from siltglue.recollement import i_star, idempotent_recollement
 from oracle import oracle_hom_dim
 from verifiers import check_left_minimality, factors_through
@@ -128,7 +128,7 @@ def test_statistic_value(ka3):
     assert s_sup(M, [shift(ka3["P"]["3"], 1)]) == 1
 
 
-# 5: shortcut agreement across the fixture matrix
+# 5: the corner split (the former shortcut) agrees with the envelope across the fixture matrix
 
 
 def test_shortcut_add_equivalent_on_all_fixtures():
@@ -136,8 +136,8 @@ def test_shortcut_add_equivalent_on_all_fixtures():
     assert len(fixtures) >= 5
     start = time.monotonic()
     for name, rec, T_B in fixtures:
-        cert = glue(rec, [canonical_corner_silting(rec)], T_B)
-        short = glue_shortcut(rec, T_B)
+        cert = glue_by_envelope(rec, [canonical_corner_silting(rec)], T_B)
+        short = glue(rec, [canonical_corner_silting(rec)], T_B)
         assert cert.passed and short.passed, name
         assert _same_classes(cert.decomposition, short.decomposition), name
     assert time.monotonic() - start < 30.0

@@ -224,14 +224,27 @@ def test_glue_end_to_end(fx):
     assert "T decomposes as" in res.stderr
 
 
-def test_glue_shortcut_matches(fx):
-    full = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"])
-    quick = run("glue", fx["algebra"], "--e", "3", "--shortcut", "--tb", fx["tb"])
-    assert quick.exit_code == 0
-    a = json.loads(full.stdout)["decomposition"]
-    b = json.loads(quick.stdout)["decomposition"]
-    key = lambda d: json.dumps(d["complex"], sort_keys=True)
-    assert sorted(map(key, a)) == sorted(map(key, b))
+def test_shortcut_flag_glues_as_the_canonical_tc(fx):
+    """`--shortcut` takes T_C = the corner algebra: the output is that of `--tc` with its file, one T~ per `--tb`."""
+    for tb in ([fx["tb"]], [fx["tb"], fx["tb"]]):
+        tbs = [arg for path in tb for arg in ("--tb", path)]
+        full = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], *tbs)
+        quick = run("glue", fx["algebra"], "--e", "3", "--shortcut", *tbs)
+        assert quick.exit_code == 0
+        assert (quick.stdout, quick.stderr) == (full.stdout, full.stderr)
+        assert len(json.loads(quick.stdout)["T"]) == 1 + len(tb)
+
+
+def test_glue_leaves_a_zero_tilde_out_of_the_glued_set(fx, tmp_path):
+    """A zero `--tb` file has a zero T~_Y, which the glued set leaves out: the output is that without the file."""
+    zero = tmp_path / "zero_tb.json"
+    zero.write_text(json.dumps({"v": 1, "algebra": os.path.abspath(fx["quotient_algebra"]), "components": {}}))
+    with_zero = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"], "--tb", str(zero))
+    without = run("glue", fx["algebra"], "--e", "3", "--tc", fx["tc"], "--tb", fx["tb"])
+    assert with_zero.exit_code == 0, with_zero.output
+    data = json.loads(with_zero.stdout)
+    assert all(t["components"] for t in data["T"])
+    assert data == json.loads(without.stdout)
 
 
 def test_glue_requires_tc_or_shortcut(fx):

@@ -22,6 +22,7 @@ from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
 from siltglue.gluing import canonical_corner_silting, glue
 from siltglue.quiver import Path, build_algebra
+from siltglue.recollement import i_star, j_lower_shriek
 from siltglue.complexes import (
     ChainMap,
     ComplexError,
@@ -684,13 +685,17 @@ def _one_end_not_minimal(field, seed, count):
 
 def _envelope_maps(field, monkeypatch):
     """(name, f) of every call of `minimal_cocone` (a stage) and `minimal_cone` (a final cone) that the
-    envelopes of the glued fixtures make, their generation check's included."""
+    envelopes of the glued fixtures make: each i_*T_Y's, which `glue` reads off by the corner split, and those of
+    the glue's generation check."""
     calls = []
     for name in ("minimal_cocone", "minimal_cone"):
         real = getattr(approx, name)
         monkeypatch.setattr(approx, name, lambda f, name=name, real=real: calls.append((name, f)) or real(f))
     for _name, rec, T_B in glue_fixtures(field):
-        glue(rec, [canonical_corner_silting(rec)], T_B)
+        T_C = [canonical_corner_silting(rec)]
+        for T_Y in T_B:
+            approx.susp_envelope(i_star(rec, T_Y), [shift(j_lower_shriek(rec, T_C[0]), 1)])
+        glue(rec, T_C, T_B)
     monkeypatch.undo()
     return calls
 

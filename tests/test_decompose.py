@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import connected_conjugate, random_complex, random_quiver, seeded_rng
+from conftest import connected_conjugate, glue_by_envelope, random_complex, random_quiver, seeded_rng
 import former
 from former import cone, former_group_isomorphic, radical_part
 from siltglue import _kernel
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures, ka3_algebra, ka3_named_complexes
-from siltglue.gluing import canonical_corner_silting, glue, glue_shortcut, summand_classes
+from siltglue.gluing import canonical_corner_silting, glue, summand_classes
 from siltglue.homs import HomSpace
 from siltglue.linalg import Matrix, kernel_basis, row_space_rref, solve
 from siltglue.quiver import Quiver, build_algebra
@@ -308,12 +308,13 @@ def test_components_are_the_blocks_in_order_of_first_summand(ka3):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2)], ids=["Q", "F5", "F2"])
 def test_gluing_fixtures_build_no_endomorphism_algebra(field, monkeypatch):
-    """Every complex the gluing fixtures decompose splits by its components alone, inductively and by the shortcut."""
+    """Every complex the gluing fixtures decompose splits by its components alone, by either gluing route."""
     built = []
     orig = EndAlgebra.__init__
     monkeypatch.setattr(EndAlgebra, "__init__", lambda end, X: built.append(X) or orig(end, X))
     for name, rec, T_B in glue_fixtures(field):
-        for cert in (glue(rec, [canonical_corner_silting(rec)], T_B), glue_shortcut(rec, T_B)):
+        T_C = [canonical_corner_silting(rec)]
+        for cert in (glue_by_envelope(rec, T_C, T_B), glue(rec, T_C, T_B)):
             assert cert.passed and cert.decomposition, (field, name)
     assert built == []
 

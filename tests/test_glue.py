@@ -5,14 +5,14 @@ import signal
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_complex, seeded_rng
+from conftest import glue_by_envelope, random_complex, random_quiver, seeded_rng
 from former import former_generated
 from siltglue import approx, complexes, gluing, serialize
 from siltglue.fields import QQ, PrimeField
 from siltglue.approx import susp_envelope
 from siltglue.cli import main
 from siltglue.complexes import PathMatrix, ProjComplex, direct_sum_many, make_complex, shift
-from siltglue.decompose import decompose, is_isomorphic
+from siltglue.decompose import decompose
 from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
@@ -29,11 +29,12 @@ from siltglue.gluing import (
     check_co_aisle_agreement,
     check_star_condition,
     glue,
-    glue_shortcut,
     k0_report,
     summand_classes,
 )
-from siltglue.recollement import idempotent_recollement
+from siltglue.quiver import build_algebra
+from siltglue.serialize import chain_map_to_json, complex_to_json
+from siltglue.recollement import i_star, idempotent_recollement, j_lower_shriek
 
 
 @pytest.fixture(scope="module")
@@ -110,15 +111,63 @@ def test_glue_fixture_matrix(name, rec, T_B):
 
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
 def test_shortcut_agrees_with_glue(name, rec, T_B):
-    cert = glue(rec, [canonical_corner_silting(rec)], T_B)
-    short = glue_shortcut(rec, T_B)
-    assert short.passed, short.reports
-    # additive equivalence: identical indecomposable summand classes
-    full = {frozenset(x.graded_multiset().items()) for x, _, _ in cert.decomposition}
-    quick = {frozenset(x.graded_multiset().items()) for x, _, _ in short.decomposition}
-    assert full == quick
-    for x, _, _ in cert.decomposition:
-        assert any(is_isomorphic(x, y).isomorphic for y, _, _ in short.decomposition)
+    """On every fixture, the corner split (the former shortcut's route) gives the envelope route's triangles and set.
+
+    Both glues pass, and their triangles, glued sets and decompositions
+    are equal byte for byte.
+    """
+    T_C = [canonical_corner_silting(rec)]
+    split, enveloped = glue(rec, T_C, T_B), glue_by_envelope(rec, T_C, T_B)
+    assert split.passed and enveloped.passed, split.reports
+    assert [_triangle_json(t) for t in split.triangles] == [_triangle_json(t) for t in enveloped.triangles]
+    assert [complex_to_json(t) for t in split.T] == [complex_to_json(t) for t in enveloped.T]
+    assert _serialized(split.decomposition) == _serialized(enveloped.decomposition)
+
+
+def _triangle_json(tri):
+    """The six fields of a certificate's triangle or an EnvelopeResult, serialized with every dict in its order."""
+    V, U, f, v_map, s, trace = (tri[k] if isinstance(tri, dict) else getattr(tri, k)
+                                for k in ("V", "U", "f", "v_map", "s", "trace"))
+    fields = [complex_to_json(V), complex_to_json(U), chain_map_to_json(f), chain_map_to_json(v_map)]
+    return json.dumps(fields + [s, [[k, list(tags)] for k, tags in trace]])
+
+
+def _random_corner(rec, rng):
+    """T_C: the stalks P_v, v in S, over the corner, in a random order, summed into one or two members."""
+    stalks = [ProjComplex.stalk(rec.C, v) for v in rng.sample(rec.S, len(rec.S))]
+    cut = rng.randint(1, len(stalks) - 1) if len(stalks) > 1 and rng.random() < 0.5 else len(stalks)
+    return [direct_sum_many(rec.C, part) for part in (stalks[:cut], stalks[cut:]) if part]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_corner_split_equals_the_envelope(field):
+    """Where `_corner_split` applies, its triangle equals `susp_envelope`'s byte for byte, in all six fields.
+
+    Random acyclic quivers, a random S closed under arrows, a random T_Y
+    over B and T_C's stalks split over one or two members in a random
+    order; the split declines exactly when some S-summand of i_*T_Y lies
+    in degree >= 0.
+    """
+    rng, split, layered = seeded_rng(4500), 0, 0
+    while split < 150:
+        alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.6), field)
+        S = {rng.choice(alg.quiver.vertices)}
+        while grown := {a.target for a in alg.quiver.arrows if a.source in S} - S:  # close S under arrows
+            S |= grown
+        if len(S) == len(alg.quiver.vertices):
+            continue
+        rec = idempotent_recollement(alg, sorted(S))
+        T_C = _random_corner(rec, rng)
+        M = i_star(rec, random_complex(rec.B, rng, steps=2, max_width=4, shift_range=2))
+        got = gluing._corner_split(rec, T_C, M)
+        env = susp_envelope(M, [shift(j_lower_shriek(rec, t), 1) for t in T_C])
+        s_degrees = [n for n, vs in M.components.items() if set(vs) & S]
+        assert (got is None) == any(n >= 0 for n in s_degrees), M
+        if got is not None:
+            split, layered = split + 1, layered + bool(got.trace)
+            assert got.M is M and got.certificates == env.certificates
+            assert _triangle_json(got) == _triangle_json(env), M
+    assert layered >= 75, layered  # a non-zero U, so at least one layer
 
 
 def _serialized(decomposition):
@@ -129,17 +178,30 @@ def _serialized(decomposition):
 @pytest.mark.parametrize("shortcut", [False, True], ids=["glue", "shortcut"])
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
 def test_decomposition_equals_decompose_of_the_sum(name, rec, T_B, shortcut, copies):
-    # read off the members' summand classes, byte for byte what splitting (+)T from scratch gives
+    # read off the members' summand classes, byte for byte what splitting (+)T from scratch gives,
+    # by the corner split ("shortcut") and by the envelope ("glue")
     T_B = T_B * copies
-    cert = glue_shortcut(rec, T_B) if shortcut else glue(rec, [canonical_corner_silting(rec)], T_B)
+    cert = (glue if shortcut else glue_by_envelope)(rec, [canonical_corner_silting(rec)], T_B)
     assert _serialized(cert.decomposition) == _serialized(decompose(direct_sum_many(rec.A, cert.T)))
     assert max(m for _, m, _ in cert.decomposition) == copies
 
 
-def test_shortcut_rejects_positive_degrees():
+def test_glue_takes_the_envelope_for_an_s_summand_in_degree_0(monkeypatch):
+    """T_B in degree 1 puts an S-summand of i_*T_Y in degree 0: the corner split declines, and the envelope passes."""
     rec = idempotent_recollement(ka3_algebra(), ["3"])
-    with pytest.raises(GlueError, match="degrees <= 0"):
-        glue_shortcut(rec, [shift(canonical_quotient_silting(rec), -1)])
+    calls = []
+
+    def spy(name, f):
+        return lambda *args: calls.append((name, out := f(*args))) or out
+
+    monkeypatch.setattr(gluing, "_corner_split", spy("split", gluing._corner_split))
+    monkeypatch.setattr(gluing, "susp_envelope", spy("envelope", susp_envelope))
+    cert = glue(rec, [canonical_corner_silting(rec)], [shift(canonical_quotient_silting(rec), -1)])
+    assert [(name, out is None) for name, out in calls[:2]] == [("split", True), ("envelope", False)]
+    assert {name for name, _out in calls[2:]} <= {"envelope"}  # the generation check's
+    assert 0 in cert.iT[0].components and "3" in cert.iT[0].components[0]
+    assert cert.triangles[0]["trace"] == calls[1][1].trace
+    assert cert.passed, cert.reports
 
 
 def test_corrupted_certificate_fails_star():
@@ -175,7 +237,7 @@ def _multisets(cert):
 
 
 def test_glue_matrix_over_prime_fields():
-    """Every gluing fixture, rebuilt over F_5, F_2 and F_2^31-1, glues inductively and by the shortcut.
+    """Every gluing fixture, rebuilt over F_5, F_2 and F_2^31-1, glues by the envelope and by the corner split.
 
     Each passes with generation "generated" and a certified decomposition
     whose graded multisets are those over Q.  The whole matrix, sympy's
@@ -190,8 +252,9 @@ def test_glue_matrix_over_prime_fields():
     try:
         for field in (PrimeField(5), PrimeField(2), PrimeField(2147483647)):
             for (name, rec, T_B), (_, rec_q, T_B_q) in zip(glue_fixtures(field), glue_fixtures()):
-                expected = _multisets(glue_shortcut(rec_q, T_B_q))
-                for cert in (glue(rec, [canonical_corner_silting(rec)], T_B), glue_shortcut(rec, T_B)):
+                expected = _multisets(glue(rec_q, [canonical_corner_silting(rec_q)], T_B_q))
+                for route in (glue, glue_by_envelope):
+                    cert = route(rec, [canonical_corner_silting(rec)], T_B)
                     assert cert.passed, (field, name, cert.reports)
                     assert cert.reports["generation"]["status"] == "generated"
                     assert _multisets(cert) == expected, (field, name)
@@ -322,7 +385,7 @@ def test_staircase_generation_takes_one_envelope_per_vertex(monkeypatch):
 
 
 def test_envelopes_with_minimal_ends_build_no_cone(monkeypatch):
-    """On the glued fixtures and the A16 staircase's generation check, no stage or final cone whose map has
+    """On the glued fixtures' envelopes and the A16 staircase's generation check, no stage or final cone whose map has
     minimal ends calls `cone`, `cocone` or `minimize`: each eliminates the map's unit block directly.
 
     Every binding the envelope code can reach is spied on: complexes' own
@@ -361,7 +424,10 @@ def test_envelopes_with_minimal_ends_build_no_cone(monkeypatch):
         for name, wrap in (("cone", building), ("cocone", building), ("minimize", minimizing)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrap(getattr(module, name)))
-    for _name, rec, T_B in glue_fixtures():
+    for _name, rec, T_B in glue_fixtures():  # glue takes the corner split on these: each envelope is taken here
+        targets = [shift(j_lower_shriek(rec, canonical_corner_silting(rec)), 1)]
+        for T_Y in T_B:
+            susp_envelope(i_star(rec, T_Y), targets)
         assert glue(rec, [canonical_corner_silting(rec)], T_B).passed
     rec = idempotent_recollement(linear_an(16), [str(i) for i in range(9, 17)])
     T = glue(rec, _staircase(rec.C), _staircase(rec.B)).T

@@ -424,12 +424,12 @@ import sys
 import siltglue.cli
 from siltglue.fields import QQ, PrimeField
 from siltglue.fixtures import glue_fixtures
-from siltglue.gluing import glue_shortcut
+from siltglue.gluing import canonical_corner_silting, glue
 
 loaded = ["import"] if "sympy.core" in sys.modules else []
 for field in (QQ, PrimeField(5), PrimeField(2), PrimeField(2147483647)):
     for name, rec, T_B in glue_fixtures(field):
-        assert glue_shortcut(rec, T_B).passed, (field, name)
+        assert glue(rec, [canonical_corner_silting(rec)], T_B).passed, (field, name)
         if "sympy.core" in sys.modules:
             loaded.append((str(field), name))
 print(loaded)
