@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 import click
 
 from .quiver import QuiverError
-from .complexes import ComplexError, ProjComplex, minimize
+from .complexes import ComplexError, minimize
 from .homs import hom_spaces, hom_window
 from .approx import ApproxError, susp_envelope
 from .recollement import RecollementError, idempotent_recollement
@@ -249,8 +249,7 @@ def _run_glue(algebra_file, e_list, tc_files, tb_files, shortcut):
     except INPUT_ERRORS as exc:
         _fail_input(exc)
     try:
-        probes = [ProjComplex.stalk(alg, v) for v in alg.quiver.vertices]
-        cert = glue(rec, T_C, T_B, probes=probes)
+        cert = glue(rec, T_C, T_B)
     except MATH_ERRORS as exc:
         _fail_math(exc)
     report = {

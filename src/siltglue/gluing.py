@@ -9,11 +9,12 @@ Every certificate is re-derivable from raw Hom computations.
 from itertools import count
 
 from .fields import QQ
-from .complexes import ChainMap, ProjComplex, _inclusion, _projection, direct_sum_many, shift, subcomplex_on_indices
+from .complexes import (ChainMap, ProjComplex, _inclusion, _projection, direct_sum_many, is_minimal, minimize, shift,
+                        subcomplex_on_indices)
 from .homs import is_nonpositive, nonzero_homs
 from .approx import EnvelopeResult, susp_envelope
-from .recollement import i_star, j_lower_shriek
-from .decompose import decompose, group_isomorphic, summand_order
+from .recollement import i_star, i_upper_star, j_lower_shriek
+from .decompose import decompose, group_isomorphic, is_isomorphic, summand_order
 from .linalg import Matrix, det, rank
 
 
@@ -26,9 +27,8 @@ class GlueCertificate:
 
     `T` is the list of glued complexes over A (j_! images first, then the
     non-zero T~_Y), and `tildes` every T~_Y, one per T_Y; `triangles`
-    records, per T_Y, the envelope triangle T~_Y -> i_*T_Y -> U (the
-    shifted third term U[1]).  `reports` and `decomposition` are filled in
-    by `_certify`.
+    records, per T_Y, the envelope triangle T~_Y -> M = i_*T_Y -> U (the
+    shifted third term U[1]).  `_certify` fills `reports` and `decomposition`.
     """
 
     __slots__ = (
@@ -36,7 +36,6 @@ class GlueCertificate:
         "T_C",
         "T_B",
         "jT",
-        "iT",
         "tildes",
         "triangles",
         "T",
@@ -44,12 +43,11 @@ class GlueCertificate:
         "decomposition",
     )
 
-    def __init__(self, rec, T_C, T_B, jT, iT, tildes, triangles, T):
+    def __init__(self, rec, T_C, T_B, jT, tildes, triangles, T):
         self.rec = rec
         self.T_C = T_C
         self.T_B = T_B
         self.jT = jT
-        self.iT = iT
         self.tildes = tildes
         self.triangles = triangles
         self.T = T
@@ -193,27 +191,32 @@ def check_star_condition(cert):
     return {"ok": layer_ok and not failures, "trace_ok": layer_ok, "failures": failures}
 
 
-def _perp_positive(Z, objs):
-    """Is Hom(Z, O[k]) = 0 for all O in objs and all k > 0 (window-checked)?"""
-    return not any(next(nonzero_homs(Z, O, 1), None) for O in objs)
+def check_co_aisle_agreement(cert):
+    """Is T's t-structure the one glued from T_C's and T_B's?  Decided by i^*T~_Y ~= T_Y for each Y.
 
-
-def check_co_aisle_agreement(cert, probes):
-    """Probe-level equality of the two right-orthogonality classes.
-
-    For each probe Z the membership Z in perp_{>0}(T) must agree with
-    Z in perp_{>0}(j_!T_C + i_*T_B).
+    i^*T~_Y is minimal: it is compared by `==` with T_Y (minimized first
+    unless minimal), and by `is_isomorphic` where `==` fails; `failures`
+    lists the Y where both fail.  If T's presilting or generation report
+    fails, the status is "undecided": the argument needs T silting, with
+    aisle T^{perp>0} = susp T (Aihara-Iyama 2012).  T_C and T_B are then
+    silting: `glue` requires them non-positive, and i^*T = T_B and j^*T in
+    thick(T_C) (j^*T~_Y = j^*U_Y[-1]) generate.  The glued aisle
+    {X : j^*X in susp T_C, i^*X in susp T_B} (Beilinson-Bernstein-Deligne
+    1982, Thm 1.4.10) is susp G, G = j_!T_C + i_*T_B, as X is an extension
+    of i_*i^*X by j_!j^*X.  It holds T, as U_Y lies in susp(j_!T_C[1]) and
+    i^*T~_Y = T_Y; G lies in T^{perp>0} by adjunction, as
+    Hom(T~_Z, i_*T_Y[k]) = Hom(T_Z, T_Y[k]) = 0 for k > 0.  The identity
+    i^*T~_Y ~= T_Y is i^*i_* ~= id, as i^* kills U_Y in thick(j_!T_C): a
+    failure shows that T~_Y is not the cocone `glue` builds.
     """
-    raw = list(cert.jT) + list(cert.iT)
-    results = []
-    ok = True
-    for pi, Z in enumerate(probes):
-        lhs = _perp_positive(Z, cert.T)
-        rhs = _perp_positive(Z, raw)
-        agree = lhs == rhs
-        ok = ok and agree
-        results.append({"probe": pi, "perp_T": lhs, "perp_raw": rhs, "agree": agree})
-    return {"ok": ok, "probes": results}
+    if not (cert.reports["presilting"]["ok"] and cert.reports["generation"]["ok"]):
+        return {"status": "undecided", "ok": False}
+    failures = []
+    for y, (T_Y, tilde) in enumerate(zip(cert.T_B, cert.tildes)):
+        X = i_upper_star(cert.rec, tilde)
+        if X != (T_Y if is_minimal(T_Y) else minimize(T_Y).complex) and not is_isomorphic(X, T_Y).isomorphic:
+            failures.append(y)
+    return {"status": "differ" if failures else "agree", "ok": not failures, "failures": failures}
 
 
 def _require_nonpositive(name, T_list):
@@ -259,31 +262,30 @@ def _corner_split(rec, T_C, M):
     return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
 
 
-def glue(rec, T_C, T_B, probes=None, decompose_result=True):
+def glue(rec, T_C, T_B, decompose_result=True):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
     quotient algebra.  Raises GlueError with a witness when an input set is
     not non-positive.  Each i_*T_Y takes its envelope triangle from
     `_corner_split` where that applies, and from `susp_envelope` otherwise;
-    a zero T~_Y is left out of T.  Every randomized search (the splitting
-    and isomorphism tests of the envelope, the reports and the final
-    decomposition) draws from the one fixed stream of `decompose`.
+    a zero T~_Y is left out of T.  `check_co_aisle_agreement` decides that
+    T's t-structure is the glued one.  Every randomized search (envelope,
+    reports, decomposition) draws from the one fixed stream of `decompose`.
     """
     _require_nonpositive("T_C", T_C)
     _require_nonpositive("T_B", T_B)
     jT = [j_lower_shriek(rec, t) for t in T_C]
     env_targets = [shift(t, 1) for t in jT]
-    iT = [i_star(rec, T_Y) for T_Y in T_B]
-    envs = [_corner_split(rec, T_C, M) or susp_envelope(M, env_targets) for M in iT]
+    envs = [_corner_split(rec, T_C, M) or susp_envelope(M, env_targets) for M in (i_star(rec, T_Y) for T_Y in T_B)]
     tildes = [env.V for env in envs]
     triangles = [{k: getattr(env, k) for k in ("V", "M", "U", "f", "v_map", "s", "trace")} for env in envs]
     T = jT + [t for t in tildes if not t.is_zero()]
-    return _certify(GlueCertificate(rec, T_C, T_B, jT, iT, tildes, triangles, T), probes, decompose_result)
+    return _certify(GlueCertificate(rec, T_C, T_B, jT, tildes, triangles, T), decompose_result)
 
 
-def _certify(cert, probes, decompose_result):
-    """Fill the reports of a glued set (condition (*), then `certify_set`) and its decomposition.
+def _certify(cert, decompose_result):
+    """Fill the reports of a glued set (condition (*), `certify_set`, then the co-aisle check) and its decomposition.
 
     By Krull-Schmidt the decomposition of (+)T is the union of the members'
     summand classes, so it is read off those, sorted as `decompose` sorts.
@@ -291,8 +293,7 @@ def _certify(cert, probes, decompose_result):
     cert.reports["star_condition"] = check_star_condition(cert)
     reports, classes = certify_set(cert.T, cert.rec.A)
     cert.reports.update(reports)
-    if probes is not None:
-        cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert, probes)
+    cert.reports["co_aisle_agreement"] = check_co_aisle_agreement(cert)
     if decompose_result:
         cert.decomposition = sorted(((c, m, certified) for c, m, certified, _ti in classes), key=summand_order)
     return cert

@@ -6,6 +6,11 @@
   library takes became a direct elimination with minimal ends.
 - `former_cocone` builds CC(f) as C(f) shifted by -1, with the projection
   onto X, as `complexes.cocone` once did.
+- `former_co_aisle_agreement` compares, on probes Z, the memberships Z in
+  perp_{>0}(T) and Z in perp_{>0}(j_!T_C + i_*T_B), as
+  `gluing.check_co_aisle_agreement` did before it decided i^*T~_Y ~= T_Y;
+  the `glue` verb probed with the stalks P_v.  Agreement on probes is
+  necessary, not sufficient: the stalks miss T~_Y[1] in place of T~_Y.
 - `former_generated` decides whether P_v lies in thick(T) by the envelope
   V -> P_v -> U, then the precover V' -> V -> W of its cocone: W = 0, as
   `gluing.check_generation` did before one envelope of P_v in the lowest
@@ -89,9 +94,10 @@ from siltglue.complexes import (
     shift_map,
 )
 from siltglue.decompose import is_isomorphic
-from siltglue.homs import HomComplex, HomSpace, s_search
+from siltglue.homs import HomComplex, HomSpace, nonzero_homs, s_search
 from siltglue.linalg import Matrix, extend_rref, rref_kernel_basis, row_space_rref
 from siltglue.quiver import Path, build_algebra
+from siltglue.recollement import i_star
 
 
 def cone(f):
@@ -176,6 +182,21 @@ def former_minimal_cone(f):
     }
     m = former_minimize(C)
     return m.complex, m.push(ChainMap(Y, C, incl))
+
+
+def _perp_positive(Z, objs):
+    """Is Hom(Z, O[k]) = 0 for all O in objs and all k > 0 (window-checked)?"""
+    return not any(next(nonzero_homs(Z, O, 1), None) for O in objs)
+
+
+def former_co_aisle_agreement(cert, probes):
+    """Probe-level equality of the right orthogonals of T and of j_!T_C + i_*T_B: {"ok", "probes"}."""
+    raw = list(cert.jT) + [i_star(cert.rec, T_Y) for T_Y in cert.T_B]
+    results = []
+    for pi, Z in enumerate(probes):
+        lhs, rhs = _perp_positive(Z, cert.T), _perp_positive(Z, raw)
+        results.append({"probe": pi, "perp_T": lhs, "perp_raw": rhs, "agree": lhs == rhs})
+    return {"ok": all(r["agree"] for r in results), "probes": results}
 
 
 def former_generated(algebra, T_list, v):

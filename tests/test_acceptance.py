@@ -3,8 +3,9 @@
 Each test exercises one externally visible guarantee: the worked small
 example, the staged envelope triangle, the intermediate-extension fixtures,
 the statistic, corner-split agreement, randomized envelope properties, the
-independent Hom oracle, co-aisle probe agreement, and the silting
-certificates on every shipped fixture.
+independent Hom oracle, the exact co-aisle check (with the former
+probe check, which its verdict implies), and the silting certificates on
+every shipped fixture.
 """
 
 import time
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from conftest import glue_by_envelope, random_complex, random_quiver, seeded_rng
-from former import cocone
+from former import cocone, former_co_aisle_agreement
 from siltglue.fields import QQ, PrimeField
 from siltglue.quiver import build_algebra
 from siltglue.complexes import ProjComplex, direct_sum, minimize, shift
@@ -200,17 +201,19 @@ def test_hom_tables_match_oracle(field):
                 assert table[k] == oracle_hom_dim(X, Y, k)
 
 
-# 8: co-aisle agreement with a rich probe set
+# 8: co-aisle agreement, exact, and so on a rich probe set
 
 
 def test_co_aisle_agreement_on_all_fixtures(glued_fixtures):
     for name, rec, T_B, cert in glued_fixtures:
+        assert check_co_aisle_agreement(cert) == {"status": "agree", "ok": True, "failures": []}, name
+        assert cert.reports["co_aisle_agreement"]["ok"], name
         rng = seeded_rng(4200)
         probes = [ProjComplex.stalk(rec.A, v) for v in rec.A.quiver.vertices]
         probes += list(cert.T)
-        probes += list(cert.iT)
+        probes += [tri["M"] for tri in cert.triangles]
         probes += [random_complex(rec.A, rng, steps=1, max_width=3) for _ in range(10)]
-        rep = check_co_aisle_agreement(cert, probes)
+        rep = former_co_aisle_agreement(cert, probes)
         assert rep["ok"], (name, rep)
 
 

@@ -479,7 +479,7 @@ def test_sigma_gram_matches_regular_trace_form(name, rec, T_B):
     reduced modulo the radical's RREF, all from `HomSpace.coordinates`.
     """
     cert = glue(rec, [canonical_corner_silting(rec)], T_B, decompose_result=False)
-    ends = [EndAlgebra(minimize(X).complex) for X in (direct_sum_many(rec.A, cert.T), cert.iT[0])]
+    ends = [EndAlgebra(minimize(X).complex) for X in (direct_sum_many(rec.A, cert.T), cert.triangles[0]["M"])]
     assert ends[0].dim >= len(cert.T)
     for end in ends:
         hs = HomSpace(end.X, end.X, 0)

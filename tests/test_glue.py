@@ -5,14 +5,14 @@ import signal
 import pytest
 from click.testing import CliRunner
 
-from conftest import glue_by_envelope, random_complex, random_quiver, seeded_rng
-from former import former_generated
+from conftest import conjugated, glue_by_envelope, random_complex, random_quiver, seeded_rng
+from former import former_co_aisle_agreement, former_generated
 from siltglue import approx, complexes, gluing, serialize
 from siltglue.fields import QQ, PrimeField
 from siltglue.approx import susp_envelope
 from siltglue.cli import main
-from siltglue.complexes import PathMatrix, ProjComplex, direct_sum_many, make_complex, shift
-from siltglue.decompose import decompose
+from siltglue.complexes import PathMatrix, ProjComplex, direct_sum, direct_sum_many, is_minimal, make_complex, shift
+from siltglue.decompose import decompose, is_isomorphic
 from siltglue.fixtures import (
     canonical_quotient_silting,
     glue_fixtures,
@@ -22,6 +22,7 @@ from siltglue.fixtures import (
     star_quiver,
 )
 from siltglue.gluing import (
+    GlueCertificate,
     GlueError,
     canonical_corner_silting,
     check_generation,
@@ -95,16 +96,16 @@ def test_glue_empty_quotient_part():
     assert cert.reports["presilting"]["ok"]
     assert cert.reports["generation"]["status"] == "not generated"
     assert cert.reports["generation"]["missing"] == ["1", "2"]
+    assert cert.reports["co_aisle_agreement"] == {"status": "undecided", "ok": False}
     assert not cert.passed
 
 
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
 def test_glue_fixture_matrix(name, rec, T_B):
     T_C = [canonical_corner_silting(rec)]
-    probes = [ProjComplex.stalk(rec.A, v) for v in rec.A.quiver.vertices]
-    cert = glue(rec, T_C, T_B, probes=probes)
+    cert = glue(rec, T_C, T_B)
     assert cert.passed, cert.reports
-    assert cert.reports["co_aisle_agreement"]["ok"]
+    assert cert.reports["co_aisle_agreement"] == {"status": "agree", "ok": True, "failures": []}
     # the glued set has exactly one K_0 class per vertex
     assert cert.reports["k0"]["square"]
 
@@ -199,7 +200,8 @@ def test_glue_takes_the_envelope_for_an_s_summand_in_degree_0(monkeypatch):
     cert = glue(rec, [canonical_corner_silting(rec)], [shift(canonical_quotient_silting(rec), -1)])
     assert [(name, out is None) for name, out in calls[:2]] == [("split", True), ("envelope", False)]
     assert {name for name, _out in calls[2:]} <= {"envelope"}  # the generation check's
-    assert 0 in cert.iT[0].components and "3" in cert.iT[0].components[0]
+    M = cert.triangles[0]["M"]
+    assert 0 in M.components and "3" in M.components[0]
     assert cert.triangles[0]["trace"] == calls[1][1].trace
     assert cert.passed, cert.reports
 
@@ -211,11 +213,8 @@ def test_corrupted_certificate_fails_star():
     T_C = [canonical_corner_silting(rec)]
     cert = glue(rec, T_C, T_B)
     tampered = glue(rec, T_C, T_B)
-    tampered.tildes = list(tampered.iT)
-    tampered.triangles = [
-        dict(tri, V=m, U=ProjComplex.zero(rec.A), trace=[])
-        for tri, m in zip(tampered.triangles, tampered.iT)
-    ]
+    tampered.tildes = [tri["M"] for tri in tampered.triangles]
+    tampered.triangles = [dict(tri, V=tri["M"], U=ProjComplex.zero(rec.A), trace=[]) for tri in tampered.triangles]
     rep = check_star_condition(tampered)
     assert not rep["ok"]
     assert rep["failures"]
@@ -223,13 +222,99 @@ def test_corrupted_certificate_fails_star():
 
 
 def test_co_aisle_agreement_random_probes():
+    """The exact check passes, and so every probe, random ones included, agrees (the former probe check)."""
     name, rec, T_B = glue_fixtures()[1]
     cert = glue(rec, [canonical_corner_silting(rec)], T_B)
+    assert check_co_aisle_agreement(cert) == {"status": "agree", "ok": True, "failures": []}
     rng = seeded_rng(55)
     probes = [random_complex(rec.A, rng, steps=2, max_width=4) for _ in range(4)]
-    rep = check_co_aisle_agreement(cert, probes)
+    rep = former_co_aisle_agreement(cert, probes)
     assert rep["ok"]
     assert len(rep["probes"]) == 4
+
+
+def _recertified(cert, T_B=None, shift_by=0):
+    """cert's glue with each T~_Y shifted by `shift_by`, or checked against another T_B, certified afresh."""
+    tildes = [shift(t, shift_by) for t in cert.tildes]
+    T = cert.jT + [t for t in tildes if not t.is_zero()]
+    T_B = cert.T_B if T_B is None else T_B
+    faulty = GlueCertificate(cert.rec, cert.T_C, T_B, cert.jT, tildes, cert.triangles, T)
+    return gluing._certify(faulty, decompose_result=False)
+
+
+def _true_glues(field):
+    """(name, rec, T_C, T_B): the fixtures with T_C = C and with T_C = C[1], and the A8 and A16 staircases."""
+    for name, rec, T_B in glue_fixtures(field):
+        yield name, rec, [canonical_corner_silting(rec)], T_B
+        yield f"{name}[1]", rec, [shift(canonical_corner_silting(rec), 1)], T_B
+    for n in (8, 16):
+        rec = idempotent_recollement(linear_an(n, field), [str(i) for i in range(n // 2 + 1, n + 1)])
+        yield f"A{n}", rec, _staircase(rec.C), _staircase(rec.B)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_co_aisle_check_passes_true_glues_and_fails_shifted_tildes(monkeypatch, field):
+    """Every true glue passes by `==` alone; T~_Y[1] or T~_Y[-1] in place of every T~_Y fails.
+
+    A fault whose set is still silting is decided, and fails at every Y;
+    the others are "undecided".  The stalk probes of the former check pass
+    every decided T~_Y[1] fault.
+    """
+    def no_isomorphism_test(*args):
+        raise AssertionError("== failed on a true glue")
+
+    glues, decided = 0, {1: 0, -1: 0}
+    for name, rec, T_C, T_B in _true_glues(field):
+        with monkeypatch.context() as mp:
+            mp.setattr(gluing, "is_isomorphic", no_isomorphism_test)
+            cert = glue(rec, T_C, T_B, decompose_result=False)
+        assert cert.passed, (name, cert.reports)
+        assert cert.reports["co_aisle_agreement"] == {"status": "agree", "ok": True, "failures": []}, name
+        glues += 1
+        for k in (1, -1):
+            fault = _recertified(cert, shift_by=k)
+            rep = fault.reports["co_aisle_agreement"]
+            assert not rep["ok"], (name, k)
+            if rep["status"] != "undecided":
+                assert rep["failures"] == list(range(len(T_B))), (name, k)
+                decided[k] += 1
+                stalks = [ProjComplex.stalk(rec.A, v) for v in rec.A.quiver.vertices]
+                assert former_co_aisle_agreement(fault, stalks)["ok"] == (k == 1), (name, k)
+    assert glues == 14 and decided == {1: 8, -1: 5}, (glues, decided)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_co_aisle_check_fails_the_ka3_wrong_pairs(field):
+    """ka3's glue of the shifted T_B checked against the canonical T_B fails, and the other way round."""
+    rec = idempotent_recollement(ka3_algebra(field), ["3"])
+    T_C = [canonical_corner_silting(rec)]
+    pair = [[canonical_quotient_silting(rec, shifted=("1",))], [canonical_quotient_silting(rec)]]
+    for T_B, other in (pair, pair[::-1]):
+        cert = glue(rec, T_C, T_B)
+        assert cert.reports["co_aisle_agreement"]["ok"]
+        wrong = _recertified(cert, T_B=other).reports
+        assert wrong["presilting"]["ok"] and wrong["generation"]["ok"]
+        assert wrong["co_aisle_agreement"] == {"status": "differ", "ok": False, "failures": [0]}
+
+
+def test_co_aisle_check_minimizes_t_y_and_falls_back_to_is_isomorphic(monkeypatch):
+    """A T_Y with a contractible summand is minimized, then equal by `==`; a T_Y isomorphic to the glued one but not
+    equal passes by `is_isomorphic`."""
+    rec = idempotent_recollement(ka3_algebra(), ["3"])
+    contractible = make_complex(rec.B, {-1: ("1",), 0: ("1",)}, {-1: PathMatrix.identity(rec.B, ("1",))})
+    T_Y = direct_sum(canonical_quotient_silting(rec, shifted=("1",)), contractible)
+    assert not is_minimal(T_Y)
+    minimized, isomorphism_tests = [], []
+    monkeypatch.setattr(gluing, "minimize", lambda X: minimized.append(X) or complexes.minimize(X))
+    monkeypatch.setattr(gluing, "is_isomorphic", lambda X, Y: isomorphism_tests.append(Y) or is_isomorphic(X, Y))
+    cert = glue(rec, [canonical_corner_silting(rec)], [T_Y])
+    assert cert.passed and (minimized, isomorphism_tests) == ([T_Y], []), cert.reports
+    rec = idempotent_recollement(linear_an(8), [str(i) for i in range(5, 9)])
+    T_Y = direct_sum_many(rec.B, _staircase(rec.B))
+    twisted = conjugated(T_Y, 1)
+    assert twisted != T_Y and is_minimal(twisted)
+    cert = _recertified(glue(rec, _staircase(rec.C), [T_Y]), T_B=[twisted])
+    assert cert.reports["co_aisle_agreement"]["ok"] and isomorphism_tests == [twisted]
 
 
 def _multisets(cert):
