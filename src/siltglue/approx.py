@@ -13,7 +13,10 @@ at entry: the stages and the cone run on its model, and f and v_map pass
 back to M through the model's homotopy equivalences.  The members of T are
 minimal and so is each W, so every cocone and the cone come from one direct
 elimination of the map's unit block (`complexes.minimal_cocone` and
-`minimal_cone`), with no full cone built.
+`minimal_cone`), with no full cone built.  Where T is stalks of a vertex set
+that no arrow leaves, in one degree, and the model's summands at those
+vertices lie in no higher degree, the triangle is the model's own split, with
+no stage (`_stalk_split`).
 A deletion is decided on Hom coordinates: a copy of T_i can go exactly when
 its representative factors through the other kept copies (Auslander-Smalo),
 a rank condition in the one space Hom(M, T_i[s]) on the coordinates of the
@@ -45,19 +48,9 @@ checked.
 from collections import Counter
 from functools import reduce
 
-from .complexes import (
-    ChainMap,
-    PathMatrix,
-    ProjComplex,
-    direct_sum_many,
-    is_minimal,
-    minimal_cocone,
-    minimal_cone,
-    minimize,
-    opposite_complex,
-    opposite_map,
-    shift_map,
-)
+from .complexes import (ChainMap, PathMatrix, ProjComplex, _inclusion, _projection, direct_sum_many, is_minimal,
+                        minimal_cocone, minimal_cone, minimize, opposite_complex, opposite_map, shift_map,
+                        subcomplex_on_indices)
 from .decompose import decompose
 from .homs import HomSpace, hom_spaces, nonzero_homs, s_search
 from .linalg import row_space_rref
@@ -258,11 +251,47 @@ def _susp_envelope_stage(W, T_list, below, between, scan):
     return (s, tuple(sorted(ti for ti, _ in pre.copies))), Cm, u
 
 
+def _stalk_split(W, T_list):
+    """The envelope triangle V -> W -> U read off W's summands, (V, v_map, U, f, trace); None where it may not be.
+
+    Read when T_list is stalks P_v in one degree d, one per vertex of a set S
+    that no arrow leaves, and W's S-summands lie in degrees <= d.  An entry
+    of d_W from a complement summand to an S-summand would be a path leaving
+    S, so the complement summands span a subcomplex V, with no non-zero map
+    to any P_v[k] even on chains, and the S-summands the quotient U, in
+    susp(T): the triangle, unique up to isomorphism (Auslander-Smalo), with
+    the selections v_map and f and a layer (d - n, sorted tags of U's
+    degree-n summands, a tag being P_v's index in T_list) per degree n of U,
+    outermost first.  With no S-summand only the empty trace is read.
+    """
+    d, tags = T_list[0].lo if T_list else 0, {}
+    for i, T in enumerate(T_list):
+        if T.summand_count() != 1 or T.lo != d:
+            return None
+        tags.setdefault(T.components[d][0], i)
+    alg = W.algebra
+    if len(tags) < len(T_list) or any(a.source in tags and a.target not in tags for a in alg.quiver.arrows):
+        return None
+    keep = {n: [i for i, v in enumerate(vs) if v not in tags] for n, vs in W.components.items()}
+    quotient = {n: [i for i, v in enumerate(vs) if v in tags] for n, vs in W.components.items()}
+    if any(n > d and idx for n, idx in quotient.items()):
+        return None
+    if not any(quotient.values()):
+        return W, None, None, None, []
+    V, U = subcomplex_on_indices(W, keep), subcomplex_on_indices(W, quotient)
+    v_map = ChainMap(V, W, {n: _inclusion(alg, vs, 0, {i: k for k, i in enumerate(keep[n])}, None, V.component(n))
+                            for n, vs in W.components.items()})
+    f = ChainMap(W, U, {n: _projection(alg, vs, 0, {i: k for k, i in enumerate(quotient[n])}, None, U.component(n))
+                        for n, vs in W.components.items()})
+    return V, v_map, U, f, [(d - n, tuple(sorted(tags[v] for v in U.components[n]))) for n in sorted(U.components)]
+
+
 def _envelope(M, T_list):
     """The envelope triangle V -> M -> U, unchecked: (f, U, V, v_map, trace, zeros).
 
-    A non-minimal M is minimized once, here, and the stages run on its
-    model W_0; a minimal M is W_0 itself.  The stages give
+    A non-minimal M is minimized once, here, and the triangle is taken of
+    its model W_0; a minimal M is W_0 itself.  It is read off W_0's summands
+    where `_stalk_split` may; otherwise the stages give
     W_0 <- W_1 <- ... <- W_r, each map the pulled cocone map u of a stage,
     and w: W_r -> W_0 composes them.  The triangle
     W_r -w-> W_0 -> C(-w) -> W_r[1] is distinguished: it is the cone
@@ -275,23 +304,28 @@ def _envelope(M, T_list):
     v_map is `from_min` after w.  With no stage U = 0 and f = 0, V is W_0
     and v_map its inclusion.  `zeros` are the spaces Hom(V, T_i[k]) of the
     last stage's scan: every k below the previous stage's s (every k >= 0
-    with no stage) where they can be non-zero.
+    with no stage) where they can be non-zero; a split has none.
     """
     T_list = indecomposable_refinement(T_list)
     model = None if is_minimal(M) else minimize(M)
     W0 = M if model is None else model.complex
-    W, maps, trace, between = W0, [], [], {}
-    # a fresh scan per stage: after the loop it holds the search that found no s
-    while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between, scan := {}):
-        layer, W, u = stage
-        maps.append(u)
-        trace.append(layer)
-    zeros = list(scan.values())
-    if not maps:
+    split, zeros = _stalk_split(W0, T_list), []
+    if split is not None:
+        W, w, U, f, trace = split
+    else:
+        W, maps, trace, between = W0, [], [], {}
+        # a fresh scan per stage: after the loop it holds the search that found no s
+        while stage := _susp_envelope_stage(W, T_list, trace[-1][0] if trace else None, between, scan := {}):
+            layer, W, u = stage
+            maps.append(u)
+            trace.append(layer)
+        zeros = list(scan.values())
+        if maps:
+            w = reduce(ChainMap.compose, maps)
+            U, f = minimal_cone(ChainMap(W, W0, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) W0^n
+    if not trace:
         U = ProjComplex.zero(M.algebra)
         return ChainMap.zero(M, U), U, W0, ChainMap.identity(M) if model is None else model.from_min, trace, zeros
-    w = reduce(ChainMap.compose, maps)
-    U, f = minimal_cone(ChainMap(W, W0, {n: -m for n, m in w.components.items()}))  # C(-w)^n = W^{n+1} (+) W0^n
     if model is not None:
         f, w = f.compose(model.to_min), model.from_min.compose(w)
     return f, U, W, w, trace, zeros
@@ -323,8 +357,10 @@ def susp_envelope(M, T_list):
     maps, and the orthogonality Hom(V, T_i[k]) = 0 for all k >= 0 is
     certified, reading the spaces the last stage's s-search built on V and
     building the ones it did not scan, at and above the previous stage's s.
-    Splitting T into its indecomposable summands searches the one fixed
-    stream of `decompose`.
+    A triangle read off M's summands (`_stalk_split`) is certified by
+    `homs.nonzero_homs`, which builds no space: no vertex of T reaches one
+    of V by a path.  Splitting T into its indecomposable summands searches
+    the one fixed stream of `decompose`.
     """
     f, U, V, v_map, trace, zeros = _envelope(M, T_list)
     f.check_chain_condition()

@@ -874,7 +874,7 @@ def subcomplex_on_indices(X, index_map):
     caller guarantees that the kept indices span a summand, a subcomplex or
     a quotient complex; nothing here checks it.  `decompose._components`
     keeps the connected components of the differentials, which no cell
-    joins.  `gluing._corner_split` and `recollement`'s i^* rely on no arrow
+    joins.  `approx._stalk_split` and `recollement`'s i^* rely on no arrow
     leaving S: an entry from a complement summand to an S summand would be
     a path from S to the complement, so the complement summands span a
     subcomplex and the S summands its quotient.

@@ -39,6 +39,7 @@ import importlib.util
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .fields import QQ
@@ -46,6 +47,7 @@ from .complexes import (
     ChainMap,
     MinimizeResult,
     PathMatrix,
+    ProjComplex,
     minimal_cone,
     minimize,
     subcomplex_on_indices,
@@ -576,7 +578,12 @@ def decompose(X):
     by `summand_order`.  `certified` is True when each summand has a local
     endomorphism ring, and False when indecomposability rests on the
     exhausted randomized idempotent search, or on a radical candidate that
-    is not nilpotent (`SemisimpleQuotient.certified`).
+    is not nilpotent (`SemisimpleQuotient.certified`).  A complex with two
+    or more summands and no differential is the sum of its stalks, each
+    with a local End, the field.
     """
+    if X.summand_count() > 1 and not X.differentials:
+        stalks = Counter((n, v) for n, vs in X.components.items() for v in vs)
+        return sorted(((ProjComplex.stalk(X.algebra, v, n), m, True) for (n, v), m in stalks.items()), key=summand_order)
     groups = group_isomorphic(_decompose_minimal(minimize(X).complex if X.differentials else X))
     return sorted((tuple(g) for g in groups), key=summand_order)

@@ -60,8 +60,8 @@ def canonical_quotient_silting(rec, shifted=()):
 def glue_fixtures(field=QQ):
     """(name, recollement, T_B list) triples over `field` used by the gluing test matrix.
 
-    All use the canonical corner silting for T_C, so `glue` reads each
-    envelope triangle off i_*T_Y by the corner split.
+    All use the canonical corner silting for T_C, so each envelope reads
+    its triangle off i_*T_Y's summands (`approx._stalk_split`).
     """
     out = []
     A3 = ka3_algebra(field)

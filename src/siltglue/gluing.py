@@ -6,13 +6,10 @@ T~_Y replaces it, and T = j_!(T_C) together with the T~_Y is the glued set.
 Every certificate is re-derivable from raw Hom computations.
 """
 
-from itertools import count
-
 from .fields import QQ
-from .complexes import (ChainMap, ProjComplex, _inclusion, _projection, direct_sum_many, is_minimal, minimize, shift,
-                        subcomplex_on_indices)
+from .complexes import ProjComplex, direct_sum_many, is_minimal, minimize, shift
 from .homs import is_nonpositive, nonzero_homs
-from .approx import EnvelopeResult, susp_envelope
+from .approx import susp_envelope
 from .recollement import i_star, i_upper_star, j_lower_shriek
 from .decompose import decompose, group_isomorphic, is_isomorphic, summand_order
 from .linalg import Matrix, det, rank
@@ -28,20 +25,11 @@ class GlueCertificate:
     `T` is the list of glued complexes over A (j_! images first, then the
     non-zero T~_Y), and `tildes` every T~_Y, one per T_Y; `triangles`
     records, per T_Y, the envelope triangle T~_Y -> M = i_*T_Y -> U (the
-    shifted third term U[1]).  `_certify` fills `reports` and `decomposition`.
+    shifted third term U[1]) of `susp_envelope`.  `_certify` fills `reports`
+    and `decomposition`.
     """
 
-    __slots__ = (
-        "rec",
-        "T_C",
-        "T_B",
-        "jT",
-        "tildes",
-        "triangles",
-        "T",
-        "reports",
-        "decomposition",
-    )
+    __slots__ = ("rec", "T_C", "T_B", "jT", "tildes", "triangles", "T", "reports", "decomposition")
 
     def __init__(self, rec, T_C, T_B, jT, tildes, triangles, T):
         self.rec = rec
@@ -178,11 +166,7 @@ def check_star_condition(cert):
     (i) each envelope trace layer uses shifts >= 1 of j_!T_C;
     (ii) Hom(T~_Y, j_!t[k]) = 0 for every k >= 1 over the window.
     """
-    layer_ok = True
-    for tri in cert.triangles:
-        for s, _tags in tri["trace"]:
-            if s + 1 < 1:
-                layer_ok = False
+    layer_ok = all(s + 1 >= 1 for tri in cert.triangles for s, _tags in tri["trace"])
     failures = []
     for ti, tilde in enumerate(cert.tildes):
         for ci, jt in enumerate(cert.jT):
@@ -226,50 +210,15 @@ def _require_nonpositive(name, T_list):
         raise GlueError(f"{name} is not non-positive: Hom(T_{w[0]}, T_{w[1]}[{w[2]}]) != 0")
 
 
-def _corner_split(rec, T_C, M):
-    """The envelope triangle V -> M -> U of M = i_*T_Y by j_!T_C[1], read off M's summands; None where it may not be.
-
-    It is read when T_C's members are stalk sums in degree 0 that hold
-    each vertex of S once, so add(j_!T_C) = add(P_v, v in S), and M's
-    S-summands lie in degrees <= -1.  No arrow leaves S, so M's complement
-    summands span a subcomplex V, its S-summands form the quotient U, in
-    susp(j_!T_C[1]), and Hom(V, P_v[k]) = 0 already on chains.  Such a
-    triangle is unique up to isomorphism: it is the one `susp_envelope`
-    builds, with M, V and U minimal, v_map the inclusion and f the
-    projection, chain-checked as there.  The trace has a layer (-n-1,
-    sorted tags of U's degree-n summands) per degree n of U, outermost
-    first, the tag of P_v being its index among the members' stalks, each
-    member's in vertex order as `decompose` sorts them.  The envelope's
-    orthogonality certificate is condition (ii) of `check_star_condition`,
-    which `_certify` re-derives for every T~_Y.
-    """
-    corner = [v for t in T_C for v in sorted(t.components.get(0, ()))]
-    if any(n != 0 for t in T_C for n in t.components) or sorted(corner) != sorted(rec.S):
-        return None
-    tags = {v: i for i, v in enumerate(corner)}
-    keep = {n: [i for i, v in enumerate(vs) if v not in tags] for n, vs in M.components.items()}
-    quotient = {n: [i for i, v in enumerate(vs) if v in tags] for n, vs in M.components.items()}
-    if any(n >= 0 and idx for n, idx in quotient.items()):
-        return None
-    V, U, alg = subcomplex_on_indices(M, keep), subcomplex_on_indices(M, quotient), M.algebra
-    v_map = ChainMap(V, M, {n: _inclusion(alg, vs, 0, dict(zip(keep[n], count())), None, V.component(n))
-                            for n, vs in M.components.items()})
-    f = ChainMap(M, U, {n: _projection(alg, vs, 0, dict(zip(quotient[n], count())), None, U.component(n))
-                        for n, vs in M.components.items()})
-    f.check_chain_condition()
-    v_map.check_chain_condition()
-    trace = [(-n - 1, tuple(sorted(tags[v] for v in U.components[n]))) for n in sorted(U.components)]
-    return EnvelopeResult(M, U, V, f, v_map, trace[0][0] if trace else None, trace, {"cocone_orthogonal": True})
-
-
 def glue(rec, T_C, T_B, decompose_result=True):
     """Glue non-positive sets along the recollement; returns certificates.
 
     T_C is a list of complexes over the corner algebra, T_B over the
     quotient algebra.  Raises GlueError with a witness when an input set is
     not non-positive.  Each i_*T_Y takes its envelope triangle from
-    `_corner_split` where that applies, and from `susp_envelope` otherwise;
-    a zero T~_Y is left out of T.  `check_co_aisle_agreement` decides that
+    `susp_envelope`, which reads it off i_*T_Y's summands when T_C is stalks
+    in one degree and i_*T_Y's S-summands lie below it; a zero T~_Y is left
+    out of T.  `check_co_aisle_agreement` decides that
     T's t-structure is the glued one.  Every randomized search (envelope,
     reports, decomposition) draws from the one fixed stream of `decompose`.
     """
@@ -277,7 +226,7 @@ def glue(rec, T_C, T_B, decompose_result=True):
     _require_nonpositive("T_B", T_B)
     jT = [j_lower_shriek(rec, t) for t in T_C]
     env_targets = [shift(t, 1) for t in jT]
-    envs = [_corner_split(rec, T_C, M) or susp_envelope(M, env_targets) for M in (i_star(rec, T_Y) for T_Y in T_B)]
+    envs = [susp_envelope(i_star(rec, T_Y), env_targets) for T_Y in T_B]
     tildes = [env.V for env in envs]
     triangles = [{k: getattr(env, k) for k in ("V", "M", "U", "f", "v_map", "s", "trace")} for env in envs]
     T = jT + [t for t in tildes if not t.is_zero()]
@@ -301,6 +250,4 @@ def _certify(cert, decompose_result):
 
 def canonical_corner_silting(rec):
     """The corner algebra as a complex over itself: (+) P_v, v in S."""
-    return direct_sum_many(
-        rec.C, [ProjComplex.stalk(rec.C, v) for v in rec.C.quiver.vertices]
-    )
+    return direct_sum_many(rec.C, [ProjComplex.stalk(rec.C, v) for v in rec.C.quiver.vertices])

@@ -400,8 +400,12 @@ def nonzero_homs(X, Y, lo, built=None):
     so a caller that stops at the first yield builds no space past it.
     `built` maps shifts k to a HomSpace(X, Y, k) built before; it is read
     and not built again, and the HomComplex is made only for a shift it
-    lacks.
+    lacks.  When no vertex of Y reaches a vertex of X by a path, every
+    Hom^m is zero, and nothing is built.
     """
+    ys, between = {w for ws in Y.components.values() for w in ws}, X.algebra.between
+    if not any((w, v) in between for vs in X.components.values() for v in vs for w in ys):
+        return
     wlo, whi = hom_window(X, Y)
     built, hom = built or {}, None
     for k in range(max(lo, wlo), whi + 1):

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from siltglue import gluing
+from siltglue import approx, gluing
 from siltglue.fields import QQ
 from siltglue.quiver import Quiver
 from former import cone
@@ -10,6 +11,7 @@ from siltglue.complexes import PathMatrix, ProjComplex, direct_sum, minimize, sh
 from siltglue.decompose import _components
 from siltglue.fixtures import ka3_algebra, ka3_named_complexes
 from siltglue.homs import HomSpace
+from siltglue.serialize import chain_map_to_json, complex_to_json
 
 
 @pytest.fixture
@@ -65,11 +67,25 @@ def random_complex(alg, rng, steps=2, max_width=4, shift_range=2):
     return X
 
 
+@pytest.fixture
+def staged(monkeypatch):
+    """Every envelope and precover runs its stages: `approx._stalk_split` declines."""
+    monkeypatch.setattr(approx, "_stalk_split", lambda *args: None)
+
+
 def glue_by_envelope(rec, T_C, T_B):
-    """`gluing.glue` with `_corner_split` declining, so that every T~_Y comes from `susp_envelope`."""
+    """`gluing.glue` with `approx._stalk_split` declining, so that every T~_Y comes from the envelope's stages."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gluing, "_corner_split", lambda *args: None)
+        mp.setattr(approx, "_stalk_split", lambda *args: None)
         return gluing.glue(rec, T_C, T_B)
+
+
+def triangle_json(tri):
+    """The six fields of a glue certificate's triangle or an EnvelopeResult, serialized with every dict in its order."""
+    V, U, f, v_map, s, trace = (tri[k] if isinstance(tri, dict) else getattr(tri, k)
+                                for k in ("V", "U", "f", "v_map", "s", "trace"))
+    fields = [complex_to_json(V), complex_to_json(U), chain_map_to_json(f), chain_map_to_json(v_map)]
+    return json.dumps(fields + [s, [[k, list(tags)] for k, tags in trace]])
 
 
 def seeded_rng(seed):

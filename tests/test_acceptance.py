@@ -129,7 +129,7 @@ def test_statistic_value(ka3):
     assert s_sup(M, [shift(ka3["P"]["3"], 1)]) == 1
 
 
-# 5: the corner split (the former shortcut) agrees with the envelope across the fixture matrix
+# 5: the envelopes read off i_*T_Y's summands (the former shortcut) agree with their stages across the fixture matrix
 
 
 def test_shortcut_add_equivalent_on_all_fixtures():

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import conjugated, random_complex, random_quiver, seeded_rng
+from conftest import conjugated, random_complex, random_quiver, seeded_rng, triangle_json
 from former import (
     cocone,
     cone,
@@ -28,6 +28,7 @@ from siltglue.complexes import (
     PathMatrix,
     ProjComplex,
     direct_sum,
+    direct_sum_many,
     is_minimal,
     minimal_cone,
     minimize,
@@ -340,7 +341,7 @@ def test_reported_maps_are_checked_once(ka3, monkeypatch):
     assert all(f.source.algebra is ka3["A"] for f in checked)
 
 
-def test_envelope_takes_one_cone_after_its_stages(ka3, monkeypatch):
+def test_envelope_takes_one_cone_after_its_stages(ka3, monkeypatch, staged):
     """Two layers: one stage call per layer and one that finds no s, then a single cone."""
     cones, stages = [], []
     cone_, stage = approx.minimal_cone, approx._susp_envelope_stage
@@ -658,7 +659,7 @@ def test_an_envelope_without_a_stage_builds_no_cone(ka3, monkeypatch):
         assert env.V == V_old and _dump(env.v_map) == _dump(v_old)
 
 
-def test_envelope_takes_no_cocone_after_its_stages(ka3, monkeypatch):
+def test_envelope_takes_no_cocone_after_its_stages(ka3, monkeypatch, staged):
     """One cocone per stage, for its preenvelope, and none to rebuild V."""
     cocones = []
     cocone_ = approx.minimal_cocone
@@ -673,7 +674,7 @@ def test_envelope_takes_no_cocone_after_its_stages(ka3, monkeypatch):
 
 
 @pytest.mark.parametrize("scan", ["kept", "lost"])
-def test_an_envelope_stopped_a_stage_early_fails_its_certificate(ka3, monkeypatch, scan):
+def test_an_envelope_stopped_a_stage_early_fails_its_certificate(ka3, monkeypatch, staged, scan):
     """Stop the stage loop before its last stage: V is then not orthogonal to T, and the certificate says so.
 
     `kept`: the stopped stage's s-search still runs, so the certificate
@@ -773,6 +774,63 @@ def test_a_raw_m_gives_the_former_routes_envelope_and_precover_up_to_isomorphism
             assert is_isomorphic(new, old).isomorphic
         staged += bool(trace) + bool(trace_pre)
     assert staged >= 12
+
+
+def _stalk_split_case(field, rng):
+    """(route, M, T, applies): random stalks P_v, v in S, in one random degree d in [-2, 1], split over one or two
+    members in a random order, one time in eight with one stalk again as a member of its own, and a random M, raw
+    one time in four.  S is closed under the arrows (under the reversed arrows for a precover) four times in five,
+    and a random set otherwise; `applies` says whether the split may be read: S is closed, no stalk is repeated and
+    M's minimal model has its S-summands in degrees <= d (>= d for a precover).
+    """
+    alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.6), field)
+    route = rng.choice([susp_envelope, cosusp_precover])
+    ends = [(a.source, a.target) if route is susp_envelope else (a.target, a.source) for a in alg.quiver.arrows]
+    S = set(rng.sample(alg.quiver.vertices, rng.randint(1, len(alg.quiver.vertices))))
+    if rng.random() < 0.8:
+        S = {rng.choice(sorted(S))}
+        while grown := {t for s, t in ends if s in S} - S:  # close S under the arrows, or under the reversed ones
+            S |= grown
+    d = rng.randint(-2, 1)
+    stalks = [ProjComplex.stalk(alg, v, d) for v in rng.sample(sorted(S), len(S))]
+    cut = rng.randint(1, len(stalks) - 1) if len(stalks) > 1 and rng.random() < 0.5 else len(stalks)
+    T = [direct_sum_many(alg, part) for part in (stalks[:cut], stalks[cut:]) if part]
+    repeated = rng.random() < 0.125
+    if repeated:
+        T.insert(rng.randint(0, len(T)), rng.choice(stalks))
+    M = random_complex(alg, rng, steps=rng.randint(1, 3), max_width=4, shift_range=2)
+    M = _raw(M, rng) if rng.random() < 0.25 else M
+    degrees = [n for n, vs in minimize(M).complex.components.items() if S & set(vs)]
+    closed = not any(s in S and t not in S for s, t in ends)
+    return route, M, T, closed and not repeated and all(n <= d if route is susp_envelope else n >= d for n in degrees)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_stalk_split_equals_the_stages(field, monkeypatch):
+    """Where `_stalk_split` reads the triangle off M's summands, it equals the stage route's byte for byte.
+
+    V, U, f, v_map, s and the trace, as envelope and as precover, against
+    the same call with the split declining.  The split is read exactly
+    where it may be (`_stalk_split_case`); the others run the stages either
+    way.
+    """
+    split, declining = approx._stalk_split, lambda *args: None
+    rng, splits, layered, precovers, declined = seeded_rng(4700), 0, 0, 0, 0
+    for _ in range(700):
+        route, M, T, applies = _stalk_split_case(field, rng)
+        read = []
+        monkeypatch.setattr(approx, "_stalk_split", lambda *args: read.append(out := split(*args)) or out)
+        got = route(M, T)
+        monkeypatch.setattr(approx, "_stalk_split", declining)
+        staged = route(M, T)
+        assert got.M is M and staged.M is M and got.certificates == staged.certificates
+        assert triangle_json(got) == triangle_json(staged), (M, T)
+        assert (read[0] is not None) == applies, (M, T)
+        if applies:
+            splits, layered, precovers = splits + 1, layered + bool(got.trace), precovers + (route is cosusp_precover)
+        declined += not applies
+    monkeypatch.setattr(approx, "_stalk_split", split)
+    assert splits >= 300 and layered >= 200 and precovers >= 150 and declined >= 250, (splits, layered, precovers, declined)
 
 
 def _check_envelope_by_oracle(M, T, res):

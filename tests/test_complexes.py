@@ -685,9 +685,10 @@ def _one_end_not_minimal(field, seed, count):
 
 def _envelope_maps(field, monkeypatch):
     """(name, f) of every call of `minimal_cocone` (a stage) and `minimal_cone` (a final cone) that the
-    envelopes of the glued fixtures make: each i_*T_Y's, which `glue` reads off by the corner split, and those of
-    the glue's generation check."""
+    envelopes of the glued fixtures make, each by its stages: each i_*T_Y's, which `glue` would read off its
+    summands, and those of the glue's generation check."""
     calls = []
+    monkeypatch.setattr(approx, "_stalk_split", lambda *args: None)
     for name in ("minimal_cocone", "minimal_cone"):
         real = getattr(approx, name)
         monkeypatch.setattr(approx, name, lambda f, name=name, real=real: calls.append((name, f)) or real(f))

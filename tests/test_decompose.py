@@ -45,6 +45,7 @@ from siltglue.decompose import (
     decompose,
     group_isomorphic,
     is_isomorphic,
+    summand_order,
 )
 
 
@@ -308,7 +309,8 @@ def test_components_are_the_blocks_in_order_of_first_summand(ka3):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2)], ids=["Q", "F5", "F2"])
 def test_gluing_fixtures_build_no_endomorphism_algebra(field, monkeypatch):
-    """Every complex the gluing fixtures decompose splits by its components alone, by either gluing route."""
+    """Every complex the gluing fixtures decompose splits by its components alone, with the envelopes read off
+    i_*T_Y's summands and by their stages."""
     built = []
     orig = EndAlgebra.__init__
     monkeypatch.setattr(EndAlgebra, "__init__", lambda end, X: built.append(X) or orig(end, X))
@@ -317,6 +319,32 @@ def test_gluing_fixtures_build_no_endomorphism_algebra(field, monkeypatch):
         for cert in (glue_by_envelope(rec, T_C, T_B), glue(rec, T_C, T_B)):
             assert cert.passed and cert.decomposition, (field, name)
     assert built == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2)], ids=["Q", "F5", "F2"])
+def test_a_sum_of_stalks_splits_as_the_component_search_does(field, monkeypatch):
+    """A sum of stalks with repeated (degree, vertex) pairs decomposes as its component search and isomorphism
+    grouping would, by ==, with its multiplicities, flags and order, and runs neither; a lone stalk is its own summand.
+    """
+    searched = []
+    search, group = decompose_module._components, decompose_module.group_isomorphic
+    monkeypatch.setattr(decompose_module, "_components", lambda X: searched.append(X) or search(X))
+    monkeypatch.setattr(decompose_module, "group_isomorphic", lambda parts: searched.append(parts) or group(parts))
+    rng, repeated = seeded_rng(4703), 0
+    for _ in range(30):
+        alg = build_algebra(random_quiver(rng, max_vertices=4), field)
+        pairs = [(rng.randint(-2, 2), rng.choice(alg.quiver.vertices)) for _ in range(rng.randint(2, 5))]
+        pairs += rng.choices(pairs, k=rng.randint(0, 3))
+        X = direct_sum_many(alg, [ProjComplex.stalk(alg, v, n) for n, v in rng.sample(pairs, len(pairs))])
+        got = decompose(X)
+        assert searched == []
+        assert got == sorted((tuple(c) for c in group(decompose_module._decompose_minimal(X))), key=summand_order)
+        assert sum(m for _c, m, _ok in got) == len(pairs) and all(ok for _c, _m, ok in got)
+        repeated += any(m > 1 for _c, m, _ok in got)
+        P = ProjComplex.stalk(alg, pairs[0][1], pairs[0][0])
+        assert [(c is P, m, ok) for c, m, ok in decompose(P)] == [(True, 1, True)]
+        searched.clear()
+    assert repeated >= 15, repeated
 
 
 def _ka3_over(field):

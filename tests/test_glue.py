@@ -5,7 +5,7 @@ import signal
 import pytest
 from click.testing import CliRunner
 
-from conftest import conjugated, glue_by_envelope, random_complex, random_quiver, seeded_rng
+from conftest import conjugated, glue_by_envelope, random_complex, seeded_rng, triangle_json
 from former import former_co_aisle_agreement, former_generated
 from siltglue import approx, complexes, gluing, serialize
 from siltglue.fields import QQ, PrimeField
@@ -33,8 +33,7 @@ from siltglue.gluing import (
     k0_report,
     summand_classes,
 )
-from siltglue.quiver import build_algebra
-from siltglue.serialize import chain_map_to_json, complex_to_json
+from siltglue.serialize import complex_to_json
 from siltglue.recollement import i_star, idempotent_recollement, j_lower_shriek
 
 
@@ -112,7 +111,7 @@ def test_glue_fixture_matrix(name, rec, T_B):
 
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
 def test_shortcut_agrees_with_glue(name, rec, T_B):
-    """On every fixture, the corner split (the former shortcut's route) gives the envelope route's triangles and set.
+    """On every fixture, the envelopes read off i_*T_Y's summands give the stage route's triangles and set.
 
     Both glues pass, and their triangles, glued sets and decompositions
     are equal byte for byte.
@@ -120,55 +119,9 @@ def test_shortcut_agrees_with_glue(name, rec, T_B):
     T_C = [canonical_corner_silting(rec)]
     split, enveloped = glue(rec, T_C, T_B), glue_by_envelope(rec, T_C, T_B)
     assert split.passed and enveloped.passed, split.reports
-    assert [_triangle_json(t) for t in split.triangles] == [_triangle_json(t) for t in enveloped.triangles]
+    assert [triangle_json(t) for t in split.triangles] == [triangle_json(t) for t in enveloped.triangles]
     assert [complex_to_json(t) for t in split.T] == [complex_to_json(t) for t in enveloped.T]
     assert _serialized(split.decomposition) == _serialized(enveloped.decomposition)
-
-
-def _triangle_json(tri):
-    """The six fields of a certificate's triangle or an EnvelopeResult, serialized with every dict in its order."""
-    V, U, f, v_map, s, trace = (tri[k] if isinstance(tri, dict) else getattr(tri, k)
-                                for k in ("V", "U", "f", "v_map", "s", "trace"))
-    fields = [complex_to_json(V), complex_to_json(U), chain_map_to_json(f), chain_map_to_json(v_map)]
-    return json.dumps(fields + [s, [[k, list(tags)] for k, tags in trace]])
-
-
-def _random_corner(rec, rng):
-    """T_C: the stalks P_v, v in S, over the corner, in a random order, summed into one or two members."""
-    stalks = [ProjComplex.stalk(rec.C, v) for v in rng.sample(rec.S, len(rec.S))]
-    cut = rng.randint(1, len(stalks) - 1) if len(stalks) > 1 and rng.random() < 0.5 else len(stalks)
-    return [direct_sum_many(rec.C, part) for part in (stalks[:cut], stalks[cut:]) if part]
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
-def test_corner_split_equals_the_envelope(field):
-    """Where `_corner_split` applies, its triangle equals `susp_envelope`'s byte for byte, in all six fields.
-
-    Random acyclic quivers, a random S closed under arrows, a random T_Y
-    over B and T_C's stalks split over one or two members in a random
-    order; the split declines exactly when some S-summand of i_*T_Y lies
-    in degree >= 0.
-    """
-    rng, split, layered = seeded_rng(4500), 0, 0
-    while split < 150:
-        alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.6), field)
-        S = {rng.choice(alg.quiver.vertices)}
-        while grown := {a.target for a in alg.quiver.arrows if a.source in S} - S:  # close S under arrows
-            S |= grown
-        if len(S) == len(alg.quiver.vertices):
-            continue
-        rec = idempotent_recollement(alg, sorted(S))
-        T_C = _random_corner(rec, rng)
-        M = i_star(rec, random_complex(rec.B, rng, steps=2, max_width=4, shift_range=2))
-        got = gluing._corner_split(rec, T_C, M)
-        env = susp_envelope(M, [shift(j_lower_shriek(rec, t), 1) for t in T_C])
-        s_degrees = [n for n, vs in M.components.items() if set(vs) & S]
-        assert (got is None) == any(n >= 0 for n in s_degrees), M
-        if got is not None:
-            split, layered = split + 1, layered + bool(got.trace)
-            assert got.M is M and got.certificates == env.certificates
-            assert _triangle_json(got) == _triangle_json(env), M
-    assert layered >= 75, layered  # a non-zero U, so at least one layer
 
 
 def _serialized(decomposition):
@@ -180,7 +133,7 @@ def _serialized(decomposition):
 @pytest.mark.parametrize("name,rec,T_B", glue_fixtures(), ids=[f[0] for f in glue_fixtures()])
 def test_decomposition_equals_decompose_of_the_sum(name, rec, T_B, shortcut, copies):
     # read off the members' summand classes, byte for byte what splitting (+)T from scratch gives,
-    # by the corner split ("shortcut") and by the envelope ("glue")
+    # with envelopes read off i_*T_Y's summands ("shortcut") and by their stages ("glue")
     T_B = T_B * copies
     cert = (glue if shortcut else glue_by_envelope)(rec, [canonical_corner_silting(rec)], T_B)
     assert _serialized(cert.decomposition) == _serialized(decompose(direct_sum_many(rec.A, cert.T)))
@@ -188,21 +141,18 @@ def test_decomposition_equals_decompose_of_the_sum(name, rec, T_B, shortcut, cop
 
 
 def test_glue_takes_the_envelope_for_an_s_summand_in_degree_0(monkeypatch):
-    """T_B in degree 1 puts an S-summand of i_*T_Y in degree 0: the corner split declines, and the envelope passes."""
+    """T_B in degree 1 puts an S-summand of i_*T_Y in degree 0: the envelope's split declines, its stages run, and
+    the glue passes."""
     rec = idempotent_recollement(ka3_algebra(), ["3"])
-    calls = []
-
-    def spy(name, f):
-        return lambda *args: calls.append((name, out := f(*args))) or out
-
-    monkeypatch.setattr(gluing, "_corner_split", spy("split", gluing._corner_split))
-    monkeypatch.setattr(gluing, "susp_envelope", spy("envelope", susp_envelope))
+    splits, stages = [], []
+    split, stage = approx._stalk_split, approx._susp_envelope_stage
+    monkeypatch.setattr(approx, "_stalk_split", lambda *args: splits.append(out := split(*args)) or out)
+    monkeypatch.setattr(approx, "_susp_envelope_stage", lambda *args: stages.append(out := stage(*args)) or out)
     cert = glue(rec, [canonical_corner_silting(rec)], [shift(canonical_quotient_silting(rec), -1)])
-    assert [(name, out is None) for name, out in calls[:2]] == [("split", True), ("envelope", False)]
-    assert {name for name, _out in calls[2:]} <= {"envelope"}  # the generation check's
+    assert splits[0] is None and stages[0] is None  # the i_*T_Y envelope, with no s >= 0; the generation check's follow
     M = cert.triangles[0]["M"]
     assert 0 in M.components and "3" in M.components[0]
-    assert cert.triangles[0]["trace"] == calls[1][1].trace
+    assert cert.triangles[0]["trace"] == [] and cert.triangles[0]["V"] == M
     assert cert.passed, cert.reports
 
 
@@ -322,7 +272,7 @@ def _multisets(cert):
 
 
 def test_glue_matrix_over_prime_fields():
-    """Every gluing fixture, rebuilt over F_5, F_2 and F_2^31-1, glues by the envelope and by the corner split.
+    """Every gluing fixture, rebuilt over F_5, F_2 and F_2^31-1, glues by the envelopes' stages and their split.
 
     Each passes with generation "generated" and a certified decomposition
     whose graded multisets are those over Q.  The whole matrix, sympy's
@@ -509,7 +459,8 @@ def test_envelopes_with_minimal_ends_build_no_cone(monkeypatch):
         for name, wrap in (("cone", building), ("cocone", building), ("minimize", minimizing)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrap(getattr(module, name)))
-    for _name, rec, T_B in glue_fixtures():  # glue takes the corner split on these: each envelope is taken here
+    monkeypatch.setattr(approx, "_stalk_split", lambda *args: None)  # these would be read off i_*T_Y's summands
+    for _name, rec, T_B in glue_fixtures():
         targets = [shift(j_lower_shriek(rec, canonical_corner_silting(rec)), 1)]
         for T_Y in T_B:
             susp_envelope(i_star(rec, T_Y), targets)

@@ -18,7 +18,7 @@ from siltglue.complexes import ChainMap, ComplexError, PathMatrix, ProjComplex, 
 from siltglue.fixtures import ka3_algebra
 from siltglue.linalg import Matrix, extend_rref, independent_columns, row_space_rref, solve
 from siltglue import homs
-from siltglue.approx import add_shift_preenvelope
+from siltglue.approx import ApproxError, _check_orthogonal, add_shift_preenvelope
 from siltglue.serialize import chain_map_to_json
 from siltglue.homs import (
     HomComplex,
@@ -178,6 +178,44 @@ def test_is_nonpositive_witness(ka3):
     i, j, k, f = witness
     assert k >= 1
     f.check_chain_condition()
+
+
+def test_nonzero_homs_builds_nothing_on_a_pair_with_no_connecting_path(ka3, monkeypatch):
+    """No vertex of Y reaches one of X (ka3 is 1 -> 2 -> 3): every Hom^m is zero, and no complex or space is built."""
+    built = []
+    for cls in (HomComplex, HomSpace):
+        monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__: built.append(obj) or init(obj, *args))
+    P = ka3["P"]
+    X, Y = direct_sum(P["1"], shift(P["2"], 1)), direct_sum(P["3"], shift(P["3"], -2))
+    assert list(nonzero_homs(X, Y, -5)) == [] and built == []
+    assert [k for k, _hs in nonzero_homs(Y, X, -5)] == [-3, -2, -1, 0] and built
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_nonzero_homs_verdicts_equal_the_full_window_walk(field):
+    """`nonzero_homs`, `is_nonpositive` and `approx._check_orthogonal` give the verdicts of every space of the window
+    built in turn, on random pairs with and without a connecting path."""
+    rng, unreached, reached = seeded_rng(4702), 0, 0
+    for _ in range(16):
+        alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.2), field)
+        objs = [random_complex(alg, rng, steps=rng.randint(0, 2), shift_range=2) for _ in range(4)]
+        for X, Y in itertools.product(objs, repeat=2):
+            walk = {k: hs.dim for k, hs in hom_spaces(X, Y).items() if hs is not None and hs.dim}
+            for lo in (-1, 0, 1):
+                assert [(k, hs.dim) for k, hs in nonzero_homs(X, Y, lo)] == [(k, d) for k, d in walk.items() if k >= lo]
+            try:
+                _check_orthogonal([(X, Y)], "pair")
+            except ApproxError:
+                assert any(k >= 0 for k in walk)
+            else:
+                assert not any(k >= 0 for k in walk)
+            ok, witness = is_nonpositive([X, Y])
+            assert ok == (not any(k >= 1 for i, j in itertools.product((X, Y), repeat=2)
+                                  for k, hs in hom_spaces(i, j).items() if hs is not None and hs.dim))
+            ys = {w for ws in Y.components.values() for w in ws}
+            linked = any((w, v) in alg.between for vs in X.components.values() for v in vs for w in ys)
+            unreached, reached = unreached + (not linked), reached + (linked and bool(walk))
+    assert unreached >= 50 and reached >= 100, (unreached, reached)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
