@@ -13,10 +13,13 @@ at entry: the stages and the cone run on its model, and f and v_map pass
 back to M through the model's homotopy equivalences.  The members of T are
 minimal and so is each W, so every cocone and the cone come from one direct
 elimination of the map's unit block (`complexes.minimal_cocone` and
-`minimal_cone`), with no full cone built.  Where T is stalks of a vertex set
-that no arrow leaves, in one degree, and the model's summands at those
-vertices lie in no higher degree, the triangle is the model's own split, with
-no stage (`_stalk_split`).
+`minimal_cone`), with no full cone built.  Where T is presilting stalks P_v,
+one per vertex of a set S that no arrow leaves, each in a degree d_v, the
+triangle is the model's own split, with no stage (`_stalk_split`): U is the
+quotient on the S-summands P_v in degrees n <= d_v, each a T_v[d_v - n] in
+susp(T), and V, on the rest, a subcomplex with no chain map to any T_w[k],
+k >= 0, as an entry into P_w from P_c, c not in S, or from P_v in degree
+n > d_v would need a path leaving S, or one w -> v with d_w <= d_v < n.
 A deletion is decided on Hom coordinates: a copy of T_i can go exactly when
 its representative factors through the other kept copies (Auslander-Smalo),
 a rank condition in the one space Hom(M, T_i[s]) on the coordinates of the
@@ -47,6 +50,7 @@ checked.
 
 from collections import Counter
 from functools import reduce
+from itertools import groupby
 
 from .complexes import (ChainMap, PathMatrix, ProjComplex, _inclusion, _projection, direct_sum_many, is_minimal,
                         minimal_cocone, minimal_cone, minimize, opposite_complex, opposite_map, shift_map,
@@ -254,36 +258,41 @@ def _susp_envelope_stage(W, T_list, below, between, scan):
 def _stalk_split(W, T_list):
     """The envelope triangle V -> W -> U read off W's summands, (V, v_map, U, f, trace); None where it may not be.
 
-    Read when T_list is stalks P_v in one degree d, one per vertex of a set S
-    that no arrow leaves, and W's S-summands lie in degrees <= d.  An entry
-    of d_W from a complement summand to an S-summand would be a path leaving
-    S, so the complement summands span a subcomplex V, with no non-zero map
-    to any P_v[k] even on chains, and the S-summands the quotient U, in
-    susp(T): the triangle, unique up to isomorphism (Auslander-Smalo), with
-    the selections v_map and f and a layer (d - n, sorted tags of U's
-    degree-n summands, a tag being P_v's index in T_list) per degree n of U,
-    outermost first.  With no S-summand only the empty trace is read.
+    Read when T_list is stalks P_v, one per vertex of a set S that no arrow
+    leaves, each in a degree d_v with d_w <= d_v for every arrow (so every
+    path) w -> v: exactly when the stalks are presilting.  U is the quotient
+    on W's S-summands P_v in degrees n <= d_v, each a T_v[d_v - n] in
+    susp(T), and V the subcomplex on the rest, with Hom(V, T_w[k]) = 0 for
+    k >= 0 even on chains: an entry, of d_W or of a chain map, into an
+    S-summand P_w from P_c, c not in S, would be a path leaving S, and one
+    from P_v in degree n > d_v into P_w in a degree <= d_w needs a path
+    w -> v, so d_w <= d_v < n.  That is the triangle, unique up to
+    isomorphism (Auslander-Smalo), with the selections v_map and f and a
+    layer (d_v - n, sorted tags of U's summands at that shift, a tag being
+    P_v's index in T_list) per shift, outermost first.  With U = 0 only the
+    empty trace is read.
     """
-    d, tags = T_list[0].lo if T_list else 0, {}
+    tags, deg = {}, {}
     for i, T in enumerate(T_list):
-        if T.summand_count() != 1 or T.lo != d:
+        if T.summand_count() != 1:
             return None
-        tags.setdefault(T.components[d][0], i)
+        v = T.components[T.lo][0]
+        tags[v], deg[v] = i, T.lo
     alg = W.algebra
-    if len(tags) < len(T_list) or any(a.source in tags and a.target not in tags for a in alg.quiver.arrows):
+    if len(tags) < len(T_list) or any(a.source in deg and (a.target not in deg or deg[a.source] > deg[a.target])
+                                      for a in alg.quiver.arrows):
         return None
-    keep = {n: [i for i, v in enumerate(vs) if v not in tags] for n, vs in W.components.items()}
-    quotient = {n: [i for i, v in enumerate(vs) if v in tags] for n, vs in W.components.items()}
-    if any(n > d and idx for n, idx in quotient.items()):
-        return None
+    quotient = {n: [i for i, v in enumerate(vs) if v in deg and n <= deg[v]] for n, vs in W.components.items()}
     if not any(quotient.values()):
         return W, None, None, None, []
+    keep = {n: [i for i in range(len(vs)) if i not in quotient[n]] for n, vs in W.components.items()}
     V, U = subcomplex_on_indices(W, keep), subcomplex_on_indices(W, quotient)
     v_map = ChainMap(V, W, {n: _inclusion(alg, vs, 0, {i: k for k, i in enumerate(keep[n])}, None, V.component(n))
                             for n, vs in W.components.items()})
     f = ChainMap(W, U, {n: _projection(alg, vs, 0, {i: k for k, i in enumerate(quotient[n])}, None, U.component(n))
                         for n, vs in W.components.items()})
-    return V, v_map, U, f, [(d - n, tuple(sorted(tags[v] for v in U.components[n]))) for n in sorted(U.components)]
+    layers = sorted((n - deg[v], tags[v]) for n, vs in U.components.items() for v in vs)  # (-shift, tag)
+    return V, v_map, U, f, [(-k, tuple(i for _, i in tagged)) for k, tagged in groupby(layers, lambda kt: kt[0])]
 
 
 def _envelope(M, T_list):
@@ -291,11 +300,11 @@ def _envelope(M, T_list):
 
     A non-minimal M is minimized once, here, and the triangle is taken of
     its model W_0; a minimal M is W_0 itself.  It is read off W_0's summands
-    where `_stalk_split` may; otherwise the stages give
-    W_0 <- W_1 <- ... <- W_r, each map the pulled cocone map u of a stage,
-    and w: W_r -> W_0 composes them.  The triangle
-    W_r -w-> W_0 -> C(-w) -> W_r[1] is distinguished: it is the cone
-    triangle of -w with its first term changed by -id.  So V is W_r,
+    where `_stalk_split` may, for presilting stalks with one degree per
+    vertex; otherwise the stages give W_0 <- W_1 <- ... <- W_r, each map the
+    pulled cocone map u of a stage, and w: W_r -> W_0 composes them.  The
+    triangle W_r -w-> W_0 -> C(-w) -> W_r[1] is distinguished: it is the
+    cone triangle of -w with its first term changed by -id.  So V is W_r,
     already minimal, and U is the minimal model of C(-w), with the push of
     the inclusion of W_0, from `minimal_cone`: one direct elimination, as
     both ends are minimal.  By the octahedral axiom C(-w) is the iterated
@@ -358,9 +367,10 @@ def susp_envelope(M, T_list):
     certified, reading the spaces the last stage's s-search built on V and
     building the ones it did not scan, at and above the previous stage's s.
     A triangle read off M's summands (`_stalk_split`) is certified by
-    `homs.nonzero_homs`, which builds no space: no vertex of T reaches one
-    of V by a path.  Splitting T into its indecomposable summands searches
-    the one fixed stream of `decompose`.
+    `homs.nonzero_homs`, which builds no space where no vertex of T reaches
+    one of V by a path; an S-summand that V keeps above its stalk's degree
+    opens the support window.  Splitting T into its indecomposable summands
+    searches the one fixed stream of `decompose`.
     """
     f, U, V, v_map, trace, zeros = _envelope(M, T_list)
     f.check_chain_condition()

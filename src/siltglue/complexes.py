@@ -877,7 +877,10 @@ def subcomplex_on_indices(X, index_map):
     joins.  `approx._stalk_split` and `recollement`'s i^* rely on no arrow
     leaving S: an entry from a complement summand to an S summand would be
     a path from S to the complement, so the complement summands span a
-    subcomplex and the S summands its quotient.
+    subcomplex and the S summands its quotient.  The split also keeps there
+    each P_v in a degree n above its stalk's degree d_v: an entry into a P_w
+    in degree n + 1 <= d_w needs a path w -> v, so d_w <= d_v < n for
+    presilting stalks.
     """
     alg = X.algebra
     comps = {}

@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ from former import (
 )
 from oracle import oracle_hom_dim
 from siltglue.fields import QQ, PrimeField
-from siltglue.quiver import build_algebra
+from siltglue.quiver import Quiver, build_algebra
 from siltglue import approx
 from siltglue.fixtures import glue_fixtures
 from siltglue.gluing import canonical_corner_silting
@@ -227,9 +228,9 @@ def test_each_minimality_test_reads_one_space(ka3, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_every_envelope_stage_keeps_the_former_copies(field, monkeypatch):
+def test_every_envelope_stage_keeps_the_former_copies(field, monkeypatch, staged):
     """Each preenvelope that an envelope or precover of the gluing fixtures and of the random sample
-    minimizes keeps the copies the former form keeps."""
+    minimizes, by its stages, keeps the copies the former form keeps."""
     seen = []
     minimize_ = approx.left_minimize
 
@@ -716,12 +717,13 @@ def _raw(M, rng):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
-def test_no_stage_scans_at_or_above_the_previous_stage_s(field, monkeypatch):
+def test_no_stage_scans_at_or_above_the_previous_stage_s(field, monkeypatch, staged):
     """After the first, no stage of an envelope or precover builds a Hom(W, T_i[k]) with k at or above the
     previous stage's s, where W's cocone triangle makes it zero for presilting T.
 
     Over the envelopes of the gluing fixtures, the random sample's
-    instances and raw copies of their M, each also as a precover.
+    instances and raw copies of their M, each also as a precover, all by
+    their stages.
     """
     inputs = list(_envelope_inputs(field))
     inputs += [(_raw(M, seeded_rng(4500 + i)), T) for i, (M, T) in enumerate(inputs[-12:])]
@@ -777,11 +779,14 @@ def test_a_raw_m_gives_the_former_routes_envelope_and_precover_up_to_isomorphism
 
 
 def _stalk_split_case(field, rng):
-    """(route, M, T, applies): random stalks P_v, v in S, in one random degree d in [-2, 1], split over one or two
-    members in a random order, one time in eight with one stalk again as a member of its own, and a random M, raw
-    one time in four.  S is closed under the arrows (under the reversed arrows for a precover) four times in five,
-    and a random set otherwise; `applies` says whether the split may be read: S is closed, no stalk is repeated and
-    M's minimal model has its S-summands in degrees <= d (>= d for a precover).
+    """(route, M, T, applies, multi, above): random stalks P_v, v in S, each in a degree d_v in [-2, 1] (one degree
+    for all one time in four), split over one or two members in a random order, one time in eight with one stalk
+    again as a member of its own, and a random M, raw one time in four.  S is closed under the arrows (under the
+    reversed arrows for a precover) four times in five, and a random set otherwise; the degrees are raised along
+    the arrows in S, so that d_w <= d_v for every path w -> v, three times in four.  `applies` says whether the
+    split may be read: S is closed, no stalk is repeated and the degrees satisfy the path condition, which is
+    presiltingness.  `multi` says whether the stalks lie in two or more degrees, and `above` whether M's minimal
+    model has an S-summand P_v in a degree n > d_v (n < d_v for a precover, the split then taken over A^op).
     """
     alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.6), field)
     route = rng.choice([susp_envelope, cosusp_precover])
@@ -791,8 +796,14 @@ def _stalk_split_case(field, rng):
         S = {rng.choice(sorted(S))}
         while grown := {t for s, t in ends if s in S} - S:  # close S under the arrows, or under the reversed ones
             S |= grown
-    d = rng.randint(-2, 1)
-    stalks = [ProjComplex.stalk(alg, v, d) for v in rng.sample(sorted(S), len(S))]
+    inner = [(a.source, a.target) for a in alg.quiver.arrows if a.source in S and a.target in S]
+    one = rng.randint(-2, 1) if rng.random() < 0.25 else None
+    d = {v: rng.randint(-2, 1) if one is None else one for v in sorted(S)}
+    if rng.random() < 0.75:
+        while raised := [(w, v) for w, v in inner if d[w] > d[v]]:
+            for w, v in raised:
+                d[v] = max(d[v], d[w])
+    stalks = [ProjComplex.stalk(alg, v, d[v]) for v in rng.sample(sorted(S), len(S))]
     cut = rng.randint(1, len(stalks) - 1) if len(stalks) > 1 and rng.random() < 0.5 else len(stalks)
     T = [direct_sum_many(alg, part) for part in (stalks[:cut], stalks[cut:]) if part]
     repeated = rng.random() < 0.125
@@ -800,9 +811,20 @@ def _stalk_split_case(field, rng):
         T.insert(rng.randint(0, len(T)), rng.choice(stalks))
     M = random_complex(alg, rng, steps=rng.randint(1, 3), max_width=4, shift_range=2)
     M = _raw(M, rng) if rng.random() < 0.25 else M
-    degrees = [n for n, vs in minimize(M).complex.components.items() if S & set(vs)]
+    above = any(n > d[v] if route is susp_envelope else n < d[v]
+                for n, vs in minimize(M).complex.components.items() for v in vs if v in S)
     closed = not any(s in S and t not in S for s, t in ends)
-    return route, M, T, closed and not repeated and all(n <= d if route is susp_envelope else n >= d for n in degrees)
+    presilting = all(d[w] <= d[v] for w, v in inner)
+    return route, M, T, closed and not repeated and presilting, len(set(d.values())) > 1, above
+
+
+def _triangle_or_error(route, M, T):
+    """`triangle_json` of route(M, T) with its M and certificates, or the message of the ApproxError it raises."""
+    try:
+        res = route(M, T)
+    except ApproxError as e:
+        return str(e)
+    return res.M is M, res.certificates, triangle_json(res)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -811,26 +833,45 @@ def test_stalk_split_equals_the_stages(field, monkeypatch):
 
     V, U, f, v_map, s and the trace, as envelope and as precover, against
     the same call with the split declining.  The split is read exactly
-    where it may be (`_stalk_split_case`); the others run the stages either
-    way.
+    where it may be (`_stalk_split_case`), also with its layers at stalks
+    in several degrees and with S-summands of M above their vertex's
+    degree, and never raises; the others run the stages either way, and a
+    T that is not presilting may make both raise the same ApproxError.
     """
     split, declining = approx._stalk_split, lambda *args: None
-    rng, splits, layered, precovers, declined = seeded_rng(4700), 0, 0, 0, 0
+    rng, counts = seeded_rng(4700), Counter()
     for _ in range(700):
-        route, M, T, applies = _stalk_split_case(field, rng)
+        route, M, T, applies, multi, above = _stalk_split_case(field, rng)
         read = []
         monkeypatch.setattr(approx, "_stalk_split", lambda *args: read.append(out := split(*args)) or out)
-        got = route(M, T)
+        got = _triangle_or_error(route, M, T)
         monkeypatch.setattr(approx, "_stalk_split", declining)
-        staged = route(M, T)
-        assert got.M is M and staged.M is M and got.certificates == staged.certificates
-        assert triangle_json(got) == triangle_json(staged), (M, T)
+        assert got == _triangle_or_error(route, M, T), (M, T)
         assert (read[0] is not None) == applies, (M, T)
-        if applies:
-            splits, layered, precovers = splits + 1, layered + bool(got.trace), precovers + (route is cosusp_precover)
-        declined += not applies
+        assert not (applies and isinstance(got, str)), (M, T)
+        layered = applies and bool(read[0][4])
+        counts.update({"split": applies, "layered": layered, "multi": layered and multi, "above": applies and above,
+                       "precover": applies and route is cosusp_precover, "declined": not applies,
+                       "raised": isinstance(got, str)})
     monkeypatch.setattr(approx, "_stalk_split", split)
-    assert splits >= 300 and layered >= 200 and precovers >= 150 and declined >= 250, (splits, layered, precovers, declined)
+    floors = {"split": 400, "layered": 250, "multi": 70, "above": 150, "precover": 200, "declined": 150, "raised": 5}
+    assert all(counts[k] >= floor for k, floor in floors.items()), counts
+
+
+def test_the_split_declines_stalks_that_are_not_presilting(monkeypatch):
+    """On a: 1 -> 2, T = {P_2 in degree 0, P_1 in degree 1} is not presilting: Hom(P_2, T_1[1]) != 0 runs along
+    the path 1 -> 2 against the degrees.  The split declines, so M = P_2 is not read as V = 0 and U = P_2, and
+    `susp_envelope` raises as the stage route does."""
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), QQ)
+    T, M = [ProjComplex.stalk(alg, "2", 0), ProjComplex.stalk(alg, "1", 1)], ProjComplex.stalk(alg, "2", 0)
+    assert HomSpace(M, T[1], 1).dim == 1
+    assert approx._stalk_split(M, T) is None
+    with pytest.raises(ApproxError, match="envelope cocone not orthogonal") as split:
+        susp_envelope(M, T)
+    monkeypatch.setattr(approx, "_stalk_split", lambda *args: None)
+    with pytest.raises(ApproxError) as staged:
+        susp_envelope(M, T)
+    assert str(split.value) == str(staged.value)
 
 
 def _check_envelope_by_oracle(M, T, res):

@@ -141,17 +141,16 @@ def test_decomposition_equals_decompose_of_the_sum(name, rec, T_B, shortcut, cop
 
 
 def test_glue_takes_the_envelope_for_an_s_summand_in_degree_0(monkeypatch):
-    """T_B in degree 1 puts an S-summand of i_*T_Y in degree 0: the envelope's split declines, its stages run, and
-    the glue passes."""
+    """T_B in degree 1 puts an S-summand of i_*T_Y in degree 0, above the degree -1 of j_!T_C[1]: the envelope's
+    split reads it into V, with no stage, and the glue passes."""
     rec = idempotent_recollement(ka3_algebra(), ["3"])
-    splits, stages = [], []
-    split, stage = approx._stalk_split, approx._susp_envelope_stage
+    splits = []
+    split = approx._stalk_split
     monkeypatch.setattr(approx, "_stalk_split", lambda *args: splits.append(out := split(*args)) or out)
-    monkeypatch.setattr(approx, "_susp_envelope_stage", lambda *args: stages.append(out := stage(*args)) or out)
     cert = glue(rec, [canonical_corner_silting(rec)], [shift(canonical_quotient_silting(rec), -1)])
-    assert splits[0] is None and stages[0] is None  # the i_*T_Y envelope, with no s >= 0; the generation check's follow
     M = cert.triangles[0]["M"]
     assert 0 in M.components and "3" in M.components[0]
+    assert splits[0] is not None and splits[0][0] == M and splits[0][1:] == (None, None, None, [])  # V = M, U = 0
     assert cert.triangles[0]["trace"] == [] and cert.triangles[0]["V"] == M
     assert cert.passed, cert.reports
 
