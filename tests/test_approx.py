@@ -779,14 +779,15 @@ def test_a_raw_m_gives_the_former_routes_envelope_and_precover_up_to_isomorphism
 
 
 def _stalk_split_case(field, rng):
-    """(route, M, T, applies, multi, above): random stalks P_v, v in S, each in a degree d_v in [-2, 1] (one degree
+    """(route, M, T, applies, presilting, multi, above): random stalks P_v, v in S, each in a degree d_v in [-2, 1] (one degree
     for all one time in four), split over one or two members in a random order, one time in eight with one stalk
     again as a member of its own, and a random M, raw one time in four.  S is closed under the arrows (under the
     reversed arrows for a precover) four times in five, and a random set otherwise; the degrees are raised along
     the arrows in S, so that d_w <= d_v for every path w -> v, three times in four.  `applies` says whether the
     split may be read: S is closed, no stalk is repeated and the degrees satisfy the path condition, which is
-    presiltingness.  `multi` says whether the stalks lie in two or more degrees, and `above` whether M's minimal
-    model has an S-summand P_v in a degree n > d_v (n < d_v for a precover, the split then taken over A^op).
+    presiltingness.  `presilting` says whether T is presilting, by `is_nonpositive`, for any S.  `multi` says
+    whether the stalks lie in two or more degrees, and `above` whether M's minimal model has an S-summand P_v in
+    a degree n > d_v (n < d_v for a precover, the split then taken over A^op).
     """
     alg = build_algebra(random_quiver(rng, max_vertices=6, arrow_prob=0.6), field)
     route = rng.choice([susp_envelope, cosusp_precover])
@@ -814,8 +815,8 @@ def _stalk_split_case(field, rng):
     above = any(n > d[v] if route is susp_envelope else n < d[v]
                 for n, vs in minimize(M).complex.components.items() for v in vs if v in S)
     closed = not any(s in S and t not in S for s, t in ends)
-    presilting = all(d[w] <= d[v] for w, v in inner)
-    return route, M, T, closed and not repeated and presilting, len(set(d.values())) > 1, above
+    applies = closed and not repeated and all(d[w] <= d[v] for w, v in inner)
+    return route, M, T, applies, is_nonpositive(T)[0], len(set(d.values())) > 1, above
 
 
 def _triangle_or_error(route, M, T):
@@ -835,26 +836,32 @@ def test_stalk_split_equals_the_stages(field, monkeypatch):
     the same call with the split declining.  The split is read exactly
     where it may be (`_stalk_split_case`), also with its layers at stalks
     in several degrees and with S-summands of M above their vertex's
-    degree, and never raises; the others run the stages either way, and a
-    T that is not presilting may make both raise the same ApproxError.
+    degree, and never raises; the others run the stages either way, and
+    only a T that is not presilting may make both raise, with the same
+    ApproxError.  Both routes return M itself.
     """
     split, declining = approx._stalk_split, lambda *args: None
     rng, counts = seeded_rng(4700), Counter()
     for _ in range(700):
-        route, M, T, applies, multi, above = _stalk_split_case(field, rng)
+        route, M, T, applies, presilting, multi, above = _stalk_split_case(field, rng)
         read = []
         monkeypatch.setattr(approx, "_stalk_split", lambda *args: read.append(out := split(*args)) or out)
         got = _triangle_or_error(route, M, T)
         monkeypatch.setattr(approx, "_stalk_split", declining)
         assert got == _triangle_or_error(route, M, T), (M, T)
         assert (read[0] is not None) == applies, (M, T)
-        assert not (applies and isinstance(got, str)), (M, T)
+        assert presilting or not applies, (M, T)
+        if isinstance(got, str):
+            assert not presilting, (M, T, got)
+        else:
+            assert got[0] is True, (M, T)
         layered = applies and bool(read[0][4])
         counts.update({"split": applies, "layered": layered, "multi": layered and multi, "above": applies and above,
                        "precover": applies and route is cosusp_precover, "declined": not applies,
-                       "raised": isinstance(got, str)})
+                       "raised": isinstance(got, str), "declined presilting": presilting and not applies})
     monkeypatch.setattr(approx, "_stalk_split", split)
-    floors = {"split": 400, "layered": 250, "multi": 70, "above": 150, "precover": 200, "declined": 150, "raised": 5}
+    floors = {"split": 400, "layered": 250, "multi": 70, "above": 150, "precover": 200, "declined": 150,
+              "declined presilting": 100, "raised": 5}
     assert all(counts[k] >= floor for k, floor in floors.items()), counts
 
 
