@@ -10,15 +10,15 @@ action tables (`PathAlgebra.left_action`, `right_action`), and each
 non-zero of delta^m comes from exactly one such term, so it is written once
 with no sums.  A `HomSpace` is a view that reduces nothing when built:
 dim = nullity delta^k - rank delta^(k-1), two ranks, each counted once per
-complex on the sparse entries of delta^m by peeling singleton lines
-(`linalg.independent_columns`), with a dense reduction of only what is
-left, to its pivots; the count is a set of independent columns of delta^m,
-as many as its rank.  A reduced row echelon form waits for a read: delta^k
-as equations (kernel: the cycles) for cycles and representatives, reduced
-on those independent columns alone once they are known, since they span
-the same row space; delta^(k-1) as a row space (image: the boundaries) for
-coordinates and null-homotopy tests; a rank is read off such a reduction
-when one exists.  Since d_{Y[k]} = (-1)^k d_Y,
+complex on the sparse entries of delta^m by one sparse column echelon
+(`linalg.independent_columns`), with no dense matrix; the count is the
+greedy basis of the column space of delta^m, the columns not in the span
+of those before them, as many as its rank.  A reduced row echelon form
+waits for a read: delta^k as equations (kernel: the cycles) for cycles and
+representatives, reduced on those independent columns alone once they are
+known, since they span the same row space; delta^(k-1) as a row space
+(image: the boundaries) for coordinates and null-homotopy tests; a rank is
+read off such a reduction when one exists.  Since d_{Y[k]} = (-1)^k d_Y,
 kernel and row space are those of the chain maps X -> Y[k] modulo homotopy,
 so only a homotopy witness picks up the sign (-1)^k; and Hom(X[s], Y[s]) has
 the representative vectors of Hom(X, Y).  A window walker shares one complex
@@ -27,11 +27,11 @@ each one's rank once.  Spaces built alone, one shift at a time, share one
 too: `LIVE` keeps the complex of each pair while a space holds it (one
 object per live pair, as `quiver.ALGEBRAS` keeps one algebra per content),
 so a space at k reads rank delta^(k-1) off the reduction the space at k - 1
-made.  The representatives take one more reduction, to its pivots only,
-of raw rows of delta^(k-1) on the free coordinates of the cycles: the
-independent rows, the pivots of the equations of delta^(k-1), when the
-space at k - 1 has reduced them.  Only the cycle vectors of the
-representatives kept are built, and a space measured at 0 reduces nothing.
+made.  The representatives take one more column echelon, of raw rows of
+delta^(k-1) on the free coordinates of the cycles: the independent rows,
+the pivots of the equations of delta^(k-1), when the space at k - 1 has
+reduced them.  Only the cycle vectors of the representatives kept are
+built, and a space measured at 0 reduces nothing.
 """
 
 import weakref
@@ -108,8 +108,9 @@ class _VarSpace:
 class HomComplex:
     """Hom•(X, Y), built on demand: each Hom^m, delta^m, rank and reduction of delta^m once.
 
-    `_lines[m]` holds the columns of delta^m that `independent_columns`
-    found, once delta^m is ranked so: the independent rows of the equations.
+    `_lines[m]` holds the greedy column basis of delta^m that
+    `independent_columns` found, once delta^m is ranked so: the independent
+    rows of the equations.
     """
 
     def __init__(self, X, Y):
@@ -200,7 +201,7 @@ class HomComplex:
 
     def rank(self, m):
         """rank delta^m, read off a reduction of delta^m already made, else counted once as the
-        number of `independent_columns`."""
+        number of its `independent_columns`, its greedy column basis found by a sparse echelon."""
         done = self._equations.get(m) or self._images.get(m)
         if done is not None:
             return len(done[1])
@@ -255,7 +256,7 @@ class HomSpace:
     @_cached
     def _reps(self):
         """Canonical representatives: the cycle-basis vectors that grow the span of the
-        boundaries and the vectors before them, picked in one reduction.
+        boundaries and the vectors before them, picked by one column echelon.
 
         Cycle-basis vector q is 1 at the q-th free column of the equations,
         0 at the other free columns, and the free coordinates are an
@@ -263,18 +264,19 @@ class HomSpace:
         of the boundaries and vectors 0..q-1 exactly when some boundary, on
         the free coordinates, has its last non-zero at q: exactly when q is a
         pivot of the boundary rows restricted to the free columns and read
-        in reverse order.  The others, `dim` of them, are the same vectors a
-        running RREF would keep, one cycle at a time, and only their vectors
-        are built.  A space already measured at 0 reduces nothing; otherwise
-        the equations are reduced first, so `dim` reads rank delta^k off
-        them.  The boundaries are raw rows of delta^(k-1) that span them as
-        its RREF does, so they give the same pivots without reducing
-        delta^(k-1) as an image, and only the pivots are reduced for.  Those
-        rows are the independent ones (`HomComplex.image_rows`) when the
-        equations of delta^(k-1) are reduced, as a walk that read the space
-        at k - 1 has them, and otherwise all of them.  A row that is zero on
-        the free columns adds no pivot, so only the rows that meet a free
-        column are built, from the entries of delta^(k-1), in row order.
+        in reverse order.  These pivots are the greedy column basis of that
+        matrix, so `independent_columns` finds them by its sparse echelon on
+        the entries of delta^(k-1), the free columns renumbered in reverse.
+        The others, `dim` of them, are the same vectors a running RREF would
+        keep, one cycle at a time, and only their vectors are built.  A
+        space already measured at 0 reduces nothing; otherwise the equations
+        are reduced first, so `dim` reads rank delta^k off them.  The
+        boundaries are raw rows of delta^(k-1) that span them as its RREF
+        does, so they give the same pivots without reducing delta^(k-1) as
+        an image.  Those rows are the independent ones
+        (`HomComplex.image_rows`) when the equations of delta^(k-1) are
+        reduced, as a walk that read the space at k - 1 has them, and
+        otherwise all of them; only their entries on free columns are read.
         """
         if "dim" in vars(self) and not self.dim:
             return []
@@ -284,14 +286,10 @@ class HomSpace:
         pivots = set(piv)
         free = [c for c in range(self.fvars.dim) if c not in pivots]  # cycle-basis vector q is 1 at free[q]
         at = {c: len(free) - 1 - q for q, c in enumerate(free)}  # the free columns in reverse order
-        fld, rows, span = self.X.algebra.field, {}, self.hom.image_rows(self.k - 1)
-        for a, b, c in self.hom.delta(self.k - 1) if self.hvars.dim else ():
-            if b in at and (span is None or a in span):
-                if a not in rows:
-                    rows[a] = [fld.zero] * len(free)
-                rows[a][at[b]] = c
-        boundaries = [rows[a] for a in sorted(rows)]
-        skipped = {len(free) - 1 - p for p in row_space_rref(fld, boundaries, reduced=False)[1]}
+        fld, span = self.X.algebra.field, self.hom.image_rows(self.k - 1)
+        boundaries = [(a, at[b], c) for a, b, c in (self.hom.delta(self.k - 1) if self.hvars.dim else ())
+                      if b in at and (span is None or a in span)]
+        skipped = {len(free) - 1 - p for p in independent_columns(fld, boundaries)}
         kept = [c for q, c in enumerate(free) if q not in skipped]
         return rref_kernel_basis(fld, red, piv, self.fvars.dim, kept)
 

@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over Q and F_p, and the rank of a sparse matrix.
+"""Exact dense linear algebra over Q and F_p, and the greedy column basis of a sparse matrix.
 
 Everything is deterministic: the pivot is the first nonzero entry in a
-row-major scan, and the reduced row echelon form is canonical.  Matrices are
-immutable after construction and all operations are pure, except
-`extend_rref`, which grows the row lists it is given.
+row-major scan, and the reduced row echelon form is canonical.  A sparse
+matrix, given by its entries, is reduced by one sparse echelon over its
+columns (`independent_columns`), which keeps the columns not in the span of
+those before them: the pivot columns of its RREF, with no dense matrix.
+Matrices are immutable after construction and all operations are pure,
+except `extend_rref`, which grows the row lists it is given.
 """
 
 import bisect
-from collections import defaultdict
+from math import gcd, lcm
 
 from .fields import QQ, PrimeField
 from . import _kernel
@@ -89,51 +92,54 @@ def rank(mat):
 
 
 def independent_columns(field, entries):
-    """Columns that form a basis of the column space of a matrix given by its
-    entries [(row, col, value)], each position at most once and each value
-    non-zero; sorted, and as many as its rank.
+    """The greedy basis of the column space of a matrix given by its entries
+    [(row, col, value)], each position at most once and each value non-zero:
+    the columns not in the span of the columns before them, sorted.
 
-    Singleton lines are peeled first, as in structured Gaussian elimination
-    (LaMacchia-Odlyzko 1990): a column with a single non-zero c is removed
-    together with the row of c, and a row with a single non-zero c together
-    with the column of c, and each peel keeps the column of c.  With c placed
-    first, a lone entry of its column makes the matrix block triangular,
-    [[c, r], [0, B]], with B what is left (a lone entry of its row: [[c, 0],
-    [x, B]]), so over every field its rank is 1 + rank B, and the column of
-    c with the columns of a basis of B's column space is independent.
-    Peeling repeats until no line holds a single entry; what is left is
-    reduced densely, to its pivot columns only.
+    These are the pivot columns of its RREF, as many as its rank, found by
+    one sparse echelon over the columns in increasing order.  A column v is
+    reduced by its leading (least) row against the column u stored there,
+    v <- a v - b u with a = u[lead] and b = v[lead], which clears the
+    leading row, so the leading row only rises.  A column that reaches a row
+    where none is stored is stored there and kept; one that reduces to
+    nothing lies in the span of those before it.  Over Q a column is scaled
+    to integers once, and a and b are divided by their gcd, so every step
+    stays in integers; over F_p a step is v <- v - (b / a) u mod p, and,
+    like `_kernel.rref_fp`, takes each value it is given as a field element.
     """
-    lines = (defaultdict(set), defaultdict(set))  # row -> its columns, column -> its rows
-    for r, c, _ in entries:
-        lines[0][r].add(c)
-        lines[1][c].add(r)
-    basis, lone = [], [(side, i) for side in (0, 1) for i, s in lines[side].items() if len(s) == 1]
-    while lone:
-        side, i = lone.pop()
-        own, cross = lines[side], lines[1 - side]
-        if len(own.get(i, ())) != 1:
-            continue  # gone since it was queued
-        (j,) = own.pop(i)
-        basis.append(i if side else j)
-        for k in cross.pop(j):
-            if k != i:
-                rest = own[k]
-                rest.discard(j)
-                if len(rest) == 1:
-                    lone.append((side, k))
-                elif not rest:
-                    del own[k]
-    rows, cols = lines
-    if rows:
-        at_row, at_col = {r: a for a, r in enumerate(rows)}, {c: b for b, c in enumerate(cols)}
-        dense = [[field.zero] * len(cols) for _ in rows]
-        for r, c, x in entries:
-            if r in at_row and c in at_col:
-                dense[at_row[r]][at_col[c]] = x
-        left = list(cols)
-        basis += [left[b] for b in _rref_rows(field, dense, reduced=False)[1]]
-    return sorted(basis)
+    p = 0 if field == QQ else field.p
+    columns, leads, basis = {}, {}, []
+    for r, c, x in entries:
+        columns.setdefault(c, {})[r] = x
+    for c in sorted(columns):
+        v = columns[c]
+        if not p and {*map(type, v.values())} - {int}:  # some Fraction: scale the column to integers
+            den = lcm(*(x.denominator for x in v.values()))
+            v = {r: x.numerator * (den // x.denominator) for r, x in v.items()}
+        while v:
+            lead = min(v)
+            u = leads.get(lead)
+            if u is None:
+                leads[lead] = v
+                basis.append(c)
+                break
+            a, b = u[lead], v[lead]
+            if p:
+                b = b * pow(a, -1, p) % p
+            elif a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    v = {r: a * x for r, x in v.items()}
+            for r, y in u.items():  # v is this call's own dict, reduced in place
+                x = v.get(r, 0) - b * y
+                if p:
+                    x %= p
+                if x:
+                    v[r] = x
+                else:
+                    del v[r]  # a zero comes only where v has an entry
+    return basis
 
 
 def det(mat):

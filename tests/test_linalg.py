@@ -286,7 +286,9 @@ def test_rref_qq_matches_sympy_on_every_kind_of_row(kind):
 def test_rref_fp_receives_field_elements_only():
     """Every entry `_kernel.rref_fp` receives in the F_5 and F_2147483647 tests of the Hom, linear
     algebra, decomposition and approximation modules is an int in [0, p), the precondition under
-    which it copies its rows as they are (the `rref_fp_spy` plugin, in a pytest run of its own)."""
+    which it copies its rows as they are, and every value `independent_columns` receives over F_p
+    there is an int in [1, p), under which its echelon stores values as they are (the `rref_fp_spy`
+    plugin, in a pytest run of its own)."""
     root = os.path.dirname(TESTS)
     files = [os.path.join(TESTS, f"test_{name}.py") for name in ("homs", "linalg", "decompose", "approx")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), TESTS]))
@@ -298,6 +300,9 @@ def test_rref_fp_receives_field_elements_only():
     assert res.returncode == 0, res.stdout[-3000:]
     calls, bad = map(int, re.search(r"rref_fp calls (\d+), entries out of range (\d+)", res.stdout).groups())
     assert calls > 100 and bad == 0, res.stdout[-3000:]
+    calls, bad = map(int, re.search(r"independent_columns F_p calls (\d+), values out of range (\d+)",
+                                    res.stdout).groups())
+    assert calls > 0 and bad == 0, res.stdout[-3000:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,7 +358,7 @@ def _sparse_matrix(field, rng, kind):
         cells = {}
     elif kind == "single":
         cells = {(rng.randrange(r), rng.randrange(c)): nz()}
-    elif kind == "chain":  # bidiagonal: every peel leaves a new singleton
+    elif kind == "chain":  # bidiagonal: each line crosses the next, in one long chain
         n = min(r, c)
         cells = {(i, i): nz() for i in range(n)} | {(i, i + 1): nz() for i in range(n - 1)}
         if rng.random() < 0.5:
@@ -390,8 +395,8 @@ def _sparse_matrix(field, rng, kind):
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=SPARSE_IDS)
 def test_sparse_rank_matches_the_row_reduction(field):
-    """Peeling singletons and reducing the rest keeps as many columns as the rank of the dense RREF, on every kind of
-    sparse matrix."""
+    """The sparse column echelon keeps as many columns as the rank of the dense RREF, on every kind of sparse
+    matrix."""
     rng = random.Random(3201)
     kinds = ["empty", "single", "chain", "block"] + ["random"] * 6
     for trial in range(250):
@@ -405,7 +410,8 @@ def test_sparse_rank_matches_the_row_reduction(field):
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=SPARSE_IDS)
 def test_independent_columns_are_a_basis_of_the_column_space(field):
-    """The columns the peel and the residual keep are sorted, as many as the rank, and independent."""
+    """The columns the echelon keeps are the greedy basis, each column not in the span of those before it: the
+    pivot columns of the dense RREF, so sorted, as many as the rank, and independent."""
     rng = random.Random(3202)
     kinds = ["empty", "single", "chain", "block"] + ["random"] * 6
     for trial in range(250):
@@ -414,7 +420,7 @@ def test_independent_columns_are_a_basis_of_the_column_space(field):
         for a, b, x in entries:
             dense[a][b] = x
         cols = independent_columns(field, entries)
-        assert cols == sorted(set(cols)) and len(cols) == len(row_space_rref(field, dense)[1])
+        assert cols == row_space_rref(field, dense)[1]
         assert len(row_space_rref(field, [[row[b] for row in dense] for b in cols])[1]) == len(cols)
 
 
